@@ -11,7 +11,7 @@
 use bods::BodsSpec;
 use quit_bench::{json_is_valid, pct, Opts};
 use quit_concurrent::{ConcConfig, ConcurrentTree};
-use quit_core::{MetricsLevel, StatsSnapshot, Variant};
+use quit_core::{MetricsLevel, StatsSnapshot, TreeConfig, Variant};
 use std::sync::Arc;
 
 fn push_phase(out: &mut String, name: &str, snap: &StatsSnapshot) {
@@ -94,9 +94,9 @@ fn main() {
     // stay exact (fetch_add write path), histogram count must match.
     let threads = 4.min(opts.max_threads.max(1));
     let keys = BodsSpec::new(n, 0.05, 1.0).with_seed(opts.seed).generate();
-    let conc: Arc<ConcurrentTree<u64, u64>> = Arc::new(ConcurrentTree::new(
-        ConcConfig::paper_default().with_metrics_level(MetricsLevel::Histograms),
-    ));
+    let conc: Arc<ConcurrentTree<u64, u64>> = Arc::new(ConcurrentTree::new(ConcConfig::from_tree(
+        TreeConfig::paper_default().with_metrics_level(MetricsLevel::Histograms),
+    )));
     std::thread::scope(|s| {
         for t in 0..threads {
             let conc = conc.clone();

@@ -46,9 +46,7 @@ impl Cell {
 
 fn build(opts: &Opts, olc: bool) -> Arc<ConcurrentTree<u64, u64>> {
     Arc::new(ConcurrentTree::new(
-        ConcConfig::paper_default()
-            .with_leaf_capacity(opts.leaf_capacity)
-            .with_olc(olc),
+        ConcConfig::from_tree(opts.tree_config()).with_olc(olc),
     ))
 }
 

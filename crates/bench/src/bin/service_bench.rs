@@ -68,7 +68,7 @@ impl Cell {
 fn service_config(opts: &Opts, shards: usize) -> ServiceConfig {
     ServiceConfig::paper_default()
         .with_shards(shards)
-        .with_tree(ConcConfig::paper_default().with_leaf_capacity(opts.leaf_capacity))
+        .with_tree(ConcConfig::from_tree(opts.tree_config()))
 }
 
 /// One client's stream: the `t`-th contiguous segment of the keyspace,
@@ -161,7 +161,7 @@ fn single_tree_baseline(opts: &Opts, clients: usize) -> f64 {
     let per = (opts.n / clients).max(1) as u64;
     let total = per * clients as u64;
     let mut tree: ConcurrentTree<u64, u64> =
-        ConcurrentTree::new(ConcConfig::paper_default().with_leaf_capacity(opts.leaf_capacity));
+        ConcurrentTree::new(ConcConfig::from_tree(opts.tree_config()));
     let mut done = vec![0u64; clients];
     let mut run = Vec::with_capacity(WINDOW);
     loop {

@@ -322,16 +322,14 @@ impl<K: Key, V: Clone> MvccTree<K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use quit_core::NodeLayoutKind;
+    use quit_core::{NodeLayoutKind, TreeConfig};
 
     fn tiny(layout: NodeLayoutKind) -> MvccTree<u64, u64> {
         // Tiny leaves force splits (and, for Gapped, filler seeding) with
         // few keys.
-        MvccTree::new(
-            ConcConfig::paper_default()
-                .with_leaf_capacity(8)
-                .with_node_layout(layout),
-        )
+        MvccTree::new(ConcConfig::from_tree(
+            TreeConfig::small(8).with_node_layout(layout),
+        ))
     }
 
     fn write(t: &MvccTree<u64, u64>, key: u64, ts: u64, v: Option<u64>) -> bool {

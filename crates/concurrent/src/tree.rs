@@ -32,68 +32,50 @@
 //!   version like any other write section.
 //!
 //! poℓe maintenance follows Algorithm 1 (IKR-guided promotion on split) plus
-//! the §4.3 reset strategy. The single-threaded-only refinements (variable
-//! split, redistribution, catch-up) are intentionally omitted here: they
-//! require multi-node lock choreography that the paper does not specify, and
-//! they affect space, not the concurrency behaviour Fig 13 measures.
+//! the §4.3 reset strategy, and every such decision is made by the same
+//! [`quit_core::FastPathState`] the single-threaded trees use, held under
+//! the metadata mutex with `Arc` node references as its leaf handle. The
+//! single-threaded-only refinements (variable split, redistribution,
+//! catch-up) are intentionally not executed here: they require multi-node
+//! lock choreography that the paper does not specify, and they affect
+//! space, not the concurrency behaviour Fig 13 measures. [`ConcConfig`]
+//! says so in the `TreeConfig` it embeds (both flags are off).
 
 use crate::node::{CNode, NodeRef};
 use crate::olc::{self, LeafRead, Routed, Target};
 use crate::sync::{ArcRwLockReadGuard, ArcRwLockWriteGuard, Mutex, RwLock};
 use quit_core::{
-    ikr_bound, Key, MetricsLevel, MetricsRegistry, NodeLayoutKind, SearchKind, SlotInsert, Stats,
-    StatsSnapshot, StorageKind,
+    FastPathState, FullPolePlan, Key, MetricsRegistry, NodeLayoutKind, PoleSplit, SlotInsert,
+    Stats, StatsSnapshot, StorageKind, TopInsert, TreeConfig,
 };
 use std::ops::{Bound, RangeBounds};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 type WriteGuard<K, V> = ArcRwLockWriteGuard<CNode<K, V>>;
+/// A leaf split: the node that split (its left half now) and the split in
+/// the policy's terms.
+type LeafSplit<K, V> = (NodeRef<K, V>, PoleSplit<K, NodeRef<K, V>>);
 
-/// Configuration of the concurrent tree, mirroring `quit-core`'s
-/// [`quit_core::TreeConfig`] naming: `paper_default()` / `small(cap)`
-/// constructors plus `with_*` builder overrides.
+/// Configuration of the concurrent tree: one [`TreeConfig`] for every knob
+/// it shares with the single-threaded trees (geometry, IKR scale, reset
+/// threshold, metrics level, leaf layout, search kind, storage) plus the
+/// three only a latched tree has. Geometry or layout overrides go through
+/// the embedded value:
+/// `ConcConfig::from_tree(TreeConfig::small(16).with_node_layout(..))`.
 #[derive(Debug, Clone)]
 pub struct ConcConfig {
-    /// Maximum entries per leaf.
-    pub leaf_capacity: usize,
-    /// Maximum separator keys per internal node.
-    pub internal_capacity: usize,
-    /// IKR scale (Eq. 2).
-    pub ikr_scale: f64,
+    /// Private so it always describes what actually runs: `from_tree`
+    /// switches off the two plans this tree never executes.
+    tree: TreeConfig,
     /// Enable the poℓe fast path (off ⇒ plain concurrent B+-tree).
     pub pole_enabled: bool,
-    /// Consecutive top-inserts before the fast path resets (`T_R` in §4.3).
-    /// `None` disables the reset strategy.
-    pub reset_threshold: Option<usize>,
-    /// How much telemetry the tree records (same semantics as
-    /// [`quit_core::TreeConfig::metrics_level`]). All counters are exact
-    /// under concurrency at every level.
-    pub metrics_level: MetricsLevel,
     /// Enable optimistic lock coupling for `get`/`range`/insert descents
     /// (off ⇒ pessimistic lock-crabbing everywhere, the pre-OLC behaviour).
     pub olc_enabled: bool,
     /// Restarts an optimistic operation tolerates before falling back to
     /// the pessimistic path (the exponential-backoff budget).
     pub olc_max_restarts: u32,
-    /// Physical leaf layout (same semantics as
-    /// [`quit_core::TreeConfig::node_layout`]): `Dense` is the bit-for-bit
-    /// paper path, `Gapped` absorbs near-sorted inserts without shifting.
-    pub node_layout: NodeLayoutKind,
-    /// Intra-node search strategy for latched reads and writes (the
-    /// latch-free OLC descent always uses the branchless scalar search —
-    /// SIMD loads must not race writers).
-    pub search_kind: SearchKind,
-    /// Node storage backend (same semantics as
-    /// [`quit_core::TreeConfig::storage`]). The concurrent tree itself
-    /// runs only [`StorageKind::Arena`] — its optimistic readers hold raw
-    /// node pointers that a buffer pool could evict from under them —
-    /// so construction rejects `Paged`; the knob exists so one config type
-    /// can describe a whole deployment and so callers get a *typed*
-    /// rejection instead of silently falling back to the arena. For paged
-    /// storage, use the single-writer `BpTree` via
-    /// `quit_durability::Durable::open_paged`.
-    pub storage: StorageKind,
 }
 
 /// Default optimistic restart budget. Backoff doubles per restart, so the
@@ -102,95 +84,46 @@ pub struct ConcConfig {
 const DEFAULT_OLC_MAX_RESTARTS: u32 = 12;
 
 impl ConcConfig {
+    /// The concurrent tree over `tree`'s shared knobs, poℓe and OLC on.
+    ///
+    /// `variable_split` and `redistribute` are switched off in the embedded
+    /// value — the concurrent tree always splits 50/50 (see the module
+    /// docs). `search_kind` governs latched reads and writes only (the
+    /// latch-free OLC descent always uses the branchless scalar search —
+    /// SIMD loads must not race writers). [`StorageKind::Paged`] is
+    /// representable so one config type can describe a whole deployment,
+    /// but [`ConcurrentTree::new`] rejects it: optimistic readers hold raw
+    /// node pointers that a buffer pool could evict from under them. For
+    /// paged storage, use the single-writer `BpTree` via
+    /// `quit_durability::Durable::open_paged`.
+    pub fn from_tree(tree: TreeConfig) -> Self {
+        ConcConfig {
+            tree: tree.with_variable_split(false).with_redistribute(false),
+            pole_enabled: true,
+            olc_enabled: true,
+            olc_max_restarts: DEFAULT_OLC_MAX_RESTARTS,
+        }
+    }
+
     /// Paper-default geometry: 510-entry nodes, IKR scale 1.5, poℓe fast
     /// path on, `T_R = ⌊√510⌋ = 22`.
     pub fn paper_default() -> Self {
-        ConcConfig {
-            leaf_capacity: 510,
-            internal_capacity: 510,
-            ikr_scale: 1.5,
-            pole_enabled: true,
-            reset_threshold: Some(Self::default_reset_threshold(510)),
-            metrics_level: MetricsLevel::default(),
-            olc_enabled: true,
-            olc_max_restarts: DEFAULT_OLC_MAX_RESTARTS,
-            node_layout: NodeLayoutKind::Dense,
-            search_kind: SearchKind::Binary,
-            storage: StorageKind::Arena,
-        }
+        Self::from_tree(TreeConfig::paper_default())
     }
 
     /// A small geometry that forces frequent splits; used heavily in tests.
     pub fn small(leaf_capacity: usize) -> Self {
-        ConcConfig {
-            leaf_capacity,
-            internal_capacity: leaf_capacity.max(4),
-            ikr_scale: 1.5,
-            pole_enabled: true,
-            reset_threshold: Some(Self::default_reset_threshold(leaf_capacity)),
-            metrics_level: MetricsLevel::default(),
-            olc_enabled: true,
-            olc_max_restarts: DEFAULT_OLC_MAX_RESTARTS,
-            node_layout: NodeLayoutKind::Dense,
-            search_kind: SearchKind::Binary,
-            storage: StorageKind::Arena,
-        }
+        Self::from_tree(TreeConfig::small(leaf_capacity))
     }
 
-    /// `T_R = ⌊√leaf_capacity⌋`, the paper's balanced reset trigger.
-    pub fn default_reset_threshold(leaf_capacity: usize) -> usize {
-        ((leaf_capacity as f64).sqrt().floor() as usize).max(1)
-    }
-
-    /// Set the leaf capacity, keeping the internal capacity and reset
-    /// threshold in sync (same semantics as `TreeConfig::with_leaf_capacity`).
-    ///
-    /// "In sync" only touches values still at their derived defaults: an
-    /// internal capacity or reset threshold you overrode explicitly is
-    /// preserved whether the override came *before or after* this call,
-    /// so builder chains compose in any order.
-    pub fn with_leaf_capacity(mut self, cap: usize) -> Self {
-        assert!(cap >= 2, "leaf capacity must be at least 2");
-        let old = self.leaf_capacity;
-        self.leaf_capacity = cap;
-        if self.internal_capacity == old.max(4) {
-            self.internal_capacity = cap.max(4);
-        }
-        if self.reset_threshold == Some(Self::default_reset_threshold(old)) {
-            self.reset_threshold = Some(Self::default_reset_threshold(cap));
-        }
-        self
-    }
-
-    /// Builder-style override of the internal-node key capacity alone.
-    pub fn with_internal_capacity(mut self, cap: usize) -> Self {
-        assert!(cap >= 3, "internal capacity must be at least 3");
-        self.internal_capacity = cap;
-        self
+    /// The knobs shared with the single-threaded trees.
+    pub fn tree_config(&self) -> &TreeConfig {
+        &self.tree
     }
 
     /// Builder-style toggle of the poℓe fast path.
     pub fn with_pole(mut self, enabled: bool) -> Self {
         self.pole_enabled = enabled;
-        self
-    }
-
-    /// Builder-style override of the IKR scale.
-    pub fn with_ikr_scale(mut self, scale: f64) -> Self {
-        assert!(scale > 0.0, "IKR scale must be positive");
-        self.ikr_scale = scale;
-        self
-    }
-
-    /// Builder-style override of the reset threshold (`None` disables reset).
-    pub fn with_reset_threshold(mut self, t: Option<usize>) -> Self {
-        self.reset_threshold = t;
-        self
-    }
-
-    /// Builder-style override of the telemetry level.
-    pub fn with_metrics_level(mut self, level: MetricsLevel) -> Self {
-        self.metrics_level = level;
         self
     }
 
@@ -205,47 +138,6 @@ impl ConcConfig {
         self.olc_max_restarts = budget;
         self
     }
-
-    /// Builder-style override of the physical leaf layout (mirrors
-    /// [`quit_core::TreeConfig::with_node_layout`]).
-    pub fn with_node_layout(mut self, layout: NodeLayoutKind) -> Self {
-        self.node_layout = layout;
-        self
-    }
-
-    /// Builder-style override of the intra-node search strategy (mirrors
-    /// [`quit_core::TreeConfig::with_search_kind`]).
-    pub fn with_search_kind(mut self, kind: SearchKind) -> Self {
-        self.search_kind = kind;
-        self
-    }
-
-    /// Builder-style override of the storage backend (mirrors
-    /// [`quit_core::TreeConfig::with_storage`]). See the field docs for
-    /// why [`ConcurrentTree`] construction rejects [`StorageKind::Paged`].
-    pub fn with_storage(mut self, storage: StorageKind) -> Self {
-        self.storage = storage;
-        self
-    }
-
-    /// Panics if the configuration is internally inconsistent (same
-    /// contract as `TreeConfig::assert_valid`).
-    pub fn assert_valid(&self) {
-        assert!(self.leaf_capacity >= 2, "leaf capacity must be >= 2");
-        assert!(
-            self.internal_capacity >= 3,
-            "internal capacity must be >= 3"
-        );
-        assert!(self.ikr_scale > 0.0, "IKR scale must be positive");
-        if let StorageKind::Paged {
-            pool_pages,
-            page_size,
-        } = self.storage
-        {
-            assert!(pool_pages >= 2, "pool must hold at least 2 pages");
-            assert!(page_size >= 64, "page size must be at least 64 bytes");
-        }
-    }
 }
 
 impl Default for ConcConfig {
@@ -254,24 +146,13 @@ impl Default for ConcConfig {
     }
 }
 
-/// poℓe metadata, guarded by one mutex (the "lock on the fast-path
-/// metadata" of §4.5).
-struct ConcFp<K, V> {
-    leaf: Option<NodeRef<K, V>>,
-    min: Option<K>,
-    max: Option<K>,
-    /// `q`: smallest key of the poℓe at the time it was (re)pointed.
-    q: Option<K>,
-    prev_min: Option<K>,
-    prev_size: usize,
-    fails: usize,
-}
-
 /// A thread-safe sortedness-aware B+-tree.
 pub struct ConcurrentTree<K, V> {
     root: RwLock<NodeRef<K, V>>,
     config: ConcConfig,
-    fp: Mutex<ConcFp<K, V>>,
+    /// poℓe metadata and policy, guarded by one mutex (the "lock on the
+    /// fast-path metadata" of §4.5).
+    fp: Mutex<FastPathState<K, NodeRef<K, V>>>,
     /// Shared observability substrate — the same [`MetricsRegistry`] type
     /// `quit-core`'s trees use; every update here takes the `_shared`
     /// (`fetch_add`) flavour so counters are exact under concurrency.
@@ -292,23 +173,15 @@ impl<K: Key, V: Clone> ConcurrentTree<K, V> {
     /// `quit_durability::TxnStore::open` surface the same restriction as a
     /// `config` error instead).
     pub fn new(config: ConcConfig) -> Self {
-        assert!(config.leaf_capacity >= 2 && config.internal_capacity >= 3);
+        config.tree.assert_valid();
         assert!(
-            matches!(config.storage, StorageKind::Arena),
+            matches!(config.tree.storage, StorageKind::Arena),
             "ConcurrentTree supports only StorageKind::Arena; for paged \
              storage use the single-writer BpTree (Durable::open_paged)"
         );
-        let root = CNode::empty_leaf(config.leaf_capacity).into_ref();
-        let fp = ConcFp {
-            leaf: config.pole_enabled.then(|| root.clone()),
-            min: None,
-            max: None,
-            q: None,
-            prev_min: None,
-            prev_size: 0,
-            fails: 0,
-        };
-        let metrics = MetricsRegistry::new(config.metrics_level);
+        let root = CNode::empty_leaf(config.tree.leaf_capacity).into_ref();
+        let fp = FastPathState::new(config.pole_enabled.then(|| root.clone()));
+        let metrics = MetricsRegistry::new(config.tree.metrics_level);
         ConcurrentTree {
             root: RwLock::new(root),
             config,
@@ -437,37 +310,29 @@ impl<K: Key, V: Clone> ConcurrentTree<K, V> {
                 restarts += 1;
                 continue;
             }
-            if keys.len() - gaps.count() >= self.config.leaf_capacity {
+            if keys.len() - gaps.count() >= self.config.tree.leaf_capacity {
                 drop(g);
                 return Err(value);
             }
             match quit_core::insert_at(
-                self.config.search_kind,
+                self.config.tree.search_kind,
                 keys,
                 vals,
                 gaps,
                 key,
                 value,
-                self.config.leaf_capacity,
+                self.config.tree.leaf_capacity,
             ) {
                 SlotInsert::Done(_) => {}
                 SlotInsert::Full => unreachable!("live occupancy checked above"),
             }
             let (target_low, target_high) = (*low, *high);
-            let target_len = keys.len();
             drop(g);
             self.len.fetch_add(1, Ordering::Relaxed);
             self.metrics.counters.top_inserts.bump_shared();
             self.metrics.record_insert_outcome_shared(false);
             if self.config.pole_enabled {
-                self.update_pole_after_top_insert(
-                    key,
-                    None,
-                    leaf,
-                    target_low,
-                    target_high,
-                    target_len,
-                );
+                self.settle_pole(key, false, None, leaf, target_low, target_high);
             }
             return Ok(());
         }
@@ -496,12 +361,10 @@ impl<K: Key, V: Clone> ConcurrentTree<K, V> {
     /// `try_lock` on the poℓe leaf.
     fn try_fast_insert(&self, key: K, value: V) -> FastAttempt<V> {
         let mut fp = self.fp.lock();
-        let covered =
-            fp.leaf.is_some() && fp.min.is_none_or(|m| key >= m) && fp.max.is_none_or(|m| key < m);
-        if !covered {
+        if !fp.covers(key) {
             return FastAttempt::NotCovered(value);
         }
-        let leaf = fp.leaf.clone().expect("covered implies leaf");
+        let leaf = fp.leaf().cloned().expect("covered implies leaf");
         let Some(mut g) = RwLock::try_write_arc(&leaf) else {
             return FastAttempt::Busy(value);
         };
@@ -521,25 +384,22 @@ impl<K: Key, V: Clone> ConcurrentTree<K, V> {
         if !in_range {
             return FastAttempt::NotCovered(value);
         }
-        if keys.len() - gaps.count() >= self.config.leaf_capacity {
+        if keys.len() - gaps.count() >= self.config.tree.leaf_capacity {
             return FastAttempt::PoleFull(value);
         }
         match quit_core::insert_at(
-            self.config.search_kind,
+            self.config.tree.search_kind,
             keys,
             vals,
             gaps,
             key,
             value,
-            self.config.leaf_capacity,
+            self.config.tree.leaf_capacity,
         ) {
             SlotInsert::Done(_) => {}
             SlotInsert::Full => unreachable!("live occupancy checked above"),
         }
-        if fp.q.is_none_or(|q| key < q) {
-            fp.q = Some(key);
-        }
-        fp.fails = 0;
+        fp.on_covered_insert();
         drop(g);
         self.len.fetch_add(1, Ordering::Relaxed);
         self.metrics.counters.fast_inserts.bump_shared();
@@ -552,9 +412,9 @@ impl<K: Key, V: Clone> ConcurrentTree<K, V> {
             // Live occupancy: a gapped leaf with free fillers can still
             // absorb the insert without splitting.
             CNode::Leaf { keys, gaps, .. } => {
-                keys.len() - gaps.count() >= self.config.leaf_capacity
+                keys.len() - gaps.count() >= self.config.tree.leaf_capacity
             }
-            CNode::Internal { keys, .. } => keys.len() >= self.config.internal_capacity,
+            CNode::Internal { keys, .. } => keys.len() >= self.config.tree.internal_capacity,
         }
     }
 
@@ -574,7 +434,7 @@ impl<K: Key, V: Clone> ConcurrentTree<K, V> {
             let child = match &*guard {
                 CNode::Leaf { .. } => break,
                 CNode::Internal { keys, children } => {
-                    let i = quit_core::search_internal(self.config.search_kind, keys, key);
+                    let i = quit_core::search_internal(self.config.tree.search_kind, keys, key);
                     children[i].clone()
                 }
             };
@@ -591,19 +451,14 @@ impl<K: Key, V: Clone> ConcurrentTree<K, V> {
 
         // `guard` is the leaf; `path` holds exactly the ancestors that may
         // change; `root_guard` is held iff the whole path may split.
-        let mut leaf_split: Option<PoleSplitEvent<K, V>> = None;
+        let mut leaf_split = None;
         let mut target_arc = current.clone();
         if self.node_unsafe_for_insert(&guard) {
             match self.split_leaf(&mut guard) {
-                Some((right_arc, sep, left_len, q)) => {
+                Some(split) => {
                     self.metrics.counters.leaf_splits.bump_shared();
-                    leaf_split = Some(PoleSplitEvent {
-                        left: current.clone(),
-                        right: right_arc.clone(),
-                        sep,
-                        left_len,
-                        q,
-                    });
+                    let (right_arc, sep) = (split.right.clone(), split.sep);
+                    leaf_split = Some((current.clone(), split));
                     if key >= sep {
                         // Move to the new right node: lock it (nobody else can
                         // reach it yet through the tree, but scans via `next`
@@ -631,7 +486,7 @@ impl<K: Key, V: Clone> ConcurrentTree<K, V> {
             keys, vals, gaps, ..
         } = &mut *guard
         {
-            if keys.len() - gaps.count() >= self.config.leaf_capacity {
+            if keys.len() - gaps.count() >= self.config.tree.leaf_capacity {
                 // Absorb-overflow (uniform-key leaf that cannot split, so
                 // `split_leaf` returned `None`): such a leaf is dense —
                 // gaps only exist below live capacity — and grows
@@ -650,7 +505,7 @@ impl<K: Key, V: Clone> ConcurrentTree<K, V> {
                     let old_vals = std::mem::replace(vals, new_vals);
                     self.retired.lock().push((old_keys, old_vals));
                 }
-                let pos = quit_core::upper_bound(self.config.search_kind, keys, key);
+                let pos = quit_core::upper_bound(self.config.tree.search_kind, keys, key);
                 keys.insert(pos, key);
                 vals.insert(pos, value);
             } else {
@@ -659,13 +514,13 @@ impl<K: Key, V: Clone> ConcurrentTree<K, V> {
                 // (at physical capacity it reuses a gap or reports full),
                 // so the pinned `capacity + 1` reservation never reallocates.
                 match quit_core::insert_at(
-                    self.config.search_kind,
+                    self.config.tree.search_kind,
                     keys,
                     vals,
                     gaps,
                     key,
                     value,
-                    self.config.leaf_capacity,
+                    self.config.tree.leaf_capacity,
                 ) {
                     SlotInsert::Done(_) => {}
                     SlotInsert::Full => unreachable!("live occupancy checked above"),
@@ -678,7 +533,6 @@ impl<K: Key, V: Clone> ConcurrentTree<K, V> {
             CNode::Leaf { low, high, .. } => (*low, *high),
             _ => unreachable!(),
         };
-        let target_len = guard.len();
         drop(guard);
         self.len.fetch_add(1, Ordering::Relaxed);
         if count_as_fast {
@@ -689,20 +543,19 @@ impl<K: Key, V: Clone> ConcurrentTree<K, V> {
         self.metrics.record_insert_outcome_shared(count_as_fast);
 
         if self.config.pole_enabled {
-            self.update_pole_after_top_insert(
+            self.settle_pole(
                 key,
+                count_as_fast,
                 leaf_split,
                 target_arc,
                 target_low,
                 target_high,
-                target_len,
             );
         }
     }
 
-    /// Splits the write-locked leaf near the midpoint; returns the new right
-    /// node, the separator, the left node's remaining size, and its smallest
-    /// key.
+    /// Splits the write-locked leaf near the midpoint and reports the split
+    /// in the policy's terms.
     ///
     /// The cut is placed at the strict key boundary nearest the midpoint so
     /// a duplicate run never straddles the separator: routing sends
@@ -711,7 +564,7 @@ impl<K: Key, V: Clone> ConcurrentTree<K, V> {
     /// parents. A leaf holding a single repeated key has no legal cut and
     /// returns `None` — the caller lets it absorb the overflow (the lazy
     /// trade-off for duplicate-heavy runs, mirroring lazy deletes).
-    fn split_leaf(&self, guard: &mut WriteGuard<K, V>) -> Option<(NodeRef<K, V>, K, usize, K)> {
+    fn split_leaf(&self, guard: &mut WriteGuard<K, V>) -> Option<PoleSplit<K, NodeRef<K, V>>> {
         let CNode::Leaf {
             keys,
             vals,
@@ -726,7 +579,8 @@ impl<K: Key, V: Clone> ConcurrentTree<K, V> {
         // Splits only run at live == capacity, which forces zero gaps, so
         // physical slot indices below are live indices.
         debug_assert!(gaps.is_dense(), "split target must be dense (full)");
-        let mid = keys.len() / 2;
+        let pole_len = keys.len();
+        let mid = pole_len / 2;
         let cut = (mid..keys.len())
             .find(|&m| keys[m - 1] < keys[m])
             .or_else(|| (1..mid).rev().find(|&m| keys[m - 1] < keys[m]))?;
@@ -737,6 +591,7 @@ impl<K: Key, V: Clone> ConcurrentTree<K, V> {
         // reservation into the split; size for that plus one insert.
         let pinned = self
             .config
+            .tree
             .leaf_capacity
             .max(keys.len().saturating_sub(cut) + 1);
         let (mut right_keys, mut right_vals) = CNode::leaf_buffers(pinned);
@@ -745,7 +600,7 @@ impl<K: Key, V: Clone> ConcurrentTree<K, V> {
         let mut right_gaps = quit_core::GapMap::new();
         let sep = right_keys[0];
         let q = keys[0];
-        if self.config.node_layout == NodeLayoutKind::Gapped {
+        if self.config.tree.node_layout == NodeLayoutKind::Gapped {
             // Gap placement from the IKR prediction (mirrors the core
             // tree): the left node's prefix is frozen in-order history;
             // stragglers of a near-sorted stream land just below the
@@ -754,7 +609,7 @@ impl<K: Key, V: Clone> ConcurrentTree<K, V> {
             // the pinned `capacity + 1` reservation — no reallocation
             // under optimistic readers. The right (poℓe) node grows by
             // appends and needs no gaps.
-            let cap = self.config.leaf_capacity;
+            let cap = self.config.tree.leaf_capacity;
             let want = (cap as f64).sqrt().floor() as usize;
             let region = keys.len() / 2;
             quit_core::regap(keys, vals, gaps, region, want, cap);
@@ -786,7 +641,13 @@ impl<K: Key, V: Clone> ConcurrentTree<K, V> {
         .into_ref();
         *next = Some(right.clone());
         *high = Some(sep);
-        Some((right, sep, cut, q))
+        Some(PoleSplit {
+            q,
+            sep,
+            pole_len,
+            left_len: cut,
+            right,
+        })
     }
 
     /// Installs `(sep, right)` into the locked ancestors, splitting upward
@@ -805,10 +666,10 @@ impl<K: Key, V: Clone> ConcurrentTree<K, V> {
                     let CNode::Internal { keys, children } = &mut *parent_guard else {
                         unreachable!("ancestors are internal");
                     };
-                    let idx = quit_core::upper_bound(self.config.search_kind, keys, sep);
+                    let idx = quit_core::upper_bound(self.config.tree.search_kind, keys, sep);
                     keys.insert(idx, sep);
                     children.insert(idx + 1, right);
-                    if keys.len() <= self.config.internal_capacity {
+                    if keys.len() <= self.config.tree.internal_capacity {
                         return; // absorbed; all remaining guards drop
                     }
                     // Split this internal node and keep climbing. Drain
@@ -817,7 +678,7 @@ impl<K: Key, V: Clone> ConcurrentTree<K, V> {
                     let mid = keys.len() / 2;
                     let up = keys[mid];
                     let (mut right_keys, mut right_children) =
-                        CNode::internal_buffers(self.config.internal_capacity);
+                        CNode::internal_buffers(self.config.tree.internal_capacity);
                     right_keys.extend(keys.drain(mid + 1..));
                     keys.pop();
                     right_children.extend(children.drain(mid + 1..));
@@ -840,7 +701,7 @@ impl<K: Key, V: Clone> ConcurrentTree<K, V> {
                         .expect("root pointer lock retained when the whole path splits");
                     let old_root = child_of_root.unwrap_or_else(|| (**rg).clone());
                     let (mut root_keys, mut root_children) =
-                        CNode::internal_buffers(self.config.internal_capacity);
+                        CNode::internal_buffers(self.config.tree.internal_capacity);
                     root_keys.push(sep);
                     root_children.push(old_root);
                     root_children.push(right);
@@ -856,63 +717,45 @@ impl<K: Key, V: Clone> ConcurrentTree<K, V> {
         }
     }
 
-    /// Algorithm 1 poℓe maintenance after a top-insert, done after all node
-    /// locks are released (metadata staleness is tolerated; leaf-local
-    /// bounds keep the fast path safe).
-    #[allow(clippy::too_many_arguments)]
-    fn update_pole_after_top_insert(
+    /// Algorithm 1 poℓe maintenance after an insert that went through the
+    /// tree, done after all node locks are released (metadata staleness is
+    /// tolerated; leaf-local bounds keep the fast path safe). `covered`
+    /// marks the insert that found the poℓe full: it counts as a
+    /// fast-insert, so it ends the miss streak like any other. `split` is
+    /// the leaf this insert split, if any, with its left half.
+    fn settle_pole(
         &self,
         key: K,
-        leaf_split: Option<PoleSplitEvent<K, V>>,
-        target_arc: NodeRef<K, V>,
-        target_low: Option<K>,
-        target_high: Option<K>,
-        _target_len: usize,
+        covered: bool,
+        split: Option<LeafSplit<K, V>>,
+        landed: NodeRef<K, V>,
+        low: Option<K>,
+        high: Option<K>,
     ) {
+        let cfg = &self.config.tree;
         let mut fp = self.fp.lock();
-        if let Some(ev) = leaf_split {
-            let pole_was_left = fp.leaf.as_ref().is_some_and(|p| Arc::ptr_eq(p, &ev.left));
-            if pole_was_left {
-                // Fig 6: promote iff the split key passes IKR.
-                let promote = match fp.prev_min {
-                    Some(p) if fp.prev_size > 0 => {
-                        ev.sep.to_ikr()
-                            <= ikr_bound(
-                                p,
-                                fp.q.unwrap_or(ev.q),
-                                fp.prev_size,
-                                ev.left_len * 2,
-                                self.config.ikr_scale,
-                            )
-                    }
-                    _ => key >= ev.sep,
+        if covered {
+            fp.on_covered_insert();
+        }
+        if let Some((left, split)) = split {
+            if fp.leaf().is_some_and(|pole| Arc::ptr_eq(pole, &left)) {
+                // This tree only ever splits near the midpoint — the one
+                // plan `full_pole_plan` has for a config with the variable
+                // split off — so the policy just judges the separator.
+                let plan = FullPolePlan::Default {
+                    pos: split.left_len,
                 };
-                if promote {
-                    fp.prev_min = Some(ev.q);
-                    fp.prev_size = ev.left_len;
-                    fp.leaf = Some(ev.right);
-                    fp.min = Some(ev.sep);
-                    fp.q = Some(ev.sep);
-                } else {
-                    fp.max = Some(ev.sep);
-                }
+                fp.on_pole_split(plan, cfg, split, key);
                 return;
             }
         }
-        fp.fails += 1;
-        let Some(reset_threshold) = self.config.reset_threshold else {
+        if covered {
             return;
-        };
-        if fp.fails >= reset_threshold {
-            // §4.3 reset: adopt the leaf that accepted the latest insert.
+        }
+        // No chain-successor test: catch-up is not executed here.
+        if fp.on_top_insert(key, None, cfg) == TopInsert::Reset {
             self.metrics.counters.fp_resets.bump_shared();
-            fp.leaf = Some(target_arc);
-            fp.min = target_low;
-            fp.max = target_high;
-            fp.q = target_low;
-            fp.prev_min = None;
-            fp.prev_size = 0;
-            fp.fails = 0;
+            fp.repoint(landed, low, high, None);
         }
     }
 
@@ -947,7 +790,7 @@ impl<K: Key, V: Clone> ConcurrentTree<K, V> {
                 let child = match &*read_guard {
                     CNode::Leaf { .. } => break,
                     CNode::Internal { keys, children } => {
-                        let i = quit_core::search_internal(self.config.search_kind, keys, key);
+                        let i = quit_core::search_internal(self.config.tree.search_kind, keys, key);
                         children[i].clone()
                     }
                 };
@@ -972,7 +815,7 @@ impl<K: Key, V: Clone> ConcurrentTree<K, V> {
                 drop(guard);
                 continue; // raced a split of this leaf; re-descend
             }
-            let pos = quit_core::lower_bound(self.config.search_kind, keys, key);
+            let pos = quit_core::lower_bound(self.config.tree.search_kind, keys, key);
             return if pos < keys.len() && keys[pos] == key {
                 // The lower bound may land on a gap filler; the filler rule
                 // (a gap copies its nearest live right neighbour) puts the
@@ -987,13 +830,19 @@ impl<K: Key, V: Clone> ConcurrentTree<K, V> {
                 // `remove_at` shift instead of gap-ify there. Regular
                 // leaves never exceed the pinned reservation, so every
                 // slot sits below `capacity + 1` and gap-ifies in place.
-                let pinned = if keys.len() > self.config.leaf_capacity {
+                let pinned = if keys.len() > self.config.tree.leaf_capacity {
                     0
                 } else {
-                    self.config.leaf_capacity + 1
+                    self.config.tree.leaf_capacity + 1
                 };
-                let v =
-                    quit_core::remove_at(self.config.node_layout, keys, vals, gaps, live, pinned);
+                let v = quit_core::remove_at(
+                    self.config.tree.node_layout,
+                    keys,
+                    vals,
+                    gaps,
+                    live,
+                    pinned,
+                );
                 drop(guard);
                 self.len.fetch_sub(1, Ordering::Relaxed);
                 self.metrics.counters.deletes.bump_shared();
@@ -1057,7 +906,7 @@ impl<K: Key, V: Clone> ConcurrentTree<K, V> {
                     Ok(Routed::Leaf) => {
                         #[cfg(feature = "olc-test-hooks")]
                         crate::test_hooks::leaf_pause();
-                        match olc::leaf_get(node, v, key, self.config.leaf_capacity) {
+                        match olc::leaf_get(node, v, key, self.config.tree.leaf_capacity) {
                             LeafRead::Hit(val) => return Some(val),
                             LeafRead::Miss => return None,
                             LeafRead::NeedsLatch => {
@@ -1081,7 +930,7 @@ impl<K: Key, V: Clone> ConcurrentTree<K, V> {
                                         // correct: fillers copy the pair of
                                         // their nearest live right slot.
                                         let pos = quit_core::lower_bound(
-                                            self.config.search_kind,
+                                            self.config.tree.search_kind,
                                             keys,
                                             key,
                                         );
@@ -1119,7 +968,7 @@ impl<K: Key, V: Clone> ConcurrentTree<K, V> {
                 CNode::Leaf { keys, vals, .. } => {
                     // Gap fillers are value-correct copies, so no bitmap
                     // consultation is needed for a point read.
-                    let pos = quit_core::lower_bound(self.config.search_kind, keys, key);
+                    let pos = quit_core::lower_bound(self.config.tree.search_kind, keys, key);
                     if pos < keys.len() && keys[pos] == key {
                         return Some(vals[pos].clone());
                     }
@@ -1129,7 +978,7 @@ impl<K: Key, V: Clone> ConcurrentTree<K, V> {
                     return None;
                 }
                 CNode::Internal { keys, children } => {
-                    let i = quit_core::search_internal(self.config.search_kind, keys, key);
+                    let i = quit_core::search_internal(self.config.tree.search_kind, keys, key);
                     children[i].clone()
                 }
             };
@@ -1218,8 +1067,8 @@ impl<K: Key, V: Clone> ConcurrentTree<K, V> {
             }
             let pos = match start {
                 Bound::Unbounded => 0,
-                Bound::Included(s) => quit_core::lower_bound(self.config.search_kind, keys, s),
-                Bound::Excluded(s) => quit_core::upper_bound(self.config.search_kind, keys, s),
+                Bound::Included(s) => quit_core::lower_bound(self.config.tree.search_kind, keys, s),
+                Bound::Excluded(s) => quit_core::upper_bound(self.config.tree.search_kind, keys, s),
             };
             return Some(ConcRangeIter {
                 leaf: Some(guard),
@@ -1249,7 +1098,7 @@ impl<K: Key, V: Clone> ConcurrentTree<K, V> {
                     let i = match start {
                         Bound::Unbounded => 0,
                         Bound::Included(s) | Bound::Excluded(s) => {
-                            quit_core::search_internal(self.config.search_kind, keys, s)
+                            quit_core::search_internal(self.config.tree.search_kind, keys, s)
                         }
                     };
                     children[i].clone()
@@ -1260,10 +1109,10 @@ impl<K: Key, V: Clone> ConcurrentTree<K, V> {
         let pos = match (&*guard, start) {
             (_, Bound::Unbounded) => 0,
             (CNode::Leaf { keys, .. }, Bound::Included(s)) => {
-                quit_core::lower_bound(self.config.search_kind, keys, s)
+                quit_core::lower_bound(self.config.tree.search_kind, keys, s)
             }
             (CNode::Leaf { keys, .. }, Bound::Excluded(s)) => {
-                quit_core::upper_bound(self.config.search_kind, keys, s)
+                quit_core::upper_bound(self.config.tree.search_kind, keys, s)
             }
             _ => unreachable!("descent ends at a leaf"),
         };
@@ -1348,7 +1197,7 @@ impl<K: Key, V: Clone> ConcurrentTree<K, V> {
                     vals.len()
                 ));
             }
-            if self.config.node_layout == NodeLayoutKind::Dense && !gaps.is_dense() {
+            if self.config.tree.node_layout == NodeLayoutKind::Dense && !gaps.is_dense() {
                 return Err("leaf holds gaps under the dense layout".to_string());
             }
             if !keys.is_empty() && gaps.is_gap(keys.len() - 1) {
@@ -1648,60 +1497,65 @@ enum FastAttempt<V> {
     Busy(V),
 }
 
-struct PoleSplitEvent<K, V> {
-    left: NodeRef<K, V>,
-    right: NodeRef<K, V>,
-    sep: K,
-    left_len: usize,
-    q: K,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use quit_core::SearchKind;
     use std::sync::Arc as StdArc;
 
     #[test]
-    fn builder_mirrors_tree_config() {
-        let c = ConcConfig::paper_default().with_leaf_capacity(64);
-        assert_eq!(c.internal_capacity, 64, "internal tracks leaf by default");
-        let c = c.with_internal_capacity(128);
-        assert_eq!(c.internal_capacity, 128, "explicit override wins");
-        assert_eq!(c.reset_threshold, Some(8));
-        c.assert_valid();
+    fn embedded_tree_config_describes_what_runs() {
+        // Shared knobs pass through `from_tree` untouched …
+        let tree = TreeConfig::small(16)
+            .with_node_layout(NodeLayoutKind::Gapped)
+            .with_search_kind(SearchKind::Simd)
+            .with_reset_threshold(Some(3));
+        let c = ConcConfig::from_tree(tree.clone());
+        assert_eq!(
+            c.tree_config(),
+            &tree.with_variable_split(false).with_redistribute(false)
+        );
+        // … and the two plans this tree never executes are off in every
+        // constructor, on top of the bit-for-bit paper defaults.
+        for c in [ConcConfig::paper_default(), ConcConfig::small(8)] {
+            let t = c.tree_config();
+            assert!(!t.variable_split && !t.redistribute);
+            assert_eq!(t.node_layout, NodeLayoutKind::Dense);
+            assert_eq!(t.search_kind, SearchKind::Binary);
+            assert!(c.pole_enabled && c.olc_enabled);
+        }
+        assert_eq!(
+            ConcConfig::paper_default().tree_config().reset_threshold,
+            Some(22)
+        );
     }
 
     #[test]
-    fn builder_order_does_not_matter() {
-        // An explicit internal-capacity or reset-threshold override must
-        // survive a later `with_leaf_capacity`, and vice versa.
-        let before = ConcConfig::paper_default()
-            .with_internal_capacity(128)
-            .with_leaf_capacity(64);
-        let after = ConcConfig::paper_default()
-            .with_leaf_capacity(64)
-            .with_internal_capacity(128);
-        assert_eq!(before.internal_capacity, 128);
-        assert_eq!(before.internal_capacity, after.internal_capacity);
-        assert_eq!(before.reset_threshold, after.reset_threshold);
-
-        let before = ConcConfig::paper_default()
-            .with_reset_threshold(Some(3))
-            .with_leaf_capacity(64);
-        let after = ConcConfig::paper_default()
-            .with_leaf_capacity(64)
-            .with_reset_threshold(Some(3));
-        assert_eq!(before.reset_threshold, Some(3));
-        assert_eq!(before.reset_threshold, after.reset_threshold);
-        before.assert_valid();
-
-        // Values still at their derived defaults keep tracking the leaf.
-        let derived = ConcConfig::paper_default().with_leaf_capacity(100);
-        assert_eq!(derived.internal_capacity, 100);
-        assert_eq!(
-            derived.reset_threshold,
-            Some(ConcConfig::default_reset_threshold(100))
-        );
+    fn covered_insert_into_a_full_pole_clears_the_miss_streak() {
+        // T_R − 1 misses, one covered insert that finds the poℓe full, one
+        // more miss: no reset — exactly as the single-threaded tree, which
+        // runs the same policy. (`small(8)` ⇒ T_R = 2.)
+        let conc: ConcurrentTree<u64, u64> = ConcurrentTree::new(ConcConfig::small(8));
+        let mut core: quit_core::BpTree<u64, u64> =
+            quit_core::BpTree::with_config(quit_core::FastPathMode::Pole, TreeConfig::small(8));
+        let mut resets_after = |k: u64| {
+            conc.insert(k, k);
+            core.insert(k, k);
+            let (a, b) = (conc.stats().fp_resets.get(), core.stats().fp_resets.get());
+            assert_eq!(a, b, "trees disagree after key {k}");
+            a
+        };
+        // Two leaves, the poℓe [4, ∞) full at 8 entries.
+        for k in 0..12 {
+            assert_eq!(resets_after(k), 0);
+        }
+        let fast = conc.stats().fast_inserts.get();
+        assert_eq!(resets_after(1), 0, "miss 1 of 2");
+        assert_eq!(resets_after(12), 0, "covered, poℓe full");
+        assert_eq!(conc.stats().fast_inserts.get(), fast + 1, "counted as fast");
+        assert_eq!(resets_after(2), 0, "the streak restarted: miss 1 of 2");
+        assert_eq!(resets_after(3), 1, "miss 2 of 2");
+        conc.check_consistency().unwrap();
     }
 
     #[test]
@@ -1968,20 +1822,6 @@ mod tests {
     }
 
     #[test]
-    fn layout_builder_knobs_roundtrip() {
-        let c = ConcConfig::paper_default()
-            .with_node_layout(NodeLayoutKind::Gapped)
-            .with_search_kind(SearchKind::Simd);
-        assert_eq!(c.node_layout, NodeLayoutKind::Gapped);
-        assert_eq!(c.search_kind, SearchKind::Simd);
-        c.assert_valid();
-        // Defaults stay pinned to the bit-for-bit paper path.
-        let d = ConcConfig::paper_default();
-        assert_eq!(d.node_layout, NodeLayoutKind::Dense);
-        assert_eq!(d.search_kind, SearchKind::Binary);
-    }
-
-    #[test]
     fn gapped_layout_matches_dense_in_both_latch_modes() {
         use rand::prelude::*;
         let mut rng = StdRng::seed_from_u64(0x6A99_ED01);
@@ -1996,12 +1836,11 @@ mod tests {
             ]
             .into_iter()
             .map(|(layout, kind)| {
-                let t: ConcurrentTree<u64, u64> = ConcurrentTree::new(
-                    ConcConfig::small(8)
-                        .with_olc(olc)
-                        .with_node_layout(layout)
-                        .with_search_kind(kind),
-                );
+                let tree = TreeConfig::small(8)
+                    .with_node_layout(layout)
+                    .with_search_kind(kind);
+                let t: ConcurrentTree<u64, u64> =
+                    ConcurrentTree::new(ConcConfig::from_tree(tree).with_olc(olc));
                 for &(k, v) in &ops {
                     t.insert(k, v);
                     if k % 3 == 0 {
@@ -2022,11 +1861,11 @@ mod tests {
     fn gapped_layout_survives_concurrent_churn() {
         use rand::prelude::*;
         for olc in [true, false] {
+            let tree = TreeConfig::small(16)
+                .with_node_layout(NodeLayoutKind::Gapped)
+                .with_search_kind(SearchKind::Branchless);
             let t: StdArc<ConcurrentTree<u64, u64>> = StdArc::new(ConcurrentTree::new(
-                ConcConfig::small(16)
-                    .with_olc(olc)
-                    .with_node_layout(NodeLayoutKind::Gapped)
-                    .with_search_kind(SearchKind::Branchless),
+                ConcConfig::from_tree(tree).with_olc(olc),
             ));
             let threads = 4;
             std::thread::scope(|s| {

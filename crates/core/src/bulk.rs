@@ -207,10 +207,10 @@ impl<K: Key, V> BpTree<K, V> {
     where
         V: Clone,
     {
-        let leaf_id = self.fp.leaf.expect("covers() implies an armed fast path");
+        let leaf_id = self.fp_leaf().expect("covers() implies an armed fast path");
         // Validate the run against the window once: everything before the
         // first key `>= max` is admissible.
-        let chunk = match self.fp.max {
+        let chunk = match self.fp.bounds().1 {
             Some(max) => run.partition_point(|e| e.0 < max),
             None => run.len(),
         };
@@ -248,8 +248,7 @@ impl<K: Key, V> BpTree<K, V> {
             }
         }
         self.len += take;
-        self.fp.size = self.leaf_len(leaf_id);
-        self.fp.fails = 0;
+        self.fp.on_covered_insert();
         crate::stats::Stats::add(&self.metrics.counters.fast_inserts, take as u64);
         // One word-granular window update per leaf chunk keeps the batch
         // path's per-entry cost amortized.
@@ -260,49 +259,23 @@ impl<K: Key, V> BpTree<K, V> {
     /// Recomputes fast-path metadata after a bulk operation may have split
     /// or shifted the nodes it referenced.
     fn repair_fast_path_after_bulk(&mut self) {
-        match self.mode {
-            FastPathMode::None => {}
-            FastPathMode::Tail | FastPathMode::Lil => {
-                // Conservatively re-arm at the leaf the pointer referenced if
-                // it is still a leaf; otherwise at the tail.
-                let target = self
-                    .fp
-                    .leaf
-                    .filter(|&l| matches!(self.arena.get(l), crate::node::Node::Leaf(_)))
-                    .unwrap_or(self.tail);
-                let (low, high) = self.leaf_bounds(target);
-                self.fp.leaf = Some(target);
-                self.fp.min = low;
-                self.fp.max = high;
-                self.fp.size = self.leaf_len(target);
-            }
-            FastPathMode::Pole => {
-                let target = self
-                    .fp
-                    .leaf
-                    .filter(|&l| matches!(self.arena.get(l), crate::node::Node::Leaf(_)))
-                    .unwrap_or(self.tail);
-                self.repoint_pole_auto(target);
-            }
+        if !self.mode.has_fast_path() {
+            return;
         }
+        // Conservatively re-arm at the leaf the pointer referenced if it is
+        // still a leaf; otherwise at the tail.
+        let target = self
+            .fp_leaf()
+            .filter(|&l| matches!(self.arena.get(l), crate::node::Node::Leaf(_)))
+            .unwrap_or(self.tail);
+        self.repoint_fast_path_auto(target);
     }
 
     /// Points the fast path at the tail leaf (used after bulk operations so
     /// subsequent incremental inserts resume fast-path behaviour).
     pub(crate) fn arm_fast_path_at_tail(&mut self) {
-        let tail = self.tail;
-        match self.mode {
-            FastPathMode::None => {}
-            FastPathMode::Tail | FastPathMode::Lil => {
-                let (low, high) = self.leaf_bounds(tail);
-                self.fp.leaf = Some(tail);
-                self.fp.min = low;
-                self.fp.max = high;
-                self.fp.size = self.leaf_len(tail);
-            }
-            FastPathMode::Pole => {
-                self.repoint_pole_auto(tail);
-            }
+        if self.mode.has_fast_path() {
+            self.repoint_fast_path_auto(self.tail);
         }
     }
 }

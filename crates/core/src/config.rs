@@ -18,8 +18,8 @@ pub enum SplitBoundRule {
     /// omits the `poℓe_size` factor:
     /// `x = q + ((q − p) / poℓe_prev_size) · scale`.
     ///
-    /// Kept for the ablation bench; it degenerates to near-50% splits for
-    /// dense keys.
+    /// Kept as the documented alternative reading of the printed
+    /// algorithm; it degenerates to near-50% splits for dense keys.
     Literal,
 }
 
@@ -116,25 +116,11 @@ pub struct TreeConfig {
 impl TreeConfig {
     /// Paper-default geometry: 4 KB pages, 510-entry leaves.
     pub fn paper_default() -> Self {
-        TreeConfig {
-            leaf_capacity: 510,
-            internal_capacity: 510,
-            ikr_scale: 1.5,
-            reset_threshold: Some(Self::default_reset_threshold(510)),
-            variable_split: true,
-            redistribute: true,
-            split_bound_rule: SplitBoundRule::Eq2,
-            max_variable_fill: 1.0,
-            bulk_fill: 1.0,
-            page_size_bytes: 4096,
-            metrics_level: MetricsLevel::default(),
-            node_layout: NodeLayoutKind::Dense,
-            search_kind: SearchKind::Binary,
-            storage: StorageKind::Arena,
-        }
+        Self::small(510)
     }
 
-    /// A small geometry that forces frequent splits; used heavily in tests.
+    /// Paper-default policy over `leaf_capacity`-entry leaves; small values
+    /// force frequent splits and are used heavily in tests.
     pub fn small(leaf_capacity: usize) -> Self {
         TreeConfig {
             leaf_capacity,
@@ -167,7 +153,7 @@ impl TreeConfig {
     }
 
     /// Set the leaf capacity, keeping the internal capacity and reset
-    /// threshold in sync (same semantics as `ConcConfig::with_leaf_capacity`).
+    /// threshold in sync.
     ///
     /// "In sync" only touches values still at their derived defaults: an
     /// internal capacity or reset threshold you overrode explicitly is
@@ -277,7 +263,8 @@ impl TreeConfig {
         self
     }
 
-    fn validate(&self) {
+    /// Panics if the configuration is internally inconsistent.
+    pub fn assert_valid(&self) {
         assert!(self.leaf_capacity >= 2, "leaf capacity must be >= 2");
         assert!(
             self.internal_capacity >= 3,
@@ -300,11 +287,6 @@ impl TreeConfig {
             assert!(pool_pages >= 2, "paged storage needs pool_pages >= 2");
             assert!(page_size >= 64, "paged storage needs page_size >= 64");
         }
-    }
-
-    /// Panics if the configuration is internally inconsistent.
-    pub fn assert_valid(&self) {
-        self.validate();
     }
 }
 

@@ -40,17 +40,16 @@ impl<K: Key, V: Clone> BpTree<K, V> {
         };
         self.len -= 1;
 
-        let is_pole_leaf = self.mode.is_pole() && self.fp.leaf == Some(leaf_id);
+        let is_pole_leaf = self.mode.is_pole() && self.fp_leaf() == Some(leaf_id);
         if is_pole_leaf {
-            self.fp.size = now_len;
             if now_len == 0 {
                 // §4.4: the only key of poℓe was deleted — reset to poℓe_prev.
                 self.remove_empty_leaf(leaf_id);
-                match self.fp.prev_id {
+                match self.fp.prev().copied() {
                     Some(prev) if self.node_is_live_leaf(prev) => {
-                        self.repoint_pole_auto(prev);
+                        self.repoint_fast_path_auto(prev);
                     }
-                    _ => self.repoint_pole_auto(self.head),
+                    _ => self.repoint_fast_path_auto(self.head),
                 }
             }
             // Otherwise: no eager rebalance of the poℓe node.
@@ -63,8 +62,6 @@ impl<K: Key, V: Clone> BpTree<K, V> {
         }
         if now_len < self.leaf_min_occupancy() && leaf_id != self.root {
             self.rebalance_leaf(leaf_id);
-        } else if self.fp.leaf == Some(leaf_id) {
-            self.fp.size = now_len;
         }
         Some(value)
     }
@@ -138,10 +135,11 @@ impl<K: Key, V> BpTree<K, V> {
         (low, high)
     }
 
-    /// Re-points the poℓe at `leaf`, computing bounds from the tree itself.
-    pub(crate) fn repoint_pole_auto(&mut self, leaf: NodeId) {
+    /// Re-points the fast path at `leaf`, computing bounds from the tree
+    /// itself.
+    pub(crate) fn repoint_fast_path_auto(&mut self, leaf: NodeId) {
         let (low, high) = self.leaf_bounds(leaf);
-        self.repoint_pole(leaf, low, high);
+        self.repoint_fast_path(leaf, low, high);
     }
 
     /// Repairs whatever fast-path metadata referenced nodes touched by a
@@ -153,47 +151,22 @@ impl<K: Key, V> BpTree<K, V> {
         match self.mode {
             FastPathMode::None => {}
             FastPathMode::Tail => {
-                if affected(self.fp.leaf) || self.fp.leaf.is_none() {
-                    let (low, _) = self.leaf_bounds(self.tail);
-                    self.fp.leaf = Some(self.tail);
-                    self.fp.min = low;
-                    self.fp.size = self.leaf_len(self.tail);
+                if affected(self.fp_leaf()) || self.fp_leaf().is_none() {
+                    self.repoint_fast_path_auto(self.tail);
                 }
             }
             FastPathMode::Lil => {
-                if affected(self.fp.leaf) {
-                    let (low, high) = self.leaf_bounds(survivor);
-                    self.fp.leaf = Some(survivor);
-                    self.fp.min = low;
-                    self.fp.max = high;
-                    self.fp.size = self.leaf_len(survivor);
+                if affected(self.fp_leaf()) {
+                    self.repoint_fast_path_auto(survivor);
                 }
             }
             FastPathMode::Pole => {
-                if affected(self.fp.leaf) {
-                    self.repoint_pole_auto(survivor);
-                    return;
-                }
-                if affected(self.fp.prev_id) {
+                if affected(self.fp_leaf()) {
+                    self.repoint_fast_path_auto(survivor);
+                } else if affected(self.fp.prev().copied()) {
                     // Recompute prev from the poℓe's live chain predecessor.
-                    if let Some(pole) = self.fp.leaf {
-                        let prev = self.arena.get(pole).as_leaf().prev;
-                        self.fp.prev_id = prev;
-                        match prev {
-                            Some(p) => {
-                                let pl = self.arena.get(p).as_leaf();
-                                self.fp.prev_min = pl.keys.first().copied();
-                                self.fp.prev_size = pl.len();
-                            }
-                            None => {
-                                self.fp.prev_min = None;
-                                self.fp.prev_size = 0;
-                            }
-                        }
-                    }
-                }
-                if affected(self.fp.pole_next) {
-                    self.fp.pole_next = None;
+                    let prev = self.fp_leaf().and_then(|pole| self.chain_prev(pole));
+                    self.fp.set_prev(prev);
                 }
             }
         }
@@ -221,14 +194,7 @@ impl<K: Key, V> BpTree<K, V> {
         if self.tail == leaf_id {
             self.tail = prev.expect("non-root leaf must have a neighbour");
         }
-        if self.fp.prev_id == Some(leaf_id) {
-            self.fp.prev_id = None;
-            self.fp.prev_min = None;
-            self.fp.prev_size = 0;
-        }
-        if self.fp.pole_next == Some(leaf_id) {
-            self.fp.pole_next = None;
-        }
+        self.fp.forget(&leaf_id);
         let pid = parent.expect("non-root leaf has a parent");
         self.remove_child(pid, leaf_id);
         self.arena.free(leaf_id);
@@ -299,7 +265,7 @@ impl<K: Key, V> BpTree<K, V> {
         };
         let prefer_non_pole =
             |a: Option<NodeId>, b: Option<NodeId>| -> (Option<NodeId>, Option<NodeId>) {
-                if self.mode.is_pole() && a == self.fp.leaf {
+                if self.mode.is_pole() && a == self.fp_leaf() {
                     (b, a)
                 } else {
                     (a, b)
@@ -342,15 +308,7 @@ impl<K: Key, V> BpTree<K, V> {
             l.keys.insert(0, k);
             l.vals.insert(0, v);
             self.update_lower_separator(leaf, k);
-            if self.fp.leaf == Some(leaf) {
-                self.fp.min = Some(k);
-                self.fp.size = self.leaf_len(leaf);
-            }
-            if self.fp.leaf == Some(donor) {
-                // The donor's upper bound tightened to the moved key.
-                self.fp.max = Some(k);
-                self.fp.size = self.leaf_len(donor);
-            }
+            self.fp.on_separator_moved(&donor, &leaf, k);
         } else {
             // donor's first entry becomes leaf's last; donor's bound rises.
             let (d, l) = self.arena.get2_mut(donor, leaf);
@@ -362,14 +320,7 @@ impl<K: Key, V> BpTree<K, V> {
             l.keys.push(k);
             l.vals.push(v);
             self.update_lower_separator(donor, new_donor_min);
-            if self.fp.leaf == Some(donor) {
-                self.fp.min = Some(new_donor_min);
-                self.fp.size = self.leaf_len(donor);
-            }
-            if self.fp.leaf == Some(leaf) {
-                self.fp.max = Some(new_donor_min);
-                self.fp.size = self.leaf_len(leaf);
-            }
+            self.fp.on_separator_moved(&leaf, &donor, new_donor_min);
         }
     }
 
@@ -624,12 +575,12 @@ mod tests {
             t.insert(k, k);
         }
         // Drain the current pole leaf completely.
-        let pole = t.fp.leaf.expect("pole exists");
+        let pole = t.fp_leaf().expect("pole exists");
         let keys: Vec<u64> = t.arena.get(pole).as_leaf().keys.clone();
         for k in keys {
             t.delete(k);
         }
-        assert!(t.fp.leaf.is_some(), "pole must be re-pointed");
+        assert!(t.fp_leaf().is_some(), "pole must be re-pointed");
         t.check_invariants().unwrap();
         // And ingestion continues.
         for k in 100..164u64 {

@@ -4,11 +4,14 @@
 //! * `insert_lil` — last-insertion-leaf (§3, Fig 4).
 //! * `insert_pole` — predicted-ordered-leaf, Algorithm 1, with the QuIT
 //!   extensions of Algorithm 2 (variable split / redistribute) and the §4.3
-//!   reset strategy dispatched from [`BpTree::handle_full_pole`].
+//!   reset strategy.
+//!
+//! Every decision — coverage, promote-or-tighten, split position,
+//! redistribute, catch-up, reset — is made by [`crate::FastPathState`]; this
+//! module executes the plans it returns with the tree's node operations.
 
 use crate::arena::NodeId;
-use crate::fastpath::FastPathMode;
-use crate::ikr::{ikr_bound, split_bound};
+use crate::fastpath::{FastPathMode, FullPolePlan, PoleSplit, PrevLeaf, TopInsert};
 use crate::key::Key;
 use crate::stats::Stats;
 use crate::tree::BpTree;
@@ -19,29 +22,28 @@ impl<K: Key, V> BpTree<K, V> {
         self.arena.get(id).as_leaf().len()
     }
 
-    /// §4.3 reset strategy (and delete-path repair): re-point poℓe at
-    /// `leaf` with separator bounds `[low, high)`, adopting its chain
-    /// predecessor as `poℓe_prev`.
-    pub(crate) fn repoint_pole(&mut self, leaf: NodeId, low: Option<K>, high: Option<K>) {
-        self.fp.leaf = Some(leaf);
-        self.fp.min = low;
-        self.fp.max = high;
-        self.fp.size = self.leaf_len(leaf);
-        let prev = self.arena.get(leaf).as_leaf().prev;
-        self.fp.prev_id = prev;
-        match prev {
-            Some(p) => {
-                let pl = self.arena.get(p).as_leaf();
-                self.fp.prev_min = pl.keys.first().copied();
-                self.fp.prev_size = pl.len();
-            }
-            None => {
-                self.fp.prev_min = None;
-                self.fp.prev_size = 0;
-            }
-        }
-        self.fp.pole_next = None;
-        self.fp.fails = 0;
+    /// The fast-path leaf (`fp_id`).
+    #[inline]
+    pub(crate) fn fp_leaf(&self) -> Option<NodeId> {
+        self.fp.leaf().copied()
+    }
+
+    /// `leaf`'s chain predecessor as a poℓe pointed at `leaf` adopts it.
+    pub(crate) fn chain_prev(&self, leaf: NodeId) -> Option<PrevLeaf<K, NodeId>> {
+        let prev = self.arena.get(leaf).as_leaf().prev?;
+        let pl = self.arena.get(prev).as_leaf();
+        Some(PrevLeaf {
+            leaf: prev,
+            min: pl.keys.first().copied(),
+            len: pl.len(),
+        })
+    }
+
+    /// Re-points the fast path at `leaf` with separator bounds
+    /// `[low, high)`; poℓe adopts the chain predecessor as `poℓe_prev`.
+    pub(crate) fn repoint_fast_path(&mut self, leaf: NodeId, low: Option<K>, high: Option<K>) {
+        let prev = self.mode.is_pole().then(|| self.chain_prev(leaf)).flatten();
+        self.fp.repoint(leaf, low, high, prev);
     }
 }
 
@@ -108,30 +110,31 @@ impl<K: Key, V: Clone> BpTree<K, V> {
         (leaf_id, low, high)
     }
 
+    fn count_fast_insert(&mut self) {
+        Stats::bump(&self.metrics.counters.fast_inserts);
+        self.metrics.record_insert_outcome(true);
+    }
+
     // ------------------------------------------------------------------
     // tail
     // ------------------------------------------------------------------
 
     fn insert_tail(&mut self, key: K, value: V) {
-        let accepted = self.fp.min.is_none_or(|m| key >= m);
-        if !accepted {
+        // The tail has no upper bound, so coverage is `key >= fp_min`.
+        if !self.fp.covers(key) {
             self.top_insert(key, value);
             return;
         }
         let mut target = self.tail;
         if self.leaf_len(target) >= self.config.leaf_capacity {
             let (right, sep) = self.split_leaf_default(target);
-            // split_leaf_at advanced self.tail to the new right node.
-            self.fp.leaf = Some(self.tail);
-            self.fp.min = Some(sep);
+            self.fp.follow_split(right, sep);
             if key >= sep {
                 target = right;
             }
         }
         self.insert_entry(target, key, value);
-        self.fp.size = self.leaf_len(self.tail);
-        Stats::bump(&self.metrics.counters.fast_inserts);
-        self.metrics.record_insert_outcome(true);
+        self.count_fast_insert();
     }
 
     // ------------------------------------------------------------------
@@ -140,30 +143,24 @@ impl<K: Key, V: Clone> BpTree<K, V> {
 
     fn insert_lil(&mut self, key: K, value: V) {
         if self.fp.covers(key) {
-            let mut target = self.fp.leaf.expect("covers implies a leaf");
+            let mut target = self.fp_leaf().expect("covers implies a leaf");
             if self.leaf_len(target) >= self.config.leaf_capacity {
                 let (right, sep) = self.split_leaf_default(target);
                 if key >= sep {
                     // Fig 4d: the key lands in the new node — ℓiℓ follows it.
                     target = right;
-                    self.fp.leaf = Some(right);
-                    self.fp.min = Some(sep);
+                    self.fp.follow_split(right, sep);
                 } else {
                     // Fig 4e: ℓiℓ stays; only its upper bound tightens.
-                    self.fp.max = Some(sep);
+                    self.fp.stay_after_split(sep);
                 }
             }
             self.insert_entry(target, key, value);
-            self.fp.size = self.leaf_len(target);
-            Stats::bump(&self.metrics.counters.fast_inserts);
-            self.metrics.record_insert_outcome(true);
+            self.count_fast_insert();
         } else {
             // Fig 4b: top-insert, then re-point ℓiℓ at the accepting leaf.
             let (leaf, low, high) = self.top_insert(key, value);
-            self.fp.leaf = Some(leaf);
-            self.fp.min = low;
-            self.fp.max = high;
-            self.fp.size = self.leaf_len(leaf);
+            self.fp.repoint(leaf, low, high, None);
         }
     }
 
@@ -173,259 +170,82 @@ impl<K: Key, V: Clone> BpTree<K, V> {
 
     fn insert_pole(&mut self, key: K, value: V) {
         if self.fp.covers(key) {
-            // Algorithm 1 lines 1–9: fast-insert, splitting first if full.
-            let pole = self.fp.leaf.expect("covers implies a leaf");
+            // Algorithm 1 lines 1–9: fast-insert, making room first if full.
+            let pole = self.fp_leaf().expect("covers implies a leaf");
             let target = if self.leaf_len(pole) >= self.config.leaf_capacity {
-                self.handle_full_pole(key)
+                self.make_room_in_pole(pole, key)
             } else {
                 pole
             };
             self.insert_entry(target, key, value);
-            if Some(target) == self.fp.leaf {
-                self.fp.size = self.leaf_len(target);
-            }
-            // Note: `poℓe_prev_{min,size}` are *memoized* at poℓe-split
-            // time (Table 1 metadata), not live-synced — the density basis
-            // Eq. 2 extrapolates from must stay the one observed between
-            // two known non-outliers, or oscillating workloads collapse it.
-            self.fp.fails = 0;
-            Stats::bump(&self.metrics.counters.fast_inserts);
-            self.metrics.record_insert_outcome(true);
+            self.fp.on_covered_insert();
+            self.count_fast_insert();
         } else {
-            // Algorithm 1 lines 10–14: top-insert, then try to catch up.
-            let (lt, low, high) = self.top_insert(key, value);
-            // The catch-up target is the poℓe's chain successor: when a
-            // split predicted outliers, `poℓe_next` IS that successor, and
-            // after a reset onto an interior leaf the successor is where the
-            // in-order stream lands when it crosses the poℓe's upper bound.
-            let chain_next = self.fp.leaf.and_then(|p| self.arena.get(p).as_leaf().next);
-            if chain_next == Some(lt) && self.try_catch_up(key, lt, low, high) {
-                return;
-            }
-            self.fp.fails += 1;
-            if let Some(tr) = self.config.reset_threshold {
-                if self.fp.fails >= tr {
-                    Stats::bump(&self.metrics.counters.fp_resets);
-                    self.repoint_pole(lt, low, high);
+            // Algorithm 1 lines 10–14: top-insert, then catch up or count
+            // the miss. Catch-up needs the poℓe's key span, read only when
+            // the insert landed in its chain successor.
+            let (landed, low, high) = self.top_insert(key, value);
+            let successor_of = self.fp_leaf().and_then(|pole| {
+                let pl = self.arena.get(pole).as_leaf();
+                if pl.next != Some(landed) {
+                    return None;
                 }
-            }
+                Some((*pl.keys.first()?, *pl.keys.last()?))
+            });
+            let counter = match self.fp.on_top_insert(key, successor_of, &self.config) {
+                TopInsert::Miss => return,
+                TopInsert::CaughtUp => &self.metrics.counters.pole_catch_ups,
+                TopInsert::Reset => &self.metrics.counters.fp_resets,
+            };
+            Stats::bump(counter);
+            self.repoint_fast_path(landed, low, high);
         }
     }
 
-    /// §4.2 "Catching Up to Predicted Outliers": a top-insert landed in the
-    /// node right after poℓe; if its key is no longer an IKR outlier,
-    /// promote that node to poℓe. Returns true when promoted.
-    ///
-    /// The density basis here is the poℓe node's *own* span: its smallest
-    /// and largest keys are both known non-outliers (every entry was
-    /// accepted in order), so `x = q + (max − q) · scale` is Eq. 2
-    /// instantiated over the poℓe itself. Unlike the split-time estimate it
-    /// tracks density regime changes — crucial for real-world keys whose
-    /// density varies by orders of magnitude (e.g. volume-at-price in stock
-    /// streams).
-    fn try_catch_up(&mut self, key: K, lt: NodeId, low: Option<K>, high: Option<K>) -> bool {
-        let Some(pole) = self.fp.leaf else {
-            return false;
-        };
-        let pl = self.arena.get(pole).as_leaf();
-        let (Some(&q), Some(&m)) = (pl.keys.first(), pl.keys.last()) else {
-            return false;
-        };
-        let span = (m.to_ikr() - q.to_ikr()).max(0.0);
-        let x = q.to_ikr() + span * self.config.ikr_scale;
-        if key.to_ikr() > x {
-            return false;
-        }
-        let pole_len = pl.len();
-        self.fp.prev_id = Some(pole);
-        self.fp.prev_min = Some(q);
-        self.fp.prev_size = pole_len;
-        self.fp.leaf = Some(lt);
-        self.fp.min = low;
-        self.fp.max = high;
-        self.fp.size = self.leaf_len(lt);
-        self.fp.pole_next = None;
-        self.fp.fails = 0;
-        Stats::bump(&self.metrics.counters.pole_catch_ups);
-        true
-    }
-
-    // ------------------------------------------------------------------
-    // Full poℓe: Algorithm 2 (QuIT) or the default split of Algorithm 1
-    // ------------------------------------------------------------------
-
-    /// Handles a fast-insert arriving at a full poℓe node. Splits (variable
-    /// or 50/50) or redistributes, updates every fast-path metadata field,
-    /// and returns the leaf that must receive `key` (guaranteed non-full).
-    fn handle_full_pole(&mut self, key: K) -> NodeId {
-        let pole = self.fp.leaf.expect("handle_full_pole requires a poℓe");
-        let plen = self.leaf_len(pole);
-        let q = self.arena.get(pole).as_leaf().keys[0];
-        let def = self.config.def_split_pos();
-
-        if self.config.variable_split {
-            if let (Some(prev_id), Some(p)) = (self.fp.prev_id, self.fp.prev_min) {
-                if self.fp.prev_size >= def && self.fp.prev_size > 0 {
-                    return self.variable_split_pole(key, pole, plen, p, q, def);
-                }
-                if self.config.redistribute && self.fp.prev_size < def {
-                    // Fig 7c: refill poℓe_prev to exactly half before using
-                    // IKR again. The physical move is sized from the node's
-                    // *actual* occupancy (the metadata is a memo and may
-                    // lag); chain adjacency is required so order holds.
-                    let adjacent = self.arena.get(prev_id).as_leaf().next == Some(pole);
-                    if adjacent {
-                        let actual_prev = self.leaf_len(prev_id);
-                        let move_count = def.saturating_sub(actual_prev);
-                        if move_count >= 1 && move_count < plen {
-                            self.redistribute_to_prev(pole, prev_id, move_count);
-                            self.fp.prev_size = def;
-                            let new_min = self.arena.get(pole).as_leaf().keys[0];
-                            self.fp.min = Some(new_min);
-                            self.fp.size = self.leaf_len(pole);
-                            return if key >= new_min { pole } else { prev_id };
-                        }
-                        if move_count == 0 {
-                            // The predecessor is already at least half full
-                            // (the memo lagged): refresh it and use IKR.
-                            self.fp.prev_size = actual_prev;
-                            return self.variable_split_pole(key, pole, plen, p, q, def);
-                        }
-                    }
-                }
+    /// A fast-insert of `key` arrived at the full poℓe node: executes the
+    /// policy's [`FullPolePlan`] (variable split, 50/50 split, or
+    /// redistribution into `poℓe_prev`) and returns the leaf that must
+    /// receive `key` (guaranteed non-full).
+    fn make_room_in_pole(&mut self, pole: NodeId, key: K) -> NodeId {
+        let (actual_prev_len, adjacent) = match self.fp.redistribute_candidate(&self.config) {
+            Some(&prev) => {
+                let pl = self.arena.get(prev).as_leaf();
+                (pl.len(), pl.next == Some(pole))
             }
-        }
-
-        // Default 50/50 split with the Algorithm 1 poℓe-update rule.
-        let (right, sep) = self.split_leaf_at(pole, plen / 2);
-        let promote = match self.fp.prev_min {
-            // Fig 6: move poℓe iff the split key r is not an IKR outlier.
-            Some(p) if self.fp.prev_size > 0 => {
-                sep.to_ikr() <= ikr_bound(p, q, self.fp.prev_size, plen, self.config.ikr_scale)
-            }
-            // Initialization (§4.2): no poℓe_prev yet — mark the leaf that
-            // receives the latest insert.
-            _ => key >= sep,
+            None => (0, false),
         };
-        if promote {
-            self.fp.prev_id = Some(pole);
-            self.fp.prev_min = Some(q);
-            self.fp.prev_size = plen / 2;
-            self.fp.leaf = Some(right);
-            self.fp.min = Some(sep);
-            // A previously predicted outlier node stays the poℓe's right
-            // neighbour after this split, so keep it as the catch-up target.
-        } else {
-            self.fp.max = Some(sep);
-            self.fp.pole_next = Some(right);
-        }
-        self.fp.size = self.leaf_len(self.fp.leaf.expect("poℓe survives split"));
+        let keys = &self.arena.get(pole).as_leaf().keys;
+        let (q, pole_len) = (keys[0], keys.len());
+        let plan = self
+            .fp
+            .full_pole_plan(&self.config, keys, actual_prev_len, adjacent);
+        let pos = match plan {
+            FullPolePlan::Redistribute { move_count } => {
+                let prev = *self.fp.prev().expect("redistribution names a poℓe_prev");
+                self.redistribute_to_prev(pole, prev, move_count);
+                let new_min = self.arena.get(pole).as_leaf().keys[0];
+                self.fp.on_redistribute(&self.config, new_min);
+                return if key >= new_min { pole } else { prev };
+            }
+            FullPolePlan::Variable { pos, .. } => {
+                Stats::bump(&self.metrics.counters.variable_splits);
+                pos
+            }
+            FullPolePlan::Default { pos } => pos,
+        };
+        let (right, sep) = self.split_leaf_at(pole, pos);
+        let split = PoleSplit {
+            q,
+            sep,
+            pole_len,
+            left_len: pos,
+            right,
+        };
+        self.fp.on_pole_split(plan, &self.config, split, key);
         if key >= sep {
             right
         } else {
             pole
-        }
-    }
-
-    /// Algorithm 2 lines 3–8: IKR-guided variable split of the poℓe node.
-    fn variable_split_pole(
-        &mut self,
-        key: K,
-        pole: NodeId,
-        plen: usize,
-        p: K,
-        q: K,
-        def: usize,
-    ) -> NodeId {
-        // Position of the first predicted outlier (`l`). l >= 1 since the
-        // envelope always admits q itself.
-        let l = {
-            let keys = &self.arena.get(pole).as_leaf().keys;
-            match self.config.split_bound_rule {
-                // Eq. 2 applied per position: the key in slot i must lie
-                // within the density envelope extrapolated i+1 entries past
-                // q (`poℓe_size` = the prefix length it closes). This reads
-                // "the first key greater than the estimated acceptable
-                // value lower bound" cumulatively, so an out-of-order entry
-                // that merely *rides* close ahead of the in-order frontier
-                // is cut off exactly at the frontier.
-                crate::config::SplitBoundRule::Eq2 => {
-                    let density = (q.to_ikr() - p.to_ikr()) / self.fp.prev_size as f64;
-                    let step = density * self.config.ikr_scale;
-                    let base = q.to_ikr();
-                    let mut l = 1usize;
-                    while l < keys.len() && keys[l].to_ikr() <= base + step * (l + 1) as f64 {
-                        l += 1;
-                    }
-                    l
-                }
-                // The expression literally printed in Algorithm 2 line 4: a
-                // flat bound without the poℓe_size factor.
-                crate::config::SplitBoundRule::Literal => {
-                    let x = split_bound(
-                        p,
-                        q,
-                        self.fp.prev_size,
-                        plen,
-                        self.config.ikr_scale,
-                        self.config.split_bound_rule,
-                    );
-                    keys.partition_point(|k| k.to_ikr() <= x).max(1)
-                }
-            }
-        };
-        Stats::bump(&self.metrics.counters.variable_splits);
-        if l > def {
-            // Few outliers (Fig 7a): split at l−1, carrying one in-order
-            // entry into the new node, which becomes poℓe. The fill cap
-            // (§5.2.1 tuning note) bounds how packed the left node is left,
-            // trading space for fewer future split propagations.
-            let fill_cap = ((plen as f64) * self.config.max_variable_fill).floor() as usize;
-            let mut pos = (l - 1).min(plen - 1).min(fill_cap.max(def));
-            if self.config.node_layout == crate::layout::NodeLayoutKind::Gapped {
-                // Leave ⌊√cap⌋ slots of physical headroom in the left
-                // node: the tight variable fill would hand split-time
-                // regap `cap - pos <= 1` free slots, so the leaves a
-                // near-sorted stream leaves behind — exactly where IKR
-                // predicts stragglers to land — would have no absorption
-                // capacity at all.
-                let want = (self.config.leaf_capacity as f64).sqrt().floor() as usize;
-                pos = pos.min(plen.saturating_sub(want).max(def));
-            }
-            let (right, sep) = self.split_leaf_at(pole, pos);
-            self.fp.prev_id = Some(pole);
-            self.fp.prev_min = Some(q);
-            self.fp.prev_size = pos;
-            self.fp.leaf = Some(right);
-            // `inject-split-bug` (testkit mutation smoke check only) leaves
-            // the stale pre-split lower bound in place, so a later key in
-            // `[old_min, sep)` fast-inserts into the right node below its
-            // separator — exactly the class of bound bug the differential
-            // oracle must catch and shrink.
-            #[cfg(not(feature = "inject-split-bug"))]
-            {
-                self.fp.min = Some(sep);
-            }
-            // Keep any outstanding poℓe_next: it is still the right
-            // neighbour of the advanced poℓe.
-            self.fp.size = self.leaf_len(right);
-            if key >= sep {
-                right
-            } else {
-                pole
-            }
-        } else {
-            // Mostly outliers (Fig 7b): split at l, moving every outlier to
-            // the new node; poℓe keeps its in-order prefix and its pointer.
-            let (right, sep) = self.split_leaf_at(pole, l);
-            self.fp.max = Some(sep);
-            self.fp.pole_next = Some(right);
-            self.fp.size = self.leaf_len(pole);
-            if key >= sep {
-                right
-            } else {
-                pole
-            }
         }
     }
 }

@@ -120,8 +120,7 @@ pub use arena::NodeId;
 pub use config::{SplitBoundRule, StorageKind, TreeConfig};
 pub use cursor::Cursor;
 pub use error::{Error, Result};
-pub use fastpath::{FastPathMode, FastPathState};
-pub use ikr::{ikr_bound, is_outlier, split_bound};
+pub use fastpath::{FastPathMode, FastPathState, FullPolePlan, PoleSplit, PrevLeaf, TopInsert};
 pub use iter::{RangeIter, RangeScan, TreeIter};
 pub use key::{AnyBitPattern, Key, OrderedF64};
 pub use layout::{
@@ -141,6 +140,6 @@ pub use pool::{
 pub use snapshot::{TreeSnapshot, TREE_IMAGE_MAGIC};
 pub use sorted_index::SortedIndex;
 pub use stats::{MemoryReport, Stats, StatsSnapshot};
-pub use tree::{BpTree, FastPathInfo};
+pub use tree::BpTree;
 pub use validate::InvariantViolation;
 pub use variants::{ClassicBPlusTree, Variant};

@@ -158,11 +158,7 @@ impl<K: Key, V: Clone + 'static> BpTree<K, V> {
         if root.0 as usize >= arena.slot_count() {
             return Err(Error::corruption("tree page image: root id out of range"));
         }
-        let mut fp = FastPathState::initial(root);
-        if !mode.has_fast_path() {
-            fp.leaf = None;
-            fp.path.clear();
-        }
+        let fp = FastPathState::new(mode.has_fast_path().then_some(root));
         let metrics = MetricsRegistry::new(config.metrics_level);
         let mut tree = BpTree {
             arena,

@@ -74,7 +74,7 @@ impl<K: Key, V: Clone> BpTree<K, V> {
                 // stay dense: gaps there would force the in-order stream
                 // off its push fast path into rotate-to-gap shuffles once
                 // the physical length hits capacity.
-                if self.tail != right_id && self.fp.leaf != Some(leaf_id) {
+                if self.tail != right_id && self.fp_leaf() != Some(leaf_id) {
                     let right = self.arena.get_mut(right_id).as_leaf_mut();
                     crate::layout::regap(
                         &mut right.keys,

@@ -16,25 +16,6 @@ use crate::metrics::MetricsRegistry;
 use crate::node::{LeafNode, Node};
 use crate::stats::{MemoryReport, Stats};
 
-/// Read-only view of the fast-path metadata (paper Table 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FastPathInfo<K> {
-    /// Fast-path leaf id (`fp_id`).
-    pub leaf: Option<NodeId>,
-    /// Smallest acceptable key (`fp_min`), `None` = unbounded.
-    pub min: Option<K>,
-    /// Exclusive upper bound (`fp_max`), `None` = tail.
-    pub max: Option<K>,
-    /// Cached occupancy of the fast-path leaf (`fp_size`).
-    pub size: usize,
-    /// `poℓe_prev_min` (Eq. 2's `p`).
-    pub prev_min: Option<K>,
-    /// `poℓe_prev_size`.
-    pub prev_size: usize,
-    /// Consecutive top-inserts (`poℓe_fails`).
-    pub fails: usize,
-}
-
 /// A sortedness-aware B+-tree. See the crate docs for the variant map
 /// (classical / tail / ℓiℓ / poℓe / QuIT).
 #[derive(Debug)]
@@ -89,11 +70,7 @@ impl<K: Key, V> BpTree<K, V> {
             ),
         };
         let root = arena.alloc(Node::Leaf(LeafNode::with_capacity(config.leaf_capacity)));
-        let mut fp = FastPathState::initial(root);
-        if !mode.has_fast_path() {
-            fp.leaf = None;
-            fp.path.clear();
-        }
+        let fp = FastPathState::new(mode.has_fast_path().then_some(root));
         let metrics = MetricsRegistry::new(config.metrics_level);
         BpTree {
             arena,
@@ -209,7 +186,7 @@ impl<K: Key, V> BpTree<K, V> {
     /// Table 1), recomputed from parent links. Empty when the mode keeps no
     /// fast path.
     pub fn fp_path(&self) -> Vec<NodeId> {
-        let Some(mut id) = self.fp.leaf else {
+        let Some(mut id) = self.fp_leaf() else {
             return Vec::new();
         };
         let mut path = vec![id];
@@ -219,20 +196,6 @@ impl<K: Key, V> BpTree<K, V> {
         }
         path.reverse();
         path
-    }
-
-    /// Read-only snapshot of the fast-path metadata (observability for
-    /// operators and the bench harness; Table 1 fields).
-    pub fn fast_path_info(&self) -> FastPathInfo<K> {
-        FastPathInfo {
-            leaf: self.fp.leaf,
-            min: self.fp.min,
-            max: self.fp.max,
-            size: self.fp.size,
-            prev_min: self.fp.prev_min,
-            prev_size: self.fp.prev_size,
-            fails: self.fp.fails,
-        }
     }
 
     /// Smallest key in the index.
@@ -488,9 +451,9 @@ impl<K: Key, V> BpTree<K, V> {
                 }
             }
             Node::Leaf(l) => {
-                let marker = if self.fp.leaf == Some(id) {
+                let marker = if self.fp.leaf() == Some(&id) {
                     " <- fast path"
-                } else if self.fp.prev_id == Some(id) {
+                } else if self.fp.prev() == Some(&id) {
                     " <- pole_prev"
                 } else {
                     ""
@@ -569,7 +532,7 @@ mod tests {
         }
         let path = t.fp_path();
         assert_eq!(path.first().copied(), Some(t.root));
-        assert_eq!(path.last().copied(), t.fp.leaf);
+        assert_eq!(path.last().copied(), t.fp_leaf());
         assert_eq!(path.len(), t.height());
     }
 

@@ -111,34 +111,33 @@ impl<K: Key, V> BpTree<K, V> {
         // A *narrower* fast-path range than the leaf's true separator bounds
         // only costs missed fast-inserts; a *wider* one would route keys into
         // the wrong leaf, so that direction is what we verify.
-        if self.mode.has_fast_path() && self.fp.leaf.is_none() {
+        if self.mode.has_fast_path() && self.fp_leaf().is_none() {
             return err("fast-path mode armed but fp_id is unset".into());
         }
-        if let Some(fp_leaf) = self.fp.leaf.filter(|_| self.mode.has_fast_path()) {
+        if let Some(fp_leaf) = self.fp_leaf().filter(|_| self.mode.has_fast_path()) {
             if !matches!(self.arena.get(fp_leaf), Node::Leaf(_)) {
                 return err(format!("fast-path leaf {fp_leaf:?} is not a live leaf"));
             }
             let (low, high) = self.leaf_bounds(fp_leaf);
+            let (fp_min, fp_max) = self.fp.bounds();
             if let Some(b) = low {
-                if self.fp.min.is_none_or(|m| m < b) {
+                if fp_min.is_none_or(|m| m < b) {
                     return err(format!(
-                        "fp_min {:?} wider than separator bound {b:?} for {fp_leaf:?}",
-                        self.fp.min
+                        "fp_min {fp_min:?} wider than separator bound {b:?} for {fp_leaf:?}"
                     ));
                 }
             }
             if let Some(b) = high {
-                if self.fp.max.is_none_or(|m| m > b) {
+                if fp_max.is_none_or(|m| m > b) {
                     return err(format!(
-                        "fp_max {:?} wider than separator bound {b:?} for {fp_leaf:?}",
-                        self.fp.max
+                        "fp_max {fp_max:?} wider than separator bound {b:?} for {fp_leaf:?}"
                     ));
                 }
             }
             // `poℓe_prev_{min,size}` are memoized at poℓe-split time and
             // may lag the node's live state (Table 1 metadata semantics);
             // only the id's structural validity is an invariant.
-            if let Some(prev_id) = self.fp.prev_id {
+            if let Some(&prev_id) = self.fp.prev() {
                 if !matches!(self.arena.get(prev_id), Node::Leaf(_)) {
                     return err(format!("poℓe_prev {prev_id:?} is not a live leaf"));
                 }
@@ -302,7 +301,9 @@ mod tests {
         for k in 0..64u64 {
             t.insert(k, k);
         }
-        t.fp.min = Some(0); // corrupt deliberately: wider than the true bound
+        // Corrupt deliberately: a lower bound wider than the true one.
+        let (leaf, (_, max)) = (t.fp_leaf().unwrap(), t.fp.bounds());
+        t.fp.repoint(leaf, Some(0), max, None);
         let e = t.check_invariants().unwrap_err();
         assert!(e.0.contains("fp_min"), "{e}");
     }

@@ -30,7 +30,7 @@
 
 use crate::frame::WalCodec;
 use crate::psnap::{paged_snapshot_candidates, read_paged_snapshot, write_paged_snapshot};
-use crate::snapshot::load_best_snapshot;
+use crate::snapshot::{load_best_snapshot, snapshot_candidates};
 use crate::storage::Storage;
 use crate::wal::{scan_wal, Lsn, Wal, WalTuning};
 use crate::WalOp;
@@ -174,6 +174,71 @@ pub struct RecoveryReport {
     pub elapsed: Duration,
 }
 
+/// What an opener's snapshot loader hands [`recover`]: the state it built
+/// from the newest valid snapshot, and what that snapshot covered.
+pub(crate) struct LoadedSnapshot<T> {
+    pub generation: u64,
+    pub lsn: Lsn,
+    /// Entries the snapshot contributed ([`RecoveryReport::snapshot_entries`]).
+    pub entries: usize,
+    /// Corrupt candidates skipped before this one validated.
+    pub rejected: usize,
+    pub state: T,
+}
+
+/// The recovery every opener shares: `load` the newest valid snapshot into
+/// the opener's state, scan the WAL past it, `replay` the tail (given the
+/// LSN of its first record; returns the records it applied), resume the log
+/// after the last recovered LSN, and time the whole thing into the
+/// `recovery_latency` histogram and the report.
+pub(crate) fn recover<K, V, T>(
+    storage: Arc<dyn Storage>,
+    tuning: WalTuning,
+    load: impl FnOnce(&dyn Storage) -> Result<LoadedSnapshot<T>>,
+    replay: impl FnOnce(&mut T, Lsn, Vec<WalOp<K, V>>) -> Result<usize>,
+) -> Result<(T, Wal, RecoveryReport)>
+where
+    K: WalCodec,
+    V: WalCodec,
+{
+    let t0 = Instant::now();
+    let mut snap = load(&*storage)?;
+    let scan = scan_wal::<K, V>(&*storage, snap.lsn, snap.generation)?;
+    let tail_records = replay(&mut snap.state, snap.lsn + 1, scan.tail)?;
+    let wal = Wal::resume(
+        storage,
+        tuning,
+        scan.resume_generation,
+        scan.resume_seq,
+        scan.last_lsn + 1,
+    );
+    let elapsed = t0.elapsed();
+    wal.metrics()
+        .recovery_latency
+        .record_ns(elapsed.as_nanos().min(u64::MAX as u128) as u64);
+    let report = RecoveryReport {
+        snapshot_entries: snap.entries,
+        snapshot_lsn: snap.lsn,
+        tail_records,
+        recovered_lsn: scan.last_lsn,
+        torn_tail: scan.torn,
+        stale_segments: scan.stale_segments,
+        rejected_snapshots: snap.rejected,
+        elapsed,
+    };
+    Ok((snap.state, wal, report))
+}
+
+/// `index` metrics with `wal`'s four fields laid over them.
+pub(crate) fn with_wal_metrics(mut index: StatsSnapshot, wal: &Wal) -> StatsSnapshot {
+    let wal = wal.metrics().snapshot();
+    index.wal_appends = wal.wal_appends;
+    index.wal_fsyncs = wal.wal_fsyncs;
+    index.group_commit_size = wal.group_commit_size;
+    index.recovery_latency = wal.recovery_latency;
+    index
+}
+
 /// A [`SortedIndex`] with a write-ahead log in front of it.
 ///
 /// Mutations through the [`SortedIndex`] impl (and the `&self` shared API
@@ -217,44 +282,28 @@ impl<T> Durable<T> {
         T: SortedIndex<K, V>,
         F: FnOnce(Vec<(K, V)>) -> T,
     {
-        let t0 = Instant::now();
-        let ((snap_generation, snapshot_lsn, entries), rejected_snapshots) =
-            load_best_snapshot::<K, V>(&*storage)?;
-        let snapshot_entries = entries.len();
-        let scan = scan_wal::<K, V>(&*storage, snapshot_lsn, snap_generation)?;
-        let mut inner = build(entries);
-        let tail_records = apply_tail(&mut inner, &scan.tail);
-        let wal = Wal::resume(
-            storage,
-            config.tuning(),
-            scan.resume_generation,
-            scan.resume_seq,
-            scan.last_lsn + 1,
-        );
-        let elapsed = t0.elapsed();
-        wal.metrics()
-            .recovery_latency
-            .record_ns(elapsed.as_nanos().min(u64::MAX as u128) as u64);
-        let report = RecoveryReport {
-            snapshot_entries,
-            snapshot_lsn,
-            tail_records,
-            recovered_lsn: scan.last_lsn,
-            torn_tail: scan.torn,
-            stale_segments: scan.stale_segments,
-            rejected_snapshots,
-            elapsed,
+        let load = |storage: &dyn Storage| {
+            let ((generation, lsn, entries), rejected) = load_best_snapshot::<K, V>(storage)?;
+            Ok(LoadedSnapshot {
+                generation,
+                lsn,
+                entries: entries.len(),
+                rejected,
+                state: build(entries),
+            })
         };
-        let stripes = (0..WRITE_STRIPES).map(|_| Mutex::new(())).collect();
-        Ok((
-            Durable {
-                inner,
-                wal,
-                config,
-                stripes,
-            },
-            report,
-        ))
+        let replay = |inner: &mut _, _, tail: Vec<_>| Ok(apply_tail(inner, &tail));
+        let (inner, wal, report) = recover(storage, config.tuning(), load, replay)?;
+        Ok((Self::assemble(inner, wal, config), report))
+    }
+
+    fn assemble(inner: T, wal: Wal, config: DurabilityConfig) -> Self {
+        Durable {
+            inner,
+            wal,
+            config,
+            stripes: (0..WRITE_STRIPES).map(|_| Mutex::new(())).collect(),
+        }
     }
 
     /// The wrapped index (shared access — this is how readers reach a
@@ -362,11 +411,15 @@ where
     /// Recovery prefers the newest fully-valid paged snapshot — each
     /// candidate's header, metadata, and every page CRC are verified in
     /// one byte sweep, and any malformation rejects the whole candidate —
-    /// falling back to older generations, then to sorted (`.qsnp`)
-    /// snapshots from pre-paged deployments, then to an empty tree; the
-    /// WAL tail replays on top as usual. Opening from a page image decodes
-    /// no nodes beyond the fast-path spine, so recovery cost stops scaling
+    /// falling back to older generations, then to an empty tree; the WAL
+    /// tail replays on top as usual. Opening from a page image decodes no
+    /// nodes beyond the fast-path spine, so recovery cost stops scaling
     /// with tree size.
+    ///
+    /// Paged and sorted-snapshot directories are not interchangeable: a
+    /// sorted (`.qsnp`) snapshot newer than every paged one means the
+    /// directory was last checkpointed by [`Durable::open`]'s family, and
+    /// is rejected with a `config` error naming the file.
     pub fn open_paged(
         storage: Arc<dyn Storage>,
         config: DurabilityConfig,
@@ -378,77 +431,51 @@ where
                 "open_paged requires TreeConfig::with_storage(StorageKind::Paged { .. })",
             ));
         }
-        let t0 = Instant::now();
-        let mut rejected_snapshots = 0;
-        let mut best_paged: Option<(u64, Lsn, BpTree<K, V>)> = None;
-        for (generation, name) in paged_snapshot_candidates(&*storage)? {
-            let bytes = storage.read(&name)?;
-            let recovered = read_paged_snapshot(&bytes)
-                .filter(|(g, ..)| *g == generation)
-                .and_then(|(_, lsn, image)| {
-                    BpTree::from_page_image(image, tree_config.clone())
-                        .ok()
-                        .map(|tree| (lsn, tree))
-                });
-            match recovered {
-                Some((lsn, tree)) => {
-                    best_paged = Some((generation, lsn, tree));
-                    break;
+        let load = |storage: &dyn Storage| {
+            let candidates = paged_snapshot_candidates(storage)?;
+            let newest_paged = candidates.first().map(|(generation, _)| *generation);
+            if let Some((generation, name)) = snapshot_candidates(storage)?.pop() {
+                if newest_paged.is_none_or(|paged| generation > paged) {
+                    return Err(Error::config(format!(
+                        "{name} is a sorted snapshot newer than every paged snapshot: \
+                         this is not a paged directory (open it with Durable::open)"
+                    )));
                 }
-                None => rejected_snapshots += 1,
             }
-        }
-        // Sorted snapshots can coexist (a pre-paged deployment's files, or
-        // pruning disabled): take whichever flavour is the newer
-        // generation.
-        let ((sorted_generation, sorted_lsn, entries), sorted_rejected) =
-            load_best_snapshot::<K, V>(&*storage)?;
-        rejected_snapshots += sorted_rejected;
-        let paged_wins = best_paged
-            .as_ref()
-            .is_some_and(|(generation, ..)| *generation >= sorted_generation);
-        let (snap_generation, snapshot_lsn, mut inner) = if paged_wins {
-            let (generation, lsn, tree) = best_paged.unwrap();
-            (generation, lsn, tree)
-        } else {
-            let fill = tree_config.bulk_fill;
-            let tree = BpTree::bulk_load(mode, tree_config, entries, fill);
-            (sorted_generation, sorted_lsn, tree)
+            let mut rejected = 0;
+            for (generation, name) in candidates {
+                let bytes = storage.read(&name)?;
+                let recovered = read_paged_snapshot(&bytes)
+                    .filter(|(g, ..)| *g == generation)
+                    .and_then(|(_, lsn, image)| {
+                        BpTree::from_page_image(image, tree_config.clone())
+                            .ok()
+                            .map(|tree| (lsn, tree))
+                    });
+                match recovered {
+                    Some((lsn, tree)) => {
+                        return Ok(LoadedSnapshot {
+                            generation,
+                            lsn,
+                            entries: tree.len(),
+                            rejected,
+                            state: tree,
+                        })
+                    }
+                    None => rejected += 1,
+                }
+            }
+            Ok(LoadedSnapshot {
+                generation: 0,
+                lsn: 0,
+                entries: 0,
+                rejected,
+                state: BpTree::with_config(mode, tree_config.clone()),
+            })
         };
-        let snapshot_entries = inner.len();
-        let scan = scan_wal::<K, V>(&*storage, snapshot_lsn, snap_generation)?;
-        let tail_records = apply_tail(&mut inner, &scan.tail);
-        let wal = Wal::resume(
-            storage,
-            config.tuning(),
-            scan.resume_generation,
-            scan.resume_seq,
-            scan.last_lsn + 1,
-        );
-        let elapsed = t0.elapsed();
-        wal.metrics()
-            .recovery_latency
-            .record_ns(elapsed.as_nanos().min(u64::MAX as u128) as u64);
-        let report = RecoveryReport {
-            snapshot_entries,
-            snapshot_lsn,
-            tail_records,
-            recovered_lsn: scan.last_lsn,
-            torn_tail: scan.torn,
-            stale_segments: scan.stale_segments,
-            rejected_snapshots,
-            elapsed,
-        };
-        let stripes = (0..WRITE_STRIPES).map(|_| Mutex::new(())).collect();
-        Ok((
-            Durable {
-                inner,
-                wal,
-                config,
-                stripes,
-            },
-            report,
-        ))
+        let replay = |inner: &mut _, _, tail: Vec<_>| Ok(apply_tail(inner, &tail));
+        let (inner, wal, report) = recover(storage, config.tuning(), load, replay)?;
+        Ok((Self::assemble(inner, wal, config), report))
     }
 
     /// Checkpoint for a paged tree: flushes every dirty page and publishes
@@ -521,13 +548,7 @@ where
     }
 
     fn metrics(&self) -> StatsSnapshot {
-        let mut snap = self.inner.metrics();
-        let wal = self.wal.metrics().snapshot();
-        snap.wal_appends = wal.wal_appends;
-        snap.wal_fsyncs = wal.wal_fsyncs;
-        snap.group_commit_size = wal.group_commit_size;
-        snap.recovery_latency = wal.recovery_latency;
-        snap
+        with_wal_metrics(self.inner.metrics(), &self.wal)
     }
 
     fn reset_metrics(&self) {
@@ -861,33 +882,34 @@ mod tests {
     }
 
     #[test]
-    fn open_paged_reads_legacy_sorted_snapshots() {
+    fn open_paged_rejects_a_sorted_snapshot_directory() {
         let storage = Arc::new(MemStorage::new());
-        // A pre-paged deployment: sorted snapshot + WAL tail.
+        // A non-paged deployment: sorted snapshot + WAL tail.
         let (mut d, _) = open(&storage, DurabilityConfig::group_commit());
         d.insert_batch(&(0..300u64).map(|k| (k, k + 1)).collect::<Vec<_>>());
         d.checkpoint::<u64, u64>().unwrap();
         d.insert(300, 301);
 
-        // The same directory reopened paged: qsnp bulk-loads, tail replays.
+        // The same directory reopened paged is refused, naming the file —
+        // not silently bulk-loaded, not silently skipped.
         let crashed = Arc::new(storage.crash_durable_only());
-        let (mut d2, report) = open_paged(&crashed);
+        let err = match Durable::<BpTree<u64, u64>>::open_paged(
+            crashed.clone() as Arc<dyn Storage>,
+            DurabilityConfig::group_commit(),
+            FastPathMode::Pole,
+            paged_tree_config(),
+        ) {
+            Err(err) => err,
+            Ok(_) => panic!("a sorted-snapshot directory must be rejected"),
+        };
+        assert_eq!(err.kind(), "config");
+        assert!(err.to_string().contains("snap-00000001.qsnp"), "{err}");
+        // The refusal touched nothing: the directory still opens as what it
+        // is.
+        let (d2, report) = open(&crashed, DurabilityConfig::group_commit());
         assert_eq!(report.snapshot_entries, 300);
         assert_eq!(report.tail_records, 1);
-        assert_eq!(d2.len(), 301);
-        assert!(d2.inner().is_paged());
-        // And the next checkpoint upgrades the directory to psnap.
-        d2.checkpoint_paged().unwrap();
-        let files = storage_list(&crashed);
-        assert!(files.iter().any(|f| f.starts_with("psnap-")));
-        assert!(
-            !files.iter().any(|f| f.starts_with("snap-")),
-            "superseded sorted snapshot pruned: {files:?}"
-        );
-    }
-
-    fn storage_list(storage: &Arc<MemStorage>) -> Vec<String> {
-        Storage::list(&**storage).unwrap()
+        assert_eq!(d2.inner().len(), 301);
     }
 
     #[test]

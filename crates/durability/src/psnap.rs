@@ -23,8 +23,7 @@
 //! written to `….tmp`, synced, then durably renamed, so the final name
 //! only ever denotes a complete file, and any malformation — torn page,
 //! flipped byte, truncation — rejects the whole candidate and recovery
-//! falls back to the previous generation (or a sorted snapshot) plus the
-//! un-pruned WAL.
+//! falls back to the previous generation plus the un-pruned WAL.
 
 use crate::frame::crc32;
 use crate::storage::Storage;

@@ -141,18 +141,25 @@ pub(crate) fn read_snapshot<K: WalCodec, V: WalCodec>(
     Some((generation, lsn, entries))
 }
 
-/// Finds the newest fully-valid snapshot. Returns
-/// `((generation, lsn, entries), rejected)` — `((0, 0, []), n)` when no valid
-/// snapshot exists (`rejected` counts corrupt candidates skipped).
-pub(crate) fn load_best_snapshot<K: WalCodec, V: WalCodec>(
-    storage: &dyn Storage,
-) -> io::Result<(SnapshotContents<K, V>, usize)> {
+/// Sorted-snapshot files present on `storage`, oldest generation first
+/// (`.tmp` leftovers are never candidates).
+pub(crate) fn snapshot_candidates(storage: &dyn Storage) -> io::Result<Vec<(u64, String)>> {
     let mut generations: Vec<(u64, String)> = storage
         .list()?
         .into_iter()
         .filter_map(|name| parse_snap_name(&name).map(|g| (g, name)))
         .collect();
     generations.sort();
+    Ok(generations)
+}
+
+/// Finds the newest fully-valid snapshot. Returns
+/// `((generation, lsn, entries), rejected)` — `((0, 0, []), n)` when no valid
+/// snapshot exists (`rejected` counts corrupt candidates skipped).
+pub(crate) fn load_best_snapshot<K: WalCodec, V: WalCodec>(
+    storage: &dyn Storage,
+) -> io::Result<(SnapshotContents<K, V>, usize)> {
+    let generations = snapshot_candidates(storage)?;
     let mut rejected = 0;
     for (_, name) in generations.iter().rev() {
         let bytes = storage.read(name)?;

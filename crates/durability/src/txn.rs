@@ -55,11 +55,13 @@
 //! hold the registry lock), so a just-beginning reader can never slip
 //! under a concurrent collector.
 
-use crate::durable::{DurabilityConfig, DurabilityLevel, RecoveryReport};
+use crate::durable::{
+    recover, with_wal_metrics, DurabilityConfig, DurabilityLevel, LoadedSnapshot, RecoveryReport,
+};
 use crate::frame::WalCodec;
 use crate::snapshot::load_best_snapshot;
 use crate::storage::Storage;
-use crate::wal::{scan_wal, Lsn, Wal};
+use crate::wal::{Lsn, Wal};
 use crate::WalOp;
 use quit_concurrent::{ConcConfig, MvccTree};
 use quit_core::{Error, Key, Result, StatsSnapshot};
@@ -67,7 +69,6 @@ use std::collections::{BTreeMap, HashMap};
 use std::ops::{Bound, RangeBounds};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
-use std::time::Instant;
 
 /// Timestamp oracle: allocates commit timestamps and publishes the
 /// *visible* watermark reader snapshots are taken from (see the module
@@ -209,6 +210,15 @@ pub struct TxnStats {
     pub live_keys: u64,
 }
 
+/// What [`TxnStore::open`] rebuilds: the version tree, its live-key count,
+/// and where the timestamp and transaction-id clocks resume.
+struct Recovered<K: Key, V: Clone> {
+    mvcc: MvccTree<K, V>,
+    live: u64,
+    max_ts: u64,
+    max_tid: u64,
+}
+
 /// A multi-version, transactional, durable key-value store: snapshot
 /// isolation over [`MvccTree`], first-committer-wins conflict
 /// detection, WAL commit groups with atomic recovery. See the module
@@ -252,119 +262,108 @@ where
     /// writes apply only if its `TxnCommit` record survived — all or
     /// none), and resumes the timestamp clock past everything recovered.
     ///
-    /// Plain `Insert`/`Delete` records in the tail (a WAL written by a
-    /// pre-0.9 `Durable`) replay as synthetic single-op commits in log
-    /// order, so upgrading a directory in place works.
+    /// A transactional directory holds only transaction records: a plain
+    /// `Insert`/`Delete` record in the tail means the log was written by a
+    /// non-transactional [`crate::Durable`], and the open is rejected with
+    /// a `wal` error naming the record's LSN.
     pub fn open(storage: Arc<dyn Storage>, config: TxnConfig) -> Result<(Self, RecoveryReport)> {
-        if !matches!(config.tree.storage, quit_core::StorageKind::Arena) {
+        if !matches!(
+            config.tree.tree_config().storage,
+            quit_core::StorageKind::Arena
+        ) {
             return Err(quit_core::Error::config(
                 "the concurrent transactional tree supports only StorageKind::Arena; \
                  for paged storage use Durable::open_paged",
             ));
         }
-        let t0 = Instant::now();
-        let ((snap_generation, snapshot_lsn, entries), rejected_snapshots) =
-            load_best_snapshot::<K, Stamped<V>>(&*storage)?;
-        let snapshot_entries = entries.len();
-        let mut max_ts = entries.iter().map(|(_, s)| s.0).max().unwrap_or(0);
-        let scan = scan_wal::<K, V>(&*storage, snapshot_lsn, snap_generation)?;
-
-        let mvcc = MvccTree::bulk_load(
-            config.tree.clone(),
-            entries
-                .into_iter()
-                .map(|(k, Stamped(ts, v))| (k, ts, v))
-                .collect(),
-        );
-        let mut live = snapshot_entries as u64;
-        let mut max_tid = 0u64;
-        let mut applied = 0usize;
-        // Buffered intents of transactions whose commit record hasn't
-        // been seen yet. `TxnBegin` *resets* the slot: a tid reused
-        // after a crash must not inherit the dead transaction's intents.
-        let mut pending: HashMap<u64, Vec<(K, Option<V>)>> = HashMap::new();
-        let mut apply = |mvcc: &MvccTree<K, V>, key: K, ts: u64, w: Option<V>| {
-            let writing = w.is_some();
-            let prev_live = mvcc.apply(key, ts, w);
-            match (prev_live, writing) {
-                (false, true) => live += 1,
-                (true, false) => live -= 1,
-                _ => {}
-            }
-            applied += 1;
+        let load = |storage: &dyn Storage| {
+            let ((generation, lsn, entries), rejected) =
+                load_best_snapshot::<K, Stamped<V>>(storage)?;
+            let snapshot_entries = entries.len();
+            let max_ts = entries.iter().map(|(_, s)| s.0).max().unwrap_or(0);
+            let mvcc = MvccTree::bulk_load(
+                config.tree.clone(),
+                entries
+                    .into_iter()
+                    .map(|(k, Stamped(ts, v))| (k, ts, v))
+                    .collect(),
+            );
+            Ok(LoadedSnapshot {
+                generation,
+                lsn,
+                entries: snapshot_entries,
+                rejected,
+                state: Recovered {
+                    mvcc,
+                    live: snapshot_entries as u64,
+                    max_ts,
+                    max_tid: 0,
+                },
+            })
         };
-        for op in scan.tail {
-            match op {
-                WalOp::Insert(k, v) => {
-                    max_ts += 1;
-                    apply(&mvcc, k, max_ts, Some(v));
-                }
-                WalOp::Delete(k) => {
-                    max_ts += 1;
-                    apply(&mvcc, k, max_ts, None);
-                }
-                WalOp::TxnBegin(tid) => {
-                    max_tid = max_tid.max(tid);
-                    pending.insert(tid, Vec::new());
-                }
-                WalOp::TxnWrite(tid, k, v) => {
-                    max_tid = max_tid.max(tid);
-                    pending.entry(tid).or_default().push((k, Some(v)));
-                }
-                WalOp::TxnDelete(tid, k) => {
-                    max_tid = max_tid.max(tid);
-                    pending.entry(tid).or_default().push((k, None));
-                }
-                WalOp::TxnCommit(tid, ts) => {
-                    max_tid = max_tid.max(tid);
-                    if let Some(writes) = pending.remove(&tid) {
-                        for (k, w) in writes {
-                            apply(&mvcc, k, ts, w);
-                        }
+        let replay = |st: &mut Recovered<K, V>, first_lsn: Lsn, tail: Vec<WalOp<K, V>>| {
+            let mut applied = 0usize;
+            // Buffered intents of transactions whose commit record hasn't
+            // been seen yet. `TxnBegin` *resets* the slot: a tid reused
+            // after a crash must not inherit the dead transaction's intents.
+            let mut pending: HashMap<u64, Vec<(K, Option<V>)>> = HashMap::new();
+            for (op, lsn) in tail.into_iter().zip(first_lsn..) {
+                let tid = match op {
+                    WalOp::Insert(..) | WalOp::Delete(_) => {
+                        return Err(Error::wal(format!(
+                            "non-transactional record at LSN {lsn}: this log was not \
+                             written by a TxnStore (open it with Durable::open)"
+                        )));
                     }
-                    max_ts = max_ts.max(ts);
-                }
-                WalOp::TxnAbort(tid) => {
-                    max_tid = max_tid.max(tid);
-                    pending.remove(&tid);
-                }
+                    WalOp::TxnBegin(tid) => {
+                        pending.insert(tid, Vec::new());
+                        tid
+                    }
+                    WalOp::TxnWrite(tid, k, v) => {
+                        pending.entry(tid).or_default().push((k, Some(v)));
+                        tid
+                    }
+                    WalOp::TxnDelete(tid, k) => {
+                        pending.entry(tid).or_default().push((k, None));
+                        tid
+                    }
+                    WalOp::TxnCommit(tid, ts) => {
+                        for (k, w) in pending.remove(&tid).unwrap_or_default() {
+                            let writing = w.is_some();
+                            let prev_live = st.mvcc.apply(k, ts, w);
+                            match (prev_live, writing) {
+                                (false, true) => st.live += 1,
+                                (true, false) => st.live -= 1,
+                                _ => {}
+                            }
+                            applied += 1;
+                        }
+                        st.max_ts = st.max_ts.max(ts);
+                        tid
+                    }
+                    WalOp::TxnAbort(tid) => {
+                        pending.remove(&tid);
+                        tid
+                    }
+                };
+                st.max_tid = st.max_tid.max(tid);
             }
-        }
-        // Anything still pending lost its commit record to the crash:
-        // dropped, atomically invisible.
-        drop(pending);
-
-        let wal = Wal::resume(
-            storage,
-            config.durability.tuning(),
-            scan.resume_generation,
-            scan.resume_seq,
-            scan.last_lsn + 1,
-        );
-        let elapsed = t0.elapsed();
-        wal.metrics()
-            .recovery_latency
-            .record_ns(elapsed.as_nanos().min(u64::MAX as u128) as u64);
-        let report = RecoveryReport {
-            snapshot_entries,
-            snapshot_lsn,
-            tail_records: applied,
-            recovered_lsn: scan.last_lsn,
-            torn_tail: scan.torn,
-            stale_segments: scan.stale_segments,
-            rejected_snapshots,
-            elapsed,
+            // Anything still pending lost its commit record to the crash:
+            // dropped, atomically invisible.
+            Ok(applied)
         };
+        let tuning = config.durability.tuning();
+        let (recovered, wal, report) = recover(storage, tuning, load, replay)?;
         Ok((
             TxnStore {
-                mvcc,
+                mvcc: recovered.mvcc,
                 wal,
                 config,
-                oracle: TsOracle::new(max_ts),
+                oracle: TsOracle::new(recovered.max_ts),
                 snapshots: Mutex::new(BTreeMap::new()),
                 commit_gate: RwLock::new(()),
-                next_tid: AtomicU64::new(max_tid),
-                live: AtomicU64::new(live),
+                next_tid: AtomicU64::new(recovered.max_tid),
+                live: AtomicU64::new(recovered.live),
                 commits: AtomicU64::new(0),
                 conflicts: AtomicU64::new(0),
                 aborts: AtomicU64::new(0),
@@ -591,13 +590,7 @@ where
     /// Tree + WAL metrics (fast-path counters, WAL appends/fsyncs,
     /// group-commit and recovery histograms).
     pub fn metrics(&self) -> StatsSnapshot {
-        let mut snap = self.mvcc.metrics();
-        let wal = self.wal.metrics().snapshot();
-        snap.wal_appends = wal.wal_appends;
-        snap.wal_fsyncs = wal.wal_fsyncs;
-        snap.group_commit_size = wal.group_commit_size;
-        snap.recovery_latency = wal.recovery_latency;
-        snap
+        with_wal_metrics(self.mvcc.metrics(), &self.wal)
     }
 
     /// The underlying multi-version tree (snapshot reads, consistency
@@ -1062,7 +1055,7 @@ mod tests {
     }
 
     #[test]
-    fn plain_durable_wal_upgrades_in_place() {
+    fn plain_durable_wal_is_rejected() {
         use crate::durable::{concurrent_builder, Durable};
         let storage = Arc::new(MemStorage::new());
         {
@@ -1078,18 +1071,16 @@ mod tests {
             durable.delete_shared(1);
             durable.commit_all().unwrap();
         }
-        let (store, report) = TxnStore::<u64, u64>::open(
+        // A non-transactional log under a transactional open is refused at
+        // its first record — not replayed, not silently skipped.
+        let err = match TxnStore::<u64, u64>::open(
             Arc::new(storage.crash_durable_only()) as Arc<dyn Storage>,
             TxnConfig::default(),
-        )
-        .unwrap();
-        assert_eq!(report.tail_records, 3);
-        assert_eq!(store.scan(..), vec![(2, 20)]);
-        assert_eq!(store.len(), 1);
-        // And transactions work on the upgraded directory.
-        let mut txn = store.begin();
-        txn.insert(3, 30);
-        txn.commit().unwrap();
-        assert_eq!(store.len(), 2);
+        ) {
+            Err(err) => err,
+            Ok(_) => panic!("a plain Durable log must be rejected"),
+        };
+        assert_eq!(err.kind(), "wal");
+        assert!(err.to_string().contains("LSN 1"), "{err}");
     }
 }

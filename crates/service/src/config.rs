@@ -99,10 +99,10 @@ impl ServiceConfig {
         if self.batch_max == 0 {
             return Err(Error::config("batch_max must be at least 1"));
         }
-        if self.tree.leaf_capacity < 2 {
+        if self.tree.tree_config().leaf_capacity < 2 {
             return Err(Error::config("tree.leaf_capacity must be at least 2"));
         }
-        if self.tree.internal_capacity < 3 {
+        if self.tree.tree_config().internal_capacity < 3 {
             return Err(Error::config("tree.internal_capacity must be at least 3"));
         }
         Ok(())

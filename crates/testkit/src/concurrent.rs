@@ -27,7 +27,7 @@
 
 use crate::oracle::{Divergence, Model};
 use quit_concurrent::{ConcConfig, ConcurrentTree};
-use quit_core::{NodeLayoutKind, SearchKind};
+use quit_core::{NodeLayoutKind, SearchKind, TreeConfig};
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Values are tagged with the owning writer in the top bits so readers
@@ -142,12 +142,11 @@ fn diverge(detail: String) -> Divergence {
 /// the end. Returns the first [`Divergence`] found, if any.
 pub fn replay_concurrent(spec: &ConcSpec) -> Result<ConcReport, Divergence> {
     assert!(spec.writers > 0, "need at least one writer");
-    let tree: ConcurrentTree<u64, u64> = ConcurrentTree::new(
-        ConcConfig::small(spec.leaf_capacity)
-            .with_olc(spec.olc)
-            .with_node_layout(spec.node_layout)
-            .with_search_kind(spec.search_kind),
-    );
+    let tree_config = TreeConfig::small(spec.leaf_capacity)
+        .with_node_layout(spec.node_layout)
+        .with_search_kind(spec.search_kind);
+    let tree: ConcurrentTree<u64, u64> =
+        ConcurrentTree::new(ConcConfig::from_tree(tree_config).with_olc(spec.olc));
     let stop = AtomicBool::new(false);
 
     let (models, reader_ops, join_checks) = std::thread::scope(|s| {

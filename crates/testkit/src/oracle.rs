@@ -325,14 +325,12 @@ pub fn replay(ops: &[Op], config: &OracleConfig) -> Result<ReplayReport, Diverge
         .with_node_layout(config.node_layout)
         .with_search_kind(config.search_kind)
         .with_storage(storage);
+    // The concurrent tree has no paged backend: same knobs, on the arena.
+    let conc_config = ConcConfig::from_tree(tree_config.clone().with_storage(StorageKind::Arena));
     let mut families = vec![
         Family::Quit(Variant::Quit.build(tree_config)),
         Family::Sware(SaBpTree::new(sware_config)),
-        Family::Concurrent(ConcurrentTree::new(
-            ConcConfig::small(config.leaf_capacity)
-                .with_node_layout(config.node_layout)
-                .with_search_kind(config.search_kind),
-        )),
+        Family::Concurrent(ConcurrentTree::new(conc_config)),
     ];
     let mut model = Model::default();
     let mut report = ReplayReport::default();

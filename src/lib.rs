@@ -104,9 +104,10 @@ impl Quit {
 
     /// Opens (or creates) a durable transactional tree in `dir` with
     /// explicit tree and durability configuration, returning the
-    /// [`RecoveryReport`] describing what was replayed. Directories
-    /// written by pre-0.9 (non-transactional) versions upgrade in place:
-    /// their plain WAL records replay as single-op commits.
+    /// [`RecoveryReport`] describing what was replayed. A directory whose
+    /// log holds non-transactional records (one written through
+    /// [`quit_durability::Durable`]) is rejected with a `wal` error naming
+    /// the first such record's LSN.
     pub fn open_with(
         dir: impl AsRef<Path>,
         tree: ConcConfig,
@@ -149,19 +150,23 @@ impl Quit {
     /// group commit for the whole batch. Returns how many entries were
     /// new keys.
     pub fn insert_batch(&self, entries: &[(u64, u64)]) -> usize {
-        let before = self.inner.len();
         loop {
             let mut txn = self.inner.begin();
+            // Counted against the transaction's own snapshot (its buffered
+            // writes included, so a key repeated in the batch counts once):
+            // first-committer-wins validation makes the count exact for
+            // the attempt that commits, whatever other threads do.
+            let mut new_keys = 0;
             for &(k, v) in entries {
+                new_keys += usize::from(txn.get(k).is_none());
                 txn.insert(k, v);
             }
             match txn.commit() {
                 Err(Error::Conflict(_)) => continue,
                 Err(e) => panic!("WAL append failed: {e}"),
-                Ok(_) => break,
+                Ok(_) => return new_keys,
             }
         }
-        self.inner.len() - before
     }
 
     /// Point lookup at the current visible snapshot.
@@ -239,7 +244,9 @@ impl Quit {
     /// this returns a [`QuitPaged`] handle (`&mut self` mutations, no
     /// transactions) instead of a [`Quit`]. Directories written by the
     /// non-paged [`Quit::open`] are **not** interchangeable with paged
-    /// ones — pick one flavour per directory.
+    /// ones — pick one flavour per directory; opening the other flavour's
+    /// directory is rejected with a typed error naming the offending file
+    /// or log record.
     pub fn open_paged(
         dir: impl AsRef<Path>,
         pool_pages: usize,
@@ -372,6 +379,38 @@ mod tests {
     }
 
     #[test]
+    fn insert_batch_count_survives_concurrent_deletes() {
+        // One thread re-inserts the same batch while another deletes its
+        // keys: whatever interleaving the scheduler picks, a batch can
+        // never report more new keys than it holds (the old
+        // `len() - before` arithmetic underflowed here).
+        let db = Quit::in_memory();
+        let batch: Vec<(u64, u64)> = (0..8u64).map(|k| (k, k)).chain([(0, 9)]).collect();
+        let distinct = batch.len() - 1;
+        assert_eq!(
+            db.insert_batch(&batch),
+            distinct,
+            "repeated key counts once"
+        );
+        assert_eq!(db.insert_batch(&batch), 0);
+        let done = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                while !done.load(std::sync::atomic::Ordering::Relaxed) {
+                    for &(k, _) in &batch {
+                        db.delete(k);
+                    }
+                }
+            });
+            for _ in 0..300 {
+                let new_keys = db.insert_batch(&batch);
+                assert!(new_keys <= distinct, "{new_keys} new keys in {distinct}");
+            }
+            done.store(true, std::sync::atomic::Ordering::Relaxed);
+        });
+    }
+
+    #[test]
     fn handle_transactions_conflict_and_isolate() {
         let db = Quit::in_memory();
         db.insert(1, 10);
@@ -474,7 +513,7 @@ mod tests {
         ));
         let _ = std::fs::remove_dir_all(&dir);
         let tree =
-            ConcConfig::paper_default().with_storage(quit_concurrent::StorageKind::paged(64));
+            ConcConfig::from_tree(TreeConfig::paper_default().with_storage(StorageKind::paged(64)));
         let err = match Quit::open_with(&dir, tree, DurabilityConfig::group_commit()) {
             Err(err) => err,
             Ok(_) => panic!("paged ConcConfig must be rejected"),

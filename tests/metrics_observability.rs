@@ -22,9 +22,9 @@ fn json_u64(doc: &str, key: &str) -> Option<u64> {
 fn concurrent_counters_are_exact_under_stress() {
     const THREADS: usize = 8;
     const PER_THREAD: u64 = 5_000;
-    let tree: Arc<ConcurrentTree<u64, u64>> = Arc::new(ConcurrentTree::new(
-        ConcConfig::paper_default().with_metrics_level(MetricsLevel::Histograms),
-    ));
+    let tree: Arc<ConcurrentTree<u64, u64>> = Arc::new(ConcurrentTree::new(ConcConfig::from_tree(
+        TreeConfig::paper_default().with_metrics_level(MetricsLevel::Histograms),
+    )));
     std::thread::scope(|s| {
         for t in 0..THREADS as u64 {
             let tree = tree.clone();
@@ -64,9 +64,9 @@ fn every_family_reports_the_same_counter_groups() {
     let keys: Vec<u64> = (0..20_000).collect();
     let mut core = Variant::Quit
         .build::<u64, u64>(TreeConfig::small(64).with_metrics_level(MetricsLevel::Histograms));
-    let conc: ConcurrentTree<u64, u64> = ConcurrentTree::new(
-        ConcConfig::paper_default().with_metrics_level(MetricsLevel::Histograms),
-    );
+    let conc: ConcurrentTree<u64, u64> = ConcurrentTree::new(ConcConfig::from_tree(
+        TreeConfig::paper_default().with_metrics_level(MetricsLevel::Histograms),
+    ));
     let mut sa = quick_insertion_tree::sware::SaBpTree::new(
         quick_insertion_tree::sware::SwareConfig::small(256, 64),
     );
