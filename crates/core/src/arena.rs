@@ -253,14 +253,25 @@ impl<K, V> Arena<K, V> {
         }
     }
 
-    /// Serializes a paged arena into its page-file snapshot image
-    /// (`None` on the slab backend — use entry snapshots there).
-    /// `&mut` because dirty frames flush to the store first.
-    #[allow(clippy::wrong_self_convention)]
-    pub fn to_image(&mut self) -> Option<Vec<u8>> {
-        match &mut self.backend {
-            Backend::Direct(_) => None,
-            Backend::Paged(p) => Some(p.to_image()),
+    /// Length of the paged backend's frame table, holes included.
+    #[cfg(test)]
+    pub(crate) fn frame_slots(&self) -> usize {
+        match &self.backend {
+            Backend::Direct(s) => s.slots.len(),
+            Backend::Paged(p) => p.frame_slots(),
+        }
+    }
+
+    /// Appends a paged arena's page-file snapshot image to `out` and
+    /// returns `true`; appends nothing and returns `false` on the slab
+    /// backend (use entry snapshots there).
+    pub fn to_image(&self, out: &mut Vec<u8>) -> bool {
+        match &self.backend {
+            Backend::Direct(_) => false,
+            Backend::Paged(p) => {
+                p.to_image(out);
+                true
+            }
         }
     }
 }
@@ -288,18 +299,21 @@ impl<K: 'static, V: 'static> Arena<K, V> {
         }
     }
 
-    /// Opens a paged arena from a page-file image written by
-    /// [`to_image`](Self::to_image): integrity is validated eagerly
-    /// (every page CRC), node decoding is lazy (pages fault on demand).
+    /// Opens a paged arena from the page-file image that
+    /// [`to_image`](Self::to_image) appended at byte `at` of `buf`:
+    /// integrity is validated eagerly (every page CRC), node decoding is
+    /// lazy (pages fault on demand, straight out of `buf`).
     pub fn from_image(
-        image: &[u8],
+        buf: Vec<u8>,
+        at: usize,
         pool_pages: usize,
         leaf_capacity: usize,
         internal_capacity: usize,
     ) -> Result<Self, Error> {
         Ok(Arena {
             backend: Backend::Paged(PagedNodes::from_image(
-                image,
+                buf,
+                at,
                 pool_pages,
                 leaf_capacity,
                 internal_capacity,
@@ -406,7 +420,7 @@ mod tests {
         assert_eq!(a.len(), 1);
         assert!(a.pool_counters().is_none());
         assert!(!a.is_paged());
-        assert!(a.to_image().is_none());
+        assert!(!a.to_image(&mut Vec::new()));
 
         let mut p: Arena<u64, u64> = Arena::paged(Box::new(MemPageStore::new()), 2, 4096, 16, 16);
         let ids: Vec<NodeId> = (0..5).map(|i| p.alloc(leaf(i))).collect();
@@ -417,8 +431,9 @@ mod tests {
         for (i, id) in ids.iter().enumerate() {
             assert_eq!(p.get(*id).as_leaf().keys[0], i as u64);
         }
-        let image = p.to_image().unwrap();
-        let q: Arena<u64, u64> = Arena::from_image(&image, 2, 16, 16).unwrap();
+        let mut image = Vec::new();
+        assert!(p.to_image(&mut image));
+        let q: Arena<u64, u64> = Arena::from_image(image, 0, 2, 16, 16).unwrap();
         assert_eq!(q.len(), 5);
         assert_eq!(q.get(ids[3]).as_leaf().keys[0], 3);
     }

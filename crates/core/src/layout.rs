@@ -465,6 +465,17 @@ impl GapMap {
         }
     }
 
+    /// Rebuilds a map from its bitmap words (the page codec's decode).
+    /// Trailing all-zero words are dropped, so the result is exactly the
+    /// map that [`set`](Self::set)ting each gap in turn would build.
+    pub(crate) fn from_words(mut bits: Vec<u64>) -> Self {
+        while bits.last() == Some(&0) {
+            bits.pop();
+        }
+        let count = bits.iter().map(|w| w.count_ones() as usize).sum();
+        GapMap { bits, count }
+    }
+
     /// Number of gap slots.
     #[inline]
     pub fn count(&self) -> usize {

@@ -83,6 +83,7 @@
 mod arena;
 mod bulk;
 mod config;
+mod crc;
 mod cursor;
 mod delete;
 mod error;
@@ -118,6 +119,7 @@ mod variants;
 
 pub use arena::NodeId;
 pub use config::{SplitBoundRule, StorageKind, TreeConfig};
+pub use crc::{crc32, Crc32};
 pub use cursor::Cursor;
 pub use error::{Error, Result};
 pub use fastpath::{FastPathMode, FastPathState, FullPolePlan, PoleSplit, PrevLeaf, TopInsert};
@@ -134,7 +136,7 @@ pub use metrics::{
 };
 pub use paged::{max_encoded_node_size, value_is_pod, PagedNodes, IMAGE_MAGIC};
 pub use pool::{
-    crc32, BufferPool, FilePageStore, MemPageStore, PageId, PageStore, PoolCounters, ReadGuard,
+    BufferPool, FilePageStore, MemPageStore, PageId, PageStore, PoolCounters, ReadGuard,
     WriteGuard, DEFAULT_PAGE_SIZE, PAGE_FILE_MAGIC,
 };
 pub use snapshot::{TreeSnapshot, TREE_IMAGE_MAGIC};

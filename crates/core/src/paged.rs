@@ -25,17 +25,28 @@
 //! for point ops, plus scanned leaves for ranges, plus everything for a
 //! full validation walk) — bounded, and trimmed at the next boundary.
 //!
-//! A one-entry *hot-node memo* keeps the most recently touched node's
-//! frame index under a standing pin, short-circuiting the page-table
-//! lookup on the tail-leaf-heavy sorted fast path. The memo must (a)
-//! hold its standing pin across the operation boundary and (b) validate
-//! that its frame still holds its node. The `inject-pin-bug` feature
-//! releases the pin one boundary early with broken accounting: the hot
-//! frame becomes an eviction victim whose dirty write-back is skipped
-//! (eviction believes the phantom pin holder will flush it), so the next
-//! fault resurrects the node's previous on-store version — updates lost
-//! to an unpinned eviction, which `quit-testkit`'s pool mutation smoke
-//! must catch under pressure.
+//! A one-entry *hot-node memo* names the most recently touched node and
+//! holds it under a standing pin across the operation boundary, so the
+//! tail leaf the sorted fast path keeps returning to is never the CLOCK
+//! victim. The `inject-pin-bug` feature releases the pin one boundary
+//! early with broken accounting: the hot frame becomes an eviction victim
+//! whose dirty write-back is skipped (eviction believes the phantom pin
+//! holder will flush it), so the next fault resurrects the node's
+//! previous on-store version — updates lost to an unpinned eviction,
+//! which `quit-testkit`'s pool mutation smoke must catch under pressure.
+//!
+//! # The byte path
+//!
+//! A page's bytes move once. A fault borrows the page where the store
+//! keeps it ([`PageStore::read`] hands out a slice, not a copy) and
+//! decodes each key/value/child array with one bulk copy; an eviction
+//! encodes into a reused buffer; a recovered arena keeps the verified
+//! image as one buffer and decodes straight out of it. Residency
+//! bookkeeping takes no hash probe and no scan: node ids are slab-dense,
+//! so the page table is a vector indexed by id, and free frame slots sit
+//! in a min-heap so a new frame takes the *lowest* free slot — the rule
+//! that fixes the order CLOCK's hand meets frames in, and with it every
+//! hit/fault/eviction count.
 //!
 //! # Values must be plain-old-data
 //!
@@ -50,14 +61,17 @@
 //! their unsafe byte copies sound.
 
 use crate::arena::NodeId;
+use crate::crc::{crc32, Crc32};
 use crate::error::Error;
 use crate::layout::GapMap;
 use crate::node::{InternalNode, LeafNode, Node};
-use crate::pool::{crc32, MemPageStore, PageId, PageStore, PoolCounters};
+use crate::pool::{MemPageStore, PageId, PageStore, PoolCounters};
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
-/// The sentinel encoding of `Option<NodeId>::None` in page images.
+/// The sentinel encoding of `Option<NodeId>::None` in page images, and of
+/// "not resident" in the page table.
 const NIL: u32 = u32::MAX;
 
 // ---------------------------------------------------------------------
@@ -84,25 +98,33 @@ pub fn value_is_pod<V: 'static>() -> bool {
         || t == TypeId::of::<crate::key::OrderedF64>()
 }
 
-/// Appends the raw bytes of `t`. Sound only for types with no padding and
-/// no invalid bit patterns — the caller gates on [`value_is_pod`] /
-/// `K: Key` before ever reaching this.
-fn push_pod<T>(out: &mut Vec<u8>, t: &T) {
+/// Appends the raw bytes of `items` in one copy. Sound only for types
+/// with no padding and no invalid bit patterns — the caller gates on
+/// [`value_is_pod`] / `K: Key` before ever reaching this.
+fn push_pods<T>(out: &mut Vec<u8>, items: &[T]) {
+    // SAFETY: `items` is a live slice, so its `size_of_val` bytes are
+    // readable; the pod gate rules out padding (uninitialized bytes).
     let bytes = unsafe {
-        std::slice::from_raw_parts((t as *const T).cast::<u8>(), std::mem::size_of::<T>())
+        std::slice::from_raw_parts(items.as_ptr().cast::<u8>(), std::mem::size_of_val(items))
     };
     out.extend_from_slice(bytes);
 }
 
-/// Reads one `T` back out of `bytes` at `off`, advancing it. Same gating
-/// contract as [`push_pod`]; the length check makes the unaligned read
-/// in-bounds.
-fn read_pod<T>(bytes: &[u8], off: &mut usize) -> T {
-    let n = std::mem::size_of::<T>();
-    assert!(*off + n <= bytes.len(), "page underflow decoding node");
-    let t = unsafe { std::ptr::read_unaligned(bytes.as_ptr().add(*off).cast::<T>()) };
-    *off += n;
-    t
+/// Reads `n` `T`s back out of `bytes` at `off` in one copy, advancing it.
+/// Same gating contract as [`push_pods`]; the slice bounds check runs
+/// before the allocation and makes the copy in-bounds.
+fn read_pods<T>(bytes: &[u8], off: &mut usize, n: usize) -> Vec<T> {
+    let src = &bytes[*off..*off + n * std::mem::size_of::<T>()];
+    let mut items = Vec::<T>::with_capacity(n);
+    // SAFETY: `src` holds exactly `n * size_of::<T>()` bytes and `items`
+    // has room for `n` elements; a byte copy needs no source alignment,
+    // and the pod gate makes every bit pattern a valid `T`.
+    unsafe {
+        std::ptr::copy_nonoverlapping(src.as_ptr(), items.as_mut_ptr().cast::<u8>(), src.len());
+        items.set_len(n);
+    }
+    *off += src.len();
+    items
 }
 
 fn push_u32(out: &mut Vec<u8>, v: u32) {
@@ -130,98 +152,91 @@ fn id_or_nil(v: Option<NodeId>) -> u32 {
 const TAG_LEAF: u8 = 1;
 const TAG_INTERNAL: u8 = 2;
 
-/// Serializes a node into a fresh page payload (not padded; the page
-/// image layer pads and checksums). Compiles for every `K`/`V`; only
-/// ever called once construction has pod-gated both.
-fn encode_node<K, V>(node: &Node<K, V>) -> Vec<u8> {
-    let mut out = Vec::new();
+/// Exact byte length [`encode_node`] appends for `node`.
+fn encoded_len<K, V>(node: &Node<K, V>) -> usize {
+    let (sk, sv) = (std::mem::size_of::<K>(), std::mem::size_of::<V>());
+    match node {
+        Node::Leaf(l) => 1 + 4 * 5 + l.gaps.raw_words().len() * 8 + l.keys.len() * (sk + sv),
+        Node::Internal(n) => 1 + 4 * 3 + n.keys.len() * sk + n.children.len() * 4,
+        Node::Free => unreachable!("free slots are never paged out"),
+    }
+}
+
+/// Appends a node's page payload to `out` (not padded; the page image
+/// layer pads and checksums), reserving its exact length first. Compiles
+/// for every `K`/`V`; only ever called once construction has pod-gated
+/// both.
+fn encode_node<K, V>(node: &Node<K, V>, out: &mut Vec<u8>) {
+    out.reserve(encoded_len(node));
     match node {
         Node::Leaf(l) => {
             out.push(TAG_LEAF);
-            push_u32(&mut out, l.keys.len() as u32);
-            push_u32(&mut out, id_or_nil(l.parent));
-            push_u32(&mut out, id_or_nil(l.next));
-            push_u32(&mut out, id_or_nil(l.prev));
+            push_u32(out, l.keys.len() as u32);
+            push_u32(out, id_or_nil(l.parent));
+            push_u32(out, id_or_nil(l.next));
+            push_u32(out, id_or_nil(l.prev));
             let words = l.gaps.raw_words();
-            push_u32(&mut out, words.len() as u32);
+            push_u32(out, words.len() as u32);
             for w in words {
                 out.extend_from_slice(&w.to_le_bytes());
             }
-            for k in &l.keys {
-                push_pod(&mut out, k);
-            }
-            for v in &l.vals {
-                push_pod(&mut out, v);
-            }
+            push_pods(out, &l.keys);
+            push_pods(out, &l.vals);
         }
         Node::Internal(n) => {
             out.push(TAG_INTERNAL);
-            push_u32(&mut out, n.keys.len() as u32);
-            push_u32(&mut out, n.children.len() as u32);
-            push_u32(&mut out, id_or_nil(n.parent));
-            for k in &n.keys {
-                push_pod(&mut out, k);
-            }
+            push_u32(out, n.keys.len() as u32);
+            push_u32(out, n.children.len() as u32);
+            push_u32(out, id_or_nil(n.parent));
+            push_pods(out, &n.keys);
             for c in &n.children {
-                push_u32(&mut out, c.0);
+                push_u32(out, c.0);
             }
         }
         Node::Free => unreachable!("free slots are never paged out"),
     }
-    out
 }
 
-/// Decodes a page payload back into a node. Trailing padding is ignored
-/// (the layout is self-describing). Same gating contract as
-/// [`encode_node`].
+/// Decodes a page payload back into a node: each array is one bulk copy
+/// out of `bytes`. Trailing padding is ignored (the layout is
+/// self-describing). Same gating contract as [`encode_node`].
 fn decode_node<K, V>(bytes: &[u8]) -> Node<K, V> {
-    let mut off = 0usize;
-    let tag = bytes[off];
-    off += 1;
-    match tag {
+    let mut off = 1usize;
+    match bytes[0] {
         TAG_LEAF => {
             let n_phys = read_u32(bytes, &mut off) as usize;
             let parent = opt_id(read_u32(bytes, &mut off));
             let next = opt_id(read_u32(bytes, &mut off));
             let prev = opt_id(read_u32(bytes, &mut off));
             let n_words = read_u32(bytes, &mut off) as usize;
-            let mut gaps = GapMap::new();
-            for w in 0..n_words {
-                let word =
-                    u64::from_le_bytes(bytes[off..off + 8].try_into().expect("page underflow"));
-                off += 8;
-                for bit in 0..64 {
-                    if (word >> bit) & 1 == 1 {
-                        gaps.set(w * 64 + bit);
-                    }
-                }
-            }
-            let mut leaf = LeafNode::with_capacity(n_phys);
-            for _ in 0..n_phys {
-                leaf.keys.push(read_pod::<K>(bytes, &mut off));
-            }
-            for _ in 0..n_phys {
-                leaf.vals.push(read_pod::<V>(bytes, &mut off));
-            }
-            leaf.gaps = gaps;
-            leaf.parent = parent;
-            leaf.next = next;
-            leaf.prev = prev;
-            Node::Leaf(leaf)
+            let words = bytes[off..off + n_words * 8]
+                .chunks_exact(8)
+                .map(|w| u64::from_le_bytes(w.try_into().expect("8-byte chunk")))
+                .collect();
+            off += n_words * 8;
+            Node::Leaf(LeafNode {
+                keys: read_pods(bytes, &mut off, n_phys),
+                vals: read_pods(bytes, &mut off, n_phys),
+                gaps: GapMap::from_words(words),
+                next,
+                prev,
+                parent,
+            })
         }
         TAG_INTERNAL => {
             let n_keys = read_u32(bytes, &mut off) as usize;
             let n_children = read_u32(bytes, &mut off) as usize;
             let parent = opt_id(read_u32(bytes, &mut off));
-            let mut node = InternalNode::new();
-            for _ in 0..n_keys {
-                node.keys.push(read_pod::<K>(bytes, &mut off));
-            }
-            for _ in 0..n_children {
-                node.children.push(NodeId(read_u32(bytes, &mut off)));
-            }
-            node.parent = parent;
-            Node::Internal(node)
+            let keys = read_pods(bytes, &mut off, n_keys);
+            let children = bytes[off..off + n_children * 4]
+                .chunks_exact(4)
+                .map(|c| NodeId(u32::from_le_bytes(c.try_into().expect("4-byte chunk"))))
+                .collect();
+            Node::Internal(InternalNode {
+                keys,
+                children,
+                parent,
+            })
         }
         t => panic!("corrupt page: unknown node tag {t}"),
     }
@@ -255,11 +270,69 @@ struct FrameEntry<K, V> {
     dirty: Cell<bool>,
 }
 
-/// The parts `get(&self)` must mutate to fault nodes in.
+/// The parts `get(&self)` must mutate to fault nodes in: the frame table,
+/// the page table over it, and the free-slot bookkeeping.
 struct Resident<K, V> {
     frames: Vec<Option<FrameEntry<K, V>>>,
-    table: HashMap<u32, usize>,
+    /// Page table: frame index by node id, [`NIL`] (or past the end)
+    /// when not resident. Node ids are slab-dense, so a direct-indexed
+    /// vector replaces a hash probe.
+    table: Vec<u32>,
+    /// Every `None` slot of `frames`, lowest on top. A new frame always
+    /// takes the lowest free slot (growing the table only when there is
+    /// none), which fixes the order CLOCK's hand meets frames in.
+    holes: BinaryHeap<Reverse<u32>>,
+    /// Occupied slots of `frames`.
+    count: usize,
     hand: usize,
+}
+
+impl<K, V> Resident<K, V> {
+    fn new() -> Self {
+        Resident {
+            frames: Vec::new(),
+            table: Vec::new(),
+            holes: BinaryHeap::new(),
+            count: 0,
+            hand: 0,
+        }
+    }
+
+    /// The frame slot holding node `id`, if resident.
+    fn slot_of(&self, id: u32) -> Option<usize> {
+        match self.table.get(id as usize) {
+            Some(&idx) if idx != NIL => Some(idx as usize),
+            _ => None,
+        }
+    }
+
+    /// Puts `entry` in the lowest free slot and maps its id there.
+    fn install(&mut self, entry: FrameEntry<K, V>) -> usize {
+        let id = entry.id as usize;
+        let idx = match self.holes.pop() {
+            Some(Reverse(idx)) => idx as usize,
+            None => {
+                self.frames.push(None);
+                self.frames.len() - 1
+            }
+        };
+        if id >= self.table.len() {
+            self.table.resize(id + 1, NIL);
+        }
+        self.table[id] = idx as u32;
+        self.frames[idx] = Some(entry);
+        self.count += 1;
+        idx
+    }
+
+    /// Empties slot `idx` and unmaps its node.
+    fn remove(&mut self, idx: usize) -> FrameEntry<K, V> {
+        let entry = self.frames[idx].take().expect("removed frame is resident");
+        self.table[entry.id as usize] = NIL;
+        self.holes.push(Reverse(idx as u32));
+        self.count -= 1;
+        entry
+    }
 }
 
 /// Paged node storage: a bounded cache of decoded nodes over a byte
@@ -268,12 +341,13 @@ struct Resident<K, V> {
 pub struct PagedNodes<K, V> {
     resident: RefCell<Resident<K, V>>,
     store: RefCell<Box<dyn PageStore>>,
-    /// Hot-node memo: `(node id, frame index)` of the most recently
-    /// touched node, held under a standing pin across operation
-    /// boundaries. The `inject-pin-bug` feature drops that pin one
-    /// boundary early and loses the victim's dirty write-back — see
-    /// module docs.
-    memo: Cell<Option<(u32, usize)>>,
+    /// Hot-node memo: the most recently touched node's id, held under a
+    /// standing pin across operation boundaries. The `inject-pin-bug`
+    /// feature drops that pin one boundary early and loses the victim's
+    /// dirty write-back — see module docs.
+    memo: Cell<Option<u32>>,
+    /// Encode buffer reused by every eviction write-back.
+    scratch: Vec<u8>,
     free: Vec<u32>,
     next_id: u32,
     live: usize,
@@ -287,7 +361,7 @@ impl<K, V> std::fmt::Debug for PagedNodes<K, V> {
         f.debug_struct("PagedNodes")
             .field("live", &self.live)
             .field("pool_pages", &self.pool_pages)
-            .field("resident", &self.resident.borrow().table.len())
+            .field("resident", &self.resident.borrow().count)
             .finish()
     }
 }
@@ -325,13 +399,10 @@ impl<K: 'static, V: 'static> PagedNodes<K, V> {
         );
         assert!(pool_pages >= 2, "paged storage needs pool_pages >= 2");
         PagedNodes {
-            resident: RefCell::new(Resident {
-                frames: Vec::new(),
-                table: HashMap::new(),
-                hand: 0,
-            }),
+            resident: RefCell::new(Resident::new()),
             store: RefCell::new(store),
             memo: Cell::new(None),
+            scratch: Vec::new(),
             free: Vec::new(),
             next_id: 0,
             live: 0,
@@ -350,12 +421,18 @@ impl<K, V> PagedNodes<K, V> {
 
     /// Decoded nodes currently resident.
     pub fn resident(&self) -> usize {
-        self.resident.borrow().table.len()
+        self.resident.borrow().count
     }
 
     /// The pool's between-operations frame budget.
     pub fn pool_pages(&self) -> usize {
         self.pool_pages
+    }
+
+    /// Length of the frame table, holes included.
+    #[cfg(test)]
+    pub(crate) fn frame_slots(&self) -> usize {
+        self.resident.borrow().frames.len()
     }
 
     // -- arena API ----------------------------------------------------
@@ -376,31 +453,26 @@ impl<K, V> PagedNodes<K, V> {
                 id
             }
         };
-        let r = self.resident.get_mut();
-        let idx = free_frame(&mut r.frames);
-        r.frames[idx] = Some(FrameEntry {
+        self.resident.get_mut().install(FrameEntry {
             id,
             node: Box::new(node),
             ref_bit: Cell::new(true),
             dirty: Cell::new(true),
         });
-        r.table.insert(id, idx);
         NodeId(id)
     }
 
     /// Releases `id` for reuse, dropping its resident frame if any.
     pub fn free(&mut self, id: NodeId) {
         let r = self.resident.get_mut();
-        if let Some(idx) = r.table.remove(&id.0) {
-            r.frames[idx] = None;
+        if let Some(idx) = r.slot_of(id.0) {
+            r.remove(idx);
         }
         // The store may keep stale bytes for this id; they are
         // unreachable (the id is on the free list) and get overwritten
         // when the id is recycled and its new node is first evicted.
-        if let Some((mid, _)) = self.memo.get() {
-            if mid == id.0 {
-                self.memo.set(None);
-            }
+        if self.memo.get() == Some(id.0) {
+            self.memo.set(None);
         }
         self.free.push(id.0);
         self.live -= 1;
@@ -413,8 +485,8 @@ impl<K, V> PagedNodes<K, V> {
         // SAFETY: the pointee is heap-boxed, so it never moves while the
         // frame table changes under later `&self` faults (which only
         // insert frames). Frames are only *dropped* by eviction in
-        // `begin_op`/`to_image`/`free` — all `&mut self` — at which point
-        // the borrow checker guarantees this `&'self`-tied reference is
+        // `begin_op`/`free` — both `&mut self` — at which point the
+        // borrow checker guarantees this `&'self`-tied reference is
         // gone. Aliasing: `&self` methods only hand out shared refs;
         // `&mut` refs come from `&mut self` methods.
         unsafe { &*ptr }
@@ -458,13 +530,20 @@ impl<K, V> PagedNodes<K, V> {
         self.next_id as usize
     }
 
+    /// Ids of live nodes, ascending.
+    fn live_ids(&self) -> impl Iterator<Item = u32> {
+        let mut live = vec![true; self.next_id as usize];
+        for &id in &self.free {
+            live[id as usize] = false;
+        }
+        (0..self.next_id).filter(move |&id| live[id as usize])
+    }
+
     /// Iterates `(id, node)` over live nodes, faulting each in. This is
     /// the debug/validation path: residency can overshoot the budget by
     /// the whole tree until the next operation boundary trims it.
     pub fn iter(&self) -> impl Iterator<Item = (NodeId, &Node<K, V>)> {
-        let freed: std::collections::HashSet<u32> = self.free.iter().copied().collect();
-        (0..self.next_id)
-            .filter(move |i| !freed.contains(i))
+        self.live_ids()
             .map(move |i| (NodeId(i), self.get(NodeId(i))))
     }
 
@@ -477,7 +556,7 @@ impl<K, V> PagedNodes<K, V> {
     /// `inject-pin-bug` mutation releases it here, one boundary early.
     pub fn begin_op(&mut self) {
         #[cfg(not(feature = "inject-pin-bug"))]
-        let standing_pin: Option<u32> = self.memo.get().map(|(id, _)| id);
+        let standing_pin: Option<u32> = self.memo.get();
         // Planted bug: the memo's standing pin is dropped one boundary
         // early, so the hot frame becomes an eviction victim — and the
         // broken pin accounting also makes eviction believe someone else
@@ -489,10 +568,10 @@ impl<K, V> PagedNodes<K, V> {
         #[cfg(feature = "inject-pin-bug")]
         let standing_pin: Option<u32> = None;
         #[cfg(feature = "inject-pin-bug")]
-        let unflushed_hot: Option<u32> = self.memo.get().map(|(id, _)| id);
+        let unflushed_hot: Option<u32> = self.memo.get();
 
         let r = self.resident.get_mut();
-        let over = r.table.len().saturating_sub(self.pool_pages);
+        let over = r.count.saturating_sub(self.pool_pages);
         if over == 0 {
             return;
         }
@@ -513,18 +592,18 @@ impl<K, V> PagedNodes<K, V> {
                 entry.ref_bit.set(false); // second chance
                 continue;
             }
-            let victim = r.frames[here].take().expect("checked above");
-            r.table.remove(&victim.id);
+            let victim = r.remove(here);
             #[cfg(feature = "inject-pin-bug")]
             let skip_writeback = unflushed_hot == Some(victim.id);
             #[cfg(not(feature = "inject-pin-bug"))]
             let skip_writeback = false;
             if victim.dirty.get() && !skip_writeback {
-                let bytes = encode_node(&victim.node);
-                debug_assert!(bytes.len() <= self.page_size);
+                self.scratch.clear();
+                encode_node(&victim.node, &mut self.scratch);
+                debug_assert!(self.scratch.len() <= self.page_size);
                 self.store
-                    .borrow_mut()
-                    .write(PageId(victim.id as u64), &bytes)
+                    .get_mut()
+                    .write(PageId(victim.id as u64), &self.scratch)
                     .expect("page store write failed during eviction");
             }
             self.counters
@@ -539,134 +618,129 @@ impl<K, V> PagedNodes<K, V> {
     /// only inserts frames).
     fn frame_ptr(&self, id: NodeId) -> *const Node<K, V> {
         let mut r = self.resident.borrow_mut();
-        if let Some(idx) = self.memo_hit(&r, id.0) {
-            let entry = r.frames[idx].as_ref().expect("memo frame resident");
-            entry.ref_bit.set(true);
-            self.counters.hits.set(self.counters.hits.get() + 1);
-            return &*entry.node as *const Node<K, V>;
-        }
-        if let Some(&idx) = r.table.get(&id.0) {
+        self.memo.set(Some(id.0));
+        if let Some(idx) = r.slot_of(id.0) {
             let entry = r.frames[idx].as_ref().expect("mapped frame resident");
             entry.ref_bit.set(true);
             self.counters.hits.set(self.counters.hits.get() + 1);
-            self.memo.set(Some((id.0, idx)));
             return &*entry.node as *const Node<K, V>;
         }
-        // Fault: decode from the store into a fresh frame. Never evicts.
-        let bytes = self
-            .store
+        // Fault: decode straight out of the store's bytes into a fresh
+        // frame. Never evicts.
+        let mut node = None;
+        self.store
             .borrow()
-            .read(PageId(id.0 as u64))
-            .expect("page store read failed")
-            .unwrap_or_else(|| panic!("access to freed or never-written node n{}", id.0));
-        let node = decode_node::<K, V>(&bytes);
+            .read(PageId(id.0 as u64), &mut |bytes| {
+                node = Some(Box::new(decode_node::<K, V>(bytes)))
+            })
+            .expect("page store read failed");
+        let node =
+            node.unwrap_or_else(|| panic!("access to freed or never-written node n{}", id.0));
         self.counters.faults.set(self.counters.faults.get() + 1);
-        let idx = free_frame(&mut r.frames);
-        r.frames[idx] = Some(FrameEntry {
+        let idx = r.install(FrameEntry {
             id: id.0,
-            node: Box::new(node),
+            node,
             ref_bit: Cell::new(true),
             dirty: Cell::new(false),
         });
-        r.table.insert(id.0, idx);
-        self.memo.set(Some((id.0, idx)));
         let entry = r.frames[idx].as_ref().expect("just inserted");
         &*entry.node as *const Node<K, V>
     }
 
-    /// Memo lookup, revalidating that the memoized frame still holds the
-    /// memoized node (its standing pin normally makes this a formality —
-    /// but see [`PagedNodes::begin_op`] for the planted pin bug, which
-    /// lets the memoized frame be evicted out from under the memo).
-    fn memo_hit(&self, r: &Resident<K, V>, id: u32) -> Option<usize> {
-        let (mid, idx) = self.memo.get()?;
-        if mid != id {
-            return None;
-        }
-        match r.frames.get(idx) {
-            Some(Some(e)) if e.id == id => Some(idx),
-            _ => None,
-        }
-    }
-
     fn mark_dirty(&mut self, id: NodeId) {
         let r = self.resident.get_mut();
-        if let Some(&idx) = r.table.get(&id.0) {
-            if let Some(e) = r.frames[idx].as_ref() {
-                e.dirty.set(true);
-            }
+        if let Some(e) = r.slot_of(id.0).and_then(|idx| r.frames[idx].as_ref()) {
+            e.dirty.set(true);
         }
     }
 
     // -- page-file image ----------------------------------------------
 
-    /// Serializes the whole arena (metadata, free list, and every live
-    /// node's page) into a page-file image: the snapshot format. Dirty
-    /// frames are flushed through the store first; resident frames stay
-    /// resident.
-    #[allow(clippy::wrong_self_convention)]
-    pub fn to_image(&mut self) -> Vec<u8> {
-        // Flush dirty frames so the store holds every live page.
-        {
-            let r = self.resident.get_mut();
-            let mut store = self.store.borrow_mut();
-            for entry in r.frames.iter().flatten() {
-                if entry.dirty.get() {
-                    store
-                        .write(PageId(entry.id as u64), &encode_node(&entry.node))
-                        .expect("page store write failed during snapshot");
-                    entry.dirty.set(false);
-                }
+    /// Appends the whole arena (metadata, free list, and every live
+    /// node's page) to `out` as a page-file image: the snapshot format.
+    /// Each page goes straight into `out` — a dirty resident frame is
+    /// encoded there, any other page is copied out of the store, which
+    /// holds its current version — after one sizing pass that reserves
+    /// the image's exact length. Nothing is flushed or evicted.
+    pub fn to_image(&self, out: &mut Vec<u8>) {
+        let live_ids: Vec<u32> = self.live_ids().collect();
+        let r = self.resident.borrow();
+        let store = self.store.borrow();
+        let dirty_frame = |id: u32| {
+            r.slot_of(id)
+                .and_then(|idx| r.frames[idx].as_ref())
+                .filter(|e| e.dirty.get())
+        };
+        let stored = |id: u32, sink: &mut dyn FnMut(&[u8])| {
+            let found = store
+                .read(PageId(id as u64), sink)
+                .expect("page store read failed during snapshot");
+            assert!(found, "live node n{id} missing from store");
+        };
+
+        let mut total = IMAGE_MAGIC.len() + 4 * (5 + self.free.len());
+        for &id in &live_ids {
+            total += RECORD_PREFIX_LEN;
+            match dirty_frame(id) {
+                Some(e) => total += encoded_len(&e.node),
+                None => stored(id, &mut |bytes| total += bytes.len()),
             }
         }
-        let freed: std::collections::HashSet<u32> = self.free.iter().copied().collect();
-        let live_ids: Vec<u32> = (0..self.next_id).filter(|i| !freed.contains(i)).collect();
+        out.reserve_exact(total);
 
-        let mut out = Vec::new();
+        let start = out.len();
         out.extend_from_slice(IMAGE_MAGIC);
-        push_u32(&mut out, self.page_size as u32);
-        push_u32(&mut out, self.next_id);
-        push_u32(&mut out, self.free.len() as u32);
+        push_u32(out, self.page_size as u32);
+        push_u32(out, self.next_id);
+        push_u32(out, self.free.len() as u32);
         for f in &self.free {
-            push_u32(&mut out, *f);
+            push_u32(out, *f);
         }
-        push_u32(&mut out, live_ids.len() as u32);
-        let hdr_crc = crc32(&out);
-        push_u32(&mut out, hdr_crc);
-        let store = self.store.borrow();
+        push_u32(out, live_ids.len() as u32);
+        let hdr_crc = crc32(&out[start..]);
+        push_u32(out, hdr_crc);
         for id in live_ids {
-            let bytes = store
-                .read(PageId(id as u64))
-                .expect("page store read failed during snapshot")
-                .unwrap_or_else(|| panic!("live node n{id} missing from store"));
-            push_u32(&mut out, id);
-            push_u32(&mut out, bytes.len() as u32);
-            push_u32(&mut out, record_crc(id, &bytes));
-            out.extend_from_slice(&bytes);
+            let at = out.len();
+            push_u32(out, id);
+            out.extend_from_slice(&[0u8; 8]); // len + crc, patched below
+            match dirty_frame(id) {
+                Some(e) => encode_node(&e.node, out),
+                None => stored(id, &mut |bytes| out.extend_from_slice(bytes)),
+            }
+            let payload_at = at + RECORD_PREFIX_LEN;
+            let len = (out.len() - payload_at) as u32;
+            out[at + 4..at + 8].copy_from_slice(&len.to_le_bytes());
+            let crc = record_crc(&out[at..at + 8], &out[payload_at..]);
+            out[at + 8..payload_at].copy_from_slice(&crc.to_le_bytes());
         }
-        out
+        debug_assert_eq!(out.len() - start, total);
     }
 }
 
 impl<K: 'static, V: 'static> PagedNodes<K, V> {
-    /// Opens a page-file image written by [`Self::to_image`]. Validation is
-    /// eager — header CRC, record framing, and every page's CRC are
-    /// checked in one cheap byte sweep, so a torn or truncated image is
-    /// rejected as a whole — but *decoding* is lazy: nodes fault in on
+    /// Opens the page-file image that [`Self::to_image`] wrote at byte `at`
+    /// of `buf` (whatever precedes it — a snapshot header — is the
+    /// caller's). Validation is eager — header CRC, record framing, and
+    /// every page's CRC are checked in one byte sweep, so a torn or
+    /// truncated image is rejected as a whole — but *decoding* is lazy:
+    /// the verified buffer is kept whole, not copied, under an
+    /// `id → (offset, len)` index, and nodes decode straight out of it on
     /// demand, so recovery touches only the root and spine until reads
     /// spread out. New writes land in an in-memory overlay on top of the
     /// read-only image.
     pub fn from_image(
-        image: &[u8],
+        buf: Vec<u8>,
+        at: usize,
         pool_pages: usize,
         leaf_capacity: usize,
         internal_capacity: usize,
     ) -> Result<Self, Error> {
         let corrupt = |msg: &str| Error::corruption(format!("page image: {msg}"));
-        if image.len() < IMAGE_MAGIC.len() || &image[..IMAGE_MAGIC.len()] != IMAGE_MAGIC {
+        let image = &buf[..];
+        if !image.get(at..).is_some_and(|i| i.starts_with(IMAGE_MAGIC)) {
             return Err(corrupt("bad magic"));
         }
-        let mut off = IMAGE_MAGIC.len();
+        let mut off = at + IMAGE_MAGIC.len();
         let need = |off: usize, n: usize| -> Result<(), Error> {
             if off + n > image.len() {
                 Err(corrupt("truncated"))
@@ -684,43 +758,54 @@ impl<K: 'static, V: 'static> PagedNodes<K, V> {
             free.push(read_u32(image, &mut off));
         }
         let n_pages = read_u32(image, &mut off) as usize;
-        let hdr_crc = crc32(&image[..off]);
+        let hdr_crc = crc32(&image[at..off]);
         if read_u32(image, &mut off) != hdr_crc {
             return Err(corrupt("header checksum mismatch"));
         }
         if free.len() + n_pages != next_id as usize {
             return Err(corrupt("inconsistent id accounting"));
         }
+        need(off, n_pages * RECORD_PREFIX_LEN)?;
         // Eager integrity sweep over every record; decode stays lazy.
-        let freed: std::collections::HashSet<u32> = free.iter().copied().collect();
-        let mut base = HashMap::with_capacity(n_pages);
+        let mut index = vec![(0usize, 0usize); next_id as usize];
         for _ in 0..n_pages {
-            need(off, 12)?;
+            need(off, RECORD_PREFIX_LEN)?;
+            let record = off;
             let id = read_u32(image, &mut off);
             let len = read_u32(image, &mut off) as usize;
             let crc = read_u32(image, &mut off);
             need(off, len)?;
-            let payload = &image[off..off + len];
             // The record CRC covers id and length too, so a flipped id
             // byte cannot silently remap a page to another node.
-            if record_crc(id, payload) != crc {
+            if record_crc(&image[record..record + 8], &image[off..off + len]) != crc {
                 return Err(corrupt(&format!(
                     "page n{id} checksum mismatch (torn page)"
                 )));
             }
-            if id >= next_id || freed.contains(&id) {
-                return Err(corrupt(&format!("page n{id} is not a live node id")));
+            if len == 0 {
+                return Err(corrupt(&format!("page n{id} is empty")));
             }
-            if base.insert(id, payload.to_vec()).is_some() {
+            let Some(slot) = index.get_mut(id as usize) else {
+                return Err(corrupt(&format!("page n{id} is not a live node id")));
+            };
+            if slot.1 != 0 {
                 return Err(corrupt(&format!("duplicate page n{id}")));
             }
+            *slot = (off, len);
             off += len;
         }
         if off != image.len() {
             return Err(corrupt("trailing bytes after last page"));
         }
+        if let Some(id) = free
+            .iter()
+            .find(|&&id| index.get(id as usize).is_some_and(|slot| slot.1 != 0))
+        {
+            return Err(corrupt(&format!("page n{id} is not a live node id")));
+        }
         let store = OverlayPageStore {
-            base,
+            image: buf,
+            index,
             delta: MemPageStore::new(),
         };
         let mut arena = PagedNodes::new(
@@ -740,25 +825,17 @@ impl<K: 'static, V: 'static> PagedNodes<K, V> {
 /// Magic line opening an arena page image (the paged snapshot payload).
 pub const IMAGE_MAGIC: &[u8; 6] = b"QPGA1\n";
 
-/// Per-record image CRC: covers the record's `id` and `len` prefix as
-/// well as the page payload, so no byte of a record can flip undetected.
-fn record_crc(id: u32, payload: &[u8]) -> u32 {
-    let mut rec = Vec::with_capacity(8 + payload.len());
-    rec.extend_from_slice(&id.to_le_bytes());
-    rec.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    rec.extend_from_slice(payload);
-    crc32(&rec)
-}
+/// Byte length of an image record's prefix: node id, payload length, CRC.
+const RECORD_PREFIX_LEN: usize = 4 + 4 + 4;
 
-/// First free slot in the frame table, growing it if none.
-fn free_frame<K, V>(frames: &mut Vec<Option<FrameEntry<K, V>>>) -> usize {
-    match frames.iter().position(Option::is_none) {
-        Some(idx) => idx,
-        None => {
-            frames.push(None);
-            frames.len() - 1
-        }
-    }
+/// Per-record image CRC: streams over the record's `id ‖ len` words and
+/// then the page payload where they sit, so no byte of a record can flip
+/// undetected and nothing is copied to checksum it.
+fn record_crc(id_and_len: &[u8], payload: &[u8]) -> u32 {
+    let mut crc = Crc32::new();
+    crc.update(id_and_len);
+    crc.update(payload);
+    crc.finish()
 }
 
 /// A read-only page image with an in-memory write overlay: what a
@@ -766,16 +843,27 @@ fn free_frame<K, V>(frames: &mut Vec<Option<FrameEntry<K, V>>>) -> usize {
 /// version wins); the base image is never modified.
 #[derive(Debug)]
 struct OverlayPageStore {
-    base: HashMap<u32, Vec<u8>>,
+    /// The verified buffer the image arrived in, whole.
+    image: Vec<u8>,
+    /// `(offset, len)` of each node id's payload in `image`; `len == 0`
+    /// where the image holds no page for the id (payloads are never
+    /// empty).
+    index: Vec<(usize, usize)>,
     delta: MemPageStore,
 }
 
 impl PageStore for OverlayPageStore {
-    fn read(&self, id: PageId) -> std::io::Result<Option<Vec<u8>>> {
-        if let Some(bytes) = self.delta.read(id)? {
-            return Ok(Some(bytes));
+    fn read(&self, id: PageId, sink: &mut dyn FnMut(&[u8])) -> std::io::Result<bool> {
+        if self.delta.read(id, sink)? {
+            return Ok(true);
         }
-        Ok(self.base.get(&(id.0 as u32)).cloned())
+        match self.index.get(id.0 as usize) {
+            Some(&(off, len)) if len != 0 => {
+                sink(&self.image[off..off + len]);
+                Ok(true)
+            }
+            _ => Ok(false),
+        }
     }
 
     fn write(&mut self, id: PageId, bytes: &[u8]) -> std::io::Result<()> {
@@ -788,7 +876,7 @@ impl PageStore for OverlayPageStore {
 
     fn page_count(&self) -> usize {
         // Upper bound (overlayed pages counted once is not worth a scan).
-        self.base.len() + self.delta.page_count()
+        self.index.len() + self.delta.page_count()
     }
 }
 
@@ -807,6 +895,21 @@ mod tests {
         PagedNodes::new(Box::new(MemPageStore::new()), pool_pages, 4096, 64, 64)
     }
 
+    fn encoded(node: &Node<u64, u64>) -> Vec<u8> {
+        let mut out = Vec::new();
+        encode_node(node, &mut out);
+        assert_eq!(out.len(), encoded_len(node));
+        assert_eq!(out.capacity(), out.len(), "exact reservation");
+        out
+    }
+
+    fn image_of(a: &PagedNodes<u64, u64>) -> Vec<u8> {
+        let mut image = Vec::new();
+        a.to_image(&mut image);
+        assert_eq!(image.capacity(), image.len(), "exact reservation");
+        image
+    }
+
     #[test]
     fn codec_roundtrips_leaf_with_gaps_and_links() {
         let mut l: LeafNode<u64, u64> = LeafNode::new();
@@ -819,7 +922,7 @@ mod tests {
         l.parent = Some(NodeId(5));
         l.next = Some(NodeId(9));
         let node = Node::Leaf(l);
-        let bytes = encode_node(&node);
+        let bytes = encoded(&node);
         let back: Node<u64, u64> = decode_node(&bytes);
         let b = back.as_leaf();
         assert_eq!(b.keys.len(), 70);
@@ -837,7 +940,7 @@ mod tests {
         n.keys = vec![10, 20];
         n.children = vec![NodeId(1), NodeId(2), NodeId(3)];
         let node: Node<u64, u64> = Node::Internal(n);
-        let back: Node<u64, u64> = decode_node(&encode_node(&node));
+        let back: Node<u64, u64> = decode_node(&encoded(&node));
         let b = back.as_internal();
         assert_eq!(b.keys, vec![10, 20]);
         assert_eq!(b.children, vec![NodeId(1), NodeId(2), NodeId(3)]);
@@ -922,40 +1025,167 @@ mod tests {
         let ids: Vec<NodeId> = (0..10u64).map(|i| a.alloc(leaf(i, i + 100))).collect();
         a.free(ids[4]);
         a.begin_op();
-        let image = a.to_image();
-        let b: PagedNodes<u64, u64> = PagedNodes::from_image(&image, 3, 64, 64).unwrap();
+        // One node dirty and resident, the rest clean or evicted: the image
+        // takes the frame's version of the first and the store's of the rest.
+        a.get_mut(ids[2]).as_leaf_mut().vals[0] = 777;
+        let image = image_of(&a);
+        let b: PagedNodes<u64, u64> = PagedNodes::from_image(image.clone(), 0, 3, 64, 64).unwrap();
         assert_eq!(b.len(), 9);
         assert_eq!(b.slot_count(), 10);
         assert_eq!(b.resident(), 0, "recovery decodes nothing up front");
         assert_eq!(b.get(ids[7]).as_leaf().vals[0], 107);
-        assert_eq!(b.resident(), 1, "only the faulted node decoded");
+        assert_eq!(b.get(ids[2]).as_leaf().vals[0], 777);
+        assert_eq!(b.resident(), 2, "only the faulted nodes decoded");
+        assert_eq!(b.counters().faults.get(), 2);
         // Freed id is re-allocatable in the recovered arena.
         let mut b = b;
         let re = b.alloc(leaf(50, 50));
         assert_eq!(re, ids[4]);
+        // Overlay writes win over the base image after eviction.
+        b.get_mut(ids[7]).as_leaf_mut().vals[0] = 1;
+        b.begin_op();
+        b.begin_op();
+        assert_eq!(b.get(ids[7]).as_leaf().vals[0], 1);
 
-        // Any single flipped byte in a page payload must reject the image.
-        let mut torn = image.clone();
-        let last = torn.len() - 1;
-        torn[last] ^= 0xFF;
-        let err = PagedNodes::<u64, u64>::from_image(&torn, 3, 64, 64).unwrap_err();
-        assert!(err.to_string().contains("checksum"), "got: {err}");
+        // The image may sit anywhere in the buffer it arrives in.
+        let mut framed = vec![0xEE; 21];
+        framed.extend_from_slice(&image);
+        let c: PagedNodes<u64, u64> = PagedNodes::from_image(framed, 21, 3, 64, 64).unwrap();
+        assert_eq!(c.get(ids[9]).as_leaf().vals[0], 109);
+        assert!(PagedNodes::<u64, u64>::from_image(image.clone(), 1, 3, 64, 64).is_err());
+        assert!(
+            PagedNodes::<u64, u64>::from_image(image.clone(), image.len() + 1, 3, 64, 64).is_err()
+        );
+
         // Truncation at any point must reject, not partially apply.
         for cut in [3usize, 20, image.len() / 2, image.len() - 2] {
             assert!(
-                PagedNodes::<u64, u64>::from_image(&image[..cut], 3, 64, 64).is_err(),
+                PagedNodes::<u64, u64>::from_image(image[..cut].to_vec(), 0, 3, 64, 64).is_err(),
                 "cut at {cut} accepted"
             );
         }
     }
 
     #[test]
-    fn memo_revalidates_after_eviction() {
-        // The healthy path: hammer one node (arming the memo), evict it,
-        // refill its frame with another node, then access the first node
-        // again — the memo must miss and the fault must return the right
-        // node. Under `inject-pin-bug` this exact shape goes wrong, which
-        // the testkit mutation smoke asserts from the outside.
+    fn one_flipped_bit_anywhere_in_a_record_rejects_the_image() {
+        let mut a = paged(3);
+        for i in 0..6u64 {
+            a.alloc(leaf(i, i));
+        }
+        a.begin_op();
+        let image = image_of(&a);
+        // Walk the records: id, len, crc, then the first and last payload
+        // byte of each. The streaming record CRC covers the id/len prefix,
+        // so none of these can flip undetected.
+        let mut at = IMAGE_MAGIC.len() + 4 * 5;
+        let mut records = 0;
+        while at < image.len() {
+            let len = u32::from_le_bytes(image[at + 4..at + 8].try_into().unwrap()) as usize;
+            let payload = at + RECORD_PREFIX_LEN;
+            for byte in [at, at + 4, at + 8, payload, payload + len - 1] {
+                for bit in [0, 7] {
+                    let mut bad = image.clone();
+                    bad[byte] ^= 1 << bit;
+                    assert!(
+                        PagedNodes::<u64, u64>::from_image(bad, 0, 3, 64, 64).is_err(),
+                        "flip of bit {bit} at byte {byte} (record at {at}) accepted"
+                    );
+                }
+            }
+            at = payload + len;
+            records += 1;
+        }
+        assert_eq!(records, 6);
+        assert!(PagedNodes::<u64, u64>::from_image(image, 0, 3, 64, 64).is_ok());
+    }
+
+    #[test]
+    fn new_frames_take_the_lowest_free_slot() {
+        // Reference: the linear scan the tracked free-slot heap replaced.
+        fn lowest_hole(a: &PagedNodes<u64, u64>) -> usize {
+            let r = a.resident.borrow();
+            r.frames
+                .iter()
+                .position(Option::is_none)
+                .unwrap_or(r.frames.len())
+        }
+        fn slot(a: &PagedNodes<u64, u64>, id: NodeId) -> usize {
+            a.resident.borrow().slot_of(id.0).expect("resident")
+        }
+        let mut a = paged(4);
+        let mut live: Vec<NodeId> = Vec::new();
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let mut installs = 0;
+        for step in 0..4000u64 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            match x % 8 {
+                0..=2 => {
+                    let want = lowest_hole(&a);
+                    let id = a.alloc(leaf(step, step));
+                    assert_eq!(slot(&a, id), want, "alloc at step {step}");
+                    live.push(id);
+                    installs += 1;
+                }
+                3 if !live.is_empty() => {
+                    let id = live.swap_remove((x >> 8) as usize % live.len());
+                    a.free(id);
+                }
+                4 => a.begin_op(),
+                _ if !live.is_empty() => {
+                    let id = live[(x >> 8) as usize % live.len()];
+                    let resident = a.resident.borrow().slot_of(id.0);
+                    let want = resident.unwrap_or_else(|| lowest_hole(&a));
+                    a.get(id);
+                    assert_eq!(slot(&a, id), want, "get at step {step}");
+                    installs += resident.is_none() as usize;
+                }
+                _ => {}
+            }
+            let r = a.resident.borrow();
+            assert_eq!(r.count, r.frames.iter().flatten().count());
+            assert_eq!(r.holes.len(), r.frames.len() - r.count);
+        }
+        assert!(installs > 1000 && a.counters().evictions.get() > 500);
+    }
+
+    #[test]
+    fn full_scan_keeps_the_frame_table_at_peak_residency() {
+        use crate::config::{StorageKind, TreeConfig};
+        use crate::variants::Variant;
+        let pool = 8;
+        let config = TreeConfig::small(8).with_storage(StorageKind::paged(pool));
+        let mut t: crate::BpTree<u64, u64> = Variant::Quit.build(config);
+        for k in 0..2000u64 {
+            t.insert(k, k);
+        }
+        assert!(t.node_count() >= 8 * pool);
+        let mut peak = 0;
+        for _ in 0..3 {
+            t.trim_residency();
+            assert!(t.resident_nodes() <= pool);
+            assert_eq!(t.range(..).count(), 2000);
+            // One operation, so nothing was evicted: residency now is the
+            // scan's peak, and every scan after the first refills the
+            // holes the trim left instead of growing the table.
+            peak = peak.max(t.resident_nodes());
+            assert!(peak > t.node_count() / 2);
+            assert!(
+                t.arena.frame_slots() <= peak,
+                "{} frame slots for a peak of {peak} resident nodes",
+                t.arena.frame_slots()
+            );
+        }
+    }
+
+    #[test]
+    fn hot_node_survives_eviction_and_refill() {
+        // The healthy path: hammer one node (making it the hot node),
+        // evict it, refill its frame with another node, then access the
+        // first node again — the fault must return the right node. Under
+        // `inject-pin-bug` this exact shape goes wrong, which the testkit
+        // mutation smoke asserts from the outside.
         let mut a = paged(2);
         let ids: Vec<NodeId> = (0..8u64).map(|i| a.alloc(leaf(i, i))).collect();
         for round in 0..8 {

@@ -25,31 +25,10 @@
 //!
 //! [`sync`]: PageStore::sync
 
+use crate::crc::crc32;
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, VecDeque};
 use std::io;
-
-// ---------------------------------------------------------------------
-// CRC-32 (shared with the page-file snapshot format)
-// ---------------------------------------------------------------------
-
-/// CRC-32 (IEEE 802.3, reflected) over `bytes` — the checksum used by the
-/// page-file header and every page record. Duplicated from the WAL's
-/// framing CRC because `quit-durability` depends on this crate, not the
-/// other way around; both implementations are pinned by tests to the
-/// same reference vector.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    const POLY: u32 = 0xEDB8_8320;
-    let mut crc = !0u32;
-    for &b in bytes {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (POLY & mask);
-        }
-    }
-    !crc
-}
 
 // ---------------------------------------------------------------------
 // Page identity
@@ -79,8 +58,12 @@ pub const DEFAULT_PAGE_SIZE: usize = 4096;
 /// every later [`read`](Self::read) of the same id (read-your-writes);
 /// durability is only required after [`sync`](Self::sync) returns.
 pub trait PageStore {
-    /// Reads page `id`, or `None` if it was never written.
-    fn read(&self, id: PageId) -> io::Result<Option<Vec<u8>>>;
+    /// Hands page `id`'s bytes to `sink` where they sit in the store — no
+    /// copy, no allocation — and returns `true`; returns `false` without
+    /// calling `sink` if the page was never written. The slice is only
+    /// valid inside the call; a sink that wants to keep the page copies
+    /// it (or decodes it) there.
+    fn read(&self, id: PageId, sink: &mut dyn FnMut(&[u8])) -> io::Result<bool>;
     /// Writes (or overwrites) page `id`.
     fn write(&mut self, id: PageId, bytes: &[u8]) -> io::Result<()>;
     /// Flushes any deferred writes and makes everything durable.
@@ -104,12 +87,15 @@ impl MemPageStore {
 }
 
 impl PageStore for MemPageStore {
-    fn read(&self, id: PageId) -> io::Result<Option<Vec<u8>>> {
-        Ok(self.pages.get(&id.0).cloned())
+    fn read(&self, id: PageId, sink: &mut dyn FnMut(&[u8])) -> io::Result<bool> {
+        Ok(self.pages.get(&id.0).map(|page| sink(page)).is_some())
     }
 
     fn write(&mut self, id: PageId, bytes: &[u8]) -> io::Result<()> {
-        self.pages.insert(id.0, bytes.to_vec());
+        // An overwrite reuses the page's allocation.
+        let page = self.pages.entry(id.0).or_default();
+        page.clear();
+        page.extend_from_slice(bytes);
         Ok(())
     }
 
@@ -154,6 +140,9 @@ pub struct FilePageStore {
     queued: HashMap<u64, Vec<u8>>,
     writeback_cap: usize,
     header_dirty: bool,
+    /// One record-sized scratch buffer (`prefix | page`) that every file
+    /// read and write goes through, so neither allocates.
+    record: RefCell<Vec<u8>>,
 }
 
 impl FilePageStore {
@@ -178,6 +167,7 @@ impl FilePageStore {
             queued: HashMap::new(),
             writeback_cap: Self::DEFAULT_WRITEBACK_CAP,
             header_dirty: true,
+            record: RefCell::new(vec![0u8; RECORD_PREFIX_LEN + page_size]),
         };
         s.write_header()?;
         Ok(s)
@@ -226,6 +216,7 @@ impl FilePageStore {
             queued: HashMap::new(),
             writeback_cap: Self::DEFAULT_WRITEBACK_CAP,
             header_dirty: false,
+            record: RefCell::new(vec![0u8; RECORD_PREFIX_LEN + page_size]),
         })
     }
 
@@ -269,16 +260,22 @@ impl FilePageStore {
                 rec
             }
         };
-        let stride = (RECORD_PREFIX_LEN + self.page_size) as u64;
-        let off = FILE_HEADER_LEN as u64 + rec * stride;
-        let mut buf = vec![0u8; RECORD_PREFIX_LEN + self.page_size];
+        let off = self.record_offset(rec);
+        let buf = self.record.get_mut();
         buf[..8].copy_from_slice(&id.to_le_bytes());
-        buf[RECORD_PREFIX_LEN..RECORD_PREFIX_LEN + bytes.len()].copy_from_slice(bytes);
+        let (payload, padding) = buf[RECORD_PREFIX_LEN..].split_at_mut(bytes.len());
+        payload.copy_from_slice(bytes);
+        padding.fill(0);
         // CRC covers the whole zero-padded page, matching what `read`
         // verifies (it cannot know the unpadded length).
         let crc = crc32(&buf[RECORD_PREFIX_LEN..]);
         buf[8..12].copy_from_slice(&crc.to_le_bytes());
-        write_all_at(&self.file, &buf, off)
+        write_all_at(&self.file, buf, off)
+    }
+
+    /// Byte offset of record slot `rec`.
+    fn record_offset(&self, rec: u64) -> u64 {
+        FILE_HEADER_LEN as u64 + rec * (RECORD_PREFIX_LEN + self.page_size) as u64
     }
 
     /// Drains the oldest queued page to disk.
@@ -293,17 +290,16 @@ impl FilePageStore {
 }
 
 impl PageStore for FilePageStore {
-    fn read(&self, id: PageId) -> io::Result<Option<Vec<u8>>> {
+    fn read(&self, id: PageId, sink: &mut dyn FnMut(&[u8])) -> io::Result<bool> {
         if let Some(bytes) = self.queued.get(&id.0) {
-            return Ok(Some(bytes.clone()));
+            sink(bytes);
+            return Ok(true);
         }
         let Some(&rec) = self.index.get(&id.0) else {
-            return Ok(None);
+            return Ok(false);
         };
-        let stride = (RECORD_PREFIX_LEN + self.page_size) as u64;
-        let off = FILE_HEADER_LEN as u64 + rec * stride;
-        let mut buf = vec![0u8; RECORD_PREFIX_LEN + self.page_size];
-        read_exact_at(&self.file, &mut buf, off)?;
+        let mut buf = self.record.borrow_mut();
+        read_exact_at(&self.file, &mut buf, self.record_offset(rec))?;
         let stored_id = u64::from_le_bytes(buf[..8].try_into().unwrap());
         let stored_crc = u32::from_le_bytes(buf[8..12].try_into().unwrap());
         let payload = &buf[RECORD_PREFIX_LEN..];
@@ -313,7 +309,8 @@ impl PageStore for FilePageStore {
         if crc32(payload) != stored_crc {
             return Err(corrupt("page file: page checksum mismatch (torn page)"));
         }
-        Ok(Some(payload.to_vec()))
+        sink(payload);
+        Ok(true)
     }
 
     fn write(&mut self, id: PageId, bytes: &[u8]) -> io::Result<()> {
@@ -426,7 +423,9 @@ struct Frame {
 /// `RefCell`s (not one pool-wide borrow) are what make two simultaneous
 /// write guards on different frames legal.
 pub struct BufferPool {
-    frames: RefCell<Vec<Option<Frame>>>,
+    /// Grows one frame per fault up to `capacity`, then stays full: a
+    /// victim's slot is overwritten in place, so there are never holes.
+    frames: RefCell<Vec<Frame>>,
     table: RefCell<HashMap<u64, usize>>,
     store: RefCell<Box<dyn PageStore>>,
     hand: Cell<usize>,
@@ -451,7 +450,7 @@ impl BufferPool {
     pub fn new(store: Box<dyn PageStore>, capacity: usize, page_size: usize) -> Self {
         assert!(capacity >= 2, "buffer pool needs at least 2 frames");
         BufferPool {
-            frames: RefCell::new((0..capacity).map(|_| None).collect()),
+            frames: RefCell::new(Vec::with_capacity(capacity)),
             table: RefCell::new(HashMap::new()),
             store: RefCell::new(store),
             hand: Cell::new(0),
@@ -496,7 +495,7 @@ impl BufferPool {
     pub fn flush(&self) -> io::Result<()> {
         let frames = self.frames.borrow();
         let mut store = self.store.borrow_mut();
-        for frame in frames.iter().flatten() {
+        for frame in frames.iter() {
             if frame.dirty.get() {
                 store.write(PageId(frame.id), &frame.payload.borrow())?;
                 frame.dirty.set(false);
@@ -509,54 +508,60 @@ impl BufferPool {
     /// index.
     fn pin(&self, id: PageId, create: bool) -> io::Result<usize> {
         if let Some(&idx) = self.table.borrow().get(&id.0) {
-            let frames = self.frames.borrow();
-            let frame = frames[idx].as_ref().expect("mapped frame is resident");
+            let frame = &self.frames.borrow()[idx];
             frame.pin.set(frame.pin.get() + 1);
             frame.ref_bit.set(true);
             self.counters.hits.set(self.counters.hits.get() + 1);
             return Ok(idx);
         }
-        // Fault path: find a frame, then load. A page born here (never
+        // Fault path: load, then find a frame. A page born here (never
         // in the store) starts dirty so eviction writes it out.
-        let (payload, fresh) = match self.store.borrow().read(id)? {
-            Some(bytes) => (bytes, false),
-            None if create => (vec![0u8; self.page_size], true),
-            None => {
+        let mut payload = Vec::with_capacity(self.page_size);
+        let stored = self
+            .store
+            .borrow()
+            .read(id, &mut |bytes| payload.extend_from_slice(bytes))?;
+        if !stored {
+            if !create {
                 return Err(io::Error::new(
                     io::ErrorKind::NotFound,
                     format!("page {id:?} not in store"),
-                ))
+                ));
             }
-        };
+            payload.resize(self.page_size, 0);
+        }
         self.counters.faults.set(self.counters.faults.get() + 1);
-        let idx = self.victim_frame()?;
-        let mut frames = self.frames.borrow_mut();
-        frames[idx] = Some(Frame {
+        let frame = Frame {
             id: id.0,
             payload: RefCell::new(payload),
             pin: Cell::new(1),
             ref_bit: Cell::new(true),
-            dirty: Cell::new(fresh),
-        });
+            dirty: Cell::new(!stored),
+        };
+        let mut frames = self.frames.borrow_mut();
+        let idx = if frames.len() < self.capacity {
+            frames.push(frame);
+            frames.len() - 1
+        } else {
+            let idx = self.evict(&frames)?;
+            frames[idx] = frame;
+            idx
+        };
         self.table.borrow_mut().insert(id.0, idx);
         Ok(idx)
     }
 
-    /// CLOCK: sweep for a free frame or an unpinned victim, clearing one
-    /// reference bit per pass (second chance). Dirty victims are written
-    /// back before the frame is reused. Fails only if every frame stays
-    /// pinned for two full sweeps.
-    fn victim_frame(&self) -> io::Result<usize> {
-        let mut frames = self.frames.borrow_mut();
-        // Free frame first.
-        if let Some(idx) = frames.iter().position(Option::is_none) {
-            return Ok(idx);
-        }
+    /// CLOCK over a full frame table: sweep for an unpinned victim,
+    /// clearing one reference bit per pass (second chance), write it back
+    /// if dirty, unmap it, and return its slot for the caller to
+    /// overwrite. Fails if every frame stays pinned for two full sweeps,
+    /// or if the write-back does (the victim then stays resident).
+    fn evict(&self, frames: &[Frame]) -> io::Result<usize> {
         let n = frames.len();
         let mut hand = self.hand.get();
         for _ in 0..2 * n {
-            let frame = frames[hand].as_ref().expect("full pool has no holes");
             let here = hand;
+            let frame = &frames[here];
             hand = (hand + 1) % n;
             if frame.pin.get() > 0 {
                 continue;
@@ -565,14 +570,12 @@ impl BufferPool {
                 frame.ref_bit.set(false); // second chance
                 continue;
             }
-            // Victim found: write back if dirty, unmap, free the frame.
-            let victim = frames[here].take().expect("victim frame is resident");
-            if victim.dirty.get() {
+            if frame.dirty.get() {
                 self.store
                     .borrow_mut()
-                    .write(PageId(victim.id), &victim.payload.borrow())?;
+                    .write(PageId(frame.id), &frame.payload.borrow())?;
             }
-            self.table.borrow_mut().remove(&victim.id);
+            self.table.borrow_mut().remove(&frame.id);
             self.counters
                 .evictions
                 .set(self.counters.evictions.get() + 1);
@@ -587,8 +590,7 @@ impl BufferPool {
     }
 
     fn unpin(&self, idx: usize, mark_dirty: bool) {
-        let frames = self.frames.borrow();
-        let frame = frames[idx].as_ref().expect("guarded frame is resident");
+        let frame = &self.frames.borrow()[idx];
         debug_assert!(frame.pin.get() > 0, "unpin of unpinned frame");
         frame.pin.set(frame.pin.get() - 1);
         if mark_dirty {
@@ -608,18 +610,12 @@ pub struct ReadGuard<'p> {
 impl ReadGuard<'_> {
     /// Runs `f` over the page bytes.
     pub fn with<R>(&self, f: impl FnOnce(&[u8]) -> R) -> R {
-        let frames = self.pool.frames.borrow();
-        let frame = frames[self.idx]
-            .as_ref()
-            .expect("guarded frame is resident");
-        let payload = frame.payload.borrow();
-        f(&payload)
+        f(&self.pool.frames.borrow()[self.idx].payload.borrow())
     }
 
     /// The page this guard pins.
     pub fn page_id(&self) -> PageId {
-        let frames = self.pool.frames.borrow();
-        PageId(frames[self.idx].as_ref().expect("resident").id)
+        PageId(self.pool.frames.borrow()[self.idx].id)
     }
 }
 
@@ -638,18 +634,12 @@ pub struct WriteGuard<'p> {
 impl WriteGuard<'_> {
     /// Runs `f` over the mutable page bytes.
     pub fn with_mut<R>(&mut self, f: impl FnOnce(&mut [u8]) -> R) -> R {
-        let frames = self.pool.frames.borrow();
-        let frame = frames[self.idx]
-            .as_ref()
-            .expect("guarded frame is resident");
-        let mut payload = frame.payload.borrow_mut();
-        f(&mut payload)
+        f(&mut self.pool.frames.borrow()[self.idx].payload.borrow_mut())
     }
 
     /// The page this guard pins.
     pub fn page_id(&self) -> PageId {
-        let frames = self.pool.frames.borrow();
-        PageId(frames[self.idx].as_ref().expect("resident").id)
+        PageId(self.pool.frames.borrow()[self.idx].id)
     }
 }
 
@@ -663,20 +653,20 @@ impl Drop for WriteGuard<'_> {
 mod tests {
     use super::*;
 
-    #[test]
-    fn crc32_reference_vector() {
-        // The canonical check value for CRC-32/ISO-HDLC.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
+    /// Copies page `id` out of `s` (`None` if never written).
+    fn page(s: &dyn PageStore, id: u64) -> io::Result<Option<Vec<u8>>> {
+        let mut out = None;
+        s.read(PageId(id), &mut |bytes| out = Some(bytes.to_vec()))?;
+        Ok(out)
     }
 
     #[test]
     fn mem_store_roundtrip() {
         let mut s = MemPageStore::new();
-        assert!(s.read(PageId(1)).unwrap().is_none());
+        assert!(page(&s, 1).unwrap().is_none());
         s.write(PageId(1), &[1, 2, 3]).unwrap();
         s.write(PageId(9), &[9]).unwrap();
-        assert_eq!(s.read(PageId(1)).unwrap().unwrap(), vec![1, 2, 3]);
+        assert_eq!(page(&s, 1).unwrap().unwrap(), vec![1, 2, 3]);
         assert_eq!(s.page_count(), 2);
         s.sync().unwrap();
     }
@@ -705,9 +695,9 @@ mod tests {
         let s = FilePageStore::open(&path).unwrap();
         assert_eq!(s.page_size(), 128);
         assert_eq!(s.page_count(), 10);
-        assert_eq!(s.read(PageId(3)).unwrap().unwrap()[..5], [0xAB; 5]);
-        assert_eq!(s.read(PageId(7)).unwrap().unwrap()[..5], [7; 5]);
-        assert!(s.read(PageId(99)).unwrap().is_none());
+        assert_eq!(page(&s, 3).unwrap().unwrap()[..5], [0xAB; 5]);
+        assert_eq!(page(&s, 7).unwrap().unwrap()[..5], [7; 5]);
+        assert!(page(&s, 99).unwrap().is_none());
         std::fs::remove_file(&path).ok();
     }
 
@@ -724,8 +714,8 @@ mod tests {
         s.write(PageId(4), &[4; 8]).unwrap();
         assert_eq!(s.queued_writes(), 4, "oldest drained FIFO");
         // Queued pages are still readable (read-your-writes).
-        assert_eq!(s.read(PageId(4)).unwrap().unwrap()[0], 4);
-        assert_eq!(s.read(PageId(0)).unwrap().unwrap()[0], 0);
+        assert_eq!(page(&s, 4).unwrap().unwrap()[0], 4);
+        assert_eq!(page(&s, 0).unwrap().unwrap()[0], 0);
         s.sync().unwrap();
         assert_eq!(s.queued_writes(), 0);
         std::fs::remove_file(&path).ok();
@@ -749,12 +739,8 @@ mod tests {
             f.write_all_at(&[0xFF], off).unwrap();
         }
         let s = FilePageStore::open(&path).unwrap();
-        assert_eq!(
-            s.read(PageId(0)).unwrap().unwrap()[0],
-            7,
-            "intact page reads"
-        );
-        let err = s.read(PageId(1)).unwrap_err();
+        assert_eq!(page(&s, 0).unwrap().unwrap()[0], 7, "intact page reads");
+        let err = page(&s, 1).unwrap_err();
         assert!(err.to_string().contains("torn page"), "got: {err}");
         // Now corrupt the header checksum: open must refuse outright.
         {
@@ -802,6 +788,57 @@ mod tests {
         drop(g1);
         drop(g2);
         assert_eq!(pool.resident(), 2);
+    }
+
+    /// A store whose writes fail while `broken` is set.
+    struct FlakyStore {
+        inner: MemPageStore,
+        broken: std::rc::Rc<Cell<bool>>,
+    }
+
+    impl PageStore for FlakyStore {
+        fn read(&self, id: PageId, sink: &mut dyn FnMut(&[u8])) -> io::Result<bool> {
+            self.inner.read(id, sink)
+        }
+        fn write(&mut self, id: PageId, bytes: &[u8]) -> io::Result<()> {
+            if self.broken.get() {
+                return Err(io::Error::other("injected write failure"));
+            }
+            self.inner.write(id, bytes)
+        }
+        fn sync(&mut self) -> io::Result<()> {
+            self.inner.sync()
+        }
+        fn page_count(&self) -> usize {
+            self.inner.page_count()
+        }
+    }
+
+    #[test]
+    fn failed_write_back_keeps_the_victim_resident() {
+        let broken = std::rc::Rc::new(Cell::new(false));
+        let store = FlakyStore {
+            inner: MemPageStore::new(),
+            broken: broken.clone(),
+        };
+        let pool = BufferPool::new(Box::new(store), 2, 16);
+        for i in 0..2u64 {
+            pool.write(PageId(i))
+                .unwrap()
+                .with_mut(|p| p[0] = i as u8 + 1);
+        }
+        broken.set(true);
+        for _ in 0..3 {
+            assert!(pool.write(PageId(2)).is_err(), "eviction needs the store");
+        }
+        // Neither dirty page was dropped with its only copy.
+        assert_eq!(pool.resident(), 2);
+        assert_eq!(pool.counters().evictions.get(), 0);
+        broken.set(false);
+        pool.write(PageId(2)).unwrap().with_mut(|p| p[0] = 3);
+        for i in 0..3u64 {
+            assert_eq!(pool.read(PageId(i)).unwrap().with(|p| p[0]), i as u8 + 1);
+        }
     }
 
     #[test]

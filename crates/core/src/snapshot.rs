@@ -8,11 +8,11 @@
 //! so callers can persist it with any encoding they already have on hand.
 
 use crate::config::{StorageKind, TreeConfig};
+use crate::crc::crc32;
 use crate::error::Error;
 use crate::fastpath::{FastPathMode, FastPathState};
 use crate::key::Key;
 use crate::metrics::MetricsRegistry;
-use crate::pool::crc32;
 use crate::tree::BpTree;
 
 /// Magic prefix of a tree page image ([`BpTree::to_page_image`]).
@@ -64,15 +64,11 @@ impl<K: Key, V: Clone + 'static> BpTree<K, V> {
 impl<K: Key, V: Clone + 'static> BpTree<K, V> {
     /// Serializes a paged tree into a self-contained page image: a small
     /// metadata header (mode, geometry, root/head/tail, height, len) in
-    /// front of the arena's page file. Returns `None` on the in-memory
-    /// arena backend — use [`BpTree::to_snapshot`] there.
-    ///
-    /// Takes `&mut self` because dirty resident frames are flushed to the
-    /// page store first.
-    #[allow(clippy::wrong_self_convention)]
-    pub fn to_page_image(&mut self) -> Option<Vec<u8>> {
-        let arena_image = self.arena.to_image()?;
-        let mut out = Vec::with_capacity(TREE_HEADER_LEN + arena_image.len());
+    /// front of the arena's page file, which is written straight into the
+    /// same buffer. Returns `None` on the in-memory arena backend — use
+    /// [`BpTree::to_snapshot`] there.
+    pub fn to_page_image(&self) -> Option<Vec<u8>> {
+        let mut out = Vec::with_capacity(TREE_HEADER_LEN);
         out.extend_from_slice(TREE_IMAGE_MAGIC);
         out.push(match self.mode {
             FastPathMode::None => 0,
@@ -89,12 +85,14 @@ impl<K: Key, V: Clone + 'static> BpTree<K, V> {
         out.extend_from_slice(&(self.len as u64).to_le_bytes());
         out.extend_from_slice(&self.tops_at_last_split.to_le_bytes());
         out.extend_from_slice(&crc32(&out).to_le_bytes());
-        out.extend_from_slice(&arena_image);
-        Some(out)
+        self.arena.to_image(&mut out).then_some(out)
     }
 
-    /// Opens a tree from a page image written by
-    /// [`to_page_image`](Self::to_page_image).
+    /// Opens a tree from the page image that
+    /// [`to_page_image`](Self::to_page_image) wrote, found at byte `at` of
+    /// `buf` (so a caller that framed the image — the paged snapshot file's
+    /// header — hands over the file as read). The buffer is kept, not
+    /// copied: it becomes the read-only base that nodes decode out of.
     ///
     /// `config.storage` must be [`StorageKind::Paged`] (its `pool_pages`
     /// caps residency; the page size comes from the image) and the
@@ -103,17 +101,16 @@ impl<K: Key, V: Clone + 'static> BpTree<K, V> {
     /// rejects the whole image; node decoding is lazy, so recovery cost
     /// is one byte sweep plus faulting the root/spine on first use. The
     /// fast path re-arms at the tail leaf.
-    pub fn from_page_image(image: &[u8], config: TreeConfig) -> Result<Self, Error> {
+    pub fn from_page_image(buf: Vec<u8>, at: usize, config: TreeConfig) -> Result<Self, Error> {
         config.assert_valid();
         let StorageKind::Paged { pool_pages, .. } = config.storage else {
             return Err(Error::config(
                 "from_page_image requires StorageKind::Paged storage",
             ));
         };
-        if image.len() < TREE_HEADER_LEN {
+        let Some(header) = buf.get(at..).and_then(|image| image.get(..TREE_HEADER_LEN)) else {
             return Err(Error::corruption("tree page image: truncated header"));
-        }
-        let (header, arena_image) = image.split_at(TREE_HEADER_LEN);
+        };
         if &header[..6] != TREE_IMAGE_MAGIC {
             return Err(Error::corruption("tree page image: bad magic"));
         }
@@ -150,7 +147,8 @@ impl<K: Key, V: Clone + 'static> BpTree<K, V> {
         let len = u64_at(31) as usize;
         let tops_at_last_split = u64_at(39);
         let arena = crate::arena::Arena::from_image(
-            arena_image,
+            buf,
+            at + TREE_HEADER_LEN,
             pool_pages,
             leaf_capacity,
             internal_capacity,
@@ -229,7 +227,7 @@ mod tests {
         let image = t.to_page_image().expect("paged tree yields an image");
         assert_eq!(&image[..6], TREE_IMAGE_MAGIC);
 
-        let mut back = BpTree::<u64, u64>::from_page_image(&image, paged_config()).unwrap();
+        let mut back = BpTree::<u64, u64>::from_page_image(image, 0, paged_config()).unwrap();
         assert_eq!(back.len(), t.len());
         // Lazy recovery: only fast-path arming has touched nodes so far
         // (a spine's worth of overshoot past the 4-page budget is allowed
@@ -252,6 +250,26 @@ mod tests {
     }
 
     #[test]
+    fn reopen_decodes_nothing_and_the_first_get_decodes_one_spine() {
+        // No fast path, so nothing arms at the tail: the reopen itself
+        // must not decode a single node.
+        let mut t: BpTree<u64, u64> = Variant::Classic.build(paged_config());
+        for k in 0..500u64 {
+            t.insert(k, k * 10);
+        }
+        assert!(t.height() >= 3);
+        // The image sits behind a caller's header, as in a paged snapshot.
+        let mut file = b"caller header".to_vec();
+        file.extend_from_slice(&t.to_page_image().unwrap());
+        let back = BpTree::<u64, u64>::from_page_image(file, 13, paged_config()).unwrap();
+        assert_eq!(back.resident_nodes(), 0);
+        assert_eq!(back.metrics().page_faults, 0);
+        assert_eq!(back.get(250), Some(&2500));
+        assert_eq!(back.metrics().page_faults, back.height() as u64);
+        assert_eq!(back.resident_nodes(), back.height());
+    }
+
+    #[test]
     fn page_image_rejects_corruption_and_wrong_config() {
         let mut t: BpTree<u64, u64> = Variant::Quit.build(paged_config());
         for k in 0..200u64 {
@@ -260,11 +278,13 @@ mod tests {
         let image = t.to_page_image().unwrap();
 
         // In-memory arena config: refused outright.
-        let err = BpTree::<u64, u64>::from_page_image(&image, TreeConfig::small(8)).unwrap_err();
+        let err = BpTree::<u64, u64>::from_page_image(image.clone(), 0, TreeConfig::small(8))
+            .unwrap_err();
         assert_eq!(err.kind(), "config");
         // Mismatched geometry: refused.
         let err = BpTree::<u64, u64>::from_page_image(
-            &image,
+            image.clone(),
+            0,
             TreeConfig::small(16).with_storage(StorageKind::paged(4)),
         )
         .unwrap_err();
@@ -274,7 +294,7 @@ mod tests {
             let mut bad = image.clone();
             bad[off] ^= 0xFF;
             assert!(
-                BpTree::<u64, u64>::from_page_image(&bad, paged_config()).is_err(),
+                BpTree::<u64, u64>::from_page_image(bad, 0, paged_config()).is_err(),
                 "corruption at byte {off} went undetected"
             );
         }
@@ -285,13 +305,14 @@ mod tests {
             TREE_HEADER_LEN + 9,
             image.len() - 1,
         ] {
-            assert!(BpTree::<u64, u64>::from_page_image(&image[..cut], paged_config()).is_err());
+            let cut = image[..cut].to_vec();
+            assert!(BpTree::<u64, u64>::from_page_image(cut, 0, paged_config()).is_err());
         }
     }
 
     #[test]
     fn page_image_none_on_arena_backend() {
-        let mut t = build();
+        let t = build();
         assert!(t.to_page_image().is_none());
         assert!(!t.is_paged());
     }

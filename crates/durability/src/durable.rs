@@ -29,7 +29,9 @@
 //! detection instead of point inserts.
 
 use crate::frame::WalCodec;
-use crate::psnap::{paged_snapshot_candidates, read_paged_snapshot, write_paged_snapshot};
+use crate::psnap::{
+    paged_snapshot_candidates, read_paged_snapshot, write_paged_snapshot, PSNAP_HEADER,
+};
 use crate::snapshot::{load_best_snapshot, snapshot_candidates};
 use crate::storage::Storage;
 use crate::wal::{scan_wal, Lsn, Wal, WalTuning};
@@ -444,11 +446,14 @@ where
             }
             let mut rejected = 0;
             for (generation, name) in candidates {
+                // The file as read becomes the tree's page image: verified
+                // where it is, never copied.
                 let bytes = storage.read(&name)?;
                 let recovered = read_paged_snapshot(&bytes)
                     .filter(|(g, ..)| *g == generation)
-                    .and_then(|(_, lsn, image)| {
-                        BpTree::from_page_image(image, tree_config.clone())
+                    .map(|(_, lsn, _)| lsn)
+                    .and_then(|lsn| {
+                        BpTree::from_page_image(bytes, PSNAP_HEADER, tree_config.clone())
                             .ok()
                             .map(|tree| (lsn, tree))
                     });
@@ -478,7 +483,7 @@ where
         Ok((Self::assemble(inner, wal, config), report))
     }
 
-    /// Checkpoint for a paged tree: flushes every dirty page and publishes
+    /// Checkpoint for a paged tree: serializes every live page and publishes
     /// the page file itself as the generation-`g+1` snapshot
     /// (`psnap-….qpsf`, atomic tmp + sync + rename), rotates the WAL, and
     /// prunes superseded files of *both* snapshot flavours. Errors with

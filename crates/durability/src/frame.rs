@@ -18,7 +18,7 @@
 //! `kind` is 1 for insert (`body = key ‖ value`) and 2 for delete
 //! (`body = key`); widths come from [`WalCodec`], so decoding never guesses.
 
-use quit_core::OrderedF64;
+use quit_core::{crc32, OrderedF64};
 
 /// Fixed-width, byte-order-independent encoding for WAL keys and values.
 ///
@@ -128,38 +128,6 @@ pub(crate) const FRAME_HEADER: usize = 8;
 /// Upper bound on a single payload; anything larger in a length word means
 /// the word is garbage (torn write), not a real record.
 pub(crate) const MAX_PAYLOAD: usize = 1 << 20;
-
-const CRC_POLY: u32 = 0xEDB8_8320; // reflected IEEE 802.3
-
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            c = if c & 1 != 0 {
-                CRC_POLY ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            bit += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-};
-
-/// CRC-32 (IEEE, reflected) over `bytes` — the standard zlib/Ethernet
-/// polynomial, table-driven, no dependencies.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = u32::MAX;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    !c
-}
 
 /// Appends one encoded frame for `op` at `lsn` to `out`.
 pub(crate) fn encode_frame<K: WalCodec, V: WalCodec>(
@@ -299,17 +267,6 @@ pub(crate) fn decode_frame<K: WalCodec, V: WalCodec>(bytes: &[u8], pos: usize) -
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn crc32_matches_known_vectors() {
-        // Standard IEEE CRC-32 check values (zlib-compatible).
-        assert_eq!(crc32(b""), 0);
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(
-            crc32(b"The quick brown fox jumps over the lazy dog"),
-            0x414F_A339
-        );
-    }
 
     #[test]
     fn int_and_float_codecs_roundtrip() {

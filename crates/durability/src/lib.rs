@@ -70,8 +70,8 @@ pub use durable::{
     apply_tail, bptree_builder, concurrent_builder, DurabilityConfig, DurabilityLevel, Durable,
     RecoveryReport,
 };
-pub use frame::{crc32, WalCodec, WalOp};
-pub use quit_core::{Error, Result};
+pub use frame::{WalCodec, WalOp};
+pub use quit_core::{crc32, Error, Result};
 pub use storage::{FaultyWriter, FsStorage, MemStorage, Storage};
 pub use txn::{Txn, TxnConfig, TxnStats, TxnStore};
 pub use wal::{Lsn, Wal, WalTuning};

@@ -25,9 +25,9 @@
 //! flipped byte, truncation — rejects the whole candidate and recovery
 //! falls back to the previous generation plus the un-pruned WAL.
 
-use crate::frame::crc32;
 use crate::storage::Storage;
 use crate::wal::Lsn;
+use quit_core::crc32;
 use std::io;
 
 pub(crate) const PSNAP_MAGIC: &[u8; 6] = b"QPSN1\n";

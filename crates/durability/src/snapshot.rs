@@ -23,9 +23,10 @@
 //! complete file, and pruning the old generation can never outrun the new
 //! snapshot's durability.
 
-use crate::frame::{crc32, WalCodec};
+use crate::frame::WalCodec;
 use crate::storage::Storage;
 use crate::wal::Lsn;
+use quit_core::crc32;
 use std::io;
 
 pub(crate) const SNAP_MAGIC: &[u8; 6] = b"QSNP1\n";

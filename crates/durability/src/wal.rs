@@ -46,7 +46,7 @@
 use crate::frame::{decode_frame, encode_frame, FrameStep, WalCodec};
 use crate::storage::Storage;
 use crate::WalOp;
-use quit_core::{Error, MetricsRegistry, Result};
+use quit_core::{crc32, Error, MetricsRegistry, Result};
 use std::io;
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -76,7 +76,7 @@ pub(crate) fn encode_seg_header(generation: u64, seq: u64, start_lsn: Lsn) -> Ve
     out.extend_from_slice(&generation.to_le_bytes());
     out.extend_from_slice(&seq.to_le_bytes());
     out.extend_from_slice(&start_lsn.to_le_bytes());
-    let crc = crate::frame::crc32(&out);
+    let crc = crc32(&out);
     out.extend_from_slice(&crc.to_le_bytes());
     out
 }
@@ -87,7 +87,7 @@ pub(crate) fn decode_seg_header(bytes: &[u8]) -> Option<(u64, u64, Lsn)> {
         return None;
     }
     let crc = u32::from_le_bytes(bytes[SEG_HEADER - 4..SEG_HEADER].try_into().unwrap());
-    if crate::frame::crc32(&bytes[..SEG_HEADER - 4]) != crc {
+    if crc32(&bytes[..SEG_HEADER - 4]) != crc {
         return None;
     }
     let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
