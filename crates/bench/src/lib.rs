@@ -1,7 +1,8 @@
 //! # quit-bench — the experiment harness
 //!
-//! One runnable binary per table and figure of the paper's evaluation (§5),
-//! plus Criterion micro-benchmarks. Every binary prints the same rows or
+//! One runnable binary per table and figure of the paper's evaluation (§5)
+//! and nothing else: every number that is ours rather than the paper's comes
+//! from the `benchmark/` package. Every binary prints the same rows or
 //! series the paper reports, at a container-friendly default scale that the
 //! `--n` flag (or `QUIT_BENCH_N`) raises to paper scale.
 //!
@@ -20,9 +21,7 @@
 //! | `fig15`  | Fig 15 — real-world (synthetic stock) ingestion |
 //! | `table2` | Table 2 — space reduction |
 //! | `table3` | Table 3 — scalability with data size |
-//! | `sensitivity` | extra: IKR-scale and `T_R` tuning sweeps (§4.4's "little to no tuning") |
-//! | `batch_ingest` | extra: `insert_batch` vs per-key loop across the K grid |
-//! | `soak` | extra: `quit-testkit` differential-oracle soak over the K×L grid (correctness, not timing) |
+//! | `sensitivity` | IKR-scale and `T_R` tuning sweeps (§4.4's "little to no tuning") |
 
 #![warn(missing_docs)]
 
@@ -61,72 +60,74 @@ impl Default for Opts {
     }
 }
 
+/// The line `--help` and every argument error print.
+const USAGE: &str =
+    "options: --n <entries> --seed <u64> --leaf-capacity <n> --threads <n> --reps <n> --quick";
+
+/// Why [`Opts::parse`] produced no options.
+#[derive(Debug, PartialEq)]
+enum ArgsError {
+    /// `--help` / `-h`.
+    Help,
+    /// A flag whose value is missing or not an unsigned integer.
+    Invalid(String),
+}
+
 impl Opts {
-    /// Parses `--n`, `--seed`, `--leaf-capacity`, `--threads`, `--quick`
-    /// from the process arguments (and `QUIT_BENCH_N` from the
-    /// environment).
+    /// Parses `--n`, `--seed`, `--leaf-capacity`, `--threads`, `--reps`,
+    /// `--quick` from the process arguments (and `QUIT_BENCH_N` from the
+    /// environment). A flag whose value is missing or unparsable prints the
+    /// usage line and exits with status 2; unknown flags warn and continue.
     pub fn from_args() -> Self {
-        let mut o = Opts::default();
-        if let Ok(n) = std::env::var("QUIT_BENCH_N") {
-            if let Ok(n) = n.parse() {
-                o.n = n;
+        let mut base = Opts::default();
+        if let Some(n) = std::env::var("QUIT_BENCH_N")
+            .ok()
+            .and_then(|n| n.parse().ok())
+        {
+            base.n = n;
+        }
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        match Opts::parse(base, &args) {
+            Ok(o) => o,
+            Err(ArgsError::Help) => {
+                eprintln!("{USAGE}");
+                std::process::exit(0);
+            }
+            Err(ArgsError::Invalid(why)) => {
+                eprintln!("{why}\n{USAGE}");
+                std::process::exit(2);
             }
         }
-        let args: Vec<String> = std::env::args().collect();
-        let mut i = 1;
-        while i < args.len() {
-            let take = |i: usize| args.get(i + 1).and_then(|v| v.parse::<u64>().ok());
-            match args[i].as_str() {
-                "--n" => {
-                    if let Some(v) = take(i) {
-                        o.n = v as usize;
-                        i += 1;
-                    }
-                }
-                "--seed" => {
-                    if let Some(v) = take(i) {
-                        o.seed = v;
-                        i += 1;
-                    }
-                }
-                "--leaf-capacity" => {
-                    if let Some(v) = take(i) {
-                        o.leaf_capacity = v as usize;
-                        i += 1;
-                    }
-                }
-                "--threads" => {
-                    if let Some(v) = take(i) {
-                        o.max_threads = v as usize;
-                        i += 1;
-                    }
-                }
-                "--reps" => {
-                    if let Some(v) = take(i) {
-                        o.reps = (v as usize).max(1);
-                        i += 1;
-                    }
-                }
+    }
+
+    /// Applies `args` (without the program name) on top of `base`.
+    fn parse<S: AsRef<str>>(base: Opts, args: &[S]) -> Result<Opts, ArgsError> {
+        let mut o = base;
+        let mut args = args.iter().map(AsRef::as_ref);
+        while let Some(flag) = args.next() {
+            let mut value = || -> Result<u64, ArgsError> {
+                let v = args
+                    .next()
+                    .ok_or_else(|| ArgsError::Invalid(format!("{flag}: missing value")))?;
+                v.parse().map_err(|_| {
+                    ArgsError::Invalid(format!("{flag}: '{v}' is not an unsigned integer"))
+                })
+            };
+            match flag {
+                "--n" => o.n = value()? as usize,
+                "--seed" => o.seed = value()?,
+                "--leaf-capacity" => o.leaf_capacity = value()? as usize,
+                "--threads" => o.max_threads = value()? as usize,
+                "--reps" => o.reps = (value()? as usize).max(1),
                 "--quick" => o.quick = true,
-                // Parsed by individual binaries (`--check` self-asserts,
-                // service_bench takes shard/client lists); recognized here
-                // so they don't warn as unknown.
-                "--check" => {}
-                "--clients" | "--shards" => i += 1,
-                "--help" | "-h" => {
-                    eprintln!(
-                        "options: --n <entries> --seed <u64> --leaf-capacity <n> --threads <n> --quick"
-                    );
-                    std::process::exit(0);
-                }
+                "--help" | "-h" => return Err(ArgsError::Help),
                 other => eprintln!("ignoring unknown option {other}"),
             }
-            i += 1;
         }
         if o.quick {
             o.n = (o.n / 10).max(10_000);
         }
-        o
+        Ok(o)
     }
 
     /// Tree geometry derived from the options.
@@ -168,38 +169,6 @@ where
         for (i, &k) in keys.iter().enumerate() {
             tree.insert(k, i as u64);
         }
-        let elapsed = start.elapsed();
-        best = Some(best.map_or(elapsed, |b| b.min(elapsed)));
-    }
-    let elapsed = best.expect("at least one repetition");
-    IngestRun {
-        ns_per_insert: elapsed.as_nanos() as f64 / keys.len().max(1) as f64,
-        tree,
-        elapsed,
-    }
-}
-
-/// Like [`ingest_index`], but ingesting through one
-/// [`SortedIndex::insert_batch`] call over the whole stream — the
-/// batched-run counterpart measured by the `batch_ingest` binary.
-pub fn ingest_index_batch<T, F>(mut build: F, keys: &[u64], reps: usize) -> IngestRun<T>
-where
-    T: SortedIndex<u64, u64>,
-    F: FnMut() -> T,
-{
-    let entries: Vec<(u64, u64)> = keys
-        .iter()
-        .enumerate()
-        .map(|(i, &k)| (k, i as u64))
-        .collect();
-    let mut best: Option<Duration> = None;
-    let mut tree = build();
-    for rep in 0..reps.max(1) {
-        if rep > 0 {
-            tree = build();
-        }
-        let start = Instant::now();
-        tree.insert_batch(&entries);
         let elapsed = start.elapsed();
         best = Some(best.map_or(elapsed, |b| b.min(elapsed)));
     }
@@ -280,81 +249,6 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     }
 }
 
-/// Minimal JSON validity checker (objects, arrays, strings without escapes
-/// beyond `\"`, numbers, booleans, null) shared by the self-asserting
-/// binaries that emit hand-rolled JSON (`metrics_smoke`, `scaling`).
-/// Returns the byte position after the value, or `None` on malformed
-/// input. Deliberately dependency-free: the exporters it guards are
-/// hand-rolled too.
-fn skip_json_value(b: &[u8], mut i: usize) -> Option<usize> {
-    while b.get(i) == Some(&b' ') {
-        i += 1;
-    }
-    match *b.get(i)? {
-        b'{' => {
-            i += 1;
-            if b.get(i) == Some(&b'}') {
-                return Some(i + 1);
-            }
-            loop {
-                i = skip_json_value(b, i)?; // key (validated as a string below)
-                if b.get(i) != Some(&b':') {
-                    return None;
-                }
-                i = skip_json_value(b, i + 1)?;
-                match *b.get(i)? {
-                    b',' => i += 1,
-                    b'}' => return Some(i + 1),
-                    _ => return None,
-                }
-            }
-        }
-        b'[' => {
-            i += 1;
-            if b.get(i) == Some(&b']') {
-                return Some(i + 1);
-            }
-            loop {
-                i = skip_json_value(b, i)?;
-                match *b.get(i)? {
-                    b',' => i += 1,
-                    b']' => return Some(i + 1),
-                    _ => return None,
-                }
-            }
-        }
-        b'"' => {
-            i += 1;
-            loop {
-                match *b.get(i)? {
-                    b'\\' => i += 2,
-                    b'"' => return Some(i + 1),
-                    _ => i += 1,
-                }
-            }
-        }
-        b't' => b[i..].starts_with(b"true").then_some(i + 4),
-        b'f' => b[i..].starts_with(b"false").then_some(i + 5),
-        b'n' => b[i..].starts_with(b"null").then_some(i + 4),
-        b'0'..=b'9' | b'-' => {
-            let start = i;
-            while b.get(i).is_some_and(|c| {
-                c.is_ascii_digit() || matches!(c, b'-' | b'+' | b'.' | b'e' | b'E')
-            }) {
-                i += 1;
-            }
-            (i > start).then_some(i)
-        }
-        _ => None,
-    }
-}
-
-/// Whether `doc` is one valid JSON value (plus trailing spaces/newlines).
-pub fn json_is_valid(doc: &str) -> bool {
-    let b = doc.as_bytes();
-    skip_json_value(b, 0).is_some_and(|end| b[end..].iter().all(|&c| c == b' ' || c == b'\n'))
-}
-
 /// The K values (percent out-of-order) of Figs 8, 9, 10, 14 and Table 2.
 pub const K_GRID: [f64; 8] = [0.0, 0.01, 0.03, 0.05, 0.10, 0.25, 0.50, 1.00];
 
@@ -396,12 +290,15 @@ mod tests {
         let keys: Vec<u64> = (0..30_000).collect();
         let config = TreeConfig::small(64);
         let per_key = ingest(Variant::Quit, config.clone(), &keys);
-        let batched = ingest_index_batch(|| Variant::Quit.build(config.clone()), &keys, 1);
-        assert_eq!(per_key.tree.len(), batched.tree.len());
-        let a: Vec<(u64, u64)> = per_key.tree.iter().map(|(k, v)| (k, *v)).collect();
-        let b: Vec<(u64, u64)> = batched.tree.iter().map(|(k, v)| (k, *v)).collect();
-        assert_eq!(a, b, "batch ingest must produce identical contents");
-        batched.tree.check_invariants().unwrap();
+        // Sorted keys: the arrival position `ingest` stores is the key.
+        let entries: Vec<(u64, u64)> = keys.iter().map(|&k| (k, k)).collect();
+        let mut batched = Variant::Quit.build::<u64, u64>(config);
+        batched.insert_batch(&entries);
+        assert!(
+            per_key.tree.iter().eq(batched.iter()),
+            "batch ingest must produce identical contents"
+        );
+        batched.check_invariants().unwrap();
     }
 
     #[test]
@@ -447,5 +344,33 @@ mod tests {
         let o = Opts::default();
         assert_eq!(o.n, 2_000_000);
         assert_eq!(o.tree_config().leaf_capacity, 510);
+    }
+
+    #[test]
+    fn parse_reads_every_flag_and_quick_scales_n() {
+        let args = "--n 500000 --seed 7 --leaf-capacity 64 --threads 2 --reps 0 --quick";
+        let args: Vec<&str> = args.split(' ').collect();
+        let o = Opts::parse(Opts::default(), &args).unwrap();
+        assert_eq!(
+            (o.n, o.seed, o.leaf_capacity, o.max_threads, o.reps, o.quick),
+            (50_000, 7, 64, 2, 1, true)
+        );
+    }
+
+    #[test]
+    fn parse_rejects_missing_and_unparsable_values() {
+        for flag in ["--n", "--seed", "--leaf-capacity", "--threads", "--reps"] {
+            assert!(USAGE.contains(flag), "--help must list {flag}");
+            for args in [vec![flag], vec![flag, "2e6"], vec![flag, "--quick"]] {
+                match Opts::parse(Opts::default(), &args) {
+                    Err(ArgsError::Invalid(why)) => assert!(why.starts_with(flag), "{why}"),
+                    other => panic!("{args:?} must be rejected, got {other:?}"),
+                }
+            }
+        }
+        assert_eq!(
+            Opts::parse(Opts::default(), &["--n", "5", "--help"]).unwrap_err(),
+            ArgsError::Help
+        );
     }
 }

@@ -25,8 +25,10 @@ pub enum SplitBoundRule {
 
 /// Where a tree's nodes live: the in-memory slab arena (default, the
 /// bit-for-bit paper-reproduction path) or fixed-size pages behind the
-/// buffer pool manager (`crate::pool` / `crate::paged`), which bounds
-/// residency and is the larger-than-RAM path.
+/// buffer pool manager (`crate::pool` / `crate::paged`), which bounds how
+/// many *decoded* nodes are resident. Evicted pages go to a heap
+/// `MemPageStore` (over the recovered page image, when there is one), so
+/// the encoded tree still lives in RAM: this is not a larger-than-RAM path.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StorageKind {
     /// Every node lives in the malloc'd slab arena (always resident).

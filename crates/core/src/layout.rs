@@ -181,7 +181,7 @@ pub fn search_leaf<K: Key>(kind: SearchKind, keys: &[K], key: K) -> usize {
 /// Force-disable switch for the SIMD kernels, read once per process:
 /// `QUIT_FORCE_SCALAR=1` makes every `simd_*` hook return `None`, so
 /// [`SearchKind::Simd`] exercises the portable branchless fallback — the
-/// cross-arch CI guard runs the whole test suite this way.
+/// cross-arch CI guard runs the layout differential suites this way.
 pub fn simd_force_disabled() -> bool {
     static FORCE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
     *FORCE.get_or_init(|| {

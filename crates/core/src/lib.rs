@@ -136,8 +136,8 @@ pub use metrics::{
 };
 pub use paged::{max_encoded_node_size, value_is_pod, PagedNodes, IMAGE_MAGIC};
 pub use pool::{
-    BufferPool, FilePageStore, MemPageStore, PageId, PageStore, PoolCounters, ReadGuard,
-    WriteGuard, DEFAULT_PAGE_SIZE, PAGE_FILE_MAGIC,
+    BufferPool, MemPageStore, PageId, PageStore, PoolCounters, ReadGuard, WriteGuard,
+    DEFAULT_PAGE_SIZE,
 };
 pub use snapshot::{TreeSnapshot, TREE_IMAGE_MAGIC};
 pub use sorted_index::SortedIndex;

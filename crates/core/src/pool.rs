@@ -3,11 +3,11 @@
 //! Three layers live here, bottom-up:
 //!
 //! 1. **[`PageStore`]** — the backend a pool spills to and faults from.
-//!    [`MemPageStore`] keeps pages in a map (tests, and the byte-granular
-//!    crash model in `quit-durability` / `quit-testkit`);
-//!    [`FilePageStore`] is a real page file with a checksummed header,
-//!    a per-page CRC on every record, and a small FIFO write-back
-//!    scheduler that defers page writes until pressure or [`sync`].
+//!    [`MemPageStore`] keeps pages in a heap map; it is the only store a
+//!    tree ever writes to (the paged arena layers a read-only overlay of
+//!    the recovered psnap buffer under it). Durability is not this
+//!    trait's job: page images reach disk whole, through
+//!    `quit-durability`'s `Storage`.
 //! 2. **[`BufferPool`]** — a frame table over byte pages: pin counts,
 //!    reference bits, and CLOCK (second-chance) eviction of unpinned
 //!    frames. Dirty victims are written back through the store before
@@ -22,12 +22,9 @@
 //! backends and eviction policy but caches *decoded* nodes rather than
 //! byte pages; see that module for how its pin discipline maps onto
 //! this one.
-//!
-//! [`sync`]: PageStore::sync
 
-use crate::crc::crc32;
 use std::cell::{Cell, RefCell};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io;
 
 // ---------------------------------------------------------------------
@@ -106,264 +103,6 @@ impl PageStore for MemPageStore {
     fn page_count(&self) -> usize {
         self.pages.len()
     }
-}
-
-/// Magic line opening every page file written by [`FilePageStore`].
-pub const PAGE_FILE_MAGIC: &[u8; 6] = b"QPSF1\n";
-
-/// Byte length of the page-file header: magic, page size, page-count
-/// slot, and a CRC over the three.
-const FILE_HEADER_LEN: usize = PAGE_FILE_MAGIC.len() + 8 + 8 + 4;
-
-/// Byte length of a page record's prefix: page id + CRC of the payload.
-const RECORD_PREFIX_LEN: usize = 8 + 4;
-
-/// A real page file: checksummed header, fixed-stride records of
-/// `[page id | payload CRC | payload]`, and a FIFO write-back scheduler.
-///
-/// Writes enqueue; the queue drains oldest-first once it exceeds
-/// `writeback_cap` (so a hot page rewritten before its turn costs one
-/// disk write, not many), and fully on [`sync`](PageStore::sync), which
-/// also fsyncs. Reads check the queue first (read-your-writes), then the
-/// file, verifying the record's CRC and id — a torn or misdirected page
-/// read fails loudly instead of returning garbage.
-#[derive(Debug)]
-pub struct FilePageStore {
-    file: std::fs::File,
-    page_size: usize,
-    /// Page id → record index in the file (slot order is allocation order).
-    index: HashMap<u64, u64>,
-    /// FIFO write-back queue: ids in first-write order; payloads live in
-    /// `queued` so a re-write before drain replaces bytes without
-    /// re-queueing.
-    queue: VecDeque<u64>,
-    queued: HashMap<u64, Vec<u8>>,
-    writeback_cap: usize,
-    header_dirty: bool,
-    /// One record-sized scratch buffer (`prefix | page`) that every file
-    /// read and write goes through, so neither allocates.
-    record: RefCell<Vec<u8>>,
-}
-
-impl FilePageStore {
-    /// Default number of pages the FIFO write-back queue holds before it
-    /// starts draining oldest-first.
-    pub const DEFAULT_WRITEBACK_CAP: usize = 64;
-
-    /// Creates (truncating) a page file at `path` for `page_size`-byte pages.
-    pub fn create(path: &std::path::Path, page_size: usize) -> io::Result<Self> {
-        assert!(page_size >= 64, "page size must be at least 64 bytes");
-        let file = std::fs::OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(path)?;
-        let mut s = FilePageStore {
-            file,
-            page_size,
-            index: HashMap::new(),
-            queue: VecDeque::new(),
-            queued: HashMap::new(),
-            writeback_cap: Self::DEFAULT_WRITEBACK_CAP,
-            header_dirty: true,
-            record: RefCell::new(vec![0u8; RECORD_PREFIX_LEN + page_size]),
-        };
-        s.write_header()?;
-        Ok(s)
-    }
-
-    /// Opens an existing page file, validating the header checksum and
-    /// magic and rebuilding the id → offset index from the record stride.
-    /// Per-page CRCs are checked lazily, on each read.
-    pub fn open(path: &std::path::Path) -> io::Result<Self> {
-        let file = std::fs::OpenOptions::new()
-            .read(true)
-            .write(true)
-            .open(path)?;
-        let mut header = [0u8; FILE_HEADER_LEN];
-        read_exact_at(&file, &mut header, 0)?;
-        if &header[..6] != PAGE_FILE_MAGIC {
-            return Err(corrupt("page file: bad magic"));
-        }
-        let stored_crc = u32::from_le_bytes(header[FILE_HEADER_LEN - 4..].try_into().unwrap());
-        if crc32(&header[..FILE_HEADER_LEN - 4]) != stored_crc {
-            return Err(corrupt("page file: header checksum mismatch"));
-        }
-        let page_size = u64::from_le_bytes(header[6..14].try_into().unwrap()) as usize;
-        let n_pages = u64::from_le_bytes(header[14..22].try_into().unwrap());
-        if page_size < 64 {
-            return Err(corrupt("page file: implausible page size"));
-        }
-        let stride = (RECORD_PREFIX_LEN + page_size) as u64;
-        let len = file.metadata()?.len();
-        if len < FILE_HEADER_LEN as u64 + n_pages * stride {
-            return Err(corrupt("page file: truncated record area"));
-        }
-        // One O(n_pages) sweep over record prefixes rebuilds the index.
-        let mut index = HashMap::with_capacity(n_pages as usize);
-        let mut prefix = [0u8; RECORD_PREFIX_LEN];
-        for rec in 0..n_pages {
-            read_exact_at(&file, &mut prefix, FILE_HEADER_LEN as u64 + rec * stride)?;
-            let id = u64::from_le_bytes(prefix[..8].try_into().unwrap());
-            index.insert(id, rec);
-        }
-        Ok(FilePageStore {
-            file,
-            page_size,
-            index,
-            queue: VecDeque::new(),
-            queued: HashMap::new(),
-            writeback_cap: Self::DEFAULT_WRITEBACK_CAP,
-            header_dirty: false,
-            record: RefCell::new(vec![0u8; RECORD_PREFIX_LEN + page_size]),
-        })
-    }
-
-    /// Caps the FIFO write-back queue at `cap` pages (0 = write through).
-    pub fn with_writeback_cap(mut self, cap: usize) -> Self {
-        self.writeback_cap = cap;
-        self
-    }
-
-    /// The page size this file was created with.
-    pub fn page_size(&self) -> usize {
-        self.page_size
-    }
-
-    /// Pages currently sitting in the write-back queue.
-    pub fn queued_writes(&self) -> usize {
-        self.queue.len()
-    }
-
-    fn write_header(&mut self) -> io::Result<()> {
-        let mut header = [0u8; FILE_HEADER_LEN];
-        header[..6].copy_from_slice(PAGE_FILE_MAGIC);
-        header[6..14].copy_from_slice(&(self.page_size as u64).to_le_bytes());
-        header[14..22].copy_from_slice(&(self.index.len() as u64).to_le_bytes());
-        let crc = crc32(&header[..FILE_HEADER_LEN - 4]);
-        header[FILE_HEADER_LEN - 4..].copy_from_slice(&crc.to_le_bytes());
-        write_all_at(&self.file, &header, 0)?;
-        self.header_dirty = false;
-        Ok(())
-    }
-
-    /// Writes one page record at its indexed slot (allocating a new slot
-    /// for first-time ids).
-    fn write_record(&mut self, id: u64, bytes: &[u8]) -> io::Result<()> {
-        let rec = match self.index.get(&id) {
-            Some(&rec) => rec,
-            None => {
-                let rec = self.index.len() as u64;
-                self.index.insert(id, rec);
-                self.header_dirty = true;
-                rec
-            }
-        };
-        let off = self.record_offset(rec);
-        let buf = self.record.get_mut();
-        buf[..8].copy_from_slice(&id.to_le_bytes());
-        let (payload, padding) = buf[RECORD_PREFIX_LEN..].split_at_mut(bytes.len());
-        payload.copy_from_slice(bytes);
-        padding.fill(0);
-        // CRC covers the whole zero-padded page, matching what `read`
-        // verifies (it cannot know the unpadded length).
-        let crc = crc32(&buf[RECORD_PREFIX_LEN..]);
-        buf[8..12].copy_from_slice(&crc.to_le_bytes());
-        write_all_at(&self.file, buf, off)
-    }
-
-    /// Byte offset of record slot `rec`.
-    fn record_offset(&self, rec: u64) -> u64 {
-        FILE_HEADER_LEN as u64 + rec * (RECORD_PREFIX_LEN + self.page_size) as u64
-    }
-
-    /// Drains the oldest queued page to disk.
-    fn drain_one(&mut self) -> io::Result<()> {
-        if let Some(id) = self.queue.pop_front() {
-            if let Some(bytes) = self.queued.remove(&id) {
-                self.write_record(id, &bytes)?;
-            }
-        }
-        Ok(())
-    }
-}
-
-impl PageStore for FilePageStore {
-    fn read(&self, id: PageId, sink: &mut dyn FnMut(&[u8])) -> io::Result<bool> {
-        if let Some(bytes) = self.queued.get(&id.0) {
-            sink(bytes);
-            return Ok(true);
-        }
-        let Some(&rec) = self.index.get(&id.0) else {
-            return Ok(false);
-        };
-        let mut buf = self.record.borrow_mut();
-        read_exact_at(&self.file, &mut buf, self.record_offset(rec))?;
-        let stored_id = u64::from_le_bytes(buf[..8].try_into().unwrap());
-        let stored_crc = u32::from_le_bytes(buf[8..12].try_into().unwrap());
-        let payload = &buf[RECORD_PREFIX_LEN..];
-        if stored_id != id.0 {
-            return Err(corrupt("page file: record id mismatch (misdirected read)"));
-        }
-        if crc32(payload) != stored_crc {
-            return Err(corrupt("page file: page checksum mismatch (torn page)"));
-        }
-        sink(payload);
-        Ok(true)
-    }
-
-    fn write(&mut self, id: PageId, bytes: &[u8]) -> io::Result<()> {
-        assert!(
-            bytes.len() <= self.page_size,
-            "page payload {} exceeds page size {}",
-            bytes.len(),
-            self.page_size
-        );
-        if self.queued.insert(id.0, bytes.to_vec()).is_none() {
-            self.queue.push_back(id.0);
-        }
-        while self.queue.len() > self.writeback_cap {
-            self.drain_one()?;
-        }
-        Ok(())
-    }
-
-    fn sync(&mut self) -> io::Result<()> {
-        while !self.queue.is_empty() {
-            self.drain_one()?;
-        }
-        if self.header_dirty {
-            self.write_header()?;
-        }
-        self.file.sync_data()
-    }
-
-    fn page_count(&self) -> usize {
-        let mut n = self.index.len();
-        for id in self.queued.keys() {
-            if !self.index.contains_key(id) {
-                n += 1;
-            }
-        }
-        n
-    }
-}
-
-fn corrupt(msg: &str) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.to_string())
-}
-
-#[cfg(unix)]
-fn read_exact_at(file: &std::fs::File, buf: &mut [u8], off: u64) -> io::Result<()> {
-    use std::os::unix::fs::FileExt;
-    file.read_exact_at(buf, off)
-}
-
-#[cfg(unix)]
-fn write_all_at(file: &std::fs::File, buf: &[u8], off: u64) -> io::Result<()> {
-    use std::os::unix::fs::FileExt;
-    file.write_all_at(buf, off)
 }
 
 // ---------------------------------------------------------------------
@@ -669,87 +408,6 @@ mod tests {
         assert_eq!(page(&s, 1).unwrap().unwrap(), vec![1, 2, 3]);
         assert_eq!(s.page_count(), 2);
         s.sync().unwrap();
-    }
-
-    fn tmp_path(tag: &str) -> std::path::PathBuf {
-        std::env::temp_dir().join(format!(
-            "quit-pool-{tag}-{}-{:?}.qpf",
-            std::process::id(),
-            std::thread::current().id()
-        ))
-    }
-
-    #[test]
-    fn file_store_roundtrip_and_reopen() {
-        let path = tmp_path("roundtrip");
-        {
-            let mut s = FilePageStore::create(&path, 128).unwrap();
-            for i in 0..10u64 {
-                s.write(PageId(i), &[i as u8; 64]).unwrap();
-            }
-            // Overwrite one page before drain: still a single record.
-            s.write(PageId(3), &[0xAB; 128]).unwrap();
-            s.sync().unwrap();
-            assert_eq!(s.page_count(), 10);
-        }
-        let s = FilePageStore::open(&path).unwrap();
-        assert_eq!(s.page_size(), 128);
-        assert_eq!(s.page_count(), 10);
-        assert_eq!(page(&s, 3).unwrap().unwrap()[..5], [0xAB; 5]);
-        assert_eq!(page(&s, 7).unwrap().unwrap()[..5], [7; 5]);
-        assert!(page(&s, 99).unwrap().is_none());
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn file_store_fifo_writeback_defers_until_pressure() {
-        let path = tmp_path("fifo");
-        let mut s = FilePageStore::create(&path, 64)
-            .unwrap()
-            .with_writeback_cap(4);
-        for i in 0..4u64 {
-            s.write(PageId(i), &[i as u8; 8]).unwrap();
-        }
-        assert_eq!(s.queued_writes(), 4, "under cap: nothing drained");
-        s.write(PageId(4), &[4; 8]).unwrap();
-        assert_eq!(s.queued_writes(), 4, "oldest drained FIFO");
-        // Queued pages are still readable (read-your-writes).
-        assert_eq!(page(&s, 4).unwrap().unwrap()[0], 4);
-        assert_eq!(page(&s, 0).unwrap().unwrap()[0], 0);
-        s.sync().unwrap();
-        assert_eq!(s.queued_writes(), 0);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn file_store_detects_torn_page_and_bad_header() {
-        let path = tmp_path("torn");
-        {
-            let mut s = FilePageStore::create(&path, 64).unwrap();
-            s.write(PageId(0), &[7; 64]).unwrap();
-            s.write(PageId(1), &[8; 64]).unwrap();
-            s.sync().unwrap();
-        }
-        // Flip one payload byte of page 1's record.
-        {
-            use std::os::unix::fs::FileExt;
-            let f = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
-            let stride = (RECORD_PREFIX_LEN + 64) as u64;
-            let off = FILE_HEADER_LEN as u64 + stride + RECORD_PREFIX_LEN as u64 + 10;
-            f.write_all_at(&[0xFF], off).unwrap();
-        }
-        let s = FilePageStore::open(&path).unwrap();
-        assert_eq!(page(&s, 0).unwrap().unwrap()[0], 7, "intact page reads");
-        let err = page(&s, 1).unwrap_err();
-        assert!(err.to_string().contains("torn page"), "got: {err}");
-        // Now corrupt the header checksum: open must refuse outright.
-        {
-            use std::os::unix::fs::FileExt;
-            let f = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
-            f.write_all_at(&[0xFF, 0xFF], 7).unwrap();
-        }
-        assert!(FilePageStore::open(&path).is_err());
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -774,6 +774,16 @@ mod tests {
         let (mut d, _) = open(&storage, DurabilityConfig::group_commit());
         let batch: Vec<(u64, u64)> = (0..500u64).map(|k| (k, k)).collect();
         d.insert_batch(&batch);
+        // Group commit forms groups: the sorted run is one append and one
+        // commit wait, not a sync per record.
+        let m = SortedIndex::<u64, u64>::metrics(&d);
+        assert_eq!(m.wal_appends, 500);
+        assert!(
+            (1..=m.wal_appends).contains(&m.wal_fsyncs),
+            "{} fsyncs for {} records",
+            m.wal_fsyncs,
+            m.wal_appends
+        );
         d.checkpoint::<u64, u64>().unwrap();
         // Post-checkpoint tail.
         for k in 500..600u64 {
@@ -823,6 +833,18 @@ mod tests {
         let batch: Vec<(u64, u64)> = (0..500u64).map(|k| (k, k * 3)).collect();
         d.insert_batch(&batch);
         d.checkpoint_paged().unwrap();
+
+        // With no tail to replay, opening decodes only what the fast path
+        // re-arms on: the tail spine and the poℓe's predecessor leaf.
+        let (lazy, report) = open_paged(&Arc::new(storage.crash_durable_only()));
+        assert_eq!((report.snapshot_entries, report.tail_records), (500, 0));
+        let (faults, height) = (lazy.inner().metrics().page_faults, lazy.inner().height());
+        assert!(
+            faults as usize <= height + 1,
+            "reopen decoded {faults} nodes of a height-{height} tree"
+        );
+        drop(lazy);
+
         for k in 500..600u64 {
             d.insert(k, k * 3);
         }

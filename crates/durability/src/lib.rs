@@ -22,9 +22,9 @@
 //!   `io::Result`, since its implementors speak to the OS.
 //! * Verification is part of the subsystem: [`MemStorage`] models a crash
 //!   as an arbitrary byte prefix of the global append order (never less
-//!   than what fsync promised), [`FaultyWriter`] injects torn/short/
-//!   bit-flipped writes, and `quit-testkit`'s crash-recovery differential
-//!   mode fuzzes crash points against a model replayed to the last durable
+//!   than what fsync promised), and `quit-testkit`'s crash-recovery
+//!   differential mode fuzzes crash points (and byte flips inside a
+//!   published snapshot) against a model replayed to the last durable
 //!   group.
 //!
 //! ```
@@ -72,6 +72,6 @@ pub use durable::{
 };
 pub use frame::{WalCodec, WalOp};
 pub use quit_core::{crc32, Error, Result};
-pub use storage::{FaultyWriter, FsStorage, MemStorage, Storage};
+pub use storage::{FsStorage, MemStorage, Storage};
 pub use txn::{Txn, TxnConfig, TxnStats, TxnStore};
 pub use wal::{Lsn, Wal, WalTuning};

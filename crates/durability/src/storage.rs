@@ -7,11 +7,6 @@
 //! and "crashing" keeps an arbitrary prefix of that order (never less than
 //! what an `fsync` made durable) — exactly the guarantee a journaling
 //! filesystem gives an appended log.
-//!
-//! [`FaultyWriter`] is the complementary fault-injecting [`io::Write`] shim
-//! for code paths that take a writer: it tears writes at a byte offset,
-//! caps write sizes (short writes), and flips bits, producing the corrupt
-//! byte streams the recovery path must survive.
 
 use quit_core::{Error, Result};
 use std::collections::BTreeMap;
@@ -349,96 +344,6 @@ impl Storage for FsStorage {
     }
 }
 
-/// A fault-injecting [`io::Write`] wrapper: tears the stream at a byte
-/// offset (bytes past it vanish while the writer believes they landed —
-/// a crash before the data reached the platter), caps individual write
-/// sizes (short writes, forcing callers to handle partial `write`
-/// returns), and flips one bit at a chosen offset (media corruption).
-pub struct FaultyWriter<W: Write> {
-    inner: W,
-    written: u64,
-    /// Bytes at global offset >= this silently vanish.
-    tear_at: Option<u64>,
-    /// Max bytes accepted per `write` call.
-    short_cap: Option<usize>,
-    /// Global byte offset whose lowest bit gets flipped.
-    flip_at: Option<u64>,
-}
-
-impl<W: Write> FaultyWriter<W> {
-    /// Wraps `inner` with no faults armed.
-    pub fn new(inner: W) -> Self {
-        FaultyWriter {
-            inner,
-            written: 0,
-            tear_at: None,
-            short_cap: None,
-            flip_at: None,
-        }
-    }
-
-    /// Arms a torn write: everything from global byte offset `at` on is
-    /// dropped while reported as written.
-    pub fn tear_at(mut self, at: u64) -> Self {
-        self.tear_at = Some(at);
-        self
-    }
-
-    /// Arms short writes: each `write` call accepts at most `cap` bytes.
-    pub fn short_writes(mut self, cap: usize) -> Self {
-        assert!(cap > 0, "short-write cap must be positive");
-        self.short_cap = Some(cap);
-        self
-    }
-
-    /// Arms a single bit flip at global byte offset `at`.
-    pub fn flip_bit_at(mut self, at: u64) -> Self {
-        self.flip_at = Some(at);
-        self
-    }
-
-    /// Total bytes the *caller* believes were written (faults included).
-    pub fn bytes_accepted(&self) -> u64 {
-        self.written
-    }
-
-    /// Unwraps the inner writer.
-    pub fn into_inner(self) -> W {
-        self.inner
-    }
-}
-
-impl<W: Write> Write for FaultyWriter<W> {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        let take = self.short_cap.map_or(buf.len(), |c| buf.len().min(c));
-        let buf = &buf[..take];
-        // How much of this call lies before the tear point?
-        let survive = match self.tear_at {
-            Some(t) if self.written >= t => 0,
-            Some(t) => ((t - self.written) as usize).min(buf.len()),
-            None => buf.len(),
-        };
-        if survive > 0 {
-            match self.flip_at {
-                Some(f) if (self.written..self.written + survive as u64).contains(&f) => {
-                    let mut corrupted = buf[..survive].to_vec();
-                    corrupted[(f - self.written) as usize] ^= 1;
-                    self.inner.write_all(&corrupted)?;
-                }
-                _ => self.inner.write_all(&buf[..survive])?,
-            }
-        }
-        // Torn bytes are *accepted* (the caller sees success) but never
-        // reach the inner writer — that is the crash.
-        self.written += take as u64;
-        Ok(take)
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        self.inner.flush()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -497,26 +402,6 @@ mod tests {
         let c = s.crash_durable_only();
         assert_eq!(c.read("old").unwrap(), b"payload");
         assert_eq!(c.total_appended(), b"payload".len());
-    }
-
-    #[test]
-    fn faulty_writer_tears_shortens_and_flips() {
-        // Tear at byte 4: caller "writes" 10 bytes, disk holds 4.
-        let mut w = FaultyWriter::new(Vec::new()).tear_at(4);
-        w.write_all(b"0123456789").unwrap();
-        assert_eq!(w.bytes_accepted(), 10);
-        assert_eq!(w.into_inner(), b"0123");
-
-        // Short writes: each call lands at most 3 bytes; write_all loops.
-        let mut w = FaultyWriter::new(Vec::new()).short_writes(3);
-        assert_eq!(w.write(b"abcdef").unwrap(), 3);
-        w.write_all(b"def").unwrap();
-        assert_eq!(w.into_inner(), b"abcdef");
-
-        // Bit flip at offset 1.
-        let mut w = FaultyWriter::new(Vec::new()).flip_bit_at(1);
-        w.write_all(&[0u8, 0, 0]).unwrap();
-        assert_eq!(w.into_inner(), vec![0u8, 1, 0]);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Regenerates every table and figure of the paper at harness scale.
 # Results land in results/<target>.txt. Override sizes via N_MAIN etc.
-set -u
+set -euo pipefail
 cd "$(dirname "$0")/.."
 RUN="cargo run --release -q -p quit-bench --bin"
 run() { echo "=== $1 ($(date +%H:%M:%S)) ==="; }

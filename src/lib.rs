@@ -237,8 +237,10 @@ impl Quit {
     /// fixed-size pages behind a buffer pool capped at `pool_pages`
     /// resident pages, checkpoints publish the page file itself
     /// (`psnap-….qpsf`), and recovery is partly lazy — integrity is
-    /// verified eagerly but nodes fault in on first use, so datasets
-    /// larger than the pool (and RAM) stay usable.
+    /// verified eagerly but nodes fault in on first use. What the pool
+    /// bounds is *decoded-node* residency: evicted pages stay on the heap
+    /// in their encoded form (over the page image as read), so the dataset
+    /// must still fit in RAM.
     ///
     /// The trade is concurrency: the paged backend is single-writer, so
     /// this returns a [`QuitPaged`] handle (`&mut self` mutations, no
@@ -478,19 +480,20 @@ mod tests {
             std::thread::current().id()
         ));
         let _ = std::fs::remove_dir_all(&dir);
+        const POOL: usize = 16;
         {
-            let (mut db, _) = Quit::open_paged(&dir, 64).unwrap();
+            let (mut db, _) = Quit::open_paged(&dir, POOL).unwrap();
             db.insert_batch(&(0..5000u64).map(|k| (k, k * 2)).collect::<Vec<_>>());
             db.delete(3);
             db.checkpoint().unwrap();
             db.insert(10_000, 1);
         }
-        let (mut db, report) = Quit::open_paged(&dir, 64).unwrap();
+        let (mut db, report) = Quit::open_paged(&dir, POOL).unwrap();
         assert_eq!(report.snapshot_entries, 4999);
         assert_eq!(report.tail_records, 1);
         // Lazy recovery: far fewer nodes resident than the tree holds.
         assert!(
-            db.resident_nodes() <= 64,
+            db.resident_nodes() <= POOL,
             "resident {} after open",
             db.resident_nodes()
         );
@@ -501,6 +504,19 @@ mod tests {
         assert_eq!(spot, vec![(100, 200), (101, 202), (102, 204), (103, 206)]);
         let stats = db.stats();
         assert!(stats.page_faults > 0, "reads faulted pages in");
+        // A full scan faults every leaf in (reads never evict); the next
+        // operation boundary trims residency back to the pool budget plus
+        // one operation's pin set.
+        assert_eq!(db.range(..).count(), 5000);
+        assert_eq!(db.get(0), Some(0));
+        let tree = db.store().inner();
+        let bound = POOL + 2 * (tree.height() + 2);
+        assert!(tree.node_count() > bound, "the tree must outgrow the pool");
+        assert!(
+            db.resident_nodes() <= bound,
+            "resident {} after a full scan, bound {bound}",
+            db.resident_nodes()
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -98,11 +98,26 @@ fn every_family_reports_the_same_counter_groups() {
 
 #[test]
 fn json_round_trips_through_hand_parser() {
-    let mut tree = Variant::Quit
-        .build::<u64, u64>(TreeConfig::small(64).with_metrics_level(MetricsLevel::Histograms));
-    for k in 0..10_000u64 {
-        tree.insert(k, k);
-    }
+    // Scrambled, near-sorted and sorted: every insert is counted and
+    // timed exactly once whichever path serves it.
+    let ingest = |k_fraction: f64| {
+        let mut tree = Variant::Quit
+            .build::<u64, u64>(TreeConfig::small(64).with_metrics_level(MetricsLevel::Histograms));
+        for k in quick_insertion_tree::bods::BodsSpec::new(10_000, k_fraction, 1.0).generate() {
+            tree.insert(k, k);
+        }
+        let m = tree.metrics();
+        assert_eq!(m.total_inserts(), 10_000, "K={k_fraction}");
+        assert_eq!(m.insert_latency.count(), 10_000, "K={k_fraction}");
+        tree
+    };
+    ingest(1.0);
+    ingest(0.05);
+    let tree = ingest(0.0);
+    assert!(
+        tree.metrics().fast_inserts > 0,
+        "sorted rides the fast path"
+    );
     for k in (0..10_000u64).step_by(7) {
         tree.get(k);
     }
