@@ -46,7 +46,7 @@ mod sync;
 pub mod test_hooks;
 mod tree;
 
-pub use mvcc::{MvccTree, StripeGuards, VersionCell, VersionChain};
+pub use mvcc::{MvccTree, StripeGuards};
 pub use node::{CNode, NodeRef};
 pub use quit_core::StorageKind;
 pub use tree::{ConcConfig, ConcRangeIter, ConcurrentTree};

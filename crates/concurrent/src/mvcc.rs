@@ -1,130 +1,119 @@
-//! Multi-version concurrency control over [`ConcurrentTree`]: version
-//! chains keyed by commit timestamp, snapshot reads riding the OLC
-//! descent, and a watermark garbage collector.
+//! Multi-version concurrency control over [`ConcurrentTree`]: the newest
+//! version of a key lives in its leaf slot, older ones in a striped side
+//! store, snapshot reads ride the OLC read path, and a watermark garbage
+//! collector visits only keys that have garbage.
 //!
 //! # Shape
 //!
-//! The tree maps each key to one [`VersionCell`] — an `Arc`-shared,
-//! mutex-guarded [`VersionChain`] holding `(commit_ts, Option<V>)`
-//! versions newest-first (`None` is a delete tombstone). The cell is the
-//! tree's *value*, so reads reach it through the existing descent
-//! machinery unchanged: the descent to the leaf is latch-free under OLC,
-//! and because `Arc` has drop glue the leaf-level read takes the
-//! shared-latch materialization path that PR 4 added for heap-owning
-//! values (an `Arc` clone must never race a writer's drop). Version
-//! visibility is then resolved under the cell's own mutex, off the tree's
-//! lock protocol entirely.
+//! The tree's value is a `Slot`: `(commit_ts, Option<V>)`, the key's
+//! newest version (`None` is a delete tombstone). It is plain data whenever
+//! `V` is, so a point read is the tree's latch-free `get` and a scan is a
+//! filter over its `range`; a key written once — the paper's regime —
+//! costs no allocation, lock or pointer beyond the tree's own. Versions an
+//! overwrite or delete supersedes are *spilled* to the side store: one
+//! `BTreeMap<K, Vec<(commit_ts, Option<V>)>>` (newest first) per stripe,
+//! which holds an entry exactly for the keys that have older versions or
+//! whose slot is a tombstone.
 //!
 //! # Visibility rule
 //!
 //! A reader at snapshot `s` sees the newest version with `commit_ts <= s`
-//! — a live value or nothing (tombstone / no such version). Writers
-//! append strictly increasing `commit_ts` per chain (enforced by the
-//! caller holding the key's stripe across allocation and apply; see
-//! [`MvccTree::apply`]).
+//! — a live value or nothing (tombstone / no such version). It takes the
+//! slot if `slot.ts <= s`; otherwise it locks the key's side stripe and
+//! takes the newest spilled version at or below `s`.
 //!
-//! # Cells are immortal, chains are not
+//! # Write rule
 //!
-//! A key's cell is inserted once and never removed from the tree —
-//! deletes append tombstones. This sidesteps every cell-identity race
-//! (two writers racing get-or-insert would duplicate chains; the
-//! [`ConcurrentTree`] keeps duplicate keys) at the cost of a husk per
-//! ever-written key, reclaimed only by a checkpoint+reopen cycle in the
-//! durable wrapper.
+//! Writers append strictly increasing `commit_ts` per key (enforced by
+//! the caller holding the key's write stripe across allocation and apply;
+//! see [`MvccTree::apply`]). An overwrite runs under the leaf's write
+//! latch and spills the prior version *before* it overwrites the slot, so
+//! the side store already holds a version's predecessor by the time any
+//! reader can see that version: a reader sent past the slot always finds
+//! what it was sent for. Lock order is leaf latch → side stripe, for
+//! writers and scans alike; nothing is acquired under a side stripe.
 //!
-//! This is also what makes the Gapped layout's filler copies safe: a
-//! gapped leaf fills its gap slots with *clones* of the nearest live
-//! right neighbour's value — for an MVCC tree that is an `Arc` clone
-//! aliasing the same chain, never a deep copy of the versions. GC
-//! through any alias prunes the one shared chain, so a filler can never
-//! resurrect a version the collector reclaimed (pinned by
-//! `gc_vs_gapped_fillers` below against both layouts).
+//! # Garbage
+//!
+//! [`MvccTree::gc`] walks the side store, not the tree. Per key it drops
+//! the versions no snapshot at or above the watermark can reach, forgets
+//! the entry once the slot is all that is left, and physically deletes a
+//! tombstone slot at or below the watermark — a deleted key leaves nothing
+//! behind. It holds each write stripe while it works through that
+//! stripe's keys, so a slot it read cannot be superseded before its side
+//! list is pruned.
+//!
+//! Under the Gapped layout a leaf's gap slots hold *copies* of their
+//! nearest live right neighbour's slot, and a lookup may land on one;
+//! `ConcurrentTree::upsert` rewrites that filler run with every in-place
+//! update (pinned by `overwrite_reaches_every_gapped_filler` below).
 
 use crate::sync::Mutex;
 use crate::{ConcConfig, ConcurrentTree};
 use quit_core::Key;
+use std::collections::BTreeMap;
 use std::ops::RangeBounds;
-use std::sync::Arc;
 use std::sync::MutexGuard;
 
-/// Stripe count for the per-key write locks — same 64-way sizing as
-/// `quit-durability`'s shared-path ordering stripes (PR 5), which this
-/// lock manager is seeded from.
+/// Stripe count for the per-key write locks and the side store — same
+/// 64-way sizing as `quit-durability`'s shared-path ordering stripes
+/// (PR 5), which this lock manager is seeded from. A stripe set is a
+/// `u64` mask.
 const STRIPES: usize = 64;
+const _: () = assert!(STRIPES <= u64::BITS as usize);
 
-/// One key's version history, newest-first. `None` values are delete
-/// tombstones.
-#[derive(Debug, Default)]
-pub struct VersionChain<V> {
-    /// `(commit_ts, value)` pairs, strictly decreasing in `commit_ts`.
-    versions: Vec<(u64, Option<V>)>,
+/// A key's newest version — the tree's value. `None` is a tombstone.
+#[derive(Clone)]
+struct Slot<V> {
+    ts: u64,
+    value: Option<V>,
 }
 
-impl<V: Clone> VersionChain<V> {
-    /// The newest version visible at snapshot `s`, if it is a live value.
-    fn read_at(&self, s: u64) -> Option<V> {
-        self.versions
-            .iter()
-            .find(|(ts, _)| *ts <= s)
-            .and_then(|(_, v)| v.clone())
-    }
+/// A key's versions older than its slot, strictly decreasing in
+/// `commit_ts`.
+type Older<V> = Vec<(u64, Option<V>)>;
 
-    /// Commit timestamp of the newest version, GC'd or not.
-    fn latest_ts(&self) -> Option<u64> {
-        self.versions.first().map(|(ts, _)| *ts)
-    }
-
-    /// Drops every version a reader at or above `watermark` can no longer
-    /// reach: all versions strictly older than the newest one with
-    /// `commit_ts <= watermark` — and that newest one too when it is a
-    /// tombstone (a reader that would have found it now finds nothing,
-    /// which reads identically). Returns how many versions were dropped.
-    fn prune(&mut self, watermark: u64) -> usize {
-        let Some(split) = self.versions.iter().position(|(ts, _)| *ts <= watermark) else {
-            return 0;
-        };
-        let keep = if self.versions[split].1.is_some() {
-            split + 1
-        } else {
-            split
-        };
-        let dropped = self.versions.len() - keep;
-        self.versions.truncate(keep);
-        dropped
-    }
+struct Stripe<K, V> {
+    /// Serializes the writers (and the collector) of this stripe's keys.
+    write: Mutex<()>,
+    side: Mutex<BTreeMap<K, Older<V>>>,
 }
 
-/// A shared handle to one key's [`VersionChain`] — the value type
-/// [`MvccTree`] stores in its [`ConcurrentTree`]. Cloning is an `Arc`
-/// clone: every alias (including Gapped-layout filler copies) sees the
-/// same chain.
-pub struct VersionCell<V>(Arc<Mutex<VersionChain<V>>>);
-
-impl<V> Clone for VersionCell<V> {
-    fn clone(&self) -> Self {
-        VersionCell(Arc::clone(&self.0))
-    }
+/// Drops from `older` every version a reader at or above `watermark` can
+/// no longer reach, given the slot above them: all of them when the slot
+/// itself is at or below the watermark, else everything strictly older
+/// than the newest one with `commit_ts <= watermark` — and that one too
+/// when it is a tombstone (a reader that would have found it now finds
+/// nothing, which reads identically). Returns how many were dropped.
+fn prune<V>(slot_ts: u64, older: &mut Older<V>, watermark: u64) -> usize {
+    let keep = if slot_ts <= watermark {
+        0
+    } else {
+        match older.iter().position(|(ts, _)| *ts <= watermark) {
+            Some(split) => split + usize::from(older[split].1.is_some()),
+            None => return 0,
+        }
+    };
+    let dropped = older.len() - keep;
+    older.truncate(keep);
+    dropped
 }
 
-impl<V> VersionCell<V> {
-    fn new() -> Self {
-        VersionCell(Arc::new(Mutex::new(VersionChain {
-            versions: Vec::new(),
-        })))
-    }
+/// The write stripes covering one transaction's keys, acquired in stripe
+/// order (deadlock-free) by [`MvccTree::lock_keys`]. Dropping it releases
+/// every stripe.
+pub struct StripeGuards<'a>(#[allow(dead_code)] Held<'a>);
+
+#[allow(dead_code)] // held for their drop side effect
+enum Held<'a> {
+    /// One stripe — every single-key commit — needs no allocation.
+    One(MutexGuard<'a, ()>),
+    Many(Vec<MutexGuard<'a, ()>>),
 }
 
-/// A guard set over the write stripes covering one transaction's keys,
-/// acquired in stripe order (deadlock-free) by [`MvccTree::lock_keys`].
-/// Dropping it releases every stripe.
-pub struct StripeGuards<'a> {
-    #[allow(dead_code)] // held for its drop side effect
-    guards: Vec<MutexGuard<'a, ()>>,
-}
-
-/// A multi-version [`ConcurrentTree`]: keys map to version chains, reads
-/// are snapshot reads, writes are timestamped appends. See the module
-/// docs for the visibility rule and locking contract.
+/// A multi-version [`ConcurrentTree`]: reads are snapshot reads, writes
+/// are timestamped versions. See the module docs for the visibility rule
+/// and locking contract.
 ///
 /// This type is mechanism, not policy: it does not allocate timestamps,
 /// detect conflicts, or log. `quit-durability`'s `TxnStore` layers the
@@ -132,8 +121,8 @@ pub struct StripeGuards<'a> {
 /// validation, WAL commit groups, GC scheduling) on top of exactly this
 /// API.
 pub struct MvccTree<K: Key, V: Clone> {
-    tree: ConcurrentTree<K, VersionCell<V>>,
-    stripes: Box<[Mutex<()>]>,
+    tree: ConcurrentTree<K, Slot<V>>,
+    stripes: Box<[Stripe<K, V>]>,
 }
 
 impl<K: Key, V: Clone> MvccTree<K, V> {
@@ -142,38 +131,36 @@ impl<K: Key, V: Clone> MvccTree<K, V> {
     pub fn new(config: ConcConfig) -> Self {
         MvccTree {
             tree: ConcurrentTree::new(config),
-            stripes: (0..STRIPES).map(|_| Mutex::new(())).collect(),
+            stripes: (0..STRIPES)
+                .map(|_| Stripe {
+                    write: Mutex::new(()),
+                    side: Mutex::new(BTreeMap::new()),
+                })
+                .collect(),
         }
     }
 
     /// Bulk-builds from `(key, commit_ts, value)` entries in key order —
-    /// the recovery path: each key gets a single-version chain. Rides the
-    /// inner tree's sorted-run batch fast path.
+    /// the recovery path: every key is a slot and nothing else, inserted
+    /// in order so the run rides the inner tree's fast path.
     pub fn bulk_load(config: ConcConfig, entries: Vec<(K, u64, V)>) -> Self {
-        use quit_core::SortedIndex;
-        let mut this = Self::new(config);
-        let cells: Vec<(K, VersionCell<V>)> = entries
-            .into_iter()
-            .map(|(k, ts, v)| {
-                let cell = VersionCell::new();
-                cell.0.lock().versions.push((ts, Some(v)));
-                (k, cell)
-            })
-            .collect();
-        this.tree.insert_batch(&cells);
+        let this = Self::new(config);
+        for (key, ts, v) in entries {
+            this.tree.insert(key, Slot { ts, value: Some(v) });
+        }
         this
     }
 
-    /// The stripe index covering `key` — `to_ikr`-based, identical in
-    /// shape to `quit-durability`'s shared-path stripe hash so equal keys
-    /// always collide and `f64`'s two zeros normalize alike.
+    /// The stripe covering `key` — `to_ikr`-based, identical in shape to
+    /// `quit-durability`'s shared-path stripe hash so equal keys always
+    /// collide and `f64`'s two zeros normalize alike.
     fn stripe_of(&self, key: K) -> usize {
         let ikr = key.to_ikr();
         let mut h = (if ikr == 0.0 { 0.0 } else { ikr }).to_bits();
         h = (h ^ (h >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         h = (h ^ (h >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         h ^= h >> 31;
-        (h % self.stripes.len() as u64) as usize
+        (h % STRIPES as u64) as usize
     }
 
     /// Locks the write stripes covering `keys` — deduplicated and
@@ -182,76 +169,128 @@ impl<K: Key, V: Clone> MvccTree<K, V> {
     /// deadlock. Hold the returned guards across conflict validation,
     /// logging, and [`apply`](Self::apply) of every key in the set.
     pub fn lock_keys(&self, keys: &[K]) -> StripeGuards<'_> {
-        let mut idx: Vec<usize> = keys.iter().map(|&k| self.stripe_of(k)).collect();
-        idx.sort_unstable();
-        idx.dedup();
-        StripeGuards {
-            guards: idx.into_iter().map(|i| self.stripes[i].lock()).collect(),
+        let mask = keys
+            .iter()
+            .fold(0u64, |mask, &k| mask | 1 << self.stripe_of(k));
+        let mut rest = mask;
+        let mut next = || {
+            let stripe = rest.trailing_zeros() as usize;
+            rest &= rest - 1;
+            self.stripes[stripe].write.lock()
+        };
+        StripeGuards(match mask.count_ones() {
+            1 => Held::One(next()),
+            n => Held::Many((0..n).map(|_| next()).collect()),
+        })
+    }
+
+    /// Resolves `key` at `snapshot_ts` when the snapshot may not be
+    /// registered with whoever schedules [`gc`](Self::gc): `None` means
+    /// the slot is newer than the snapshot and the side store holds
+    /// nothing at or below it. For a snapshot the watermark respects that
+    /// is "absent"; for one it may have passed, the version this reader
+    /// was sent for may have been pruned, and the caller should resolve
+    /// again at a fresher snapshot. Any version that *is* found is the
+    /// right one either way: pruning only ever removes a suffix.
+    pub fn try_read_at(&self, key: K, snapshot_ts: u64) -> Option<Option<V>> {
+        match self.tree.get(key) {
+            Some(slot) if slot.ts > snapshot_ts => self.older_at(key, snapshot_ts),
+            newest => Some(newest.and_then(|slot| slot.value)),
         }
     }
 
+    /// The newest version of `key` at or below `snapshot_ts` among those
+    /// spilled out of its slot.
+    fn older_at(&self, key: K, snapshot_ts: u64) -> Option<Option<V>> {
+        let side = self.stripes[self.stripe_of(key)].side.lock();
+        let (_, value) = side.get(&key)?.iter().find(|(ts, _)| *ts <= snapshot_ts)?;
+        Some(value.clone())
+    }
+
     /// Snapshot read: the newest live value with `commit_ts <=
-    /// snapshot_ts`. The descent is the tree's ordinary read path (OLC
-    /// latch-free when enabled); version resolution happens under the
-    /// cell's mutex.
+    /// snapshot_ts`. For a plain-data `V` at a snapshot no older than the
+    /// key's slot this is the tree's latch-free `get` and nothing more.
     pub fn read_at(&self, key: K, snapshot_ts: u64) -> Option<V> {
-        let cell = self.tree.get(key)?;
-        let chain = cell.0.lock();
-        chain.read_at(snapshot_ts)
+        self.try_read_at(key, snapshot_ts).flatten()
     }
 
     /// Commit timestamp of the newest version of `key` (live or
-    /// tombstone), or `None` if the key was never written or its chain
-    /// was fully GC'd. This is the first-committer-wins witness: a
-    /// transaction at snapshot `s` writing `key` conflicts iff
+    /// tombstone), or `None` if the key was never written or its
+    /// tombstone was reclaimed. This is the first-committer-wins witness:
+    /// a transaction at snapshot `s` writing `key` conflicts iff
     /// `latest_commit_ts(key) > s`.
     pub fn latest_commit_ts(&self, key: K) -> Option<u64> {
-        let cell = self.tree.get(key)?;
-        let chain = cell.0.lock();
-        chain.latest_ts()
+        self.tree.get(key).map(|slot| slot.ts)
     }
 
-    /// Appends a version: `Some(v)` writes, `None` deletes (tombstone).
+    /// Writes a version: `Some(v)` writes, `None` deletes (tombstone).
     /// Returns whether the previous newest version was a live value (the
-    /// caller's live-key accounting).
+    /// caller's live-key accounting). One tree descent either way.
     ///
     /// # Contract
     ///
     /// The caller must hold `key`'s stripe (via
     /// [`lock_keys`](Self::lock_keys)) and must allocate `commit_ts`
-    /// *while holding it*, so per-chain timestamps are strictly
-    /// increasing — debug-asserted here.
+    /// *while holding it*, so per-key timestamps are strictly increasing
+    /// — debug-asserted here.
     pub fn apply(&self, key: K, commit_ts: u64, value: Option<V>) -> bool {
-        let cell = match self.tree.get(key) {
-            Some(c) => c,
-            None => {
-                // First write to this key. Safe without a get-or-insert
-                // CAS: the stripe serializes all writers of this key, so
-                // no other thread can be inserting the same key's cell.
-                let c = VersionCell::new();
-                self.tree.insert(key, c.clone());
-                c
-            }
+        let side = &self.stripes[self.stripe_of(key)].side;
+        let tombstone = value.is_none();
+        let mut prev_live = false;
+        let newest = Slot {
+            ts: commit_ts,
+            value,
         };
-        let mut chain = cell.0.lock();
-        debug_assert!(
-            chain.latest_ts().is_none_or(|ts| ts < commit_ts),
-            "per-chain commit timestamps must be strictly increasing"
-        );
-        let prev_live = chain.versions.first().is_some_and(|(_, v)| v.is_some());
-        chain.versions.insert(0, (commit_ts, value));
+        let existed = self.tree.upsert(key, newest, |slot, new| {
+            debug_assert!(
+                slot.ts < new.ts,
+                "per-key commit timestamps must be strictly increasing"
+            );
+            prev_live = slot.value.is_some();
+            // Spill, then overwrite (module docs, "Write rule").
+            let prior = (slot.ts, slot.value.take());
+            side.lock().entry(key).or_default().insert(0, prior);
+            *slot = new;
+        });
+        if tombstone && !existed {
+            // A tombstone slot with no history still needs collecting.
+            side.lock().entry(key).or_default();
+        }
         prev_live
     }
 
-    /// Reclaims versions no live snapshot can reach: for every chain,
-    /// drops everything older than the newest version with `commit_ts <=
-    /// watermark` (and that version too if it is a tombstone). The caller
-    /// guarantees no reader holds a snapshot below `watermark`. Returns
-    /// the number of versions reclaimed.
+    /// Reclaims what no snapshot at or above `watermark` can reach: every
+    /// side version older than the newest one at or below the watermark
+    /// (and that one too if it is a tombstone), and tombstone slots at or
+    /// below it, which are deleted from the tree outright. The caller
+    /// guarantees no reader holds a snapshot below `watermark` and must
+    /// not hold any [`StripeGuards`]. Returns the number of versions
+    /// reclaimed. Costs one lock pair per stripe plus work per key that
+    /// has garbage; keys written once are never visited.
     pub fn gc(&self, watermark: u64) -> usize {
         let mut reclaimed = 0;
-        for (_, cell) in self.tree.range(..) {
-            reclaimed += cell.0.lock().prune(watermark);
+        for stripe in self.stripes.iter() {
+            let _writers = stripe.write.lock();
+            // Candidates first: `get` and `delete` latch leaves, and no
+            // leaf latch may be taken under a side stripe.
+            let keys: Vec<K> = stripe.side.lock().keys().copied().collect();
+            for key in keys {
+                let slot = self
+                    .tree
+                    .get(key)
+                    .expect("side entries are for keys in the tree");
+                let dead = slot.value.is_none() && slot.ts <= watermark;
+                let mut side = stripe.side.lock();
+                let older = side.get_mut(&key).expect("only the collector removes");
+                reclaimed += prune(slot.ts, older, watermark) + usize::from(dead);
+                if dead || (older.is_empty() && slot.value.is_some()) {
+                    side.remove(&key);
+                }
+                drop(side);
+                if dead {
+                    self.tree.delete(key);
+                }
+            }
         }
         reclaimed
     }
@@ -263,31 +302,32 @@ impl<K: Key, V: Clone> MvccTree<K, V> {
     pub fn scan_at<R: RangeBounds<K>>(&self, bounds: R, snapshot_ts: u64) -> Vec<(K, V)> {
         self.tree
             .range(bounds)
-            .filter_map(|(k, cell)| cell.0.lock().read_at(snapshot_ts).map(|v| (k, v)))
+            .filter_map(|(k, slot)| {
+                let value = if slot.ts <= snapshot_ts {
+                    slot.value
+                } else {
+                    self.older_at(k, snapshot_ts).flatten()
+                };
+                value.map(|v| (k, v))
+            })
             .collect()
     }
 
     /// Every key whose newest version is a live value, as `(key,
     /// commit_ts, value)` in key order — the checkpoint image. Tombstoned
-    /// and fully-GC'd keys are omitted: after the WAL rotates, no
-    /// post-restart snapshot can predate the checkpoint, so their
-    /// history is unreachable by construction.
+    /// keys are omitted: after the WAL rotates, no post-restart snapshot
+    /// can predate the checkpoint, so their history is unreachable by
+    /// construction.
     pub fn latest_live(&self) -> Vec<(K, u64, V)> {
         self.tree
             .range(..)
-            .filter_map(|(k, cell)| {
-                let chain = cell.0.lock();
-                match chain.versions.first() {
-                    Some((ts, Some(v))) => Some((k, *ts, v.clone())),
-                    _ => None,
-                }
-            })
+            .filter_map(|(k, slot)| slot.value.map(|v| (k, slot.ts, v)))
             .collect()
     }
 
-    /// Number of keys ever written (live, tombstoned, and GC-husk cells
-    /// alike) — a capacity statistic, not a live-key count; the
-    /// transaction layer tracks live keys exactly.
+    /// Number of keys in the tree: live ones plus tombstones the
+    /// collector has not yet reclaimed — a capacity statistic, not a
+    /// live-key count; the transaction layer tracks live keys exactly.
     pub fn keys_ever(&self) -> usize {
         self.tree.len()
     }
@@ -299,21 +339,41 @@ impl<K: Key, V: Clone> MvccTree<K, V> {
     }
 
     /// Structural consistency check of the underlying tree plus the MVCC
-    /// invariant that every chain's timestamps strictly decrease.
+    /// invariants: each side list strictly decreasing and strictly below
+    /// its slot's timestamp, a side entry for every tombstone slot, no
+    /// empty side list under a live slot, and no side entry for a key the
+    /// tree does not hold. Call on a quiesced tree.
     pub fn check_consistency(&self) -> Result<(), String> {
         self.tree.check_consistency()?;
-        for (k, cell) in self.tree.range(..) {
-            let chain = cell.0.lock();
-            for w in chain.versions.windows(2) {
-                if w[0].0 <= w[1].0 {
+        let mut matched = 0;
+        for (k, slot) in self.tree.range(..) {
+            let side = self.stripes[self.stripe_of(k)].side.lock();
+            let Some(older) = side.get(&k) else {
+                if slot.value.is_none() {
+                    return Err(format!("tombstone slot without a side entry (key {k:?})"));
+                }
+                continue;
+            };
+            matched += 1;
+            if older.is_empty() && slot.value.is_some() {
+                return Err(format!("empty side list under a live slot (key {k:?})"));
+            }
+            let mut above = slot.ts;
+            for &(ts, _) in older {
+                if ts >= above {
                     return Err(format!(
-                        "non-decreasing version timestamps {} -> {} in a chain (key ikr {})",
-                        w[1].0,
-                        w[0].0,
-                        k.to_ikr()
+                        "version timestamps do not decrease: {ts} under {above} (key {k:?})"
                     ));
                 }
+                above = ts;
             }
+        }
+        let entries: usize = self.stripes.iter().map(|s| s.side.lock().len()).sum();
+        if entries != matched {
+            return Err(format!(
+                "{} side entries for keys absent from the tree",
+                entries - matched
+            ));
         }
         Ok(())
     }
@@ -323,8 +383,9 @@ impl<K: Key, V: Clone> MvccTree<K, V> {
 mod tests {
     use super::*;
     use quit_core::{NodeLayoutKind, TreeConfig};
+    use std::sync::Arc;
 
-    fn tiny(layout: NodeLayoutKind) -> MvccTree<u64, u64> {
+    fn tiny<V: Clone>(layout: NodeLayoutKind) -> MvccTree<u64, V> {
         // Tiny leaves force splits (and, for Gapped, filler seeding) with
         // few keys.
         MvccTree::new(ConcConfig::from_tree(
@@ -332,9 +393,16 @@ mod tests {
         ))
     }
 
-    fn write(t: &MvccTree<u64, u64>, key: u64, ts: u64, v: Option<u64>) -> bool {
+    fn write<V: Clone>(t: &MvccTree<u64, V>, key: u64, ts: u64, v: Option<V>) -> bool {
         let _g = t.lock_keys(&[key]);
         t.apply(key, ts, v)
+    }
+
+    #[test]
+    fn slot_is_plain_data_and_small() {
+        assert!(std::mem::size_of::<Slot<u64>>() <= 24);
+        assert!(!std::mem::needs_drop::<Slot<u64>>());
+        assert!(std::mem::needs_drop::<Slot<String>>());
     }
 
     #[test]
@@ -356,12 +424,29 @@ mod tests {
     }
 
     #[test]
+    fn try_read_at_tells_pruned_from_absent() {
+        let t = tiny(NodeLayoutKind::Dense);
+        write(&t, 1, 10, Some(1));
+        write(&t, 1, 20, Some(2));
+        write(&t, 2, 15, None);
+        assert_eq!(t.try_read_at(1, 15), Some(Some(1)));
+        assert_eq!(t.try_read_at(2, 15), Some(None), "a tombstone resolves");
+        assert_eq!(t.try_read_at(3, 15), Some(None), "never written resolves");
+        // The collector passes the reader's (unregistered) snapshot.
+        assert_eq!(t.gc(20), 2, "key 1's version 10 and key 2's tombstone");
+        assert_eq!(t.try_read_at(1, 15), None, "pruned: resolve again");
+        assert_eq!(t.try_read_at(1, 20), Some(Some(2)));
+    }
+
+    #[test]
     fn apply_reports_previous_liveness() {
         let t = tiny(NodeLayoutKind::Dense);
         assert!(!write(&t, 1, 1, Some(10))); // absent -> live
         assert!(write(&t, 1, 2, Some(11))); // live -> live
         assert!(write(&t, 1, 3, None)); // live -> tombstone
         assert!(!write(&t, 1, 4, Some(12))); // tombstone -> live
+        assert!(!write(&t, 2, 5, None)); // absent -> tombstone
+        t.check_consistency().unwrap();
     }
 
     #[test]
@@ -375,12 +460,20 @@ mod tests {
         assert_eq!(t.read_at(7, 35), Some(3));
         assert_eq!(t.read_at(7, 40), Some(4));
         assert_eq!(t.read_at(7, u64::MAX), Some(5));
-        // Tombstone at the watermark boundary is dropped entirely.
+        // A tombstone at or below the watermark goes, and its key with it.
         write(&t, 8, 10, Some(1));
         write(&t, 8, 20, None);
+        assert_eq!(t.keys_ever(), 2);
         assert_eq!(t.gc(25), 2);
         assert_eq!(t.read_at(8, 25), None);
         assert_eq!(t.latest_commit_ts(8), None);
+        assert_eq!(t.keys_ever(), 1, "the tombstone slot was deleted");
+        // A tombstone above the watermark stays until the watermark passes.
+        write(&t, 9, 60, None);
+        assert_eq!(t.gc(59), 2, "key 7's versions 30 and 40, under slot 50");
+        assert_eq!(t.latest_commit_ts(9), Some(60));
+        assert_eq!(t.gc(60), 1, "key 9's tombstone");
+        assert_eq!(t.keys_ever(), 1);
         t.check_consistency().unwrap();
     }
 
@@ -405,41 +498,122 @@ mod tests {
         assert_eq!(t.scan_at(5..10, 20).len(), 5);
     }
 
-    /// Satellite: Gapped-layout filler slots clone the neighbouring
-    /// cell — an `Arc` alias of the same chain, not a snapshot of its
-    /// versions. GC must therefore be visible through every alias, and a
-    /// filler must never resurrect a reclaimed version. Pinned against
-    /// both layouts so a future deep-copying layout change fails loudly.
+    /// Gapped-layout filler slots hold *copies* of the neighbouring slot,
+    /// and a lookup's lower bound lands on the first filler of a run, not
+    /// on the live slot. An overwrite must therefore reach every filler:
+    /// each read below goes through whatever alias the leaf has for its
+    /// key, at the new snapshot, the old one, and after the old one is
+    /// collected. Both layouts, so a layout change fails loudly.
     #[test]
-    fn gc_vs_gapped_fillers_never_resurrects() {
+    fn overwrite_reaches_every_gapped_filler() {
         for layout in [NodeLayoutKind::Dense, NodeLayoutKind::Gapped] {
             let t = tiny(layout);
             // Random-ish insertion order and enough keys to split leaves
-            // repeatedly, seeding gaps (filler clones) under Gapped.
+            // repeatedly, seeding gaps (filler copies) under Gapped.
             let mut keys: Vec<u64> = (0..200).map(|i| (i * 37) % 211).collect();
             keys.dedup();
             for (i, &k) in keys.iter().enumerate() {
                 write(&t, k, 10 + i as u64, Some(k * 2));
             }
-            // Overwrite every key, then GC below the overwrite ts.
             let base = 10_000u64;
             for (i, &k) in keys.iter().enumerate() {
                 write(&t, k, base + i as u64, Some(k * 3));
+                // Visible at once, before any later overwrite touches the leaf.
+                assert_eq!(t.read_at(k, u64::MAX), Some(k * 3), "layout {layout:?}");
             }
-            let reclaimed = t.gc(u64::MAX - 1);
-            assert_eq!(reclaimed, keys.len(), "layout {layout:?}");
-            // Every read — including ones that land on filler slots
-            // inside gapped leaves — must see only the surviving version,
-            // at every snapshot.
+            for (i, &k) in keys.iter().enumerate() {
+                assert_eq!(t.read_at(k, u64::MAX), Some(k * 3), "layout {layout:?}");
+                assert_eq!(t.latest_commit_ts(k), Some(base + i as u64));
+                assert_eq!(t.read_at(k, base - 1), Some(k * 2), "layout {layout:?}");
+            }
+            t.check_consistency().unwrap();
+            assert_eq!(t.gc(u64::MAX - 1), keys.len(), "layout {layout:?}");
             for &k in &keys {
                 assert_eq!(t.read_at(k, u64::MAX), Some(k * 3), "layout {layout:?}");
                 assert_eq!(
-                    t.read_at(k, base.saturating_sub(1)),
+                    t.read_at(k, base - 1),
                     None,
-                    "layout {layout:?}: GC'd version resurrected"
+                    "layout {layout:?}: collected version resurrected"
                 );
             }
             t.check_consistency().unwrap();
+        }
+    }
+
+    /// Model differential: random `apply` / `read_at` / `scan_at` /
+    /// `latest_commit_ts` / `gc` against a `BTreeMap` of full version
+    /// lists pruned by the textbook rule.
+    fn differential<V: Clone + PartialEq + std::fmt::Debug>(
+        layout: NodeLayoutKind,
+        make: impl Fn(u64) -> V,
+    ) {
+        use rand::prelude::*;
+        let t: MvccTree<u64, V> = tiny(layout);
+        // Oldest first.
+        let mut model: BTreeMap<u64, Vec<(u64, Option<V>)>> = BTreeMap::new();
+        let at = |model: &BTreeMap<u64, Vec<(u64, Option<V>)>>, k: u64, s: u64| {
+            let versions = model.get(&k)?;
+            versions.iter().rev().find(|(ts, _)| *ts <= s)?.1.clone()
+        };
+        let mut rng = StdRng::seed_from_u64(0x3C_C0DE ^ layout as u64);
+        let (mut now, mut watermark) = (0u64, 0u64);
+        for step in 0..6_000 {
+            let k = rng.gen_range(0..96u64);
+            let s = rng.gen_range(watermark..=now);
+            match rng.gen_range(0..10) {
+                0..=4 => {
+                    now += 1;
+                    let v = (rng.gen_range(0..4) > 0).then(|| make(now));
+                    let versions = model.entry(k).or_default();
+                    let prev_live = versions.last().is_some_and(|(_, v)| v.is_some());
+                    versions.push((now, v.clone()));
+                    assert_eq!(write(&t, k, now, v), prev_live, "step {step}");
+                }
+                5 | 6 => assert_eq!(t.read_at(k, s), at(&model, k, s), "step {step}"),
+                7 => {
+                    let newest = model.get(&k).map(|v| v.last().expect("non-empty").0);
+                    assert_eq!(t.latest_commit_ts(k), newest, "step {step}");
+                }
+                8 => {
+                    let want: Vec<(u64, V)> = model
+                        .range(k..k + 24)
+                        .filter_map(|(&k, _)| at(&model, k, s).map(|v| (k, v)))
+                        .collect();
+                    assert_eq!(t.scan_at(k..k + 24, s), want, "step {step}");
+                }
+                _ => {
+                    watermark = s;
+                    let mut dropped = 0;
+                    model.retain(|_, versions| {
+                        if let Some(i) = versions.iter().rposition(|(ts, _)| *ts <= watermark) {
+                            let cut = i + usize::from(versions[i].1.is_none());
+                            dropped += versions.drain(..cut).len();
+                        }
+                        !versions.is_empty()
+                    });
+                    assert_eq!(t.gc(watermark), dropped, "step {step}");
+                    t.check_consistency().unwrap();
+                    let newest = model.values().map(|v| v.last().expect("non-empty"));
+                    let kept = newest
+                        .filter(|(ts, v)| v.is_some() || *ts > watermark)
+                        .count();
+                    assert_eq!(kept, model.len());
+                    assert_eq!(t.keys_ever(), kept, "live + tombstones above the watermark");
+                }
+            }
+        }
+        t.check_consistency().unwrap();
+        assert!(
+            now > 2_000 && watermark > 0,
+            "the run must overwrite and collect"
+        );
+    }
+
+    #[test]
+    fn model_differential_plain_and_heap_values_both_layouts() {
+        for layout in [NodeLayoutKind::Dense, NodeLayoutKind::Gapped] {
+            differential(layout, |ts| ts * 7); // latch-free slot reads
+            differential(layout, |ts| format!("v{ts}")); // latched slot reads
         }
     }
 
@@ -453,7 +627,6 @@ mod tests {
                 let t = Arc::clone(&t);
                 let ts = Arc::clone(&ts);
                 std::thread::spawn(move || {
-                    // Overlapping multi-key sets in clashing orders.
                     for i in 0..200u64 {
                         // Overlapping shared keys lock in clashing
                         // orders; each thread writes only its own key.

@@ -230,11 +230,34 @@ impl<K: Key, V: Clone> ConcurrentTree<K, V> {
     // Insert
     // ------------------------------------------------------------------
 
-    /// Inserts an entry (thread-safe).
+    /// Inserts an entry (thread-safe). Duplicate keys are kept: this never
+    /// looks for an entry that is already there.
     pub fn insert(&self, key: K, value: V) {
+        self.insert_or(key, value, &mut ());
+    }
+
+    /// Inserts `(key, value)` unless a live entry for `key` exists, in which
+    /// case `merge(existing, value)` updates that entry in place under its
+    /// leaf's write latch. Returns whether the entry existed.
+    ///
+    /// One descent, in `insert`'s path order (poℓe fast path → optimistic
+    /// descent → crabbing), and on each path the existence check and the
+    /// insert share one hold of the owning leaf's latch — so upserts of one
+    /// key are atomic against each other, the check precedes any split, and
+    /// `merge` runs at most once. An in-place update is not an insert: it
+    /// leaves `len`, the insert counters and the poℓe/IKR state alone.
+    pub fn upsert(&self, key: K, value: V, merge: impl FnOnce(&mut V, V)) -> bool {
+        let mut merge = Some(merge);
+        self.insert_or(key, value, &mut merge);
+        merge.is_none()
+    }
+
+    /// The three insert paths, parameterized by what to do about an entry
+    /// that already holds `key` (`()` = nothing, `insert`'s behaviour).
+    fn insert_or<M: OnExisting<V>>(&self, key: K, value: V, existing: &mut M) {
         let t0 = self.metrics.op_timer();
         let (value, count_as_fast) = if self.config.pole_enabled {
-            match self.try_fast_insert(key, value) {
+            match self.try_fast_insert(key, value, existing) {
                 FastAttempt::Done => {
                     self.metrics.record_insert_latency(t0);
                     return;
@@ -253,7 +276,7 @@ impl<K: Key, V: Clone> ConcurrentTree<K, V> {
         // off). The OLC path hands back the value when the target leaf
         // turns out to need a split, or when the restart budget runs out.
         let value = if self.config.olc_enabled && !count_as_fast {
-            match self.insert_olc(key, value) {
+            match self.insert_olc(key, value, existing) {
                 Ok(()) => {
                     self.metrics.record_insert_latency(t0);
                     return;
@@ -263,8 +286,41 @@ impl<K: Key, V: Clone> ConcurrentTree<K, V> {
         } else {
             value
         };
-        self.top_insert(key, value, count_as_fast);
+        self.top_insert(key, value, count_as_fast, existing);
         self.metrics.record_insert_latency(t0);
+    }
+
+    /// The upsert half of an insert that holds its leaf write-latched and
+    /// range-validated: merges `value` into the live entry for `key` if
+    /// there is one (`None`), else hands `value` back to be inserted.
+    fn merge_existing<M: OnExisting<V>>(
+        &self,
+        keys: &[K],
+        vals: &mut [V],
+        gaps: &quit_core::GapMap,
+        key: K,
+        value: V,
+        existing: &mut M,
+    ) -> Option<V> {
+        if !M::LOOKS {
+            return Some(value);
+        }
+        let pos = quit_core::lower_bound(self.config.tree.search_kind, keys, key);
+        if pos == keys.len() || keys[pos] != key {
+            return Some(value);
+        }
+        let live = gaps
+            .next_live(pos, keys.len())
+            .expect("last physical slot is always live");
+        existing.merge(&mut vals[live], value);
+        // `pos..live` is the entry's filler run: gap slots copy their nearest
+        // live right neighbour and a lookup's lower bound lands on the first
+        // of them, so they must carry the update too.
+        let (fillers, rest) = vals.split_at_mut(live);
+        for filler in &mut fillers[pos..] {
+            *filler = rest[0].clone();
+        }
+        None
     }
 
     /// Optimistic insert: latch-free descent, then a write lock on the
@@ -275,7 +331,7 @@ impl<K: Key, V: Clone> ConcurrentTree<K, V> {
     /// `Err(value)` returns ownership when the pessimistic path must take
     /// over: the leaf is full (split required) or the restart budget is
     /// exhausted.
-    fn insert_olc(&self, key: K, value: V) -> Result<(), V> {
+    fn insert_olc<M: OnExisting<V>>(&self, key: K, value: V, existing: &mut M) -> Result<(), V> {
         let mut restarts = 0u32;
         loop {
             if restarts > 0 {
@@ -310,6 +366,9 @@ impl<K: Key, V: Clone> ConcurrentTree<K, V> {
                 restarts += 1;
                 continue;
             }
+            let Some(value) = self.merge_existing(keys, vals, gaps, key, value, existing) else {
+                return Ok(());
+            };
             if keys.len() - gaps.count() >= self.config.tree.leaf_capacity {
                 drop(g);
                 return Err(value);
@@ -359,7 +418,12 @@ impl<K: Key, V: Clone> ConcurrentTree<K, V> {
 
     /// The short-critical-section path: metadata mutex, then a single
     /// `try_lock` on the poℓe leaf.
-    fn try_fast_insert(&self, key: K, value: V) -> FastAttempt<V> {
+    fn try_fast_insert<M: OnExisting<V>>(
+        &self,
+        key: K,
+        value: V,
+        existing: &mut M,
+    ) -> FastAttempt<V> {
         let mut fp = self.fp.lock();
         if !fp.covers(key) {
             return FastAttempt::NotCovered(value);
@@ -384,6 +448,9 @@ impl<K: Key, V: Clone> ConcurrentTree<K, V> {
         if !in_range {
             return FastAttempt::NotCovered(value);
         }
+        let Some(value) = self.merge_existing(keys, vals, gaps, key, value, existing) else {
+            return FastAttempt::Done;
+        };
         if keys.len() - gaps.count() >= self.config.tree.leaf_capacity {
             return FastAttempt::PoleFull(value);
         }
@@ -420,7 +487,13 @@ impl<K: Key, V: Clone> ConcurrentTree<K, V> {
 
     /// Full crabbing insert. `count_as_fast` preserves the paper's
     /// accounting for covered-but-full poℓe inserts.
-    fn top_insert(&self, key: K, value: V, count_as_fast: bool) {
+    fn top_insert<M: OnExisting<V>>(
+        &self,
+        key: K,
+        value: V,
+        count_as_fast: bool,
+        existing: &mut M,
+    ) {
         // Lock the root pointer; it plays the role of the root's parent and
         // is released as soon as any node on the path is safe.
         let mut root_guard = Some(self.root.write());
@@ -451,6 +524,15 @@ impl<K: Key, V: Clone> ConcurrentTree<K, V> {
 
         // `guard` is the leaf; `path` holds exactly the ancestors that may
         // change; `root_guard` is held iff the whole path may split.
+        let CNode::Leaf {
+            keys, vals, gaps, ..
+        } = &mut *guard
+        else {
+            unreachable!("descent ends at a leaf");
+        };
+        let Some(value) = self.merge_existing(keys, vals, gaps, key, value, existing) else {
+            return;
+        };
         let mut leaf_split = None;
         let mut target_arc = current.clone();
         if self.node_unsafe_for_insert(&guard) {
@@ -1485,9 +1567,31 @@ impl<K: Key, V: Clone> quit_core::SortedIndex<K, V> for ConcurrentTree<K, V> {
     }
 }
 
+/// What an insert does about a live entry that already holds its key.
+trait OnExisting<V> {
+    /// Whether the insert looks for such an entry at all.
+    const LOOKS: bool;
+    /// Folds `new` into the entry found; called at most once.
+    fn merge(&mut self, existing: &mut V, new: V);
+}
+
+/// [`ConcurrentTree::insert`]: duplicates are kept, nothing is looked up.
+impl<V> OnExisting<V> for () {
+    const LOOKS: bool = false;
+    fn merge(&mut self, _: &mut V, _: V) {}
+}
+
+/// [`ConcurrentTree::upsert`]: the caller's merge, taken when it runs.
+impl<V, F: FnOnce(&mut V, V)> OnExisting<V> for Option<F> {
+    const LOOKS: bool = true;
+    fn merge(&mut self, existing: &mut V, new: V) {
+        (self.take().expect("merge runs at most once"))(existing, new);
+    }
+}
+
 /// Outcome of a fast-path attempt.
 enum FastAttempt<V> {
-    /// Inserted through the fast path.
+    /// Inserted through the fast path (or merged into an existing entry).
     Done,
     /// Key outside the fast-path range (or metadata stale): top-insert.
     NotCovered(V),
@@ -1556,6 +1660,84 @@ mod tests {
         assert_eq!(resets_after(2), 0, "the streak restarted: miss 1 of 2");
         assert_eq!(resets_after(3), 1, "miss 2 of 2");
         conc.check_consistency().unwrap();
+    }
+
+    /// Every gap slot holds a copy of the slot to its right (transitively,
+    /// of its nearest live right neighbour) — values included. Returns the
+    /// number of gap slots seen.
+    fn assert_fillers_copy_their_source(t: &ConcurrentTree<u64, u64>) -> usize {
+        let mut node = t.root.read().clone();
+        let mut fillers = 0;
+        loop {
+            let next = match &*node.read() {
+                CNode::Internal { children, .. } => children[0].clone(),
+                CNode::Leaf {
+                    vals, gaps, next, ..
+                } => {
+                    for i in (0..vals.len()).filter(|&i| gaps.is_gap(i)) {
+                        assert_eq!(vals[i], vals[i + 1], "stale filler at slot {i}");
+                        fillers += 1;
+                    }
+                    match next {
+                        Some(next) => next.clone(),
+                        None => return fillers,
+                    }
+                }
+            };
+            node = next;
+        }
+    }
+
+    #[test]
+    fn upsert_inserts_like_insert_and_updates_in_place_on_every_path() {
+        let counters = |t: &ConcurrentTree<u64, u64>| {
+            let s = t.stats();
+            [
+                t.len() as u64,
+                s.fast_inserts.get(),
+                s.top_inserts.get(),
+                s.leaf_splits.get(),
+                s.fp_resets.get(),
+            ]
+        };
+        // A scrambled permutation: poℓe hits, optimistic descents and
+        // crabbing splits all occur.
+        let keys: Vec<u64> = (0..307u64).map(|i| (i * 37) % 307).collect();
+        for (pole, olc) in [(true, true), (false, true), (true, false), (false, false)] {
+            for layout in [NodeLayoutKind::Dense, NodeLayoutKind::Gapped] {
+                let config = ConcConfig::from_tree(TreeConfig::small(8).with_node_layout(layout))
+                    .with_pole(pole)
+                    .with_olc(olc);
+                let t: ConcurrentTree<u64, u64> = ConcurrentTree::new(config.clone());
+                let plain: ConcurrentTree<u64, u64> = ConcurrentTree::new(config);
+                for &k in &keys {
+                    assert!(!t.upsert(k, k, |_, _| unreachable!("key {k} is new")));
+                    plain.insert(k, k);
+                }
+                assert_eq!(
+                    counters(&t),
+                    counters(&plain),
+                    "absent keys insert as insert does"
+                );
+                // Now every key exists, full leaves included: each upsert
+                // merges exactly once, splits nothing and counts nothing.
+                let before = counters(&t);
+                for &k in &keys {
+                    let mut ran = 0;
+                    assert!(t.upsert(k, 1_000, |existing, new| {
+                        ran += 1;
+                        *existing += new;
+                    }));
+                    assert_eq!(ran, 1);
+                    assert_eq!(t.get(k), Some(k + 1_000), "through any filler alias");
+                }
+                assert_eq!(counters(&t), before, "pole {pole} olc {olc} {layout:?}");
+                let fillers = assert_fillers_copy_their_source(&t);
+                assert_eq!(fillers > 0, layout == NodeLayoutKind::Gapped);
+                t.check_consistency().unwrap();
+                assert_eq!(t.collect_all().len(), keys.len());
+            }
+        }
     }
 
     #[test]

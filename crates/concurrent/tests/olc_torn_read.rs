@@ -23,13 +23,13 @@ fn hook_lock() -> MutexGuard<'static, ()> {
     }
 }
 
-/// Pins one optimistic lookup at the leaf pause point, splits that leaf
-/// underneath it, releases it, and returns the lookup's result.
-fn read_during_split(
-    tree: &ConcurrentTree<u64, u64>,
+/// Pins one optimistic lookup of `read_key` at the leaf pause point, runs
+/// `write` underneath it, releases it, and returns the lookup's result.
+fn read_during<V: Clone + Send + Sync>(
+    tree: &ConcurrentTree<u64, V>,
     read_key: u64,
-    split_inserts: &[u64],
-) -> Option<u64> {
+    write: impl FnOnce(),
+) -> Option<V> {
     let paused = Arc::new(Barrier::new(2));
     let resume = Arc::new(Barrier::new(2));
     // The hook fires on every optimistic leaf arrival — including the
@@ -49,14 +49,62 @@ fn read_during_split(
         let reader = s.spawn(|| tree.get(read_key));
         // Reader is now pinned between leaf-version read and leaf read.
         paused.wait();
-        for &k in split_inserts {
-            tree.insert(k, k * 10);
-        }
+        write();
         resume.wait();
         reader.join().unwrap()
     });
     test_hooks::clear_leaf_pause();
     result
+}
+
+/// [`read_during`] with a writer that splits the leaf being read.
+fn read_during_split(
+    tree: &ConcurrentTree<u64, u64>,
+    read_key: u64,
+    split_inserts: &[u64],
+) -> Option<u64> {
+    read_during(tree, read_key, || {
+        for &k in split_inserts {
+            tree.insert(k, k * 10);
+        }
+    })
+}
+
+#[test]
+fn pinned_reader_sees_an_in_place_overwrite_whole() {
+    // The MVCC slot shape: `(commit_ts, value)`, three words a latch-free
+    // reader copies one at a time. An `upsert` rewrites them in place (no
+    // slot moves, no length changes) while the reader is pinned on the
+    // leaf: it must notice the write section and restart — or return the
+    // old or the new slot whole — never the timestamp of one with the
+    // value of the other.
+    let _serial = hook_lock();
+    type Slot = (u64, Option<u64>);
+    for layout in [
+        quit_core::NodeLayoutKind::Dense,
+        quit_core::NodeLayoutKind::Gapped,
+    ] {
+        let config = quit_core::TreeConfig::small(8).with_node_layout(layout);
+        let tree: ConcurrentTree<u64, Slot> = ConcurrentTree::new(ConcConfig::from_tree(config));
+        // Scrambled, so gapped leaves keep fillers the reader can land on.
+        for k in (0..64u64).map(|i| (i * 37) % 64) {
+            tree.insert(k, (1, Some(k)));
+        }
+        for (round, key) in [5u64, 40, 63].into_iter().enumerate() {
+            let (old, new) = ((1, Some(key)), (2 + round as u64, Some(key + 1_000)));
+            let restarts = tree.stats().olc_restarts.get();
+            let seen = read_during(&tree, key, || {
+                assert!(tree.upsert(key, new, |slot, new| *slot = new));
+            });
+            // Old or new whole would both be sound; this interleaving is
+            // deterministic, though: the whole write section sits inside
+            // the reader's bracket, so it must restart and see the new slot.
+            assert_eq!(seen, Some(new), "{layout:?}: torn or stale, old {old:?}");
+            assert!(tree.stats().olc_restarts.get() > restarts);
+        }
+        assert_eq!(tree.len(), 64, "in-place updates insert nothing");
+        assert!(tree.check_consistency().is_ok());
+    }
 }
 
 #[test]

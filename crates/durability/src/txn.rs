@@ -48,12 +48,15 @@
 //!
 //! Once commits have superseded `gc_every` existing versions (and on
 //! [`TxnStore::gc`]) versions unreachable by the oldest live snapshot
-//! are pruned chain-by-chain — insert-only ingest accumulates no
-//! garbage and triggers no sweeps.
+//! are pruned and dead tombstones deleted — a pass over the keys that
+//! have garbage, not over the tree; insert-only ingest accumulates none
+//! and triggers no passes.
 //! The watermark is `min(oldest registered snapshot, visible)`, and
 //! snapshot registration is atomic with watermark computation (both
 //! hold the registry lock), so a just-beginning reader can never slip
-//! under a concurrent collector.
+//! under a concurrent collector. Transactions and auto-commit scans
+//! register; an auto-commit `get` does not, and re-resolves in the one
+//! case where that could show (see [`TxnStore::get`]).
 
 use crate::durable::{
     recover, with_wal_metrics, DurabilityConfig, DurabilityLevel, LoadedSnapshot, RecoveryReport,
@@ -130,6 +133,10 @@ impl TsOracle {
     }
 }
 
+/// Snapshots an auto-commit [`TxnStore::get`] tries unregistered before it
+/// pays for a registration.
+const UNREGISTERED_READS: usize = 3;
+
 /// A commit-timestamped snapshot value: `(commit_ts, value)`, the value
 /// type of `TxnStore` checkpoint snapshots — per-key commit timestamps
 /// must survive a restart or post-recovery conflict detection would
@@ -160,7 +167,7 @@ pub struct TxnConfig {
     /// Run the version GC once commits have superseded this many
     /// existing versions (`0` = only on explicit [`TxnStore::gc`]
     /// calls). Counting garbage rather than commits keeps insert-only
-    /// ingest free of pointless full-tree sweeps.
+    /// ingest free of pointless passes.
     pub gc_every: u64,
 }
 
@@ -376,22 +383,25 @@ where
 
     /// Begins a transaction at the current visible snapshot.
     pub fn begin(&self) -> Txn<'_, K, V> {
-        // Snapshot choice and registration are atomic under the registry
-        // lock, so a concurrent GC watermark can never exceed a snapshot
-        // that is about to register (module docs, "GC").
-        let snapshot_ts = {
-            let mut snapshots = self.snapshots.lock().unwrap();
-            let ts = self.oracle.snapshot();
-            *snapshots.entry(ts).or_insert(0) += 1;
-            ts
-        };
         Txn {
             store: self,
             tid: self.next_tid.fetch_add(1, Ordering::Relaxed) + 1,
-            snapshot_ts,
+            snapshot_ts: self.register(),
             writes: BTreeMap::new(),
             committed: false,
         }
+    }
+
+    /// Takes the current visible snapshot and registers it until the
+    /// matching [`unregister`](Self::unregister). Choice and registration
+    /// are atomic under the registry lock, so a concurrent GC watermark
+    /// can never exceed a snapshot that is about to register (module docs,
+    /// "GC").
+    fn register(&self) -> u64 {
+        let mut snapshots = self.snapshots.lock().unwrap();
+        let ts = self.oracle.snapshot();
+        *snapshots.entry(ts).or_insert(0) += 1;
+        ts
     }
 
     fn unregister(&self, snapshot_ts: u64) {
@@ -404,14 +414,38 @@ where
         }
     }
 
-    /// Auto-commit point read at the current visible snapshot.
-    pub fn get(&self, key: K) -> Option<V> {
-        self.mvcc.read_at(key, self.oracle.snapshot())
+    /// Runs `read` at a snapshot registered for exactly that long.
+    fn at_registered<T>(&self, read: impl FnOnce(u64) -> T) -> T {
+        let snapshot_ts = self.register();
+        let out = read(snapshot_ts);
+        self.unregister(snapshot_ts);
+        out
     }
 
-    /// Auto-commit snapshot scan at the current visible snapshot.
+    /// Auto-commit point read at a visible snapshot taken during the call.
+    ///
+    /// The snapshot is not registered, so a GC pass may overtake it. That
+    /// only matters when the key's newest version is younger than the
+    /// snapshot and nothing older is left: the version this read wanted
+    /// may have been collected. It then resolves again at a fresh snapshot
+    /// — any snapshot between call and return is a valid linearization
+    /// point for a single-key read — and after a few rounds at a
+    /// registered one, which no collector can pass.
+    pub fn get(&self, key: K) -> Option<V> {
+        for _ in 0..UNREGISTERED_READS {
+            if let Some(resolved) = self.mvcc.try_read_at(key, self.oracle.snapshot()) {
+                return resolved;
+            }
+        }
+        self.at_registered(|snapshot_ts| self.mvcc.read_at(key, snapshot_ts))
+    }
+
+    /// Auto-commit snapshot scan at the current visible snapshot, which it
+    /// registers for its duration exactly as [`begin`](Self::begin) does:
+    /// a scan resolves many keys against one snapshot, so the collector
+    /// must not pass it midway.
     pub fn scan<R: RangeBounds<K>>(&self, bounds: R) -> Vec<(K, V)> {
-        self.mvcc.scan_at(bounds, self.oracle.snapshot())
+        self.at_registered(|snapshot_ts| self.mvcc.scan_at(bounds, snapshot_ts))
     }
 
     /// Auto-commit single-key insert: a blind one-write transaction.
@@ -499,7 +533,8 @@ where
 
     /// Runs a GC pass now: prunes every version unreachable from the
     /// oldest live snapshot (or the visible watermark when no reader is
-    /// active). Returns the number of versions reclaimed.
+    /// active), tombstones included. Returns the number of versions
+    /// reclaimed.
     pub fn gc(&self) -> usize {
         let watermark = {
             let snapshots = self.snapshots.lock().unwrap();
@@ -1014,8 +1049,8 @@ mod tests {
         assert_eq!(again.get(200), Some(1));
         // The clock resumed past every recovered timestamp: a fresh
         // write must get a strictly newer commit ts than anything
-        // recovered (checked by MvccTree's chain-order debug assert and
-        // the consistency check).
+        // recovered (checked by MvccTree's timestamp-order debug assert
+        // and the consistency check).
         again.insert(0, 999).unwrap();
         again.mvcc().check_consistency().unwrap();
     }
