@@ -23,7 +23,7 @@
 
 use crate::error::Error;
 use crate::node::Node;
-use crate::paged::PagedNodes;
+use crate::paged::{LeafPage, PagedNodes};
 use crate::pool::{PageStore, PoolCounters};
 
 /// Identifier of a node inside the tree's node arena. 4 bytes, `Copy`,
@@ -138,6 +138,21 @@ impl<K, V> Arena<K, V> {
                 n
             }
             Backend::Paged(p) => p.get(id),
+        }
+    }
+
+    /// Reads a leaf that is not resident out of its page, in place — see
+    /// [`PagedNodes::read_cold_leaf`]. Always `None` on the slab, where
+    /// every node is resident.
+    #[inline]
+    pub(crate) fn read_cold_leaf<R>(
+        &self,
+        id: NodeId,
+        read: impl FnMut(&LeafPage<'_, K, V>) -> Option<R>,
+    ) -> Option<R> {
+        match &self.backend {
+            Backend::Direct(_) => None,
+            Backend::Paged(p) => p.read_cold_leaf(id, read),
         }
     }
 

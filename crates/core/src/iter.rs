@@ -6,7 +6,9 @@
 //! `impl RangeBounds<K>` (`a..b`, `a..=b`, `..b`, `a..`, `..`) and borrows
 //! values instead of cloning them. [`BpTree::range_with_stats`] materializes
 //! the same scan and reports the leaf-access count the paper's Fig 10c
-//! measures.
+//! measures. Scans that hand out owned values (`range_with_stats`, the
+//! `SortedIndex` surface) run on [`OwnedRange`], which on the paged backend
+//! reads leaves that are not resident out of their pages in place.
 
 use crate::arena::NodeId;
 use crate::key::Key;
@@ -161,11 +163,8 @@ impl<K: Key, V: Clone> BpTree<K, V> {
     /// Fig 10c reports. Also accumulates `range_leaf_accesses` in [`crate::Stats`].
     pub fn range_with_stats<R: RangeBounds<K>>(&self, bounds: R) -> RangeScan<K, V> {
         let t0 = self.metrics.op_timer();
-        let mut iter = self.range(bounds);
-        let mut entries = Vec::new();
-        for (k, v) in iter.by_ref() {
-            entries.push((k, v.clone()));
-        }
+        let mut iter = self.range_owned(bounds);
+        let entries = iter.by_ref().collect();
         let leaf_accesses = iter.leaf_accesses();
         self.metrics
             .counters
@@ -175,6 +174,137 @@ impl<K: Key, V: Clone> BpTree<K, V> {
         RangeScan {
             entries,
             leaf_accesses,
+        }
+    }
+
+    /// [`range`](Self::range) yielding owned `(key, value)` pairs: the
+    /// scan behind `range_with_stats` and the `SortedIndex` surface. The
+    /// backend is observed once, here: the arena keeps [`RangeIter`]; a
+    /// paged tree walks the chain one leaf at a time into a reused buffer
+    /// ([`PagedRangeIter`]), so residency stays where the seek left it.
+    pub(crate) fn range_owned<R: RangeBounds<K>>(&self, bounds: R) -> OwnedRange<'_, K, V> {
+        if !self.arena.is_paged() {
+            return OwnedRange::Arena(self.range(bounds));
+        }
+        self.metrics.counters.range_scans.bump_shared();
+        let mut iter = PagedRangeIter {
+            tree: self,
+            keys: Vec::new(),
+            vals: Vec::new(),
+            at: 0,
+            next: None,
+            end: copy_bound(bounds.end_bound()),
+            leaf_accesses: 0,
+        };
+        if !(self.is_empty() || bounds_empty(bounds.start_bound(), bounds.end_bound())) {
+            let (leaf, pos, leaf_accesses) = self.seek_start(bounds.start_bound());
+            iter.leaf_accesses = leaf_accesses;
+            iter.fill(leaf, pos);
+        }
+        OwnedRange::Paged(iter)
+    }
+}
+
+/// Owned-item range scan: [`RangeIter`] plus a clone on the arena, the
+/// leaf-at-a-time [`PagedRangeIter`] on a paged tree. See
+/// [`BpTree::range_owned`].
+pub(crate) enum OwnedRange<'a, K, V> {
+    Arena(RangeIter<'a, K, V>),
+    Paged(PagedRangeIter<'a, K, V>),
+}
+
+impl<K: Key, V: Clone> OwnedRange<'_, K, V> {
+    /// Leaf nodes touched so far (including the seek to the start bound).
+    pub(crate) fn leaf_accesses(&self) -> u64 {
+        match self {
+            OwnedRange::Arena(it) => it.leaf_accesses(),
+            OwnedRange::Paged(it) => it.leaf_accesses,
+        }
+    }
+}
+
+impl<K: Key, V: Clone> Iterator for OwnedRange<'_, K, V> {
+    type Item = (K, V);
+
+    #[inline]
+    fn next(&mut self) -> Option<(K, V)> {
+        match self {
+            OwnedRange::Arena(it) => it.next().map(|(k, v)| (k, v.clone())),
+            OwnedRange::Paged(it) => it.next(),
+        }
+    }
+}
+
+/// Range scan over a paged tree, one leaf at a time: the live entries of
+/// the current leaf sit in a buffer reused from leaf to leaf, copied out of
+/// the decoded node when the leaf is resident and straight out of its page
+/// ([`crate::paged::LeafPage`]) when it is not. No leaf is faulted in past
+/// the seek, so a scan of any length leaves residency within the pool
+/// budget. `leaf_accesses` counts what [`RangeIter`] counts.
+pub(crate) struct PagedRangeIter<'a, K, V> {
+    tree: &'a BpTree<K, V>,
+    /// Live entries of the current leaf that the end bound admits.
+    keys: Vec<K>,
+    vals: Vec<V>,
+    /// Next buffered entry to yield.
+    at: usize,
+    /// Leaf to load when the buffer runs out; `None` once the end bound
+    /// or the chain's end is reached.
+    next: Option<NodeId>,
+    end: Bound<K>,
+    leaf_accesses: u64,
+}
+
+impl<K: Key, V: Clone> PagedRangeIter<'_, K, V> {
+    /// Buffers the live entries of leaf `id` from physical slot `from` on,
+    /// cut at the end bound.
+    fn fill(&mut self, id: NodeId, from: usize) {
+        let arena = &self.tree.arena;
+        self.keys.clear();
+        self.vals.clear();
+        self.at = 0;
+        let cold = arena.read_cold_leaf(id, |page| {
+            page.copy_live_from(from, &mut self.keys, &mut self.vals);
+            Some(page.next())
+        });
+        self.next = cold.unwrap_or_else(|| {
+            let leaf = arena.get(id).as_leaf();
+            if leaf.gaps.is_dense() {
+                self.keys.extend_from_slice(&leaf.keys[from..]);
+                self.vals.extend_from_slice(&leaf.vals[from..]);
+            } else {
+                let mut pos = from;
+                while let Some(live) = leaf.gaps.next_live(pos, leaf.keys.len()) {
+                    self.keys.push(leaf.keys[live]);
+                    self.vals.push(leaf.vals[live].clone());
+                    pos = live + 1;
+                }
+            }
+            leaf.next
+        });
+        if self.keys.last().is_some_and(|k| !end_admits(k, &self.end)) {
+            let admitted = self.keys.partition_point(|k| end_admits(k, &self.end));
+            self.keys.truncate(admitted);
+            self.vals.truncate(admitted);
+            self.next = None;
+        }
+    }
+}
+
+impl<K: Key, V: Clone> Iterator for PagedRangeIter<'_, K, V> {
+    type Item = (K, V);
+
+    #[inline]
+    fn next(&mut self) -> Option<(K, V)> {
+        loop {
+            if let Some(&k) = self.keys.get(self.at) {
+                let item = (k, self.vals[self.at].clone());
+                self.at += 1;
+                return Some(item);
+            }
+            let id = self.next?;
+            self.leaf_accesses += 1;
+            self.fill(id, 0);
         }
     }
 }

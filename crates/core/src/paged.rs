@@ -11,6 +11,32 @@
 //!   nodes in from the store. Faulting only *inserts* frames (each node
 //!   is boxed, so its address never moves when the frame table grows),
 //!   which keeps previously returned `&Node` references valid.
+//! * **Cold leaves are read where they lie.** A reader that hands out
+//!   owned values — the `SortedIndex` `get`, `range` and
+//!   `range_with_stats` of [`crate::BpTree`] — needs no frame to point
+//!   into. When the leaf it is about to visit is *not resident* (observed
+//!   in the page table; the tag byte says whether the page is a leaf), it
+//!   reads the page through [`PagedNodes::read_cold_leaf`]: a
+//!   [`LeafPage`] view over the bytes the store lends. No frame is
+//!   installed, nothing is allocated, nothing is evicted, the reference
+//!   bits and the hot-node memo are untouched. Internal nodes — the
+//!   reused part of every descent — and resident leaves go through `get`
+//!   as before; so does everything reached through the inherent `&self`
+//!   API, which lends `&V`.
+//!
+//!   Gapped pages are answered through the view like dense ones (it
+//!   carries the gap bitmap). Two cases fall back to the faulting path,
+//!   from the leaf in question: a point read whose match or insertion
+//!   point is physical slot 0 of a leaf with a `prev` link — a duplicate
+//!   run, or after deletes the only instance, may sit in the previous
+//!   leaf, so the chain walk has to run — and a scan's seek to its start
+//!   bound, which faults the start leaf (and the `prev` it inspects).
+//!
+//!   Counter convention: a read answered in place counts one `faults` (a
+//!   page was read from the store) and no `hits`; the tree counts the
+//!   same `lookups` / `lookup_node_accesses` / `range_leaf_accesses` as
+//!   on the faulting path. A page that declines to answer counts nothing
+//!   — the fault that follows does.
 //! * **Eviction happens only at operation boundaries.** The tree calls
 //!   [`PagedNodes::begin_op`] (via `Arena::begin_op`) at the top of each
 //!   `&mut self` operation — insert, delete, batch, and the trait-level
@@ -21,9 +47,11 @@
 //!   `pool_pages`, writing dirty victims through the store.
 //!
 //! The pool can therefore overshoot `pool_pages` *within* one operation
-//! by the number of distinct nodes that operation touches (≈ tree height
-//! for point ops, plus scanned leaves for ranges, plus everything for a
-//! full validation walk) — bounded, and trimmed at the next boundary.
+//! by the number of distinct nodes that operation faults in: ≈ tree height
+//! for writes and for trait-level reads of any length (a scan faults only
+//! its seek), plus scanned leaves for ranges through the inherent `&self`
+//! API, plus everything for a full validation walk — bounded, and trimmed
+//! at the next boundary.
 //!
 //! A one-entry *hot-node memo* names the most recently touched node and
 //! holds it under a standing pin across the operation boundary, so the
@@ -37,9 +65,11 @@
 //!
 //! # The byte path
 //!
-//! A page's bytes move once. A fault borrows the page where the store
-//! keeps it ([`PageStore::read`] hands out a slice, not a copy) and
-//! decodes each key/value/child array with one bulk copy; an eviction
+//! A page's bytes move at most once. A fault borrows the page where the
+//! store keeps it ([`PageStore::read`] hands out a slice, not a copy) and
+//! decodes each key/value/child array with one bulk copy — the leaf
+//! layout is read back in one place, [`LeafPage`], which the cold reads
+//! above use without decoding at all; an eviction
 //! encodes into a reused buffer; a recovered arena keeps the verified
 //! image as one buffer and decodes straight out of it. Residency
 //! bookkeeping takes no hash probe and no scan: node ids are slab-dense,
@@ -56,9 +86,10 @@
 //! [`value_is_pod`] accepts exactly the fixed-width types the crate
 //! implements `Key`'s byte-view contract for, and paged construction
 //! panics for anything else (`String` values etc. need the in-memory
-//! arena). The encode/decode functions below compile for every `V` but
-//! are only ever *called* once that gate has passed, which is what makes
-//! their unsafe byte copies sound.
+//! arena). The encode/decode functions and the [`LeafPage`] view below
+//! compile for every `V` but are only ever *called* once that gate has
+//! passed, which is what makes their unsafe byte copies and unaligned
+//! entry reads sound.
 
 use crate::arena::NodeId;
 use crate::crc::{crc32, Crc32};
@@ -110,21 +141,34 @@ fn push_pods<T>(out: &mut Vec<u8>, items: &[T]) {
     out.extend_from_slice(bytes);
 }
 
-/// Reads `n` `T`s back out of `bytes` at `off` in one copy, advancing it.
-/// Same gating contract as [`push_pods`]; the slice bounds check runs
-/// before the allocation and makes the copy in-bounds.
-fn read_pods<T>(bytes: &[u8], off: &mut usize, n: usize) -> Vec<T> {
-    let src = &bytes[*off..*off + n * std::mem::size_of::<T>()];
-    let mut items = Vec::<T>::with_capacity(n);
-    // SAFETY: `src` holds exactly `n * size_of::<T>()` bytes and `items`
-    // has room for `n` elements; a byte copy needs no source alignment,
-    // and the pod gate makes every bit pattern a valid `T`.
+/// Appends every `T` packed in `src` to `out` in one copy. Same gating
+/// contract as [`push_pods`].
+fn extend_pods<T>(out: &mut Vec<T>, src: &[u8]) {
+    let n = src.len() / std::mem::size_of::<T>();
+    assert_eq!(src.len(), n * std::mem::size_of::<T>(), "ragged pod array");
+    out.reserve(n);
+    // SAFETY: `out` has room for `n` more elements past `len()` and `src`
+    // holds exactly `n * size_of::<T>()` readable bytes; a byte copy needs
+    // no source alignment, and the pod gate makes every bit pattern a
+    // valid `T`.
     unsafe {
-        std::ptr::copy_nonoverlapping(src.as_ptr(), items.as_mut_ptr().cast::<u8>(), src.len());
-        items.set_len(n);
+        let dst = out.as_mut_ptr().add(out.len()).cast::<u8>();
+        std::ptr::copy_nonoverlapping(src.as_ptr(), dst, src.len());
+        out.set_len(out.len() + n);
     }
-    *off += src.len();
-    items
+}
+
+/// The `i`-th `T` of the packed array `bytes`, wherever it sits. Same
+/// gating contract as [`push_pods`].
+#[inline]
+fn pod_at<T>(bytes: &[u8], i: usize) -> T {
+    let size = std::mem::size_of::<T>();
+    let src = &bytes[i * size..(i + 1) * size];
+    // SAFETY: `src` is exactly `size_of::<T>()` readable bytes (the slice
+    // bounds check above); `read_unaligned` needs no alignment — pages sit
+    // at arbitrary offsets of the recovered image — and the pod gate makes
+    // every bit pattern a valid `T`.
+    unsafe { src.as_ptr().cast::<T>().read_unaligned() }
 }
 
 fn push_u32(out: &mut Vec<u8>, v: u32) {
@@ -201,44 +245,202 @@ fn encode_node<K, V>(node: &Node<K, V>, out: &mut Vec<u8>) {
 /// out of `bytes`. Trailing padding is ignored (the layout is
 /// self-describing). Same gating contract as [`encode_node`].
 fn decode_node<K, V>(bytes: &[u8]) -> Node<K, V> {
+    if let Some(page) = LeafPage::<K, V>::parse(bytes) {
+        return Node::Leaf(page.decode());
+    }
     let mut off = 1usize;
-    match bytes[0] {
-        TAG_LEAF => {
-            let n_phys = read_u32(bytes, &mut off) as usize;
-            let parent = opt_id(read_u32(bytes, &mut off));
-            let next = opt_id(read_u32(bytes, &mut off));
-            let prev = opt_id(read_u32(bytes, &mut off));
-            let n_words = read_u32(bytes, &mut off) as usize;
-            let words = bytes[off..off + n_words * 8]
-                .chunks_exact(8)
-                .map(|w| u64::from_le_bytes(w.try_into().expect("8-byte chunk")))
-                .collect();
-            off += n_words * 8;
-            Node::Leaf(LeafNode {
-                keys: read_pods(bytes, &mut off, n_phys),
-                vals: read_pods(bytes, &mut off, n_phys),
-                gaps: GapMap::from_words(words),
-                next,
-                prev,
-                parent,
-            })
+    let n_keys = read_u32(bytes, &mut off) as usize;
+    let n_children = read_u32(bytes, &mut off) as usize;
+    let parent = opt_id(read_u32(bytes, &mut off));
+    let mut keys = Vec::new();
+    let keys_len = n_keys * std::mem::size_of::<K>();
+    extend_pods(&mut keys, &bytes[off..off + keys_len]);
+    off += keys_len;
+    let children = bytes[off..off + n_children * 4]
+        .chunks_exact(4)
+        .map(|c| NodeId(u32::from_le_bytes(c.try_into().expect("4-byte chunk"))))
+        .collect();
+    Node::Internal(InternalNode {
+        keys,
+        children,
+        parent,
+    })
+}
+
+// ---------------------------------------------------------------------
+// The typed leaf view
+// ---------------------------------------------------------------------
+
+/// A read-only typed view of a leaf page over the bytes [`PageStore::read`]
+/// lends: the header is parsed once, entries are read where they lie.
+/// This is the one place the leaf layout [`encode_node`] writes is read
+/// back — [`decode_node`] builds its `LeafNode` from the same parse.
+///
+/// Only ever built once construction has pod-gated `K` and `V`
+/// ([`value_is_pod`]), which is what makes the unaligned entry reads
+/// sound; the three array slices are bounds-checked against the page when
+/// the view is built.
+pub(crate) struct LeafPage<'a, K, V> {
+    n_phys: usize,
+    parent: Option<NodeId>,
+    next: Option<NodeId>,
+    prev: Option<NodeId>,
+    /// The gap bitmap, 8 little-endian bytes per word.
+    gap_words: &'a [u8],
+    /// False when every physical slot is live (all bitmap words zero).
+    has_gaps: bool,
+    keys: &'a [u8],
+    vals: &'a [u8],
+    _entries: std::marker::PhantomData<(K, V)>,
+}
+
+impl<'a, K, V> LeafPage<'a, K, V> {
+    /// The view of page payload `bytes`, or `None` when the tag byte says
+    /// the page holds an internal node. Trailing padding is ignored.
+    pub(crate) fn parse(bytes: &'a [u8]) -> Option<Self> {
+        match bytes[0] {
+            TAG_LEAF => {}
+            TAG_INTERNAL => return None,
+            t => panic!("corrupt page: unknown node tag {t}"),
         }
-        TAG_INTERNAL => {
-            let n_keys = read_u32(bytes, &mut off) as usize;
-            let n_children = read_u32(bytes, &mut off) as usize;
-            let parent = opt_id(read_u32(bytes, &mut off));
-            let keys = read_pods(bytes, &mut off, n_keys);
-            let children = bytes[off..off + n_children * 4]
-                .chunks_exact(4)
-                .map(|c| NodeId(u32::from_le_bytes(c.try_into().expect("4-byte chunk"))))
-                .collect();
-            Node::Internal(InternalNode {
-                keys,
-                children,
-                parent,
-            })
+        let mut off = 1usize;
+        let n_phys = read_u32(bytes, &mut off) as usize;
+        let parent = opt_id(read_u32(bytes, &mut off));
+        let next = opt_id(read_u32(bytes, &mut off));
+        let prev = opt_id(read_u32(bytes, &mut off));
+        let n_words = read_u32(bytes, &mut off) as usize;
+        let mut array = |len: usize| {
+            let a = &bytes[off..off + len];
+            off += len;
+            a
+        };
+        let gap_words = array(n_words * 8);
+        let keys = array(n_phys * std::mem::size_of::<K>());
+        let vals = array(n_phys * std::mem::size_of::<V>());
+        Some(LeafPage {
+            n_phys,
+            parent,
+            next,
+            prev,
+            gap_words,
+            has_gaps: gap_words.iter().any(|&b| b != 0),
+            keys,
+            vals,
+            _entries: std::marker::PhantomData,
+        })
+    }
+
+    /// Number of physical slots, counting gaps.
+    #[inline]
+    pub(crate) fn physical_len(&self) -> usize {
+        self.n_phys
+    }
+
+    /// Parent internal node.
+    #[cfg(test)]
+    pub(crate) fn parent(&self) -> Option<NodeId> {
+        self.parent
+    }
+
+    /// Next leaf in key order.
+    #[inline]
+    pub(crate) fn next(&self) -> Option<NodeId> {
+        self.next
+    }
+
+    /// Previous leaf in key order.
+    #[inline]
+    pub(crate) fn prev(&self) -> Option<NodeId> {
+        self.prev
+    }
+
+    /// Key of physical slot `i` (a gap slot holds its filler copy).
+    #[inline]
+    pub(crate) fn key(&self, i: usize) -> K {
+        pod_at(self.keys, i)
+    }
+
+    /// Value of physical slot `i`.
+    #[inline]
+    pub(crate) fn val(&self, i: usize) -> V {
+        pod_at(self.vals, i)
+    }
+
+    fn gap_word(&self, w: usize) -> u64 {
+        self.gap_words.get(w * 8..w * 8 + 8).map_or(0, |b| {
+            u64::from_le_bytes(b.try_into().expect("8-byte word"))
+        })
+    }
+
+    /// First live slot at or after `from`, if any ([`GapMap::next_live`]
+    /// over the page's bitmap).
+    #[inline]
+    pub(crate) fn next_live(&self, mut from: usize) -> Option<usize> {
+        if self.has_gaps {
+            while from < self.n_phys && (self.gap_word(from / 64) >> (from % 64)) & 1 == 1 {
+                from += 1;
+            }
         }
-        t => panic!("corrupt page: unknown node tag {t}"),
+        (from < self.n_phys).then_some(from)
+    }
+
+    /// Appends the live entries of physical slots `from..` to `keys` and
+    /// `vals`: two bulk copies when the leaf has no gaps.
+    pub(crate) fn copy_live_from(&self, from: usize, keys: &mut Vec<K>, vals: &mut Vec<V>) {
+        if !self.has_gaps {
+            extend_pods(keys, &self.keys[from * std::mem::size_of::<K>()..]);
+            extend_pods(vals, &self.vals[from * std::mem::size_of::<V>()..]);
+            return;
+        }
+        let mut pos = from;
+        while let Some(live) = self.next_live(pos) {
+            keys.push(self.key(live));
+            vals.push(self.val(live));
+            pos = live + 1;
+        }
+    }
+
+    /// The decoded node: each array is one bulk copy out of the page.
+    fn decode(&self) -> LeafNode<K, V> {
+        let mut keys = Vec::new();
+        let mut vals = Vec::new();
+        extend_pods(&mut keys, self.keys);
+        extend_pods(&mut vals, self.vals);
+        let words = (0..self.gap_words.len() / 8).map(|w| self.gap_word(w));
+        LeafNode {
+            keys,
+            vals,
+            gaps: GapMap::from_words(words.collect()),
+            next: self.next,
+            prev: self.prev,
+            parent: self.parent,
+        }
+    }
+}
+
+impl<K: Ord, V> LeafPage<'_, K, V> {
+    /// First physical slot whose key is at or above `key` — the lookup
+    /// convention of [`crate::layout::search_leaf`] (fillers keep the
+    /// physical keys sorted, so no bitmap is consulted).
+    ///
+    /// The page is cold, so what the search costs is the cache misses it
+    /// chains. A bisection's probes each wait for the one before; here the
+    /// first stage reads the last key of every cache line's worth of keys —
+    /// independent loads, whose misses overlap — and counts the lines that
+    /// lie wholly below `key`, and the second counts within the one line
+    /// left, which the first stage already pulled in.
+    #[inline]
+    pub(crate) fn lower_bound(&self, key: K) -> usize {
+        let stride = (64 / std::mem::size_of::<K>()).max(1);
+        let mut lines_below = 0usize;
+        let mut tail = stride - 1;
+        while tail < self.n_phys {
+            lines_below += usize::from(self.key(tail) < key);
+            tail += stride;
+        }
+        let lo = lines_below * stride;
+        let hi = (lo + stride).min(self.n_phys);
+        lo + (lo..hi).filter(|&i| self.key(i) < key).count()
     }
 }
 
@@ -513,6 +715,39 @@ impl<K, V> PagedNodes<K, V> {
         // SAFETY: distinct ids map to distinct boxes; stability and
         // exclusivity as in `get_mut`.
         unsafe { (&mut *pa, &mut *pb) }
+    }
+
+    /// Reads node `id` where it lies: when the node is **not resident**
+    /// and its page is a leaf, runs `read` over the [`LeafPage`] view of
+    /// the store's bytes and returns what it returns. `None` — and nothing
+    /// counted — when the node is resident, its page is internal, or
+    /// `read` itself declines; the caller then goes through
+    /// [`get`](Self::get). A read that answers counts one fault (a page
+    /// was read from the store) but installs no frame, allocates nothing,
+    /// and leaves the reference bits and the hot-node memo alone.
+    pub(crate) fn read_cold_leaf<R>(
+        &self,
+        id: NodeId,
+        mut read: impl FnMut(&LeafPage<'_, K, V>) -> Option<R>,
+    ) -> Option<R> {
+        if self.resident.borrow().slot_of(id.0).is_some() {
+            return None;
+        }
+        let mut answer = None;
+        let stored = self
+            .store
+            .borrow()
+            .read(PageId(id.0 as u64), &mut |bytes| {
+                if let Some(page) = LeafPage::parse(bytes) {
+                    answer = read(&page);
+                }
+            })
+            .expect("page store read failed");
+        assert!(stored, "access to freed or never-written node n{}", id.0);
+        if answer.is_some() {
+            self.counters.faults.set(self.counters.faults.get() + 1);
+        }
+        answer
     }
 
     /// Number of live nodes (resident or evicted).
@@ -947,6 +1182,149 @@ mod tests {
         assert_eq!(b.parent, None);
     }
 
+    /// A leaf over `ranks` (ascending, duplicates allowed), with a gap
+    /// filler planted before entry `i` whenever `gap_before(i)` — which
+    /// keeps the last physical slot live and obeys the filler rule.
+    fn view_leaf<K: crate::Key, V: Copy>(
+        ranks: &[u64],
+        gap_before: impl Fn(usize) -> bool,
+        key: fn(u64) -> K,
+        val: fn(u64) -> V,
+    ) -> LeafNode<K, V> {
+        let mut l = LeafNode::new();
+        for (i, &r) in ranks.iter().enumerate() {
+            let entry = (key(r), val(r * 7 + i as u64));
+            if gap_before(i) {
+                l.gaps.set(l.keys.len());
+                l.keys.push(entry.0);
+                l.vals.push(entry.1);
+            }
+            l.keys.push(entry.0);
+            l.vals.push(entry.1);
+        }
+        l.parent = Some(NodeId(ranks.len() as u32));
+        l.next = (!ranks.len().is_multiple_of(3)).then_some(NodeId(77));
+        l.prev = (!ranks.len().is_multiple_of(2)).then_some(NodeId(9));
+        l
+    }
+
+    /// `LeafPage` over `encode_node`'s bytes agrees with `decode_node`'s
+    /// `LeafNode` on everything it offers, wherever the payload sits.
+    fn assert_view_matches_codec<K, V>(leaf: LeafNode<K, V>, probes: &[K])
+    where
+        K: crate::Key,
+        V: Copy + PartialEq + std::fmt::Debug,
+    {
+        let mut payload = Vec::new();
+        encode_node(&Node::Leaf(leaf), &mut payload);
+        let Node::Leaf(want) = decode_node::<K, V>(&payload) else {
+            panic!("leaf page decoded to a non-leaf");
+        };
+        let n = want.physical_len();
+        // Offsets 1, 3 and 13 are what the recovered image hands out:
+        // payloads packed back to back behind 12-byte record prefixes.
+        for offset in [0usize, 1, 3, 13] {
+            let mut buf = vec![0xA5u8; offset];
+            buf.extend_from_slice(&payload);
+            buf.extend_from_slice(&[0x5A; 5]); // page padding is ignored
+            let page = LeafPage::<K, V>::parse(&buf[offset..]).expect("a leaf page");
+            assert_eq!(page.physical_len(), n);
+            assert_eq!(
+                (page.parent(), page.next(), page.prev()),
+                (want.parent, want.next, want.prev)
+            );
+            for i in 0..n {
+                assert_eq!(page.key(i), want.keys[i], "key({i}) at offset {offset}");
+                assert_eq!(page.val(i), want.vals[i], "val({i}) at offset {offset}");
+            }
+            for from in 0..=n + 1 {
+                assert_eq!(page.next_live(from), want.gaps.next_live(from, n));
+                if from > n {
+                    continue;
+                }
+                let (mut keys, mut vals) = (Vec::new(), Vec::new());
+                page.copy_live_from(from, &mut keys, &mut vals);
+                let live = (from..n).filter(|&i| !want.gaps.is_gap(i));
+                assert_eq!(keys, live.clone().map(|i| want.keys[i]).collect::<Vec<_>>());
+                assert_eq!(vals, live.map(|i| want.vals[i]).collect::<Vec<_>>());
+            }
+            for &probe in probes {
+                assert_eq!(
+                    page.lower_bound(probe),
+                    want.keys.partition_point(|k| *k < probe),
+                    "lower_bound({probe:?}) at offset {offset}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn leaf_view_agrees_with_the_codec() {
+        use crate::key::OrderedF64;
+        const CAPACITY: usize = 120;
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut rand = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let mut sizes = vec![0, 1, 2, 63, 64, 65, CAPACITY];
+        sizes.extend((0..12).map(|_| rand() as usize % CAPACITY));
+        for &n in &sizes {
+            // Even ranks, so every rank ± 1 is an absent probe; a third of
+            // the steps repeat the rank (duplicate runs).
+            let mut ranks = Vec::with_capacity(n);
+            let mut r = 2 + 2 * (rand() % 5);
+            for _ in 0..n {
+                ranks.push(r);
+                r += 2 * (rand() % 3);
+            }
+            let probes: Vec<u64> = ranks.iter().flat_map(|&r| [r - 1, r, r + 1]).collect();
+            let gap_seed = rand();
+            for gapped in [false, true] {
+                // At most one filler per entry keeps gapped leaves within
+                // 2 × CAPACITY slots: up to four bitmap words.
+                let gap_before = |i: usize| gapped && (gap_seed >> (i % 61)) & 1 == 1;
+                assert_view_matches_codec(view_leaf(&ranks, gap_before, |r| r, |v| v), &probes);
+                assert_view_matches_codec(
+                    view_leaf(
+                        &ranks,
+                        gap_before,
+                        |r| r as u32,
+                        |v| OrderedF64::new(v as f64),
+                    ),
+                    &probes.iter().map(|&p| p as u32).collect::<Vec<_>>(),
+                );
+                assert_view_matches_codec(
+                    view_leaf(
+                        &ranks,
+                        gap_before,
+                        |r| OrderedF64::new(r as f64 / 2.0),
+                        |v| v as u32,
+                    ),
+                    &probes
+                        .iter()
+                        .map(|&p| OrderedF64::new(p as f64 / 2.0))
+                        .collect::<Vec<_>>(),
+                );
+            }
+        }
+        // A leaf whose bitmap words are all zero (gaps set, then cleared)
+        // is dense to the view too.
+        let mut cleared = view_leaf(&[2, 4, 4, 6], |_| false, |r| r, |v| v);
+        cleared.gaps.set(70);
+        cleared.gaps.clear(70);
+        assert_eq!(cleared.gaps.raw_words().len(), 2);
+        assert_view_matches_codec(cleared, &[1, 2, 3, 4, 5, 6, 7]);
+
+        let mut internal: InternalNode<u64> = InternalNode::new();
+        internal.keys = vec![10];
+        internal.children = vec![NodeId(1), NodeId(2)];
+        let bytes = encoded(&Node::Internal(internal));
+        assert!(LeafPage::<u64, u64>::parse(&bytes).is_none());
+    }
+
     #[test]
     fn pod_gate() {
         assert!(value_is_pod::<u64>());
@@ -1180,6 +1558,143 @@ mod tests {
                 t.arena.frame_slots() <= peak,
                 "{} frame slots for a peak of {peak} resident nodes",
                 t.arena.frame_slots()
+            );
+        }
+    }
+
+    /// A paged QuIT tree over `n` keys inserted in a scattered order, so
+    /// `Gapped` leaves really carry gaps; value = key × 3.
+    fn scattered_tree(
+        n: u64,
+        pool: usize,
+        layout: crate::NodeLayoutKind,
+    ) -> crate::BpTree<u64, u64> {
+        use crate::config::{StorageKind, TreeConfig};
+        let config = TreeConfig::small(8)
+            .with_node_layout(layout)
+            .with_storage(StorageKind::paged(pool));
+        let mut t = crate::variants::Variant::Quit.build(config);
+        for i in 0..n {
+            let k = i * 7919 % n; // 7919 is prime: a permutation of 0..n
+            t.insert(k, k * 3);
+        }
+        assert!(t.node_count() >= 8 * pool);
+        t
+    }
+
+    #[test]
+    fn full_scan_holds_the_pool_budget() {
+        use crate::{NodeLayoutKind, SortedIndex};
+        for layout in [NodeLayoutKind::Dense, NodeLayoutKind::Gapped] {
+            for pool in [8, 16] {
+                let mut t = scattered_tree(4000, pool, layout);
+                let gapped = t.arena.iter().any(|(_, n)| match n {
+                    Node::Leaf(l) => !l.gaps.is_dense(),
+                    _ => false,
+                });
+                assert_eq!(gapped, layout == NodeLayoutKind::Gapped);
+                // Before anything trims the pool: the seek may fault one
+                // root-to-leaf path and the start leaf's `prev`, the walk
+                // faults nothing.
+                let bar = pool + t.height() + 2;
+                assert_eq!(SortedIndex::range(&mut t, ..).count(), 4000);
+                assert!(t.resident_nodes() <= bar, "{} > {bar}", t.resident_nodes());
+                let got: Vec<(u64, u64)> = SortedIndex::range(&mut t, 1500..2500).collect();
+                assert!(t.resident_nodes() <= bar, "{} > {bar}", t.resident_nodes());
+                assert_eq!(got, (1500..2500).map(|k| (k, k * 3)).collect::<Vec<_>>());
+                let scan = SortedIndex::range_with_stats(&mut t, 1500..=2499);
+                assert!(t.resident_nodes() <= bar, "{} > {bar}", t.resident_nodes());
+                assert_eq!(scan.entries, got);
+                // Fig 10c's count is the faulting scan's.
+                let mut faulting = t.range(1500..=2499);
+                assert_eq!(faulting.by_ref().count(), 1000);
+                assert_eq!(scan.leaf_accesses, faulting.leaf_accesses());
+                t.trim_residency();
+                assert!(t.resident_nodes() <= pool);
+            }
+        }
+    }
+
+    #[test]
+    fn cold_leaf_read_installs_no_frame() {
+        let mut a = paged(2);
+        let mut internal: InternalNode<u64> = InternalNode::new();
+        internal.keys = vec![3];
+        internal.children = vec![NodeId(1), NodeId(2)];
+        let inner = a.alloc(Node::Internal(internal));
+        let ids: Vec<NodeId> = (0..6u64).map(|i| a.alloc(leaf(i, i * 7))).collect();
+        a.begin_op();
+        a.begin_op();
+        let state = |a: &PagedNodes<u64, u64>| {
+            let c = a.counters();
+            (
+                (a.resident(), a.frame_slots(), a.memo.get()),
+                (c.hits.get(), c.faults.get(), c.evictions.get()),
+            )
+        };
+        let is_resident =
+            |a: &PagedNodes<u64, u64>, id: NodeId| a.resident.borrow().slot_of(id.0).is_some();
+        let (frames, (hits, faults, evictions)) = state(&a);
+        let mut cold_reads = 0;
+        for (i, &id) in ids.iter().enumerate() {
+            let resident = is_resident(&a, id);
+            let got = a.read_cold_leaf(id, |page| Some((page.key(0), page.val(0))));
+            assert_eq!(got, (!resident).then_some((i as u64, i as u64 * 7)));
+            cold_reads += got.is_some() as u64;
+            // A page that declines, and a page that is not a leaf, count
+            // nothing.
+            assert_eq!(a.read_cold_leaf(id, |_| None::<()>), None);
+        }
+        assert!(!is_resident(&a, inner));
+        assert_eq!(a.read_cold_leaf(inner, |_| Some(())), None);
+        assert!(cold_reads >= 4);
+        assert_eq!(
+            state(&a),
+            (frames, (hits, faults + cold_reads, evictions)),
+            "one fault per answered read; no frame, no hit, memo untouched"
+        );
+    }
+
+    #[test]
+    fn cold_get_answers_and_counts_like_the_faulting_path() {
+        use crate::{NodeLayoutKind, SortedIndex};
+        for layout in [NodeLayoutKind::Dense, NodeLayoutKind::Gapped] {
+            let pool = 8;
+            let build = || {
+                let mut t = scattered_tree(3000, pool, layout);
+                // Duplicate runs that span leaves, and leaves whose slot 0
+                // is deleted (their separator outlives it).
+                for i in 0..40u64 {
+                    t.insert(1000, 5000 + i);
+                }
+                for k in (0..3000u64).step_by(8) {
+                    t.delete(k);
+                }
+                t.stats().reset();
+                t
+            };
+            let (mut cold, mut faulting) = (build(), build());
+            let height = cold.height();
+            for i in 0..4000u64 {
+                let k = i * 2731 % 3100;
+                let got = SortedIndex::get(&mut cold, k);
+                faulting.trim_residency();
+                assert_eq!(got, faulting.get(k).copied(), "get({k}) under {layout:?}");
+                // No leaf is installed past the budget unless the page
+                // could not decide; the chain walk then faults it and its
+                // `prev` (and all of a longer run: key 1000).
+                assert!(k == 1000 || cold.resident_nodes() <= pool + height + 1);
+            }
+            let (c, f) = (cold.metrics(), faulting.metrics());
+            assert_eq!(c.lookups, f.lookups);
+            assert_eq!(c.lookup_node_accesses, f.lookup_node_accesses);
+            assert!(
+                c.page_faults > 0 && c.page_evictions < f.page_evictions,
+                "cold {}/{} faulting {}/{}",
+                c.page_faults,
+                c.page_evictions,
+                f.page_faults,
+                f.page_evictions
             );
         }
     }

@@ -3,11 +3,11 @@
 //! Three layers live here, bottom-up:
 //!
 //! 1. **[`PageStore`]** — the backend a pool spills to and faults from.
-//!    [`MemPageStore`] keeps pages in a heap map; it is the only store a
-//!    tree ever writes to (the paged arena layers a read-only overlay of
-//!    the recovered psnap buffer under it). Durability is not this
-//!    trait's job: page images reach disk whole, through
-//!    `quit-durability`'s `Storage`.
+//!    [`MemPageStore`] keeps pages in a heap vector indexed by id; it is
+//!    the only store a tree ever writes to (the paged arena layers a
+//!    read-only overlay of the recovered psnap buffer under it).
+//!    Durability is not this trait's job: page images reach disk whole,
+//!    through `quit-durability`'s `Storage`.
 //! 2. **[`BufferPool`]** — a frame table over byte pages: pin counts,
 //!    reference bits, and CLOCK (second-chance) eviction of unpinned
 //!    frames. Dirty victims are written back through the store before
@@ -70,10 +70,15 @@ pub trait PageStore {
 }
 
 /// Heap-backed page store: the test backend, and the one the crash model
-/// wraps (its byte image is just the map contents).
+/// wraps (its byte image is just the pages' contents). Page ids are node
+/// ids, which are slab-dense, so pages sit in a vector indexed by id —
+/// no hashing on the fault path.
 #[derive(Debug, Default)]
 pub struct MemPageStore {
-    pages: HashMap<u64, Vec<u8>>,
+    /// `pages[id]` is page `id`, `None` until first written.
+    pages: Vec<Option<Vec<u8>>>,
+    /// Pages written at least once (the `Some` slots).
+    count: usize,
 }
 
 impl MemPageStore {
@@ -85,12 +90,22 @@ impl MemPageStore {
 
 impl PageStore for MemPageStore {
     fn read(&self, id: PageId, sink: &mut dyn FnMut(&[u8])) -> io::Result<bool> {
-        Ok(self.pages.get(&id.0).map(|page| sink(page)).is_some())
+        let page = usize::try_from(id.0)
+            .ok()
+            .and_then(|i| self.pages.get(i)?.as_ref());
+        Ok(page.map(|page| sink(page)).is_some())
     }
 
     fn write(&mut self, id: PageId, bytes: &[u8]) -> io::Result<()> {
+        let i = usize::try_from(id.0).map_err(io::Error::other)?;
+        if i >= self.pages.len() {
+            self.pages.resize_with(i + 1, || None);
+        }
         // An overwrite reuses the page's allocation.
-        let page = self.pages.entry(id.0).or_default();
+        let page = self.pages[i].get_or_insert_with(|| {
+            self.count += 1;
+            Vec::new()
+        });
         page.clear();
         page.extend_from_slice(bytes);
         Ok(())
@@ -101,7 +116,7 @@ impl PageStore for MemPageStore {
     }
 
     fn page_count(&self) -> usize {
-        self.pages.len()
+        self.count
     }
 }
 

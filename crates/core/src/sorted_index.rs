@@ -111,7 +111,7 @@ impl<K: Key, V: Clone> SortedIndex<K, V> for BpTree<K, V> {
         // Operation boundary: trim paged residency before the read (the
         // `&self` read path itself faults but never evicts).
         self.arena.begin_op();
-        BpTree::get(self, key).cloned()
+        self.get_cloned(key)
     }
 
     fn delete(&mut self, key: K) -> Option<V> {
@@ -120,7 +120,7 @@ impl<K: Key, V: Clone> SortedIndex<K, V> for BpTree<K, V> {
 
     fn range<R: RangeBounds<K>>(&mut self, bounds: R) -> impl Iterator<Item = (K, V)> + '_ {
         self.arena.begin_op();
-        BpTree::range(self, bounds).map(|(k, v)| (k, v.clone()))
+        self.range_owned(bounds)
     }
 
     fn range_with_stats<R: RangeBounds<K>>(&mut self, bounds: R) -> RangeScan<K, V> {

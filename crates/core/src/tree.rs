@@ -14,6 +14,7 @@ use crate::fastpath::{FastPathMode, FastPathState};
 use crate::key::Key;
 use crate::metrics::MetricsRegistry;
 use crate::node::{LeafNode, Node};
+use crate::paged::LeafPage;
 use crate::stats::{MemoryReport, Stats};
 
 /// A sortedness-aware B+-tree. See the crate docs for the variant map
@@ -157,7 +158,9 @@ impl<K: Key, V> BpTree<K, V> {
     /// Decoded nodes currently resident in memory. Equals the live node
     /// count on the in-memory arena; on the paged backend it is bounded
     /// by the pool budget at operation boundaries (mid-operation it can
-    /// overshoot by the nodes the operation touched).
+    /// overshoot by the nodes the operation faulted in: a descent for a
+    /// write or a `SortedIndex` read, every scanned leaf for the inherent
+    /// `&self` scans).
     #[inline]
     pub fn resident_nodes(&self) -> usize {
         self.arena.resident()
@@ -246,7 +249,14 @@ impl<K: Key, V> BpTree<K, V> {
     /// Locates an entry with key exactly `key`, walking back through the
     /// leaf chain when a duplicate run spans leaves. Returns `(leaf, slot)`.
     pub(crate) fn locate(&self, key: K) -> Option<(NodeId, usize)> {
-        let (mut leaf_id, _, _, accesses) = self.descend(key);
+        let (leaf_id, _, _, accesses) = self.descend(key);
+        self.locate_from(leaf_id, accesses, key)
+    }
+
+    /// [`locate`](Self::locate) from the leaf a descent of `accesses` nodes
+    /// ended on.
+    #[inline]
+    fn locate_from(&self, mut leaf_id: NodeId, accesses: u64, key: K) -> Option<(NodeId, usize)> {
         self.metrics
             .counters
             .lookup_node_accesses
@@ -290,14 +300,81 @@ impl<K: Key, V> BpTree<K, V> {
     pub fn get(&self, key: K) -> Option<&V> {
         let t0 = self.metrics.op_timer();
         self.metrics.counters.lookups.bump_shared();
-        let found = self.locate(key).map(|(leaf_id, pos)| {
-            // locate returns the right-most reachable match leaf; step left
-            // to the run head so `get` is deterministic under duplicates.
-            let (leaf_id, pos) = self.run_head(leaf_id, pos, key);
-            &self.arena.get(leaf_id).as_leaf().vals[pos]
-        });
+        let (leaf_id, _, _, accesses) = self.descend(key);
+        let found = self.value_from(leaf_id, accesses, key);
         self.metrics.record_get_latency(t0);
         found
+    }
+
+    /// The left-most value under `key`, searching from the leaf a descent
+    /// of `accesses` nodes ended on.
+    #[inline]
+    fn value_from(&self, leaf_id: NodeId, accesses: u64, key: K) -> Option<&V> {
+        self.locate_from(leaf_id, accesses, key)
+            .map(|(leaf_id, pos)| {
+                // locate returns the right-most reachable match leaf; step left
+                // to the run head so `get` is deterministic under duplicates.
+                let (leaf_id, pos) = self.run_head(leaf_id, pos, key);
+                &self.arena.get(leaf_id).as_leaf().vals[pos]
+            })
+    }
+
+    /// [`get`](Self::get) returning an owned value — the `SortedIndex`
+    /// point read, which needs no frame to point into. Internal nodes are
+    /// visited (and, on the paged backend, fault and install) as in `get`;
+    /// a leaf that is *not resident* is answered from its page where the
+    /// store keeps it ([`LeafPage`]), with the same answer and the same
+    /// `lookups` / `lookup_node_accesses` as the faulting path. When the
+    /// page alone cannot decide ([`Self::get_in_page`]) the leaf faults in
+    /// and the chain walk of `get` runs from it.
+    pub(crate) fn get_cloned(&self, key: K) -> Option<V>
+    where
+        V: Clone,
+    {
+        let t0 = self.metrics.op_timer();
+        self.metrics.counters.lookups.bump_shared();
+        let mut id = self.root;
+        let mut accesses = 1u64;
+        let found = loop {
+            let Node::Internal(n) = self.arena.get(id) else {
+                break self.value_from(id, accesses, key).cloned();
+            };
+            id = n.children[crate::layout::search_internal(self.config.search_kind, &n.keys, key)];
+            accesses += 1;
+            let cold = self
+                .arena
+                .read_cold_leaf(id, |page| Self::get_in_page(page, key));
+            if let Some(answer) = cold {
+                self.metrics
+                    .counters
+                    .lookup_node_accesses
+                    .add_shared(accesses);
+                break answer;
+            }
+        };
+        self.metrics.record_get_latency(t0);
+        found
+    }
+
+    /// What a leaf page alone says about `key`: `Some` of the left-most
+    /// live match or of its absence, or `None` when it cannot decide — the
+    /// match or the insertion point is physical slot 0 and the leaf has a
+    /// `prev` link, so a duplicate run (or, after deletes, the only
+    /// instance) may sit in the previous leaf.
+    fn get_in_page(page: &LeafPage<'_, K, V>, key: K) -> Option<Option<V>> {
+        let pos = page.lower_bound(key);
+        if pos == 0 && page.prev().is_some() {
+            return None;
+        }
+        let hit = pos < page.physical_len() && page.key(pos) == key;
+        Some(hit.then(|| {
+            // A gap slot's filler copies the live `key` instance to its
+            // right (see `locate_from`).
+            let live = page
+                .next_live(pos)
+                .expect("last physical slot is always live");
+            page.val(live)
+        }))
     }
 
     /// True when at least one entry with `key` exists.

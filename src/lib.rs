@@ -301,7 +301,8 @@ impl QuitPaged {
         SortedIndex::insert_batch(&mut self.inner, entries)
     }
 
-    /// Point lookup (may fault the key's page into the pool).
+    /// Point lookup. Internal nodes on the way down may fault into the
+    /// pool; a leaf that is not resident is read out of its page in place.
     pub fn get(&mut self, key: u64) -> Option<u64> {
         SortedIndex::get(&mut self.inner, key)
     }
@@ -311,7 +312,9 @@ impl QuitPaged {
         SortedIndex::delete(&mut self.inner, key)
     }
 
-    /// Ordered iteration over `bounds`, faulting pages as the scan walks.
+    /// Ordered iteration over `bounds`. Only the seek faults pages in:
+    /// the walk reads cold leaves out of their pages in place, so a scan
+    /// of any length stays within the pool budget.
     pub fn range(
         &mut self,
         bounds: impl RangeBounds<u64>,
