@@ -51,6 +51,7 @@
 use crate::sync::Mutex;
 use crate::{ConcConfig, ConcurrentTree};
 use quit_core::Key;
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::ops::RangeBounds;
 use std::sync::MutexGuard;
@@ -118,8 +119,8 @@ enum Held<'a> {
 /// This type is mechanism, not policy: it does not allocate timestamps,
 /// detect conflicts, or log. `quit-durability`'s `TxnStore` layers the
 /// transaction protocol (snapshot/commit timestamps, first-committer-wins
-/// validation, WAL commit groups, GC scheduling) on top of exactly this
-/// API.
+/// validation, one WAL frame per commit, GC scheduling) on top of exactly
+/// this API.
 pub struct MvccTree<K: Key, V: Clone> {
     tree: ConcurrentTree<K, Slot<V>>,
     stripes: Box<[Stripe<K, V>]>,
@@ -168,10 +169,10 @@ impl<K: Key, V: Clone> MvccTree<K, V> {
     /// acquire their overlapping stripes in the same order and cannot
     /// deadlock. Hold the returned guards across conflict validation,
     /// logging, and [`apply`](Self::apply) of every key in the set.
-    pub fn lock_keys(&self, keys: &[K]) -> StripeGuards<'_> {
+    pub fn lock_keys<B: Borrow<K>>(&self, keys: impl IntoIterator<Item = B>) -> StripeGuards<'_> {
         let mask = keys
-            .iter()
-            .fold(0u64, |mask, &k| mask | 1 << self.stripe_of(k));
+            .into_iter()
+            .fold(0u64, |mask, k| mask | 1 << self.stripe_of(*k.borrow()));
         let mut rest = mask;
         let mut next = || {
             let stripe = rest.trailing_zeros() as usize;
@@ -394,7 +395,7 @@ mod tests {
     }
 
     fn write<V: Clone>(t: &MvccTree<u64, V>, key: u64, ts: u64, v: Option<V>) -> bool {
-        let _g = t.lock_keys(&[key]);
+        let _g = t.lock_keys([key]);
         t.apply(key, ts, v)
     }
 
@@ -631,7 +632,7 @@ mod tests {
                         // Overlapping shared keys lock in clashing
                         // orders; each thread writes only its own key.
                         let keys = [i % 7, (i + tid) % 7, 1000 + tid];
-                        let _g = t.lock_keys(&keys);
+                        let _g = t.lock_keys(keys);
                         let now = ts.fetch_add(1, Ordering::Relaxed) + 1;
                         t.apply(1000 + tid, now, Some(i));
                     }

@@ -159,7 +159,8 @@ pub struct RecoveryReport {
     pub snapshot_entries: usize,
     /// LSN the snapshot covered (0 = no snapshot).
     pub snapshot_lsn: Lsn,
-    /// WAL records replayed past the snapshot.
+    /// Mutations replayed from the WAL past the snapshot: one per plain
+    /// record, one per *write* of a transactional `Commit` record.
     pub tail_records: usize,
     /// Last LSN recovered; the next append gets `recovered_lsn + 1`.
     pub recovered_lsn: Lsn,
@@ -294,8 +295,7 @@ impl<T> Durable<T> {
                 state: build(entries),
             })
         };
-        let replay = |inner: &mut _, _, tail: Vec<_>| Ok(apply_tail(inner, &tail));
-        let (inner, wal, report) = recover(storage, config.tuning(), load, replay)?;
+        let (inner, wal, report) = recover(storage, config.tuning(), load, apply_tail)?;
         Ok((Self::assemble(inner, wal, config), report))
     }
 
@@ -344,10 +344,7 @@ impl<T> Durable<T> {
     /// Blocks until everything logged so far is fsync-durable (explicit
     /// durability point for the `Buffered` level; a no-op at `Off`).
     pub fn commit_all(&self) -> Result<()> {
-        if self.config.level == DurabilityLevel::Off {
-            return Ok(());
-        }
-        self.wal.commit(self.wal.last_lsn())
+        self.wal.commit_all()
     }
 
     /// Appends `ops` to the WAL without waiting for durability, returning
@@ -355,22 +352,15 @@ impl<T> Durable<T> {
     /// level is `GroupCommit`). Panics on I/O error (see the type-level
     /// docs).
     fn log_nowait<K: WalCodec, V: WalCodec>(&self, ops: &[WalOp<K, V>]) -> Option<Lsn> {
-        match self.config.level {
-            DurabilityLevel::Off => None,
-            DurabilityLevel::Buffered => {
-                self.wal.append(ops).expect("WAL append failed");
-                None
-            }
-            DurabilityLevel::GroupCommit => Some(self.wal.append(ops).expect("WAL append failed")),
-        }
+        self.wal
+            .log(self.config.level, |wal| wal.append(ops))
+            .expect("WAL append failed")
     }
 
     /// Blocks until the LSN returned by [`log_nowait`](Self::log_nowait)
     /// is fsync-durable (no-op for `None`).
     fn ack(&self, lsn: Option<Lsn>) {
-        if let Some(lsn) = lsn {
-            self.wal.commit(lsn).expect("WAL fsync failed");
-        }
+        self.wal.ack(lsn).expect("WAL fsync failed");
     }
 
     /// Logs `ops` according to the configured level, waiting for
@@ -478,8 +468,7 @@ where
                 state: BpTree::with_config(mode, tree_config.clone()),
             })
         };
-        let replay = |inner: &mut _, _, tail: Vec<_>| Ok(apply_tail(inner, &tail));
-        let (inner, wal, report) = recover(storage, config.tuning(), load, replay)?;
+        let (inner, wal, report) = recover(storage, config.tuning(), load, apply_tail)?;
         Ok((Self::assemble(inner, wal, config), report))
     }
 
@@ -618,49 +607,46 @@ where
     }
 }
 
-/// Replays a recovered WAL tail into `index`, batching consecutive insert
-/// runs through [`SortedIndex::insert_batch`] so the append-mostly tail
-/// rides the sorted-run fast path instead of n point inserts. Returns the
-/// number of records applied.
+/// Replays a recovered WAL tail (whose first record is `first_lsn`) into
+/// `index`, batching consecutive insert runs through
+/// [`SortedIndex::insert_batch`] so the append-mostly tail rides the
+/// sorted-run fast path instead of n point inserts. Returns the number of
+/// records applied.
 ///
-/// Transaction records (`WalOp::Txn*`) are skipped: a plain `Durable`
-/// index has no version dimension to apply them to. They only appear in
-/// WALs written by `TxnStore`, whose own recovery path replays them with
-/// commit-atomic semantics; opening such a WAL as a plain `Durable` is a
-/// read of the non-transactional records only.
-pub fn apply_tail<K, V, T>(index: &mut T, tail: &[WalOp<K, V>]) -> usize
+/// A [`WalOp::Commit`] record means the log was written by a `TxnStore`: a
+/// plain index has no version dimension to replay it into, and appending
+/// plain records behind it would leave a log neither opener accepts — so
+/// it is refused with a `wal` error naming the record's LSN.
+pub fn apply_tail<K, V, T>(index: &mut T, first_lsn: Lsn, tail: Vec<WalOp<K, V>>) -> Result<usize>
 where
     K: Key,
     V: Clone,
     T: SortedIndex<K, V>,
 {
-    let mut applied = 0usize;
+    let applied = tail.len();
     let mut run: Vec<(K, V)> = Vec::new();
-    for op in tail {
+    for (op, lsn) in tail.into_iter().zip(first_lsn..) {
         match op {
-            WalOp::Insert(k, v) => {
-                run.push((*k, v.clone()));
-                applied += 1;
-            }
+            WalOp::Insert(k, v) => run.push((k, v)),
             WalOp::Delete(k) => {
                 if !run.is_empty() {
                     index.insert_batch(&run);
                     run.clear();
                 }
-                index.delete(*k);
-                applied += 1;
+                index.delete(k);
             }
-            WalOp::TxnBegin(_)
-            | WalOp::TxnWrite(..)
-            | WalOp::TxnDelete(..)
-            | WalOp::TxnCommit(..)
-            | WalOp::TxnAbort(_) => {}
+            WalOp::Commit(..) => {
+                return Err(Error::wal(format!(
+                    "transactional commit record at LSN {lsn}: this log was written by a \
+                     TxnStore (open it with TxnStore::open)"
+                )));
+            }
         }
     }
     if !run.is_empty() {
         index.insert_batch(&run);
     }
-    applied
+    Ok(applied)
 }
 
 /// A [`Durable::open`] builder for [`BpTree`]: bulk-loads the snapshot at
@@ -1035,7 +1021,7 @@ mod tests {
             .chain(std::iter::once(WalOp::Delete(5)))
             .chain((100..200u64).map(|k| WalOp::Insert(k, k)))
             .collect();
-        let applied = apply_tail(&mut t, &tail);
+        let applied = apply_tail(&mut t, 1, tail).unwrap();
         assert_eq!(applied, 201);
         assert_eq!(t.len(), 199);
         let m = t.metrics_registry().snapshot();

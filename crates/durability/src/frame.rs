@@ -15,8 +15,30 @@
 //! `crc` covers exactly the payload, so a torn append (partial frame at the
 //! end of a segment) is detected by either a short length word, a short
 //! payload, or a CRC mismatch — recovery stops at the last intact frame.
-//! `kind` is 1 for insert (`body = key ‖ value`) and 2 for delete
-//! (`body = key`); widths come from [`WalCodec`], so decoding never guesses.
+//! Widths come from [`WalCodec`], so decoding never guesses. `kind` is
+//!
+//! * **1** insert — `body = key ‖ value`;
+//! * **2** delete — `body = key`;
+//! * **8** commit — one whole transaction, the only record `TxnStore`
+//!   writes; its body is as long as its write set:
+//!
+//! ```text
+//! ┌───────────────┬───────┬─────────────────────────────────────────┐
+//! │ commit_ts u64 │ n u32 │ n × ( tag u8 │ key │ value if tag = 1 ) │
+//! └───────────────┴───────┴─────────────────────────────────────────┘
+//! ```
+//!
+//! `tag` is 1 for a write and 2 for a delete (an entry is a plain record's
+//! kind and body), and the body must be exactly as long as its tags imply.
+//! One commit is one frame, so its atomicity is the frame's CRC: it replays
+//! whole or, torn, not at all.
+//!
+//! Kinds 3–7 belonged to an earlier multi-record transaction log and are
+//! retired: never written, never reused. A frame whose CRC verifies but
+//! whose kind is retired or unknown, or whose body does not fit its kind
+//! (a log of other `K`/`V` widths), is a completed write this open cannot
+//! read: opening fails with a `corruption` error naming it, where a torn
+//! tail would silently drop it and everything after it.
 
 use quit_core::{crc32, OrderedF64};
 
@@ -80,16 +102,8 @@ impl WalCodec for OrderedF64 {
     }
 }
 
-/// One logged mutation. The WAL records the two `SortedIndex`
-/// mutations plus the five transaction records (`Txn*`); lookups and
-/// scans are never logged.
-///
-/// The `Txn*` variants are produced only by `TxnStore`'s commit path,
-/// which appends a whole commit group (`TxnBegin`, the `TxnWrite`/
-/// `TxnDelete` intents, then `TxnCommit`) in one `Wal::append` call —
-/// contiguous LSNs, one flush. Recovery buffers intents per transaction
-/// id and applies them only when the matching `TxnCommit` is seen, so a
-/// crash mid-group replays none of the transaction's writes.
+/// One logged record. The WAL records the two `SortedIndex` mutations
+/// and the transactional commit; lookups and scans are never logged.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum WalOp<K, V> {
     /// `insert(key, value)` — duplicates allowed and preserved in order.
@@ -98,83 +112,28 @@ pub enum WalOp<K, V> {
     /// a miss-delete is harmless (and the `Durable` wrapper always logs
     /// deletes without a read-before-write).
     Delete(K),
-    /// Transaction `tid` starts its commit group.
-    TxnBegin(u64),
-    /// Transaction `tid` intends to write `key = value`.
-    TxnWrite(u64, K, V),
-    /// Transaction `tid` intends to delete `key` (MVCC tombstone).
-    TxnDelete(u64, K),
-    /// Transaction `tid` commits at timestamp `commit_ts`: every buffered
-    /// intent becomes visible atomically at this timestamp on replay.
-    TxnCommit(u64, u64),
-    /// Transaction `tid` aborts; replay discards its buffered intents.
-    /// Never written by the normal commit path (intents are only logged
-    /// once commit is decided) but kept in the format so future
-    /// early-logging strategies stay wire-compatible.
-    TxnAbort(u64),
+    /// One whole transaction, written only by `TxnStore`: every write
+    /// (`Some` = value, `None` = MVCC tombstone) becomes visible at
+    /// `commit_ts` on replay. The frame's CRC is the atomicity boundary.
+    Commit(u64, Vec<(K, Option<V>)>),
 }
 
 pub(crate) const KIND_INSERT: u8 = 1;
 pub(crate) const KIND_DELETE: u8 = 2;
-pub(crate) const KIND_TXN_BEGIN: u8 = 3;
-pub(crate) const KIND_TXN_WRITE: u8 = 4;
-pub(crate) const KIND_TXN_DELETE: u8 = 5;
-pub(crate) const KIND_TXN_COMMIT: u8 = 6;
-pub(crate) const KIND_TXN_ABORT: u8 = 7;
+const KIND_COMMIT: u8 = 8;
 
 /// `len` + `crc` words preceding every payload.
 pub(crate) const FRAME_HEADER: usize = 8;
 
-/// Upper bound on a single payload; anything larger in a length word means
-/// the word is garbage (torn write), not a real record.
-pub(crate) const MAX_PAYLOAD: usize = 1 << 20;
-
-/// Appends one encoded frame for `op` at `lsn` to `out`.
-pub(crate) fn encode_frame<K: WalCodec, V: WalCodec>(
-    lsn: u64,
-    op: &WalOp<K, V>,
-    out: &mut Vec<u8>,
-) {
+/// Appends one frame at `lsn` to `out`: header, LSN, whatever `body`
+/// writes (kind byte first), then the length and CRC patched in.
+fn frame(lsn: u64, out: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>)) {
     let start = out.len();
     out.extend_from_slice(&[0u8; FRAME_HEADER]); // len + crc, patched below
     lsn.encode_into(out);
-    match op {
-        WalOp::Insert(k, v) => {
-            out.push(KIND_INSERT);
-            k.encode_into(out);
-            v.encode_into(out);
-        }
-        WalOp::Delete(k) => {
-            out.push(KIND_DELETE);
-            k.encode_into(out);
-        }
-        WalOp::TxnBegin(tid) => {
-            out.push(KIND_TXN_BEGIN);
-            tid.encode_into(out);
-        }
-        WalOp::TxnWrite(tid, k, v) => {
-            out.push(KIND_TXN_WRITE);
-            tid.encode_into(out);
-            k.encode_into(out);
-            v.encode_into(out);
-        }
-        WalOp::TxnDelete(tid, k) => {
-            out.push(KIND_TXN_DELETE);
-            tid.encode_into(out);
-            k.encode_into(out);
-        }
-        WalOp::TxnCommit(tid, commit_ts) => {
-            out.push(KIND_TXN_COMMIT);
-            tid.encode_into(out);
-            commit_ts.encode_into(out);
-        }
-        WalOp::TxnAbort(tid) => {
-            out.push(KIND_TXN_ABORT);
-            tid.encode_into(out);
-        }
-    }
+    body(out);
     let payload_at = start + FRAME_HEADER;
-    let len = (out.len() - payload_at) as u32;
+    let len = u32::try_from(out.len() - payload_at).expect("WAL frame exceeds its u32 length word");
 
     #[cfg(not(feature = "inject-wal-bug"))]
     let crc = crc32(&out[payload_at..]);
@@ -196,6 +155,53 @@ pub(crate) fn encode_frame<K: WalCodec, V: WalCodec>(
     out[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
 }
 
+/// Appends one write: `tag ‖ key ‖ value`, or `tag ‖ key` for a delete. A
+/// plain record's kind byte and body are exactly this, and so is each
+/// entry of a commit.
+fn put_write<K: WalCodec, V: WalCodec>(key: &K, value: Option<&V>, out: &mut Vec<u8>) {
+    out.push(if value.is_some() {
+        KIND_INSERT
+    } else {
+        KIND_DELETE
+    });
+    key.encode_into(out);
+    if let Some(value) = value {
+        value.encode_into(out);
+    }
+}
+
+/// Appends one encoded frame for `op` at `lsn` to `out`.
+pub(crate) fn encode_frame<K: WalCodec, V: WalCodec>(
+    lsn: u64,
+    op: &WalOp<K, V>,
+    out: &mut Vec<u8>,
+) {
+    match op {
+        WalOp::Insert(k, v) => frame(lsn, out, |out| put_write(k, Some(v), out)),
+        WalOp::Delete(k) => frame(lsn, out, |out| put_write(k, None::<&V>, out)),
+        WalOp::Commit(commit_ts, writes) => encode_commit_frame(lsn, *commit_ts, writes, out),
+    }
+}
+
+/// Appends one `Commit` frame for a borrowed write set — what `TxnStore`'s
+/// commit path calls, so logging a commit clones and allocates nothing.
+pub(crate) fn encode_commit_frame<K: WalCodec, V: WalCodec>(
+    lsn: u64,
+    commit_ts: u64,
+    writes: &[(K, Option<V>)],
+    out: &mut Vec<u8>,
+) {
+    let n = u32::try_from(writes.len()).expect("commit exceeds its u32 write count");
+    frame(lsn, out, |out| {
+        out.push(KIND_COMMIT);
+        commit_ts.encode_into(out);
+        n.encode_into(out);
+        for (key, write) in writes {
+            put_write(key, write.as_ref(), out);
+        }
+    });
+}
+
 /// Outcome of decoding the frame starting at one byte offset.
 pub(crate) enum FrameStep<K, V> {
     /// An intact frame; `next` is the offset of the following frame.
@@ -211,10 +217,58 @@ pub(crate) enum FrameStep<K, V> {
     End,
     /// The bytes from `pos` on are not an intact frame (torn/corrupt tail).
     Torn(&'static str),
+    /// The frame's CRC verifies but its kind is unknown or retired, or its
+    /// body is not what the kind and the `K`/`V` widths imply: a write
+    /// that completed, in a format this open cannot read — never a tear.
+    Invalid {
+        /// The record's log sequence number.
+        lsn: u64,
+        /// The kind byte found.
+        kind: u8,
+    },
 }
 
-/// Decodes the frame starting at `pos`, never panicking on torn or corrupt
-/// input — every malformation maps to [`FrameStep::Torn`].
+/// Takes one write ([`put_write`]'s inverse) off the front of `bytes`.
+fn take_write<K: WalCodec, V: WalCodec>(bytes: &mut &[u8]) -> Option<(K, Option<V>)> {
+    let (&tag, rest) = bytes.split_first()?;
+    let (key, rest) = rest.split_at_checked(K::WIDTH)?;
+    let (value, rest) = match tag {
+        KIND_INSERT => {
+            let (value, rest) = rest.split_at_checked(V::WIDTH)?;
+            (Some(V::decode_from(value)), rest)
+        }
+        KIND_DELETE => (None, rest),
+        _ => return None,
+    };
+    *bytes = rest;
+    Some((K::decode_from(key), value))
+}
+
+/// Decodes a payload from its kind byte on; `None` unless the kind is known
+/// and the bytes are exactly one record of it.
+fn decode_op<K: WalCodec, V: WalCodec>(record: &[u8]) -> Option<WalOp<K, V>> {
+    let (op, rest) = if let Some(body) = record.strip_prefix(&[KIND_COMMIT]) {
+        let (head, mut rest) = body.split_at_checked(12)?;
+        let n = u32::decode_from(&head[8..]) as usize;
+        // Sized by what the bytes can hold, not by what the count claims.
+        let mut writes = Vec::with_capacity(n.min(rest.len() / (1 + K::WIDTH)));
+        for _ in 0..n {
+            writes.push(take_write(&mut rest)?);
+        }
+        (WalOp::Commit(u64::decode_from(&head[..8]), writes), rest)
+    } else {
+        let mut rest = record;
+        match take_write(&mut rest)? {
+            (key, Some(value)) => (WalOp::Insert(key, value), rest),
+            (key, None) => (WalOp::Delete(key), rest),
+        }
+    };
+    rest.is_empty().then_some(op)
+}
+
+/// Decodes the frame starting at `pos`, never panicking: a short header,
+/// short payload or CRC mismatch is [`FrameStep::Torn`]; a frame that
+/// checks out but cannot be read is [`FrameStep::Invalid`].
 pub(crate) fn decode_frame<K: WalCodec, V: WalCodec>(bytes: &[u8], pos: usize) -> FrameStep<K, V> {
     if pos == bytes.len() {
         return FrameStep::End;
@@ -224,7 +278,9 @@ pub(crate) fn decode_frame<K: WalCodec, V: WalCodec>(bytes: &[u8], pos: usize) -
     }
     let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
     let crc = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().unwrap());
-    if !(9..=MAX_PAYLOAD).contains(&len) {
+    // Any longer length may be real (a commit frame grows with its write
+    // set); a garbage one fails one of the two checks below.
+    if len < 9 {
         return FrameStep::Torn("implausible frame length");
     }
     if bytes.len() - pos - FRAME_HEADER < len {
@@ -235,32 +291,16 @@ pub(crate) fn decode_frame<K: WalCodec, V: WalCodec>(bytes: &[u8], pos: usize) -
         return FrameStep::Torn("payload CRC mismatch");
     }
     let lsn = u64::decode_from(&payload[..8]);
-    let body = &payload[9..];
-    let op = match payload[8] {
-        KIND_INSERT if body.len() == K::WIDTH + V::WIDTH => WalOp::Insert(
-            K::decode_from(&body[..K::WIDTH]),
-            V::decode_from(&body[K::WIDTH..]),
-        ),
-        KIND_DELETE if body.len() == K::WIDTH => WalOp::Delete(K::decode_from(body)),
-        KIND_TXN_BEGIN if body.len() == 8 => WalOp::TxnBegin(u64::decode_from(body)),
-        KIND_TXN_WRITE if body.len() == 8 + K::WIDTH + V::WIDTH => WalOp::TxnWrite(
-            u64::decode_from(&body[..8]),
-            K::decode_from(&body[8..8 + K::WIDTH]),
-            V::decode_from(&body[8 + K::WIDTH..]),
-        ),
-        KIND_TXN_DELETE if body.len() == 8 + K::WIDTH => {
-            WalOp::TxnDelete(u64::decode_from(&body[..8]), K::decode_from(&body[8..]))
-        }
-        KIND_TXN_COMMIT if body.len() == 16 => {
-            WalOp::TxnCommit(u64::decode_from(&body[..8]), u64::decode_from(&body[8..]))
-        }
-        KIND_TXN_ABORT if body.len() == 8 => WalOp::TxnAbort(u64::decode_from(body)),
-        _ => return FrameStep::Torn("unknown record kind or bad body width"),
-    };
-    FrameStep::Record {
-        lsn,
-        op,
-        next: pos + FRAME_HEADER + len,
+    match decode_op(&payload[8..]) {
+        Some(op) => FrameStep::Record {
+            lsn,
+            op,
+            next: pos + FRAME_HEADER + len,
+        },
+        None => FrameStep::Invalid {
+            lsn,
+            kind: payload[8],
+        },
     }
 }
 
@@ -304,32 +344,86 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn txn_frames_roundtrip() {
-        let ops: Vec<WalOp<u64, u64>> = vec![
-            WalOp::TxnBegin(42),
-            WalOp::TxnWrite(42, 7, 700),
-            WalOp::TxnDelete(42, 9),
-            WalOp::TxnCommit(42, 1001),
-            WalOp::TxnAbort(43),
-        ];
+    fn roundtrip<K, V>(op: WalOp<K, V>) -> usize
+    where
+        K: WalCodec + PartialEq + std::fmt::Debug,
+        V: WalCodec + PartialEq + std::fmt::Debug,
+    {
         let mut buf = Vec::new();
-        for (i, op) in ops.iter().enumerate() {
-            encode_frame::<u64, u64>(i as u64 + 1, op, &mut buf);
+        encode_frame(5, &op, &mut buf);
+        let FrameStep::Record { lsn, op: got, next } = decode_frame::<K, V>(&buf, 0) else {
+            panic!("{op:?} should decode");
+        };
+        assert_eq!((lsn, &got, next), (5, &op, buf.len()));
+        buf.len()
+    }
+
+    #[test]
+    fn commit_frames_roundtrip() {
+        // 8 header + 8 lsn + 1 kind + 8 commit_ts + 4 count, then 17 per
+        // (u64, u64) write and 9 per delete.
+        assert_eq!(roundtrip(WalOp::<u64, u64>::Commit(1001, vec![])), 29);
+        assert_eq!(
+            roundtrip(WalOp::Commit(1002, vec![(7u64, Some(700u64))])),
+            46
+        );
+        let mixed = vec![
+            (7u64, Some(700u64)),
+            (9, None),
+            (11, Some(1100)),
+            (12, None),
+        ];
+        assert_eq!(roundtrip(WalOp::Commit(1003, mixed)), 29 + 2 * 17 + 2 * 9);
+        let floats = vec![
+            (OrderedF64::new(-1.5), Some(3u32)),
+            (OrderedF64::new(0.0), None),
+            (OrderedF64::new(2.25), Some(4)),
+        ];
+        assert_eq!(roundtrip(WalOp::Commit(u64::MAX, floats)), 29 + 2 * 13 + 9);
+    }
+
+    #[test]
+    fn a_frame_that_checks_out_but_cannot_be_read_is_invalid_not_torn() {
+        let invalid = |buf: &[u8]| match decode_frame::<u64, u64>(buf, 0) {
+            FrameStep::Invalid { lsn, kind } => (lsn, kind),
+            _ => panic!("a CRC-valid unreadable frame must be Invalid"),
+        };
+        // A commit whose count disagrees with its body, either way.
+        for claimed in [1u32, 3] {
+            let mut buf = Vec::new();
+            frame(3, &mut buf, |out| {
+                out.push(KIND_COMMIT);
+                1001u64.encode_into(out);
+                claimed.encode_into(out);
+                for k in [7u64, 9] {
+                    out.push(KIND_INSERT);
+                    k.encode_into(out);
+                    (k * 100).encode_into(out);
+                }
+            });
+            assert_eq!(invalid(&buf), (3, KIND_COMMIT));
         }
-        let mut pos = 0;
-        for (i, want) in ops.iter().enumerate() {
-            let FrameStep::Record { lsn, op, next } = decode_frame::<u64, u64>(&buf, pos) else {
-                panic!("txn frame {i} should decode");
-            };
-            assert_eq!(lsn, i as u64 + 1);
-            assert_eq!(&op, want);
-            pos = next;
-        }
-        assert!(matches!(
-            decode_frame::<u64, u64>(&buf, pos),
-            FrameStep::End
-        ));
+        // A commit entry with a tag that is neither write nor delete.
+        let mut buf = Vec::new();
+        frame(4, &mut buf, |out| {
+            out.push(KIND_COMMIT);
+            1001u64.encode_into(out);
+            1u32.encode_into(out);
+            out.push(3);
+            7u64.encode_into(out);
+        });
+        assert_eq!(invalid(&buf), (4, KIND_COMMIT));
+        // A retired kind (4 was the per-key transaction write).
+        let mut buf = Vec::new();
+        frame(5, &mut buf, |out| {
+            out.push(4);
+            [42u64, 7, 700].iter().for_each(|w| w.encode_into(out));
+        });
+        assert_eq!(invalid(&buf), (5, 4));
+        // Another width's insert: (u32, u32) read as (u64, u64).
+        let mut buf = Vec::new();
+        encode_frame::<u32, u32>(6, &WalOp::Insert(1, 10), &mut buf);
+        assert_eq!(invalid(&buf), (6, KIND_INSERT));
     }
 
     #[test]

@@ -17,21 +17,21 @@
 //! 2. validate: any write key whose newest version committed after our
 //!    snapshot is a lost-update hazard → [`Error::Conflict`], abort;
 //! 3. allocate the commit timestamp (registered in-flight);
-//! 4. append the whole commit group — `TxnBegin`, one
-//!    `TxnWrite`/`TxnDelete` per key, `TxnCommit` — in **one**
-//!    `Wal::append` call: contiguous LSNs, one buffer flush, never
-//!    split across a group-commit boundary;
+//! 4. append the commit — timestamp and whole write set — as **one**
+//!    `WalOp::Commit` frame: one LSN, one CRC, encoded straight from the
+//!    transaction's own buffer;
 //! 5. apply the versions to the tree (still under the stripes, so WAL
 //!    order ≡ apply order per key, exactly PR 5's invariant);
 //! 6. release the stripes, publish the timestamp (readers may now get
 //!    snapshots covering it), and only then await the group fsync.
 //!
-//! Because intents hit the WAL only inside a decided commit group,
-//! recovery is a pure buffer-then-apply: `TxnWrite`/`TxnDelete` records
-//! are buffered per transaction id and applied — atomically, at the
-//! recorded commit timestamp — when their `TxnCommit` arrives. A crash
-//! anywhere mid-group leaves no `TxnCommit`, so none of that
-//! transaction's writes replay: all-or-nothing by construction.
+//! # Recovery
+//!
+//! Only decided commits reach the WAL, one self-contained frame each, so
+//! replay applies every `Commit` record as it is read, at its recorded
+//! timestamp. A crash anywhere inside a frame fails its length or CRC
+//! check and the frame is a torn tail: the transaction replays whole or
+//! not at all, whatever its size.
 //!
 //! # Why readers can trust their snapshot
 //!
@@ -58,9 +58,7 @@
 //! register; an auto-commit `get` does not, and re-resolves in the one
 //! case where that could show (see [`TxnStore::get`]).
 
-use crate::durable::{
-    recover, with_wal_metrics, DurabilityConfig, DurabilityLevel, LoadedSnapshot, RecoveryReport,
-};
+use crate::durable::{recover, with_wal_metrics, DurabilityConfig, LoadedSnapshot, RecoveryReport};
 use crate::frame::WalCodec;
 use crate::snapshot::load_best_snapshot;
 use crate::storage::Storage;
@@ -68,7 +66,7 @@ use crate::wal::{Lsn, Wal};
 use crate::WalOp;
 use quit_concurrent::{ConcConfig, MvccTree};
 use quit_core::{Error, Key, Result, StatsSnapshot};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::ops::{Bound, RangeBounds};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
@@ -218,17 +216,34 @@ pub struct TxnStats {
 }
 
 /// What [`TxnStore::open`] rebuilds: the version tree, its live-key count,
-/// and where the timestamp and transaction-id clocks resume.
+/// and where the timestamp clock resumes.
 struct Recovered<K: Key, V: Clone> {
     mvcc: MvccTree<K, V>,
     live: u64,
     max_ts: u64,
-    max_tid: u64,
+}
+
+/// Applies one commit's `writes` to `mvcc` at `commit_ts`, returning how
+/// far that moves the live-key count and how many versions it superseded
+/// (overwrites and tombstones — what the GC can later reclaim).
+fn apply_writes<K: Key, V: Clone>(
+    mvcc: &MvccTree<K, V>,
+    commit_ts: u64,
+    writes: impl IntoIterator<Item = (K, Option<V>)>,
+) -> (i64, u64) {
+    let (mut live, mut superseded) = (0i64, 0u64);
+    for (key, intent) in writes {
+        let writing = intent.is_some();
+        let prev_live = mvcc.apply(key, commit_ts, intent);
+        live += i64::from(writing) - i64::from(prev_live);
+        superseded += u64::from(prev_live) + u64::from(!writing);
+    }
+    (live, superseded)
 }
 
 /// A multi-version, transactional, durable key-value store: snapshot
 /// isolation over [`MvccTree`], first-committer-wins conflict
-/// detection, WAL commit groups with atomic recovery. See the module
+/// detection, one WAL frame per commit with atomic recovery. See the module
 /// docs for the protocol.
 ///
 /// All transaction traffic goes through `&self` — share a `TxnStore`
@@ -265,11 +280,11 @@ where
 {
     /// Opens (or creates) a transactional store on `storage`: loads the
     /// newest valid timestamped snapshot, bulk-builds the version tree,
-    /// replays the WAL tail with commit atomicity (a transaction's
-    /// writes apply only if its `TxnCommit` record survived — all or
-    /// none), and resumes the timestamp clock past everything recovered.
+    /// replays the WAL tail (one `Commit` frame per transaction, so each
+    /// replays whole or — torn — not at all), and resumes the timestamp
+    /// clock past everything recovered.
     ///
-    /// A transactional directory holds only transaction records: a plain
+    /// A transactional directory holds only `Commit` records: a plain
     /// `Insert`/`Delete` record in the tail means the log was written by a
     /// non-transactional [`crate::Durable`], and the open is rejected with
     /// a `wal` error naming the record's LSN.
@@ -304,59 +319,23 @@ where
                     mvcc,
                     live: snapshot_entries as u64,
                     max_ts,
-                    max_tid: 0,
                 },
             })
         };
         let replay = |st: &mut Recovered<K, V>, first_lsn: Lsn, tail: Vec<WalOp<K, V>>| {
             let mut applied = 0usize;
-            // Buffered intents of transactions whose commit record hasn't
-            // been seen yet. `TxnBegin` *resets* the slot: a tid reused
-            // after a crash must not inherit the dead transaction's intents.
-            let mut pending: HashMap<u64, Vec<(K, Option<V>)>> = HashMap::new();
             for (op, lsn) in tail.into_iter().zip(first_lsn..) {
-                let tid = match op {
-                    WalOp::Insert(..) | WalOp::Delete(_) => {
-                        return Err(Error::wal(format!(
-                            "non-transactional record at LSN {lsn}: this log was not \
-                             written by a TxnStore (open it with Durable::open)"
-                        )));
-                    }
-                    WalOp::TxnBegin(tid) => {
-                        pending.insert(tid, Vec::new());
-                        tid
-                    }
-                    WalOp::TxnWrite(tid, k, v) => {
-                        pending.entry(tid).or_default().push((k, Some(v)));
-                        tid
-                    }
-                    WalOp::TxnDelete(tid, k) => {
-                        pending.entry(tid).or_default().push((k, None));
-                        tid
-                    }
-                    WalOp::TxnCommit(tid, ts) => {
-                        for (k, w) in pending.remove(&tid).unwrap_or_default() {
-                            let writing = w.is_some();
-                            let prev_live = st.mvcc.apply(k, ts, w);
-                            match (prev_live, writing) {
-                                (false, true) => st.live += 1,
-                                (true, false) => st.live -= 1,
-                                _ => {}
-                            }
-                            applied += 1;
-                        }
-                        st.max_ts = st.max_ts.max(ts);
-                        tid
-                    }
-                    WalOp::TxnAbort(tid) => {
-                        pending.remove(&tid);
-                        tid
-                    }
+                let WalOp::Commit(commit_ts, writes) = op else {
+                    return Err(Error::wal(format!(
+                        "non-transactional record at LSN {lsn}: this log was not \
+                         written by a TxnStore (open it with Durable::open)"
+                    )));
                 };
-                st.max_tid = st.max_tid.max(tid);
+                applied += writes.len();
+                let (live, _) = apply_writes(&st.mvcc, commit_ts, writes);
+                st.live = st.live.wrapping_add_signed(live);
+                st.max_ts = st.max_ts.max(commit_ts);
             }
-            // Anything still pending lost its commit record to the crash:
-            // dropped, atomically invisible.
             Ok(applied)
         };
         let tuning = config.durability.tuning();
@@ -369,7 +348,7 @@ where
                 oracle: TsOracle::new(recovered.max_ts),
                 snapshots: Mutex::new(BTreeMap::new()),
                 commit_gate: RwLock::new(()),
-                next_tid: AtomicU64::new(recovered.max_tid),
+                next_tid: AtomicU64::new(0),
                 live: AtomicU64::new(recovered.live),
                 commits: AtomicU64::new(0),
                 conflicts: AtomicU64::new(0),
@@ -451,59 +430,65 @@ where
     /// Auto-commit single-key insert: a blind one-write transaction.
     /// Blind single-key writes always win — retrying a one-write
     /// transaction until its snapshot catches up converges to exactly
-    /// this — so the fast path commits directly (a two-record WAL group,
-    /// no conflict check, no snapshot registration) and never returns
-    /// [`Error::Conflict`]. Returns its commit timestamp.
+    /// this — so the fast path commits directly (one WAL frame, no
+    /// conflict check, no snapshot registration, no allocation) and never
+    /// returns [`Error::Conflict`]. Returns its commit timestamp.
     pub fn insert(&self, key: K, value: V) -> Result<u64> {
-        self.commit_one(key, Some(value))
+        let (commit_ts, lsn) = self.log_and_apply(&[(key, Some(value))], None)?;
+        self.wal.ack(lsn)?;
+        Ok(commit_ts)
     }
 
-    /// Commits a single blind write/delete as its own transaction:
-    /// stripe-locked, timestamped, logged as a `TxnWrite`/`TxnDelete` +
-    /// `TxnCommit` group (`TxnBegin` is omitted — recovery opens the
-    /// per-tid buffer on the first intent record, and tids never reuse
-    /// while an orphaned intent is still in the tail, because
-    /// `next_tid` resumes past every tid the tail mentions).
-    fn commit_one(&self, key: K, intent: Option<V>) -> Result<u64> {
+    /// Protocol steps 1–6 for one write set (distinct keys): lock the
+    /// stripes, validate against `snapshot_ts` if one is given (`None` is
+    /// a blind commit), timestamp, log as one `Commit` frame, apply,
+    /// publish. Returns the commit timestamp and what
+    /// [`Wal::ack`] must wait on; an error means nothing was applied.
+    fn log_and_apply(
+        &self,
+        writes: &[(K, Option<V>)],
+        snapshot_ts: Option<u64>,
+    ) -> Result<(u64, Option<Lsn>)> {
         let _gate = self.commit_gate.read().unwrap();
-        let guards = self.mvcc.lock_keys(std::slice::from_ref(&key));
-        let commit_ts = self.oracle.begin_commit();
-        let tid = self.next_tid.fetch_add(1, Ordering::Relaxed) + 1;
-        let ops = [
-            match intent.clone() {
-                Some(v) => WalOp::TxnWrite(tid, key, v),
-                None => WalOp::TxnDelete(tid, key),
-            },
-            WalOp::TxnCommit(tid, commit_ts),
-        ];
-        let lsn = match self.log_nowait(&ops) {
-            Ok(lsn) => lsn,
-            Err(e) => {
-                drop(guards);
-                self.oracle.finish_commit(commit_ts);
-                return Err(e);
+        let guards = self.mvcc.lock_keys(writes.iter().map(|(key, _)| key));
+
+        // First-committer-wins validation: a newer committed version of
+        // any write key means a concurrent transaction won. The injected
+        // transaction bug skips it entirely, silently losing updates
+        // between concurrent writers — the SI history checker must detect
+        // this and shrink the offending history.
+        let validate_at = snapshot_ts.filter(|_| cfg!(not(feature = "inject-txn-bug")));
+        if let Some(snapshot_ts) = validate_at {
+            let newer = writes
+                .iter()
+                .filter_map(|&(key, _)| self.mvcc.latest_commit_ts(key))
+                .find(|&latest| latest > snapshot_ts);
+            if let Some(latest) = newer {
+                self.conflicts.fetch_add(1, Ordering::Relaxed);
+                return Err(Error::conflict(format!(
+                    "key committed at ts {latest} after snapshot {snapshot_ts}"
+                )));
             }
-        };
-        let writing = intent.is_some();
-        let prev_live = self.mvcc.apply(key, commit_ts, intent);
-        match (prev_live, writing) {
-            (false, true) => {
-                self.live.fetch_add(1, Ordering::Relaxed);
-            }
-            (true, false) => {
-                self.live.fetch_sub(1, Ordering::Relaxed);
-            }
-            _ => {}
         }
+
+        let commit_ts = self.oracle.begin_commit();
+        // On an error nothing is applied: the frame may or may not have
+        // reached the (now poisoned) WAL, and nobody was told it committed.
+        let lsn = self
+            .wal
+            .log(self.config.durability.level, |wal| {
+                wal.append_commit(commit_ts, writes)
+            })
+            .inspect_err(|_| self.oracle.finish_commit(commit_ts))?;
+        let (live, superseded) = apply_writes(&self.mvcc, commit_ts, writes.iter().cloned());
+        // Two's-complement add: a negative change wraps to a subtraction.
+        self.live.fetch_add(live as u64, Ordering::Relaxed);
         drop(guards);
         self.oracle.finish_commit(commit_ts);
         self.commits.fetch_add(1, Ordering::Relaxed);
         drop(_gate);
-        self.maybe_gc(u64::from(prev_live) + u64::from(!writing));
-        if let Some(lsn) = lsn {
-            self.wal.commit(lsn)?;
-        }
-        Ok(commit_ts)
+        self.maybe_gc(superseded);
+        Ok((commit_ts, lsn))
     }
 
     /// Auto-commit single-key delete, returning the deleted value (as of
@@ -594,20 +579,14 @@ where
     /// Blocks until everything logged so far is fsync-durable (the
     /// explicit durability point for `Buffered`-level configs).
     pub fn commit_all(&self) -> Result<()> {
-        if self.config.durability.level == DurabilityLevel::Off {
-            return Ok(());
-        }
-        self.wal.commit(self.wal.last_lsn())
+        self.wal.commit_all()
     }
 
     /// Pushes any buffered WAL bytes to the OS (no fsync) — the
     /// crash-fuzzing hook, mirroring [`crate::Durable::flush`]: the full
     /// byte image must then recover every committed transaction, while
-    /// arbitrary byte cuts may still tear mid-frame (or mid-group).
+    /// arbitrary byte cuts may still tear mid-frame.
     pub fn flush(&self) -> Result<()> {
-        if self.config.durability.level == DurabilityLevel::Off {
-            return Ok(());
-        }
         self.wal.flush()
     }
 
@@ -638,17 +617,6 @@ where
     pub fn config(&self) -> &TxnConfig {
         &self.config
     }
-
-    fn log_nowait(&self, ops: &[WalOp<K, V>]) -> Result<Option<Lsn>> {
-        match self.config.durability.level {
-            DurabilityLevel::Off => Ok(None),
-            DurabilityLevel::Buffered => {
-                self.wal.append(ops)?;
-                Ok(None)
-            }
-            DurabilityLevel::GroupCommit => Ok(Some(self.wal.append(ops)?)),
-        }
-    }
 }
 
 /// One transaction over a [`TxnStore`]: snapshot reads, buffered
@@ -664,7 +632,7 @@ where
     tid: u64,
     snapshot_ts: u64,
     /// Buffered write intents: `Some` = write, `None` = delete. A
-    /// `BTreeMap` so the commit group and overlayed scans are in key
+    /// `BTreeMap` so the commit record and overlayed scans are in key
     /// order deterministically.
     writes: BTreeMap<K, Option<V>>,
     committed: bool,
@@ -675,7 +643,9 @@ where
     K: Key + WalCodec,
     V: Clone + WalCodec,
 {
-    /// This transaction's id (stable across its WAL records).
+    /// This handle's id: unique among the transactions this open of the
+    /// store has begun (history checkers key on it), never logged, and
+    /// counted from 1 again after a reopen.
     pub fn tid(&self) -> u64 {
         self.tid
     }
@@ -732,8 +702,8 @@ where
         self.writes.len()
     }
 
-    /// Commits: validates first-committer-wins, logs the commit group
-    /// atomically, applies the versions, returns the commit timestamp.
+    /// Commits: validates first-committer-wins, logs the commit record,
+    /// applies the versions, returns the commit timestamp.
     /// A read-only transaction commits trivially at its snapshot.
     ///
     /// On [`Error::Conflict`] the transaction is rolled back (nothing
@@ -748,81 +718,10 @@ where
             self.store.commits.fetch_add(1, Ordering::Relaxed);
             return Ok(self.snapshot_ts);
         }
-        let store = self.store;
-        let _gate = store.commit_gate.read().unwrap();
-        let keys: Vec<K> = self.writes.keys().copied().collect();
-        let guards = store.mvcc.lock_keys(&keys);
-
-        // First-committer-wins validation: a newer committed version of
-        // any write key means a concurrent transaction won.
-        #[cfg(not(feature = "inject-txn-bug"))]
-        for &key in &keys {
-            if let Some(latest) = store.mvcc.latest_commit_ts(key) {
-                if latest > self.snapshot_ts {
-                    drop(guards);
-                    store.conflicts.fetch_add(1, Ordering::Relaxed);
-                    return Err(Error::conflict(format!(
-                        "key committed at ts {latest} after snapshot {}",
-                        self.snapshot_ts
-                    )));
-                }
-            }
-        }
-        // Injected transaction bug: commit skips first-committer-wins
-        // validation entirely, silently losing updates between
-        // concurrent writers — the SI history checker must detect this
-        // and shrink the offending history.
-        #[cfg(feature = "inject-txn-bug")]
-        let _ = &keys;
-
-        let commit_ts = store.oracle.begin_commit();
-
-        let mut ops: Vec<WalOp<K, V>> = Vec::with_capacity(self.writes.len() + 2);
-        ops.push(WalOp::TxnBegin(self.tid));
-        for (&key, intent) in &self.writes {
-            ops.push(match intent {
-                Some(v) => WalOp::TxnWrite(self.tid, key, v.clone()),
-                None => WalOp::TxnDelete(self.tid, key),
-            });
-        }
-        ops.push(WalOp::TxnCommit(self.tid, commit_ts));
-        let lsn = match store.log_nowait(&ops) {
-            Ok(lsn) => lsn,
-            Err(e) => {
-                // Nothing applied; the group may or may not have reached
-                // the (now poisoned) WAL, but without a durable
-                // TxnCommit recovery discards it either way.
-                drop(guards);
-                store.oracle.finish_commit(commit_ts);
-                return Err(e);
-            }
-        };
-
-        let mut superseded = 0u64;
-        for (&key, intent) in &self.writes {
-            let writing = intent.is_some();
-            let prev_live = store.mvcc.apply(key, commit_ts, intent.clone());
-            superseded += u64::from(prev_live) + u64::from(!writing);
-            match (prev_live, writing) {
-                (false, true) => {
-                    store.live.fetch_add(1, Ordering::Relaxed);
-                }
-                (true, false) => {
-                    store.live.fetch_sub(1, Ordering::Relaxed);
-                }
-                _ => {}
-            }
-        }
-        drop(guards);
-        store.oracle.finish_commit(commit_ts);
-        store.commits.fetch_add(1, Ordering::Relaxed);
+        let writes: Vec<(K, Option<V>)> = std::mem::take(&mut self.writes).into_iter().collect();
+        let (commit_ts, lsn) = self.store.log_and_apply(&writes, Some(self.snapshot_ts))?;
         self.committed = true;
-        drop(_gate);
-        store.maybe_gc(superseded);
-
-        if let Some(lsn) = lsn {
-            store.wal.commit(lsn)?;
-        }
+        self.store.wal.ack(lsn)?;
         Ok(commit_ts)
     }
 
@@ -1004,8 +903,8 @@ mod tests {
         txn.commit().unwrap();
         store.commit_all().unwrap();
         let full = storage.total_appended();
-        // Cut at every byte boundary inside the second commit group: the
-        // group must be all (only at the very end) or nothing.
+        // Cut at every byte boundary inside the second commit's frame: it
+        // must be all (only at the very end) or nothing.
         for keep in durable_after_first..full {
             let (again, _) = TxnStore::<u64, u64>::open(
                 Arc::new(storage.crash(keep)) as Arc<dyn Storage>,
@@ -1117,5 +1016,81 @@ mod tests {
         };
         assert_eq!(err.kind(), "wal");
         assert!(err.to_string().contains("LSN 1"), "{err}");
+    }
+
+    #[test]
+    fn transactional_wal_is_rejected_by_plain_open() {
+        use crate::durable::{concurrent_builder, Durable};
+        use quit_core::{BpTree, FastPathMode, StorageKind, TreeConfig};
+        let storage = Arc::new(MemStorage::new());
+        {
+            let (store, _) = TxnStore::<u64, u64>::open(
+                storage.clone() as Arc<dyn Storage>,
+                TxnConfig::default(),
+            )
+            .unwrap();
+            store.insert(1, 10).unwrap();
+            store.insert(2, 20).unwrap();
+        }
+        // The mirror of the case above: a plain open of a transactional log
+        // is refused at its first record — not recovered empty, and never
+        // appended to.
+        let crashed = Arc::new(storage.crash_durable_only());
+        let before = crashed.total_appended();
+        let plain = Durable::open(
+            crashed.clone() as Arc<dyn Storage>,
+            DurabilityConfig::group_commit(),
+            concurrent_builder::<u64, u64>(ConcConfig::paper_default()),
+        )
+        .map(drop);
+        let paged = Durable::<BpTree<u64, u64>>::open_paged(
+            crashed.clone() as Arc<dyn Storage>,
+            DurabilityConfig::group_commit(),
+            FastPathMode::Pole,
+            TreeConfig::small(16).with_storage(StorageKind::paged(8)),
+        )
+        .map(drop);
+        for err in [plain.unwrap_err(), paged.unwrap_err()] {
+            assert_eq!(err.kind(), "wal");
+            assert!(err.to_string().contains("LSN 1"), "{err}");
+        }
+        assert_eq!(crashed.total_appended(), before);
+    }
+
+    #[test]
+    fn a_commit_larger_than_one_mib_is_whole_or_absent() {
+        // What `Quit::insert_batch` issues for a 200 000-entry batch: one
+        // transaction, one ~3.4 MB frame (the old payload bound was 1 MiB).
+        const N: u64 = 200_000;
+        let storage = Arc::new(MemStorage::new());
+        let (store, _) = TxnStore::<u64, u64>::open(
+            storage.clone() as Arc<dyn Storage>,
+            TxnConfig::default().with_durability(DurabilityConfig::buffered()),
+        )
+        .unwrap();
+        let mut txn = store.begin();
+        for k in 0..N {
+            txn.insert(k, k + 1);
+        }
+        txn.commit().unwrap();
+        store.flush().unwrap();
+        let frame = 29 + 17 * N as usize;
+        let total = storage.total_appended();
+        assert_eq!(total, 34 + frame, "segment header + one commit frame");
+
+        let reopen = |image: MemStorage| {
+            let (store, report) = TxnStore::<u64, u64>::open(
+                Arc::new(image) as Arc<dyn Storage>,
+                TxnConfig::default(),
+            )
+            .unwrap();
+            (store.len() as u64, report.tail_records as u64)
+        };
+        // Written but not yet fsynced: a crash may cut anywhere inside it.
+        for keep in [total - frame + 1, total - frame / 2, total - 1] {
+            assert_eq!(reopen(storage.crash(keep)), (0, 0), "cut at byte {keep}");
+        }
+        store.commit_all().unwrap();
+        assert_eq!(reopen(storage.crash_durable_only()), (N, N));
     }
 }

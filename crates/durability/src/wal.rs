@@ -43,11 +43,11 @@
 //! `flush` or `commit` — from *any* thread — fails with an error instead
 //! of acking records that recovery could never replay.
 
-use crate::frame::{decode_frame, encode_frame, FrameStep, WalCodec};
+use crate::durable::DurabilityLevel;
+use crate::frame::{decode_frame, encode_commit_frame, encode_frame, FrameStep, WalCodec};
 use crate::storage::Storage;
 use crate::WalOp;
 use quit_core::{crc32, Error, MetricsRegistry, Result};
-use std::io;
 use std::sync::{Arc, Condvar, Mutex};
 
 /// Log sequence number: 1-based, dense, strictly increasing. 0 means
@@ -213,24 +213,69 @@ impl Wal {
     /// [`commit`](Self::commit) (group commit) or rely on buffer flushes
     /// (`Buffered` level). Empty `ops` returns the current last LSN.
     pub fn append<K: WalCodec, V: WalCodec>(&self, ops: &[WalOp<K, V>]) -> Result<Lsn> {
+        self.append_frames(ops.len() as u64, |first, out| {
+            for (op, lsn) in ops.iter().zip(first..) {
+                encode_frame(lsn, op, out);
+            }
+        })
+    }
+
+    /// Appends `records` frames under one hold of the state lock: `encode`
+    /// is handed the first LSN and the buffer and must frame exactly that
+    /// many consecutive LSNs.
+    fn append_frames(&self, records: u64, encode: impl FnOnce(Lsn, &mut Vec<u8>)) -> Result<Lsn> {
         let mut st = self.state.lock().unwrap();
         if st.poisoned {
             return Err(poison_err());
         }
-        for op in ops {
-            let lsn = st.next_lsn;
-            st.next_lsn += 1;
-            encode_frame(lsn, op, &mut st.pending);
-            st.pending_records += 1;
-        }
-        self.metrics
-            .counters
-            .wal_appends
-            .add_shared(ops.len() as u64);
+        encode(st.next_lsn, &mut st.pending);
+        st.next_lsn += records;
+        st.pending_records += records;
+        self.metrics.counters.wal_appends.add_shared(records);
         if st.pending.len() >= self.tuning.buffer_bytes.max(1) {
             self.flush_locked(&mut st)?;
         }
         Ok(st.next_lsn - 1)
+    }
+
+    /// Appends one transaction's borrowed write set as a single
+    /// [`WalOp::Commit`] frame.
+    pub(crate) fn append_commit<K: WalCodec, V: WalCodec>(
+        &self,
+        commit_ts: u64,
+        writes: &[(K, Option<V>)],
+    ) -> Result<Lsn> {
+        self.append_frames(1, |lsn, out| {
+            encode_commit_frame(lsn, commit_ts, writes, out)
+        })
+    }
+
+    /// Runs `append` as `level` prescribes, without waiting for durability:
+    /// not at all at `Off`, and only `GroupCommit` hands its LSN on for
+    /// [`ack`](Self::ack) to wait on.
+    pub(crate) fn log(
+        &self,
+        level: DurabilityLevel,
+        append: impl FnOnce(&Self) -> Result<Lsn>,
+    ) -> Result<Option<Lsn>> {
+        match level {
+            DurabilityLevel::Off => Ok(None),
+            DurabilityLevel::Buffered => append(self).map(|_| None),
+            DurabilityLevel::GroupCommit => append(self).map(Some),
+        }
+    }
+
+    /// Blocks until what [`log`](Self::log) returned is fsync-durable (a
+    /// no-op for `None`).
+    pub(crate) fn ack(&self, lsn: Option<Lsn>) -> Result<()> {
+        lsn.map_or(Ok(()), |lsn| self.commit(lsn))
+    }
+
+    /// Blocks until everything logged so far is fsync-durable — the
+    /// explicit durability point for the `Buffered` level, and a no-op at
+    /// `Off`, where nothing is ever logged.
+    pub(crate) fn commit_all(&self) -> Result<()> {
+        self.commit(self.last_lsn())
     }
 
     /// Pushes buffered frames to storage (still not fsynced).
@@ -446,7 +491,7 @@ pub(crate) fn scan_wal<K: WalCodec, V: WalCodec>(
     storage: &dyn Storage,
     snapshot_lsn: Lsn,
     snapshot_generation: u64,
-) -> io::Result<WalScan<K, V>> {
+) -> Result<WalScan<K, V>> {
     let mut segments: Vec<(u64, u64, String)> = storage
         .list()?
         .into_iter()
@@ -513,6 +558,13 @@ pub(crate) fn scan_wal<K: WalCodec, V: WalCodec>(
                     scan.torn_reason.get_or_insert(reason);
                     break;
                 }
+                FrameStep::Invalid { lsn, kind } => {
+                    return Err(Error::corruption(format!(
+                        "{name}: the record at LSN {lsn} has a valid CRC but kind {kind} is \
+                         unknown or its body does not fit — the log was written in another \
+                         format or with other key/value widths"
+                    )));
+                }
                 FrameStep::Record { lsn, op, next } => {
                     pos = next;
                     if lsn <= snapshot_lsn {
@@ -543,6 +595,7 @@ pub(crate) fn scan_wal<K: WalCodec, V: WalCodec>(
 mod tests {
     use super::*;
     use crate::storage::MemStorage;
+    use std::io;
 
     fn mem() -> Arc<MemStorage> {
         Arc::new(MemStorage::new())

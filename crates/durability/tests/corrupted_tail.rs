@@ -4,12 +4,18 @@
 //! Each case fabricates a storage image (valid segments produced by the
 //! real WAL, then surgically damaged and re-installed byte-for-byte) and
 //! asserts recovery lands on exactly the records before the damage.
+//!
+//! The opposite case is pinned too: a frame whose CRC *verifies* but which
+//! this open cannot read (a retired kind, other key/value widths) is a
+//! completed write, not damage — the open fails instead of dropping it and
+//! everything after it as a "torn tail".
 
 #![cfg(not(feature = "inject-wal-bug"))]
 
 use quit_core::{FastPathMode, SortedIndex, TreeConfig};
 use quit_durability::{
-    bptree_builder, DurabilityConfig, Durable, MemStorage, RecoveryReport, Storage,
+    bptree_builder, crc32, DurabilityConfig, Durable, MemStorage, RecoveryReport, Storage,
+    TxnConfig, TxnStore,
 };
 use std::sync::Arc;
 
@@ -154,4 +160,70 @@ fn stale_previous_generation_segment_is_skipped() {
     for k in 0..60u64 {
         assert_eq!(d.get(k), Some(k * 10));
     }
+}
+
+/// A frame as the WAL lays it out — `len | crc | lsn | kind | body`, the
+/// CRC over everything after itself — built by hand so it can carry a kind
+/// the encoder no longer writes.
+fn raw_frame(lsn: u64, kind: u8, body: &[u8]) -> Vec<u8> {
+    let mut payload = lsn.to_le_bytes().to_vec();
+    payload.push(kind);
+    payload.extend_from_slice(body);
+    let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
+    frame.extend_from_slice(&crc32(&payload).to_le_bytes());
+    frame.extend_from_slice(&payload);
+    frame
+}
+
+#[test]
+fn a_retired_kind_with_a_valid_crc_fails_the_open() {
+    // Kind 4 was the per-key write record of the retired multi-record
+    // transaction log: `tid | key | value`. Three good records, then one.
+    let (_, name, mut bytes) = one_segment_image(3);
+    let body: Vec<u8> = [42u64, 7, 70]
+        .iter()
+        .flat_map(|w| w.to_le_bytes())
+        .collect();
+    bytes.extend(raw_frame(4, 4, &body));
+
+    let plain = Durable::open(
+        image_with(&name, bytes.clone()) as Arc<dyn Storage>,
+        DurabilityConfig::group_commit(),
+        builder(),
+    )
+    .map(drop);
+    let txn = TxnStore::<u64, u64>::open(
+        image_with(
+            &name,
+            bytes[..34]
+                .iter()
+                .copied()
+                .chain(raw_frame(1, 4, &body))
+                .collect(),
+        ) as Arc<dyn Storage>,
+        TxnConfig::default(),
+    )
+    .map(drop);
+    for (err, lsn) in [(plain.unwrap_err(), "LSN 4"), (txn.unwrap_err(), "LSN 1")] {
+        assert_eq!(err.kind(), "corruption", "{err}");
+        let msg = err.to_string();
+        assert!(
+            msg.contains(lsn) && msg.contains("kind 4") && msg.contains(&name),
+            "{msg}"
+        );
+    }
+}
+
+#[test]
+fn a_log_of_other_key_widths_fails_the_open_instead_of_recovering_empty() {
+    let (_, name, bytes) = one_segment_image(20);
+    let err = Durable::open(
+        image_with(&name, bytes) as Arc<dyn Storage>,
+        DurabilityConfig::group_commit(),
+        bptree_builder::<u32, u32>(FastPathMode::Pole, TreeConfig::small(16)),
+    )
+    .map(drop)
+    .unwrap_err();
+    assert_eq!(err.kind(), "corruption", "{err}");
+    assert!(err.to_string().contains("LSN 1"), "{err}");
 }

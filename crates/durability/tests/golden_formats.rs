@@ -5,12 +5,17 @@
 //! one-table loops, so these files opening proves the new kernel computes
 //! the same function; the same ops writing the same bytes proves no format
 //! moved.
+//!
+//! `fixtures/txn` is a `TxnStore` directory (a commit-timestamped snapshot
+//! and a log of `Commit` frames), written when the transactional log became
+//! one frame per commit; two exact frame sizes are pinned beside it.
 
 #![cfg(not(feature = "inject-wal-bug"))]
 
 use quit_core::{BpTree, FastPathMode, SortedIndex, StorageKind, TreeConfig};
 use quit_durability::{
-    bptree_builder, DurabilityConfig, Durable, MemStorage, RecoveryReport, Storage,
+    bptree_builder, DurabilityConfig, Durable, MemStorage, RecoveryReport, Storage, TxnConfig,
+    TxnStore,
 };
 use std::sync::Arc;
 
@@ -35,6 +40,17 @@ const PAGED: [(&str, &[u8]); 2] = [
     (
         "wal-00000001-00000000.log",
         include_bytes!("fixtures/paged/wal-00000001-00000000.log"),
+    ),
+];
+
+const TXN: [(&str, &[u8]); 2] = [
+    (
+        "snap-00000001.qsnp",
+        include_bytes!("fixtures/txn/snap-00000001.qsnp"),
+    ),
+    (
+        "wal-00000001-00000000.log",
+        include_bytes!("fixtures/txn/wal-00000001-00000000.log"),
     ),
 ];
 
@@ -85,6 +101,32 @@ fn write_paged(d: &mut Store) {
         d.insert(k, k + 1000);
     }
     d.delete(8);
+}
+
+fn open_txn(storage: &Arc<MemStorage>) -> (TxnStore<u64, u64>, RecoveryReport) {
+    TxnStore::open(storage.clone() as Arc<dyn Storage>, TxnConfig::default())
+        .expect("open transactional directory")
+}
+
+/// The ops behind `fixtures/txn`: auto-commit inserts of 0..20, an
+/// auto-commit delete and a 3-write transaction (one of them a delete)
+/// checkpointed, then a tail of one auto-commit and one more transaction.
+fn write_txn(store: &TxnStore<u64, u64>) {
+    for k in 0..20u64 {
+        store.insert(k, k * 10).unwrap();
+    }
+    store.delete(4).unwrap();
+    let mut txn = store.begin();
+    txn.insert(100, 1);
+    txn.delete(9);
+    txn.insert(3, 33);
+    txn.commit().unwrap();
+    store.checkpoint().unwrap();
+    store.insert(20, 200).unwrap();
+    let mut txn = store.begin();
+    txn.insert(101, 2);
+    txn.delete(0);
+    txn.commit().unwrap();
 }
 
 fn installed(files: &[(&str, &[u8])]) -> Arc<MemStorage> {
@@ -138,6 +180,46 @@ fn golden_paged_snapshot_and_wal_open() {
 }
 
 #[test]
+fn golden_txn_snapshot_and_wal_open() {
+    let (store, report) = open_txn(&installed(&TXN));
+    // 0..20 minus {4, 9} plus 100; the tail counts writes applied, not
+    // frames: one auto-commit and a 2-write transaction.
+    assert_eq!(report.snapshot_entries, 19);
+    assert_eq!(report.tail_records, 3);
+    assert_eq!(report.recovered_lsn, 24);
+    assert!(!report.torn_tail && report.rejected_snapshots == 0);
+    let want: Vec<(u64, u64)> = (1..=20u64)
+        .filter(|k| ![4, 9].contains(k))
+        .map(|k| (k, if k == 3 { 33 } else { k * 10 }))
+        .chain([(100, 1), (101, 2)])
+        .collect();
+    assert_eq!(store.scan(..), want);
+    assert_eq!(store.len(), want.len());
+    store.mvcc().check_consistency().unwrap();
+}
+
+#[test]
+fn commit_frames_have_these_exact_sizes() {
+    let storage = Arc::new(MemStorage::new());
+    let (store, _) = open_txn(&storage);
+    store.insert(0, 0).unwrap();
+    // 8 frame header + 8 LSN + 1 kind + 8 commit_ts + 4 count + 17 per
+    // (u64, u64) write — against 33 for a plain insert record.
+    let before = storage.total_appended();
+    store.insert(1, 10).unwrap();
+    assert_eq!(storage.total_appended() - before, 46);
+
+    let before = storage.total_appended();
+    let mut txn = store.begin();
+    for k in 100..164u64 {
+        txn.insert(k, k);
+    }
+    txn.commit().unwrap();
+    assert_eq!(storage.total_appended() - before, 29 + 64 * 17);
+    assert_eq!(29 + 64 * 17, 1117);
+}
+
+#[test]
 fn the_same_ops_still_write_the_golden_bytes() {
     let storage = Arc::new(MemStorage::new());
     let (mut d, _) = open_sorted(&storage);
@@ -150,4 +232,10 @@ fn the_same_ops_still_write_the_golden_bytes() {
     write_paged(&mut d);
     drop(d);
     assert_same_files(&storage, &PAGED);
+
+    let storage = Arc::new(MemStorage::new());
+    let (store, _) = open_txn(&storage);
+    write_txn(&store);
+    drop(store);
+    assert_same_files(&storage, &TXN);
 }

@@ -945,7 +945,7 @@ pub fn replay_crash_contended(spec: &ContendedSpec) -> Result<usize, Divergence>
     Ok(live.len())
 }
 
-/// Crash differential for transactional commit groups: how many cuts to
+/// Crash differential for transactional commit frames: how many cuts to
 /// fuzz and where the fsync floor comes from. The workload itself is a
 /// [`TxnOp`] sequence (see [`crate::TxnWorkloadSpec`]).
 #[derive(Clone, Copy, Debug)]
@@ -983,12 +983,12 @@ impl Default for TxnCrashSpec {
 pub struct TxnCrashReport {
     /// Ops executed.
     pub ops: usize,
-    /// Transactions that committed (each = one WAL commit group).
+    /// Transactions that committed (each = one WAL commit frame).
     pub commits: usize,
     /// Crash points recovered from (`spec.cuts` + empty + full image).
     pub cuts_tested: usize,
     /// Cuts where recovery reported a torn tail (mid-frame or
-    /// mid-commit-group cut).
+    /// mid-commit-frame cut).
     pub torn_cuts: usize,
     /// Commits guaranteed durable by the last fsync barrier.
     pub floor_commits: usize,
@@ -1060,7 +1060,7 @@ pub fn replay_txn_crash(ops: &[TxnOp], spec: &TxnCrashSpec) -> Result<TxnCrashRe
                     shadows[s].insert(key, None);
                 }
                 TxnOp::Commit(_) => match slots[s].take().expect("ensured open").commit() {
-                    // Read-only commits write no commit group and change
+                    // Read-only commits write no commit frame and change
                     // no state, so they add no prefix entry.
                     Ok(_) if shadows[s].is_empty() => {}
                     Ok(_) => {
@@ -1103,7 +1103,7 @@ pub fn replay_txn_crash(ops: &[TxnOp], spec: &TxnCrashSpec) -> Result<TxnCrashRe
     }
     let commits = states.len() - 1;
     // Push all buffered WAL bytes to storage *without* fsync, so the
-    // full image contains every commit group while cuts can still tear.
+    // full image contains every commit frame while cuts can still tear.
     store.flush().map_err(|e| io("flush", e))?;
     drop(store);
 

@@ -36,7 +36,7 @@
 //! reads, first-committer-wins (no lost updates), and unique monotonic
 //! commit timestamps — plus final-state equivalence and the version
 //! tree's structural invariants. [`TxnCrashSpec`] extends the crash
-//! differential to commit groups: the WAL is cut mid-group at fuzzed
+//! differential to commit frames: the WAL is cut mid-frame at fuzzed
 //! byte offsets and recovery must equal some committed prefix — never a
 //! partially applied transaction.
 //!
