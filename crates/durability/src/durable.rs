@@ -242,6 +242,23 @@ pub(crate) fn with_wal_metrics(mut index: StatsSnapshot, wal: &Wal) -> StatsSnap
     index
 }
 
+/// Writes that are logged and applied but not yet known durable: what
+/// [`Durable::insert_batch_unacked`] and [`Durable::delete_unacked`] return
+/// and [`Durable::ack`] waits on (the default stands for no write at all).
+/// Dropping one waits for nothing, so the writes it stands for must not be
+/// reported durable.
+#[must_use = "the writes are not durable until this is passed to `Durable::ack`"]
+#[derive(Debug, Default)]
+pub struct Unacked(Option<Lsn>);
+
+impl Unacked {
+    /// One token for both: LSNs only grow, so waiting on the later covers
+    /// the earlier.
+    pub fn merge(self, other: Unacked) -> Unacked {
+        Unacked(self.0.max(other.0))
+    }
+}
+
 /// A [`SortedIndex`] with a write-ahead log in front of it.
 ///
 /// Mutations through the [`SortedIndex`] impl (and the `&self` shared API
@@ -347,26 +364,57 @@ impl<T> Durable<T> {
         self.wal.commit_all()
     }
 
-    /// Appends `ops` to the WAL without waiting for durability, returning
-    /// the LSN that [`ack`](Self::ack) must wait on (`None` unless the
-    /// level is `GroupCommit`). Panics on I/O error (see the type-level
+    /// Appends through `append` as the configured level prescribes, without
+    /// waiting for durability. Panics on I/O error (see the type-level
     /// docs).
-    fn log_nowait<K: WalCodec, V: WalCodec>(&self, ops: &[WalOp<K, V>]) -> Option<Lsn> {
-        self.wal
-            .log(self.config.level, |wal| wal.append(ops))
-            .expect("WAL append failed")
+    fn log_nowait(&self, append: impl FnOnce(&Wal) -> Result<Lsn>) -> Unacked {
+        Unacked(
+            self.wal
+                .log(self.config.level, append)
+                .expect("WAL append failed"),
+        )
     }
 
-    /// Blocks until the LSN returned by [`log_nowait`](Self::log_nowait)
-    /// is fsync-durable (no-op for `None`).
-    fn ack(&self, lsn: Option<Lsn>) {
-        self.wal.ack(lsn).expect("WAL fsync failed");
+    /// Blocks until the writes `unacked` stands for are fsync-durable (at
+    /// once below `GroupCommit`, where no write waits). Panics if the
+    /// fsync fails (see the type-level docs).
+    pub fn ack(&self, unacked: Unacked) {
+        self.wal.ack(unacked.0).expect("WAL fsync failed");
     }
 
-    /// Logs `ops` according to the configured level, waiting for
-    /// durability where the level demands it.
-    fn log<K: WalCodec, V: WalCodec>(&self, ops: &[WalOp<K, V>]) {
-        self.ack(self.log_nowait(ops));
+    /// [`SortedIndex::insert_batch`] without the durability wait: the batch
+    /// is logged — from `entries` as they lie, one append — and applied
+    /// when this returns, and durable once the returned token (or a later
+    /// one it was [`merge`](Unacked::merge)d into) is
+    /// [`ack`](Self::ack)ed. A caller with many writes in hand pays one
+    /// group commit for all of them this way. Also returns the count
+    /// `insert_batch` does.
+    pub fn insert_batch_unacked<K, V>(&mut self, entries: &[(K, V)]) -> (usize, Unacked)
+    where
+        K: Key + WalCodec,
+        V: Clone + WalCodec,
+        T: SortedIndex<K, V>,
+    {
+        let unacked = if entries.is_empty() {
+            Unacked::default()
+        } else {
+            self.log_nowait(|wal| wal.append_inserts(entries))
+        };
+        (self.inner.insert_batch(entries), unacked)
+    }
+
+    /// [`SortedIndex::delete`] without the durability wait (see
+    /// [`insert_batch_unacked`](Self::insert_batch_unacked)). Logged hit or
+    /// miss: a miss-delete replays as a no-op, so skipping the
+    /// read-before-write keeps the hot path cheap and replay deterministic.
+    pub fn delete_unacked<K, V>(&mut self, key: K) -> (Option<V>, Unacked)
+    where
+        K: Key + WalCodec,
+        V: Clone + WalCodec,
+        T: SortedIndex<K, V>,
+    {
+        let unacked = self.log_nowait(|wal| wal.append(&[WalOp::<K, V>::Delete(key)]));
+        (self.inner.delete(key), unacked)
     }
 
     /// Checkpoint: writes the index's full contents as a sorted snapshot,
@@ -499,22 +547,18 @@ where
     T: SortedIndex<K, V>,
 {
     fn insert(&mut self, key: K, value: V) {
-        self.log(&[WalOp::Insert(key, value.clone())]);
+        let entry = [(key, value)];
+        self.ack(self.log_nowait(|wal| wal.append_inserts(&entry)));
+        let [(key, value)] = entry;
         self.inner.insert(key, value);
     }
 
     fn insert_batch(&mut self, entries: &[(K, V)]) -> usize {
-        if !entries.is_empty() {
-            let ops: Vec<WalOp<K, V>> = entries
-                .iter()
-                .map(|&(k, ref v)| WalOp::Insert(k, v.clone()))
-                .collect();
-            // One append + (at GroupCommit) one commit for the whole
-            // batch: the WAL amortizes exactly like the tree's sorted-run
-            // fast path does.
-            self.log(&ops);
-        }
-        self.inner.insert_batch(entries)
+        // One append + (at GroupCommit) one commit for the whole batch: the
+        // WAL amortizes exactly like the tree's sorted-run fast path does.
+        let (fast, unacked) = self.insert_batch_unacked(entries);
+        self.ack(unacked);
+        fast
     }
 
     fn get(&mut self, key: K) -> Option<V> {
@@ -522,11 +566,9 @@ where
     }
 
     fn delete(&mut self, key: K) -> Option<V> {
-        // Always logged, hit or miss: a miss-delete replays as a no-op, so
-        // skipping the read-before-write keeps the hot path cheap and
-        // replay deterministic.
-        self.log(&[WalOp::<K, V>::Delete(key)]);
-        self.inner.delete(key)
+        let (prev, unacked) = self.delete_unacked(key);
+        self.ack(unacked);
+        prev
     }
 
     fn range<R: RangeBounds<K>>(&mut self, bounds: R) -> impl Iterator<Item = (K, V)> + '_ {
@@ -579,25 +621,25 @@ where
     /// insert (log order ≡ apply order for conflicting keys) and released
     /// before the group fsync is awaited.
     pub fn insert_shared(&self, key: K, value: V) {
-        let lsn = {
+        let unacked = {
             let _order = self.stripe(key).lock().unwrap();
-            let lsn = self.log_nowait(&[WalOp::Insert(key, value.clone())]);
+            let unacked = self.log_nowait(|wal| wal.append(&[WalOp::Insert(key, value.clone())]));
             self.inner.insert(key, value);
-            lsn
+            unacked
         };
-        self.ack(lsn);
+        self.ack(unacked);
     }
 
     /// Logged delete through `&self` (miss-deletes log a no-op record),
     /// with the same stripe-ordered log+apply as
     /// [`insert_shared`](Self::insert_shared).
     pub fn delete_shared(&self, key: K) -> Option<V> {
-        let (prev, lsn) = {
+        let (prev, unacked) = {
             let _order = self.stripe(key).lock().unwrap();
-            let lsn = self.log_nowait(&[WalOp::<K, V>::Delete(key)]);
-            (self.inner.delete(key), lsn)
+            let unacked = self.log_nowait(|wal| wal.append(&[WalOp::<K, V>::Delete(key)]));
+            (self.inner.delete(key), unacked)
         };
-        self.ack(lsn);
+        self.ack(unacked);
         prev
     }
 

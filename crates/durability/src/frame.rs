@@ -170,6 +170,17 @@ fn put_write<K: WalCodec, V: WalCodec>(key: &K, value: Option<&V>, out: &mut Vec
     }
 }
 
+/// Appends one `Insert` frame for a borrowed pair — what logging a batch
+/// calls per entry, so the log is written from the caller's slice.
+pub(crate) fn encode_insert_frame<K: WalCodec, V: WalCodec>(
+    lsn: u64,
+    key: &K,
+    value: &V,
+    out: &mut Vec<u8>,
+) {
+    frame(lsn, out, |out| put_write(key, Some(value), out));
+}
+
 /// Appends one encoded frame for `op` at `lsn` to `out`.
 pub(crate) fn encode_frame<K: WalCodec, V: WalCodec>(
     lsn: u64,
@@ -177,7 +188,7 @@ pub(crate) fn encode_frame<K: WalCodec, V: WalCodec>(
     out: &mut Vec<u8>,
 ) {
     match op {
-        WalOp::Insert(k, v) => frame(lsn, out, |out| put_write(k, Some(v), out)),
+        WalOp::Insert(k, v) => encode_insert_frame(lsn, k, v, out),
         WalOp::Delete(k) => frame(lsn, out, |out| put_write(k, None::<&V>, out)),
         WalOp::Commit(commit_ts, writes) => encode_commit_frame(lsn, *commit_ts, writes, out),
     }

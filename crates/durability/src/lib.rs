@@ -68,7 +68,7 @@ mod wal;
 
 pub use durable::{
     apply_tail, bptree_builder, concurrent_builder, DurabilityConfig, DurabilityLevel, Durable,
-    RecoveryReport,
+    RecoveryReport, Unacked,
 };
 pub use frame::{WalCodec, WalOp};
 pub use quit_core::{crc32, Error, Result};

@@ -44,7 +44,9 @@
 //! of acking records that recovery could never replay.
 
 use crate::durable::DurabilityLevel;
-use crate::frame::{decode_frame, encode_commit_frame, encode_frame, FrameStep, WalCodec};
+use crate::frame::{
+    decode_frame, encode_commit_frame, encode_frame, encode_insert_frame, FrameStep, WalCodec,
+};
 use crate::storage::Storage;
 use crate::WalOp;
 use quit_core::{crc32, Error, MetricsRegistry, Result};
@@ -236,6 +238,20 @@ impl Wal {
             self.flush_locked(&mut st)?;
         }
         Ok(st.next_lsn - 1)
+    }
+
+    /// Appends one `Insert` record per borrowed pair, in slice order — the
+    /// by-reference twin of [`append`](Self::append) for a batch, which
+    /// would otherwise be copied into `WalOp`s just to be logged.
+    pub(crate) fn append_inserts<K: WalCodec, V: WalCodec>(
+        &self,
+        entries: &[(K, V)],
+    ) -> Result<Lsn> {
+        self.append_frames(entries.len() as u64, |first, out| {
+            for ((key, value), lsn) in entries.iter().zip(first..) {
+                encode_insert_frame(lsn, key, value, out);
+            }
+        })
     }
 
     /// Appends one transaction's borrowed write set as a single

@@ -24,9 +24,9 @@ pub struct ServiceConfig {
     /// Per-shard WAL policy; `durability.level` is the
     /// [`DurabilityLevel`] every mutation buys before its reply.
     pub durability: DurabilityConfig,
-    /// Router flush threshold: a connection's buffered single-insert run
-    /// for one shard is submitted once it reaches this many entries (it
-    /// is also flushed whenever the connection's read buffer drains).
+    /// Router flush threshold: a shard worker's run of consecutive single
+    /// inserts is applied once it reaches this many entries (and before
+    /// any other request, and at the end of each burst).
     pub batch_max: usize,
 }
 

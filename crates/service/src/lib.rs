@@ -10,10 +10,11 @@
 //!   into contiguous shard ranges with a monotone multiply-shift rule,
 //!   so the subsequence of a globally near-sorted stream each shard
 //!   receives is itself near-sorted — a hash partitioner would shred it.
-//! * **Run-building router** ([`InsertBatcher`]): pipelined single
-//!   inserts accumulate per shard and are submitted as contiguous runs
-//!   through `insert_batch`'s sorted-run detection — one channel
-//!   message, one WAL append, one group-commit wait per burst per shard.
+//! * **Run-building router** ([`InsertBatcher`]): a connection hands each
+//!   shard everything it read for it as one burst, and the shard's worker
+//!   forms the runs — consecutive single inserts go through
+//!   `insert_batch`'s sorted-run detection as one batch — and pays one
+//!   WAL group commit per drain of its queue, not one per request.
 //! * **One `Durable<ConcurrentTree>` per shard**, each with its own WAL
 //!   directory ([`quit_durability::FsStorage::open_sharded`]): group
 //!   commit batches fsyncs *within* a shard while shards proceed in
@@ -59,8 +60,6 @@ pub mod wire;
 pub use client::Client;
 pub use config::ServiceConfig;
 pub use quit_core::{Error, Result};
-pub use router::{
-    is_batchable, shard_of, shard_range, shards_overlapping, split_batch, InsertBatcher,
-};
+pub use router::{shard_of, shard_range, shards_overlapping, split_batch, InsertBatcher};
 pub use server::Server;
 pub use wire::{Reply, ReplyShape, Request, ServiceStats};

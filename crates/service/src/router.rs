@@ -9,7 +9,6 @@
 //! shard's QuIT fast path sees the same sortedness the whole stream had.
 //! (A hash partitioner would destroy exactly that.)
 
-use crate::wire::Request;
 use std::ops::RangeInclusive;
 
 /// The shard owning `key` under `shards`-way range partitioning.
@@ -62,16 +61,15 @@ pub fn split_batch(entries: &[(u64, u64)], shards: usize) -> Vec<(usize, Vec<(u6
 /// request id of each, in submission order.
 type Run = (Vec<(u64, u64)>, Vec<u64>);
 
-/// Per-connection insert accumulator: buffers single inserts per shard so
-/// a pipelined stream of point inserts reaches each shard worker as one
-/// contiguous run through `insert_batch`'s sorted-run detection, instead
-/// of one channel message (and one WAL append) per key.
+/// Insert accumulator: buffers single inserts per shard so a pipelined
+/// stream of point inserts reaches a shard's tree as one contiguous run
+/// through `insert_batch`'s sorted-run detection, instead of one tree call
+/// (and one WAL append) per key.
 ///
-/// The server flushes a batcher when the connection's read buffer drains
-/// (the natural pipelining window: everything the client sent in one
-/// burst coalesces), when a run hits `batch_max`, or before any
-/// non-insert request (so a `get` observes every insert the same
-/// connection submitted before it).
+/// Each shard worker keeps a one-lane batcher: a run grows while a burst's
+/// ops are inserts and is closed when it hits `batch_max`, before any other
+/// op (so a `get` observes every insert the same connection submitted
+/// before it), and at the end of the burst.
 pub struct InsertBatcher {
     runs: Vec<Run>,
     batch_max: usize,
@@ -128,12 +126,6 @@ impl InsertBatcher {
             .map(|(shard, (run, ids))| (shard, std::mem::take(run), std::mem::take(ids)))
             .collect()
     }
-}
-
-/// Whether a request can ride the insert batcher (everything else forces
-/// a flush first).
-pub fn is_batchable(req: &Request) -> bool {
-    matches!(req, Request::Insert { .. })
 }
 
 #[cfg(test)]

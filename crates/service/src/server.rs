@@ -4,216 +4,291 @@
 //!
 //! ## Threading model
 //!
+//! The unit of work between the three kinds of thread is a **burst**, not
+//! a request.
+//!
+//! * **Connection reader** — decodes every whole frame already in its read
+//!   buffer, where it lies, and appends each request to the queue of the
+//!   shard it belongs to, in submission order. When the buffer holds no
+//!   whole frame any more — so the next read may block — it sends each
+//!   non-empty queue to its shard as *one* message: everything a client
+//!   pipelined in one read costs one channel hop per shard.
 //! * **Shard worker** — owns its `Durable<ConcurrentTree<u64, u64>>`
 //!   outright, so mutations go through the `&mut self` [`SortedIndex`]
-//!   path and buffered single-insert runs reach `insert_batch`'s
-//!   sorted-run detection exactly like an embedded caller's would. The
-//!   worker drains one mpsc channel; within a shard, operations apply in
-//!   channel order (which is submission order per connection), so a
-//!   connection always reads its own writes.
-//! * **Connection reader** — decodes frames, accumulates single inserts
-//!   in a [`InsertBatcher`], and flushes a shard's run when it reaches
-//!   `batch_max`, when a non-insert request arrives (read-your-writes),
-//!   or when the connection's read buffer drains — the natural pipelining
-//!   window: everything a client sent in one burst coalesces into one
-//!   run per shard, one WAL append, one group-commit wait.
-//! * **Connection writer** — drains pre-encoded reply frames from an
-//!   mpsc channel into a `BufWriter`, flushing whenever the channel goes
-//!   momentarily empty. Replies to different shards' requests may
-//!   interleave out of submission order; the client matches them by id.
+//!   path. It takes a burst, and whatever other bursts are queued behind
+//!   it across connections (up to a bound), and runs their ops in order:
+//!   consecutive single inserts of a burst form a run in an
+//!   [`InsertBatcher`] and reach `insert_batch`'s sorted-run detection
+//!   exactly like an embedded caller's batch would, so a read breaks only
+//!   its own shard's run. Every write is logged and applied *without*
+//!   waiting; every reply is encoded into its burst's one buffer. Then the
+//!   worker waits **once** for the log — one group commit per drain — and
+//!   only then hands the buffers to the writers. No reply leaves before
+//!   the commit covering it returns: not a write's, and not a read's that
+//!   may have seen a write of the same drain. Within a shard, operations
+//!   apply in channel order (which is submission order per connection), so
+//!   a connection always reads its own writes.
+//! * **Connection writer** — drains reply buffers from an mpsc channel
+//!   into a `BufWriter`, flushing whenever the channel goes momentarily
+//!   empty. Replies to different shards' requests may interleave out of
+//!   submission order; the client matches them by id.
 //!
-//! Cross-shard requests (`InsertBatch` spanning a boundary, `Range`,
-//! `Stats`) fan out to every involved worker and aggregate through a
-//! small atomic countdown; the last worker to finish encodes the reply.
+//! A request inside one shard — every `Insert`, `Get` and `Delete`, and
+//! almost every `Range` — is answered by that shard's worker directly. One
+//! that spans shards (`InsertBatch` or `Range` across a boundary, `Stats`)
+//! rides the same queues as one op per shard; the parts meet in a small
+//! shared aggregate and the last worker to hand its part in sends the
+//! merged reply.
 //!
 //! A WAL failure poisons the shard's log and panics its worker (the same
-//! contract as embedded `Durable` use); from then on requests touching
-//! that shard answer with status `Shutdown` while healthy shards keep
-//! serving.
+//! contract as embedded `Durable` use). Every burst the worker held or had
+//! queued, and every burst sent to it from then on, answers each of its
+//! requests with status `Shutdown` as it is dropped, so no client waits
+//! for a reply that will never come; healthy shards keep serving, and
+//! [`Server::shutdown`] reports the dead worker as [`Error::Wal`].
 
 use crate::config::ServiceConfig;
-use crate::router::{is_batchable, shards_overlapping, split_batch, InsertBatcher};
-use crate::wire::{encode_reply, read_request, Reply, Request, ServiceStats, MAX_RANGE_RESULTS};
+use crate::router::{shard_of, shards_overlapping, split_batch, InsertBatcher};
+use crate::wire::{
+    decode_request, encode_reply, encode_reply_into, read_request, Reply, Request, ServiceStats,
+    MAX_RANGE_RESULTS,
+};
 use quit_concurrent::ConcurrentTree;
 use quit_core::{Error, Result, SortedIndex};
 use quit_durability::{
-    concurrent_builder, Durable, FsStorage, MemStorage, RecoveryReport, Storage,
+    concurrent_builder, Durable, FsStorage, MemStorage, RecoveryReport, Storage, Unacked,
 };
-use std::io::{BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 
 type Shard = Durable<ConcurrentTree<u64, u64>>;
-type Entries = Vec<(u64, u64)>;
 
-/// A batch spanning shards: the last worker to finish replies.
-struct BatchAgg {
+/// A connection's read buffer, and so the most one burst carries (about
+/// 140 `Insert` frames): half of `BufReader`'s default, because a burst is
+/// also the least a pipelining client's replies are held back by, and
+/// 140 requests already share one channel hop, one commit and one reply
+/// write.
+const READ_BUF: usize = 4 << 10;
+
+/// A drain stops taking queued bursts once it holds this many bytes of
+/// replies. Sharing a drain saves wake-ups, a commit and a write to the
+/// socket; past a couple of socket writes' worth of replies (about 1 200
+/// `Inserted`s, or one burst's worth of `Range` results) there is little
+/// left to share, and every reply in the drain is waiting for its last op.
+const DRAIN_REPLY_BYTES: usize = 16 << 10;
+
+/// A request that spans shards: every shard's worker hands in its part,
+/// and the last one in sends the merged reply.
+struct Agg {
     req_id: u64,
-    remaining: AtomicUsize,
-    fast: AtomicU64,
-    reply: Sender<Vec<u8>>,
-}
-
-impl BatchAgg {
-    fn done(&self, fast: u64) {
-        self.fast.fetch_add(fast, Ordering::Relaxed);
-        if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-            let fast = self.fast.load(Ordering::Acquire);
-            let _ = self.reply.send(encode_reply(
-                self.req_id,
-                &Ok(Reply::BatchInserted { fast }),
-            ));
-        }
-    }
-}
-
-/// A range spanning shards: per-shard results land in slot order (shard
-/// ranges are disjoint and ascending, so concatenation is globally
-/// sorted), and the last worker truncates to the limit and replies.
-struct RangeAgg {
-    req_id: u64,
+    /// A range's result cap (`usize::MAX` for the other requests).
     limit: usize,
-    remaining: AtomicUsize,
-    slots: Mutex<Vec<Option<Entries>>>,
     reply: Sender<Vec<u8>>,
+    /// Parts still owed, and the reply merged so far — an error from the
+    /// first part that failed.
+    state: Mutex<(usize, Result<Reply>)>,
 }
 
-impl RangeAgg {
-    fn done(&self, slot: usize, entries: Vec<(u64, u64)>) {
-        self.slots.lock().unwrap()[slot] = Some(entries);
-        if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-            let mut out = Vec::new();
-            for part in self.slots.lock().unwrap().iter_mut() {
-                out.extend(part.take().unwrap_or_default());
-                if out.len() >= self.limit {
-                    break;
-                }
+impl Agg {
+    fn done(&self, part: Result<Reply>) {
+        // A count and a partial reply, each valid after every statement
+        // below: safe to keep using behind a poisoned lock (and this runs
+        // in `Burst::drop`, which must not panic).
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        let (owed, merged) = &mut *state;
+        match (&mut *merged, part) {
+            (Ok(Reply::BatchInserted { fast }), Ok(Reply::BatchInserted { fast: part })) => {
+                *fast += part
             }
-            out.truncate(self.limit);
-            let _ = self
-                .reply
-                .send(encode_reply(self.req_id, &Ok(Reply::Entries(out))));
+            (Ok(Reply::Entries(all)), Ok(Reply::Entries(part))) => all.extend(part),
+            (Ok(Reply::Stats(all)), Ok(Reply::Stats(part))) => {
+                all.len += part.len;
+                all.fast_inserts += part.fast_inserts;
+                all.top_inserts += part.top_inserts;
+                all.wal_appends += part.wal_appends;
+                all.wal_fsyncs += part.wal_fsyncs;
+                all.shards += part.shards;
+            }
+            (Ok(_), Err(e)) => *merged = Err(e),
+            // Already failed; and a part is always of its request's kind.
+            _ => {}
+        }
+        *owed -= 1;
+        if *owed == 0 {
+            if let Ok(Reply::Entries(all)) = merged {
+                // Shards own disjoint key ranges, so a stable sort by key
+                // is the concatenation in shard order, whichever order the
+                // parts arrived in.
+                all.sort_by_key(|&(key, _)| key);
+                all.truncate(self.limit);
+            }
+            let _ = self.reply.send(encode_reply(self.req_id, merged));
         }
     }
 }
 
-/// Stats across every shard, summed by the workers themselves.
-struct StatsAgg {
+/// One request as one shard sees it. A request that spans shards becomes
+/// one op per shard — the same kind of request, cut down to that shard —
+/// whose answer is a part of the merged reply.
+struct Op {
     req_id: u64,
-    remaining: AtomicUsize,
-    acc: Mutex<ServiceStats>,
-    reply: Sender<Vec<u8>>,
+    req: Request,
+    part_of: Option<Arc<Agg>>,
 }
 
-impl StatsAgg {
-    fn done(&self, part: ServiceStats) {
-        {
-            let mut acc = self.acc.lock().unwrap();
-            acc.len += part.len;
-            acc.fast_inserts += part.fast_inserts;
-            acc.top_inserts += part.top_inserts;
-            acc.wal_appends += part.wal_appends;
-            acc.wal_fsyncs += part.wal_fsyncs;
-            acc.shards = part.shards;
+/// The one message a shard worker receives: everything one connection read
+/// for this shard in one pass over its read buffer, in submission order.
+///
+/// A burst is answered all at once — [`release`](Self::release) — or, if
+/// it is dropped before that (its worker died, or was already gone when it
+/// was sent), every op it holds is answered `Shutdown`: each request id
+/// gets exactly one reply either way.
+struct Burst {
+    ops: Vec<Op>,
+    reply: Sender<Vec<u8>>,
+    /// Reply frames of the ops executed so far, held back until the commit
+    /// covering their writes returns.
+    held: Vec<u8>,
+    /// Parts of requests that span shards, held back likewise.
+    parts: Vec<(Arc<Agg>, Reply)>,
+}
+
+impl Burst {
+    fn new(reply: Sender<Vec<u8>>) -> Self {
+        Burst {
+            ops: Vec::new(),
+            reply,
+            held: Vec::new(),
+            parts: Vec::new(),
         }
-        if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-            let stats = *self.acc.lock().unwrap();
-            let _ = self
-                .reply
-                .send(encode_reply(self.req_id, &Ok(Reply::Stats(stats))));
+    }
+
+    /// Runs every op in order: consecutive `Insert`s gather in `run` and
+    /// reach the tree as one `insert_batch` (any other op, `batch_max` or
+    /// the end of the burst closes the run); writes are logged and applied
+    /// but not waited for — the caller acks what this returns before it
+    /// releases the burst.
+    fn execute(&mut self, shard: &mut Shard, run: &mut InsertBatcher) -> Unacked {
+        let Burst {
+            ops, held, parts, ..
+        } = self;
+        let mut unacked = Unacked::default();
+        for op in ops.iter() {
+            if !matches!(op.req, Request::Insert { .. }) {
+                unacked = unacked.merge(insert_runs(shard, held, run.drain()));
+            }
+            let reply = match &op.req {
+                Request::Insert { key, value } => {
+                    let full = run.push(op.req_id, *key, *value);
+                    unacked = unacked.merge(insert_runs(shard, held, full));
+                    continue;
+                }
+                Request::InsertBatch { entries } => {
+                    let (fast, logged) = shard.insert_batch_unacked(entries);
+                    unacked = unacked.merge(logged);
+                    Reply::BatchInserted { fast: fast as u64 }
+                }
+                Request::Get { key } => Reply::Got(shard.tree().get(*key)),
+                Request::Delete { key } => {
+                    let (prev, logged) = shard.delete_unacked(*key);
+                    unacked = unacked.merge(logged);
+                    Reply::Deleted(prev)
+                }
+                Request::Range { start, end, limit } => Reply::Entries(
+                    shard
+                        .tree()
+                        .range(*start..=*end)
+                        .take(*limit as usize)
+                        .collect(),
+                ),
+                Request::Stats => {
+                    let snap = shard.metrics();
+                    Reply::Stats(ServiceStats {
+                        len: shard.len() as u64,
+                        fast_inserts: snap.fast_inserts,
+                        top_inserts: snap.top_inserts,
+                        wal_appends: snap.wal_appends,
+                        wal_fsyncs: snap.wal_fsyncs,
+                        shards: 1,
+                    })
+                }
+            };
+            match &op.part_of {
+                None => encode_reply_into(held, op.req_id, &Ok(reply)),
+                Some(agg) => parts.push((agg.clone(), reply)),
+            }
+        }
+        unacked.merge(insert_runs(shard, held, run.drain()))
+    }
+
+    /// Sends everything held back; nothing is left for `drop` to answer.
+    fn release(mut self) {
+        self.ops.clear();
+        if !self.held.is_empty() {
+            let _ = self.reply.send(std::mem::take(&mut self.held));
+        }
+        for (agg, part) in self.parts.drain(..) {
+            agg.done(Ok(part));
         }
     }
 }
 
-enum ShardMsg {
-    /// A contiguous run of buffered single inserts; each id gets its own
-    /// `Inserted` reply once the whole run is applied (and durable, per
-    /// the configured level).
-    Run {
-        entries: Vec<(u64, u64)>,
-        req_ids: Vec<u64>,
-        reply: Sender<Vec<u8>>,
-    },
-    /// One shard's slice of a client `InsertBatch`.
-    Batch {
-        entries: Vec<(u64, u64)>,
-        agg: Arc<BatchAgg>,
-    },
-    Get {
-        key: u64,
-        req_id: u64,
-        reply: Sender<Vec<u8>>,
-    },
-    Delete {
-        key: u64,
-        req_id: u64,
-        reply: Sender<Vec<u8>>,
-    },
-    Range {
-        start: u64,
-        end: u64,
-        fetch: usize,
-        slot: usize,
-        agg: Arc<RangeAgg>,
-    },
-    Stats {
-        agg: Arc<StatsAgg>,
-        shards: u32,
-    },
-}
-
-fn shard_worker(mut shard: Shard, rx: Receiver<ShardMsg>) {
-    while let Ok(msg) = rx.recv() {
-        match msg {
-            ShardMsg::Run {
-                entries,
-                req_ids,
-                reply,
-            } => {
-                shard.insert_batch(&entries);
-                for id in req_ids {
-                    let _ = reply.send(encode_reply(id, &Ok(Reply::Inserted)));
-                }
-            }
-            ShardMsg::Batch { entries, agg } => {
-                let fast = shard.insert_batch(&entries);
-                agg.done(fast as u64);
-            }
-            ShardMsg::Get { key, req_id, reply } => {
-                let got = shard.tree().get(key);
-                let _ = reply.send(encode_reply(req_id, &Ok(Reply::Got(got))));
-            }
-            ShardMsg::Delete { key, req_id, reply } => {
-                let prev = shard.delete(key);
-                let _ = reply.send(encode_reply(req_id, &Ok(Reply::Deleted(prev))));
-            }
-            ShardMsg::Range {
-                start,
-                end,
-                fetch,
-                slot,
-                agg,
-            } => {
-                let entries: Vec<(u64, u64)> =
-                    shard.tree().range(start..=end).take(fetch).collect();
-                agg.done(slot, entries);
-            }
-            ShardMsg::Stats { agg, shards } => {
-                let snap = shard.metrics();
-                agg.done(ServiceStats {
-                    len: shard.len() as u64,
-                    fast_inserts: snap.fast_inserts,
-                    top_inserts: snap.top_inserts,
-                    wal_appends: snap.wal_appends,
-                    wal_fsyncs: snap.wal_fsyncs,
-                    shards,
-                });
+impl Drop for Burst {
+    fn drop(&mut self) {
+        let mut refused = Vec::new();
+        for op in self.ops.drain(..) {
+            match op.part_of {
+                None => encode_reply_into(&mut refused, op.req_id, &Err(Error::Shutdown)),
+                Some(agg) => agg.done(Err(Error::Shutdown)),
             }
         }
+        if !refused.is_empty() {
+            let _ = self.reply.send(refused);
+        }
+    }
+}
+
+/// Logs and applies each closed run of single inserts (what
+/// [`InsertBatcher::push`] or [`InsertBatcher::drain`] handed back) as one
+/// `insert_batch`, and queues an `Inserted` per request id.
+fn insert_runs(
+    shard: &mut Shard,
+    held: &mut Vec<u8>,
+    runs: impl IntoIterator<Item = (usize, Vec<(u64, u64)>, Vec<u64>)>,
+) -> Unacked {
+    let mut unacked = Unacked::default();
+    for (_, entries, req_ids) in runs {
+        unacked = unacked.merge(shard.insert_batch_unacked(&entries).1);
+        for req_id in req_ids {
+            encode_reply_into(held, req_id, &Ok(Reply::Inserted));
+        }
+    }
+    unacked
+}
+
+fn shard_worker(mut shard: Shard, rx: Receiver<Burst>, batch_max: usize) {
+    let mut run = InsertBatcher::new(1, batch_max);
+    let mut drain: Vec<Burst> = Vec::new();
+    while let Ok(first) = rx.recv() {
+        let (mut held, mut unacked) = (0, Unacked::default());
+        let mut next = Some(first);
+        while let Some(mut burst) = next {
+            unacked = unacked.merge(burst.execute(&mut shard, &mut run));
+            held += burst.held.len();
+            drain.push(burst);
+            next = (held < DRAIN_REPLY_BYTES)
+                .then(|| rx.try_recv().ok())
+                .flatten();
+        }
+        // One group commit for the whole drain. No reply leaves before it:
+        // not a write's, and not a read's that may have seen that write.
+        shard.ack(unacked);
+        drain.drain(..).for_each(Burst::release);
     }
     // Every connection and the acceptor dropped their senders: final
     // durability point before the thread exits (the log may hold
@@ -263,7 +338,10 @@ impl Server {
             reports.push(report);
             let (tx, rx) = channel();
             txs.push(tx);
-            workers.push(std::thread::spawn(move || shard_worker(shard, rx)));
+            let batch_max = config.batch_max;
+            workers.push(std::thread::spawn(move || {
+                shard_worker(shard, rx, batch_max)
+            }));
         }
 
         let listener = TcpListener::bind(addr)?;
@@ -273,7 +351,6 @@ impl Server {
         let accept = {
             let stopping = stopping.clone();
             let conns = conns.clone();
-            let batch_max = config.batch_max;
             std::thread::spawn(move || {
                 for stream in listener.incoming() {
                     if stopping.load(Ordering::Acquire) {
@@ -285,7 +362,7 @@ impl Server {
                         conns.lock().unwrap().push(clone);
                     }
                     let txs = txs.clone();
-                    std::thread::spawn(move || connection(stream, txs, batch_max));
+                    std::thread::spawn(move || connection(stream, txs));
                 }
                 // `txs` drops here; workers exit once every live
                 // connection's clones drop too.
@@ -365,39 +442,125 @@ impl Server {
     }
 }
 
-/// Submits one buffered run, answering `Shutdown` per request if the
-/// shard's worker is gone.
-fn submit_run(
-    tx: &Sender<ShardMsg>,
-    entries: Vec<(u64, u64)>,
-    req_ids: Vec<u64>,
-    reply: &Sender<Vec<u8>>,
-) {
-    let msg = ShardMsg::Run {
-        entries,
-        req_ids,
-        reply: reply.clone(),
-    };
-    if let Err(std::sync::mpsc::SendError(ShardMsg::Run { req_ids, .. })) = tx.send(msg) {
-        for id in req_ids {
-            let _ = reply.send(encode_reply(id, &Err(Error::Shutdown)));
+/// Appends `req` to the queue of every shard it touches.
+fn route(req_id: u64, req: Request, bursts: &mut [Burst]) {
+    let shards = bursts.len();
+    match req {
+        Request::Insert { key, .. } | Request::Get { key } | Request::Delete { key } => {
+            bursts[shard_of(key, shards)].ops.push(Op {
+                req_id,
+                req,
+                part_of: None,
+            });
+        }
+        Request::InsertBatch { entries } => {
+            let runs = split_batch(&entries, shards);
+            let empty = Reply::BatchInserted { fast: 0 };
+            let cuts = runs
+                .into_iter()
+                .map(|(shard, entries)| (shard, Request::InsertBatch { entries }));
+            fan_out(bursts, req_id, empty, usize::MAX, cuts.len(), cuts);
+        }
+        Request::Range { start, end, limit } => {
+            let limit = if limit == 0 || limit > MAX_RANGE_RESULTS {
+                MAX_RANGE_RESULTS
+            } else {
+                limit
+            };
+            let empty = Reply::Entries(Vec::new());
+            let span = shards_overlapping(start, end, shards);
+            let cuts = span
+                .clone()
+                .map(|shard| (shard, Request::Range { start, end, limit }));
+            fan_out(bursts, req_id, empty, limit as usize, span.count(), cuts);
+        }
+        Request::Stats => {
+            let empty = Reply::Stats(ServiceStats::default());
+            let cuts = (0..shards).map(|shard| (shard, Request::Stats));
+            fan_out(bursts, req_id, empty, usize::MAX, shards, cuts);
         }
     }
 }
 
-fn connection(stream: TcpStream, shard_txs: Vec<Sender<ShardMsg>>, batch_max: usize) {
-    let shards = shard_txs.len();
+/// Queues the `n` per-shard `cuts` of one request. A request inside one
+/// shard is answered by that shard's worker like any other op; only one
+/// that really spans shards pays for an [`Agg`], which merges the parts
+/// into `empty` (also the whole answer when the request touches no shard
+/// at all) and caps a range at `limit`.
+fn fan_out(
+    bursts: &mut [Burst],
+    req_id: u64,
+    empty: Reply,
+    limit: usize,
+    n: usize,
+    cuts: impl Iterator<Item = (usize, Request)>,
+) {
+    let reply = &bursts[0].reply;
+    let part_of = match n {
+        0 => {
+            let _ = reply.send(encode_reply(req_id, &Ok(empty)));
+            return;
+        }
+        1 => None,
+        _ => Some(Arc::new(Agg {
+            req_id,
+            limit,
+            reply: reply.clone(),
+            state: Mutex::new((n, Ok(empty))),
+        })),
+    };
+    for (shard, req) in cuts {
+        bursts[shard].ops.push(Op {
+            req_id,
+            req,
+            part_of: part_of.clone(),
+        });
+    }
+}
+
+/// Hands every non-empty burst to its shard's worker. One sent to a worker
+/// that is gone comes back in the error and is dropped there, which
+/// answers its ops `Shutdown`.
+fn submit(bursts: &mut [Burst], shard_txs: &[Sender<Burst>]) {
+    for (burst, tx) in bursts.iter_mut().zip(shard_txs) {
+        if !burst.ops.is_empty() {
+            let next = Burst::new(burst.reply.clone());
+            let _ = tx.send(std::mem::replace(burst, next));
+        }
+    }
+}
+
+fn connection(stream: TcpStream, shard_txs: Vec<Sender<Burst>>) {
     let (reply_tx, reply_rx) = channel::<Vec<u8>>();
     let writer = match stream.try_clone() {
         Ok(w) => std::thread::spawn(move || writer_loop(w, reply_rx)),
         Err(_) => return,
     };
-    let mut reader = BufReader::new(stream);
-    let mut batcher = InsertBatcher::new(shards, batch_max);
+    let mut reader = BufReader::with_capacity(READ_BUF, stream);
+    let mut bursts: Vec<Burst> = shard_txs
+        .iter()
+        .map(|_| Burst::new(reply_tx.clone()))
+        .collect();
 
     loop {
-        let (req_id, req) = match read_request(&mut reader) {
-            Ok(Some(r)) => r,
+        // Frames already in the read buffer are decoded where they lie.
+        // Once it holds no whole frame the next read may block, so what
+        // this pass queued goes to the workers first; the blocking decoder
+        // then takes over for one frame (it also reads a frame longer than
+        // the buffer) and leaves the buffer refilled behind it.
+        let next = match decode_request(reader.buffer()) {
+            Ok(Some((used, req_id, req))) => {
+                reader.consume(used);
+                Ok(Some((req_id, req)))
+            }
+            Ok(None) => {
+                submit(&mut bursts, &shard_txs);
+                read_request(&mut reader)
+            }
+            Err(e) => Err(e),
+        };
+        match next {
+            Ok(Some((req_id, req))) => route(req_id, req, &mut bursts),
             // Clean disconnect at a frame boundary.
             Ok(None) => break,
             Err(e) => {
@@ -406,137 +569,13 @@ fn connection(stream: TcpStream, shard_txs: Vec<Sender<ShardMsg>>, batch_max: us
                 let _ = reply_tx.send(encode_reply(0, &Err(e)));
                 break;
             }
-        };
-
-        if !is_batchable(&req) {
-            // Read-your-writes: everything this connection buffered must
-            // reach the workers (in channel order) before the new
-            // request does.
-            for (shard, entries, req_ids) in batcher.drain() {
-                submit_run(&shard_txs[shard], entries, req_ids, &reply_tx);
-            }
-        }
-
-        match req {
-            Request::Insert { key, value } => {
-                if let Some((shard, entries, req_ids)) = batcher.push(req_id, key, value) {
-                    submit_run(&shard_txs[shard], entries, req_ids, &reply_tx);
-                }
-            }
-            Request::InsertBatch { entries } => {
-                let runs = split_batch(&entries, shards);
-                if runs.is_empty() {
-                    let _ =
-                        reply_tx.send(encode_reply(req_id, &Ok(Reply::BatchInserted { fast: 0 })));
-                } else {
-                    let agg = Arc::new(BatchAgg {
-                        req_id,
-                        remaining: AtomicUsize::new(runs.len()),
-                        fast: AtomicU64::new(0),
-                        reply: reply_tx.clone(),
-                    });
-                    for (shard, entries) in runs {
-                        let msg = ShardMsg::Batch {
-                            entries,
-                            agg: agg.clone(),
-                        };
-                        if shard_txs[shard].send(msg).is_err() {
-                            // Count the dead shard's slice as done with no
-                            // fast-path entries; the client still gets one
-                            // reply. (A dead worker means a poisoned WAL;
-                            // the next non-batch request reports it.)
-                            agg.done(0);
-                        }
-                    }
-                }
-            }
-            Request::Get { key } => {
-                let shard = crate::router::shard_of(key, shards);
-                let msg = ShardMsg::Get {
-                    key,
-                    req_id,
-                    reply: reply_tx.clone(),
-                };
-                if shard_txs[shard].send(msg).is_err() {
-                    let _ = reply_tx.send(encode_reply(req_id, &Err(Error::Shutdown)));
-                }
-            }
-            Request::Delete { key } => {
-                let shard = crate::router::shard_of(key, shards);
-                let msg = ShardMsg::Delete {
-                    key,
-                    req_id,
-                    reply: reply_tx.clone(),
-                };
-                if shard_txs[shard].send(msg).is_err() {
-                    let _ = reply_tx.send(encode_reply(req_id, &Err(Error::Shutdown)));
-                }
-            }
-            Request::Range { start, end, limit } => {
-                let limit = if limit == 0 || limit > MAX_RANGE_RESULTS {
-                    MAX_RANGE_RESULTS as usize
-                } else {
-                    limit as usize
-                };
-                let span = shards_overlapping(start, end, shards);
-                let count = span.clone().count();
-                if count == 0 {
-                    let _ = reply_tx.send(encode_reply(req_id, &Ok(Reply::Entries(Vec::new()))));
-                } else {
-                    let agg = Arc::new(RangeAgg {
-                        req_id,
-                        limit,
-                        remaining: AtomicUsize::new(count),
-                        slots: Mutex::new(vec![None; count]),
-                        reply: reply_tx.clone(),
-                    });
-                    for (slot, shard) in span.enumerate() {
-                        let msg = ShardMsg::Range {
-                            start,
-                            end,
-                            fetch: limit,
-                            slot,
-                            agg: agg.clone(),
-                        };
-                        if shard_txs[shard].send(msg).is_err() {
-                            agg.done(slot, Vec::new());
-                        }
-                    }
-                }
-            }
-            Request::Stats => {
-                let agg = Arc::new(StatsAgg {
-                    req_id,
-                    remaining: AtomicUsize::new(shards),
-                    acc: Mutex::new(ServiceStats::default()),
-                    reply: reply_tx.clone(),
-                });
-                for tx in &shard_txs {
-                    let msg = ShardMsg::Stats {
-                        agg: agg.clone(),
-                        shards: shards as u32,
-                    };
-                    if tx.send(msg).is_err() {
-                        agg.done(ServiceStats::default());
-                    }
-                }
-            }
-        }
-
-        // The pipelining window closed: nothing more is already buffered,
-        // so the next read may block — flush what this burst accumulated.
-        if !batcher.is_empty() && reader.buffer().is_empty() {
-            for (shard, entries, req_ids) in batcher.drain() {
-                submit_run(&shard_txs[shard], entries, req_ids, &reply_tx);
-            }
         }
     }
 
-    for (shard, entries, req_ids) in batcher.drain() {
-        submit_run(&shard_txs[shard], entries, req_ids, &reply_tx);
-    }
-    // Dropping reply_tx lets the writer drain outstanding worker replies
-    // and exit once the last agg/worker clone drops.
+    submit(&mut bursts, &shard_txs);
+    // Dropping every reply sender held here lets the writer drain
+    // outstanding worker replies and exit once the last burst is answered.
+    drop(bursts);
     drop(reply_tx);
     let _ = writer.join();
 }

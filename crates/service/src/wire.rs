@@ -228,75 +228,108 @@ fn pairs(c: &mut Cursor<'_>) -> Result<Vec<(u64, u64)>> {
     let count = c.u32()? as usize;
     // The count must be consistent with the frame length before we trust
     // it for an allocation.
-    if count.checked_mul(16).is_none_or(|b| b > c.buf.len() - c.at) {
-        return Err(Error::corruption("pair count exceeds frame body"));
-    }
-    (0..count).map(|_| Ok((c.u64()?, c.u64()?))).collect()
+    let bytes = count
+        .checked_mul(16)
+        .filter(|&b| b <= c.buf.len() - c.at)
+        .ok_or_else(|| Error::corruption("pair count exceeds frame body"))?;
+    let word = |b: &[u8]| u64::from_le_bytes(b.try_into().unwrap());
+    Ok(c.take(bytes)?
+        .chunks_exact(16)
+        .map(|pair| (word(&pair[..8]), word(&pair[8..])))
+        .collect())
 }
 
 fn put_pairs(out: &mut Vec<u8>, entries: &[(u64, u64)]) {
     put_u32(out, entries.len() as u32);
+    out.reserve(entries.len() * 16);
     for &(k, v) in entries {
-        put_u64(out, k);
-        put_u64(out, v);
+        let mut pair = [0u8; 16];
+        pair[..8].copy_from_slice(&k.to_le_bytes());
+        pair[8..].copy_from_slice(&v.to_le_bytes());
+        out.extend_from_slice(&pair);
     }
 }
 
 // ---- frame I/O ---------------------------------------------------------
 
-/// Reads one frame body; `Ok(None)` on clean EOF at a frame boundary.
-fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>> {
-    let mut len = [0u8; 4];
-    match r.read_exact(&mut len) {
-        Ok(()) => {}
-        Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(e.into()),
-    }
-    let len = u32::from_le_bytes(len) as usize;
+/// Bodies up to this long — every `Insert`, `Get` and `Delete` and their
+/// replies — are read into a stack array, not a heap allocation.
+const SMALL_BODY: usize = 64;
+
+fn body_len(prefix: [u8; 4]) -> Result<usize> {
+    let len = u32::from_le_bytes(prefix) as usize;
     if !(8..=MAX_FRAME).contains(&len) {
         return Err(Error::corruption(format!(
             "frame length {len} out of range"
         )));
     }
-    let mut body = vec![0u8; len];
-    r.read_exact(&mut body)?;
-    Ok(Some(body))
+    Ok(len)
+}
+
+/// Reads one frame and hands its body to `parse`; `Ok(None)` on clean EOF
+/// at a frame boundary.
+fn read_frame<T>(r: &mut impl Read, parse: impl FnOnce(&[u8]) -> Result<T>) -> Result<Option<T>> {
+    let mut prefix = [0u8; 4];
+    match r.read_exact(&mut prefix) {
+        Ok(()) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return Ok(None),
+        Err(e) => return Err(e.into()),
+    }
+    let len = body_len(prefix)?;
+    if len <= SMALL_BODY {
+        let mut body = [0u8; SMALL_BODY];
+        r.read_exact(&mut body[..len])?;
+        parse(&body[..len]).map(Some)
+    } else {
+        let mut body = vec![0u8; len];
+        r.read_exact(&mut body)?;
+        parse(&body).map(Some)
+    }
+}
+
+/// Appends one frame to `out`: the body `body` writes, behind its length
+/// (patched in once the body is there to measure).
+fn frame(out: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>)) {
+    let at = out.len();
+    put_u32(out, 0);
+    body(out);
+    let len = (out.len() - at - 4) as u32;
+    out[at..at + 4].copy_from_slice(&len.to_le_bytes());
 }
 
 /// Encodes a request frame (length prefix included).
 pub fn encode_request(req_id: u64, req: &Request) -> Vec<u8> {
-    let mut body = Vec::with_capacity(32);
-    put_u64(&mut body, req_id);
-    match req {
-        Request::Insert { key, value } => {
-            body.push(1);
-            put_u64(&mut body, *key);
-            put_u64(&mut body, *value);
+    let mut out = Vec::with_capacity(40);
+    frame(&mut out, |body| {
+        put_u64(body, req_id);
+        match req {
+            Request::Insert { key, value } => {
+                body.push(1);
+                put_u64(body, *key);
+                put_u64(body, *value);
+            }
+            Request::InsertBatch { entries } => {
+                body.push(2);
+                put_pairs(body, entries);
+            }
+            Request::Get { key } => {
+                body.push(3);
+                put_u64(body, *key);
+            }
+            Request::Delete { key } => {
+                body.push(4);
+                put_u64(body, *key);
+            }
+            Request::Range { start, end, limit } => {
+                body.push(5);
+                put_u64(body, *start);
+                put_u64(body, *end);
+                put_u32(body, *limit);
+            }
+            Request::Stats => body.push(6),
         }
-        Request::InsertBatch { entries } => {
-            body.push(2);
-            put_pairs(&mut body, entries);
-        }
-        Request::Get { key } => {
-            body.push(3);
-            put_u64(&mut body, *key);
-        }
-        Request::Delete { key } => {
-            body.push(4);
-            put_u64(&mut body, *key);
-        }
-        Request::Range { start, end, limit } => {
-            body.push(5);
-            put_u64(&mut body, *start);
-            put_u64(&mut body, *end);
-            put_u32(&mut body, *limit);
-        }
-        Request::Stats => body.push(6),
-    }
-    let mut frame = Vec::with_capacity(4 + body.len());
-    put_u32(&mut frame, body.len() as u32);
-    frame.extend_from_slice(&body);
-    frame
+    });
+    out
 }
 
 /// Writes a request frame to `w` (no flush — pipelining batches flushes).
@@ -306,12 +339,8 @@ pub fn write_request(w: &mut impl Write, req_id: u64, req: &Request) -> Result<(
     Ok(())
 }
 
-/// Reads the next request; `Ok(None)` on clean client disconnect.
-pub fn read_request(r: &mut impl Read) -> Result<Option<(u64, Request)>> {
-    let Some(body) = read_frame(r)? else {
-        return Ok(None);
-    };
-    let mut c = Cursor::new(&body);
+fn parse_request(body: &[u8]) -> Result<(u64, Request)> {
+    let mut c = Cursor::new(body);
     let req_id = c.u64()?;
     let req = match c.u8()? {
         1 => Request::Insert {
@@ -332,51 +361,77 @@ pub fn read_request(r: &mut impl Read) -> Result<Option<(u64, Request)>> {
         op => return Err(Error::corruption(format!("unknown opcode {op}"))),
     };
     c.done()?;
-    Ok(Some((req_id, req)))
+    Ok((req_id, req))
+}
+
+/// Reads the next request; `Ok(None)` on clean client disconnect.
+pub fn read_request(r: &mut impl Read) -> Result<Option<(u64, Request)>> {
+    read_frame(r, parse_request)
+}
+
+/// Decodes the request frame at the front of `buf` where it lies:
+/// `(bytes consumed, request id, request)`, or `Ok(None)` while `buf` holds
+/// only a prefix of a frame. Rejects what [`read_request`] rejects — a
+/// garbage length as soon as its four bytes are there.
+pub fn decode_request(buf: &[u8]) -> Result<Option<(usize, u64, Request)>> {
+    let Some((prefix, rest)) = buf.split_first_chunk() else {
+        return Ok(None);
+    };
+    let len = body_len(*prefix)?;
+    let Some(body) = rest.get(..len) else {
+        return Ok(None);
+    };
+    let (req_id, req) = parse_request(body)?;
+    Ok(Some((4 + len, req_id, req)))
 }
 
 /// Encodes a reply frame (length prefix included).
 pub fn encode_reply(req_id: u64, reply: &Result<Reply>) -> Vec<u8> {
-    let mut body = Vec::with_capacity(32);
-    put_u64(&mut body, req_id);
-    match reply {
-        Ok(ok) => {
-            body.push(0);
-            match ok {
-                Reply::Inserted => {}
-                Reply::BatchInserted { fast } => put_u64(&mut body, *fast),
-                Reply::Got(v) | Reply::Deleted(v) => {
-                    // Got and Deleted share an encoding; the client knows
-                    // which it asked for. A discriminating byte keeps the
-                    // decode unambiguous anyway.
-                    match v {
-                        Some(v) => {
-                            body.push(1);
-                            put_u64(&mut body, *v);
+    let mut out = Vec::with_capacity(40);
+    encode_reply_into(&mut out, req_id, reply);
+    out
+}
+
+/// Appends a reply frame (length prefix included) to `out`, so one buffer
+/// can carry a whole burst of replies.
+pub fn encode_reply_into(out: &mut Vec<u8>, req_id: u64, reply: &Result<Reply>) {
+    frame(out, |body| {
+        put_u64(body, req_id);
+        match reply {
+            Ok(ok) => {
+                body.push(0);
+                match ok {
+                    Reply::Inserted => {}
+                    Reply::BatchInserted { fast } => put_u64(body, *fast),
+                    Reply::Got(v) | Reply::Deleted(v) => {
+                        // Got and Deleted share an encoding; the client knows
+                        // which it asked for. A discriminating byte keeps the
+                        // decode unambiguous anyway.
+                        match v {
+                            Some(v) => {
+                                body.push(1);
+                                put_u64(body, *v);
+                            }
+                            None => body.push(0),
                         }
-                        None => body.push(0),
+                    }
+                    Reply::Entries(entries) => put_pairs(body, entries),
+                    Reply::Stats(s) => {
+                        put_u64(body, s.len);
+                        put_u64(body, s.fast_inserts);
+                        put_u64(body, s.top_inserts);
+                        put_u64(body, s.wal_appends);
+                        put_u64(body, s.wal_fsyncs);
+                        put_u32(body, s.shards);
                     }
                 }
-                Reply::Entries(entries) => put_pairs(&mut body, entries),
-                Reply::Stats(s) => {
-                    put_u64(&mut body, s.len);
-                    put_u64(&mut body, s.fast_inserts);
-                    put_u64(&mut body, s.top_inserts);
-                    put_u64(&mut body, s.wal_appends);
-                    put_u64(&mut body, s.wal_fsyncs);
-                    put_u32(&mut body, s.shards);
-                }
+            }
+            Err(e) => {
+                body.push(status_code(e));
+                body.extend_from_slice(e.to_string().as_bytes());
             }
         }
-        Err(e) => {
-            body.push(status_code(e));
-            body.extend_from_slice(e.to_string().as_bytes());
-        }
-    }
-    let mut frame = Vec::with_capacity(4 + body.len());
-    put_u32(&mut frame, body.len() as u32);
-    frame.extend_from_slice(&body);
-    frame
+    });
 }
 
 /// What the client expects a reply to decode as (replies are not
@@ -419,8 +474,14 @@ pub fn read_reply(
     r: &mut impl Read,
     shape: impl FnOnce(u64) -> Result<ReplyShape>,
 ) -> Result<(u64, Result<Reply>)> {
-    let body = read_frame(r)?.ok_or(Error::Shutdown)?;
-    let mut c = Cursor::new(&body);
+    read_frame(r, |body| parse_reply(body, shape))?.ok_or(Error::Shutdown)
+}
+
+fn parse_reply(
+    body: &[u8],
+    shape: impl FnOnce(u64) -> Result<ReplyShape>,
+) -> Result<(u64, Result<Reply>)> {
+    let mut c = Cursor::new(body);
     let req_id = c.u64()?;
     let status = c.u8()?;
     if status != 0 {
@@ -576,6 +637,155 @@ mod tests {
         frame.extend_from_slice(&body);
         let mut r = &frame[..];
         assert_eq!(read_request(&mut r).unwrap_err().kind(), "corruption");
+    }
+
+    fn one_of_each_request() -> Vec<Request> {
+        vec![
+            Request::Insert { key: 1, value: 2 },
+            Request::InsertBatch {
+                entries: vec![(3, 4), (5, 6)],
+            },
+            Request::Get { key: 7 },
+            Request::Delete { key: 8 },
+            Request::Range {
+                start: 9,
+                end: 10,
+                limit: 11,
+            },
+            Request::Stats,
+        ]
+    }
+
+    #[test]
+    fn slice_decoder_equals_stream_decoder() {
+        for req in one_of_each_request() {
+            let mut bytes = encode_request(42, &req);
+            let frame_len = bytes.len();
+            for cut in 0..frame_len {
+                assert_eq!(
+                    decode_request(&bytes[..cut]).unwrap(),
+                    None,
+                    "{req:?}: a strict prefix is not a frame yet"
+                );
+            }
+            // The frame with another frame's first bytes behind it.
+            bytes.extend_from_slice(&[0xAB; 5]);
+            let (used, id, sliced) = decode_request(&bytes).unwrap().unwrap();
+            let mut stream = &bytes[..];
+            let (stream_id, streamed) = read_request(&mut stream).unwrap().unwrap();
+            assert_eq!((used, id, &sliced), (frame_len, stream_id, &streamed));
+            assert_eq!((id, sliced), (42, req));
+            assert_eq!(stream.len(), 5, "both stop at the frame's end");
+        }
+    }
+
+    #[test]
+    fn slice_decoder_rejects_what_the_stream_decoder_rejects() {
+        let framed = |body: &[u8]| {
+            let mut frame = (body.len() as u32).to_le_bytes().to_vec();
+            frame.extend_from_slice(body);
+            frame
+        };
+        let mut lying_count = 1u64.to_le_bytes().to_vec();
+        lying_count.push(2);
+        lying_count.extend_from_slice(&1_000_000u32.to_le_bytes());
+        let mut trailing = encode_request(1, &Request::Get { key: 7 })[4..].to_vec();
+        trailing.push(0);
+        let mut garbage_length = u32::MAX.to_le_bytes().to_vec();
+        garbage_length.extend_from_slice(&[0u8; 16]);
+        let mut short_length = 7u32.to_le_bytes().to_vec();
+        short_length.extend_from_slice(&[0u8; 7]);
+        let mut bad_opcode = 1u64.to_le_bytes().to_vec();
+        bad_opcode.push(200);
+        for bad in [
+            garbage_length,
+            short_length,
+            framed(&lying_count),
+            framed(&trailing),
+            framed(&bad_opcode),
+        ] {
+            let sliced = decode_request(&bad).unwrap_err();
+            let streamed = read_request(&mut &bad[..]).unwrap_err();
+            assert_eq!(sliced.kind(), "corruption");
+            assert_eq!(sliced.to_string(), streamed.to_string());
+        }
+        // A garbage length is refused on its four bytes alone, not waited
+        // on as a frame that might still arrive.
+        assert!(decode_request(&u32::MAX.to_le_bytes()).is_err());
+    }
+
+    fn hex(s: &str) -> Vec<u8> {
+        let digits: String = s.split_whitespace().collect();
+        (0..digits.len())
+            .step_by(2)
+            .map(|at| u8::from_str_radix(&digits[at..at + 2], 16).unwrap())
+            .collect()
+    }
+
+    #[test]
+    fn wire_frames_are_these_exact_bytes() {
+        let id = 0x0807_0605_0403_0201u64;
+        let requests = [
+            "19000000 0102030405060708 01 0100000000000000 0200000000000000",
+            "2d000000 0102030405060708 02 02000000 \
+             0300000000000000 0400000000000000 0500000000000000 0600000000000000",
+            "11000000 0102030405060708 03 0700000000000000",
+            "11000000 0102030405060708 04 0800000000000000",
+            "1d000000 0102030405060708 05 0900000000000000 0a00000000000000 0b000000",
+            "09000000 0102030405060708 06",
+        ];
+        for (req, bytes) in one_of_each_request().iter().zip(requests) {
+            assert_eq!(encode_request(id, req), hex(bytes), "{req:?}");
+        }
+
+        let stats = ServiceStats {
+            len: 1,
+            fast_inserts: 2,
+            top_inserts: 3,
+            wal_appends: 4,
+            wal_fsyncs: 5,
+            shards: 6,
+        };
+        let replies: [(Result<Reply>, &str); 9] = [
+            (Ok(Reply::Inserted), "09000000 0102030405060708 00"),
+            (
+                Ok(Reply::BatchInserted { fast: 0x0c }),
+                "11000000 0102030405060708 00 0c00000000000000",
+            ),
+            (
+                Ok(Reply::Got(Some(0x0d))),
+                "12000000 0102030405060708 00 01 0d00000000000000",
+            ),
+            (Ok(Reply::Got(None)), "0a000000 0102030405060708 00 00"),
+            (
+                Ok(Reply::Deleted(Some(0x0e))),
+                "12000000 0102030405060708 00 01 0e00000000000000",
+            ),
+            (Ok(Reply::Deleted(None)), "0a000000 0102030405060708 00 00"),
+            (
+                Ok(Reply::Entries(vec![(0x0f, 0x10)])),
+                "1d000000 0102030405060708 00 01000000 0f00000000000000 1000000000000000",
+            ),
+            (
+                Ok(Reply::Stats(stats)),
+                "35000000 0102030405060708 00 0100000000000000 0200000000000000 \
+                 0300000000000000 0400000000000000 0500000000000000 06000000",
+            ),
+            // Status 6, then the error's `Display` text.
+            (
+                Err(Error::Shutdown),
+                "16000000 0102030405060708 06 7368757474696e6720646f776e",
+            ),
+        ];
+        for (reply, bytes) in &replies {
+            let frame = encode_reply(id, reply);
+            assert_eq!(frame, hex(bytes), "{reply:?}");
+            // Appending to a buffer that already holds a frame writes the
+            // same bytes behind it.
+            let mut both = frame.clone();
+            encode_reply_into(&mut both, id, reply);
+            assert_eq!(both, [frame.clone(), frame].concat());
+        }
     }
 
     #[test]
