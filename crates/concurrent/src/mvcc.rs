@@ -30,8 +30,11 @@
 //! latch and spills the prior version *before* it overwrites the slot, so
 //! the side store already holds a version's predecessor by the time any
 //! reader can see that version: a reader sent past the slot always finds
-//! what it was sent for. Lock order is leaf latch → side stripe, for
-//! writers and scans alike; nothing is acquired under a side stripe.
+//! what it was sent for. Lock order is poℓe metadata → leaf latch → side
+//! stripe (writers take the metadata mutex only on the tree's fast path;
+//! scans start at the leaf); nothing is acquired under a side stripe. A
+//! commit's whole write set goes through [`MvccTree::apply_batch`], one
+//! leaf latch per sorted chunk under the same rules.
 //!
 //! # Garbage
 //!
@@ -130,8 +133,19 @@ impl<K: Key, V: Clone> MvccTree<K, V> {
     /// An empty multi-version tree with the given inner-tree
     /// configuration (layout, search kind, OLC on/off all apply).
     pub fn new(config: ConcConfig) -> Self {
+        Self::bulk_load(config, std::iter::empty())
+    }
+
+    /// Bulk-builds from `(key, commit_ts, value)` entries in key order —
+    /// the recovery path: every key is a slot and nothing else, and the
+    /// inner tree is built bottom-up by [`ConcurrentTree::bulk_load`].
+    pub fn bulk_load(config: ConcConfig, entries: impl IntoIterator<Item = (K, u64, V)>) -> Self {
+        let slots = entries
+            .into_iter()
+            .map(|(key, ts, v)| (key, Slot { ts, value: Some(v) }))
+            .collect();
         MvccTree {
-            tree: ConcurrentTree::new(config),
+            tree: ConcurrentTree::bulk_load(config, slots),
             stripes: (0..STRIPES)
                 .map(|_| Stripe {
                     write: Mutex::new(()),
@@ -139,17 +153,6 @@ impl<K: Key, V: Clone> MvccTree<K, V> {
                 })
                 .collect(),
         }
-    }
-
-    /// Bulk-builds from `(key, commit_ts, value)` entries in key order —
-    /// the recovery path: every key is a slot and nothing else, inserted
-    /// in order so the run rides the inner tree's fast path.
-    pub fn bulk_load(config: ConcConfig, entries: Vec<(K, u64, V)>) -> Self {
-        let this = Self::new(config);
-        for (key, ts, v) in entries {
-            this.tree.insert(key, Slot { ts, value: Some(v) });
-        }
-        this
     }
 
     /// The stripe covering `key` — `to_ikr`-based, identical in shape to
@@ -258,6 +261,57 @@ impl<K: Key, V: Clone> MvccTree<K, V> {
             side.lock().entry(key).or_default();
         }
         prev_live
+    }
+
+    /// Writes one commit's versions, all at `commit_ts` — what
+    /// [`apply`](Self::apply) does per key, as one
+    /// [`ConcurrentTree::upsert_batch`] over the write set read where it
+    /// lies (no allocation), so a sorted commit pays one poℓe latch per
+    /// leaf chunk rather than one insert per key. Returns how far the
+    /// commit moves the live-key count and how many versions it superseded
+    /// (overwrites and tombstones: what [`gc`](Self::gc) can later
+    /// reclaim).
+    ///
+    /// # Contract
+    ///
+    /// `apply`'s, for every key: the caller holds the write set's stripes
+    /// and allocated `commit_ts` under them. Keys are distinct. The
+    /// per-key lock order holds too — poℓe metadata, leaf latch, side
+    /// stripe — and every superseded version is spilled before its slot
+    /// is overwritten.
+    pub fn apply_batch(&self, commit_ts: u64, writes: &[(K, Option<V>)]) -> (i64, u64) {
+        let mut prev_live = 0;
+        let newest = |(_, value): &(K, Option<V>)| Slot {
+            ts: commit_ts,
+            value: value.clone(),
+        };
+        self.tree.upsert_batch_by(
+            writes,
+            |e| e.0,
+            newest,
+            |key, slot, new| {
+                debug_assert!(
+                    slot.ts < new.ts,
+                    "per-key commit timestamps must be strictly increasing"
+                );
+                prev_live += u64::from(slot.value.is_some());
+                // Spill, then overwrite (module docs, "Write rule").
+                let prior = (slot.ts, slot.value.take());
+                let side = &self.stripes[self.stripe_of(key)].side;
+                side.lock().entry(key).or_default().insert(0, prior);
+                *slot = new;
+            },
+        );
+        // A tombstone slot with no history still needs collecting; one that
+        // superseded a version already has its entry.
+        let mut deletes = 0;
+        for (key, _) in writes.iter().filter(|(_, value)| value.is_none()) {
+            let side = &self.stripes[self.stripe_of(*key)].side;
+            side.lock().entry(*key).or_default();
+            deletes += 1;
+        }
+        let writing = writes.len() as u64 - deletes;
+        (writing as i64 - prev_live as i64, prev_live + deletes)
     }
 
     /// Reclaims what no snapshot at or above `watermark` can reach: every

@@ -69,10 +69,12 @@ pub enum CNode<K, V> {
 }
 
 impl<K, V> CNode<K, V> {
-    /// A fresh empty leaf with unbounded range. Reserves `capacity + 1`
-    /// slots so in-capacity inserts (plus the transient overflow entry
-    /// around a split) never reallocate — see the buffer-pinning invariant
-    /// in the module docs.
+    /// A fresh empty leaf with unbounded range (tests build nodes by hand;
+    /// trees start from `ConcurrentTree::bulk_load`). Reserves
+    /// `capacity + 1` slots so in-capacity inserts (plus the transient
+    /// overflow entry around a split) never reallocate — see the
+    /// buffer-pinning invariant in the module docs.
+    #[cfg(test)]
     pub fn empty_leaf(capacity: usize) -> Self {
         CNode::Leaf {
             keys: Vec::with_capacity(capacity + 1),
@@ -85,7 +87,8 @@ impl<K, V> CNode<K, V> {
     }
 
     /// Pre-sized buffers for a new leaf (`capacity + 1` slots each), for
-    /// split code that fills them by draining the overfull left sibling.
+    /// the bulk load and for split code that fills them by draining the
+    /// overfull left sibling.
     pub fn leaf_buffers(capacity: usize) -> (Vec<K>, Vec<V>) {
         (
             Vec::with_capacity(capacity + 1),

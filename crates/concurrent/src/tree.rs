@@ -30,6 +30,13 @@
 //!   missed fast-insert, never a misplaced key. The poℓe `try_lock`
 //!   composes with OLC unchanged: it is a real write lock, so it bumps the
 //!   version like any other write section.
+//! * **Batches** ([`ConcurrentTree::insert_batch`], `upsert_batch`) take
+//!   the fast path a leaf chunk at a time: per maximal sorted run, one
+//!   metadata-mutex hold and one poℓe latch per chunk, validated once, the
+//!   chunk then placed slot by slot under that latch. An entry
+//!   the poℓe cannot take goes through the per-key paths above, which
+//!   alone split and move the poℓe. [`ConcurrentTree::bulk_load`] builds a
+//!   tree bottom-up from sorted input (recovery's snapshot path).
 //!
 //! poℓe maintenance follows Algorithm 1 (IKR-guided promotion on split) plus
 //! the §4.3 reset strategy, and every such decision is made by the same
@@ -45,8 +52,8 @@ use crate::node::{CNode, NodeRef};
 use crate::olc::{self, LeafRead, Routed, Target};
 use crate::sync::{ArcRwLockReadGuard, ArcRwLockWriteGuard, Mutex, RwLock};
 use quit_core::{
-    FastPathState, FullPolePlan, Key, MetricsRegistry, NodeLayoutKind, PoleSplit, SlotInsert,
-    Stats, StatsSnapshot, StorageKind, TopInsert, TreeConfig,
+    FastPathState, FullPolePlan, Key, MetricsRegistry, NodeLayoutKind, PoleSplit, PrevLeaf,
+    SlotInsert, Stats, StatsSnapshot, StorageKind, TopInsert, TreeConfig,
 };
 use std::ops::{Bound, RangeBounds};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -148,11 +155,14 @@ impl Default for ConcConfig {
 
 /// A thread-safe sortedness-aware B+-tree.
 pub struct ConcurrentTree<K, V> {
+    /// poℓe metadata and policy, guarded by one mutex (the "lock on the
+    /// fast-path metadata" of §4.5). Declared before `root` so it drops
+    /// first: a leaf it still held would outlive its parent, and its
+    /// successors — then owned only through `next` — would drop one
+    /// nested call per leaf, overflowing the stack on a long chain.
+    fp: Mutex<FastPathState<K, NodeRef<K, V>>>,
     root: RwLock<NodeRef<K, V>>,
     config: ConcConfig,
-    /// poℓe metadata and policy, guarded by one mutex (the "lock on the
-    /// fast-path metadata" of §4.5).
-    fp: Mutex<FastPathState<K, NodeRef<K, V>>>,
     /// Shared observability substrate — the same [`MetricsRegistry`] type
     /// `quit-core`'s trees use; every update here takes the `_shared`
     /// (`fetch_add`) flavour so counters are exact under concurrency.
@@ -173,23 +183,114 @@ impl<K: Key, V: Clone> ConcurrentTree<K, V> {
     /// `quit_durability::TxnStore::open` surface the same restriction as a
     /// `config` error instead).
     pub fn new(config: ConcConfig) -> Self {
+        Self::bulk_load(config, Vec::new())
+    }
+
+    /// Builds a tree from `entries` sorted by key (duplicates allowed),
+    /// bottom-up (§5's bulk load): leaves packed to the configured
+    /// `bulk_fill` of capacity and chained in order, then each internal
+    /// level over the one below at the same fill — no insert, latch or
+    /// split. A leaf is cut only where the key strictly changes, so a
+    /// duplicate run never straddles a separator; a run longer than a
+    /// leaf stays whole in one dense, oversize leaf, the shape the
+    /// absorb-overflow path produces. The poℓe is armed at the tail leaf,
+    /// with its chain predecessor as `poℓe_prev`, so an in-order stream
+    /// resumes on the fast path. Panics on unsorted input and where
+    /// [`new`](Self::new) does.
+    pub fn bulk_load(config: ConcConfig, mut entries: Vec<(K, V)>) -> Self {
         config.tree.assert_valid();
         assert!(
             matches!(config.tree.storage, StorageKind::Arena),
             "ConcurrentTree supports only StorageKind::Arena; for paged \
              storage use the single-writer BpTree (Durable::open_paged)"
         );
-        let root = CNode::empty_leaf(config.tree.leaf_capacity).into_ref();
-        let fp = FastPathState::new(config.pole_enabled.then(|| root.clone()));
+        assert!(
+            entries.windows(2).all(|w| w[0].0 <= w[1].0),
+            "bulk_load requires sorted input"
+        );
+        let cfg = &config.tree;
+        let len = entries.len();
+        let starts = leaf_starts(&entries, packed(cfg.leaf_capacity, cfg.bulk_fill, 1));
+        // The tail's predecessor, as poℓe_prev: its smallest key and size.
+        let prev = match starts[..] {
+            [.., a, b] => Some((entries[a].0, b - a)),
+            _ => None,
+        };
+        // Leaves right to left, so each is built with its `next` link.
+        let mut level: Vec<(Option<K>, NodeRef<K, V>)> = Vec::with_capacity(starts.len());
+        let mut high = None;
+        for &start in starts.iter().rev() {
+            let (mut keys, mut vals) =
+                CNode::leaf_buffers(cfg.leaf_capacity.max(entries.len() - start));
+            for (k, v) in entries.drain(start..) {
+                keys.push(k);
+                vals.push(v);
+            }
+            let low = (start > 0).then(|| keys[0]);
+            let leaf = CNode::Leaf {
+                keys,
+                vals,
+                gaps: quit_core::GapMap::new(),
+                next: level.last().map(|(_, next)| next.clone()),
+                low,
+                high,
+            };
+            level.push((low, leaf.into_ref()));
+            high = low;
+        }
+        level.reverse();
+        let mut fp = FastPathState::new(None);
+        if config.pole_enabled {
+            let (low, tail) = level.last().cloned().expect("at least one leaf");
+            let prev = prev.map(|(min, len)| PrevLeaf {
+                leaf: level[level.len() - 2].1.clone(),
+                min: Some(min),
+                len,
+            });
+            fp.repoint(tail, low, None, prev);
+        }
+        // Each internal node routes by the low bounds of its children after
+        // the first; sizes are spread evenly so none is left with one child.
+        let fanout = packed(cfg.internal_capacity, cfg.bulk_fill, 2) + 1;
+        while level.len() > 1 {
+            let nodes = level.len().div_ceil(fanout);
+            let (size, extra) = (level.len() / nodes, level.len() % nodes);
+            let mut below = level.into_iter();
+            level = (0..nodes)
+                .map(|i| {
+                    let (mut keys, mut children) = CNode::internal_buffers(cfg.internal_capacity);
+                    let mut low = None;
+                    for (j, (child_low, child)) in below
+                        .by_ref()
+                        .take(size + usize::from(i < extra))
+                        .enumerate()
+                    {
+                        if j == 0 {
+                            low = child_low;
+                        } else {
+                            keys.push(child_low.expect("only the leftmost subtree is unbounded"));
+                        }
+                        children.push(child);
+                    }
+                    (low, CNode::Internal { keys, children }.into_ref())
+                })
+                .collect();
+        }
+        let (_, root) = level.pop().expect("one root");
         let metrics = MetricsRegistry::new(config.tree.metrics_level);
         ConcurrentTree {
             root: RwLock::new(root),
             config,
             fp: Mutex::new(fp),
             metrics,
-            len: AtomicUsize::new(0),
+            len: AtomicUsize::new(len),
             retired: Mutex::new(Vec::new()),
         }
+    }
+
+    /// The configuration this tree runs.
+    pub fn config(&self) -> &ConcConfig {
+        &self.config
     }
 
     /// Entries in the tree.
@@ -252,9 +353,144 @@ impl<K: Key, V: Clone> ConcurrentTree<K, V> {
         merge.is_none()
     }
 
+    /// Inserts a batch (thread-safe), paying for sortedness once per run
+    /// instead of once per key (§4.2's fast path over whole runs). Each
+    /// maximal non-decreasing run goes to the poℓe leaf a chunk at a time:
+    /// one metadata-mutex hold and one leaf latch per chunk, the head
+    /// validated once against the leaf's own bounds. An entry the poℓe
+    /// cannot take — uncovered, full leaf, busy latch — goes through
+    /// [`insert`](Self::insert)'s own paths, so splits and poℓe maintenance
+    /// happen only there. Run alone, it leaves the contents (duplicate
+    /// order included) and counters a per-key `insert` loop leaves.
+    /// Returns `entries.len()`.
+    pub fn insert_batch(&self, entries: &[(K, V)]) -> usize {
+        self.batch_or(entries, |e| e.0, |e| e.1.clone(), &mut ());
+        entries.len()
+    }
+
+    /// [`insert_batch`](Self::insert_batch) with [`upsert`](Self::upsert)'s
+    /// treatment of a key that already has a live entry:
+    /// `merge(key, existing, value)` updates that entry in place under its
+    /// leaf's write latch instead of inserting. Equivalent to a per-key
+    /// `upsert` loop.
+    pub fn upsert_batch(&self, entries: &[(K, V)], merge: impl FnMut(K, &mut V, V)) {
+        self.upsert_batch_by(entries, |e| e.0, |e| e.1.clone(), merge);
+    }
+
+    /// [`upsert_batch`](Self::upsert_batch) over entries of another shape,
+    /// read through `key` and `value`: a caller holding its batch in that
+    /// shape (the MVCC write set) builds no `(K, V)` copy of it.
+    pub(crate) fn upsert_batch_by<E>(
+        &self,
+        entries: &[E],
+        key: impl Fn(&E) -> K,
+        value: impl Fn(&E) -> V,
+        merge: impl FnMut(K, &mut V, V),
+    ) {
+        self.batch_or(entries, key, value, &mut MergeEach(merge));
+    }
+
+    fn batch_or<E, M: OnExisting<K, V>>(
+        &self,
+        entries: &[E],
+        key: impl Fn(&E) -> K,
+        value: impl Fn(&E) -> V,
+        existing: &mut M,
+    ) {
+        for run in entries.chunk_by(|a, b| key(a) <= key(b)) {
+            let mut i = 0;
+            while i < run.len() {
+                let taken = if self.config.pole_enabled {
+                    self.append_chunk(&run[i..], &key, &value, existing)
+                } else {
+                    0
+                };
+                if taken == 0 {
+                    self.insert_or(key(&run[i]), value(&run[i]), existing);
+                    i += 1;
+                } else {
+                    i += taken;
+                }
+            }
+        }
+    }
+
+    /// Inserts the longest prefix of the sorted `run` that the poℓe leaf
+    /// takes under one metadata-mutex hold and one leaf latch: the keys
+    /// below the poℓe's upper bound and the leaf's `high`, no more than
+    /// the leaf's live space. Returns how many entries it consumed; 0 when
+    /// the head is not the poℓe's, the latch is busy or the leaf is full.
+    fn append_chunk<E, M: OnExisting<K, V>>(
+        &self,
+        run: &[E],
+        key: impl Fn(&E) -> K,
+        value: impl Fn(&E) -> V,
+        existing: &mut M,
+    ) -> usize {
+        let t0 = self.metrics.op_timer();
+        let head = key(&run[0]);
+        let mut fp = self.fp.lock();
+        if !fp.covers(head) {
+            return 0;
+        }
+        let leaf = fp.leaf().cloned().expect("covered implies leaf");
+        let Some(mut g) = RwLock::try_write_arc(&leaf) else {
+            return 0;
+        };
+        let CNode::Leaf {
+            keys,
+            vals,
+            gaps,
+            low,
+            high,
+            ..
+        } = &mut *g
+        else {
+            return 0;
+        };
+        let cap = self.config.tree.leaf_capacity;
+        let space = cap.saturating_sub(keys.len() - gaps.count());
+        let in_range = low.is_none_or(|b| head >= b) && high.is_none_or(|b| head < b);
+        if space == 0 || !in_range {
+            return 0;
+        }
+        let below =
+            |bound: Option<K>| bound.map_or(run.len(), |b| run.partition_point(|e| key(e) < b));
+        let chunk = &run[..below(fp.bounds().1).min(below(*high)).min(space)];
+        // `insert_at` appends a key at or past the leaf's last one with one
+        // compare and a `push` inside the pinned `capacity + 1` reservation,
+        // so a sorted chunk at the frontier costs no search and optimistic
+        // readers never see a reallocation.
+        let mut inserted = 0;
+        for entry in chunk {
+            let k = key(entry);
+            let Some(v) = self.merge_existing(keys, vals, gaps, k, value(entry), existing) else {
+                continue;
+            };
+            match quit_core::insert_at(self.config.tree.search_kind, keys, vals, gaps, k, v, cap) {
+                SlotInsert::Done(_) => inserted += 1,
+                SlotInsert::Full => unreachable!("the chunk fits the live space"),
+            }
+        }
+        if inserted > 0 {
+            fp.on_covered_insert();
+        }
+        drop(g);
+        drop(fp);
+        self.len.fetch_add(inserted, Ordering::Relaxed);
+        self.metrics
+            .counters
+            .fast_inserts
+            .add_shared(inserted as u64);
+        self.metrics.record_insert_run_shared(true, inserted as u64);
+        self.metrics
+            .record_insert_latency_run(t0, chunk.len() as u64);
+        chunk.len()
+    }
+
     /// The three insert paths, parameterized by what to do about an entry
     /// that already holds `key` (`()` = nothing, `insert`'s behaviour).
-    fn insert_or<M: OnExisting<V>>(&self, key: K, value: V, existing: &mut M) {
+    fn insert_or<M: OnExisting<K, V>>(&self, key: K, value: V, existing: &mut M) {
         let t0 = self.metrics.op_timer();
         let (value, count_as_fast) = if self.config.pole_enabled {
             match self.try_fast_insert(key, value, existing) {
@@ -293,7 +529,7 @@ impl<K: Key, V: Clone> ConcurrentTree<K, V> {
     /// The upsert half of an insert that holds its leaf write-latched and
     /// range-validated: merges `value` into the live entry for `key` if
     /// there is one (`None`), else hands `value` back to be inserted.
-    fn merge_existing<M: OnExisting<V>>(
+    fn merge_existing<M: OnExisting<K, V>>(
         &self,
         keys: &[K],
         vals: &mut [V],
@@ -302,7 +538,8 @@ impl<K: Key, V: Clone> ConcurrentTree<K, V> {
         value: V,
         existing: &mut M,
     ) -> Option<V> {
-        if !M::LOOKS {
+        // Past the last key (the append frontier) no entry can hold `key`.
+        if !M::LOOKS || keys.last().is_none_or(|&last| last < key) {
             return Some(value);
         }
         let pos = quit_core::lower_bound(self.config.tree.search_kind, keys, key);
@@ -312,7 +549,7 @@ impl<K: Key, V: Clone> ConcurrentTree<K, V> {
         let live = gaps
             .next_live(pos, keys.len())
             .expect("last physical slot is always live");
-        existing.merge(&mut vals[live], value);
+        existing.merge(key, &mut vals[live], value);
         // `pos..live` is the entry's filler run: gap slots copy their nearest
         // live right neighbour and a lookup's lower bound lands on the first
         // of them, so they must carry the update too.
@@ -331,7 +568,7 @@ impl<K: Key, V: Clone> ConcurrentTree<K, V> {
     /// `Err(value)` returns ownership when the pessimistic path must take
     /// over: the leaf is full (split required) or the restart budget is
     /// exhausted.
-    fn insert_olc<M: OnExisting<V>>(&self, key: K, value: V, existing: &mut M) -> Result<(), V> {
+    fn insert_olc<M: OnExisting<K, V>>(&self, key: K, value: V, existing: &mut M) -> Result<(), V> {
         let mut restarts = 0u32;
         loop {
             if restarts > 0 {
@@ -418,7 +655,7 @@ impl<K: Key, V: Clone> ConcurrentTree<K, V> {
 
     /// The short-critical-section path: metadata mutex, then a single
     /// `try_lock` on the poℓe leaf.
-    fn try_fast_insert<M: OnExisting<V>>(
+    fn try_fast_insert<M: OnExisting<K, V>>(
         &self,
         key: K,
         value: V,
@@ -487,7 +724,7 @@ impl<K: Key, V: Clone> ConcurrentTree<K, V> {
 
     /// Full crabbing insert. `count_as_fast` preserves the paper's
     /// accounting for covered-but-full poℓe inserts.
-    fn top_insert<M: OnExisting<V>>(
+    fn top_insert<M: OnExisting<K, V>>(
         &self,
         key: K,
         value: V,
@@ -1418,6 +1655,36 @@ fn check_node<K: Key, V>(
     }
 }
 
+/// Entries (or separators) a bulk-loaded node holds: `fill` of
+/// `capacity`, at least `min`.
+fn packed(capacity: usize, fill: f64, min: usize) -> usize {
+    ((capacity as f64 * fill).floor() as usize).clamp(min, capacity)
+}
+
+/// Where each bulk-loaded leaf starts in the sorted `entries`: every
+/// `per_leaf` entries, except that a cut inside a duplicate run moves back
+/// to the run's start — or, when the run began the leaf, forward past its
+/// end, leaving the whole run in one leaf.
+fn leaf_starts<K: Key, V>(entries: &[(K, V)], per_leaf: usize) -> Vec<usize> {
+    let mut starts = vec![0];
+    let mut start = 0;
+    while start + per_leaf < entries.len() {
+        let cut = start + per_leaf;
+        let key = entries[cut].0;
+        let run = start + entries[start..cut].partition_point(|e| e.0 < key);
+        start = if run > start {
+            run
+        } else {
+            cut + entries[cut..].partition_point(|e| e.0 <= key)
+        };
+        if start == entries.len() {
+            break;
+        }
+        starts.push(start);
+    }
+    starts
+}
+
 /// Bounded exponential backoff between optimistic restarts: brief
 /// exponential spinning for the first few conflicts (writers' critical
 /// sections are sub-microsecond), then a yield so a preempted writer — the
@@ -1525,6 +1792,10 @@ impl<K: Key, V: Clone> quit_core::SortedIndex<K, V> for ConcurrentTree<K, V> {
         ConcurrentTree::insert(self, key, value);
     }
 
+    fn insert_batch(&mut self, entries: &[(K, V)]) -> usize {
+        ConcurrentTree::insert_batch(self, entries)
+    }
+
     fn get(&mut self, key: K) -> Option<V> {
         ConcurrentTree::get(self, key)
     }
@@ -1568,24 +1839,36 @@ impl<K: Key, V: Clone> quit_core::SortedIndex<K, V> for ConcurrentTree<K, V> {
 }
 
 /// What an insert does about a live entry that already holds its key.
-trait OnExisting<V> {
+trait OnExisting<K, V> {
     /// Whether the insert looks for such an entry at all.
     const LOOKS: bool;
-    /// Folds `new` into the entry found; called at most once.
-    fn merge(&mut self, existing: &mut V, new: V);
+    /// Folds `new` into the entry found for `key`; called at most once per
+    /// inserted entry.
+    fn merge(&mut self, key: K, existing: &mut V, new: V);
 }
 
 /// [`ConcurrentTree::insert`]: duplicates are kept, nothing is looked up.
-impl<V> OnExisting<V> for () {
+impl<K, V> OnExisting<K, V> for () {
     const LOOKS: bool = false;
-    fn merge(&mut self, _: &mut V, _: V) {}
+    fn merge(&mut self, _: K, _: &mut V, _: V) {}
 }
 
 /// [`ConcurrentTree::upsert`]: the caller's merge, taken when it runs.
-impl<V, F: FnOnce(&mut V, V)> OnExisting<V> for Option<F> {
+impl<K, V, F: FnOnce(&mut V, V)> OnExisting<K, V> for Option<F> {
     const LOOKS: bool = true;
-    fn merge(&mut self, existing: &mut V, new: V) {
+    fn merge(&mut self, _: K, existing: &mut V, new: V) {
         (self.take().expect("merge runs at most once"))(existing, new);
+    }
+}
+
+/// [`ConcurrentTree::upsert_batch`]: the caller's merge, run for every
+/// entry that meets a live one.
+struct MergeEach<F>(F);
+
+impl<K, V, F: FnMut(K, &mut V, V)> OnExisting<K, V> for MergeEach<F> {
+    const LOOKS: bool = true;
+    fn merge(&mut self, key: K, existing: &mut V, new: V) {
+        (self.0)(key, existing, new);
     }
 }
 
@@ -1660,6 +1943,63 @@ mod tests {
         assert_eq!(resets_after(2), 0, "the streak restarted: miss 1 of 2");
         assert_eq!(resets_after(3), 1, "miss 2 of 2");
         conc.check_consistency().unwrap();
+    }
+
+    #[test]
+    fn batch_chunks_stop_at_the_leaf_bound_when_metadata_is_stale() {
+        // The poℓe metadata is read under its mutex but updated only after
+        // a split releases its latches, so a chunk may meet metadata that
+        // still calls a just-split leaf unbounded above. The leaf's own
+        // `high` must cut the chunk, as it rejects a per-key fast insert.
+        let t: ConcurrentTree<u64, u64> = ConcurrentTree::new(ConcConfig::small(8));
+        for k in (0..40).step_by(2) {
+            t.insert(k, k);
+        }
+        let first = first_leaf(&t);
+        let high = match &*first.read() {
+            CNode::Leaf { keys, high, .. } => {
+                assert!(keys.len() < 8, "room for a chunk");
+                high.expect("not the only leaf")
+            }
+            CNode::Internal { .. } => unreachable!(),
+        };
+        t.fp.lock().repoint(first, None, None, None);
+        let fast = t.stats().fast_inserts.get();
+        t.insert_batch(&[(1, 1), (3, 3), (high + 1, 0), (high + 3, 0)]);
+        t.check_consistency().unwrap();
+        assert_eq!(t.stats().fast_inserts.get(), fast + 2, "only the two below");
+        assert_eq!(t.get(high + 1), Some(0));
+        assert_eq!(t.len(), 24);
+    }
+
+    fn first_leaf(t: &ConcurrentTree<u64, u64>) -> NodeRef<u64, u64> {
+        let mut node = t.root.read().clone();
+        loop {
+            let child = match &*node.read() {
+                CNode::Internal { children, .. } => children[0].clone(),
+                CNode::Leaf { .. } => return node.clone(),
+            };
+            node = child;
+        }
+    }
+
+    #[test]
+    fn dropping_a_tree_whose_pole_heads_a_long_chain_does_not_recurse() {
+        // 100 000 leaves behind a poℓe on the first one, dropped on a small
+        // stack: were the poℓe still held when the parents go, the leaves
+        // after it would be freed one nested drop per leaf.
+        std::thread::Builder::new()
+            .stack_size(256 << 10)
+            .spawn(|| {
+                let entries: Vec<(u64, u64)> = (0..300_000).map(|k| (k, k)).collect();
+                let t = ConcurrentTree::bulk_load(ConcConfig::small(3), entries);
+                let first = first_leaf(&t);
+                t.fp.lock().repoint(first, None, Some(3), None);
+                drop(t);
+            })
+            .expect("spawn")
+            .join()
+            .expect("the drop finished");
     }
 
     /// Every gap slot holds a copy of the slot to its right (transitively,

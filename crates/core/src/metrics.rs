@@ -41,7 +41,11 @@ use std::time::Instant;
 ///   latency histograms for insert/get/range. This is the only level that
 ///   reads the clock (two `Instant::now()` calls per timed operation);
 ///   lower levels skip it behind one predictable branch, so histograms are
-///   zero-cost when disabled.
+///   zero-cost when disabled. `quit_concurrent::ConcurrentTree` times a
+///   batch chunk it places under one latch once and records one sample per
+///   entry at the chunk's mean, so its insert count still matches
+///   `fast_inserts + top_inserts`; `BpTree`'s batch appends
+///   (`insert_batch`'s leaf chunks) are not timed.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub enum MetricsLevel {
     /// Operation counters only.
@@ -144,6 +148,18 @@ impl LatencyHistogram {
         self.record_ns(start.elapsed().as_nanos().min(u64::MAX as u128) as u64);
     }
 
+    /// Records `n` operations that together took the time elapsed since
+    /// `start`, each at their mean: the count and the sum stay exact.
+    #[inline]
+    pub fn record_run_since(&self, start: Instant, n: u64) {
+        if n == 0 {
+            return;
+        }
+        let ns = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+        self.buckets[bucket_index(ns / n)].add_shared(n);
+        self.sum_ns.add_shared(ns);
+    }
+
     /// Operations recorded so far.
     pub fn count(&self) -> u64 {
         self.buckets.iter().map(Counter::get).sum()
@@ -241,8 +257,9 @@ const WINDOW_WORDS: usize = FASTPATH_WINDOW / 64;
 /// racing inserts may claim the same slot, so the *rate* is approximate —
 /// the authoritative totals are always the `fast_inserts`/`top_inserts`
 /// counters. Batched ingestion records whole runs at word granularity
-/// ([`record_run`](FastPathWindow::record_run)), keeping the per-entry cost
-/// of `insert_batch` amortized.
+/// ([`record_run`](FastPathWindow::record_run), or
+/// [`record_run_shared`](FastPathWindow::record_run_shared) under concurrent
+/// writers), keeping the per-entry cost of `insert_batch` amortized.
 #[derive(Debug, Default)]
 pub struct FastPathWindow {
     bits: [AtomicU64; WINDOW_WORDS],
@@ -308,6 +325,33 @@ impl FastPathWindow {
         let last = ((start + n - 1) / 64) as usize;
         for w in first..=last {
             self.bits[w % WINDOW_WORDS].store(fill, Ordering::Relaxed);
+        }
+    }
+
+    /// Records a run of `n` same-outcome inserts, exact under concurrent
+    /// writers: the run claims its `n` slots with one `fetch_add` on the
+    /// position and sets exactly those bits, one read-modify-write per
+    /// word it covers (the concurrent tree's batched path).
+    pub fn record_run_shared(&self, fast: bool, n: u64) {
+        if n == 0 {
+            return;
+        }
+        // Only the run's last `FASTPATH_WINDOW` slots can still be seen.
+        let skip = n.saturating_sub(FASTPATH_WINDOW as u64);
+        let start = self.pos.fetch_add(n, Ordering::Relaxed) + skip;
+        let n = n - skip;
+        let mut p = start;
+        while p < start + n {
+            let bit = p % 64;
+            let width = (64 - bit).min(start + n - p);
+            let mask = (u64::MAX >> (64 - width)) << bit;
+            let word = &self.bits[(p % FASTPATH_WINDOW as u64 / 64) as usize];
+            if fast {
+                word.fetch_or(mask, Ordering::Relaxed);
+            } else {
+                word.fetch_and(!mask, Ordering::Relaxed);
+            }
+            p += width;
         }
     }
 
@@ -437,6 +481,16 @@ impl MetricsRegistry {
         }
     }
 
+    /// Finishes a measurement of `n` inserts placed together (one batch
+    /// chunk), started by [`op_timer`](Self::op_timer): `n` samples at the
+    /// chunk's mean, so the histogram counts every insert.
+    #[inline]
+    pub fn record_insert_latency_run(&self, start: Option<Instant>, n: u64) {
+        if let Some(t0) = start {
+            self.insert_latency.record_run_since(t0, n);
+        }
+    }
+
     /// Finishes a lookup measurement started by [`op_timer`](Self::op_timer).
     #[inline]
     pub fn record_get_latency(&self, start: Option<Instant>) {
@@ -477,6 +531,15 @@ impl MetricsRegistry {
     pub fn record_insert_run(&self, fast: bool, n: u64) {
         if self.level >= MetricsLevel::Counters {
             self.fastpath_window.record_run(fast, n);
+        }
+    }
+
+    /// Feeds a same-outcome run to the window, slot-exact under concurrent
+    /// writers (no-op at [`MetricsLevel::Off`]).
+    #[inline]
+    pub fn record_insert_run_shared(&self, fast: bool, n: u64) {
+        if self.level >= MetricsLevel::Counters {
+            self.fastpath_window.record_run_shared(fast, n);
         }
     }
 
@@ -595,6 +658,46 @@ mod tests {
     }
 
     #[test]
+    fn shared_runs_claim_exact_slots_under_concurrent_writers() {
+        // The load + store of `record_run` lets racing runs overwrite each
+        // other's position; the shared flavour must advance it by exactly
+        // the sum of the runs.
+        let r = MetricsRegistry::new(MetricsLevel::Counters);
+        let total: u64 = std::thread::scope(|s| {
+            let writers: Vec<_> = (0..4u64)
+                .map(|t| {
+                    let r = &r;
+                    s.spawn(move || {
+                        let mut state = 0x9E37_79B9 ^ t;
+                        let mut sum = 0;
+                        for i in 0..1_000u64 {
+                            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                            let n = 1 + (state >> 33) % 200;
+                            r.record_insert_run_shared(i % 2 == 0, n);
+                            sum += n;
+                        }
+                        sum
+                    })
+                })
+                .collect();
+            writers.into_iter().map(|h| h.join().unwrap()).sum()
+        });
+        assert_eq!(r.fastpath_window.pos.load(Ordering::Relaxed), total);
+
+        // Single-threaded, the bits are exact too: no neighbouring slot is
+        // overwritten, and a run longer than the window fills it.
+        let w = FastPathWindow::default();
+        w.record_run_shared(false, 5);
+        w.record_run_shared(true, 70);
+        w.record_run_shared(false, 3);
+        assert_eq!((w.len(), w.fast_hits()), (78, 70));
+        w.record_run_shared(true, 3 * FASTPATH_WINDOW as u64 + 7);
+        assert_eq!(w.rate(), 1.0);
+        w.record_run_shared(false, 64);
+        assert_eq!(w.fast_hits(), FASTPATH_WINDOW as u64 - 64);
+    }
+
+    #[test]
     fn registry_level_gates_clock_and_window() {
         let off = MetricsRegistry::new(MetricsLevel::Off);
         assert!(off.op_timer().is_none());
@@ -611,6 +714,12 @@ mod tests {
         assert!(t0.is_some());
         hist.record_insert_latency(t0);
         assert_eq!(hist.insert_latency.count(), 1);
+        // A chunk of 5 counts as 5 inserts; an empty one records nothing.
+        hist.record_insert_latency_run(hist.op_timer(), 5);
+        hist.record_insert_latency_run(hist.op_timer(), 0);
+        assert_eq!(hist.insert_latency.count(), 6);
+        counters.record_insert_latency_run(counters.op_timer(), 5);
+        assert_eq!(counters.insert_latency.count(), 0);
     }
 
     #[test]

@@ -24,9 +24,10 @@
 //!
 //! Recovery composes the two sortedness fast paths this workspace is
 //! built around: the snapshot is key-ordered, so it `bulk_load`s in O(n)
-//! at the configured leaf fill; the WAL tail is append-mostly, so
-//! [`apply_tail`] feeds its insert runs through `insert_batch` sorted-run
-//! detection instead of point inserts.
+//! at the configured leaf fill, for `BpTree` and `ConcurrentTree` alike;
+//! the WAL tail is append-mostly, so
+//! [`apply_tail`] feeds its insert runs through `insert_batch`, which
+//! appends each sorted run to its leaf a chunk at a time.
 
 use crate::frame::WalCodec;
 use crate::psnap::{
@@ -651,9 +652,10 @@ where
 
 /// Replays a recovered WAL tail (whose first record is `first_lsn`) into
 /// `index`, batching consecutive insert runs through
-/// [`SortedIndex::insert_batch`] so the append-mostly tail rides the
-/// sorted-run fast path instead of n point inserts. Returns the number of
-/// records applied.
+/// [`SortedIndex::insert_batch`] — for both in-workspace trees a
+/// sorted-run fast path that appends leaf chunks, so the append-mostly
+/// tail costs about one latch per leaf, not one insert per record.
+/// Returns the number of records applied.
 ///
 /// A [`WalOp::Commit`] record means the log was written by a `TxnStore`: a
 /// plain index has no version dimension to replay it into, and appending
@@ -704,17 +706,14 @@ pub fn bptree_builder<K: Key, V: Clone + 'static>(
     }
 }
 
-/// A [`Durable::open`] builder for [`ConcurrentTree`]: loads the snapshot
-/// through `insert_batch`, whose sorted-run detection makes key-ordered
-/// recovery input an append-mostly stream.
+/// A [`Durable::open`] builder for [`ConcurrentTree`]: builds the tree
+/// bottom-up from the key-ordered snapshot with
+/// [`ConcurrentTree::bulk_load`], its leaves packed to the configuration's
+/// `bulk_fill` like [`bptree_builder`]'s.
 pub fn concurrent_builder<K: Key, V: Clone>(
     config: ConcConfig,
 ) -> impl FnOnce(Vec<(K, V)>) -> ConcurrentTree<K, V> {
-    move |entries| {
-        let mut tree = ConcurrentTree::new(config);
-        SortedIndex::insert_batch(&mut tree, &entries);
-        tree
-    }
+    move |entries| ConcurrentTree::bulk_load(config, entries)
 }
 
 #[cfg(all(test, not(feature = "inject-wal-bug")))]

@@ -20,16 +20,20 @@
 //! 4. append the commit — timestamp and whole write set — as **one**
 //!    `WalOp::Commit` frame: one LSN, one CRC, encoded straight from the
 //!    transaction's own buffer;
-//! 5. apply the versions to the tree (still under the stripes, so WAL
-//!    order ≡ apply order per key, exactly PR 5's invariant);
+//! 5. apply the versions to the tree as one batch
+//!    ([`MvccTree::apply_batch`]: the key-ordered write set rides the
+//!    tree's fast path a leaf chunk at a time), still under the stripes,
+//!    so WAL order ≡ apply order per key;
 //! 6. release the stripes, publish the timestamp (readers may now get
 //!    snapshots covering it), and only then await the group fsync.
 //!
 //! # Recovery
 //!
+//! The checkpoint image is bulk-built bottom-up ([`MvccTree::bulk_load`]).
 //! Only decided commits reach the WAL, one self-contained frame each, so
 //! replay applies every `Commit` record as it is read, at its recorded
-//! timestamp. A crash anywhere inside a frame fails its length or CRC
+//! timestamp, through the same `apply_batch` as the live commit path. A
+//! crash anywhere inside a frame fails its length or CRC
 //! check and the frame is a torn tail: the transaction replays whole or
 //! not at all, whatever its size.
 //!
@@ -223,24 +227,6 @@ struct Recovered<K: Key, V: Clone> {
     max_ts: u64,
 }
 
-/// Applies one commit's `writes` to `mvcc` at `commit_ts`, returning how
-/// far that moves the live-key count and how many versions it superseded
-/// (overwrites and tombstones — what the GC can later reclaim).
-fn apply_writes<K: Key, V: Clone>(
-    mvcc: &MvccTree<K, V>,
-    commit_ts: u64,
-    writes: impl IntoIterator<Item = (K, Option<V>)>,
-) -> (i64, u64) {
-    let (mut live, mut superseded) = (0i64, 0u64);
-    for (key, intent) in writes {
-        let writing = intent.is_some();
-        let prev_live = mvcc.apply(key, commit_ts, intent);
-        live += i64::from(writing) - i64::from(prev_live);
-        superseded += u64::from(prev_live) + u64::from(!writing);
-    }
-    (live, superseded)
-}
-
 /// A multi-version, transactional, durable key-value store: snapshot
 /// isolation over [`MvccTree`], first-committer-wins conflict
 /// detection, one WAL frame per commit with atomic recovery. See the module
@@ -305,10 +291,7 @@ where
             let max_ts = entries.iter().map(|(_, s)| s.0).max().unwrap_or(0);
             let mvcc = MvccTree::bulk_load(
                 config.tree.clone(),
-                entries
-                    .into_iter()
-                    .map(|(k, Stamped(ts, v))| (k, ts, v))
-                    .collect(),
+                entries.into_iter().map(|(k, Stamped(ts, v))| (k, ts, v)),
             );
             Ok(LoadedSnapshot {
                 generation,
@@ -332,7 +315,7 @@ where
                     )));
                 };
                 applied += writes.len();
-                let (live, _) = apply_writes(&st.mvcc, commit_ts, writes);
+                let (live, _) = st.mvcc.apply_batch(commit_ts, &writes);
                 st.live = st.live.wrapping_add_signed(live);
                 st.max_ts = st.max_ts.max(commit_ts);
             }
@@ -480,7 +463,7 @@ where
                 wal.append_commit(commit_ts, writes)
             })
             .inspect_err(|_| self.oracle.finish_commit(commit_ts))?;
-        let (live, superseded) = apply_writes(&self.mvcc, commit_ts, writes.iter().cloned());
+        let (live, superseded) = self.mvcc.apply_batch(commit_ts, writes);
         // Two's-complement add: a negative change wraps to a subtraction.
         self.live.fetch_add(live as u64, Ordering::Relaxed);
         drop(guards);

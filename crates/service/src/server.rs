@@ -18,9 +18,11 @@
 //!   path. It takes a burst, and whatever other bursts are queued behind
 //!   it across connections (up to a bound), and runs their ops in order:
 //!   consecutive single inserts of a burst form a run in an
-//!   [`InsertBatcher`] and reach `insert_batch`'s sorted-run detection
-//!   exactly like an embedded caller's batch would, so a read breaks only
-//!   its own shard's run. Every write is logged and applied *without*
+//!   [`InsertBatcher`] and reach `ConcurrentTree::insert_batch`, which
+//!   appends each sorted run to the poℓe leaf a chunk at a time, exactly
+//!   as for an embedded caller's batch (an `InsertBatch` request takes the
+//!   same path), so a read breaks only its own shard's run. Every write is
+//!   logged and applied *without*
 //!   waiting; every reply is encoded into its burst's one buffer. Then the
 //!   worker waits **once** for the log — one group commit per drain — and
 //!   only then hands the buffers to the writers. No reply leaves before

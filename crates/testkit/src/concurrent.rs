@@ -10,7 +10,8 @@
 //!   touches keys with `key % writers == w`), so each writer's view of its
 //!   own partition is sequential and can be checked op-by-op against a
 //!   private [`Model`] — presence and (for untainted single-instance keys)
-//!   values are compared on every delete and periodic self-get.
+//!   values are compared on every delete and periodic self-get. Writers
+//!   mix single inserts, sorted-run `insert_batch` calls and deletes.
 //! - **M reader threads** roam the whole key space while writers run.
 //!   They cannot know whether a racing key is present, but every observed
 //!   value must carry the tag of the partition's writer, and every range
@@ -41,7 +42,8 @@ pub struct ConcSpec {
     pub writers: usize,
     /// Reader threads roaming the whole key space while writers run.
     pub readers: usize,
-    /// Mutating ops per writer (~80% inserts, ~20% deletes).
+    /// Mutating ops per writer: ~10% sorted `insert_batch` runs of 2–64
+    /// keys, ~73% single inserts, ~17% deletes.
     pub ops_per_writer: usize,
     /// Per-writer key-stream width: writer `w` draws raw keys from
     /// `0..key_space` and maps them to `raw * writers + w`.
@@ -267,7 +269,27 @@ fn writer_thread(
     for i in 0..spec.ops_per_writer {
         let r = splitmix(&mut st);
         let k = (r % spec.key_space) * writers + w as u64;
-        if r >> 60 < 13 {
+        if (r >> 32).is_multiple_of(10) {
+            // ~10%: a sorted run of 2–64 of our keys in one `insert_batch`,
+            // whose leaf chunks race readers, other writers' splits and
+            // poℓe hand-offs.
+            let mut raw = r % spec.key_space;
+            let mut batch: Vec<(u64, u64)> = (0..2 + (r >> 40) % 63)
+                .map(|_| {
+                    raw = (raw + 1 + splitmix(&mut st) % 4) % spec.key_space;
+                    seq += 1;
+                    (
+                        raw * writers + w as u64,
+                        ((w as u64) << WRITER_TAG_SHIFT) | seq,
+                    )
+                })
+                .collect();
+            batch.sort_by_key(|&(key, _)| key);
+            tree.insert_batch(&batch);
+            for (key, v) in batch {
+                model.insert(key, v);
+            }
+        } else if r >> 60 < 13 {
             // ~80%: insert a tagged value.
             let v = ((w as u64) << WRITER_TAG_SHIFT) | seq;
             seq += 1;

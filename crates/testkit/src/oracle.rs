@@ -242,7 +242,9 @@ impl Family {
     /// Applies a sorted run. `BpTree` takes its dedicated append path when
     /// the run still sits above the current max key (shrinking can remove
     /// the ops that established the watermark, so this must stay total);
-    /// the other families batch-insert.
+    /// an empty `ConcurrentTree` is rebuilt by its bottom-up `bulk_load`,
+    /// so the rest of the sequence mutates a bulk-loaded tree; otherwise
+    /// the families batch-insert.
     fn bulk_load(&mut self, entries: &[(u64, u64)]) {
         match self {
             Family::Quit(t) => {
@@ -253,6 +255,11 @@ impl Family {
                 } else {
                     t.insert_batch(entries);
                 }
+            }
+            Family::Concurrent(t)
+                if t.is_empty() && entries.windows(2).all(|w| w[0].0 <= w[1].0) =>
+            {
+                *t = ConcurrentTree::bulk_load(t.config().clone(), entries.to_vec());
             }
             _ => self.insert_batch(entries),
         }
