@@ -24,17 +24,18 @@
 //!
 //! # Write rule
 //!
-//! Writers append strictly increasing `commit_ts` per key (enforced by
-//! the caller holding the key's write stripe across allocation and apply;
-//! see [`MvccTree::apply`]). An overwrite runs under the leaf's write
-//! latch and spills the prior version *before* it overwrites the slot, so
-//! the side store already holds a version's predecessor by the time any
-//! reader can see that version: a reader sent past the slot always finds
-//! what it was sent for. Lock order is poℓe metadata → leaf latch → side
-//! stripe (writers take the metadata mutex only on the tree's fast path;
-//! scans start at the leaf); nothing is acquired under a side stripe. A
-//! commit's whole write set goes through [`MvccTree::apply_batch`], one
-//! leaf latch per sorted chunk under the same rules.
+//! Every write — a commit's whole write set, or one version through
+//! [`MvccTree::apply`] — goes through [`MvccTree::apply_batch`], one
+//! `upsert_batch` of the tree: one leaf latch per sorted chunk. Writers
+//! append strictly increasing `commit_ts` per key (enforced by the caller
+//! holding the keys' write stripes across allocation and apply). An
+//! overwrite runs under the leaf's write latch and spills the prior
+//! version *before* it overwrites the slot, so the side store already
+//! holds a version's predecessor by the time any reader can see that
+//! version: a reader sent past the slot always finds what it was sent
+//! for. Lock order is poℓe metadata → leaf latch → side stripe (writers
+//! take the metadata mutex only on the tree's fast path; scans start at
+//! the leaf); nothing is acquired under a side stripe.
 //!
 //! # Garbage
 //!
@@ -53,7 +54,7 @@
 
 use crate::sync::Mutex;
 use crate::{ConcConfig, ConcurrentTree};
-use quit_core::Key;
+use quit_core::{stripe_of, Key};
 use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::ops::RangeBounds;
@@ -155,27 +156,21 @@ impl<K: Key, V: Clone> MvccTree<K, V> {
         }
     }
 
-    /// The stripe covering `key` — `to_ikr`-based, identical in shape to
-    /// `quit-durability`'s shared-path stripe hash so equal keys always
-    /// collide and `f64`'s two zeros normalize alike.
-    fn stripe_of(&self, key: K) -> usize {
-        let ikr = key.to_ikr();
-        let mut h = (if ikr == 0.0 { 0.0 } else { ikr }).to_bits();
-        h = (h ^ (h >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        h = (h ^ (h >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        h ^= h >> 31;
-        (h % STRIPES as u64) as usize
+    /// The stripe covering `key` ([`stripe_of`], the hash
+    /// `quit-durability`'s shared-path ordering locks use too).
+    fn stripe(&self, key: K) -> &Stripe<K, V> {
+        &self.stripes[stripe_of(key, STRIPES)]
     }
 
     /// Locks the write stripes covering `keys` — deduplicated and
     /// acquired in ascending stripe order, so any two transactions
     /// acquire their overlapping stripes in the same order and cannot
     /// deadlock. Hold the returned guards across conflict validation,
-    /// logging, and [`apply`](Self::apply) of every key in the set.
+    /// logging, and [`apply_batch`](Self::apply_batch) of the set.
     pub fn lock_keys<B: Borrow<K>>(&self, keys: impl IntoIterator<Item = B>) -> StripeGuards<'_> {
         let mask = keys
             .into_iter()
-            .fold(0u64, |mask, k| mask | 1 << self.stripe_of(*k.borrow()));
+            .fold(0u64, |mask, k| mask | 1 << stripe_of(*k.borrow(), STRIPES));
         let mut rest = mask;
         let mut next = || {
             let stripe = rest.trailing_zeros() as usize;
@@ -206,7 +201,7 @@ impl<K: Key, V: Clone> MvccTree<K, V> {
     /// The newest version of `key` at or below `snapshot_ts` among those
     /// spilled out of its slot.
     fn older_at(&self, key: K, snapshot_ts: u64) -> Option<Option<V>> {
-        let side = self.stripes[self.stripe_of(key)].side.lock();
+        let side = self.stripe(key).side.lock();
         let (_, value) = side.get(&key)?.iter().find(|(ts, _)| *ts <= snapshot_ts)?;
         Some(value.clone())
     }
@@ -227,44 +222,17 @@ impl<K: Key, V: Clone> MvccTree<K, V> {
         self.tree.get(key).map(|slot| slot.ts)
     }
 
-    /// Writes a version: `Some(v)` writes, `None` deletes (tombstone).
-    /// Returns whether the previous newest version was a live value (the
-    /// caller's live-key accounting). One tree descent either way.
-    ///
-    /// # Contract
-    ///
-    /// The caller must hold `key`'s stripe (via
-    /// [`lock_keys`](Self::lock_keys)) and must allocate `commit_ts`
-    /// *while holding it*, so per-key timestamps are strictly increasing
-    /// — debug-asserted here.
+    /// Writes one version — `Some(v)` writes, `None` deletes (tombstone) —
+    /// as a one-write [`apply_batch`](Self::apply_batch), under its
+    /// contract. Returns whether the previous newest version was a live
+    /// value (the caller's live-key accounting).
     pub fn apply(&self, key: K, commit_ts: u64, value: Option<V>) -> bool {
-        let side = &self.stripes[self.stripe_of(key)].side;
         let tombstone = value.is_none();
-        let mut prev_live = false;
-        let newest = Slot {
-            ts: commit_ts,
-            value,
-        };
-        let existed = self.tree.upsert(key, newest, |slot, new| {
-            debug_assert!(
-                slot.ts < new.ts,
-                "per-key commit timestamps must be strictly increasing"
-            );
-            prev_live = slot.value.is_some();
-            // Spill, then overwrite (module docs, "Write rule").
-            let prior = (slot.ts, slot.value.take());
-            side.lock().entry(key).or_default().insert(0, prior);
-            *slot = new;
-        });
-        if tombstone && !existed {
-            // A tombstone slot with no history still needs collecting.
-            side.lock().entry(key).or_default();
-        }
-        prev_live
+        let (_, superseded) = self.apply_batch(commit_ts, &[(key, value)]);
+        superseded > u64::from(tombstone)
     }
 
-    /// Writes one commit's versions, all at `commit_ts` — what
-    /// [`apply`](Self::apply) does per key, as one
+    /// Writes one commit's versions, all at `commit_ts`, as one
     /// [`ConcurrentTree::upsert_batch`] over the write set read where it
     /// lies (no allocation), so a sorted commit pays one poℓe latch per
     /// leaf chunk rather than one insert per key. Returns how far the
@@ -274,11 +242,10 @@ impl<K: Key, V: Clone> MvccTree<K, V> {
     ///
     /// # Contract
     ///
-    /// `apply`'s, for every key: the caller holds the write set's stripes
-    /// and allocated `commit_ts` under them. Keys are distinct. The
-    /// per-key lock order holds too — poℓe metadata, leaf latch, side
-    /// stripe — and every superseded version is spilled before its slot
-    /// is overwritten.
+    /// The caller must hold the write set's stripes (via
+    /// [`lock_keys`](Self::lock_keys)) and must allocate `commit_ts`
+    /// *while holding them*, so per-key timestamps are strictly increasing
+    /// — debug-asserted here. Keys are distinct.
     pub fn apply_batch(&self, commit_ts: u64, writes: &[(K, Option<V>)]) -> (i64, u64) {
         let mut prev_live = 0;
         let newest = |(_, value): &(K, Option<V>)| Slot {
@@ -297,8 +264,12 @@ impl<K: Key, V: Clone> MvccTree<K, V> {
                 prev_live += u64::from(slot.value.is_some());
                 // Spill, then overwrite (module docs, "Write rule").
                 let prior = (slot.ts, slot.value.take());
-                let side = &self.stripes[self.stripe_of(key)].side;
-                side.lock().entry(key).or_default().insert(0, prior);
+                self.stripe(key)
+                    .side
+                    .lock()
+                    .entry(key)
+                    .or_default()
+                    .insert(0, prior);
                 *slot = new;
             },
         );
@@ -306,8 +277,7 @@ impl<K: Key, V: Clone> MvccTree<K, V> {
         // superseded a version already has its entry.
         let mut deletes = 0;
         for (key, _) in writes.iter().filter(|(_, value)| value.is_none()) {
-            let side = &self.stripes[self.stripe_of(*key)].side;
-            side.lock().entry(*key).or_default();
+            self.stripe(*key).side.lock().entry(*key).or_default();
             deletes += 1;
         }
         let writing = writes.len() as u64 - deletes;
@@ -402,7 +372,7 @@ impl<K: Key, V: Clone> MvccTree<K, V> {
         self.tree.check_consistency()?;
         let mut matched = 0;
         for (k, slot) in self.tree.range(..) {
-            let side = self.stripes[self.stripe_of(k)].side.lock();
+            let side = self.stripe(k).side.lock();
             let Some(older) = side.get(&k) else {
                 if slot.value.is_none() {
                     return Err(format!("tombstone slot without a side entry (key {k:?})"));

@@ -131,6 +131,25 @@ impl<K, V> CNode<K, V> {
     }
 }
 
+impl<K: Copy + Ord, V> CNode<K, V> {
+    /// A leaf's own separator bounds `(low, high)`.
+    pub(crate) fn bounds(&self) -> (Option<K>, Option<K>) {
+        match self {
+            CNode::Leaf { low, high, .. } => (*low, *high),
+            CNode::Internal { .. } => unreachable!("only leaves carry bounds"),
+        }
+    }
+
+    /// True when `key` lies within this leaf's own bounds (`low`
+    /// inclusive, `high` exclusive). The bounds of all leaves partition the
+    /// key space, so covering `key` proves a latched leaf is *the* leaf for
+    /// it, however it was reached.
+    pub(crate) fn covers(&self, key: K) -> bool {
+        let (low, high) = self.bounds();
+        low.is_none_or(|b| key >= b) && high.is_none_or(|b| key < b)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

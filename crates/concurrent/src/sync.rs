@@ -309,6 +309,14 @@ pub struct ArcRwLockReadGuard<T> {
     lock: Arc<RwLock<T>>,
 }
 
+impl<T> ArcRwLockReadGuard<T> {
+    /// The lock this guard holds (an associated function, so it never
+    /// shadows a method of `T`).
+    pub fn rwlock(this: &Self) -> &Arc<RwLock<T>> {
+        &this.lock
+    }
+}
+
 impl<T> Deref for ArcRwLockReadGuard<T> {
     type Target = T;
     fn deref(&self) -> &T {

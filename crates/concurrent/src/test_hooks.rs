@@ -17,8 +17,9 @@ fn slot() -> &'static Mutex<Option<Hook>> {
 }
 
 /// Installs `hook` to run at the leaf pause point of every optimistic
-/// point-lookup descent (after the leaf version is read, before its
-/// contents are). Replaces any previous hook.
+/// descent: a point lookup pauses after the leaf version is read, before
+/// its contents are; an insert or range descent pauses before it latches
+/// the leaf it reached. Replaces any previous hook.
 pub fn set_leaf_pause(hook: impl Fn() + Send + Sync + 'static) {
     *slot().lock().unwrap() = Some(Arc::new(hook));
 }

@@ -19,24 +19,26 @@
 //!   current node is *safe* (cannot split). Only the ancestors that may be
 //!   modified stay locked. Write unlocks bump the version word, which is
 //!   what invalidates overlapping optimistic brackets.
-//! * **Pessimistic reads** (OLC off, or fallback) use shared-lock crabbing:
-//!   lock child, release parent.
-//! * **Fast path**: a dedicated mutex guards the poℓe metadata. An insert
-//!   first consults it; if the key is covered and the poℓe leaf is not
-//!   full, one `try_lock` on that single leaf replaces the whole descent —
-//!   the short critical section behind Fig 13's scaling advantage. The
-//!   insert is validated against the leaf's own separator bounds (stored in
-//!   the leaf, maintained at split time), so stale metadata can only cost a
-//!   missed fast-insert, never a misplaced key. The poℓe `try_lock`
-//!   composes with OLC unchanged: it is a real write lock, so it bumps the
-//!   version like any other write section.
-//! * **Batches** ([`ConcurrentTree::insert_batch`], `upsert_batch`) take
-//!   the fast path a leaf chunk at a time: per maximal sorted run, one
-//!   metadata-mutex hold and one poℓe latch per chunk, validated once, the
-//!   chunk then placed slot by slot under that latch. An entry
-//!   the poℓe cannot take goes through the per-key paths above, which
-//!   alone split and move the poℓe. [`ConcurrentTree::bulk_load`] builds a
-//!   tree bottom-up from sorted input (recovery's snapshot path).
+//! * **Pessimistic reads and deletes** (OLC off, or fallback) use one
+//!   shared-lock crabbing descent: lock child, release parent.
+//! * **Fast path**: a dedicated mutex guards the poℓe metadata. Every insert
+//!   is a sorted run — a single `insert` or `upsert` is a run of one, a
+//!   batch ([`ConcurrentTree::insert_batch`], `upsert_batch`) is split
+//!   into its maximal non-decreasing runs — and each run goes to the poℓe
+//!   a leaf chunk at a time: one metadata-mutex hold and one `try_lock` on
+//!   that single leaf replace the whole descent for every entry of the
+//!   chunk — the short critical section behind Fig 13's scaling advantage.
+//!   The chunk's head is validated against the leaf's own separator bounds
+//!   (stored in the leaf, maintained at split time) and the chunk is cut at
+//!   the leaf's `high`, so stale metadata can only cost a missed
+//!   fast-insert, never a misplaced key. A covered head that finds the poℓe
+//!   full goes straight to the crabbing split and still counts as a fast
+//!   insert (the paper's accounting); any other head the poℓe cannot take
+//!   descends the tree alone, and those two paths alone split and move the
+//!   poℓe. The poℓe `try_lock` composes with OLC unchanged: it is a real
+//!   write lock, so it bumps the version like any other write section.
+//!   [`ConcurrentTree::bulk_load`] builds a tree bottom-up from sorted
+//!   input (recovery's snapshot path).
 //!
 //! poℓe maintenance follows Algorithm 1 (IKR-guided promotion on split) plus
 //! the §4.3 reset strategy, and every such decision is made by the same
@@ -59,6 +61,7 @@ use std::ops::{Bound, RangeBounds};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
+type ReadGuard<K, V> = ArcRwLockReadGuard<CNode<K, V>>;
 type WriteGuard<K, V> = ArcRwLockWriteGuard<CNode<K, V>>;
 /// A leaf split: the node that split (its left half now) and the split in
 /// the policy's terms.
@@ -334,7 +337,7 @@ impl<K: Key, V: Clone> ConcurrentTree<K, V> {
     /// Inserts an entry (thread-safe). Duplicate keys are kept: this never
     /// looks for an entry that is already there.
     pub fn insert(&self, key: K, value: V) {
-        self.insert_or(key, value, &mut ());
+        self.insert_one(key, value, &mut ());
     }
 
     /// Inserts `(key, value)` unless a live entry for `key` exists, in which
@@ -349,20 +352,28 @@ impl<K: Key, V: Clone> ConcurrentTree<K, V> {
     /// leaves `len`, the insert counters and the poℓe/IKR state alone.
     pub fn upsert(&self, key: K, value: V, merge: impl FnOnce(&mut V, V)) -> bool {
         let mut merge = Some(merge);
-        self.insert_or(key, value, &mut merge);
+        let mut once = MergeEach(|_, existing: &mut V, new| {
+            (merge.take().expect("merge runs at most once"))(existing, new)
+        });
+        self.insert_one(key, value, &mut once);
         merge.is_none()
+    }
+
+    /// A run of one through [`batch_or`](Self::batch_or), its value moved
+    /// in rather than cloned.
+    fn insert_one<M: OnExisting<K, V>>(&self, key: K, value: V, existing: &mut M) {
+        let mut value = Some(value);
+        let take = |_: &K| value.take().expect("a run of one is placed once");
+        self.batch_or(&[key], |&k| k, take, existing);
     }
 
     /// Inserts a batch (thread-safe), paying for sortedness once per run
     /// instead of once per key (§4.2's fast path over whole runs). Each
-    /// maximal non-decreasing run goes to the poℓe leaf a chunk at a time:
-    /// one metadata-mutex hold and one leaf latch per chunk, the head
-    /// validated once against the leaf's own bounds. An entry the poℓe
-    /// cannot take — uncovered, full leaf, busy latch — goes through
-    /// [`insert`](Self::insert)'s own paths, so splits and poℓe maintenance
-    /// happen only there. Run alone, it leaves the contents (duplicate
-    /// order included) and counters a per-key `insert` loop leaves.
-    /// Returns `entries.len()`.
+    /// maximal non-decreasing run goes to the poℓe leaf a chunk at a time
+    /// (module docs, "Fast path"), and an entry the poℓe cannot take
+    /// descends the tree alone — exactly what a per-key
+    /// [`insert`](Self::insert), a run of one, does. Returns
+    /// `entries.len()`.
     pub fn insert_batch(&self, entries: &[(K, V)]) -> usize {
         self.batch_or(entries, |e| e.0, |e| e.1.clone(), &mut ());
         entries.len()
@@ -390,86 +401,82 @@ impl<K: Key, V: Clone> ConcurrentTree<K, V> {
         self.batch_or(entries, key, value, &mut MergeEach(merge));
     }
 
+    /// Every insert path, parameterized by what to do about an entry that
+    /// already holds its key (`()` = nothing, `insert`'s behaviour): per
+    /// maximal non-decreasing run, poℓe chunks while the poℓe takes the
+    /// head; a head it cannot take goes down the tree alone. Each entry's
+    /// value is read exactly once.
     fn batch_or<E, M: OnExisting<K, V>>(
         &self,
         entries: &[E],
         key: impl Fn(&E) -> K,
-        value: impl Fn(&E) -> V,
+        mut value: impl FnMut(&E) -> V,
         existing: &mut M,
     ) {
         for run in entries.chunk_by(|a, b| key(a) <= key(b)) {
-            let mut i = 0;
-            while i < run.len() {
-                let taken = if self.config.pole_enabled {
-                    self.append_chunk(&run[i..], &key, &value, existing)
-                } else {
-                    0
+            let mut rest = run;
+            while let Some(head) = rest.first() {
+                let t0 = self.metrics.op_timer();
+                let taken = match self.append_chunk(rest, &key, &mut value, existing) {
+                    Chunk::Took(n) => n,
+                    Chunk::PoleFull(v) => {
+                        self.top_insert(key(head), v, true, existing);
+                        1
+                    }
+                    Chunk::Missed => {
+                        if let Err(v) = self.insert_olc(key(head), value(head), existing) {
+                            self.top_insert(key(head), v, false, existing);
+                        }
+                        1
+                    }
                 };
-                if taken == 0 {
-                    self.insert_or(key(&run[i]), value(&run[i]), existing);
-                    i += 1;
-                } else {
-                    i += taken;
-                }
+                self.metrics.record_insert_latency_run(t0, taken as u64);
+                rest = &rest[taken..];
             }
         }
     }
 
-    /// Inserts the longest prefix of the sorted `run` that the poℓe leaf
-    /// takes under one metadata-mutex hold and one leaf latch: the keys
-    /// below the poℓe's upper bound and the leaf's `high`, no more than
-    /// the leaf's live space. Returns how many entries it consumed; 0 when
-    /// the head is not the poℓe's, the latch is busy or the leaf is full.
+    /// The fast path: places the longest prefix of the sorted `run` that
+    /// the poℓe leaf takes under one metadata-mutex hold and one
+    /// `try_lock` of that leaf — the keys below the poℓe's upper bound and
+    /// the leaf's own `high`, no more than the leaf's live space (one, the
+    /// head, when it has none: an existing entry may still merge).
     fn append_chunk<E, M: OnExisting<K, V>>(
         &self,
         run: &[E],
         key: impl Fn(&E) -> K,
-        value: impl Fn(&E) -> V,
+        mut value: impl FnMut(&E) -> V,
         existing: &mut M,
-    ) -> usize {
-        let t0 = self.metrics.op_timer();
+    ) -> Chunk<V> {
+        if !self.config.pole_enabled {
+            return Chunk::Missed;
+        }
         let head = key(&run[0]);
         let mut fp = self.fp.lock();
         if !fp.covers(head) {
-            return 0;
+            return Chunk::Missed;
         }
         let leaf = fp.leaf().cloned().expect("covered implies leaf");
         let Some(mut g) = RwLock::try_write_arc(&leaf) else {
-            return 0;
+            return Chunk::Missed;
         };
-        let CNode::Leaf {
-            keys,
-            vals,
-            gaps,
-            low,
-            high,
-            ..
-        } = &mut *g
-        else {
-            return 0;
-        };
-        let cap = self.config.tree.leaf_capacity;
-        let space = cap.saturating_sub(keys.len() - gaps.count());
-        let in_range = low.is_none_or(|b| head >= b) && high.is_none_or(|b| head < b);
-        if space == 0 || !in_range {
-            return 0;
+        // Authoritative validation against the leaf's own bounds.
+        if !g.covers(head) {
+            return Chunk::Missed;
         }
+        let space = self.config.tree.leaf_capacity.saturating_sub(g.len());
         let below =
             |bound: Option<K>| bound.map_or(run.len(), |b| run.partition_point(|e| key(e) < b));
-        let chunk = &run[..below(fp.bounds().1).min(below(*high)).min(space)];
-        // `insert_at` appends a key at or past the leaf's last one with one
-        // compare and a `push` inside the pinned `capacity + 1` reservation,
-        // so a sorted chunk at the frontier costs no search and optimistic
-        // readers never see a reallocation.
+        let n = below(fp.bounds().1)
+            .min(below(g.bounds().1))
+            .min(space.max(1));
         let mut inserted = 0;
-        for entry in chunk {
-            let k = key(entry);
-            let Some(v) = self.merge_existing(keys, vals, gaps, k, value(entry), existing) else {
-                continue;
-            };
-            match quit_core::insert_at(self.config.tree.search_kind, keys, vals, gaps, k, v, cap) {
-                SlotInsert::Done(_) => inserted += 1,
-                SlotInsert::Full => unreachable!("the chunk fits the live space"),
+        for entry in &run[..n] {
+            match self.place(&mut g, key(entry), value(entry), existing) {
+                Placed::Inserted => inserted += 1,
+                Placed::Merged => {}
+                // Only with no space, so `entry` is the head.
+                Placed::Full(v) => return Chunk::PoleFull(v),
             }
         }
         if inserted > 0 {
@@ -477,87 +484,72 @@ impl<K: Key, V: Clone> ConcurrentTree<K, V> {
         }
         drop(g);
         drop(fp);
-        self.len.fetch_add(inserted, Ordering::Relaxed);
-        self.metrics
-            .counters
-            .fast_inserts
-            .add_shared(inserted as u64);
-        self.metrics.record_insert_run_shared(true, inserted as u64);
-        self.metrics
-            .record_insert_latency_run(t0, chunk.len() as u64);
-        chunk.len()
+        self.count_inserts(true, inserted);
+        Chunk::Took(n)
     }
 
-    /// The three insert paths, parameterized by what to do about an entry
-    /// that already holds `key` (`()` = nothing, `insert`'s behaviour).
-    fn insert_or<M: OnExisting<K, V>>(&self, key: K, value: V, existing: &mut M) {
-        let t0 = self.metrics.op_timer();
-        let (value, count_as_fast) = if self.config.pole_enabled {
-            match self.try_fast_insert(key, value, existing) {
-                FastAttempt::Done => {
-                    self.metrics.record_insert_latency(t0);
-                    return;
-                }
-                // Covered key, full poℓe: the paper splits through fp_path
-                // and still accounts this as a fast-path insert; we crab
-                // from the root but preserve the accounting.
-                FastAttempt::PoleFull(v) => (v, true),
-                FastAttempt::NotCovered(v) | FastAttempt::Busy(v) => (v, false),
-            }
-        } else {
-            (value, false)
-        };
-        // Optimistic descent first (unless this insert is already known to
-        // split — `count_as_fast` implies a full poℓe leaf — or OLC is
-        // off). The OLC path hands back the value when the target leaf
-        // turns out to need a split, or when the restart budget runs out.
-        let value = if self.config.olc_enabled && !count_as_fast {
-            match self.insert_olc(key, value, existing) {
-                Ok(()) => {
-                    self.metrics.record_insert_latency(t0);
-                    return;
-                }
-                Err(v) => v,
-            }
-        } else {
-            value
-        };
-        self.top_insert(key, value, count_as_fast, existing);
-        self.metrics.record_insert_latency(t0);
-    }
-
-    /// The upsert half of an insert that holds its leaf write-latched and
-    /// range-validated: merges `value` into the live entry for `key` if
-    /// there is one (`None`), else hands `value` back to be inserted.
-    fn merge_existing<M: OnExisting<K, V>>(
+    /// Places `(key, value)` in a write-latched leaf whose bounds cover
+    /// `key`: merged into the live entry for `key` if `existing` looks for
+    /// one and there is one, else inserted if the leaf has live space,
+    /// else handed back. `insert_at` appends a key at or past the leaf's
+    /// last one with one compare and a `push`, and never grows the
+    /// physical array past `leaf_capacity` (at physical capacity it reuses
+    /// a gap), so optimistic readers never see a reallocation of the
+    /// pinned `capacity + 1` reservation.
+    fn place<M: OnExisting<K, V>>(
         &self,
-        keys: &[K],
-        vals: &mut [V],
-        gaps: &quit_core::GapMap,
+        leaf: &mut CNode<K, V>,
         key: K,
         value: V,
         existing: &mut M,
-    ) -> Option<V> {
+    ) -> Placed<V> {
+        let CNode::Leaf {
+            keys, vals, gaps, ..
+        } = leaf
+        else {
+            unreachable!("entries are placed in leaves");
+        };
+        let kind = self.config.tree.search_kind;
         // Past the last key (the append frontier) no entry can hold `key`.
-        if !M::LOOKS || keys.last().is_none_or(|&last| last < key) {
-            return Some(value);
+        if M::LOOKS && keys.last().is_some_and(|&last| last >= key) {
+            let pos = quit_core::lower_bound(kind, keys, key);
+            if pos < keys.len() && keys[pos] == key {
+                let live = gaps
+                    .next_live(pos, keys.len())
+                    .expect("last physical slot is always live");
+                existing.merge(key, &mut vals[live], value);
+                // `pos..live` is the entry's filler run: gap slots copy
+                // their nearest live right neighbour and a lookup's lower
+                // bound lands on the first of them, so they must carry the
+                // update too.
+                let (fillers, rest) = vals.split_at_mut(live);
+                for filler in &mut fillers[pos..] {
+                    *filler = rest[0].clone();
+                }
+                return Placed::Merged;
+            }
         }
-        let pos = quit_core::lower_bound(self.config.tree.search_kind, keys, key);
-        if pos == keys.len() || keys[pos] != key {
-            return Some(value);
+        let cap = self.config.tree.leaf_capacity;
+        if keys.len() - gaps.count() >= cap {
+            return Placed::Full(value);
         }
-        let live = gaps
-            .next_live(pos, keys.len())
-            .expect("last physical slot is always live");
-        existing.merge(key, &mut vals[live], value);
-        // `pos..live` is the entry's filler run: gap slots copy their nearest
-        // live right neighbour and a lookup's lower bound lands on the first
-        // of them, so they must carry the update too.
-        let (fillers, rest) = vals.split_at_mut(live);
-        for filler in &mut fillers[pos..] {
-            *filler = rest[0].clone();
+        match quit_core::insert_at(kind, keys, vals, gaps, key, value, cap) {
+            SlotInsert::Done(_) => Placed::Inserted,
+            SlotInsert::Full => unreachable!("live space checked above"),
         }
-        None
+    }
+
+    /// Counts `n` inserts placed through the fast path or the tree.
+    fn count_inserts(&self, fast: bool, n: usize) {
+        self.len.fetch_add(n, Ordering::Relaxed);
+        let counters = &self.metrics.counters;
+        let counter = if fast {
+            &counters.fast_inserts
+        } else {
+            &counters.top_inserts
+        };
+        counter.add_shared(n as u64);
+        self.metrics.record_insert_run_shared(fast, n as u64);
     }
 
     /// Optimistic insert: latch-free descent, then a write lock on the
@@ -566,9 +558,12 @@ impl<K: Key, V: Clone> ConcurrentTree<K, V> {
     /// this is *the* leaf regardless of what happened during the descent).
     ///
     /// `Err(value)` returns ownership when the pessimistic path must take
-    /// over: the leaf is full (split required) or the restart budget is
-    /// exhausted.
+    /// over: OLC is off, the leaf is full (split required) or the restart
+    /// budget is exhausted.
     fn insert_olc<M: OnExisting<K, V>>(&self, key: K, value: V, existing: &mut M) -> Result<(), V> {
+        if !self.config.olc_enabled {
+            return Err(value);
+        }
         let mut restarts = 0u32;
         loop {
             if restarts > 0 {
@@ -584,52 +579,22 @@ impl<K: Key, V: Clone> ConcurrentTree<K, V> {
                 continue;
             };
             let mut g = RwLock::write_arc(&leaf);
-            let CNode::Leaf {
-                keys,
-                vals,
-                gaps,
-                low,
-                high,
-                ..
-            } = &mut *g
-            else {
-                unreachable!("descend_olc ends at a leaf");
-            };
-            let in_range = low.is_none_or(|b| key >= b) && high.is_none_or(|b| key < b);
-            if !in_range {
+            if !g.covers(key) {
                 // The leaf split (or we were misrouted) between the
                 // optimistic read and the latch: restart from the root.
                 drop(g);
                 restarts += 1;
                 continue;
             }
-            let Some(value) = self.merge_existing(keys, vals, gaps, key, value, existing) else {
-                return Ok(());
-            };
-            if keys.len() - gaps.count() >= self.config.tree.leaf_capacity {
-                drop(g);
-                return Err(value);
+            match self.place(&mut g, key, value, existing) {
+                Placed::Merged => return Ok(()),
+                Placed::Full(value) => return Err(value),
+                Placed::Inserted => {}
             }
-            match quit_core::insert_at(
-                self.config.tree.search_kind,
-                keys,
-                vals,
-                gaps,
-                key,
-                value,
-                self.config.tree.leaf_capacity,
-            ) {
-                SlotInsert::Done(_) => {}
-                SlotInsert::Full => unreachable!("live occupancy checked above"),
-            }
-            let (target_low, target_high) = (*low, *high);
+            let bounds = g.bounds();
             drop(g);
-            self.len.fetch_add(1, Ordering::Relaxed);
-            self.metrics.counters.top_inserts.bump_shared();
-            self.metrics.record_insert_outcome_shared(false);
-            if self.config.pole_enabled {
-                self.settle_pole(key, false, None, leaf, target_low, target_high);
-            }
+            self.count_inserts(false, 1);
+            self.settle_pole(key, false, None, leaf, bounds);
             return Ok(());
         }
     }
@@ -647,90 +612,61 @@ impl<K: Key, V: Clone> ConcurrentTree<K, V> {
                     node = child;
                     v = cv;
                 }
-                Ok(Routed::Leaf) => return Some(node),
+                Ok(Routed::Leaf) => {
+                    // Between here and the caller's latch the leaf may split.
+                    #[cfg(feature = "olc-test-hooks")]
+                    crate::test_hooks::leaf_pause();
+                    return Some(node);
+                }
                 Err(_) => return None,
             }
         }
     }
 
-    /// The short-critical-section path: metadata mutex, then a single
-    /// `try_lock` on the poℓe leaf.
-    fn try_fast_insert<M: OnExisting<K, V>>(
-        &self,
-        key: K,
-        value: V,
-        existing: &mut M,
-    ) -> FastAttempt<V> {
-        let mut fp = self.fp.lock();
-        if !fp.covers(key) {
-            return FastAttempt::NotCovered(value);
+    /// Shared-latch crabbing from the root pointer to the leaf responsible
+    /// for `target`: each node is latched before its parent is released,
+    /// so the leaf returned is the right one while its latch is held. The
+    /// pessimistic `get` and `range` and every `delete` descend this way.
+    /// Kept out of line: inlined into `get`'s optimistic path as its
+    /// fallback, it cost `txn-durable` `get_mops` 5 % (ten benchmark
+    /// pairs on a 2-core x86-64 Xeon).
+    #[inline(never)]
+    fn descend_shared(&self, target: Target<K>) -> ReadGuard<K, V> {
+        let root = self.root.read();
+        let mut guard = RwLock::read_arc(&root);
+        drop(root);
+        loop {
+            let child = match &*guard {
+                CNode::Leaf { .. } => return guard,
+                CNode::Internal { keys, children } => {
+                    let i = match target {
+                        Target::Leftmost => 0,
+                        Target::Key(key) => {
+                            quit_core::search_internal(self.config.tree.search_kind, keys, key)
+                        }
+                    };
+                    children[i].clone()
+                }
+            };
+            guard = RwLock::read_arc(&child);
         }
-        let leaf = fp.leaf().cloned().expect("covered implies leaf");
-        let Some(mut g) = RwLock::try_write_arc(&leaf) else {
-            return FastAttempt::Busy(value);
-        };
-        let CNode::Leaf {
-            keys,
-            vals,
-            gaps,
-            low,
-            high,
-            ..
-        } = &mut *g
-        else {
-            return FastAttempt::NotCovered(value);
-        };
-        // Authoritative validation against the leaf's own bounds.
-        let in_range = low.is_none_or(|b| key >= b) && high.is_none_or(|b| key < b);
-        if !in_range {
-            return FastAttempt::NotCovered(value);
-        }
-        let Some(value) = self.merge_existing(keys, vals, gaps, key, value, existing) else {
-            return FastAttempt::Done;
-        };
-        if keys.len() - gaps.count() >= self.config.tree.leaf_capacity {
-            return FastAttempt::PoleFull(value);
-        }
-        match quit_core::insert_at(
-            self.config.tree.search_kind,
-            keys,
-            vals,
-            gaps,
-            key,
-            value,
-            self.config.tree.leaf_capacity,
-        ) {
-            SlotInsert::Done(_) => {}
-            SlotInsert::Full => unreachable!("live occupancy checked above"),
-        }
-        fp.on_covered_insert();
-        drop(g);
-        self.len.fetch_add(1, Ordering::Relaxed);
-        self.metrics.counters.fast_inserts.bump_shared();
-        self.metrics.record_insert_outcome_shared(true);
-        FastAttempt::Done
     }
 
     fn node_unsafe_for_insert(&self, n: &CNode<K, V>) -> bool {
-        match n {
-            // Live occupancy: a gapped leaf with free fillers can still
-            // absorb the insert without splitting.
-            CNode::Leaf { keys, gaps, .. } => {
-                keys.len() - gaps.count() >= self.config.tree.leaf_capacity
-            }
-            CNode::Internal { keys, .. } => keys.len() >= self.config.tree.internal_capacity,
-        }
+        // Live occupancy: a gapped leaf with free fillers can still absorb
+        // the insert without splitting.
+        let cfg = &self.config.tree;
+        let cap = if n.is_leaf() {
+            cfg.leaf_capacity
+        } else {
+            cfg.internal_capacity
+        };
+        n.len() >= cap
     }
 
-    /// Full crabbing insert. `count_as_fast` preserves the paper's
-    /// accounting for covered-but-full poℓe inserts.
-    fn top_insert<M: OnExisting<K, V>>(
-        &self,
-        key: K,
-        value: V,
-        count_as_fast: bool,
-        existing: &mut M,
-    ) {
+    /// Full crabbing insert. `covered` marks the covered-but-full poℓe
+    /// insert, which keeps the paper's accounting as a fast insert.
+    fn top_insert<M: OnExisting<K, V>>(&self, key: K, value: V, covered: bool, existing: &mut M) {
         // Lock the root pointer; it plays the role of the root's parent and
         // is released as soon as any node on the path is safe.
         let mut root_guard = Some(self.root.write());
@@ -760,117 +696,80 @@ impl<K: Key, V: Clone> ConcurrentTree<K, V> {
         }
 
         // `guard` is the leaf; `path` holds exactly the ancestors that may
-        // change; `root_guard` is held iff the whole path may split.
+        // change; `root_guard` is held iff the whole path may split — so
+        // neither holds anything unless the leaf is full.
+        let mut split = None;
+        match self.place(&mut guard, key, value, existing) {
+            Placed::Merged => return,
+            Placed::Inserted => {}
+            Placed::Full(value) => {
+                match self.split_leaf(&mut guard) {
+                    Some(s) => {
+                        self.metrics.counters.leaf_splits.bump_shared();
+                        let (right, sep) = (s.right.clone(), s.sep);
+                        split = Some((current.clone(), s));
+                        if key >= sep {
+                            // Move to the new right node: lock it (nobody
+                            // else can reach it yet through the tree, but
+                            // scans via `next` can).
+                            guard = RwLock::write_arc(&right);
+                            current = right.clone();
+                        }
+                        self.propagate_split(
+                            std::mem::take(&mut path),
+                            root_guard.take(),
+                            sep,
+                            right,
+                        );
+                    }
+                    None => {
+                        // Uniform-key leaf: no legal separator exists, so
+                        // the leaf absorbs the overflow. A later differing
+                        // key re-opens a boundary and the next insert splits.
+                        path.clear();
+                        drop(root_guard.take());
+                    }
+                }
+                // Placement just found no entry for `key`: nothing to merge.
+                if let Placed::Full(value) = self.place(&mut guard, key, value, &mut ()) {
+                    self.absorb_overflow(&mut guard, key, value);
+                }
+            }
+        }
+        let bounds = guard.bounds();
+        drop(guard);
+        self.count_inserts(covered, 1);
+        self.settle_pole(key, covered, split, current, bounds);
+    }
+
+    /// Inserts into a leaf still full after its split was tried: a
+    /// uniform-key leaf that cannot split, or the overfull half of one.
+    /// Such a leaf is dense — gaps only exist below live capacity — and
+    /// grows physically past the configured capacity.
+    fn absorb_overflow(&self, leaf: &mut CNode<K, V>, key: K, value: V) {
         let CNode::Leaf {
             keys, vals, gaps, ..
-        } = &mut *guard
+        } = leaf
         else {
-            unreachable!("descent ends at a leaf");
+            unreachable!("only leaves overflow");
         };
-        let Some(value) = self.merge_existing(keys, vals, gaps, key, value, existing) else {
-            return;
-        };
-        let mut leaf_split = None;
-        let mut target_arc = current.clone();
-        if self.node_unsafe_for_insert(&guard) {
-            match self.split_leaf(&mut guard) {
-                Some(split) => {
-                    self.metrics.counters.leaf_splits.bump_shared();
-                    let (right_arc, sep) = (split.right.clone(), split.sep);
-                    leaf_split = Some((current.clone(), split));
-                    if key >= sep {
-                        // Move to the new right node: lock it (nobody else can
-                        // reach it yet through the tree, but scans via `next`
-                        // can).
-                        let right_guard = RwLock::write_arc(&right_arc);
-                        target_arc = right_arc.clone();
-                        guard = right_guard;
-                    }
-                    self.propagate_split(path, root_guard, sep, right_arc);
-                }
-                None => {
-                    // Uniform-key leaf: no legal separator exists, so the
-                    // leaf absorbs the overflow. A later differing key
-                    // re-opens a boundary and the next insert splits.
-                    drop(path);
-                    drop(root_guard);
-                }
-            }
-        } else {
-            drop(path);
-            drop(root_guard);
+        debug_assert!(gaps.is_dense(), "overfull leaves are dense");
+        if keys.len() == keys.capacity() {
+            // Growth past the pinned reservation: optimistic readers may
+            // hold raw pointers into the current buffers, so swap in
+            // doubled buffers and retire the old allocations instead of
+            // reallocating.
+            let mut new_keys = Vec::with_capacity(keys.capacity() * 2);
+            let mut new_vals = Vec::with_capacity(vals.capacity().max(1) * 2);
+            new_keys.append(keys);
+            new_vals.append(vals);
+            let old_keys = std::mem::replace(keys, new_keys);
+            let old_vals = std::mem::replace(vals, new_vals);
+            self.retired.lock().push((old_keys, old_vals));
         }
-
-        if let CNode::Leaf {
-            keys, vals, gaps, ..
-        } = &mut *guard
-        {
-            if keys.len() - gaps.count() >= self.config.tree.leaf_capacity {
-                // Absorb-overflow (uniform-key leaf that cannot split, so
-                // `split_leaf` returned `None`): such a leaf is dense —
-                // gaps only exist below live capacity — and grows
-                // physically past the configured capacity.
-                debug_assert!(gaps.is_dense(), "overfull leaves are dense");
-                if keys.len() == keys.capacity() {
-                    // Growth past the pinned reservation: optimistic
-                    // readers may hold raw pointers into the current
-                    // buffers, so swap in doubled buffers and retire the
-                    // old allocations instead of reallocating.
-                    let mut new_keys = Vec::with_capacity(keys.capacity() * 2);
-                    let mut new_vals = Vec::with_capacity(vals.capacity().max(1) * 2);
-                    new_keys.append(keys);
-                    new_vals.append(vals);
-                    let old_keys = std::mem::replace(keys, new_keys);
-                    let old_vals = std::mem::replace(vals, new_vals);
-                    self.retired.lock().push((old_keys, old_vals));
-                }
-                let pos = quit_core::upper_bound(self.config.tree.search_kind, keys, key);
-                keys.insert(pos, key);
-                vals.insert(pos, value);
-            } else {
-                // In-capacity insert: gap-aware, bounded shift. `insert_at`
-                // never grows the physical array past `leaf_capacity`
-                // (at physical capacity it reuses a gap or reports full),
-                // so the pinned `capacity + 1` reservation never reallocates.
-                match quit_core::insert_at(
-                    self.config.tree.search_kind,
-                    keys,
-                    vals,
-                    gaps,
-                    key,
-                    value,
-                    self.config.tree.leaf_capacity,
-                ) {
-                    SlotInsert::Done(_) => {}
-                    SlotInsert::Full => unreachable!("live occupancy checked above"),
-                }
-            }
-        } else {
-            unreachable!("descent ends at a leaf");
-        }
-        let (target_low, target_high) = match &*guard {
-            CNode::Leaf { low, high, .. } => (*low, *high),
-            _ => unreachable!(),
-        };
-        drop(guard);
-        self.len.fetch_add(1, Ordering::Relaxed);
-        if count_as_fast {
-            self.metrics.counters.fast_inserts.bump_shared();
-        } else {
-            self.metrics.counters.top_inserts.bump_shared();
-        }
-        self.metrics.record_insert_outcome_shared(count_as_fast);
-
-        if self.config.pole_enabled {
-            self.settle_pole(
-                key,
-                count_as_fast,
-                leaf_split,
-                target_arc,
-                target_low,
-                target_high,
-            );
-        }
+        let pos = quit_core::upper_bound(self.config.tree.search_kind, keys, key);
+        keys.insert(pos, key);
+        vals.insert(pos, value);
     }
 
     /// Splits the write-locked leaf near the midpoint and reports the split
@@ -1041,16 +940,19 @@ impl<K: Key, V: Clone> ConcurrentTree<K, V> {
     /// tolerated; leaf-local bounds keep the fast path safe). `covered`
     /// marks the insert that found the poℓe full: it counts as a
     /// fast-insert, so it ends the miss streak like any other. `split` is
-    /// the leaf this insert split, if any, with its left half.
+    /// the leaf this insert split, if any, with its left half; `landed` is
+    /// the leaf that took the key, with its `(low, high)` bounds.
     fn settle_pole(
         &self,
         key: K,
         covered: bool,
         split: Option<LeafSplit<K, V>>,
         landed: NodeRef<K, V>,
-        low: Option<K>,
-        high: Option<K>,
+        (low, high): (Option<K>, Option<K>),
     ) {
+        if !self.config.pole_enabled {
+            return;
+        }
         let cfg = &self.config.tree;
         let mut fp = self.fp.lock();
         if covered {
@@ -1100,40 +1002,17 @@ impl<K: Key, V: Clone> ConcurrentTree<K, V> {
         // bounds and the descent retried on failure (same protocol as the
         // optimistic insert).
         loop {
-            let root_ptr = self.root.read();
-            let root = root_ptr.clone();
-            let mut read_guard = RwLock::read_arc(&root);
-            let mut current = root;
-            drop(root_ptr);
-            loop {
-                let child = match &*read_guard {
-                    CNode::Leaf { .. } => break,
-                    CNode::Internal { keys, children } => {
-                        let i = quit_core::search_internal(self.config.tree.search_kind, keys, key);
-                        children[i].clone()
-                    }
-                };
-                read_guard = RwLock::read_arc(&child);
-                current = child;
+            let leaf = ArcRwLockReadGuard::rwlock(&self.descend_shared(Target::Key(key))).clone();
+            let mut guard = RwLock::write_arc(&leaf);
+            if !guard.covers(key) {
+                continue; // raced a split of this leaf; re-descend
             }
-            drop(read_guard);
-            let mut guard = RwLock::write_arc(&current);
             let CNode::Leaf {
-                keys,
-                vals,
-                gaps,
-                low,
-                high,
-                ..
+                keys, vals, gaps, ..
             } = &mut *guard
             else {
                 unreachable!("descent ends at a leaf");
             };
-            let in_range = low.is_none_or(|b| key >= b) && high.is_none_or(|b| key < b);
-            if !in_range {
-                drop(guard);
-                continue; // raced a split of this leaf; re-descend
-            }
             let pos = quit_core::lower_bound(self.config.tree.search_kind, keys, key);
             return if pos < keys.len() && keys[pos] == key {
                 // The lower bound may land on a gap filler; the filler rule
@@ -1234,28 +1113,8 @@ impl<K: Key, V: Clone> ConcurrentTree<K, V> {
                                 // latch; the leaf's own bounds prove it is
                                 // the right one.
                                 let g = node.read();
-                                if let CNode::Leaf {
-                                    keys,
-                                    vals,
-                                    low,
-                                    high,
-                                    ..
-                                } = &*g
-                                {
-                                    let in_range = low.is_none_or(|b| key >= b)
-                                        && high.is_none_or(|b| key < b);
-                                    if in_range {
-                                        // A hit on a gap filler is value-
-                                        // correct: fillers copy the pair of
-                                        // their nearest live right slot.
-                                        let pos = quit_core::lower_bound(
-                                            self.config.tree.search_kind,
-                                            keys,
-                                            key,
-                                        );
-                                        return (pos < keys.len() && keys[pos] == key)
-                                            .then(|| vals[pos].clone());
-                                    }
+                                if g.covers(key) {
+                                    return self.leaf_lookup(&g, key);
                                 }
                                 drop(g);
                                 restarts += 1;
@@ -1278,31 +1137,20 @@ impl<K: Key, V: Clone> ConcurrentTree<K, V> {
 
     /// Shared-lock-crabbing point lookup (OLC off, or optimistic fallback).
     fn get_pessimistic(&self, key: K) -> Option<V> {
-        let root_ptr = self.root.read();
-        let root = root_ptr.clone();
-        let mut guard = RwLock::read_arc(&root);
-        drop(root_ptr);
-        loop {
-            let child = match &*guard {
-                CNode::Leaf { keys, vals, .. } => {
-                    // Gap fillers are value-correct copies, so no bitmap
-                    // consultation is needed for a point read.
-                    let pos = quit_core::lower_bound(self.config.tree.search_kind, keys, key);
-                    if pos < keys.len() && keys[pos] == key {
-                        return Some(vals[pos].clone());
-                    }
-                    // Boundary-respecting splits keep every instance of a
-                    // key in the one leaf right-biased routing reaches, so
-                    // a miss here is a genuine miss.
-                    return None;
-                }
-                CNode::Internal { keys, children } => {
-                    let i = quit_core::search_internal(self.config.tree.search_kind, keys, key);
-                    children[i].clone()
-                }
-            };
-            guard = RwLock::read_arc(&child); // parent guard drops (crabbing)
-        }
+        self.leaf_lookup(&self.descend_shared(Target::Key(key)), key)
+    }
+
+    /// Point read in a latched leaf responsible for `key`. Gap fillers are
+    /// value-correct copies of their nearest live right slot, so no bitmap
+    /// consultation is needed; boundary-respecting splits keep every
+    /// instance of a key in the one leaf right-biased routing reaches, so a
+    /// miss here is a genuine miss.
+    fn leaf_lookup(&self, leaf: &CNode<K, V>, key: K) -> Option<V> {
+        let CNode::Leaf { keys, vals, .. } = leaf else {
+            unreachable!("lookups end at a leaf");
+        };
+        let pos = quit_core::lower_bound(self.config.tree.search_kind, keys, key);
+        (pos < keys.len() && keys[pos] == key).then(|| vals[pos].clone())
     }
 
     /// True when the key exists.
@@ -1330,13 +1178,36 @@ impl<K: Key, V: Clone> ConcurrentTree<K, V> {
                 leaf_accesses: 0,
             };
         }
+        // Descend to the first leaf that can hold an admitted key. Routing
+        // is right-biased on equality, matching inserts: splits respect key
+        // boundaries, so every instance of the start key lives in the one
+        // leaf this descent reaches; the in-leaf `pos` scan then admits or
+        // skips the run.
         let start = copy_bound(bounds.start_bound());
-        if self.config.olc_enabled {
-            if let Some(iter) = self.range_olc(start, end) {
-                return iter;
-            }
+        let target = match start {
+            Bound::Unbounded => Target::Leftmost,
+            Bound::Included(s) | Bound::Excluded(s) => Target::Key(s),
+        };
+        let olc = if self.config.olc_enabled {
+            self.range_olc(target)
+        } else {
+            None
+        };
+        let leaf = olc.unwrap_or_else(|| self.descend_shared(target));
+        let CNode::Leaf { keys, .. } = &*leaf else {
+            unreachable!("descent ends at a leaf");
+        };
+        let pos = match start {
+            Bound::Unbounded => 0,
+            Bound::Included(s) => quit_core::lower_bound(self.config.tree.search_kind, keys, s),
+            Bound::Excluded(s) => quit_core::upper_bound(self.config.tree.search_kind, keys, s),
+        };
+        ConcRangeIter {
+            leaf: Some(leaf),
+            pos,
+            end,
+            leaf_accesses: 1,
         }
-        self.range_pessimistic(start, end)
     }
 
     /// Optimistic descent to the scan's start leaf: no internal node is
@@ -1344,11 +1215,7 @@ impl<K: Key, V: Clone> ConcurrentTree<K, V> {
     /// its separator bounds. Iteration itself then lock-couples along the
     /// leaf chain exactly like the pessimistic scan. `None` = restart
     /// budget exhausted; the caller crabs pessimistically.
-    fn range_olc(&self, start: Bound<K>, end: Bound<K>) -> Option<ConcRangeIter<K, V>> {
-        let target = match start {
-            Bound::Unbounded => Target::Leftmost,
-            Bound::Included(s) | Bound::Excluded(s) => Target::Key(s),
-        };
+    fn range_olc(&self, target: Target<K>) -> Option<ReadGuard<K, V>> {
         let mut restarts = 0u32;
         loop {
             if restarts > 0 {
@@ -1364,82 +1231,18 @@ impl<K: Key, V: Clone> ConcurrentTree<K, V> {
                 continue;
             };
             let guard = RwLock::read_arc(&leaf);
-            let CNode::Leaf {
-                keys, low, high, ..
-            } = &*guard
-            else {
-                unreachable!("descend_olc ends at a leaf");
-            };
             // The leaf's own bounds partition the key space: covering the
             // start position proves this is the scan's first leaf even if
             // the optimistic routing raced a split.
-            let covered = match start {
-                Bound::Unbounded => low.is_none(),
-                Bound::Included(s) | Bound::Excluded(s) => {
-                    low.is_none_or(|b| s >= b) && high.is_none_or(|b| s < b)
-                }
+            let covered = match target {
+                Target::Leftmost => guard.bounds().0.is_none(),
+                Target::Key(s) => guard.covers(s),
             };
-            if !covered {
-                drop(guard);
-                restarts += 1;
-                continue;
+            if covered {
+                return Some(guard);
             }
-            let pos = match start {
-                Bound::Unbounded => 0,
-                Bound::Included(s) => quit_core::lower_bound(self.config.tree.search_kind, keys, s),
-                Bound::Excluded(s) => quit_core::upper_bound(self.config.tree.search_kind, keys, s),
-            };
-            return Some(ConcRangeIter {
-                leaf: Some(guard),
-                pos,
-                end,
-                leaf_accesses: 1,
-            });
-        }
-    }
-
-    /// Shared-lock-crabbing descent to the scan's start leaf (OLC off, or
-    /// optimistic fallback).
-    fn range_pessimistic(&self, start: Bound<K>, end: Bound<K>) -> ConcRangeIter<K, V> {
-        let root_ptr = self.root.read();
-        let root = root_ptr.clone();
-        let mut guard = RwLock::read_arc(&root);
-        drop(root_ptr);
-        // Descend to the first leaf that can hold an admitted key. Routing
-        // is right-biased on equality, matching inserts: splits respect key
-        // boundaries, so every instance of the start key lives in the one
-        // leaf this descent reaches; the in-leaf `pos` scan then admits or
-        // skips the run.
-        loop {
-            let child = match &*guard {
-                CNode::Leaf { .. } => break,
-                CNode::Internal { keys, children } => {
-                    let i = match start {
-                        Bound::Unbounded => 0,
-                        Bound::Included(s) | Bound::Excluded(s) => {
-                            quit_core::search_internal(self.config.tree.search_kind, keys, s)
-                        }
-                    };
-                    children[i].clone()
-                }
-            };
-            guard = RwLock::read_arc(&child);
-        }
-        let pos = match (&*guard, start) {
-            (_, Bound::Unbounded) => 0,
-            (CNode::Leaf { keys, .. }, Bound::Included(s)) => {
-                quit_core::lower_bound(self.config.tree.search_kind, keys, s)
-            }
-            (CNode::Leaf { keys, .. }, Bound::Excluded(s)) => {
-                quit_core::upper_bound(self.config.tree.search_kind, keys, s)
-            }
-            _ => unreachable!("descent ends at a leaf"),
-        };
-        ConcRangeIter {
-            leaf: Some(guard),
-            pos,
-            end,
-            leaf_accesses: 1,
+            drop(guard);
+            restarts += 1;
         }
     }
 
@@ -1853,16 +1656,8 @@ impl<K, V> OnExisting<K, V> for () {
     fn merge(&mut self, _: K, _: &mut V, _: V) {}
 }
 
-/// [`ConcurrentTree::upsert`]: the caller's merge, taken when it runs.
-impl<K, V, F: FnOnce(&mut V, V)> OnExisting<K, V> for Option<F> {
-    const LOOKS: bool = true;
-    fn merge(&mut self, _: K, existing: &mut V, new: V) {
-        (self.take().expect("merge runs at most once"))(existing, new);
-    }
-}
-
-/// [`ConcurrentTree::upsert_batch`]: the caller's merge, run for every
-/// entry that meets a live one.
+/// [`ConcurrentTree::upsert`] and `upsert_batch`: the caller's merge, run
+/// for every entry that meets a live one.
 struct MergeEach<F>(F);
 
 impl<K, V, F: FnMut(K, &mut V, V)> OnExisting<K, V> for MergeEach<F> {
@@ -1872,16 +1667,25 @@ impl<K, V, F: FnMut(K, &mut V, V)> OnExisting<K, V> for MergeEach<F> {
     }
 }
 
-/// Outcome of a fast-path attempt.
-enum FastAttempt<V> {
-    /// Inserted through the fast path (or merged into an existing entry).
-    Done,
-    /// Key outside the fast-path range (or metadata stale): top-insert.
-    NotCovered(V),
-    /// Covered, but the poℓe is full: split path, accounted as fast.
+/// What the fast path did with the head of a run.
+enum Chunk<V> {
+    /// Placed (inserted or merged) this many entries, the head first.
+    Took(usize),
+    /// The head is the poℓe's but the poℓe is full: the crabbing split
+    /// takes it (value handed back), counted as a fast insert.
     PoleFull(V),
-    /// Covered, but the leaf lock was contended: top-insert.
-    Busy(V),
+    /// Poℓe off, head not covered (stale metadata included) or latch busy:
+    /// the head descends the tree.
+    Missed,
+}
+
+/// Where [`ConcurrentTree::place`] put an entry.
+enum Placed<V> {
+    Inserted,
+    /// Folded into the live entry for its key.
+    Merged,
+    /// The leaf is full (value handed back).
+    Full(V),
 }
 
 #[cfg(test)]
@@ -1921,28 +1725,52 @@ mod tests {
     fn covered_insert_into_a_full_pole_clears_the_miss_streak() {
         // T_R − 1 misses, one covered insert that finds the poℓe full, one
         // more miss: no reset — exactly as the single-threaded tree, which
-        // runs the same policy. (`small(8)` ⇒ T_R = 2.)
-        let conc: ConcurrentTree<u64, u64> = ConcurrentTree::new(ConcConfig::small(8));
-        let mut core: quit_core::BpTree<u64, u64> =
-            quit_core::BpTree::with_config(quit_core::FastPathMode::Pole, TreeConfig::small(8));
-        let mut resets_after = |k: u64| {
-            conc.insert(k, k);
-            core.insert(k, k);
-            let (a, b) = (conc.stats().fp_resets.get(), core.stats().fp_resets.get());
-            assert_eq!(a, b, "trees disagree after key {k}");
-            a
-        };
-        // Two leaves, the poℓe [4, ∞) full at 8 entries.
-        for k in 0..12 {
-            assert_eq!(resets_after(k), 0);
+        // runs the same policy. (`small(8)` ⇒ T_R = 2.) The keys arrive one
+        // `insert` at a time, as `insert_batch` runs and as `upsert`s of
+        // absent keys — one code path since a key is a run of one — and
+        // every way the fast-insert and reset counts are `BpTree`'s, fed
+        // the same keys one insert at a time.
+        for way in ["insert", "insert_batch", "upsert"] {
+            let conc: ConcurrentTree<u64, u64> = ConcurrentTree::new(ConcConfig::small(8));
+            let mut core: quit_core::BpTree<u64, u64> =
+                quit_core::BpTree::with_config(quit_core::FastPathMode::Pole, TreeConfig::small(8));
+            let mut resets_after = |keys: &[u64]| {
+                match way {
+                    "insert_batch" => {
+                        let run: Vec<(u64, u64)> = keys.iter().map(|&k| (k, k)).collect();
+                        conc.insert_batch(&run);
+                    }
+                    "upsert" => {
+                        for &k in keys {
+                            assert!(!conc.upsert(k, k, |_, _| unreachable!("{k} is new")));
+                        }
+                    }
+                    _ => keys.iter().for_each(|&k| conc.insert(k, k)),
+                }
+                keys.iter().for_each(|&k| core.insert(k, k));
+                let (c, b) = (conc.stats(), core.stats());
+                let what = format!("{way}: trees disagree after {keys:?}");
+                assert_eq!(c.fast_inserts.get(), b.fast_inserts.get(), "{what}");
+                assert_eq!(c.fp_resets.get(), b.fp_resets.get(), "{what}");
+                c.fp_resets.get()
+            };
+            // Two leaves, the poℓe [108, ∞) full at 8 entries.
+            let evens: Vec<u64> = (0..12).map(|i| 100 + 2 * i).collect();
+            assert_eq!(resets_after(&evens), 0);
+            let fast = conc.stats().fast_inserts.get();
+            assert_eq!(resets_after(&[101]), 0, "{way}: miss 1 of 2");
+            assert_eq!(resets_after(&[124]), 0, "{way}: covered, poℓe full");
+            assert_eq!(conc.stats().fast_inserts.get(), fast + 1, "counted as fast");
+            assert_eq!(resets_after(&[103]), 0, "{way}: the streak restarted");
+            assert_eq!(resets_after(&[105]), 1, "{way}: miss 2 of 2");
+            // The poℓe is now the left leaf [.., 108), one entry short of
+            // full. One sorted run: a fast chunk of one, a covered head
+            // that finds the poℓe full, and a miss.
+            let fast = conc.stats().fast_inserts.get();
+            assert_eq!(resets_after(&[50, 107, 500]), 1, "{way}");
+            assert_eq!(conc.stats().fast_inserts.get(), fast + 2, "{way}");
+            conc.check_consistency().unwrap();
         }
-        let fast = conc.stats().fast_inserts.get();
-        assert_eq!(resets_after(1), 0, "miss 1 of 2");
-        assert_eq!(resets_after(12), 0, "covered, poℓe full");
-        assert_eq!(conc.stats().fast_inserts.get(), fast + 1, "counted as fast");
-        assert_eq!(resets_after(2), 0, "the streak restarted: miss 1 of 2");
-        assert_eq!(resets_after(3), 1, "miss 2 of 2");
-        conc.check_consistency().unwrap();
     }
 
     #[test]

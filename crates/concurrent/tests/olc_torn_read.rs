@@ -30,6 +30,12 @@ fn read_during<V: Clone + Send + Sync>(
     read_key: u64,
     write: impl FnOnce(),
 ) -> Option<V> {
+    pinned_during(|| tree.get(read_key), write)
+}
+
+/// Pins `op` at its first optimistic leaf arrival, runs `write`
+/// underneath it, releases it, and returns `op`'s result.
+fn pinned_during<R: Send>(op: impl FnOnce() -> R + Send, write: impl FnOnce()) -> R {
     let paused = Arc::new(Barrier::new(2));
     let resume = Arc::new(Barrier::new(2));
     // The hook fires on every optimistic leaf arrival — including the
@@ -46,7 +52,7 @@ fn read_during<V: Clone + Send + Sync>(
     }
 
     let result = std::thread::scope(|s| {
-        let reader = s.spawn(|| tree.get(read_key));
+        let reader = s.spawn(op);
         // Reader is now pinned between leaf-version read and leaf read.
         paused.wait();
         write();
@@ -133,6 +139,36 @@ fn pinned_reader_survives_leaf_split() {
         "pinned reads never restarted: validation is not detecting the split"
     );
     assert!(tree.check_consistency().is_ok());
+}
+
+#[test]
+fn pinned_insert_re_descends_when_its_leaf_splits_before_the_latch() {
+    // An optimistic insert is pinned between reaching its leaf and
+    // latching it, while a writer splits that leaf and moves the key's
+    // range to the new right sibling. Once latched, the leaf's own bounds
+    // no longer cover the key: the insert must re-descend, never place the
+    // key in the left half.
+    let _serial = hook_lock();
+    let tree: ConcurrentTree<u64, u64> = ConcurrentTree::new(ConcConfig::small(4).with_pole(false));
+    for k in [0u64, 2, 4] {
+        tree.insert(k, k);
+    }
+    let restarts = tree.stats().olc_restarts.get();
+    pinned_during(
+        || tree.insert(9, 90),
+        || {
+            for k in [5u64, 6, 7] {
+                tree.insert(k, k);
+            }
+        },
+    );
+    tree.check_consistency().unwrap();
+    assert_eq!(tree.get(9), Some(90));
+    assert_eq!(tree.len(), 7);
+    assert!(
+        tree.stats().olc_restarts.get() > restarts,
+        "never re-descended"
+    );
 }
 
 #[test]

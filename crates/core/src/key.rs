@@ -172,6 +172,19 @@ impl From<f64> for OrderedF64 {
     }
 }
 
+/// Which of `stripes` per-key locks guards `key`: a SplitMix64 finalizer
+/// over the key's IKR projection. `to_ikr` is a pure function of the key,
+/// so equal keys always share a stripe — once `f64`'s two zeros, which
+/// compare equal with different bits, are normalized.
+pub fn stripe_of<K: Key>(key: K, stripes: usize) -> usize {
+    let ikr = key.to_ikr();
+    let mut h = (if ikr == 0.0 { 0.0 } else { ikr }).to_bits();
+    h = (h ^ (h >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    h = (h ^ (h >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    h ^= h >> 31;
+    (h % stripes as u64) as usize
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -206,6 +219,15 @@ mod tests {
     #[should_panic(expected = "NaN")]
     fn ordered_f64_rejects_nan() {
         OrderedF64::new(f64::NAN);
+    }
+
+    #[test]
+    fn equal_keys_share_a_stripe() {
+        let zeros = [OrderedF64::new(0.0), OrderedF64::new(-0.0)];
+        assert_eq!(stripe_of(zeros[0], 64), stripe_of(zeros[1], 64));
+        let spread: std::collections::HashSet<usize> =
+            (0..1_000u64).map(|k| stripe_of(k, 64)).collect();
+        assert_eq!(spread.len(), 64, "a thousand keys reach every stripe");
     }
 
     #[test]

@@ -124,7 +124,7 @@ pub use cursor::Cursor;
 pub use error::{Error, Result};
 pub use fastpath::{FastPathMode, FastPathState, FullPolePlan, PoleSplit, PrevLeaf, TopInsert};
 pub use iter::{RangeIter, RangeScan, TreeIter};
-pub use key::{AnyBitPattern, Key, OrderedF64};
+pub use key::{stripe_of, AnyBitPattern, Key, OrderedF64};
 pub use layout::{
     branchless_partition_point, branchless_partition_point_by, compact, insert_at, lower_bound,
     regap, remove_at, search_internal, search_leaf, simd_force_disabled, upper_bound, GapMap,

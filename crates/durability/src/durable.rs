@@ -39,10 +39,11 @@ use crate::wal::{scan_wal, Lsn, Wal, WalTuning};
 use crate::WalOp;
 use quit_concurrent::{ConcConfig, ConcurrentTree};
 use quit_core::{
-    BpTree, Error, FastPathMode, Key, Result, SortedIndex, StatsSnapshot, StorageKind, TreeConfig,
+    stripe_of, BpTree, Error, FastPathMode, Key, Result, SortedIndex, StatsSnapshot, StorageKind,
+    TreeConfig,
 };
 use std::ops::RangeBounds;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Stripe count for the shared-path per-key ordering locks. Collisions
@@ -599,19 +600,15 @@ where
     K: Key + WalCodec,
     V: Clone + WalCodec,
 {
-    /// The stripe ordering writes to `key`. Distinct keys may share a
-    /// stripe (harmless contention); equal keys always map to the same
-    /// stripe, which is all the ordering argument needs.
-    fn stripe(&self, key: K) -> &Mutex<()> {
-        // `to_ikr` is a pure function of the key, so equal keys hash
-        // alike — except f64's two zeros, which compare equal with
-        // different bit patterns; normalize before hashing.
-        let ikr = key.to_ikr();
-        let mut h = (if ikr == 0.0 { 0.0 } else { ikr }).to_bits();
-        h = (h ^ (h >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        h = (h ^ (h >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        h ^= h >> 31;
-        &self.stripes[(h % self.stripes.len() as u64) as usize]
+    /// Takes the stripe ordering writes to `key`. Distinct keys may share
+    /// a stripe (harmless contention); equal keys always map to the same
+    /// stripe ([`stripe_of`]), which is all the ordering argument needs.
+    /// The stripe guards no data, so a holder that panicked — a failed WAL
+    /// append does, by design — leaves nothing torn: its poison is
+    /// ignored, and the next writer meets the WAL's own error instead.
+    fn order(&self, key: K) -> MutexGuard<'_, ()> {
+        let stripe = &self.stripes[stripe_of(key, self.stripes.len())];
+        stripe.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Logged insert through `&self` — N threads call this concurrently;
@@ -623,7 +620,7 @@ where
     /// before the group fsync is awaited.
     pub fn insert_shared(&self, key: K, value: V) {
         let unacked = {
-            let _order = self.stripe(key).lock().unwrap();
+            let _order = self.order(key);
             let unacked = self.log_nowait(|wal| wal.append(&[WalOp::Insert(key, value.clone())]));
             self.inner.insert(key, value);
             unacked
@@ -636,7 +633,7 @@ where
     /// [`insert_shared`](Self::insert_shared).
     pub fn delete_shared(&self, key: K) -> Option<V> {
         let (prev, unacked) = {
-            let _order = self.stripe(key).lock().unwrap();
+            let _order = self.order(key);
             let unacked = self.log_nowait(|wal| wal.append(&[WalOp::<K, V>::Delete(key)]));
             (self.inner.delete(key), unacked)
         };
@@ -1052,6 +1049,69 @@ mod tests {
         assert_eq!(report.recovered_lsn, 800, "every acked insert is durable");
         assert_eq!(d2.tree().len(), 800);
         d2.tree().check_consistency().unwrap();
+    }
+
+    /// A [`MemStorage`] whose appends fail once `failing` is set.
+    struct FailingAppends {
+        inner: MemStorage,
+        failing: std::sync::atomic::AtomicBool,
+    }
+
+    impl Storage for FailingAppends {
+        fn append(&self, file: &str, bytes: &[u8]) -> std::io::Result<()> {
+            if self.failing.load(std::sync::atomic::Ordering::SeqCst) {
+                return Err(std::io::Error::other("injected append failure"));
+            }
+            self.inner.append(file, bytes)
+        }
+
+        fn sync(&self, file: &str) -> std::io::Result<()> {
+            self.inner.sync(file)
+        }
+
+        fn read(&self, file: &str) -> std::io::Result<Vec<u8>> {
+            self.inner.read(file)
+        }
+
+        fn list(&self) -> std::io::Result<Vec<String>> {
+            self.inner.list()
+        }
+
+        fn remove(&self, file: &str) -> std::io::Result<()> {
+            self.inner.remove(file)
+        }
+
+        fn rename(&self, from: &str, to: &str) -> std::io::Result<()> {
+            self.inner.rename(from, to)
+        }
+    }
+
+    #[test]
+    fn a_failed_wal_append_panics_with_the_wal_error_every_time() {
+        // The first failing insert panics while it holds the key's stripe.
+        // The next writer of that key takes the same stripe and must still
+        // fail on the (now poisoned) WAL, not on a poisoned stripe lock.
+        let storage = Arc::new(FailingAppends {
+            inner: MemStorage::new(),
+            failing: Default::default(),
+        });
+        let (d, _) = Durable::open(
+            storage.clone() as Arc<dyn Storage>,
+            DurabilityConfig::group_commit().with_wal_buffer_bytes(0),
+            concurrent_builder::<u64, u64>(ConcConfig::small(8)),
+        )
+        .unwrap();
+        d.insert_shared(1, 1);
+        storage
+            .failing
+            .store(true, std::sync::atomic::Ordering::SeqCst);
+        for attempt in 0..2 {
+            let insert = std::panic::AssertUnwindSafe(|| d.insert_shared(7, 7));
+            let panic = std::panic::catch_unwind(insert).expect_err("a failed append panics");
+            let message = panic.downcast_ref::<String>().cloned().unwrap_or_default();
+            assert!(message.contains("WAL"), "attempt {attempt}: {message:?}");
+        }
+        assert_eq!(d.tree().get(1), Some(1));
     }
 
     #[test]
