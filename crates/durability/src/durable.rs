@@ -25,11 +25,11 @@
 //! Recovery composes the two sortedness fast paths this workspace is
 //! built around: the snapshot is key-ordered, so it `bulk_load`s in O(n)
 //! at the configured leaf fill, for `BpTree` and `ConcurrentTree` alike;
-//! the WAL tail is append-mostly, so
-//! [`apply_tail`] feeds its insert runs through `insert_batch`, which
-//! appends each sorted run to its leaf a chunk at a time.
+//! the WAL tail is append-mostly, and a logged batch is one run frame, so
+//! [`apply_tail`] hands each run to `insert_batch` as it was decoded, which
+//! appends it to its leaves a chunk at a time.
 
-use crate::frame::WalCodec;
+use crate::frame::{Logged, WalCodec};
 use crate::psnap::{
     paged_snapshot_candidates, read_paged_snapshot, write_paged_snapshot, PSNAP_HEADER,
 };
@@ -162,7 +162,8 @@ pub struct RecoveryReport {
     /// LSN the snapshot covered (0 = no snapshot).
     pub snapshot_lsn: Lsn,
     /// Mutations replayed from the WAL past the snapshot: one per plain
-    /// record, one per *write* of a transactional `Commit` record.
+    /// record, one per entry of a logged batch, one per *write* of a
+    /// transactional `Commit` record.
     pub tail_records: usize,
     /// Last LSN recovered; the next append gets `recovered_lsn + 1`.
     pub recovered_lsn: Lsn,
@@ -192,15 +193,15 @@ pub(crate) struct LoadedSnapshot<T> {
 }
 
 /// The recovery every opener shares: `load` the newest valid snapshot into
-/// the opener's state, scan the WAL past it, `replay` the tail (given the
-/// LSN of its first record; returns the records it applied), resume the log
+/// the opener's state, scan the WAL past it, `replay` the tail (each frame
+/// with its first LSN; returns the mutations it applied), resume the log
 /// after the last recovered LSN, and time the whole thing into the
 /// `recovery_latency` histogram and the report.
 pub(crate) fn recover<K, V, T>(
     storage: Arc<dyn Storage>,
     tuning: WalTuning,
     load: impl FnOnce(&dyn Storage) -> Result<LoadedSnapshot<T>>,
-    replay: impl FnOnce(&mut T, Lsn, Vec<WalOp<K, V>>) -> Result<usize>,
+    replay: impl FnOnce(&mut T, Vec<(Lsn, Logged<K, V>)>) -> Result<usize>,
 ) -> Result<(T, Wal, RecoveryReport)>
 where
     K: WalCodec,
@@ -209,7 +210,7 @@ where
     let t0 = Instant::now();
     let mut snap = load(&*storage)?;
     let scan = scan_wal::<K, V>(&*storage, snap.lsn, snap.generation)?;
-    let tail_records = replay(&mut snap.state, snap.lsn + 1, scan.tail)?;
+    let tail_records = replay(&mut snap.state, scan.tail)?;
     let wal = Wal::resume(
         storage,
         tuning,
@@ -287,8 +288,9 @@ pub struct Durable<T> {
 impl<T> Durable<T> {
     /// Opens (or creates) a durable index on `storage`: loads the newest
     /// valid snapshot, bulk-builds the inner index from it via `build`,
-    /// replays the WAL tail through [`apply_tail`], and positions the WAL
-    /// to append after the last recovered LSN.
+    /// replays the WAL tail through [`SortedIndex::insert_batch`] (each
+    /// logged batch as one run) and [`SortedIndex::delete`], and positions
+    /// the WAL to append after the last recovered LSN.
     ///
     /// `build` receives the snapshot's entries in key order; use
     /// [`bptree_builder`]/[`concurrent_builder`] for the in-workspace
@@ -385,7 +387,8 @@ impl<T> Durable<T> {
     }
 
     /// [`SortedIndex::insert_batch`] without the durability wait: the batch
-    /// is logged — from `entries` as they lie, one append — and applied
+    /// is logged — from `entries` as they lie, one append of one run frame
+    /// (one frame per 65 536 entries), one LSN per entry — and applied
     /// when this returns, and durable once the returned token (or a later
     /// one it was [`merge`](Unacked::merge)d into) is
     /// [`ack`](Self::ack)ed. A caller with many writes in hand pays one
@@ -647,36 +650,45 @@ where
     }
 }
 
-/// Replays a recovered WAL tail (whose first record is `first_lsn`) into
-/// `index`, batching consecutive insert runs through
-/// [`SortedIndex::insert_batch`] — for both in-workspace trees a
-/// sorted-run fast path that appends leaf chunks, so the append-mostly
-/// tail costs about one latch per leaf, not one insert per record.
-/// Returns the number of records applied.
+/// Replays a recovered WAL tail (each frame with its first LSN) into
+/// `index` through [`SortedIndex::insert_batch`] — for both in-workspace
+/// trees a sorted-run fast path that appends leaf chunks, so the
+/// append-mostly tail costs about one latch per leaf, not one insert per
+/// record. A run frame's entries go to `insert_batch` as decoded;
+/// consecutive single inserts are gathered into one batch. Returns the
+/// number of mutations applied, one per entry of a run.
 ///
 /// A [`WalOp::Commit`] record means the log was written by a `TxnStore`: a
 /// plain index has no version dimension to replay it into, and appending
 /// plain records behind it would leave a log neither opener accepts — so
 /// it is refused with a `wal` error naming the record's LSN.
-pub fn apply_tail<K, V, T>(index: &mut T, first_lsn: Lsn, tail: Vec<WalOp<K, V>>) -> Result<usize>
+pub(crate) fn apply_tail<K, V, T>(index: &mut T, tail: Vec<(Lsn, Logged<K, V>)>) -> Result<usize>
 where
     K: Key,
     V: Clone,
     T: SortedIndex<K, V>,
 {
-    let applied = tail.len();
-    let mut run: Vec<(K, V)> = Vec::new();
-    for (op, lsn) in tail.into_iter().zip(first_lsn..) {
-        match op {
-            WalOp::Insert(k, v) => run.push((k, v)),
-            WalOp::Delete(k) => {
-                if !run.is_empty() {
-                    index.insert_batch(&run);
-                    run.clear();
-                }
+    let mut applied = 0;
+    let mut singles: Vec<(K, V)> = Vec::new();
+    let flush = |index: &mut T, singles: &mut Vec<(K, V)>| {
+        if !singles.is_empty() {
+            index.insert_batch(singles);
+            singles.clear();
+        }
+    };
+    for (lsn, logged) in tail {
+        applied += logged.lsns() as usize;
+        match logged {
+            Logged::Op(WalOp::Insert(k, v)) => singles.push((k, v)),
+            Logged::Run(run) => {
+                flush(index, &mut singles);
+                index.insert_batch(&run);
+            }
+            Logged::Op(WalOp::Delete(k)) => {
+                flush(index, &mut singles);
                 index.delete(k);
             }
-            WalOp::Commit(..) => {
+            Logged::Op(WalOp::Commit(..)) => {
                 return Err(Error::wal(format!(
                     "transactional commit record at LSN {lsn}: this log was written by a \
                      TxnStore (open it with TxnStore::open)"
@@ -684,9 +696,7 @@ where
             }
         }
     }
-    if !run.is_empty() {
-        index.insert_batch(&run);
-    }
+    flush(index, &mut singles);
     Ok(applied)
 }
 
@@ -1117,14 +1127,17 @@ mod tests {
     #[test]
     fn apply_tail_batches_insert_runs() {
         let mut t = Variant::Quit.build::<u64, u64>(TreeConfig::small(16));
-        let tail: Vec<WalOp<u64, u64>> = (0..100u64)
-            .map(|k| WalOp::Insert(k, k))
-            .chain(std::iter::once(WalOp::Delete(5)))
-            .chain((100..200u64).map(|k| WalOp::Insert(k, k)))
+        let tail: Vec<(Lsn, Logged<u64, u64>)> = (0..100u64)
+            .map(|k| (k + 1, Logged::Op(WalOp::Insert(k, k))))
+            .chain([
+                (101, Logged::Op(WalOp::Delete(5))),
+                (102, Logged::Run((100..200u64).map(|k| (k, k)).collect())),
+                (202, Logged::Op(WalOp::Insert(200, 200))),
+            ])
             .collect();
-        let applied = apply_tail(&mut t, 1, tail).unwrap();
-        assert_eq!(applied, 201);
-        assert_eq!(t.len(), 199);
+        let applied = apply_tail(&mut t, tail).unwrap();
+        assert_eq!(applied, 202);
+        assert_eq!(t.len(), 200);
         let m = t.metrics_registry().snapshot();
         assert!(
             m.fast_inserts > m.top_inserts,
@@ -1132,5 +1145,49 @@ mod tests {
             m.fast_inserts,
             m.top_inserts
         );
+    }
+
+    #[test]
+    fn a_commit_record_after_a_run_is_refused_at_its_own_lsn() {
+        let storage = Arc::new(MemStorage::new());
+        let (mut d, _) = open(&storage, DurabilityConfig::group_commit());
+        d.insert(0, 0);
+        d.insert_batch(&(10..20u64).map(|k| (k, k)).collect::<Vec<_>>());
+        // LSN 1 is the insert, 2..=11 the run, so the commit is LSN 12.
+        let lsn = d
+            .wal()
+            .append(&[WalOp::Commit(7, vec![(30u64, Some(30u64))])])
+            .unwrap();
+        assert_eq!(lsn, 12);
+        d.commit_all().unwrap();
+
+        let crashed = Arc::new(storage.crash_durable_only());
+        let err = Durable::open(
+            crashed as Arc<dyn Storage>,
+            DurabilityConfig::group_commit(),
+            quit_builder(),
+        )
+        .err()
+        .expect("a commit record in a plain log is refused");
+        assert_eq!(err.kind(), "wal", "{err}");
+        assert!(err.to_string().contains("at LSN 12:"), "{err}");
+    }
+
+    #[test]
+    fn a_txn_store_refuses_a_plain_log_at_its_first_run() {
+        let storage = Arc::new(MemStorage::new());
+        let (mut d, _) = open(&storage, DurabilityConfig::group_commit());
+        d.insert_batch(&[(1u64, 1u64), (2, 2), (3, 3)]);
+        drop(d);
+
+        let crashed = Arc::new(storage.crash_durable_only());
+        let err = crate::TxnStore::<u64, u64>::open(
+            crashed as Arc<dyn Storage>,
+            crate::TxnConfig::default(),
+        )
+        .err()
+        .expect("a run frame in a transactional log is refused");
+        assert_eq!(err.kind(), "wal", "{err}");
+        assert!(err.to_string().contains("at LSN 1:"), "{err}");
     }
 }

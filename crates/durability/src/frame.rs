@@ -19,6 +19,13 @@
 //!
 //! * **1** insert — `body = key ‖ value`;
 //! * **2** delete — `body = key`;
+//! * **9** run — `n ≥ 2` inserts logged together, what a batch of two or
+//!   more entries is written as: `body = n u32 ‖ n × (key ‖ value)`, so
+//!   `21 + n × (K + V)` bytes for the frame where per-entry frames take
+//!   `n × (17 + K + V)`. The frame takes `n` consecutive LSNs, the first
+//!   in its header, so LSNs still count entries. Like a commit, it replays
+//!   whole or, torn, not at all. A batch longer than [`MAX_RUN_ENTRIES`]
+//!   is several frames;
 //! * **8** commit — one whole transaction, the only record `TxnStore`
 //!   writes; its body is as long as its write set:
 //!
@@ -36,7 +43,8 @@
 //! Kinds 3–7 belonged to an earlier multi-record transaction log and are
 //! retired: never written, never reused. A frame whose CRC verifies but
 //! whose kind is retired or unknown, or whose body does not fit its kind
-//! (a log of other `K`/`V` widths), is a completed write this open cannot
+//! (a log of other `K`/`V` widths, a run of fewer than two entries or of
+//! another length than its count), is a completed write this open cannot
 //! read: opening fails with a `corruption` error naming it, where a torn
 //! tail would silently drop it and everything after it.
 
@@ -118,9 +126,34 @@ pub enum WalOp<K, V> {
     Commit(u64, Vec<(K, Option<V>)>),
 }
 
+/// What one frame logged: a single-LSN [`WalOp`], or a run frame's inserts
+/// (`n ≥ 2` of them, at `n` consecutive LSNs), kept as the pairs
+/// `insert_batch` takes.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub(crate) enum Logged<K, V> {
+    Op(WalOp<K, V>),
+    Run(Vec<(K, V)>),
+}
+
+impl<K, V> Logged<K, V> {
+    /// LSNs the frame took: one per entry of a run, one for anything else.
+    pub(crate) fn lsns(&self) -> u64 {
+        match self {
+            Logged::Op(_) => 1,
+            Logged::Run(entries) => entries.len() as u64,
+        }
+    }
+}
+
 pub(crate) const KIND_INSERT: u8 = 1;
 pub(crate) const KIND_DELETE: u8 = 2;
 const KIND_COMMIT: u8 = 8;
+const KIND_RUN: u8 = 9;
+
+/// Most entries one run frame carries. A longer batch is logged as several
+/// frames, so no run of entries narrower than 64 KiB can overflow the
+/// frame's `u32` length word.
+pub(crate) const MAX_RUN_ENTRIES: usize = 1 << 16;
 
 /// `len` + `crc` words preceding every payload.
 pub(crate) const FRAME_HEADER: usize = 8;
@@ -170,15 +203,30 @@ fn put_write<K: WalCodec, V: WalCodec>(key: &K, value: Option<&V>, out: &mut Vec
     }
 }
 
-/// Appends one `Insert` frame for a borrowed pair — what logging a batch
-/// calls per entry, so the log is written from the caller's slice.
-pub(crate) fn encode_insert_frame<K: WalCodec, V: WalCodec>(
+/// Appends `entries` as inserts at consecutive LSNs from `lsn` on, written
+/// from the caller's slice: one run frame per [`MAX_RUN_ENTRIES`] entries,
+/// and a plain insert frame for a lone entry, so a single insert logs
+/// exactly as [`WalOp::Insert`] does.
+pub(crate) fn encode_inserts<K: WalCodec, V: WalCodec>(
     lsn: u64,
-    key: &K,
-    value: &V,
+    entries: &[(K, V)],
     out: &mut Vec<u8>,
 ) {
-    frame(lsn, out, |out| put_write(key, Some(value), out));
+    let lsns = (lsn..).step_by(MAX_RUN_ENTRIES);
+    for (run, lsn) in entries.chunks(MAX_RUN_ENTRIES).zip(lsns) {
+        match run {
+            [(key, value)] => frame(lsn, out, |out| put_write(key, Some(value), out)),
+            _ => frame(lsn, out, |out| {
+                out.reserve(5 + run.len() * (K::WIDTH + V::WIDTH));
+                out.push(KIND_RUN);
+                (run.len() as u32).encode_into(out);
+                for (key, value) in run {
+                    key.encode_into(out);
+                    value.encode_into(out);
+                }
+            }),
+        }
+    }
 }
 
 /// Appends one encoded frame for `op` at `lsn` to `out`.
@@ -188,7 +236,7 @@ pub(crate) fn encode_frame<K: WalCodec, V: WalCodec>(
     out: &mut Vec<u8>,
 ) {
     match op {
-        WalOp::Insert(k, v) => encode_insert_frame(lsn, k, v, out),
+        WalOp::Insert(k, v) => frame(lsn, out, |out| put_write(k, Some(v), out)),
         WalOp::Delete(k) => frame(lsn, out, |out| put_write(k, None::<&V>, out)),
         WalOp::Commit(commit_ts, writes) => encode_commit_frame(lsn, *commit_ts, writes, out),
     }
@@ -217,10 +265,10 @@ pub(crate) fn encode_commit_frame<K: WalCodec, V: WalCodec>(
 pub(crate) enum FrameStep<K, V> {
     /// An intact frame; `next` is the offset of the following frame.
     Record {
-        /// The record's log sequence number.
+        /// The record's (a run's first) log sequence number.
         lsn: u64,
-        /// The decoded mutation.
-        op: WalOp<K, V>,
+        /// What the frame logged.
+        logged: Logged<K, V>,
         /// Byte offset just past this frame.
         next: usize,
     },
@@ -255,9 +303,31 @@ fn take_write<K: WalCodec, V: WalCodec>(bytes: &mut &[u8]) -> Option<(K, Option<
     Some((K::decode_from(key), value))
 }
 
+/// Decodes a run frame's body (after its kind byte): `None` unless it
+/// counts at least two entries and holds exactly that many.
+fn decode_run<K: WalCodec, V: WalCodec>(body: &[u8]) -> Option<Vec<(K, V)>> {
+    let (n, entries) = body.split_at_checked(4)?;
+    let n = u32::decode_from(n) as usize;
+    let width = K::WIDTH + V::WIDTH;
+    if n < 2 || n.checked_mul(width) != Some(entries.len()) {
+        return None;
+    }
+    let run = entries
+        .chunks_exact(width)
+        .map(|entry| {
+            let (key, value) = entry.split_at(K::WIDTH);
+            (K::decode_from(key), V::decode_from(value))
+        })
+        .collect();
+    Some(run)
+}
+
 /// Decodes a payload from its kind byte on; `None` unless the kind is known
 /// and the bytes are exactly one record of it.
-fn decode_op<K: WalCodec, V: WalCodec>(record: &[u8]) -> Option<WalOp<K, V>> {
+fn decode_logged<K: WalCodec, V: WalCodec>(record: &[u8]) -> Option<Logged<K, V>> {
+    if let Some(body) = record.strip_prefix(&[KIND_RUN]) {
+        return decode_run(body).map(Logged::Run);
+    }
     let (op, rest) = if let Some(body) = record.strip_prefix(&[KIND_COMMIT]) {
         let (head, mut rest) = body.split_at_checked(12)?;
         let n = u32::decode_from(&head[8..]) as usize;
@@ -274,7 +344,7 @@ fn decode_op<K: WalCodec, V: WalCodec>(record: &[u8]) -> Option<WalOp<K, V>> {
             (key, None) => (WalOp::Delete(key), rest),
         }
     };
-    rest.is_empty().then_some(op)
+    rest.is_empty().then_some(Logged::Op(op))
 }
 
 /// Decodes the frame starting at `pos`, never panicking: a short header,
@@ -289,8 +359,8 @@ pub(crate) fn decode_frame<K: WalCodec, V: WalCodec>(bytes: &[u8], pos: usize) -
     }
     let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
     let crc = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().unwrap());
-    // Any longer length may be real (a commit frame grows with its write
-    // set); a garbage one fails one of the two checks below.
+    // Any longer length may be real (commit and run frames grow with their
+    // entries); a garbage one fails one of the two checks below.
     if len < 9 {
         return FrameStep::Torn("implausible frame length");
     }
@@ -302,10 +372,10 @@ pub(crate) fn decode_frame<K: WalCodec, V: WalCodec>(bytes: &[u8], pos: usize) -
         return FrameStep::Torn("payload CRC mismatch");
     }
     let lsn = u64::decode_from(&payload[..8]);
-    match decode_op(&payload[8..]) {
-        Some(op) => FrameStep::Record {
+    match decode_logged(&payload[8..]) {
+        Some(logged) => FrameStep::Record {
             lsn,
-            op,
+            logged,
             next: pos + FRAME_HEADER + len,
         },
         None => FrameStep::Invalid {
@@ -341,14 +411,14 @@ mod tests {
         let mut buf = Vec::new();
         encode_frame::<u64, u64>(7, &WalOp::Insert(3, 30), &mut buf);
         encode_frame::<u64, u64>(8, &WalOp::Delete(3), &mut buf);
-        let FrameStep::Record { lsn, op, next } = decode_frame::<u64, u64>(&buf, 0) else {
+        let FrameStep::Record { lsn, logged, next } = decode_frame::<u64, u64>(&buf, 0) else {
             panic!("first frame should decode");
         };
-        assert_eq!((lsn, op), (7, WalOp::Insert(3, 30)));
-        let FrameStep::Record { lsn, op, next } = decode_frame::<u64, u64>(&buf, next) else {
+        assert_eq!((lsn, logged), (7, Logged::Op(WalOp::Insert(3, 30))));
+        let FrameStep::Record { lsn, logged, next } = decode_frame::<u64, u64>(&buf, next) else {
             panic!("second frame should decode");
         };
-        assert_eq!((lsn, op), (8, WalOp::Delete(3)));
+        assert_eq!((lsn, logged), (8, Logged::Op(WalOp::Delete(3))));
         assert!(matches!(
             decode_frame::<u64, u64>(&buf, next),
             FrameStep::End
@@ -362,10 +432,10 @@ mod tests {
     {
         let mut buf = Vec::new();
         encode_frame(5, &op, &mut buf);
-        let FrameStep::Record { lsn, op: got, next } = decode_frame::<K, V>(&buf, 0) else {
+        let FrameStep::Record { lsn, logged, next } = decode_frame::<K, V>(&buf, 0) else {
             panic!("{op:?} should decode");
         };
-        assert_eq!((lsn, &got, next), (5, &op, buf.len()));
+        assert_eq!((lsn, logged, next), (5, Logged::Op(op), buf.len()));
         buf.len()
     }
 
@@ -437,15 +507,150 @@ mod tests {
         assert_eq!(invalid(&buf), (6, KIND_INSERT));
     }
 
+    /// Decoded frames, each with its (first) LSN.
+    type Frames<K, V> = Vec<(u64, Logged<K, V>)>;
+
+    /// Every frame `encode_inserts` wrote for `entries` at LSN 5, decoded,
+    /// and the bytes they took.
+    fn inserts_roundtrip<K, V>(entries: &[(K, V)]) -> (Frames<K, V>, usize)
+    where
+        K: WalCodec + Clone + PartialEq + std::fmt::Debug,
+        V: WalCodec + Clone + PartialEq + std::fmt::Debug,
+    {
+        let mut buf = Vec::new();
+        encode_inserts(5, entries, &mut buf);
+        let (mut frames, mut pos) = (Vec::new(), 0);
+        loop {
+            match decode_frame::<K, V>(&buf, pos) {
+                FrameStep::Record { lsn, logged, next } => {
+                    frames.push((lsn, logged));
+                    pos = next;
+                }
+                FrameStep::End => break,
+                _ => panic!("encode_inserts wrote an unreadable frame at {pos}"),
+            }
+        }
+        (frames, buf.len())
+    }
+
+    #[test]
+    fn a_batch_is_one_run_frame_taking_one_lsn_per_entry() {
+        assert_eq!(inserts_roundtrip::<u64, u64>(&[]), (vec![], 0));
+        // A lone entry is a plain insert frame, byte for byte.
+        let mut single = Vec::new();
+        encode_frame::<u64, u64>(5, &WalOp::Insert(3, 30), &mut single);
+        let mut batch = Vec::new();
+        encode_inserts::<u64, u64>(5, &[(3, 30)], &mut batch);
+        assert_eq!((batch.len(), &batch), (33, &single));
+        // 8 header + 8 lsn + 1 kind + 4 count, then 16 per (u64, u64).
+        for n in [2u64, 3, 64] {
+            let entries: Vec<(u64, u64)> = (0..n).map(|k| (k, k * 10)).collect();
+            let (frames, bytes) = inserts_roundtrip(&entries);
+            assert_eq!(frames, vec![(5, Logged::Run(entries))]);
+            assert_eq!(bytes as u64, 21 + 16 * n);
+            assert_eq!(frames[0].1.lsns(), n);
+        }
+        let floats = vec![(OrderedF64::new(-1.5), 3u32), (OrderedF64::new(2.25), 4)];
+        let (frames, bytes) = inserts_roundtrip(&floats);
+        assert_eq!(
+            (frames, bytes),
+            (vec![(5, Logged::Run(floats))], 21 + 2 * 12)
+        );
+    }
+
+    #[test]
+    fn a_long_batch_splits_into_frames_of_at_most_max_run_entries() {
+        let lsns = |frames: &[(u64, Logged<u32, u8>)]| -> Vec<(u64, u64)> {
+            frames.iter().map(|(lsn, l)| (*lsn, l.lsns())).collect()
+        };
+        let max = MAX_RUN_ENTRIES as u64;
+        let entries: Vec<(u32, u8)> = (0..2 * MAX_RUN_ENTRIES as u32 + 3)
+            .map(|k| (k, k as u8))
+            .collect();
+        // One over the bound: a full run, then a lone plain insert.
+        let (frames, _) = inserts_roundtrip(&entries[..MAX_RUN_ENTRIES + 1]);
+        assert_eq!(lsns(&frames), vec![(5, max), (5 + max, 1)]);
+        let last = (MAX_RUN_ENTRIES as u32, MAX_RUN_ENTRIES as u8);
+        assert_eq!(frames[1].1, Logged::Op(WalOp::Insert(last.0, last.1)));
+        // Two full runs and a short one, in order and at dense LSNs.
+        let (frames, _) = inserts_roundtrip(&entries);
+        assert_eq!(
+            lsns(&frames),
+            vec![(5, max), (5 + max, max), (5 + 2 * max, 3)]
+        );
+        let replayed: Vec<(u32, u8)> = frames
+            .into_iter()
+            .flat_map(|(_, logged)| match logged {
+                Logged::Run(run) => run,
+                other => panic!("{other:?}"),
+            })
+            .collect();
+        assert_eq!(replayed, entries);
+    }
+
+    #[test]
+    fn a_run_frame_that_checks_out_but_cannot_be_read_is_invalid_not_torn() {
+        let run_frame = |claimed: u32, keys: &[u64]| {
+            let mut buf = Vec::new();
+            frame(7, &mut buf, |out| {
+                out.push(KIND_RUN);
+                claimed.encode_into(out);
+                for &k in keys {
+                    k.encode_into(out);
+                    (k * 10).encode_into(out);
+                }
+            });
+            buf
+        };
+        let invalid = |buf: &[u8]| {
+            assert!(
+                matches!(
+                    decode_frame::<u64, u64>(buf, 0),
+                    FrameStep::Invalid {
+                        lsn: 7,
+                        kind: KIND_RUN
+                    }
+                ),
+                "a CRC-valid unreadable run frame must be Invalid"
+            )
+        };
+        // Fewer than two entries, honestly counted.
+        invalid(&run_frame(0, &[]));
+        invalid(&run_frame(1, &[1]));
+        // A count that disagrees with the body, either way.
+        invalid(&run_frame(3, &[1, 2]));
+        invalid(&run_frame(2, &[1, 2, 3]));
+        // A body that is not a whole number of entries.
+        let mut ragged = Vec::new();
+        frame(7, &mut ragged, |out| {
+            out.push(KIND_RUN);
+            2u32.encode_into(out);
+            out.extend_from_slice(&[0; 33]);
+        });
+        invalid(&ragged);
+        // Another width's run: (u32, u32) read as (u64, u64).
+        let mut buf = Vec::new();
+        encode_inserts::<u32, u32>(7, &[(1, 10), (2, 20)], &mut buf);
+        invalid(&buf);
+        // No count at all.
+        let mut buf = Vec::new();
+        frame(7, &mut buf, |out| out.extend_from_slice(&[KIND_RUN, 2, 0]));
+        invalid(&buf);
+    }
+
     #[test]
     fn every_truncation_is_torn_never_panics() {
         let mut buf = Vec::new();
         encode_frame::<u64, u64>(1, &WalOp::Insert(10, 100), &mut buf);
-        for cut in 1..buf.len() {
-            assert!(
-                matches!(decode_frame::<u64, u64>(&buf[..cut], 0), FrameStep::Torn(_)),
-                "cut at {cut} must read as torn"
-            );
+        let mut run = Vec::new();
+        encode_inserts::<u64, u64>(1, &[(10, 100), (11, 110), (12, 120)], &mut run);
+        for buf in [buf, run] {
+            for cut in 1..buf.len() {
+                assert!(
+                    matches!(decode_frame::<u64, u64>(&buf[..cut], 0), FrameStep::Torn(_)),
+                    "cut at {cut} must read as torn"
+                );
+            }
         }
     }
 
@@ -459,8 +664,8 @@ mod tests {
             // A flipped frame either fails to decode or (flips confined to
             // the length word that still parse) never decodes to the
             // original record *with a valid CRC*.
-            if let FrameStep::Record { lsn, op, .. } = decode_frame::<u64, u64>(&buf, 0) {
-                panic!("bit {bit}: corrupt frame decoded as lsn={lsn} op={op:?}");
+            if let FrameStep::Record { lsn, logged, .. } = decode_frame::<u64, u64>(&buf, 0) {
+                panic!("bit {bit}: corrupt frame decoded as lsn={lsn} {logged:?}");
             }
         }
     }

@@ -5,14 +5,15 @@
 //! the paper builds ingestion around: **sortedness is cheap to exploit**.
 //!
 //! * A **segmented write-ahead log** ([`Wal`]) frames every mutation with
-//!   a CRC32 and a dense LSN (hand-rolled, no dependencies). Concurrent
+//!   a CRC32 and a dense LSN (hand-rolled, no dependencies); a batch of
+//!   inserts is one frame, one LSN per entry. Concurrent
 //!   writers batch their fsyncs through a **group-commit** leader — one
 //!   fsync per group, composing with `ConcurrentTree`'s OLC write path.
 //! * **Sorted snapshots** (checkpoints) walk the tree in key order, so
 //!   recovery is `bulk_load(snapshot)` — O(n), packed to the configured
 //!   `TreeConfig::bulk_fill` — `+ replay(WAL tail)`, with the
-//!   append-mostly tail fed through `insert_batch`'s sorted-run fast path
-//!   ([`apply_tail`]).
+//!   append-mostly tail fed through `insert_batch`'s sorted-run fast path,
+//!   a logged batch as the run it was.
 //! * [`Durable<T>`] wraps any `SortedIndex` with log-then-apply semantics
 //!   behind three [`DurabilityLevel`]s: `Off`, `Buffered`, `GroupCommit`.
 //!   Every fallible public API returns [`quit_core::Result`] — `Poisoned`
@@ -67,8 +68,8 @@ mod txn;
 mod wal;
 
 pub use durable::{
-    apply_tail, bptree_builder, concurrent_builder, DurabilityConfig, DurabilityLevel, Durable,
-    RecoveryReport, Unacked,
+    bptree_builder, concurrent_builder, DurabilityConfig, DurabilityLevel, Durable, RecoveryReport,
+    Unacked,
 };
 pub use frame::{WalCodec, WalOp};
 pub use quit_core::{crc32, Error, Result};

@@ -63,7 +63,7 @@
 //! case where that could show (see [`TxnStore::get`]).
 
 use crate::durable::{recover, with_wal_metrics, DurabilityConfig, LoadedSnapshot, RecoveryReport};
-use crate::frame::WalCodec;
+use crate::frame::{Logged, WalCodec};
 use crate::snapshot::load_best_snapshot;
 use crate::storage::Storage;
 use crate::wal::{Lsn, Wal};
@@ -271,9 +271,9 @@ where
     /// clock past everything recovered.
     ///
     /// A transactional directory holds only `Commit` records: a plain
-    /// `Insert`/`Delete` record in the tail means the log was written by a
-    /// non-transactional [`crate::Durable`], and the open is rejected with
-    /// a `wal` error naming the record's LSN.
+    /// `Insert`/`Delete` record or a logged batch in the tail means the log
+    /// was written by a non-transactional [`crate::Durable`], and the open
+    /// is rejected with a `wal` error naming the record's (first) LSN.
     pub fn open(storage: Arc<dyn Storage>, config: TxnConfig) -> Result<(Self, RecoveryReport)> {
         if !matches!(
             config.tree.tree_config().storage,
@@ -305,10 +305,10 @@ where
                 },
             })
         };
-        let replay = |st: &mut Recovered<K, V>, first_lsn: Lsn, tail: Vec<WalOp<K, V>>| {
+        let replay = |st: &mut Recovered<K, V>, tail: Vec<(Lsn, Logged<K, V>)>| {
             let mut applied = 0usize;
-            for (op, lsn) in tail.into_iter().zip(first_lsn..) {
-                let WalOp::Commit(commit_ts, writes) = op else {
+            for (lsn, logged) in tail {
+                let Logged::Op(WalOp::Commit(commit_ts, writes)) = logged else {
                     return Err(Error::wal(format!(
                         "non-transactional record at LSN {lsn}: this log was not \
                          written by a TxnStore (open it with Durable::open)"

@@ -45,7 +45,7 @@
 
 use crate::durable::DurabilityLevel;
 use crate::frame::{
-    decode_frame, encode_commit_frame, encode_frame, encode_insert_frame, FrameStep, WalCodec,
+    decode_frame, encode_commit_frame, encode_frame, encode_inserts, FrameStep, Logged, WalCodec,
 };
 use crate::storage::Storage;
 use crate::WalOp;
@@ -222,9 +222,9 @@ impl Wal {
         })
     }
 
-    /// Appends `records` frames under one hold of the state lock: `encode`
-    /// is handed the first LSN and the buffer and must frame exactly that
-    /// many consecutive LSNs.
+    /// Appends frames for `records` consecutive LSNs under one hold of the
+    /// state lock: `encode` is handed the first LSN and the buffer and must
+    /// frame exactly that many LSNs (a run frame takes one per entry).
     fn append_frames(&self, records: u64, encode: impl FnOnce(Lsn, &mut Vec<u8>)) -> Result<Lsn> {
         let mut st = self.state.lock().unwrap();
         if st.poisoned {
@@ -240,17 +240,18 @@ impl Wal {
         Ok(st.next_lsn - 1)
     }
 
-    /// Appends one `Insert` record per borrowed pair, in slice order — the
-    /// by-reference twin of [`append`](Self::append) for a batch, which
-    /// would otherwise be copied into `WalOp`s just to be logged.
+    /// Appends the borrowed pairs as inserts at consecutive LSNs, in slice
+    /// order: one run frame for two or more (see [`crate::frame`]), a
+    /// plain `Insert` record for one. The by-reference twin of
+    /// [`append`](Self::append) for a batch, which would otherwise be
+    /// copied into `WalOp`s — and framed and checksummed once per entry —
+    /// just to be logged.
     pub(crate) fn append_inserts<K: WalCodec, V: WalCodec>(
         &self,
         entries: &[(K, V)],
     ) -> Result<Lsn> {
         self.append_frames(entries.len() as u64, |first, out| {
-            for ((key, value), lsn) in entries.iter().zip(first..) {
-                encode_insert_frame(lsn, key, value, out);
-            }
+            encode_inserts(first, entries, out)
         })
     }
 
@@ -480,9 +481,9 @@ impl Wal {
 
 /// What the recovery scan found in the WAL segments.
 pub(crate) struct WalScan<K, V> {
-    /// Replayable tail: ops with LSN > the snapshot's, contiguous from
-    /// `snapshot_lsn + 1`.
-    pub tail: Vec<WalOp<K, V>>,
+    /// Replayable tail: each frame past the snapshot with its (first) LSN,
+    /// the LSNs contiguous from `snapshot_lsn + 1`.
+    pub tail: Vec<(Lsn, Logged<K, V>)>,
     /// Last LSN recovered (== snapshot LSN if the tail is empty).
     pub last_lsn: Lsn,
     /// True if a torn/corrupt frame or segment cut the scan short.
@@ -499,7 +500,8 @@ pub(crate) struct WalScan<K, V> {
 }
 
 /// Scans every WAL segment in `(generation, seq)` order, replay-validating
-/// LSN continuity from `snapshot_lsn`. Torn tails stop the scan — except
+/// LSN continuity from `snapshot_lsn` (a run frame advances it by its entry
+/// count). Torn tails stop the scan — except
 /// that a *later* segment whose header says it starts at exactly the next
 /// expected LSN resumes it (that is what a recovered process's fresh
 /// segment looks like when the pre-crash segment kept a torn tail).
@@ -581,12 +583,21 @@ pub(crate) fn scan_wal<K: WalCodec, V: WalCodec>(
                          format or with other key/value widths"
                     )));
                 }
-                FrameStep::Record { lsn, op, next } => {
+                FrameStep::Record { lsn, logged, next } => {
                     pos = next;
-                    if lsn <= snapshot_lsn {
+                    let last = lsn.saturating_add(logged.lsns() - 1);
+                    if last <= snapshot_lsn {
                         // Covered by the snapshot (stale segment surviving
                         // an interrupted prune).
                         continue;
+                    }
+                    if lsn <= snapshot_lsn {
+                        // A checkpoint cuts the log between frames, so no
+                        // intact frame can hold LSNs on both sides of it.
+                        return Err(Error::corruption(format!(
+                            "{name}: the run at LSN {lsn} covers LSNs {lsn}..={last}, across \
+                             the snapshot's LSN {snapshot_lsn}"
+                        )));
                     }
                     if lsn != scan.last_lsn + 1 {
                         scan.torn = true;
@@ -594,8 +605,8 @@ pub(crate) fn scan_wal<K: WalCodec, V: WalCodec>(
                             .get_or_insert("LSN discontinuity inside segment");
                         break;
                     }
-                    scan.last_lsn = lsn;
-                    scan.tail.push(op);
+                    scan.last_lsn = last;
+                    scan.tail.push((lsn, logged));
                     contributed = true;
                 }
             }
@@ -619,6 +630,19 @@ mod tests {
 
     fn wal(storage: Arc<MemStorage>, tuning: WalTuning) -> Wal {
         Wal::resume(storage, tuning, 0, 0, 1)
+    }
+
+    /// The scanned tail as the ops it replays, a run spelled out as its
+    /// inserts.
+    fn ops(scan: &WalScan<u64, u64>) -> Vec<WalOp<u64, u64>> {
+        let mut ops = Vec::new();
+        for (_, logged) in &scan.tail {
+            match logged {
+                Logged::Op(op) => ops.push(op.clone()),
+                Logged::Run(run) => ops.extend(run.iter().map(|&(k, v)| WalOp::Insert(k, v))),
+            }
+        }
+        ops
     }
 
     #[test]
@@ -658,13 +682,48 @@ mod tests {
         assert_eq!(scan.last_lsn, 3);
         assert!(!scan.torn);
         assert_eq!(
-            scan.tail,
+            ops(&scan),
             vec![WalOp::Insert(1, 10), WalOp::Insert(2, 20), WalOp::Delete(1)]
         );
         let m = w.metrics().snapshot();
         assert_eq!(m.wal_appends, 3);
         assert_eq!(m.wal_fsyncs, 1);
         assert_eq!(m.group_commit_size.count(), 1);
+    }
+
+    #[cfg_attr(feature = "inject-wal-bug", ignore = "framing bug injected")]
+    #[test]
+    fn a_run_frame_takes_one_lsn_per_entry() {
+        let storage = mem();
+        let w = wal(storage.clone(), WalTuning::default());
+        w.append::<u64, u64>(&[WalOp::Insert(1, 10)]).unwrap();
+        let run: Vec<(u64, u64)> = (2..=6).map(|k| (k, k * 10)).collect();
+        assert_eq!(w.append_inserts(&run).unwrap(), 6);
+        assert_eq!(w.append::<u64, u64>(&[WalOp::Delete(3)]).unwrap(), 7);
+        w.commit(7).unwrap();
+        assert_eq!(w.metrics().snapshot().wal_appends, 7);
+        assert_eq!(w.metrics().snapshot().group_commit_size.sum_ns, 7);
+
+        let crashed = storage.crash_durable_only();
+        let scan = scan_wal::<u64, u64>(&crashed, 0, 0).unwrap();
+        assert_eq!((scan.last_lsn, scan.torn), (7, false));
+        assert_eq!(
+            scan.tail,
+            vec![
+                (1, Logged::Op(WalOp::Insert(1, 10))),
+                (2, Logged::Run(run)),
+                (7, Logged::Op(WalOp::Delete(3))),
+            ]
+        );
+        // A snapshot at the run's last LSN covers it; one inside it cannot
+        // exist, so a frame across it is corruption naming the frame.
+        let scan = scan_wal::<u64, u64>(&crashed, 6, 0).unwrap();
+        assert_eq!(scan.tail, vec![(7, Logged::Op(WalOp::Delete(3)))]);
+        for inside in 2..6 {
+            let err = scan_wal::<u64, u64>(&crashed, inside, 0).err().unwrap();
+            assert_eq!(err.kind(), "corruption", "{err}");
+            assert!(err.to_string().contains("LSN 2"), "{err}");
+        }
     }
 
     #[cfg_attr(feature = "inject-wal-bug", ignore = "framing bug injected")]
@@ -764,7 +823,7 @@ mod tests {
         // continues at LSN 2 — both must replay.
         let scan = scan_wal::<u64, u64>(&crashed.crash_durable_only(), 0, 0).unwrap();
         assert_eq!(scan.last_lsn, 2);
-        assert_eq!(scan.tail, vec![WalOp::Insert(1, 10), WalOp::Insert(3, 30)]);
+        assert_eq!(ops(&scan), vec![WalOp::Insert(1, 10), WalOp::Insert(3, 30)]);
     }
 
     /// Delegates to a [`MemStorage`] but fails appends while armed, after
@@ -858,7 +917,7 @@ mod tests {
         let image = storage.inner.crash(usize::MAX);
         let scan = scan_wal::<u64, u64>(&image, 0, 0).unwrap();
         assert_eq!(scan.last_lsn, 1);
-        assert_eq!(scan.tail, vec![WalOp::Insert(1, 10)]);
+        assert_eq!(ops(&scan), vec![WalOp::Insert(1, 10)]);
         assert!(scan.torn, "the partial frame reads as a torn tail");
     }
 

@@ -6,9 +6,10 @@
 //! asserts recovery lands on exactly the records before the damage.
 //!
 //! The opposite case is pinned too: a frame whose CRC *verifies* but which
-//! this open cannot read (a retired kind, other key/value widths) is a
-//! completed write, not damage — the open fails instead of dropping it and
-//! everything after it as a "torn tail".
+//! this open cannot read (a retired kind, other key/value widths, a run of
+//! the wrong shape or across the snapshot's LSN) is a completed write, not
+//! damage — the open fails instead of dropping it and everything after it
+//! as a "torn tail".
 
 #![cfg(not(feature = "inject-wal-bug"))]
 
@@ -41,6 +42,12 @@ fn one_segment_image(n: u64) -> (Arc<MemStorage>, String, Vec<u8>) {
         d.insert(k, k * 10);
     }
     drop(d);
+    let (name, bytes) = only_segment(&storage);
+    (storage, name, bytes)
+}
+
+/// The name and bytes of the one WAL segment on `storage`.
+fn only_segment(storage: &MemStorage) -> (String, Vec<u8>) {
     let mut segments: Vec<String> = storage
         .list()
         .unwrap()
@@ -50,7 +57,7 @@ fn one_segment_image(n: u64) -> (Arc<MemStorage>, String, Vec<u8>) {
     assert_eq!(segments.len(), 1, "fits one segment: {segments:?}");
     let name = segments.pop().unwrap();
     let bytes = storage.read(&name).unwrap();
-    (storage, name, bytes)
+    (name, bytes)
 }
 
 /// Re-installs `bytes` as the only copy of `name` on a fresh store.
@@ -212,6 +219,103 @@ fn a_retired_kind_with_a_valid_crc_fails_the_open() {
             "{msg}"
         );
     }
+}
+
+/// A run frame's body: `count`, then `(k, k * 10)` for each key.
+fn run_body(count: u32, keys: &[u64]) -> Vec<u8> {
+    let mut body = count.to_le_bytes().to_vec();
+    for k in keys {
+        body.extend(k.to_le_bytes());
+        body.extend((k * 10).to_le_bytes());
+    }
+    body
+}
+
+const KIND_RUN: u8 = 9;
+
+#[test]
+fn a_log_cut_inside_its_final_run_frame_recovers_none_of_the_run() {
+    // Five single inserts, then a batch of eight: one 149-byte run frame.
+    let storage = Arc::new(MemStorage::new());
+    let (mut d, _) = open(storage.clone());
+    for k in 0..5 {
+        d.insert(k, k * 10);
+    }
+    let boundary = storage.total_appended();
+    d.insert_batch(&(5..13u64).map(|k| (k, k * 10)).collect::<Vec<_>>());
+    drop(d);
+    let (name, bytes) = only_segment(&storage);
+    assert_eq!(bytes.len(), boundary + 21 + 8 * 16);
+
+    // The batch was acknowledged as a whole, so it recovers as a whole:
+    // every cut inside its frame keeps the five records before it and
+    // none of its eight.
+    assert_recovers_prefix(image_with(&name, bytes[..boundary].to_vec()), 5, false);
+    for cut in boundary + 1..bytes.len() {
+        assert_recovers_prefix(image_with(&name, bytes[..cut].to_vec()), 5, true);
+    }
+    assert_recovers_prefix(image_with(&name, bytes), 13, false);
+}
+
+#[test]
+fn a_run_frame_that_checks_out_but_cannot_be_read_fails_the_open() {
+    let (_, name, bytes) = one_segment_image(3);
+    let mut ragged = run_body(2, &[3, 4]);
+    ragged.push(0);
+    let unreadable = [
+        run_body(1, &[3]),       // a run of one
+        run_body(0, &[]),        // a run of none
+        run_body(3, &[3, 4]),    // fewer entries than counted
+        run_body(2, &[3, 4, 5]), // more entries than counted
+        ragged,                  // not a whole number of entries
+    ];
+    for body in unreadable {
+        let mut log = bytes.clone();
+        log.extend(raw_frame(4, KIND_RUN, &body));
+        let err = Durable::open(
+            image_with(&name, log) as Arc<dyn Storage>,
+            DurabilityConfig::group_commit(),
+            builder(),
+        )
+        .map(drop)
+        .unwrap_err();
+        assert_eq!(err.kind(), "corruption", "{err}");
+        let msg = err.to_string();
+        assert!(
+            msg.contains("LSN 4") && msg.contains("kind 9") && msg.contains(&name),
+            "{msg}"
+        );
+    }
+}
+
+#[test]
+fn a_run_frame_across_the_snapshot_lsn_fails_the_open() {
+    // A snapshot at LSN 5, and after it a CRC-valid run claiming LSNs
+    // 4..=6 where the log's own insert at LSN 6 was.
+    let storage = Arc::new(MemStorage::new());
+    let (mut d, _) = open(storage.clone());
+    for k in 0..5 {
+        d.insert(k, k * 10);
+    }
+    d.checkpoint::<u64, u64>().unwrap();
+    d.insert(5, 50);
+    drop(d);
+    let (name, bytes) = only_segment(&storage);
+    let mut log = bytes[..34].to_vec();
+    log.extend(raw_frame(4, KIND_RUN, &run_body(3, &[5, 6, 7])));
+    storage.remove(&name).unwrap();
+    storage.install(&name, log);
+
+    let err = Durable::open(
+        storage as Arc<dyn Storage>,
+        DurabilityConfig::group_commit(),
+        builder(),
+    )
+    .map(drop)
+    .unwrap_err();
+    assert_eq!(err.kind(), "corruption", "{err}");
+    let msg = err.to_string();
+    assert!(msg.contains("LSN 4") && msg.contains(&name), "{msg}");
 }
 
 #[test]

@@ -2,13 +2,19 @@
 //! paged snapshot (`.qpsf`) exactly as the commit *before* the shared
 //! slicing CRC-32 kernel wrote them (`tests/fixtures/`, produced by the op
 //! sequences below). Every stored checksum came from the old bitwise and
-//! one-table loops, so these files opening proves the new kernel computes
-//! the same function; the same ops writing the same bytes proves no format
-//! moved.
+//! one-table loops, so these files opening proves the kernels since — the
+//! slicing table and, on a snapshot chunk or a page, the carry-less
+//! multiply — compute the same function; the same ops writing the same
+//! bytes proves no format moved.
 //!
 //! `fixtures/txn` is a `TxnStore` directory (a commit-timestamped snapshot
 //! and a log of `Commit` frames), written when the transactional log became
 //! one frame per commit; two exact frame sizes are pinned beside it.
+//!
+//! `fixtures/sorted` logs its 3-entry batch as three insert frames, as
+//! every version before run frames did, and must keep opening.
+//! `fixtures/sorted-runs` is what the same ops write now: the same
+//! `.qsnp`, and a log whose only difference is that batch, one run frame.
 
 #![cfg(not(feature = "inject-wal-bug"))]
 
@@ -29,6 +35,17 @@ const SORTED: [(&str, &[u8]); 2] = [
     (
         "wal-00000001-00000000.log",
         include_bytes!("fixtures/sorted/wal-00000001-00000000.log"),
+    ),
+];
+
+const SORTED_RUNS: [(&str, &[u8]); 2] = [
+    (
+        "snap-00000001.qsnp",
+        include_bytes!("fixtures/sorted-runs/snap-00000001.qsnp"),
+    ),
+    (
+        "wal-00000001-00000000.log",
+        include_bytes!("fixtures/sorted-runs/wal-00000001-00000000.log"),
     ),
 ];
 
@@ -165,6 +182,29 @@ fn golden_sorted_snapshot_and_wal_open() {
 }
 
 #[test]
+fn golden_sorted_runs_open_to_the_same_state() {
+    let (mut old, old_report) = open_sorted(&installed(&SORTED));
+    let (mut new, new_report) = open_sorted(&installed(&SORTED_RUNS));
+    // The batch's three LSNs are one frame now, and still three LSNs.
+    let report = |r: &RecoveryReport| {
+        (
+            r.snapshot_entries,
+            r.snapshot_lsn,
+            r.tail_records,
+            r.recovered_lsn,
+            r.torn_tail,
+        )
+    };
+    assert_eq!(report(&new_report), report(&old_report));
+    assert_eq!(report(&new_report), (38, 42, 14, 56, false));
+    assert_eq!(
+        new.range(..).collect::<Vec<_>>(),
+        old.range(..).collect::<Vec<_>>()
+    );
+    assert_eq!(SORTED_RUNS[0].1, SORTED[0].1, "the snapshot is unchanged");
+}
+
+#[test]
 fn golden_paged_snapshot_and_wal_open() {
     let (mut d, report) = open_paged(&installed(&PAGED));
     assert_eq!(report.snapshot_entries, 59);
@@ -220,12 +260,32 @@ fn commit_frames_have_these_exact_sizes() {
 }
 
 #[test]
+fn run_frames_have_these_exact_sizes() {
+    let storage = Arc::new(MemStorage::new());
+    let (mut d, _) = open_sorted(&storage);
+    d.insert(0, 0);
+    // A 1-entry batch is a plain insert record: 8 frame header + 8 LSN +
+    // 1 kind + 16 for the (u64, u64) entry.
+    let before = storage.total_appended();
+    d.insert_batch(&[(1, 10)]);
+    assert_eq!(storage.total_appended() - before, 33);
+
+    // A longer batch is one run frame: 8 + 8 + 1 kind + 4 count, then 16
+    // per entry.
+    let before = storage.total_appended();
+    d.insert_batch(&(100..164u64).map(|k| (k, k)).collect::<Vec<_>>());
+    assert_eq!(storage.total_appended() - before, 21 + 64 * 16);
+    assert_eq!(21 + 64 * 16, 1045);
+    assert_eq!(d.wal().last_lsn(), 2 + 64);
+}
+
+#[test]
 fn the_same_ops_still_write_the_golden_bytes() {
     let storage = Arc::new(MemStorage::new());
     let (mut d, _) = open_sorted(&storage);
     write_sorted(&mut d);
     drop(d);
-    assert_same_files(&storage, &SORTED);
+    assert_same_files(&storage, &SORTED_RUNS);
 
     let storage = Arc::new(MemStorage::new());
     let (mut d, _) = open_paged(&storage);
