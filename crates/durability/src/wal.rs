@@ -31,6 +31,12 @@
 //! leader — one fsync per group, not per record, which is what lets the
 //! durable ingest path keep up with `ConcurrentTree`'s OLC write path.
 //!
+//! On a fast device the leader's own bookkeeping is most of a commit, so
+//! it does none it need not: a lone committer wakes nobody (the leader
+//! notifies only when a follower is counted as parked), the active
+//! segment's name is formatted once per segment, and the append buffer
+//! keeps its capacity from one flush to the next.
+//!
 //! ## Failure poisoning
 //!
 //! A storage `append` that fails may have landed a partial copy of its
@@ -38,8 +44,8 @@
 //! pages (retrying an fsync after a failure can succeed without the data
 //! being durable). Either way the segment can no longer be trusted to
 //! carry a contiguous, durable LSN chain, so the WAL **poisons** itself:
-//! the pending frames are restored (nothing is silently dropped, so the
-//! LSN sequence never gains a gap), and every subsequent `append`,
+//! the pending frames stay in the buffer (a failed flush consumes nothing,
+//! so the LSN sequence never gains a gap), and every subsequent `append`,
 //! `flush` or `commit` — from *any* thread — fails with an error instead
 //! of acking records that recovery could never replay.
 
@@ -132,8 +138,15 @@ struct WalState {
     /// True while some thread is the group-commit leader (fsyncing outside
     /// the lock).
     leader_active: bool,
+    /// Committers parked on `durable_cv`. A leader wakes the group only
+    /// when this is non-zero: a futex wake with nobody parked still costs
+    /// a syscall, which a lone committer would otherwise pay every time.
+    waiters: usize,
     generation: u64,
     seg_seq: u64,
+    /// `seg_name(generation, seg_seq)`, formatted once per segment; the
+    /// leader clones it for its unlocked fsync.
+    seg_name: Arc<str>,
     /// Whether the current `(generation, seg_seq)` segment has its header
     /// written.
     seg_open: bool,
@@ -143,6 +156,18 @@ struct WalState {
     /// prove a contiguous durable LSN chain, so every further operation
     /// fails (see the module docs).
     poisoned: bool,
+}
+
+impl WalState {
+    /// Makes `(generation, seq)` the active segment, its header not yet
+    /// written.
+    fn switch_segment(&mut self, generation: u64, seq: u64) {
+        self.generation = generation;
+        self.seg_seq = seq;
+        self.seg_name = seg_name(generation, seq).into();
+        self.seg_open = false;
+        self.seg_bytes = 0;
+    }
 }
 
 fn poison_err() -> Error {
@@ -183,8 +208,10 @@ impl Wal {
                 durable_lsn: next_lsn - 1,
                 unsynced_records: 0,
                 leader_active: false,
+                waiters: 0,
                 generation,
                 seg_seq: seq,
+                seg_name: seg_name(generation, seq).into(),
                 seg_open: false,
                 seg_bytes: 0,
                 poisoned: false,
@@ -302,9 +329,17 @@ impl Wal {
     }
 
     /// Blocks until `lsn` is durable, becoming the group-commit leader if
-    /// none is running: flush, one fsync for the whole group, wake everyone.
+    /// none is running: flush, one fsync for the whole group, wake whoever
+    /// parked. An `lsn` past [`last_lsn`](Self::last_lsn) is an error: no
+    /// fsync could ever make it durable.
     pub fn commit(&self, lsn: Lsn) -> Result<()> {
         let mut st = self.state.lock().unwrap();
+        if lsn >= st.next_lsn {
+            return Err(Error::wal(format!(
+                "commit of LSN {lsn}, but the last LSN assigned is {}",
+                st.next_lsn - 1
+            )));
+        }
         while st.durable_lsn < lsn {
             if st.poisoned {
                 // Without this, waiters would park forever: a poisoned
@@ -314,24 +349,22 @@ impl Wal {
             if st.leader_active {
                 // A leader's fsync is in flight; it (or the next leader)
                 // will cover us. Wait for the watermark to move.
+                st.waiters += 1;
                 st = self.durable_cv.wait(st).unwrap();
+                st.waiters -= 1;
                 continue;
             }
             st.leader_active = true;
             let flushed = self.flush_locked(&mut st);
             let target = st.written_lsn;
             let group = st.unsynced_records;
-            let seg = seg_name(st.generation, st.seg_seq);
-            let seg_open = st.seg_open;
+            let seg = st.seg_open.then(|| st.seg_name.clone());
             drop(st);
 
             // One fsync for every record flushed so far — the group.
-            let synced = flushed.and_then(|()| {
-                if seg_open {
-                    self.storage.sync(&seg).map_err(Error::from)
-                } else {
-                    Ok(())
-                }
+            let synced = flushed.and_then(|()| match &seg {
+                Some(seg) => self.storage.sync(seg).map_err(Error::from),
+                None => Ok(()),
             });
 
             let mut st2 = self.state.lock().unwrap();
@@ -352,7 +385,12 @@ impl Wal {
                 // data is gone. Poison so no writer ever acks past this.
                 st2.poisoned = true;
             }
-            self.durable_cv.notify_all();
+            // Every waiter counted here parked under this lock, so none
+            // can miss the wake; a committer that arrives later finds no
+            // leader and leads itself.
+            if st2.waiters > 0 {
+                self.durable_cv.notify_all();
+            }
             synced?;
             st = st2;
         }
@@ -372,18 +410,15 @@ impl Wal {
         // Rotate a full segment before this batch (sync it first so the
         // durable watermark can never point past an unsynced old segment).
         if st.seg_open && st.seg_bytes >= self.tuning.segment_bytes {
-            if let Err(e) = self.storage.sync(&seg_name(st.generation, st.seg_seq)) {
+            if let Err(e) = self.storage.sync(&st.seg_name) {
                 st.poisoned = true;
                 return Err(e.into());
             }
-            st.seg_seq += 1;
-            st.seg_open = false;
-            st.seg_bytes = 0;
+            st.switch_segment(st.generation, st.seg_seq + 1);
         }
-        let seg = seg_name(st.generation, st.seg_seq);
         if !st.seg_open {
             let header = encode_seg_header(st.generation, st.seg_seq, st.written_lsn + 1);
-            if let Err(e) = self.storage.append(&seg, &header) {
+            if let Err(e) = self.storage.append(&st.seg_name, &header) {
                 // The segment may hold a partial header; nothing from
                 // `pending` was consumed, but the file is no longer
                 // trustworthy — poison rather than write frames behind a
@@ -394,18 +429,17 @@ impl Wal {
             st.seg_open = true;
             st.seg_bytes = header.len();
         }
-        let pending = std::mem::take(&mut st.pending);
-        if let Err(e) = self.storage.append(&seg, &pending) {
+        if let Err(e) = self.storage.append(&st.seg_name, &st.pending) {
             // The segment may now hold a partial copy of these frames.
-            // Restore them so the assigned LSNs are never dropped (no
-            // gap), and poison: re-appending after partial garbage would
-            // put the frames behind a torn tail where recovery's
-            // same-segment scan can never reach them.
-            st.pending = pending;
+            // They stay in `pending`, so the assigned LSNs are never
+            // dropped (no gap); poison, because re-appending after partial
+            // garbage would put the frames behind a torn tail where
+            // recovery's same-segment scan can never reach them.
             st.poisoned = true;
             return Err(e.into());
         }
-        st.seg_bytes += pending.len();
+        st.seg_bytes += st.pending.len();
+        st.pending.clear();
         st.written_lsn = st.next_lsn - 1;
         st.unsynced_records += st.pending_records;
         st.pending_records = 0;
@@ -444,7 +478,7 @@ impl Wal {
         let mut st = self.state.lock().unwrap();
         self.flush_locked(&mut st)?;
         if st.seg_open {
-            if let Err(e) = self.storage.sync(&seg_name(st.generation, st.seg_seq)) {
+            if let Err(e) = self.storage.sync(&st.seg_name) {
                 st.poisoned = true;
                 return Err(e.into());
             }
@@ -455,10 +489,7 @@ impl Wal {
         let old_generation = st.generation;
         let new_generation = old_generation + 1;
         write_snapshot(&*self.storage, new_generation, snapshot_lsn)?;
-        st.generation = new_generation;
-        st.seg_seq = 0;
-        st.seg_open = false;
-        st.seg_bytes = 0;
+        st.switch_segment(new_generation, 0);
         if prune {
             for name in self.storage.list()? {
                 let stale_segment = parse_seg_name(&name).is_some_and(|(g, _)| g <= old_generation);
@@ -919,6 +950,198 @@ mod tests {
         assert_eq!(scan.last_lsn, 1);
         assert_eq!(ops(&scan), vec![WalOp::Insert(1, 10)]);
         assert!(scan.torn, "the partial frame reads as a torn tail");
+    }
+
+    #[test]
+    fn committing_an_unassigned_lsn_is_an_error_not_an_endless_leader() {
+        let w = wal(mem(), WalTuning::default());
+        let last = w.append::<u64, u64>(&[WalOp::Insert(1, 10)]).unwrap();
+        let err = w.commit(last + 5).unwrap_err();
+        assert_eq!(err.kind(), "wal", "{err}");
+        let msg = err.to_string();
+        assert!(
+            msg.contains("LSN 6") && msg.contains("assigned is 1"),
+            "{msg}"
+        );
+        assert_eq!(w.metrics().snapshot().wal_fsyncs, 0, "no leader ran");
+        assert_eq!(w.durable_lsn(), 0);
+        // The refusal poisons nothing: the assigned LSN still commits.
+        w.commit(last).unwrap();
+        assert_eq!(w.durable_lsn(), last);
+    }
+
+    /// Delegates to a [`MemStorage`], but every `sync` blocks until the test
+    /// sends the outcome it should report — a device that holds the leader
+    /// mid-fsync for as long as the test needs.
+    struct GatedSyncStorage {
+        inner: MemStorage,
+        outcomes: Mutex<std::sync::mpsc::Receiver<io::Result<()>>>,
+    }
+
+    impl Storage for GatedSyncStorage {
+        fn append(&self, file: &str, bytes: &[u8]) -> io::Result<()> {
+            self.inner.append(file, bytes)
+        }
+
+        fn sync(&self, file: &str) -> io::Result<()> {
+            let outcome = self.outcomes.lock().unwrap().recv().unwrap();
+            outcome.and_then(|()| self.inner.sync(file))
+        }
+
+        fn read(&self, file: &str) -> io::Result<Vec<u8>> {
+            self.inner.read(file)
+        }
+
+        fn list(&self) -> io::Result<Vec<String>> {
+            self.inner.list()
+        }
+
+        fn remove(&self, file: &str) -> io::Result<()> {
+            self.inner.remove(file)
+        }
+
+        fn rename(&self, from: &str, to: &str) -> io::Result<()> {
+            self.inner.rename(from, to)
+        }
+    }
+
+    /// Parks a follower behind a leader held mid-fsync, releases the fsync
+    /// with `outcome`, and returns `(leader, follower)` results. LSNs 1 and
+    /// 2 are appended first, so the leader (committing 1) flushes both and
+    /// its fsync covers the follower (committing 2). A follower that is
+    /// never woken fails the test instead of hanging it.
+    fn park_a_follower_then_sync(
+        outcome: io::Result<()>,
+    ) -> (Arc<Wal>, Arc<GatedSyncStorage>, Result<()>, Result<()>) {
+        let (release, outcomes) = std::sync::mpsc::channel();
+        let storage = Arc::new(GatedSyncStorage {
+            inner: MemStorage::new(),
+            outcomes: Mutex::new(outcomes),
+        });
+        let w = Arc::new(Wal::resume(storage.clone(), WalTuning::default(), 0, 0, 1));
+        w.append::<u64, u64>(&[WalOp::Insert(1, 10), WalOp::Insert(2, 20)])
+            .unwrap();
+        let poll = |what: &str, done: &dyn Fn(&WalState) -> bool| {
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+            while !done(&w.state.lock().unwrap()) {
+                assert!(std::time::Instant::now() < deadline, "{what}");
+                std::thread::yield_now();
+            }
+        };
+        // Spawned rather than scoped, so that a committer parked for good
+        // fails the receive below instead of hanging the test; each is
+        // joined once it has reported.
+        let (done, results) = std::sync::mpsc::channel();
+        let mut committers = Vec::new();
+        for (role, lsn) in [("leader", 1), ("follower", 2)] {
+            let (w, done) = (w.clone(), done.clone());
+            committers.push(std::thread::spawn(move || {
+                done.send((role, w.commit(lsn))).unwrap()
+            }));
+            if role == "leader" {
+                poll("the leader never reached its fsync", &|st| st.leader_active);
+            }
+        }
+        poll("the follower never parked", &|st| st.waiters == 1);
+        release.send(outcome).unwrap();
+        let (mut leader, mut follower) = (None, None);
+        for _ in 0..2 {
+            let (role, result) = results
+                .recv_timeout(std::time::Duration::from_secs(10))
+                .expect("a parked committer was never woken");
+            match role {
+                "leader" => leader = Some(result),
+                _ => follower = Some(result),
+            }
+        }
+        for committer in committers {
+            committer.join().unwrap();
+        }
+        assert_eq!(w.state.lock().unwrap().waiters, 0);
+        (w, storage, leader.unwrap(), follower.unwrap())
+    }
+
+    #[test]
+    fn a_parked_follower_is_woken_by_the_leader_s_fsync() {
+        let (w, storage, leader, follower) = park_a_follower_then_sync(Ok(()));
+        leader.unwrap();
+        follower.unwrap();
+        assert_eq!(w.durable_lsn(), 2, "the follower's LSN is durable");
+        assert_eq!(
+            w.metrics().snapshot().wal_fsyncs,
+            1,
+            "one fsync covered both committers"
+        );
+        let scan = scan_wal::<u64, u64>(&storage.inner.crash_durable_only(), 0, 0).unwrap();
+        assert_eq!(scan.last_lsn, 2);
+    }
+
+    #[test]
+    fn a_parked_follower_is_woken_by_a_failed_fsync_and_poisoned() {
+        let (w, _storage, leader, follower) =
+            park_a_follower_then_sync(Err(io::Error::other("injected fsync failure")));
+        assert_eq!(leader.unwrap_err().kind(), "io");
+        assert!(matches!(follower, Err(Error::Poisoned)), "{follower:?}");
+        assert_eq!(w.durable_lsn(), 0);
+    }
+
+    #[cfg_attr(feature = "inject-wal-bug", ignore = "framing bug injected")]
+    #[test]
+    fn segment_names_follow_rotations_and_checkpoints() {
+        let storage = mem();
+        // One record per segment: a 34-byte header plus one 33-byte insert
+        // frame already exceeds 64 bytes, so every flush rotates.
+        let w = wal(
+            storage.clone(),
+            WalTuning {
+                segment_bytes: 64,
+                buffer_bytes: 0,
+            },
+        );
+        let commit_one = |k: u64| {
+            let lsn = w.append::<u64, u64>(&[WalOp::Insert(k, k * 10)]).unwrap();
+            w.commit(lsn).unwrap();
+            lsn
+        };
+        let before: Vec<u64> = (0..5).collect();
+        for &k in &before {
+            commit_one(k);
+        }
+        let entries: Vec<(u64, u64)> = before.iter().map(|&k| (k, k * 10)).collect();
+        w.checkpoint(&entries, 2, false).unwrap();
+        for k in 5..12 {
+            commit_one(k);
+        }
+
+        let mut expected: Vec<String> = (0..5).map(|s| seg_name(0, s)).collect();
+        expected.extend((0..7).map(|s| seg_name(1, s)));
+        expected.push(crate::snapshot::snap_name(1));
+        expected.sort();
+        let mut names = storage.list().unwrap();
+        names.sort();
+        assert_eq!(names, expected);
+        assert_eq!(names[0], "snap-00000001.qsnp");
+        assert_eq!(names[1], "wal-00000000-00000000.log");
+
+        // Every committed LSN survives the harshest crash: the snapshot
+        // covers 1..=5, the generation-1 segments continue at 6.
+        let crashed = storage.crash_durable_only();
+        let snap = crate::snapshot::read_snapshot::<u64, u64>(
+            &crashed.read(&crate::snapshot::snap_name(1)).unwrap(),
+        )
+        .unwrap();
+        assert_eq!(snap, (1, 5, entries));
+        let scan = scan_wal::<u64, u64>(&crashed, 5, 1).unwrap();
+        assert_eq!((scan.last_lsn, scan.torn), (12, false));
+        assert_eq!(
+            ops(&scan),
+            (5..12)
+                .map(|k| WalOp::Insert(k, k * 10))
+                .collect::<Vec<_>>()
+        );
+        assert_eq!((scan.resume_generation, scan.resume_seq), (1, 7));
+        let scan = scan_wal::<u64, u64>(&crashed, 0, 0).unwrap();
+        assert_eq!((scan.last_lsn, scan.tail.len()), (12, 12));
     }
 
     #[cfg_attr(feature = "inject-wal-bug", ignore = "framing bug injected")]
