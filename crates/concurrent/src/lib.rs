@@ -49,4 +49,4 @@ mod tree;
 pub use mvcc::{MvccTree, StripeGuards};
 pub use node::{CNode, NodeRef};
 pub use quit_core::StorageKind;
-pub use tree::{ConcConfig, ConcRangeIter, ConcurrentTree};
+pub use tree::{ConcConfig, ConcRangeIter, ConcurrentTree, OLC_MAX_RESTARTS};

@@ -11,7 +11,7 @@
 //!   `olc::leaf_get`). Inserts latch only the target leaf and
 //!   re-validate via the leaf's own separator bounds. A conflicting writer
 //!   triggers a restart with bounded exponential backoff; when the budget
-//!   (`ConcConfig::olc_max_restarts`) is exhausted the operation falls back
+//!   ([`OLC_MAX_RESTARTS`]) is exhausted the operation falls back
 //!   to the pessimistic paths below. Restarts and fallbacks are counted in
 //!   [`quit_core::Stats::olc_restarts`] / `olc_fallbacks`.
 //! * **Structural writes** (splits) use classical pessimistic lock-crabbing:
@@ -83,15 +83,13 @@ pub struct ConcConfig {
     /// Enable optimistic lock coupling for `get`/`range`/insert descents
     /// (off ⇒ pessimistic lock-crabbing everywhere, the pre-OLC behaviour).
     pub olc_enabled: bool,
-    /// Restarts an optimistic operation tolerates before falling back to
-    /// the pessimistic path (the exponential-backoff budget).
-    pub olc_max_restarts: u32,
 }
 
-/// Default optimistic restart budget. Backoff doubles per restart, so the
-/// budget bounds the worst-case optimistic latency at well under a
-/// millisecond before the operation falls back to pessimistic crabbing.
-const DEFAULT_OLC_MAX_RESTARTS: u32 = 12;
+/// Restarts an optimistic operation tolerates before falling back to the
+/// pessimistic path. Backoff doubles per restart, so the budget bounds the
+/// worst-case optimistic latency at well under a millisecond before the
+/// operation falls back to pessimistic crabbing.
+pub const OLC_MAX_RESTARTS: u32 = 12;
 
 impl ConcConfig {
     /// The concurrent tree over `tree`'s shared knobs, poℓe and OLC on.
@@ -111,7 +109,6 @@ impl ConcConfig {
             tree: tree.with_variable_split(false).with_redistribute(false),
             pole_enabled: true,
             olc_enabled: true,
-            olc_max_restarts: DEFAULT_OLC_MAX_RESTARTS,
         }
     }
 
@@ -140,12 +137,6 @@ impl ConcConfig {
     /// Builder-style toggle of optimistic lock coupling.
     pub fn with_olc(mut self, enabled: bool) -> Self {
         self.olc_enabled = enabled;
-        self
-    }
-
-    /// Builder-style override of the optimistic restart budget.
-    pub fn with_olc_max_restarts(mut self, budget: u32) -> Self {
-        self.olc_max_restarts = budget;
         self
     }
 }
@@ -190,11 +181,10 @@ impl<K: Key, V: Clone> ConcurrentTree<K, V> {
     }
 
     /// Builds a tree from `entries` sorted by key (duplicates allowed),
-    /// bottom-up (§5's bulk load): leaves packed to the configured
-    /// `bulk_fill` of capacity and chained in order, then each internal
-    /// level over the one below at the same fill — no insert, latch or
-    /// split. A leaf is cut only where the key strictly changes, so a
-    /// duplicate run never straddles a separator; a run longer than a
+    /// bottom-up (§5's bulk load): leaves packed full and chained in order,
+    /// then each internal level over the one below, also full — no insert,
+    /// latch or split. A leaf is cut only where the key strictly changes,
+    /// so a duplicate run never straddles a separator; a run longer than a
     /// leaf stays whole in one dense, oversize leaf, the shape the
     /// absorb-overflow path produces. The poℓe is armed at the tail leaf,
     /// with its chain predecessor as `poℓe_prev`, so an in-order stream
@@ -213,7 +203,7 @@ impl<K: Key, V: Clone> ConcurrentTree<K, V> {
         );
         let cfg = &config.tree;
         let len = entries.len();
-        let starts = leaf_starts(&entries, packed(cfg.leaf_capacity, cfg.bulk_fill, 1));
+        let starts = leaf_starts(&entries, cfg.leaf_capacity);
         // The tail's predecessor, as poℓe_prev: its smallest key and size.
         let prev = match starts[..] {
             [.., a, b] => Some((entries[a].0, b - a)),
@@ -254,7 +244,7 @@ impl<K: Key, V: Clone> ConcurrentTree<K, V> {
         }
         // Each internal node routes by the low bounds of its children after
         // the first; sizes are spread evenly so none is left with one child.
-        let fanout = packed(cfg.internal_capacity, cfg.bulk_fill, 2) + 1;
+        let fanout = cfg.internal_capacity + 1;
         while level.len() > 1 {
             let nodes = level.len().div_ceil(fanout);
             let (size, extra) = (level.len() / nodes, level.len() % nodes);
@@ -568,7 +558,7 @@ impl<K: Key, V: Clone> ConcurrentTree<K, V> {
         loop {
             if restarts > 0 {
                 self.metrics.counters.olc_restarts.bump_shared();
-                if restarts > self.config.olc_max_restarts {
+                if restarts > OLC_MAX_RESTARTS {
                     self.metrics.counters.olc_fallbacks.bump_shared();
                     return Err(value);
                 }
@@ -1081,7 +1071,7 @@ impl<K: Key, V: Clone> ConcurrentTree<K, V> {
         'restart: loop {
             if restarts > 0 {
                 self.metrics.counters.olc_restarts.bump_shared();
-                if restarts > self.config.olc_max_restarts {
+                if restarts > OLC_MAX_RESTARTS {
                     self.metrics.counters.olc_fallbacks.bump_shared();
                     return self.get_pessimistic(key);
                 }
@@ -1220,7 +1210,7 @@ impl<K: Key, V: Clone> ConcurrentTree<K, V> {
         loop {
             if restarts > 0 {
                 self.metrics.counters.olc_restarts.bump_shared();
-                if restarts > self.config.olc_max_restarts {
+                if restarts > OLC_MAX_RESTARTS {
                     self.metrics.counters.olc_fallbacks.bump_shared();
                     return None;
                 }
@@ -1456,12 +1446,6 @@ fn check_node<K: Key, V>(
             Ok(())
         }
     }
-}
-
-/// Entries (or separators) a bulk-loaded node holds: `fill` of
-/// `capacity`, at least `min`.
-fn packed(capacity: usize, fill: f64, min: usize) -> usize {
-    ((capacity as f64 * fill).floor() as usize).clamp(min, capacity)
 }
 
 /// Where each bulk-loaded leaf starts in the sorted `entries`: every
@@ -2271,9 +2255,8 @@ mod tests {
         // at its first version read, so one get must count exactly
         // budget + 1 restarts, then one fallback, then complete on the
         // pessimistic path once the lock is released.
-        let budget = 4u32;
-        let t: ConcurrentTree<u64, u64> =
-            ConcurrentTree::new(ConcConfig::small(8).with_olc_max_restarts(budget));
+        let budget = OLC_MAX_RESTARTS;
+        let t: ConcurrentTree<u64, u64> = ConcurrentTree::new(ConcConfig::small(8));
         for k in 0..100u64 {
             t.insert(k, k * 2);
         }
@@ -2299,12 +2282,9 @@ mod tests {
         // Same forced-contention scheme for the insert descent: the
         // optimistic insert exhausts its budget, hands the value back, and
         // the pessimistic crabbing path inserts it exactly once.
-        let budget = 2u32;
-        let t: ConcurrentTree<u64, u64> = ConcurrentTree::new(
-            ConcConfig::small(8)
-                .with_olc_max_restarts(budget)
-                .with_pole(false),
-        );
+        let budget = OLC_MAX_RESTARTS;
+        let t: ConcurrentTree<u64, u64> =
+            ConcurrentTree::new(ConcConfig::small(8).with_pole(false));
         for k in 0..100u64 {
             t.insert(k, k);
         }

@@ -187,81 +187,79 @@ fn leaves(t: &ConcurrentTree<u64, u64>) -> Vec<Vec<u64>> {
 fn bulk_load_packs_leaves_and_keeps_working() {
     let base_seed = 0xB01C_10ADu64;
     println!("seed {base_seed:#x}");
-    for cap in [3usize, 8, 64] {
-        for fill in [1.0, 0.7, 0.5] {
-            for layout in [NodeLayoutKind::Dense, NodeLayoutKind::Gapped] {
-                let seed = base_seed ^ (cap as u64) << 16 ^ (fill * 10.0) as u64 ^ layout as u64;
-                let mut rng = StdRng::seed_from_u64(seed);
-                let what = format!("seed {seed:#x} cap {cap} fill {fill} {layout:?}");
-                // Sorted input with duplicate runs of up to 3 × capacity.
-                let mut entries = Vec::new();
-                let mut key = 0u64;
-                while entries.len() < 40 * cap {
-                    key += rng.gen_range(1..5u64);
-                    let copies = if rng.gen_bool(0.1) {
-                        rng.gen_range(2..=3 * cap)
-                    } else {
-                        1
-                    };
-                    for _ in 0..copies {
-                        entries.push((key, entries.len() as u64));
-                    }
+    // Leaves are packed full, so the capacities also cover the leaf sizes
+    // a partial fill would give (2 of 3, 5 and 4 of 8, 44 and 32 of 64).
+    for cap in [2usize, 3, 4, 5, 8, 32, 44, 64] {
+        for layout in [NodeLayoutKind::Dense, NodeLayoutKind::Gapped] {
+            let seed = base_seed ^ (cap as u64) << 16 ^ layout as u64;
+            let mut rng = StdRng::seed_from_u64(seed);
+            let what = format!("seed {seed:#x} cap {cap} {layout:?}");
+            // Sorted input with duplicate runs of up to 3 × capacity.
+            let mut entries = Vec::new();
+            let mut key = 0u64;
+            while entries.len() < 40 * cap {
+                key += rng.gen_range(1..5u64);
+                let copies = if rng.gen_bool(0.1) {
+                    rng.gen_range(2..=3 * cap)
+                } else {
+                    1
+                };
+                for _ in 0..copies {
+                    entries.push((key, entries.len() as u64));
                 }
-                let mut model: BTreeMap<u64, usize> = BTreeMap::new();
-                for &(k, _) in &entries {
-                    *model.entry(k).or_default() += 1;
-                }
-                let tree = TreeConfig::small(cap)
-                    .with_bulk_fill(fill)
-                    .with_node_layout(layout);
-                let t = ConcurrentTree::bulk_load(ConcConfig::from_tree(tree), entries.clone());
-                t.check_consistency()
-                    .unwrap_or_else(|e| panic!("{what}: {e}"));
-                assert!(t.collect_all() == entries, "{what}: contents");
-
-                let per_leaf = ((cap as f64 * fill).floor() as usize).max(1);
-                let leaves = leaves(&t);
-                for (i, pair) in leaves.windows(2).enumerate() {
-                    let (leaf, next) = (&pair[0], &pair[1]);
-                    assert!(
-                        leaf.last() < next.first(),
-                        "{what}: a duplicate run straddles leaves {i} and {}",
-                        i + 1
-                    );
-                    let one_run = leaf.first() == leaf.last();
-                    let before_a_run = model[&next[0]] > 1;
-                    assert!(
-                        leaf.len() == per_leaf || one_run || before_a_run,
-                        "{what}: leaf {i} holds {} entries, not {per_leaf}",
-                        leaf.len()
-                    );
-                }
-
-                // The bulk-loaded tree keeps working under mixed traffic.
-                let max = key;
-                for step in 0..10_000 {
-                    let k = rng.gen_range(0..max + 100);
-                    if rng.gen_bool(0.6) {
-                        t.insert(k, step);
-                        *model.entry(k).or_default() += 1;
-                    } else {
-                        let present = model.get(&k).is_some_and(|&c| c > 0);
-                        assert_eq!(t.delete(k).is_some(), present, "{what} step {step}");
-                        if present {
-                            *model.get_mut(&k).unwrap() -= 1;
-                        }
-                    }
-                }
-                t.check_consistency()
-                    .unwrap_or_else(|e| panic!("{what}: {e}"));
-                let want: Vec<u64> = model
-                    .iter()
-                    .flat_map(|(&k, &c)| std::iter::repeat_n(k, c))
-                    .collect();
-                let got: Vec<u64> = t.collect_all().into_iter().map(|(k, _)| k).collect();
-                assert!(got == want, "{what}: contents after mixed traffic");
-                assert_eq!(t.len(), want.len(), "{what}");
             }
+            let mut model: BTreeMap<u64, usize> = BTreeMap::new();
+            for &(k, _) in &entries {
+                *model.entry(k).or_default() += 1;
+            }
+            let tree = TreeConfig::small(cap).with_node_layout(layout);
+            let t = ConcurrentTree::bulk_load(ConcConfig::from_tree(tree), entries.clone());
+            t.check_consistency()
+                .unwrap_or_else(|e| panic!("{what}: {e}"));
+            assert!(t.collect_all() == entries, "{what}: contents");
+
+            let per_leaf = cap;
+            let leaves = leaves(&t);
+            for (i, pair) in leaves.windows(2).enumerate() {
+                let (leaf, next) = (&pair[0], &pair[1]);
+                assert!(
+                    leaf.last() < next.first(),
+                    "{what}: a duplicate run straddles leaves {i} and {}",
+                    i + 1
+                );
+                let one_run = leaf.first() == leaf.last();
+                let before_a_run = model[&next[0]] > 1;
+                assert!(
+                    leaf.len() == per_leaf || one_run || before_a_run,
+                    "{what}: leaf {i} holds {} entries, not {per_leaf}",
+                    leaf.len()
+                );
+            }
+
+            // The bulk-loaded tree keeps working under mixed traffic.
+            let max = key;
+            for step in 0..10_000 {
+                let k = rng.gen_range(0..max + 100);
+                if rng.gen_bool(0.6) {
+                    t.insert(k, step);
+                    *model.entry(k).or_default() += 1;
+                } else {
+                    let present = model.get(&k).is_some_and(|&c| c > 0);
+                    assert_eq!(t.delete(k).is_some(), present, "{what} step {step}");
+                    if present {
+                        *model.get_mut(&k).unwrap() -= 1;
+                    }
+                }
+            }
+            t.check_consistency()
+                .unwrap_or_else(|e| panic!("{what}: {e}"));
+            let want: Vec<u64> = model
+                .iter()
+                .flat_map(|(&k, &c)| std::iter::repeat_n(k, c))
+                .collect();
+            let got: Vec<u64> = t.collect_all().into_iter().map(|(k, _)| k).collect();
+            assert!(got == want, "{what}: contents after mixed traffic");
+            assert_eq!(t.len(), want.len(), "{what}");
         }
     }
 }

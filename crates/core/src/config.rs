@@ -4,25 +4,6 @@
 use crate::layout::{NodeLayoutKind, SearchKind};
 use crate::metrics::MetricsLevel;
 
-/// Which rule locates the variable-split point `l` inside a full poℓe node
-/// (paper Algorithm 2, line 4).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SplitBoundRule {
-    /// Use the full IKR bound of Eq. (2):
-    /// `x = q + ((q − p) / poℓe_prev_size) · poℓe_size · scale`.
-    ///
-    /// This matches the prose of §4.3 ("the first key greater than the
-    /// estimated acceptable value lower bound") and is the default.
-    Eq2,
-    /// Use the expression literally printed in Algorithm 2 line 4, which
-    /// omits the `poℓe_size` factor:
-    /// `x = q + ((q − p) / poℓe_prev_size) · scale`.
-    ///
-    /// Kept as the documented alternative reading of the printed
-    /// algorithm; it degenerates to near-50% splits for dense keys.
-    Literal,
-}
-
 /// Where a tree's nodes live: the in-memory slab arena (default, the
 /// bit-for-bit paper-reproduction path) or fixed-size pages behind the
 /// buffer pool manager (`crate::pool` / `crate::paged`), which bounds how
@@ -78,24 +59,6 @@ pub struct TreeConfig {
     /// Enable redistribution into an under-half-full `poℓe_prev`
     /// (Algorithm 2 line 10 / Fig. 7c).
     pub redistribute: bool,
-    /// Which bound locates the variable-split position.
-    pub split_bound_rule: SplitBoundRule,
-    /// Cap on the occupancy the variable split leaves behind, in
-    /// `(0.5, 1.0]`. The paper notes (§5.2.1) that QuIT "can also be tuned
-    /// to avoid being 100% full for fully-sorted data if we anticipate
-    /// out-of-order entries in the future and want to avoid propagating
-    /// splits" — this is that knob. 1.0 (default) packs maximally.
-    pub max_variable_fill: f64,
-    /// Leaf fill factor used when this configuration is bulk-loaded — by
-    /// [`crate::BpTree::from_snapshot`] and by `quit-durability`'s
-    /// crash recovery — in `(0, 1]`. 1.0 (default) packs leaves full like a
-    /// classical bulk load; lower values leave insert headroom so a
-    /// restored tree's leaf counts (the denominator of the paper's Fig 10c
-    /// range-access numbers) match a deliberately under-filled deployment.
-    pub bulk_fill: f64,
-    /// Simulated page size in bytes, used for memory-footprint accounting
-    /// (Table 2); nodes are charged one full page each like a paged index.
-    pub page_size_bytes: usize,
     /// How much telemetry the tree records (counters, fast-path window,
     /// latency histograms). See [`MetricsLevel`]; the default records
     /// counters and the window but never reads the clock.
@@ -131,10 +94,6 @@ impl TreeConfig {
             reset_threshold: Some(Self::default_reset_threshold(leaf_capacity)),
             variable_split: true,
             redistribute: true,
-            split_bound_rule: SplitBoundRule::Eq2,
-            max_variable_fill: 1.0,
-            bulk_fill: 1.0,
-            page_size_bytes: 4096,
             metrics_level: MetricsLevel::default(),
             node_layout: NodeLayoutKind::Dense,
             search_kind: SearchKind::Binary,
@@ -206,34 +165,6 @@ impl TreeConfig {
         self
     }
 
-    /// Builder-style override of the split-bound rule.
-    pub fn with_split_bound_rule(mut self, rule: SplitBoundRule) -> Self {
-        self.split_bound_rule = rule;
-        self
-    }
-
-    /// Builder-style override of the variable-split fill cap
-    /// (`0.5 < fill <= 1.0`).
-    pub fn with_max_variable_fill(mut self, fill: f64) -> Self {
-        assert!(
-            fill > 0.5 && fill <= 1.0,
-            "variable-split fill cap must be in (0.5, 1.0]"
-        );
-        self.max_variable_fill = fill;
-        self
-    }
-
-    /// Builder-style override of the bulk-load fill factor (`0 < fill <= 1`)
-    /// applied when restoring this configuration from a snapshot.
-    pub fn with_bulk_fill(mut self, fill: f64) -> Self {
-        assert!(
-            fill > 0.0 && fill <= 1.0,
-            "bulk-load fill factor must be in (0, 1]"
-        );
-        self.bulk_fill = fill;
-        self
-    }
-
     /// Builder-style override of the telemetry level.
     pub fn with_metrics_level(mut self, level: MetricsLevel) -> Self {
         self.metrics_level = level;
@@ -273,14 +204,6 @@ impl TreeConfig {
             "internal capacity must be >= 3"
         );
         assert!(self.ikr_scale > 0.0, "IKR scale must be positive");
-        assert!(
-            self.max_variable_fill > 0.5 && self.max_variable_fill <= 1.0,
-            "variable-split fill cap must be in (0.5, 1.0]"
-        );
-        assert!(
-            self.bulk_fill > 0.0 && self.bulk_fill <= 1.0,
-            "bulk-load fill factor must be in (0, 1]"
-        );
         if let StorageKind::Paged {
             pool_pages,
             page_size,
@@ -306,7 +229,8 @@ mod tests {
     fn paper_default_matches_section_5() {
         let c = TreeConfig::paper_default();
         assert_eq!(c.leaf_capacity, 510);
-        assert_eq!(c.page_size_bytes, 4096);
+        // 4 KB pages: what `BpTree::memory_report` charges per node.
+        assert_eq!(crate::pool::DEFAULT_PAGE_SIZE, 4096);
         assert_eq!(c.ikr_scale, 1.5);
         // ⌊√510⌋ = 22 (paper §5).
         assert_eq!(c.reset_threshold, Some(22));
@@ -343,13 +267,11 @@ mod tests {
             .with_variable_split(false)
             .with_redistribute(false)
             .with_reset_threshold(None)
-            .with_ikr_scale(2.0)
-            .with_split_bound_rule(SplitBoundRule::Literal);
+            .with_ikr_scale(2.0);
         assert!(!c.variable_split);
         assert!(!c.redistribute);
         assert_eq!(c.reset_threshold, None);
         assert_eq!(c.ikr_scale, 2.0);
-        assert_eq!(c.split_bound_rule, SplitBoundRule::Literal);
         c.assert_valid();
     }
 
@@ -359,15 +281,6 @@ mod tests {
         assert_eq!(c.metrics_level, MetricsLevel::Counters);
         let c = c.with_metrics_level(MetricsLevel::Histograms);
         assert_eq!(c.metrics_level, MetricsLevel::Histograms);
-    }
-
-    #[test]
-    fn bulk_fill_knob() {
-        let c = TreeConfig::small(8);
-        assert_eq!(c.bulk_fill, 1.0, "default packs leaves full");
-        let c = c.with_bulk_fill(0.7);
-        assert_eq!(c.bulk_fill, 0.7);
-        c.assert_valid();
     }
 
     #[test]
@@ -385,12 +298,6 @@ mod tests {
         assert_eq!(c.node_layout, NodeLayoutKind::Gapped);
         assert_eq!(c.search_kind, SearchKind::Simd);
         c.assert_valid();
-    }
-
-    #[test]
-    #[should_panic(expected = "fill factor")]
-    fn rejects_zero_bulk_fill() {
-        let _ = TreeConfig::small(8).with_bulk_fill(0.0);
     }
 
     #[test]

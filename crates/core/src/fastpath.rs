@@ -26,8 +26,8 @@
 //! its own node operations. No method allocates.
 
 use crate::arena::NodeId;
-use crate::config::{SplitBoundRule, TreeConfig};
-use crate::ikr::{is_outlier, split_bound};
+use crate::config::TreeConfig;
+use crate::ikr::is_outlier;
 use crate::key::Key;
 use crate::layout::NodeLayoutKind;
 
@@ -290,38 +290,20 @@ impl<K: Key, L> FastPathState<K, L> {
         let def = cfg.def_split_pos();
         // Position of the first predicted outlier (`l`). l >= 1 since the
         // envelope always admits q itself.
-        let l = match cfg.split_bound_rule {
-            // Eq. 2 applied per position: the key in slot i must lie
-            // within the density envelope extrapolated i+1 entries past
-            // q (`poℓe_size` = the prefix length it closes). This reads
-            // "the first key greater than the estimated acceptable
-            // value lower bound" cumulatively, so an out-of-order entry
-            // that merely *rides* close ahead of the in-order frontier
-            // is cut off exactly at the frontier.
-            SplitBoundRule::Eq2 => {
-                let density = (q.to_ikr() - p.to_ikr()) / self.prev_size as f64;
-                let step = density * cfg.ikr_scale;
-                let base = q.to_ikr();
-                let mut l = 1usize;
-                while l < plen && keys[l].to_ikr() <= base + step * (l + 1) as f64 {
-                    l += 1;
-                }
-                l
-            }
-            // The expression literally printed in Algorithm 2 line 4: a
-            // flat bound without the poℓe_size factor.
-            SplitBoundRule::Literal => {
-                let x = split_bound(
-                    p,
-                    q,
-                    self.prev_size,
-                    plen,
-                    cfg.ikr_scale,
-                    SplitBoundRule::Literal,
-                );
-                keys.partition_point(|k| k.to_ikr() <= x).max(1)
-            }
-        };
+        // Eq. 2 applied per position: the key in slot i must lie within
+        // the density envelope extrapolated i+1 entries past q
+        // (`poℓe_size` = the prefix length it closes). This reads "the
+        // first key greater than the estimated acceptable value lower
+        // bound" cumulatively, so an out-of-order entry that merely
+        // *rides* close ahead of the in-order frontier is cut off exactly
+        // at the frontier.
+        let density = (q.to_ikr() - p.to_ikr()) / self.prev_size as f64;
+        let step = density * cfg.ikr_scale;
+        let base = q.to_ikr();
+        let mut l = 1usize;
+        while l < plen && keys[l].to_ikr() <= base + step * (l + 1) as f64 {
+            l += 1;
+        }
         if l <= def {
             // Mostly outliers (Fig 7b): split at l, moving every outlier to
             // the new node; poℓe keeps its in-order prefix and its pointer.
@@ -331,11 +313,8 @@ impl<K: Key, L> FastPathState<K, L> {
             };
         }
         // Few outliers (Fig 7a): split at l−1, carrying one in-order
-        // entry into the new node, which becomes poℓe. The fill cap
-        // (§5.2.1 tuning note) bounds how packed the left node is left,
-        // trading space for fewer future split propagations.
-        let fill_cap = ((plen as f64) * cfg.max_variable_fill).floor() as usize;
-        let mut pos = (l - 1).min(plen - 1).min(fill_cap.max(def));
+        // entry into the new node, which becomes poℓe.
+        let mut pos = l - 1;
         if cfg.node_layout == NodeLayoutKind::Gapped {
             // Leave ⌊√cap⌋ slots of physical headroom in the left
             // node: the tight variable fill would hand split-time
@@ -683,28 +662,24 @@ mod tests {
             let mut fp = pole(8, None, 0, 4);
             assert_eq!(fp.full_pole_plan(&cfg, &keys, 0, false), want, "{keys:?}");
         }
-        // The flat bound printed in Algorithm 2 line 4: x = 8 + 2 · 1.5 = 11.
-        let literal = cfg.with_split_bound_rule(SplitBoundRule::Literal);
-        let plan = pole(8, None, 0, 4).full_pole_plan(&literal, &rows[0].0, 0, false);
-        assert_eq!(plan, var(2, false));
     }
 
     #[test]
     fn variable_split_clamps() {
         let sorted: Vec<u64> = (16..32).collect();
-        let plan = |cfg: TreeConfig| pole(16, None, 0, 16).full_pole_plan(&cfg, &sorted, 0, false);
+        let plan = |cfg: &TreeConfig, keys: &[u64]| {
+            pole(16, None, 0, 16).full_pole_plan(cfg, keys, 0, false)
+        };
         let cfg = TreeConfig::small(16);
-        assert_eq!(plan(cfg.clone()), var(15, true), "packed");
-        // Fill cap: ⌊16 · 0.75⌋ = 12 entries stay left.
-        assert_eq!(
-            plan(cfg.clone().with_max_variable_fill(0.75)),
-            var(12, true)
-        );
+        assert_eq!(plan(&cfg, &sorted), var(15, true), "packed");
         // Gapped leaves keep ⌊√16⌋ = 4 slots of headroom.
-        let gapped = cfg.clone().with_node_layout(NodeLayoutKind::Gapped);
-        assert_eq!(plan(gapped), var(12, true));
-        // Neither clamp cuts below def_split_pos.
-        assert_eq!(plan(cfg.with_max_variable_fill(0.51)), var(8, true));
+        let gapped = cfg.with_node_layout(NodeLayoutKind::Gapped);
+        assert_eq!(plan(&gapped, &sorted), var(12, true));
+        // The headroom clamp only lowers a cut: one already left of it
+        // (an outlier in slot 10, l − 1 = 9) stands.
+        let mut outlier = sorted.clone();
+        outlier[10..].iter_mut().for_each(|k| *k += 1_000);
+        assert_eq!(plan(&gapped, &outlier), var(9, true));
     }
 
     #[test]

@@ -11,7 +11,6 @@
 //!
 //! Any key greater than `x` is predicted to be an outlier.
 
-use crate::config::SplitBoundRule;
 use crate::key::Key;
 
 /// Computes the IKR acceptance bound `x` of Eq. (2).
@@ -26,28 +25,6 @@ pub fn ikr_bound<K: Key>(p: K, q: K, prev_size: usize, pole_size: usize, scale: 
     let qf = q.to_ikr();
     let density = (qf - pf) / prev_size as f64;
     qf + density * pole_size as f64 * scale
-}
-
-/// The bound used to locate the variable-split position `l`
-/// (Algorithm 2 line 4). See [`SplitBoundRule`] for the two readings of the
-/// printed algorithm.
-#[inline]
-pub fn split_bound<K: Key>(
-    p: K,
-    q: K,
-    prev_size: usize,
-    pole_size: usize,
-    scale: f64,
-    rule: SplitBoundRule,
-) -> f64 {
-    match rule {
-        SplitBoundRule::Eq2 => ikr_bound(p, q, prev_size, pole_size, scale),
-        SplitBoundRule::Literal => {
-            let pf = p.to_ikr();
-            let qf = q.to_ikr();
-            qf + ((qf - pf) / prev_size as f64) * scale
-        }
-    }
 }
 
 /// True when `key` lies beyond the IKR bound, i.e. is predicted to be an
@@ -100,16 +77,6 @@ mod tests {
         let tight = ikr_bound(0u64, 100u64, 100, 100, 1.0);
         let loose = ikr_bound(0u64, 100u64, 100, 100, 2.0);
         assert!(loose > tight);
-    }
-
-    #[test]
-    fn literal_rule_is_tighter_than_eq2() {
-        // The literal Algorithm-2 bound omits the poℓe_size factor, so for
-        // pole_size > 1 it accepts strictly less than Eq. 2.
-        let eq2 = split_bound(0u64, 100u64, 100, 100, 1.5, SplitBoundRule::Eq2);
-        let lit = split_bound(0u64, 100u64, 100, 100, 1.5, SplitBoundRule::Literal);
-        assert!(lit < eq2);
-        assert_eq!(lit, 100.0 + 1.0 * 1.5);
     }
 
     #[test]

@@ -495,37 +495,6 @@ mod tests {
     }
 
     #[test]
-    fn fill_cap_leaves_headroom_on_sorted_data() {
-        let full: BpTree<u64, u64> = {
-            let mut t = BpTree::with_config(FastPathMode::Pole, TreeConfig::small(16));
-            for k in 0..4096u64 {
-                t.insert(k, k);
-            }
-            t
-        };
-        let capped: BpTree<u64, u64> = {
-            let mut t = BpTree::with_config(
-                FastPathMode::Pole,
-                TreeConfig::small(16).with_max_variable_fill(0.75),
-            );
-            for k in 0..4096u64 {
-                t.insert(k, k);
-            }
-            t
-        };
-        let occ_full = full.memory_report().avg_leaf_occupancy;
-        let occ_capped = capped.memory_report().avg_leaf_occupancy;
-        assert!(occ_full > 0.9, "uncapped occupancy {occ_full}");
-        assert!(
-            (0.65..0.85).contains(&occ_capped),
-            "capped occupancy {occ_capped}"
-        );
-        capped.check_invariants().unwrap();
-        // Both stay fully fast-path on sorted data.
-        assert_eq!(capped.stats().top_inserts.get(), 0);
-    }
-
-    #[test]
     fn duplicates_flow_through_every_mode() {
         for mode in [
             FastPathMode::None,
@@ -545,29 +514,5 @@ mod tests {
             assert_eq!(t.len(), 200);
             t.check_invariants().unwrap();
         }
-    }
-
-    #[test]
-    fn literal_split_bound_rule_stays_correct() {
-        use crate::config::SplitBoundRule;
-        let mut t: BpTree<u64, u64> = BpTree::with_config(
-            FastPathMode::Pole,
-            TreeConfig::small(8).with_split_bound_rule(SplitBoundRule::Literal),
-        );
-        let mut inserted = Vec::new();
-        for k in 0..2000u64 {
-            t.insert(k, k);
-            inserted.push(k);
-            if k % 97 == 0 {
-                t.insert(k / 3, k);
-                inserted.push(k / 3);
-            }
-        }
-        t.check_invariants().unwrap();
-        inserted.sort_unstable();
-        assert_eq!(t.keys(), inserted);
-        // The literal rule is tighter but must never lose fast-path service
-        // entirely on near-sorted data.
-        assert!(t.stats().fast_insert_fraction() > 0.5);
     }
 }

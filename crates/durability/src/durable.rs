@@ -294,7 +294,7 @@ impl<T> Durable<T> {
     ///
     /// `build` receives the snapshot's entries in key order; use
     /// [`bptree_builder`]/[`concurrent_builder`] for the in-workspace
-    /// families (they honour `TreeConfig::bulk_fill`).
+    /// families (they pack leaves full).
     pub fn open<K, V, F>(
         storage: Arc<dyn Storage>,
         config: DurabilityConfig,
@@ -700,23 +700,19 @@ where
     Ok(applied)
 }
 
-/// A [`Durable::open`] builder for [`BpTree`]: bulk-loads the snapshot at
-/// the configuration's `bulk_fill` (the Fig 10c leaf-count knob), so a
-/// recovered tree gets the same leaf occupancy the deployment configured.
+/// A [`Durable::open`] builder for [`BpTree`]: bulk-loads the snapshot with
+/// its leaves packed full.
 pub fn bptree_builder<K: Key, V: Clone + 'static>(
     mode: FastPathMode,
     config: TreeConfig,
 ) -> impl FnOnce(Vec<(K, V)>) -> BpTree<K, V> {
-    move |entries| {
-        let fill = config.bulk_fill;
-        BpTree::bulk_load(mode, config, entries, fill)
-    }
+    move |entries| BpTree::bulk_load(mode, config, entries, 1.0)
 }
 
 /// A [`Durable::open`] builder for [`ConcurrentTree`]: builds the tree
 /// bottom-up from the key-ordered snapshot with
-/// [`ConcurrentTree::bulk_load`], its leaves packed to the configuration's
-/// `bulk_fill` like [`bptree_builder`]'s.
+/// [`ConcurrentTree::bulk_load`], its leaves packed full like
+/// [`bptree_builder`]'s.
 pub fn concurrent_builder<K: Key, V: Clone>(
     config: ConcConfig,
 ) -> impl FnOnce(Vec<(K, V)>) -> ConcurrentTree<K, V> {
@@ -995,36 +991,6 @@ mod tests {
         d.insert(1, 1);
         let err = d.checkpoint_paged().unwrap_err();
         assert_eq!(err.kind(), "config");
-    }
-
-    #[test]
-    fn recovered_bptree_honours_bulk_fill() {
-        let storage = Arc::new(MemStorage::new());
-        let config = TreeConfig::small(16).with_bulk_fill(0.7);
-        let build = bptree_builder::<u64, u64>(FastPathMode::Pole, config.clone());
-        let (mut d, _) = Durable::open(
-            storage.clone() as Arc<dyn Storage>,
-            DurabilityConfig::group_commit(),
-            build,
-        )
-        .unwrap();
-        let batch: Vec<(u64, u64)> = (0..2000u64).map(|k| (k, k)).collect();
-        d.insert_batch(&batch);
-        d.checkpoint::<u64, u64>().unwrap();
-
-        let crashed = Arc::new(storage.crash_durable_only());
-        let (d2, report) = Durable::open(
-            crashed as Arc<dyn Storage>,
-            DurabilityConfig::group_commit(),
-            bptree_builder::<u64, u64>(FastPathMode::Pole, config),
-        )
-        .unwrap();
-        assert_eq!(report.snapshot_entries, 2000);
-        let occ = d2.inner().memory_report().avg_leaf_occupancy;
-        assert!(
-            (0.6..0.8).contains(&occ),
-            "recovered occupancy {occ} must match the configured 0.7 fill"
-        );
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //!   writers batch their fsyncs through a **group-commit** leader — one
 //!   fsync per group, composing with `ConcurrentTree`'s OLC write path.
 //! * **Sorted snapshots** (checkpoints) walk the tree in key order, so
-//!   recovery is `bulk_load(snapshot)` — O(n), packed to the configured
-//!   `TreeConfig::bulk_fill` — `+ replay(WAL tail)`, with the
+//!   recovery is `bulk_load(snapshot)` — O(n), leaves packed full —
+//!   `+ replay(WAL tail)`, with the
 //!   append-mostly tail fed through `insert_batch`'s sorted-run fast path,
 //!   a logged batch as the run it was.
 //! * [`Durable<T>`] wraps any `SortedIndex` with log-then-apply semantics

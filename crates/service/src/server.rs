@@ -60,13 +60,15 @@ use quit_core::{Error, Result, SortedIndex};
 use quit_durability::{
     concurrent_builder, Durable, FsStorage, MemStorage, RecoveryReport, Storage, Unacked,
 };
+use std::collections::HashMap;
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 type Shard = Durable<ConcurrentTree<u64, u64>>;
 
@@ -304,6 +306,20 @@ fn shard_worker(mut shard: Shard, rx: Receiver<Burst>, batch_max: usize) {
     let _ = shard.commit_all();
 }
 
+/// Every live connection's socket, by connection id, so
+/// [`Server::shutdown`] can close them; a connection removes its own entry
+/// when it ends.
+type Conns = Arc<Mutex<HashMap<u64, TcpStream>>>;
+
+/// The registry of `conns`. A panic cannot leave it half-updated (every
+/// change is one map insert or removal), so a poisoned lock is taken over.
+fn registry(conns: &Conns) -> MutexGuard<'_, HashMap<u64, TcpStream>> {
+    conns.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// How long the acceptor waits after a failed accept before the next.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
+
 /// The sharded TCP server. Construction recovers every shard (each from
 /// its own storage directory) and starts serving; [`Server::shutdown`]
 /// (Self::shutdown) stops accepting, closes live connections, and drains
@@ -311,7 +327,7 @@ fn shard_worker(mut shard: Shard, rx: Receiver<Burst>, batch_max: usize) {
 pub struct Server {
     addr: SocketAddr,
     stopping: Arc<AtomicBool>,
-    conns: Arc<Mutex<Vec<TcpStream>>>,
+    conns: Conns,
     accept: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
 }
@@ -355,22 +371,37 @@ impl Server {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let stopping = Arc::new(AtomicBool::new(false));
-        let conns = Arc::new(Mutex::new(Vec::new()));
+        let conns = Conns::default();
         let accept = {
             let stopping = stopping.clone();
             let conns = conns.clone();
             std::thread::spawn(move || {
-                for stream in listener.incoming() {
+                for (id, stream) in (0u64..).zip(listener.incoming()) {
                     if stopping.load(Ordering::Acquire) {
                         break;
                     }
-                    let Ok(stream) = stream else { continue };
+                    let stream = match stream {
+                        Ok(stream) => stream,
+                        Err(_) => {
+                            // Out of descriptors (EMFILE) fails every
+                            // accept until a connection closes: wait for
+                            // one instead of spinning.
+                            std::thread::sleep(ACCEPT_BACKOFF);
+                            continue;
+                        }
+                    };
                     let _ = stream.set_nodelay(true);
                     if let Ok(clone) = stream.try_clone() {
-                        conns.lock().unwrap().push(clone);
+                        registry(&conns).insert(id, clone);
                     }
                     let txs = txs.clone();
-                    std::thread::spawn(move || connection(stream, txs));
+                    let conns = conns.clone();
+                    std::thread::spawn(move || {
+                        connection(stream, txs);
+                        // The registry's clone is the last handle on the
+                        // socket: dropping it closes the connection.
+                        registry(&conns).remove(&id);
+                    });
                 }
                 // `txs` drops here; workers exit once every live
                 // connection's clones drop too.
@@ -432,7 +463,7 @@ impl Server {
         }
         // Close live connections; their readers see EOF/reset, flush
         // nothing further, and drop their shard senders.
-        for conn in self.conns.lock().unwrap().drain(..) {
+        for (_, conn) in registry(&self.conns).drain() {
             let _ = conn.shutdown(std::net::Shutdown::Both);
         }
         let mut poisoned = 0usize;

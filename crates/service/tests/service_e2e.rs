@@ -1,7 +1,8 @@
 //! End-to-end tests over real sockets: pipelining, read-your-writes,
 //! cross-shard requests, the wire error taxonomy, concurrent clients,
-//! durable restart on file-backed shard WALs, a shard whose log dies under
-//! load, and the burst path against a sequential model.
+//! durable restart on file-backed shard WALs, connections that end
+//! releasing their sockets, a shard whose log dies under load, and the
+//! burst path against a sequential model.
 
 use proptest::prelude::*;
 use quit_durability::{concurrent_builder, Durable, MemStorage, Storage};
@@ -12,7 +13,7 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 use std::io::{self, Write};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn start(config: ServiceConfig) -> Server {
     let (server, _) = Server::start_in_memory(config, "127.0.0.1:0").unwrap();
@@ -278,6 +279,58 @@ fn frames_larger_than_the_read_buffer_and_dribbled_bytes_arrive_intact() {
     assert_eq!(replies[&2], Reply::Got(Some(78)));
     assert_eq!(replies[&3], Reply::Entries(vec![(0, 0), (77, 78)]));
     drop(raw);
+    server.shutdown().unwrap();
+}
+
+/// Descriptors this process holds open.
+#[cfg(target_os = "linux")]
+fn open_fds() -> usize {
+    std::fs::read_dir("/proc/self/fd").unwrap().count()
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn closed_connections_release_their_sockets() {
+    let server = start(ServiceConfig::small(1));
+    let before = open_fds();
+    for _ in 0..300 {
+        drop(std::net::TcpStream::connect(server.local_addr()).unwrap());
+    }
+    // Each connection ends on its own thread: give the last ones time.
+    let slack = 16;
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let mut after = open_fds();
+    while after > before + slack && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(20));
+        after = open_fds();
+    }
+    assert!(
+        after <= before + slack,
+        "{before} descriptors open before 300 connect/close cycles, {after} after"
+    );
+    server.shutdown().unwrap();
+}
+
+#[test]
+fn a_connection_hung_up_on_sees_eof() {
+    use std::io::Read;
+    let server = start(ServiceConfig::small(1));
+    let mut raw = std::net::TcpStream::connect(server.local_addr()).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+    // A length prefix below the 8-byte minimum desynchronizes the stream.
+    raw.write_all(&3u32.to_le_bytes()).unwrap();
+    let mut hdr = [0u8; 4];
+    raw.read_exact(&mut hdr).unwrap();
+    let mut body = vec![0u8; u32::from_le_bytes(hdr) as usize];
+    raw.read_exact(&mut body).unwrap();
+    assert_eq!(&body[0..8], &0u64.to_le_bytes(), "decode errors use id 0");
+    assert_eq!(body[8], 2, "corruption status code");
+    // Then the server hangs up: the next read is end of stream, not a
+    // timeout.
+    let mut rest = Vec::new();
+    raw.read_to_end(&mut rest)
+        .expect("the server closes a connection it hung up on");
+    assert!(rest.is_empty());
     server.shutdown().unwrap();
 }
 

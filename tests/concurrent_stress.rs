@@ -3,7 +3,7 @@
 //! single-threaded reference.
 
 use quick_insertion_tree::bods::BodsSpec;
-use quick_insertion_tree::quit_concurrent::{ConcConfig, ConcurrentTree};
+use quick_insertion_tree::quit_concurrent::{ConcConfig, ConcurrentTree, OLC_MAX_RESTARTS};
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -171,7 +171,7 @@ fn read_heavy_90_10_profile_is_exact() {
     let per = 8_000u64; // ops per thread; per/10 of them insert
     for olc in [true, false] {
         let config = ConcConfig::small(16).with_olc(olc);
-        let budget = u64::from(config.olc_max_restarts);
+        let budget = u64::from(OLC_MAX_RESTARTS);
         let tree: Arc<ConcurrentTree<u64, u64>> = Arc::new(ConcurrentTree::new(config));
         std::thread::scope(|s| {
             for t in 0..threads {
