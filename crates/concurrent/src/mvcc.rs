@@ -57,7 +57,7 @@ use crate::{ConcConfig, ConcurrentTree};
 use quit_core::{stripe_of, Key};
 use std::borrow::Borrow;
 use std::collections::BTreeMap;
-use std::ops::RangeBounds;
+use std::ops::{ControlFlow, RangeBounds};
 use std::sync::MutexGuard;
 
 /// Stripe count for the per-key write locks and the side store — same
@@ -213,13 +213,20 @@ impl<K: Key, V: Clone> MvccTree<K, V> {
         self.try_read_at(key, snapshot_ts).flatten()
     }
 
-    /// Commit timestamp of the newest version of `key` (live or
-    /// tombstone), or `None` if the key was never written or its
-    /// tombstone was reclaimed. This is the first-committer-wins witness:
-    /// a transaction at snapshot `s` writing `key` conflicts iff
-    /// `latest_commit_ts(key) > s`.
-    pub fn latest_commit_ts(&self, key: K) -> Option<u64> {
-        self.tree.get(key).map(|slot| slot.ts)
+    /// The commit timestamp of the first of `keys` whose newest version
+    /// (live or tombstone) is younger than `snapshot_ts`, or `None` when
+    /// no key has one — a key never written, or whose tombstone was
+    /// reclaimed, has none. This is the first-committer-wins check: a
+    /// transaction at snapshot `s` writing `keys` conflicts iff
+    /// `newest_after(keys, s)` is `Some`. Ascending `keys` cost one leaf
+    /// descent per leaf ([`ConcurrentTree::get_sorted`]). A caller holding
+    /// the keys' write stripes ([`lock_keys`](Self::lock_keys)) reads slots
+    /// that no writer can change until it lets go.
+    pub fn newest_after(&self, keys: impl IntoIterator<Item = K>, snapshot_ts: u64) -> Option<u64> {
+        self.tree.get_sorted(keys, |_, slot| match slot {
+            Some(slot) if slot.ts > snapshot_ts => ControlFlow::Break(slot.ts),
+            _ => ControlFlow::Continue(()),
+        })
     }
 
     /// Writes one version — `Some(v)` writes, `None` deletes (tombstone) —
@@ -443,8 +450,10 @@ mod tests {
         assert_eq!(t.read_at(5, 29), Some(200));
         assert_eq!(t.read_at(5, 30), None);
         assert_eq!(t.read_at(5, u64::MAX), None);
-        assert_eq!(t.latest_commit_ts(5), Some(30));
-        assert_eq!(t.latest_commit_ts(6), None);
+        assert_eq!(t.newest_after([5], 29), Some(30));
+        assert_eq!(t.newest_after([5], 30), None);
+        assert_eq!(t.newest_after([6], 0), None);
+        assert_eq!(t.newest_after([4, 5, 6], 9), Some(30));
         t.check_consistency().unwrap();
     }
 
@@ -491,12 +500,12 @@ mod tests {
         assert_eq!(t.keys_ever(), 2);
         assert_eq!(t.gc(25), 2);
         assert_eq!(t.read_at(8, 25), None);
-        assert_eq!(t.latest_commit_ts(8), None);
+        assert_eq!(t.newest_after([8], 0), None);
         assert_eq!(t.keys_ever(), 1, "the tombstone slot was deleted");
         // A tombstone above the watermark stays until the watermark passes.
         write(&t, 9, 60, None);
         assert_eq!(t.gc(59), 2, "key 7's versions 30 and 40, under slot 50");
-        assert_eq!(t.latest_commit_ts(9), Some(60));
+        assert_eq!(t.newest_after([9], 59), Some(60));
         assert_eq!(t.gc(60), 1, "key 9's tombstone");
         assert_eq!(t.keys_ever(), 1);
         t.check_consistency().unwrap();
@@ -548,7 +557,11 @@ mod tests {
             }
             for (i, &k) in keys.iter().enumerate() {
                 assert_eq!(t.read_at(k, u64::MAX), Some(k * 3), "layout {layout:?}");
-                assert_eq!(t.latest_commit_ts(k), Some(base + i as u64));
+                assert_eq!(
+                    t.newest_after([k], base + i as u64 - 1),
+                    Some(base + i as u64)
+                );
+                assert_eq!(t.newest_after([k], base + i as u64), None);
                 assert_eq!(t.read_at(k, base - 1), Some(k * 2), "layout {layout:?}");
             }
             t.check_consistency().unwrap();
@@ -566,7 +579,7 @@ mod tests {
     }
 
     /// Model differential: random `apply` / `read_at` / `scan_at` /
-    /// `latest_commit_ts` / `gc` against a `BTreeMap` of full version
+    /// `newest_after` / `gc` against a `BTreeMap` of full version
     /// lists pruned by the textbook rule.
     fn differential<V: Clone + PartialEq + std::fmt::Debug>(
         layout: NodeLayoutKind,
@@ -596,8 +609,11 @@ mod tests {
                 }
                 5 | 6 => assert_eq!(t.read_at(k, s), at(&model, k, s), "step {step}"),
                 7 => {
-                    let newest = model.get(&k).map(|v| v.last().expect("non-empty").0);
-                    assert_eq!(t.latest_commit_ts(k), newest, "step {step}");
+                    let want = model
+                        .range(k..k + 8)
+                        .map(|(_, v)| v.last().expect("non-empty").0)
+                        .find(|&ts| ts > s);
+                    assert_eq!(t.newest_after(k..k + 8, s), want, "step {step}");
                 }
                 8 => {
                     let want: Vec<(u64, V)> = model

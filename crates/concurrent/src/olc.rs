@@ -150,13 +150,17 @@ unsafe fn vec_header<T>(vec: *const Vec<T>) -> (*const T, usize) {
     (alias.as_ptr(), alias.len())
 }
 
-/// `partition_point` over a raw key slice with racing atomic element loads.
+/// `partition_point` over a raw key slice with racing atomic element loads:
+/// the internal-node routing step.
 ///
 /// Probes follow the branchless fixed-trip schedule from
 /// [`quit_core::branchless_partition_point_by`] — the scalar data-parallel
 /// search, never the SIMD one: each element must go through
 /// [`atomic_read`], so wide vector loads on this racing memory are off the
 /// table regardless of the tree's configured [`quit_core::SearchKind`].
+/// Leaf lookups ([`leaf_get`]) run the key-guided
+/// [`quit_core::guided_partition_point_by`] over the same atomic loads
+/// instead; routing keeps this ladder, because guiding it measured slower.
 ///
 /// # Safety
 ///
@@ -174,6 +178,22 @@ unsafe fn raw_partition_point<K: Key>(
         let k = atomic_read(ptr.add(i)).assume_init();
         pred(&k)
     })
+}
+
+/// Starts loading the cache line at `p` without reading it, so a
+/// lookup's miss on the value slot its key search predicts overlaps the
+/// key probes. A hint only: it reads no memory the model can see, and is
+/// a no-op off x86-64.
+#[inline]
+fn prefetch<T>(p: *const T) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: a prefetch never faults and performs no architectural load.
+    unsafe {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        _mm_prefetch::<_MM_HINT_T0>(p.cast());
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = p;
 }
 
 /// Copies the `Arc` in `slot` without touching its refcount, returning the
@@ -335,6 +355,12 @@ pub(crate) enum LeafRead<V> {
 /// `v`. `leaf_capacity` is the tree's configured leaf capacity — the pinned
 /// buffer reservation is `leaf_capacity + 1`, so any in-range index below
 /// that is in-capacity of **every** leaf buffer, past or present.
+///
+/// The key search is [`quit_core::guided_partition_point_by`]'s (every
+/// index it reads is below the clamped length, and torn keys only make it
+/// return a wrong slot, which validation discards), and the value slot it
+/// guesses is prefetched as soon as the guess is made, so that miss
+/// overlaps the key probes.
 pub(crate) fn leaf_get<K: Key, V: Clone>(
     node: &RwLock<CNode<K, V>>,
     v: u64,
@@ -367,11 +393,17 @@ pub(crate) fn leaf_get<K: Key, V: Clone>(
             // clamp no longer covers it; fall back to a latched read.
             return LeafRead::NeedsLatch;
         }
-        let pos = raw_partition_point(kptr, klen, |k| *k < key);
+        let (vptr, _) = vec_header(vals);
+        // Every slot below `klen <= leaf_capacity + 1` is in-capacity of
+        // every pinned keys and vals buffer, even if the headers raced.
+        let pos = quit_core::guided_partition_point_hinted(
+            klen,
+            |i| atomic_read(kptr.add(i)).assume_init(),
+            key,
+            |k| k < key,
+            |guess| prefetch(vptr.add(guess)),
+        );
         if pos < klen && atomic_read(kptr.add(pos)).assume_init() == key {
-            let (vptr, _) = vec_header(vals);
-            // `pos <= leaf_capacity`, in-capacity of every pinned vals
-            // buffer even if the two headers raced differently.
             let copy = atomic_read(vptr.add(pos));
             if node.validate(v) {
                 // Validated: `copy` is a bitwise alias of a live value that

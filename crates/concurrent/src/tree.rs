@@ -57,7 +57,7 @@ use quit_core::{
     FastPathState, FullPolePlan, Key, MetricsRegistry, NodeLayoutKind, PoleSplit, PrevLeaf,
     SlotInsert, Stats, StatsSnapshot, StorageKind, TopInsert, TreeConfig,
 };
-use std::ops::{Bound, RangeBounds};
+use std::ops::{Bound, ControlFlow, RangeBounds};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -1139,8 +1139,50 @@ impl<K: Key, V: Clone> ConcurrentTree<K, V> {
         let CNode::Leaf { keys, vals, .. } = leaf else {
             unreachable!("lookups end at a leaf");
         };
-        let pos = quit_core::lower_bound(self.config.tree.search_kind, keys, key);
+        let pos = quit_core::search_leaf(self.config.tree.search_kind, keys, key);
         (pos < keys.len() && keys[pos] == key).then(|| vals[pos].clone())
+    }
+
+    /// Looks up each of `keys` in turn, passing `f` the key and its entry
+    /// (`None` when absent), and stops at the first `Break`, whose value
+    /// it returns. For ascending `keys` this costs one shared-latch
+    /// descent per leaf, not one per key: the keys that the latched leaf's
+    /// own bounds cover are searched there, each forward from the slot of
+    /// the one before. Each leaf is read atomically under its latch;
+    /// different leaves may be read at different moments.
+    pub fn get_sorted<B>(
+        &self,
+        keys: impl IntoIterator<Item = K>,
+        mut f: impl FnMut(K, Option<&V>) -> ControlFlow<B>,
+    ) -> Option<B> {
+        let mut leaf: Option<ReadGuard<K, V>> = None;
+        let mut from = 0;
+        let mut prev = None;
+        for key in keys {
+            if !leaf.as_ref().is_some_and(|g| g.covers(key)) {
+                // Release before descending: a latch held across the
+                // descent could deadlock against a splitting writer.
+                drop(leaf.take());
+                leaf = Some(self.descend_shared(Target::Key(key)));
+                from = 0;
+            } else if prev.is_some_and(|p| key < p) {
+                from = 0;
+            }
+            prev = Some(key);
+            let CNode::Leaf {
+                keys: slots, vals, ..
+            } = &**leaf.as_ref().expect("latched above")
+            else {
+                unreachable!("descent ends at a leaf");
+            };
+            let rest = &slots[from..];
+            from += quit_core::search_leaf(self.config.tree.search_kind, rest, key);
+            let entry = (from < slots.len() && slots[from] == key).then(|| &vals[from]);
+            if let ControlFlow::Break(out) = f(key, entry) {
+                return Some(out);
+            }
+        }
+        None
     }
 
     /// True when the key exists.
@@ -1189,8 +1231,10 @@ impl<K: Key, V: Clone> ConcurrentTree<K, V> {
         };
         let pos = match start {
             Bound::Unbounded => 0,
-            Bound::Included(s) => quit_core::lower_bound(self.config.tree.search_kind, keys, s),
-            Bound::Excluded(s) => quit_core::upper_bound(self.config.tree.search_kind, keys, s),
+            Bound::Included(s) => quit_core::search_leaf(self.config.tree.search_kind, keys, s),
+            Bound::Excluded(s) => {
+                quit_core::guided_partition_point_by(keys.len(), |i| keys[i], s, |k| k <= s)
+            }
         };
         ConcRangeIter {
             leaf: Some(leaf),

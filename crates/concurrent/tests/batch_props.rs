@@ -5,7 +5,9 @@
 //!   at a time, over every geometry × layout × OLC × poℓe combination;
 //! - `bulk_load` of sorted input with long duplicate runs, then mixed
 //!   inserts and deletes, against a multiset model;
-//! - `MvccTree::apply_batch` against per-key `MvccTree::apply`.
+//! - `MvccTree::apply_batch` against per-key `MvccTree::apply`;
+//! - `get_sorted`, the commit check's leaf-at-a-time read, against
+//!   per-key `get` while another thread splits the leaves it visits.
 //!
 //! Every case derives from a printed seed, so a failure replays exactly.
 
@@ -13,6 +15,8 @@ use quit_concurrent::{ConcConfig, ConcurrentTree, MvccTree};
 use quit_core::{MetricsLevel, NodeLayoutKind, TreeConfig};
 use rand::prelude::*;
 use std::collections::BTreeMap;
+use std::ops::ControlFlow;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 fn geometries() -> Vec<TreeConfig> {
     let mut out = Vec::new();
@@ -336,6 +340,70 @@ fn apply_batch_matches_per_key_apply() {
                     );
                 }
             }
+        }
+    }
+}
+
+#[test]
+fn get_sorted_matches_per_key_get_under_concurrent_inserts() {
+    let base_seed = 0x5047_ED00u64;
+    println!("seed {base_seed:#x}");
+    for (g, tree) in geometries().into_iter().enumerate() {
+        for olc in [true, false] {
+            let seed = base_seed ^ (g as u64) << 8 ^ u64::from(olc);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let t: ConcurrentTree<u64, u64> =
+                ConcurrentTree::new(ConcConfig::from_tree(tree.clone()).with_olc(olc));
+            // The probes read even keys, about half of them present; the
+            // second thread inserts odd keys only, so every probe's answer
+            // is fixed while the leaves holding it split and move.
+            for k in (0..4_000u64).step_by(2) {
+                if rng.gen_bool(0.5) {
+                    t.insert(k, k + 1);
+                }
+            }
+            let done = AtomicBool::new(false);
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    let mut rng = StdRng::seed_from_u64(seed ^ 1);
+                    for _ in 0..20_000 {
+                        if done.load(Ordering::Relaxed) {
+                            break;
+                        }
+                        t.insert(2 * rng.gen_range(0..2_100u64) + 1, 0);
+                    }
+                });
+                for round in 0..150 {
+                    let len = rng.gen_range(1..300);
+                    let mut probe: Vec<u64> =
+                        (0..len).map(|_| 2 * rng.gen_range(0..2_100u64)).collect();
+                    // Mostly ascending, as a commit's write set is; every
+                    // fourth round out of order, which must still answer.
+                    if round % 4 != 3 {
+                        probe.sort_unstable();
+                    }
+                    let mut seen = Vec::new();
+                    let stopped = t.get_sorted(probe.iter().copied(), |k, v| {
+                        seen.push((k, v.copied()));
+                        ControlFlow::<()>::Continue(())
+                    });
+                    let want: Vec<(u64, Option<u64>)> =
+                        probe.iter().map(|&k| (k, t.get(k))).collect();
+                    let what = format!("seed {seed:#x} round {round}");
+                    assert!(stopped.is_none(), "{what}");
+                    assert_eq!(seen, want, "{what}");
+                    // A `Break` ends the visit with its value.
+                    let first_present = want.iter().find_map(|&(k, v)| v.map(|_| k));
+                    let found = t.get_sorted(probe.iter().copied(), |k, v| match v {
+                        Some(_) => ControlFlow::Break(k),
+                        None => ControlFlow::Continue(()),
+                    });
+                    assert_eq!(found, first_present, "{what}");
+                }
+                done.store(true, Ordering::Relaxed);
+            });
+            t.check_consistency()
+                .unwrap_or_else(|e| panic!("seed {seed:#x}: {e}"));
         }
     }
 }

@@ -184,3 +184,72 @@ fn unpaused_lookups_are_unaffected_by_an_installed_then_cleared_hook() {
     assert_eq!(tree.get(63), Some(64));
     assert_eq!(tree.len(), 64);
 }
+
+/// A one-leaf tree of capacity `cap` holding `(k, k * 10)` for every key
+/// in `keys` — more than 16 of them, so its point lookups take the
+/// key-guided search rather than the short-leaf ladder.
+fn guided_leaf(cap: usize, keys: impl IntoIterator<Item = u64>) -> ConcurrentTree<u64, u64> {
+    let tree = ConcurrentTree::new(ConcConfig::small(cap));
+    for k in keys {
+        tree.insert(k, k * 10);
+    }
+    assert!(tree.len() > 16);
+    tree
+}
+
+/// Pins a guided lookup of `read_key` at the leaf pause point while
+/// `write` changes the leaf under it: the reader must notice and restart,
+/// then return `want`.
+fn guided_read_during(
+    tree: &ConcurrentTree<u64, u64>,
+    read_key: u64,
+    want: Option<u64>,
+    write: impl FnOnce(),
+) {
+    let restarts = tree.stats().olc_restarts.get();
+    assert_eq!(read_during(tree, read_key, write), want, "key {read_key}");
+    assert!(
+        tree.stats().olc_restarts.get() > restarts,
+        "key {read_key}: the pinned guided read never restarted"
+    );
+    tree.check_consistency().unwrap();
+}
+
+#[test]
+fn pinned_guided_read_survives_a_front_insert() {
+    // An insert at the leaf's front shifts every key one slot right: a
+    // read of the old slots through the old guess would land one short.
+    let _serial = hook_lock();
+    let tree = guided_leaf(64, (10..90).step_by(2));
+    guided_read_during(&tree, 50, Some(500), || tree.insert(1, 10));
+    guided_read_during(&tree, 51, None, || tree.insert(3, 30));
+    assert_eq!(tree.get(1), Some(10));
+}
+
+#[test]
+fn pinned_guided_read_survives_a_far_outlier() {
+    // Appending a far outlier stretches the leaf's `to_ikr` span, so the
+    // guess for every other key collapses onto the leaf's front.
+    let _serial = hook_lock();
+    let tree = guided_leaf(64, (10..90).step_by(2));
+    let far = u64::MAX / 2;
+    guided_read_during(&tree, 70, Some(700), || tree.insert(far, 1));
+    guided_read_during(&tree, 88, Some(880), || tree.insert(far + 1, 2));
+    assert_eq!(tree.get(far), Some(1));
+    assert_eq!(tree.get(88), Some(880));
+}
+
+#[test]
+fn pinned_guided_read_survives_a_split() {
+    // A full leaf splits under the reader: the keys it guessed among move
+    // to a new right sibling.
+    let _serial = hook_lock();
+    let tree = guided_leaf(32, (0..64).step_by(2));
+    let splits = tree.stats().leaf_splits.get();
+    guided_read_during(&tree, 50, Some(500), || tree.insert(1, 10));
+    assert!(
+        tree.stats().leaf_splits.get() > splits,
+        "the write split no leaf"
+    );
+    assert_eq!(tree.get(1), Some(10));
+}

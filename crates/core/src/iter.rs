@@ -132,7 +132,13 @@ impl<K: Key, V> BpTree<K, V> {
                     .lookup_node_accesses
                     .add_shared(node_accesses);
                 let leaf = self.arena.get(leaf_id).as_leaf();
-                let pos = crate::layout::upper_bound(self.config.search_kind, &leaf.keys, s);
+                let keys = &leaf.keys;
+                let pos = crate::layout::guided_partition_point_by(
+                    keys.len(),
+                    |i| keys[i],
+                    s,
+                    |k| k <= s,
+                );
                 (leaf_id, pos, 1)
             }
         }

@@ -3,10 +3,22 @@
 //!
 //! Before this module, intra-node binary search and leaf slot shifting
 //! were open-coded at each call site (insert, delete, cursor, bulk, the
-//! concurrent tree, the OLC raw-read path). They are now expressed once,
-//! behind two small policy enums:
+//! concurrent tree, the OLC raw-read path). They are now expressed once:
+//! one key-guided search for every point lookup, and two small policy
+//! enums for everything else:
 //!
-//! * [`SearchKind`] — *how* a sorted key array is searched: `Binary`
+//! * [`guided_partition_point_by`] — where a lookup starts in a leaf: an
+//!   interpolation search that probes the slot the key's
+//!   [`Key::to_ikr`] projection predicts, then finishes inside a
+//!   one-cache-line bracket. Point reads, cursors and range starts in
+//!   both trees (the OLC raw read included) all go through it, most via
+//!   [`search_leaf`]. It returns the same partition point as every
+//!   [`SearchKind`], so it moves no count and no figure; it saves cache
+//!   misses on cold leaves.
+//! * [`SearchKind`] — *how* insert positioning, deletes and internal
+//!   routing search a sorted key array (guiding those measured slower:
+//!   an insert's hottest leaf is the append frontier, where a far
+//!   outlier skews the guess): `Binary`
 //!   (libcore `partition_point`, the bit-for-bit paper-reproduction
 //!   baseline), `Branchless` (fixed-shape branch-free binary search), or
 //!   `Simd` (runtime-detected SSE2/AVX2 compare+popcount over a narrowed
@@ -29,7 +41,7 @@
 //! 1. **Inserts** use the *upper bound* — [`upper_bound`], the partition
 //!    point of `k <= key` — so a new duplicate lands **after** every
 //!    existing instance of its key (stable insertion order).
-//! 2. **Lookups** use the *lower bound* — [`lower_bound`], the partition
+//! 2. **Lookups** use the *lower bound* — [`search_leaf`], the partition
 //!    point of `k < key` — the **first** instance of a duplicate run.
 //! 3. **Internal routing** is right-biased — [`search_internal`] is the
 //!    upper bound over separators — so a key equal to a separator routes
@@ -168,10 +180,119 @@ pub fn search_internal<K: Key>(kind: SearchKind, separators: &[K], key: K) -> us
     upper_bound(kind, separators, key)
 }
 
-/// Leaf slot where a lookup for `key` starts: the [`lower_bound`].
+/// Leaf slot where a lookup for `key` starts: the [`lower_bound`],
+/// found by [`guided_partition_point_by`].
+///
+/// Every [`SearchKind`] computes the same partition point, and lookups no
+/// longer choose between them, so `_kind` is not consulted; it stays in
+/// the signature for callers that still name a kind.
 #[inline]
-pub fn search_leaf<K: Key>(kind: SearchKind, keys: &[K], key: K) -> usize {
-    lower_bound(kind, keys, key)
+pub fn search_leaf<K: Key>(_kind: SearchKind, keys: &[K], key: K) -> usize {
+    guided_partition_point_by(keys.len(), |i| keys[i], key, |k| k < key)
+}
+
+/// Arrays of at most this many keys skip the guess: a plain branchless
+/// ladder over them is no more than five probes into one or two cache
+/// lines.
+const GUIDE_MIN_LEN: usize = 16;
+
+/// How far past the guessed slot the bracket probe of
+/// [`guided_partition_point_by`] looks: one cache line of 8-byte keys.
+const GUIDE_BRACKET: usize = 8;
+
+/// Partition point over `0..n` of a predicate monotone in the sorted keys
+/// `at(0..n)`, starting where `key`'s [`Key::to_ikr`] projection predicts
+/// — interpolation search, the same projection the IKR estimator (paper
+/// Eq. 2) uses to predict where keys land.
+///
+/// Arrays of at most 16 keys take [`branchless_partition_point_by`]
+/// directly. Otherwise the first and last keys settle the answer at once
+/// when `pred` holds for neither or both; failing that the guess is
+/// `g = (key − first) / (last − first) · (n − 1)` (the middle when that is
+/// not finite). The search probes `g` and its neighbour on the side
+/// `pred` points to, which settles an exact guess; failing that it probes
+/// the slot one cache line beyond `g` on that side. When the answer lies
+/// between the two it finishes with the branchless ladder inside that
+/// bracket; otherwise it halves the whole side the probes left open — at
+/// most five probes more than halving alone (the two ends, the guess, its
+/// neighbour and the bracket), and about two rounds of cache misses
+/// instead of five on a cold 255-key leaf.
+///
+/// Every index read is in `0..n` and no loop depends on the order of the
+/// keys read, so on keys torn by a racing writer (the OLC raw read) the
+/// search still ends, with an answer in `0..=n` that the caller's version
+/// validation then discards.
+#[inline]
+pub fn guided_partition_point_by<K: Key>(
+    n: usize,
+    at: impl Fn(usize) -> K,
+    key: K,
+    pred: impl Fn(K) -> bool,
+) -> usize {
+    guided_partition_point_hinted(n, at, key, pred, |_| {})
+}
+
+/// [`guided_partition_point_by`] that also hands the guessed slot to
+/// `hint` before probing it, so a caller can start loading what lives at
+/// that slot (the OLC leaf read prefetches the value there) while the key
+/// probes are in flight.
+#[doc(hidden)]
+#[inline]
+pub fn guided_partition_point_hinted<K: Key>(
+    n: usize,
+    at: impl Fn(usize) -> K,
+    key: K,
+    pred: impl Fn(K) -> bool,
+    hint: impl FnOnce(usize),
+) -> usize {
+    if n <= GUIDE_MIN_LEN {
+        return branchless_partition_point_by(n, |i| pred(at(i)));
+    }
+    let first = at(0);
+    if !pred(first) {
+        return 0;
+    }
+    let last = at(n - 1);
+    if pred(last) {
+        return n;
+    }
+    let (lo, hi) = (first.to_ikr(), last.to_ikr());
+    let frac = (key.to_ikr() - lo) / (hi - lo);
+    let g = if frac.is_finite() {
+        // `as` saturates: a negative product becomes 0.
+        (frac * (n - 1) as f64) as usize
+    } else {
+        n / 2
+    }
+    .clamp(1, n - 2);
+    hint(g);
+    // `pred` holds at `lo` and fails at `hi`: the answer is in `lo+1..=hi`.
+    // The guess's neighbour settles an exact guess — near-linear keys, the
+    // common case — without leaving the guess's cache line.
+    let (lo, hi) = if pred(at(g)) {
+        if !pred(at(g + 1)) {
+            return g + 1;
+        }
+        let h = (g + GUIDE_BRACKET).min(n - 1);
+        if pred(at(h)) {
+            (h, n - 1)
+        } else {
+            (g + 1, h)
+        }
+    } else {
+        if pred(at(g - 1)) {
+            return g;
+        }
+        let h = g.saturating_sub(GUIDE_BRACKET);
+        if pred(at(h)) {
+            (h, g - 1)
+        } else {
+            (0, h)
+        }
+    };
+    // Saturating: torn keys can leave `hi == lo`.
+    let len = (hi - lo).saturating_sub(1);
+    lo + 1 + branchless_partition_point_by(len, |i| pred(at(lo + 1 + i)))
 }
 
 // ---------------------------------------------------------------------

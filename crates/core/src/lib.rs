@@ -126,9 +126,9 @@ pub use fastpath::{FastPathMode, FastPathState, FullPolePlan, PoleSplit, PrevLea
 pub use iter::{RangeIter, RangeScan, TreeIter};
 pub use key::{stripe_of, AnyBitPattern, Key, OrderedF64};
 pub use layout::{
-    branchless_partition_point, branchless_partition_point_by, compact, insert_at, lower_bound,
-    regap, remove_at, search_internal, search_leaf, simd_force_disabled, upper_bound, GapMap,
-    NodeLayoutKind, SearchKind, SlotInsert,
+    branchless_partition_point, branchless_partition_point_by, compact, guided_partition_point_by,
+    guided_partition_point_hinted, insert_at, lower_bound, regap, remove_at, search_internal,
+    search_leaf, simd_force_disabled, upper_bound, GapMap, NodeLayoutKind, SearchKind, SlotInsert,
 };
 pub use metrics::{
     Counter, FastPathWindow, HistogramSnapshot, LatencyHistogram, MetricsLevel, MetricsRegistry,

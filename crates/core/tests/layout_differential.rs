@@ -216,6 +216,12 @@ fn search_kinds_agree_on_every_boundary_shape() {
         for probe in 0..205u64 {
             let ub = quit_core::upper_bound(SearchKind::Binary, keys, probe);
             let lb = quit_core::lower_bound(SearchKind::Binary, keys, probe);
+            assert_eq!(
+                quit_core::search_leaf(SearchKind::Binary, keys, probe),
+                lb,
+                "guided search_leaf len={} probe={probe}",
+                keys.len()
+            );
             for kind in [SearchKind::Branchless, SearchKind::Simd] {
                 assert_eq!(
                     quit_core::upper_bound(kind, keys, probe),

@@ -196,3 +196,183 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------
+// The key-guided lookup kernel
+// ---------------------------------------------------------------------
+
+/// Distributions the guided search must be exact on. The outlier shapes
+/// are the ones that skew its guess the most: every other key crowds
+/// into one end of the `to_ikr` span.
+#[derive(Clone, Copy, Debug)]
+enum Shape {
+    Uniform,
+    Clustered,
+    Exponential,
+    DuplicateHeavy,
+    AllEqual,
+    OutlierAtEnd,
+    OutlierAtStart,
+    /// Not sorted at all: only termination and the `0..=n` range are owed.
+    Unsorted,
+}
+
+const SHAPES: [Shape; 8] = [
+    Shape::Uniform,
+    Shape::Clustered,
+    Shape::Exponential,
+    Shape::DuplicateHeavy,
+    Shape::AllEqual,
+    Shape::OutlierAtEnd,
+    Shape::OutlierAtStart,
+    Shape::Unsorted,
+];
+
+/// `n` values in `0..=max` of `shape`, sorted unless the shape is
+/// [`Shape::Unsorted`]; drawn from a xorshift stream seeded by `seed`.
+fn shaped(shape: Shape, n: usize, max: u64, seed: u64) -> Vec<u64> {
+    let mut state = seed | 1;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    let below = |r: u64, bound: u64| {
+        if bound == u64::MAX {
+            r
+        } else {
+            r % (bound + 1)
+        }
+    };
+    let mut v: Vec<u64> = match shape {
+        Shape::Uniform | Shape::Unsorted => (0..n).map(|_| below(next(), max)).collect(),
+        Shape::Clustered => {
+            let centres: Vec<u64> = (0..1 + next() % 4).map(|_| below(next(), max)).collect();
+            (0..n)
+                .map(|_| {
+                    let c = centres[(next() % centres.len() as u64) as usize];
+                    c.saturating_add(next() % 64).min(max)
+                })
+                .collect()
+        }
+        Shape::Exponential => (0..n)
+            .map(|_| (1u64 << (next() % 64)).min(max) - 1 + next() % 2)
+            .collect(),
+        Shape::DuplicateHeavy => {
+            let distinct = 1 + n as u64 / 8;
+            let base = below(next(), max.saturating_sub(distinct));
+            (0..n).map(|_| base + next() % distinct).collect()
+        }
+        Shape::AllEqual => vec![below(next(), max); n],
+        Shape::OutlierAtEnd => {
+            let mut v: Vec<u64> = (0..n).map(|_| next() % (4 * n as u64 + 1)).collect();
+            if let Some(last) = v.last_mut() {
+                *last = max;
+            }
+            v
+        }
+        Shape::OutlierAtStart => {
+            let mut v: Vec<u64> = (0..n)
+                .map(|_| max - next() % (4 * n as u64 + 1).min(max))
+                .collect();
+            if let Some(first) = v.first_mut() {
+                *first = 0;
+            }
+            v
+        }
+    };
+    if !matches!(shape, Shape::Unsorted) {
+        v.sort_unstable();
+    }
+    v
+}
+
+/// The guided search under both lookup predicates against libcore's
+/// `partition_point` on sorted `keys`; on unsorted ones only the range.
+fn check_guided<K: quit_core::Key>(keys: &[K], probes: &[K], sorted: bool) {
+    let n = keys.len();
+    for &p in probes {
+        let lower = quit_core::guided_partition_point_by(n, |i| keys[i], p, |k| k < p);
+        let upper = quit_core::guided_partition_point_by(n, |i| keys[i], p, |k| k <= p);
+        if sorted {
+            assert_eq!(
+                lower,
+                keys.partition_point(|k| *k < p),
+                "< {p:?} in {keys:?}"
+            );
+            assert_eq!(
+                upper,
+                keys.partition_point(|k| *k <= p),
+                "<= {p:?} in {keys:?}"
+            );
+        } else {
+            assert!(lower <= n && upper <= n, "{p:?} in {keys:?}");
+        }
+    }
+}
+
+/// Every key, its neighbours and the type's extremes, plus a few strays.
+fn probes_for<K: Copy>(keys: &[K], around: impl Fn(K) -> [K; 3], extremes: [K; 2]) -> Vec<K> {
+    let mut probes: Vec<K> = keys.iter().flat_map(|&k| around(k)).collect();
+    probes.extend(extremes);
+    probes
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(160))]
+
+    /// `guided_partition_point_by` is exactly `partition_point` for `<`
+    /// and `<=` on every shape, length 0..=600 and key type — `u64` and
+    /// `i64` over their full ranges (where `to_ikr` rounds), `u32`, and
+    /// `OrderedF64` with infinities at either end — and on unsorted input
+    /// it still ends with an answer in `0..=n`.
+    #[test]
+    fn guided_search_is_the_partition_point(
+        shape in 0..SHAPES.len(),
+        n in 0..=600usize,
+        seed in any::<u64>(),
+    ) {
+        use quit_core::OrderedF64;
+        let shape = SHAPES[shape];
+        let sorted = !matches!(shape, Shape::Unsorted);
+
+        let k64 = shaped(shape, n, u64::MAX, seed);
+        let probes = probes_for(&k64, |k| [k, k.wrapping_sub(1), k.wrapping_add(1)], [0, u64::MAX]);
+        check_guided(&k64, &probes, sorted);
+
+        let ki64: Vec<i64> = k64.iter().map(|&k| (k ^ (1 << 63)) as i64).collect();
+        let probes = probes_for(&ki64, |k| [k, k.wrapping_sub(1), k.wrapping_add(1)], [i64::MIN, i64::MAX]);
+        check_guided(&ki64, &probes, sorted);
+
+        let k32: Vec<u32> = shaped(shape, n, u64::from(u32::MAX), seed)
+            .into_iter()
+            .map(|k| k as u32)
+            .collect();
+        let probes = probes_for(&k32, |k| [k, k.wrapping_sub(1), k.wrapping_add(1)], [0, u32::MAX]);
+        check_guided(&k32, &probes, sorted);
+
+        // Doubles over ±2^49 so neighbours at ±0.5 stay distinct, with
+        // the infinities swapped in at either end on some cases.
+        let mut kf: Vec<OrderedF64> = shaped(shape, n, 1 << 50, seed)
+            .into_iter()
+            .map(|k| OrderedF64(k as f64 - (1u64 << 49) as f64))
+            .collect();
+        if sorted && seed & 1 == 1 {
+            if let Some(first) = kf.first_mut() {
+                *first = OrderedF64(f64::NEG_INFINITY);
+            }
+        }
+        if sorted && seed & 2 == 2 {
+            if let Some(last) = kf.last_mut() {
+                *last = OrderedF64(f64::INFINITY);
+            }
+        }
+        let probes = probes_for(
+            &kf,
+            |k| [k, OrderedF64(k.0 - 0.5), OrderedF64(k.0 + 0.5)],
+            [OrderedF64(f64::NEG_INFINITY), OrderedF64(f64::INFINITY)],
+        );
+        check_guided(&kf, &probes, sorted);
+    }
+}

@@ -442,10 +442,9 @@ where
         // this and shrink the offending history.
         let validate_at = snapshot_ts.filter(|_| cfg!(not(feature = "inject-txn-bug")));
         if let Some(snapshot_ts) = validate_at {
-            let newer = writes
-                .iter()
-                .filter_map(|&(key, _)| self.mvcc.latest_commit_ts(key))
-                .find(|&latest| latest > snapshot_ts);
+            let newer = self
+                .mvcc
+                .newest_after(writes.iter().map(|&(key, _)| key), snapshot_ts);
             if let Some(latest) = newer {
                 self.conflicts.fetch_add(1, Ordering::Relaxed);
                 return Err(Error::conflict(format!(
@@ -797,6 +796,68 @@ mod tests {
         let stats = store.txn_stats();
         assert_eq!(stats.conflicts, 1);
         assert_eq!(stats.aborts, 1);
+    }
+
+    /// A store over leaves of 8 entries, so the 200-key write sets below
+    /// span at least 25 leaves of the commit check's leaf-at-a-time read.
+    fn small_leaf_store() -> TxnStore<u64, u64> {
+        let storage = Arc::new(MemStorage::new()) as Arc<dyn Storage>;
+        let (store, _) = TxnStore::open(
+            storage,
+            TxnConfig::default()
+                .with_tree(ConcConfig::small(8))
+                .with_durability(DurabilityConfig::buffered()),
+        )
+        .unwrap();
+        store
+    }
+
+    #[test]
+    fn a_newer_commit_anywhere_in_a_multi_leaf_write_set_conflicts() {
+        let keys: Vec<u64> = (0..200).map(|i| i * 3).collect();
+        for victim in [keys[0], keys[100], keys[199]] {
+            let store = small_leaf_store();
+            let mut seed = store.begin();
+            for &k in &keys {
+                seed.insert(k, k);
+            }
+            seed.commit().unwrap();
+            let mut txn = store.begin();
+            for &k in &keys {
+                txn.insert(k, k + 1);
+            }
+            store.insert(victim, 0).unwrap();
+            let err = txn.commit().unwrap_err();
+            assert!(
+                matches!(err, Error::Conflict(_)),
+                "victim {victim}: {err:?}"
+            );
+            assert_eq!(store.get(victim), Some(0));
+            assert!(
+                keys.iter().all(|&k| k == victim || store.get(k) == Some(k)),
+                "victim {victim}: the conflicting commit applied something"
+            );
+        }
+    }
+
+    #[test]
+    fn a_write_set_of_never_written_keys_commits() {
+        let store = small_leaf_store();
+        // Every write-set key's neighbours exist, and one of them commits
+        // after the snapshot: neither is a conflict.
+        for k in (0..600).step_by(3) {
+            store.insert(k, k).unwrap();
+        }
+        let mut txn = store.begin();
+        let keys: Vec<u64> = (1..600).step_by(3).collect();
+        assert_eq!(keys.len(), 200);
+        for &k in &keys {
+            txn.insert(k, 7);
+        }
+        store.insert(0, 99).unwrap();
+        txn.commit().unwrap();
+        assert!(keys.iter().all(|&k| store.get(k) == Some(7)));
+        assert_eq!(store.len(), 400);
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! of the true partition point. This suite asserts the layout-swept
 //! differential oracle (1) detects that under the gapped + branchless
 //! config, (2) shrinks the trigger to a tiny counterexample, and (3) the
-//! minimal counterexample reproduces standalone.
+//! minimal counterexample reproduces standalone — and the same under the
+//! default dense + binary config, whose point lookups reach the ladder
+//! through the key-guided leaf search.
 //!
 //! CI runs this as a separate cargo invocation (feature unification would
 //! otherwise poison the clean differential suite, which is `cfg`'d off
@@ -33,20 +35,36 @@ fn oracle_config() -> OracleConfig {
     .with_layout(NodeLayoutKind::Gapped, SearchKind::Branchless)
 }
 
-fn run_harness(label: &str, cases: u32) -> proptest::test_runner::Failure<(Vec<Op>,)> {
+/// The default dense + binary paper path, whose insert positioning stays
+/// on libcore's binary search, with leaves wide enough (32 entries) that
+/// point lookups run the key-guided search past its 16-key cut-off too:
+/// its bracket, like its short-leaf case, finishes on the planted ladder.
+fn default_lookup_config() -> OracleConfig {
+    OracleConfig {
+        leaf_capacity: 32,
+        check_every: 4,
+        ..OracleConfig::default()
+    }
+}
+
+fn run_harness(
+    label: &str,
+    cases: u32,
+    config: &OracleConfig,
+) -> proptest::test_runner::Failure<(Vec<Op>,)> {
     let strategy = (WorkloadStrategy::ingest_heavy(160),);
     Runner::new(label, Config::with_cases(cases))
         .run(&strategy, |(ops,)| {
-            replay_guarded(ops, &oracle_config())
+            replay_guarded(ops, config)
                 .map(|_| ())
                 .map_err(|d| d.to_string())
         })
         .expect_err("the injected branchless-search off-by-one must be caught")
 }
 
-#[test]
-fn injected_search_bug_is_caught_and_shrunk() {
-    let failure = run_harness("search_mutation_smoke", 64);
+/// Caught, shrunk to ≤ 25 ops, and reproducible on its own.
+fn assert_caught_and_shrunk(label: &str, config: &OracleConfig) {
+    let failure = run_harness(label, 64, config);
     let minimal = &failure.minimal.0;
     assert!(
         minimal.len() <= 25,
@@ -54,9 +72,19 @@ fn injected_search_bug_is_caught_and_shrunk() {
         minimal.len()
     );
     assert!(
-        replay_guarded(minimal, &oracle_config()).is_err(),
+        replay_guarded(minimal, config).is_err(),
         "minimal counterexample must fail on its own: {minimal:?}"
     );
+}
+
+#[test]
+fn injected_search_bug_is_caught_and_shrunk() {
+    assert_caught_and_shrunk("search_mutation_smoke", &oracle_config());
+}
+
+#[test]
+fn injected_search_bug_reaches_default_config_lookups() {
+    assert_caught_and_shrunk("search_mutation_smoke_lookups", &default_lookup_config());
 }
 
 /// The planted bug is localized to the branchless ladder: the binary
