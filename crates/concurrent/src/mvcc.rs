@@ -46,11 +46,6 @@
 //! behind. It holds each write stripe while it works through that
 //! stripe's keys, so a slot it read cannot be superseded before its side
 //! list is pruned.
-//!
-//! Under the Gapped layout a leaf's gap slots hold *copies* of their
-//! nearest live right neighbour's slot, and a lookup may land on one;
-//! `ConcurrentTree::upsert` rewrites that filler run with every in-place
-//! update (pinned by `overwrite_reaches_every_gapped_filler` below).
 
 use crate::sync::Mutex;
 use crate::{ConcConfig, ConcurrentTree};
@@ -132,7 +127,7 @@ pub struct MvccTree<K: Key, V: Clone> {
 
 impl<K: Key, V: Clone> MvccTree<K, V> {
     /// An empty multi-version tree with the given inner-tree
-    /// configuration (layout, search kind, OLC on/off all apply).
+    /// configuration (geometry, poℓe and OLC on/off all apply).
     pub fn new(config: ConcConfig) -> Self {
         Self::bulk_load(config, std::iter::empty())
     }
@@ -414,15 +409,11 @@ impl<K: Key, V: Clone> MvccTree<K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use quit_core::{NodeLayoutKind, TreeConfig};
     use std::sync::Arc;
 
-    fn tiny<V: Clone>(layout: NodeLayoutKind) -> MvccTree<u64, V> {
-        // Tiny leaves force splits (and, for Gapped, filler seeding) with
-        // few keys.
-        MvccTree::new(ConcConfig::from_tree(
-            TreeConfig::small(8).with_node_layout(layout),
-        ))
+    fn tiny<V: Clone>() -> MvccTree<u64, V> {
+        // Tiny leaves force splits with few keys.
+        MvccTree::new(ConcConfig::small(8))
     }
 
     fn write<V: Clone>(t: &MvccTree<u64, V>, key: u64, ts: u64, v: Option<V>) -> bool {
@@ -439,7 +430,7 @@ mod tests {
 
     #[test]
     fn visibility_picks_newest_at_or_below_snapshot() {
-        let t = tiny(NodeLayoutKind::Dense);
+        let t = tiny();
         write(&t, 5, 10, Some(100));
         write(&t, 5, 20, Some(200));
         write(&t, 5, 30, None); // delete
@@ -459,7 +450,7 @@ mod tests {
 
     #[test]
     fn try_read_at_tells_pruned_from_absent() {
-        let t = tiny(NodeLayoutKind::Dense);
+        let t = tiny();
         write(&t, 1, 10, Some(1));
         write(&t, 1, 20, Some(2));
         write(&t, 2, 15, None);
@@ -474,7 +465,7 @@ mod tests {
 
     #[test]
     fn apply_reports_previous_liveness() {
-        let t = tiny(NodeLayoutKind::Dense);
+        let t = tiny();
         assert!(!write(&t, 1, 1, Some(10))); // absent -> live
         assert!(write(&t, 1, 2, Some(11))); // live -> live
         assert!(write(&t, 1, 3, None)); // live -> tombstone
@@ -485,7 +476,7 @@ mod tests {
 
     #[test]
     fn gc_prunes_exactly_the_unreachable_suffix() {
-        let t = tiny(NodeLayoutKind::Dense);
+        let t = tiny();
         for ts in 1..=5u64 {
             write(&t, 7, ts * 10, Some(ts));
         }
@@ -513,7 +504,7 @@ mod tests {
 
     #[test]
     fn scan_at_is_a_point_in_time_image() {
-        let t = tiny(NodeLayoutKind::Dense);
+        let t = tiny();
         for k in 0..20u64 {
             write(&t, k, 10, Some(k * 100));
         }
@@ -532,68 +523,59 @@ mod tests {
         assert_eq!(t.scan_at(5..10, 20).len(), 5);
     }
 
-    /// Gapped-layout filler slots hold *copies* of the neighbouring slot,
-    /// and a lookup's lower bound lands on the first filler of a run, not
-    /// on the live slot. An overwrite must therefore reach every filler:
-    /// each read below goes through whatever alias the leaf has for its
-    /// key, at the new snapshot, the old one, and after the old one is
-    /// collected. Both layouts, so a layout change fails loudly.
+    /// An in-place overwrite is visible at once, at the new snapshot, the
+    /// old one, and after the old one is collected.
     #[test]
-    fn overwrite_reaches_every_gapped_filler() {
-        for layout in [NodeLayoutKind::Dense, NodeLayoutKind::Gapped] {
-            let t = tiny(layout);
-            // Random-ish insertion order and enough keys to split leaves
-            // repeatedly, seeding gaps (filler copies) under Gapped.
-            let mut keys: Vec<u64> = (0..200).map(|i| (i * 37) % 211).collect();
-            keys.dedup();
-            for (i, &k) in keys.iter().enumerate() {
-                write(&t, k, 10 + i as u64, Some(k * 2));
-            }
-            let base = 10_000u64;
-            for (i, &k) in keys.iter().enumerate() {
-                write(&t, k, base + i as u64, Some(k * 3));
-                // Visible at once, before any later overwrite touches the leaf.
-                assert_eq!(t.read_at(k, u64::MAX), Some(k * 3), "layout {layout:?}");
-            }
-            for (i, &k) in keys.iter().enumerate() {
-                assert_eq!(t.read_at(k, u64::MAX), Some(k * 3), "layout {layout:?}");
-                assert_eq!(
-                    t.newest_after([k], base + i as u64 - 1),
-                    Some(base + i as u64)
-                );
-                assert_eq!(t.newest_after([k], base + i as u64), None);
-                assert_eq!(t.read_at(k, base - 1), Some(k * 2), "layout {layout:?}");
-            }
-            t.check_consistency().unwrap();
-            assert_eq!(t.gc(u64::MAX - 1), keys.len(), "layout {layout:?}");
-            for &k in &keys {
-                assert_eq!(t.read_at(k, u64::MAX), Some(k * 3), "layout {layout:?}");
-                assert_eq!(
-                    t.read_at(k, base - 1),
-                    None,
-                    "layout {layout:?}: collected version resurrected"
-                );
-            }
-            t.check_consistency().unwrap();
+    fn overwrite_is_visible_at_every_snapshot() {
+        let t = tiny();
+        // Random-ish insertion order and enough keys to split leaves
+        // repeatedly.
+        let mut keys: Vec<u64> = (0..200).map(|i| (i * 37) % 211).collect();
+        keys.dedup();
+        for (i, &k) in keys.iter().enumerate() {
+            write(&t, k, 10 + i as u64, Some(k * 2));
         }
+        let base = 10_000u64;
+        for (i, &k) in keys.iter().enumerate() {
+            write(&t, k, base + i as u64, Some(k * 3));
+            // Visible at once, before any later overwrite touches the leaf.
+            assert_eq!(t.read_at(k, u64::MAX), Some(k * 3));
+        }
+        for (i, &k) in keys.iter().enumerate() {
+            assert_eq!(t.read_at(k, u64::MAX), Some(k * 3));
+            assert_eq!(
+                t.newest_after([k], base + i as u64 - 1),
+                Some(base + i as u64)
+            );
+            assert_eq!(t.newest_after([k], base + i as u64), None);
+            assert_eq!(t.read_at(k, base - 1), Some(k * 2));
+        }
+        t.check_consistency().unwrap();
+        assert_eq!(t.gc(u64::MAX - 1), keys.len());
+        for &k in &keys {
+            assert_eq!(t.read_at(k, u64::MAX), Some(k * 3));
+            assert_eq!(
+                t.read_at(k, base - 1),
+                None,
+                "collected version resurrected"
+            );
+        }
+        t.check_consistency().unwrap();
     }
 
     /// Model differential: random `apply` / `read_at` / `scan_at` /
     /// `newest_after` / `gc` against a `BTreeMap` of full version
     /// lists pruned by the textbook rule.
-    fn differential<V: Clone + PartialEq + std::fmt::Debug>(
-        layout: NodeLayoutKind,
-        make: impl Fn(u64) -> V,
-    ) {
+    fn differential<V: Clone + PartialEq + std::fmt::Debug>(make: impl Fn(u64) -> V) {
         use rand::prelude::*;
-        let t: MvccTree<u64, V> = tiny(layout);
+        let t: MvccTree<u64, V> = tiny();
         // Oldest first.
         let mut model: BTreeMap<u64, Vec<(u64, Option<V>)>> = BTreeMap::new();
         let at = |model: &BTreeMap<u64, Vec<(u64, Option<V>)>>, k: u64, s: u64| {
             let versions = model.get(&k)?;
             versions.iter().rev().find(|(ts, _)| *ts <= s)?.1.clone()
         };
-        let mut rng = StdRng::seed_from_u64(0x3C_C0DE ^ layout as u64);
+        let mut rng = StdRng::seed_from_u64(0x3C_C0DE);
         let (mut now, mut watermark) = (0u64, 0u64);
         for step in 0..6_000 {
             let k = rng.gen_range(0..96u64);
@@ -651,17 +633,15 @@ mod tests {
     }
 
     #[test]
-    fn model_differential_plain_and_heap_values_both_layouts() {
-        for layout in [NodeLayoutKind::Dense, NodeLayoutKind::Gapped] {
-            differential(layout, |ts| ts * 7); // latch-free slot reads
-            differential(layout, |ts| format!("v{ts}")); // latched slot reads
-        }
+    fn model_differential_plain_and_heap_values() {
+        differential(|ts| ts * 7); // latch-free slot reads
+        differential(|ts| format!("v{ts}")); // latched slot reads
     }
 
     #[test]
     fn lock_keys_is_deadlock_free_across_threads() {
         use std::sync::atomic::{AtomicU64, Ordering};
-        let t = Arc::new(tiny(NodeLayoutKind::Dense));
+        let t = Arc::new(tiny());
         let ts = Arc::new(AtomicU64::new(0));
         let threads: Vec<_> = (0..4)
             .map(|tid| {

@@ -154,11 +154,8 @@ unsafe fn vec_header<T>(vec: *const Vec<T>) -> (*const T, usize) {
 /// the internal-node routing step.
 ///
 /// Probes follow the branchless fixed-trip schedule from
-/// [`quit_core::branchless_partition_point_by`] — the scalar data-parallel
-/// search, never the SIMD one: each element must go through
-/// [`atomic_read`], so wide vector loads on this racing memory are off the
-/// table regardless of the tree's configured [`quit_core::SearchKind`].
-/// Leaf lookups ([`leaf_get`]) run the key-guided
+/// [`quit_core::branchless_partition_point_by`], each element loaded
+/// through [`atomic_read`]. Leaf lookups ([`leaf_get`]) run the key-guided
 /// [`quit_core::guided_partition_point_by`] over the same atomic loads
 /// instead; routing keeps this ladder, because guiding it measured slower.
 ///

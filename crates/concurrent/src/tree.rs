@@ -54,8 +54,8 @@ use crate::node::{CNode, NodeRef};
 use crate::olc::{self, LeafRead, Routed, Target};
 use crate::sync::{ArcRwLockReadGuard, ArcRwLockWriteGuard, Mutex, RwLock};
 use quit_core::{
-    FastPathState, FullPolePlan, Key, MetricsRegistry, NodeLayoutKind, PoleSplit, PrevLeaf,
-    SlotInsert, Stats, StatsSnapshot, StorageKind, TopInsert, TreeConfig,
+    FastPathState, FullPolePlan, Key, MetricsRegistry, PoleSplit, PrevLeaf, Stats, StatsSnapshot,
+    StorageKind, TopInsert, TreeConfig,
 };
 use std::ops::{Bound, ControlFlow, RangeBounds};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -69,10 +69,9 @@ type LeafSplit<K, V> = (NodeRef<K, V>, PoleSplit<K, NodeRef<K, V>>);
 
 /// Configuration of the concurrent tree: one [`TreeConfig`] for every knob
 /// it shares with the single-threaded trees (geometry, IKR scale, reset
-/// threshold, metrics level, leaf layout, search kind, storage) plus the
-/// three only a latched tree has. Geometry or layout overrides go through
-/// the embedded value:
-/// `ConcConfig::from_tree(TreeConfig::small(16).with_node_layout(..))`.
+/// threshold, metrics level, storage) plus the two only a latched tree
+/// has. Geometry or policy overrides go through the embedded value:
+/// `ConcConfig::from_tree(TreeConfig::small(16).with_reset_threshold(..))`.
 #[derive(Debug, Clone)]
 pub struct ConcConfig {
     /// Private so it always describes what actually runs: `from_tree`
@@ -96,9 +95,7 @@ impl ConcConfig {
     ///
     /// `variable_split` and `redistribute` are switched off in the embedded
     /// value — the concurrent tree always splits 50/50 (see the module
-    /// docs). `search_kind` governs latched reads and writes only (the
-    /// latch-free OLC descent always uses the branchless scalar search —
-    /// SIMD loads must not race writers). [`StorageKind::Paged`] is
+    /// docs). [`StorageKind::Paged`] is
     /// representable so one config type can describe a whole deployment,
     /// but [`ConcurrentTree::new`] rejects it: optimistic readers hold raw
     /// node pointers that a buffer pool could evict from under them. For
@@ -223,7 +220,6 @@ impl<K: Key, V: Clone> ConcurrentTree<K, V> {
             let leaf = CNode::Leaf {
                 keys,
                 vals,
-                gaps: quit_core::GapMap::new(),
                 next: level.last().map(|(_, next)| next.clone()),
                 low,
                 high,
@@ -479,13 +475,12 @@ impl<K: Key, V: Clone> ConcurrentTree<K, V> {
     }
 
     /// Places `(key, value)` in a write-latched leaf whose bounds cover
-    /// `key`: merged into the live entry for `key` if `existing` looks for
-    /// one and there is one, else inserted if the leaf has live space,
-    /// else handed back. `insert_at` appends a key at or past the leaf's
-    /// last one with one compare and a `push`, and never grows the
-    /// physical array past `leaf_capacity` (at physical capacity it reuses
-    /// a gap), so optimistic readers never see a reallocation of the
-    /// pinned `capacity + 1` reservation.
+    /// `key`: merged into the entry for `key` if `existing` looks for one
+    /// and there is one, else inserted if the leaf has space, else handed
+    /// back. [`quit_core::insert_dense`] appends a key at or past the
+    /// leaf's last one with one compare and a `push`, and the leaf never
+    /// grows past `leaf_capacity` here, so optimistic readers never see a
+    /// reallocation of the pinned `capacity + 1` reservation.
     fn place<M: OnExisting<K, V>>(
         &self,
         leaf: &mut CNode<K, V>,
@@ -493,40 +488,22 @@ impl<K: Key, V: Clone> ConcurrentTree<K, V> {
         value: V,
         existing: &mut M,
     ) -> Placed<V> {
-        let CNode::Leaf {
-            keys, vals, gaps, ..
-        } = leaf
-        else {
+        let CNode::Leaf { keys, vals, .. } = leaf else {
             unreachable!("entries are placed in leaves");
         };
-        let kind = self.config.tree.search_kind;
         // Past the last key (the append frontier) no entry can hold `key`.
         if M::LOOKS && keys.last().is_some_and(|&last| last >= key) {
-            let pos = quit_core::lower_bound(kind, keys, key);
+            let pos = quit_core::lower_bound(keys, key);
             if pos < keys.len() && keys[pos] == key {
-                let live = gaps
-                    .next_live(pos, keys.len())
-                    .expect("last physical slot is always live");
-                existing.merge(key, &mut vals[live], value);
-                // `pos..live` is the entry's filler run: gap slots copy
-                // their nearest live right neighbour and a lookup's lower
-                // bound lands on the first of them, so they must carry the
-                // update too.
-                let (fillers, rest) = vals.split_at_mut(live);
-                for filler in &mut fillers[pos..] {
-                    *filler = rest[0].clone();
-                }
+                existing.merge(key, &mut vals[pos], value);
                 return Placed::Merged;
             }
         }
-        let cap = self.config.tree.leaf_capacity;
-        if keys.len() - gaps.count() >= cap {
+        if keys.len() >= self.config.tree.leaf_capacity {
             return Placed::Full(value);
         }
-        match quit_core::insert_at(kind, keys, vals, gaps, key, value, cap) {
-            SlotInsert::Done(_) => Placed::Inserted,
-            SlotInsert::Full => unreachable!("live space checked above"),
-        }
+        quit_core::insert_dense(keys, vals, key, value);
+        Placed::Inserted
     }
 
     /// Counts `n` inserts placed through the fast path or the tree.
@@ -631,9 +608,7 @@ impl<K: Key, V: Clone> ConcurrentTree<K, V> {
                 CNode::Internal { keys, children } => {
                     let i = match target {
                         Target::Leftmost => 0,
-                        Target::Key(key) => {
-                            quit_core::search_internal(self.config.tree.search_kind, keys, key)
-                        }
+                        Target::Key(key) => quit_core::search_internal(keys, key),
                     };
                     children[i].clone()
                 }
@@ -643,8 +618,6 @@ impl<K: Key, V: Clone> ConcurrentTree<K, V> {
     }
 
     fn node_unsafe_for_insert(&self, n: &CNode<K, V>) -> bool {
-        // Live occupancy: a gapped leaf with free fillers can still absorb
-        // the insert without splitting.
         let cfg = &self.config.tree;
         let cap = if n.is_leaf() {
             cfg.leaf_capacity
@@ -670,7 +643,7 @@ impl<K: Key, V: Clone> ConcurrentTree<K, V> {
             let child = match &*guard {
                 CNode::Leaf { .. } => break,
                 CNode::Internal { keys, children } => {
-                    let i = quit_core::search_internal(self.config.tree.search_kind, keys, key);
+                    let i = quit_core::search_internal(keys, key);
                     children[i].clone()
                 }
             };
@@ -734,16 +707,11 @@ impl<K: Key, V: Clone> ConcurrentTree<K, V> {
 
     /// Inserts into a leaf still full after its split was tried: a
     /// uniform-key leaf that cannot split, or the overfull half of one.
-    /// Such a leaf is dense — gaps only exist below live capacity — and
-    /// grows physically past the configured capacity.
+    /// Such a leaf grows past the configured capacity.
     fn absorb_overflow(&self, leaf: &mut CNode<K, V>, key: K, value: V) {
-        let CNode::Leaf {
-            keys, vals, gaps, ..
-        } = leaf
-        else {
+        let CNode::Leaf { keys, vals, .. } = leaf else {
             unreachable!("only leaves overflow");
         };
-        debug_assert!(gaps.is_dense(), "overfull leaves are dense");
         if keys.len() == keys.capacity() {
             // Growth past the pinned reservation: optimistic readers may
             // hold raw pointers into the current buffers, so swap in
@@ -757,7 +725,7 @@ impl<K: Key, V: Clone> ConcurrentTree<K, V> {
             let old_vals = std::mem::replace(vals, new_vals);
             self.retired.lock().push((old_keys, old_vals));
         }
-        let pos = quit_core::upper_bound(self.config.tree.search_kind, keys, key);
+        let pos = quit_core::upper_bound(keys, key);
         keys.insert(pos, key);
         vals.insert(pos, value);
     }
@@ -776,7 +744,6 @@ impl<K: Key, V: Clone> ConcurrentTree<K, V> {
         let CNode::Leaf {
             keys,
             vals,
-            gaps,
             next,
             high,
             ..
@@ -784,9 +751,6 @@ impl<K: Key, V: Clone> ConcurrentTree<K, V> {
         else {
             unreachable!("split_leaf on a leaf");
         };
-        // Splits only run at live == capacity, which forces zero gaps, so
-        // physical slot indices below are live indices.
-        debug_assert!(gaps.is_dense(), "split target must be dense (full)");
         let pole_len = keys.len();
         let mid = pole_len / 2;
         let cut = (mid..keys.len())
@@ -805,43 +769,11 @@ impl<K: Key, V: Clone> ConcurrentTree<K, V> {
         let (mut right_keys, mut right_vals) = CNode::leaf_buffers(pinned);
         right_keys.extend(keys.drain(cut..));
         right_vals.extend(vals.drain(cut..));
-        let mut right_gaps = quit_core::GapMap::new();
         let sep = right_keys[0];
         let q = keys[0];
-        if self.config.tree.node_layout == NodeLayoutKind::Gapped {
-            // Gap placement from the IKR prediction (mirrors the core
-            // tree): the left node's prefix is frozen in-order history;
-            // stragglers of a near-sorted stream land just below the
-            // separator, so spread `⌊√cap⌋` fillers over its upper half.
-            // `regap` caps the physical length at `leaf_capacity`, within
-            // the pinned `capacity + 1` reservation — no reallocation
-            // under optimistic readers. The right (poℓe) node grows by
-            // appends and needs no gaps.
-            let cap = self.config.tree.leaf_capacity;
-            let want = (cap as f64).sqrt().floor() as usize;
-            let region = keys.len() / 2;
-            quit_core::regap(keys, vals, gaps, region, want, cap);
-            // Interior right nodes take straggler traffic too; the
-            // rightmost leaf (`high == None`) is the append frontier and
-            // must stay dense so the in-order stream keeps its push fast
-            // path. Seeding happens before publication, so the buffers
-            // settle within their pinned reservation (`regap` never grows
-            // past `leaf_capacity`) before any reader can see them.
-            if high.is_some() {
-                quit_core::regap(
-                    &mut right_keys,
-                    &mut right_vals,
-                    &mut right_gaps,
-                    0,
-                    want,
-                    cap,
-                );
-            }
-        }
         let right = CNode::Leaf {
             keys: right_keys,
             vals: right_vals,
-            gaps: right_gaps,
             next: next.take(),
             low: Some(sep),
             high: *high,
@@ -874,7 +806,7 @@ impl<K: Key, V: Clone> ConcurrentTree<K, V> {
                     let CNode::Internal { keys, children } = &mut *parent_guard else {
                         unreachable!("ancestors are internal");
                     };
-                    let idx = quit_core::upper_bound(self.config.tree.search_kind, keys, sep);
+                    let idx = quit_core::upper_bound(keys, sep);
                     keys.insert(idx, sep);
                     children.insert(idx + 1, right);
                     if keys.len() <= self.config.tree.internal_capacity {
@@ -997,40 +929,13 @@ impl<K: Key, V: Clone> ConcurrentTree<K, V> {
             if !guard.covers(key) {
                 continue; // raced a split of this leaf; re-descend
             }
-            let CNode::Leaf {
-                keys, vals, gaps, ..
-            } = &mut *guard
-            else {
+            let CNode::Leaf { keys, vals, .. } = &mut *guard else {
                 unreachable!("descent ends at a leaf");
             };
-            let pos = quit_core::lower_bound(self.config.tree.search_kind, keys, key);
+            let pos = quit_core::lower_bound(keys, key);
             return if pos < keys.len() && keys[pos] == key {
-                // The lower bound may land on a gap filler; the filler rule
-                // (a gap copies its nearest live right neighbour) puts the
-                // matching live slot at the next live position.
-                let live = gaps
-                    .next_live(pos, keys.len())
-                    .expect("last physical slot is always live");
-                debug_assert_eq!(keys[live], key);
-                // A leaf that absorbed uniform-key overflow (physical length
-                // past `leaf_capacity`) must stay dense — the split and
-                // absorb paths assert so — hence `pinned = 0` makes
-                // `remove_at` shift instead of gap-ify there. Regular
-                // leaves never exceed the pinned reservation, so every
-                // slot sits below `capacity + 1` and gap-ifies in place.
-                let pinned = if keys.len() > self.config.tree.leaf_capacity {
-                    0
-                } else {
-                    self.config.tree.leaf_capacity + 1
-                };
-                let v = quit_core::remove_at(
-                    self.config.tree.node_layout,
-                    keys,
-                    vals,
-                    gaps,
-                    live,
-                    pinned,
-                );
+                keys.remove(pos);
+                let v = vals.remove(pos);
                 drop(guard);
                 self.len.fetch_sub(1, Ordering::Relaxed);
                 self.metrics.counters.deletes.bump_shared();
@@ -1130,16 +1035,14 @@ impl<K: Key, V: Clone> ConcurrentTree<K, V> {
         self.leaf_lookup(&self.descend_shared(Target::Key(key)), key)
     }
 
-    /// Point read in a latched leaf responsible for `key`. Gap fillers are
-    /// value-correct copies of their nearest live right slot, so no bitmap
-    /// consultation is needed; boundary-respecting splits keep every
-    /// instance of a key in the one leaf right-biased routing reaches, so a
-    /// miss here is a genuine miss.
+    /// Point read in a latched leaf responsible for `key`.
+    /// Boundary-respecting splits keep every instance of a key in the one
+    /// leaf right-biased routing reaches, so a miss here is a genuine miss.
     fn leaf_lookup(&self, leaf: &CNode<K, V>, key: K) -> Option<V> {
         let CNode::Leaf { keys, vals, .. } = leaf else {
             unreachable!("lookups end at a leaf");
         };
-        let pos = quit_core::search_leaf(self.config.tree.search_kind, keys, key);
+        let pos = quit_core::guided_lower_bound(keys, key);
         (pos < keys.len() && keys[pos] == key).then(|| vals[pos].clone())
     }
 
@@ -1176,7 +1079,7 @@ impl<K: Key, V: Clone> ConcurrentTree<K, V> {
                 unreachable!("descent ends at a leaf");
             };
             let rest = &slots[from..];
-            from += quit_core::search_leaf(self.config.tree.search_kind, rest, key);
+            from += quit_core::guided_lower_bound(rest, key);
             let entry = (from < slots.len() && slots[from] == key).then(|| &vals[from]);
             if let ControlFlow::Break(out) = f(key, entry) {
                 return Some(out);
@@ -1231,7 +1134,7 @@ impl<K: Key, V: Clone> ConcurrentTree<K, V> {
         };
         let pos = match start {
             Bound::Unbounded => 0,
-            Bound::Included(s) => quit_core::search_leaf(self.config.tree.search_kind, keys, s),
+            Bound::Included(s) => quit_core::guided_lower_bound(keys, s),
             Bound::Excluded(s) => {
                 quit_core::guided_partition_point_by(keys.len(), |i| keys[i], s, |k| k <= s)
             }
@@ -1337,11 +1240,7 @@ impl<K: Key, V: Clone> ConcurrentTree<K, V> {
         while let Some(l) = leaf {
             let guard = l.read();
             let CNode::Leaf {
-                keys,
-                vals,
-                gaps,
-                next,
-                ..
+                keys, vals, next, ..
             } = &*guard
             else {
                 return Err("leaf chain reached an internal node".to_string());
@@ -1353,41 +1252,13 @@ impl<K: Key, V: Clone> ConcurrentTree<K, V> {
                     vals.len()
                 ));
             }
-            if self.config.tree.node_layout == NodeLayoutKind::Dense && !gaps.is_dense() {
-                return Err("leaf holds gaps under the dense layout".to_string());
-            }
-            if !keys.is_empty() && gaps.is_gap(keys.len() - 1) {
-                return Err("leaf ends in a gap (trailing gaps must trim)".to_string());
-            }
-            let mut in_range_gaps = 0usize;
-            for i in 0..keys.len() {
-                if gaps.is_gap(i) {
-                    in_range_gaps += 1;
-                    // Strict filler rule: every gap slot copies its nearest
-                    // live right neighbour, so its key equals the next
-                    // slot's key (gap or live).
-                    if keys[i] != keys[i + 1] {
-                        return Err(format!(
-                            "gap slot {i} filler key {:?} != next slot key {:?}",
-                            keys[i],
-                            keys[i + 1]
-                        ));
-                    }
-                }
-            }
-            if in_range_gaps != gaps.count() {
-                return Err(format!(
-                    "gap bitmap counts {} but {in_range_gaps} gaps lie in range",
-                    gaps.count()
-                ));
-            }
             if let (Some(prev), Some(first)) = (prev_last, keys.first()) {
                 if *first < prev {
                     return Err(format!("leaf chain regresses: {first:?} follows {prev:?}"));
                 }
             }
             prev_last = keys.last().copied().or(prev_last);
-            total += keys.len() - gaps.count();
+            total += keys.len();
             leaf = next.clone();
         }
         if exact_len && total != self.len() {
@@ -1571,22 +1442,12 @@ impl<K: Key, V: Clone> Iterator for ConcRangeIter<K, V> {
         loop {
             let guard = self.leaf.as_ref()?;
             let CNode::Leaf {
-                keys,
-                vals,
-                gaps,
-                next,
-                ..
+                keys, vals, next, ..
             } = &**guard
             else {
                 unreachable!("chain holds leaves");
             };
             if self.pos < keys.len() {
-                // Yield live slots only: a gap filler duplicates the entry
-                // of its nearest live right neighbour.
-                if gaps.is_gap(self.pos) {
-                    self.pos += 1;
-                    continue;
-                }
                 let k = keys[self.pos];
                 let admitted = match self.end {
                     Bound::Included(e) => k <= e,
@@ -1719,16 +1580,12 @@ enum Placed<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use quit_core::SearchKind;
     use std::sync::Arc as StdArc;
 
     #[test]
     fn embedded_tree_config_describes_what_runs() {
         // Shared knobs pass through `from_tree` untouched …
-        let tree = TreeConfig::small(16)
-            .with_node_layout(NodeLayoutKind::Gapped)
-            .with_search_kind(SearchKind::Simd)
-            .with_reset_threshold(Some(3));
+        let tree = TreeConfig::small(16).with_reset_threshold(Some(3));
         let c = ConcConfig::from_tree(tree.clone());
         assert_eq!(
             c.tree_config(),
@@ -1739,8 +1596,6 @@ mod tests {
         for c in [ConcConfig::paper_default(), ConcConfig::small(8)] {
             let t = c.tree_config();
             assert!(!t.variable_split && !t.redistribute);
-            assert_eq!(t.node_layout, NodeLayoutKind::Dense);
-            assert_eq!(t.search_kind, SearchKind::Binary);
             assert!(c.pole_enabled && c.olc_enabled);
         }
         assert_eq!(
@@ -1858,32 +1713,6 @@ mod tests {
             .expect("the drop finished");
     }
 
-    /// Every gap slot holds a copy of the slot to its right (transitively,
-    /// of its nearest live right neighbour) — values included. Returns the
-    /// number of gap slots seen.
-    fn assert_fillers_copy_their_source(t: &ConcurrentTree<u64, u64>) -> usize {
-        let mut node = t.root.read().clone();
-        let mut fillers = 0;
-        loop {
-            let next = match &*node.read() {
-                CNode::Internal { children, .. } => children[0].clone(),
-                CNode::Leaf {
-                    vals, gaps, next, ..
-                } => {
-                    for i in (0..vals.len()).filter(|&i| gaps.is_gap(i)) {
-                        assert_eq!(vals[i], vals[i + 1], "stale filler at slot {i}");
-                        fillers += 1;
-                    }
-                    match next {
-                        Some(next) => next.clone(),
-                        None => return fillers,
-                    }
-                }
-            };
-            node = next;
-        }
-    }
-
     #[test]
     fn upsert_inserts_like_insert_and_updates_in_place_on_every_path() {
         let counters = |t: &ConcurrentTree<u64, u64>| {
@@ -1900,39 +1729,33 @@ mod tests {
         // crabbing splits all occur.
         let keys: Vec<u64> = (0..307u64).map(|i| (i * 37) % 307).collect();
         for (pole, olc) in [(true, true), (false, true), (true, false), (false, false)] {
-            for layout in [NodeLayoutKind::Dense, NodeLayoutKind::Gapped] {
-                let config = ConcConfig::from_tree(TreeConfig::small(8).with_node_layout(layout))
-                    .with_pole(pole)
-                    .with_olc(olc);
-                let t: ConcurrentTree<u64, u64> = ConcurrentTree::new(config.clone());
-                let plain: ConcurrentTree<u64, u64> = ConcurrentTree::new(config);
-                for &k in &keys {
-                    assert!(!t.upsert(k, k, |_, _| unreachable!("key {k} is new")));
-                    plain.insert(k, k);
-                }
-                assert_eq!(
-                    counters(&t),
-                    counters(&plain),
-                    "absent keys insert as insert does"
-                );
-                // Now every key exists, full leaves included: each upsert
-                // merges exactly once, splits nothing and counts nothing.
-                let before = counters(&t);
-                for &k in &keys {
-                    let mut ran = 0;
-                    assert!(t.upsert(k, 1_000, |existing, new| {
-                        ran += 1;
-                        *existing += new;
-                    }));
-                    assert_eq!(ran, 1);
-                    assert_eq!(t.get(k), Some(k + 1_000), "through any filler alias");
-                }
-                assert_eq!(counters(&t), before, "pole {pole} olc {olc} {layout:?}");
-                let fillers = assert_fillers_copy_their_source(&t);
-                assert_eq!(fillers > 0, layout == NodeLayoutKind::Gapped);
-                t.check_consistency().unwrap();
-                assert_eq!(t.collect_all().len(), keys.len());
+            let config = ConcConfig::small(8).with_pole(pole).with_olc(olc);
+            let t: ConcurrentTree<u64, u64> = ConcurrentTree::new(config.clone());
+            let plain: ConcurrentTree<u64, u64> = ConcurrentTree::new(config);
+            for &k in &keys {
+                assert!(!t.upsert(k, k, |_, _| unreachable!("key {k} is new")));
+                plain.insert(k, k);
             }
+            assert_eq!(
+                counters(&t),
+                counters(&plain),
+                "absent keys insert as insert does"
+            );
+            // Now every key exists, full leaves included: each upsert
+            // merges exactly once, splits nothing and counts nothing.
+            let before = counters(&t);
+            for &k in &keys {
+                let mut ran = 0;
+                assert!(t.upsert(k, 1_000, |existing, new| {
+                    ran += 1;
+                    *existing += new;
+                }));
+                assert_eq!(ran, 1);
+                assert_eq!(t.get(k), Some(k + 1_000));
+            }
+            assert_eq!(counters(&t), before, "pole {pole} olc {olc}");
+            t.check_consistency().unwrap();
+            assert_eq!(t.collect_all().len(), keys.len());
         }
     }
 
@@ -2197,88 +2020,6 @@ mod tests {
             })
             .collect();
         assert_eq!(results[0], results[1]);
-    }
-
-    #[test]
-    fn gapped_layout_matches_dense_in_both_latch_modes() {
-        use rand::prelude::*;
-        let mut rng = StdRng::seed_from_u64(0x6A99_ED01);
-        let ops: Vec<(u64, u64)> = (0..6000)
-            .map(|_| (rng.gen_range(0..2_500u64), rng.next_u64()))
-            .collect();
-        for olc in [true, false] {
-            let results: Vec<_> = [
-                (NodeLayoutKind::Dense, SearchKind::Binary),
-                (NodeLayoutKind::Gapped, SearchKind::Branchless),
-                (NodeLayoutKind::Gapped, SearchKind::Simd),
-            ]
-            .into_iter()
-            .map(|(layout, kind)| {
-                let tree = TreeConfig::small(8)
-                    .with_node_layout(layout)
-                    .with_search_kind(kind);
-                let t: ConcurrentTree<u64, u64> =
-                    ConcurrentTree::new(ConcConfig::from_tree(tree).with_olc(olc));
-                for &(k, v) in &ops {
-                    t.insert(k, v);
-                    if k % 3 == 0 {
-                        t.delete(k / 2);
-                    }
-                }
-                t.check_consistency().unwrap();
-                let gets: Vec<_> = (0..2_500).step_by(13).map(|k| t.get(k)).collect();
-                (t.len(), t.collect_all(), t.range(100..900).count(), gets)
-            })
-            .collect();
-            assert_eq!(results[0], results[1], "branchless diverged (olc={olc})");
-            assert_eq!(results[0], results[2], "simd diverged (olc={olc})");
-        }
-    }
-
-    #[test]
-    fn gapped_layout_survives_concurrent_churn() {
-        use rand::prelude::*;
-        for olc in [true, false] {
-            let tree = TreeConfig::small(16)
-                .with_node_layout(NodeLayoutKind::Gapped)
-                .with_search_kind(SearchKind::Branchless);
-            let t: StdArc<ConcurrentTree<u64, u64>> = StdArc::new(ConcurrentTree::new(
-                ConcConfig::from_tree(tree).with_olc(olc),
-            ));
-            let threads = 4;
-            std::thread::scope(|s| {
-                for tid in 0..threads {
-                    let t = t.clone();
-                    s.spawn(move || {
-                        let mut rng = StdRng::seed_from_u64(0x6A99_ED02 + tid as u64);
-                        // Near-sorted per-thread stream with stragglers and
-                        // deletes: exactly the workload gaps absorb.
-                        for i in 0..4_000u64 {
-                            let k = tid as u64 * 1_000_000
-                                + if rng.gen_bool(0.1) && i > 50 {
-                                    i * 4 - rng.gen_range(1..200u64)
-                                } else {
-                                    i * 4
-                                };
-                            t.insert(k, k);
-                            if i % 5 == 0 {
-                                t.delete(tid as u64 * 1_000_000 + i * 2);
-                            }
-                            if i % 7 == 0 {
-                                let _ = t.get(tid as u64 * 1_000_000 + i);
-                            }
-                        }
-                    });
-                }
-            });
-            t.check_consistency().unwrap();
-            let all = t.collect_all();
-            assert_eq!(all.len(), t.len());
-            assert!(
-                all.windows(2).all(|w| w[0].0 <= w[1].0),
-                "global order (olc={olc})"
-            );
-        }
     }
 
     #[test]

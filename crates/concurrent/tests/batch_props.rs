@@ -2,7 +2,7 @@
 //! against the per-key path it replaces:
 //!
 //! - `insert_batch` against a twin tree fed the same entries one `insert`
-//!   at a time, over every geometry × layout × OLC × poℓe combination;
+//!   at a time, over every geometry × OLC × poℓe combination;
 //! - `bulk_load` of sorted input with long duplicate runs, then mixed
 //!   inserts and deletes, against a multiset model;
 //! - `MvccTree::apply_batch` against per-key `MvccTree::apply`;
@@ -12,24 +12,18 @@
 //! Every case derives from a printed seed, so a failure replays exactly.
 
 use quit_concurrent::{ConcConfig, ConcurrentTree, MvccTree};
-use quit_core::{MetricsLevel, NodeLayoutKind, TreeConfig};
+use quit_core::{MetricsLevel, TreeConfig};
 use rand::prelude::*;
 use std::collections::BTreeMap;
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, Ordering};
 
-fn geometries() -> Vec<TreeConfig> {
-    let mut out = Vec::new();
-    for tree in [
+fn geometries() -> [TreeConfig; 3] {
+    [
         TreeConfig::small(3),
         TreeConfig::small(8),
         TreeConfig::paper_default(),
-    ] {
-        for layout in [NodeLayoutKind::Dense, NodeLayoutKind::Gapped] {
-            out.push(tree.clone().with_node_layout(layout));
-        }
-    }
-    out
+    ]
 }
 
 /// One batch: sorted runs, reversed runs, a duplicate run longer than a
@@ -89,8 +83,8 @@ fn insert_batch_matches_a_per_key_twin() {
                     per_key.insert(k, v);
                 }
                 let what = format!(
-                    "seed {seed:#x} round {round} cap {} {:?} pole {pole} olc {olc}",
-                    tree.leaf_capacity, tree.node_layout
+                    "seed {seed:#x} round {round} cap {} pole {pole} olc {olc}",
+                    tree.leaf_capacity
                 );
                 batched
                     .check_consistency()
@@ -194,77 +188,75 @@ fn bulk_load_packs_leaves_and_keeps_working() {
     // Leaves are packed full, so the capacities also cover the leaf sizes
     // a partial fill would give (2 of 3, 5 and 4 of 8, 44 and 32 of 64).
     for cap in [2usize, 3, 4, 5, 8, 32, 44, 64] {
-        for layout in [NodeLayoutKind::Dense, NodeLayoutKind::Gapped] {
-            let seed = base_seed ^ (cap as u64) << 16 ^ layout as u64;
-            let mut rng = StdRng::seed_from_u64(seed);
-            let what = format!("seed {seed:#x} cap {cap} {layout:?}");
-            // Sorted input with duplicate runs of up to 3 × capacity.
-            let mut entries = Vec::new();
-            let mut key = 0u64;
-            while entries.len() < 40 * cap {
-                key += rng.gen_range(1..5u64);
-                let copies = if rng.gen_bool(0.1) {
-                    rng.gen_range(2..=3 * cap)
-                } else {
-                    1
-                };
-                for _ in 0..copies {
-                    entries.push((key, entries.len() as u64));
-                }
+        let seed = base_seed ^ (cap as u64) << 16;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let what = format!("seed {seed:#x} cap {cap}");
+        // Sorted input with duplicate runs of up to 3 × capacity.
+        let mut entries = Vec::new();
+        let mut key = 0u64;
+        while entries.len() < 40 * cap {
+            key += rng.gen_range(1..5u64);
+            let copies = if rng.gen_bool(0.1) {
+                rng.gen_range(2..=3 * cap)
+            } else {
+                1
+            };
+            for _ in 0..copies {
+                entries.push((key, entries.len() as u64));
             }
-            let mut model: BTreeMap<u64, usize> = BTreeMap::new();
-            for &(k, _) in &entries {
-                *model.entry(k).or_default() += 1;
-            }
-            let tree = TreeConfig::small(cap).with_node_layout(layout);
-            let t = ConcurrentTree::bulk_load(ConcConfig::from_tree(tree), entries.clone());
-            t.check_consistency()
-                .unwrap_or_else(|e| panic!("{what}: {e}"));
-            assert!(t.collect_all() == entries, "{what}: contents");
-
-            let per_leaf = cap;
-            let leaves = leaves(&t);
-            for (i, pair) in leaves.windows(2).enumerate() {
-                let (leaf, next) = (&pair[0], &pair[1]);
-                assert!(
-                    leaf.last() < next.first(),
-                    "{what}: a duplicate run straddles leaves {i} and {}",
-                    i + 1
-                );
-                let one_run = leaf.first() == leaf.last();
-                let before_a_run = model[&next[0]] > 1;
-                assert!(
-                    leaf.len() == per_leaf || one_run || before_a_run,
-                    "{what}: leaf {i} holds {} entries, not {per_leaf}",
-                    leaf.len()
-                );
-            }
-
-            // The bulk-loaded tree keeps working under mixed traffic.
-            let max = key;
-            for step in 0..10_000 {
-                let k = rng.gen_range(0..max + 100);
-                if rng.gen_bool(0.6) {
-                    t.insert(k, step);
-                    *model.entry(k).or_default() += 1;
-                } else {
-                    let present = model.get(&k).is_some_and(|&c| c > 0);
-                    assert_eq!(t.delete(k).is_some(), present, "{what} step {step}");
-                    if present {
-                        *model.get_mut(&k).unwrap() -= 1;
-                    }
-                }
-            }
-            t.check_consistency()
-                .unwrap_or_else(|e| panic!("{what}: {e}"));
-            let want: Vec<u64> = model
-                .iter()
-                .flat_map(|(&k, &c)| std::iter::repeat_n(k, c))
-                .collect();
-            let got: Vec<u64> = t.collect_all().into_iter().map(|(k, _)| k).collect();
-            assert!(got == want, "{what}: contents after mixed traffic");
-            assert_eq!(t.len(), want.len(), "{what}");
         }
+        let mut model: BTreeMap<u64, usize> = BTreeMap::new();
+        for &(k, _) in &entries {
+            *model.entry(k).or_default() += 1;
+        }
+        let tree = TreeConfig::small(cap);
+        let t = ConcurrentTree::bulk_load(ConcConfig::from_tree(tree), entries.clone());
+        t.check_consistency()
+            .unwrap_or_else(|e| panic!("{what}: {e}"));
+        assert!(t.collect_all() == entries, "{what}: contents");
+
+        let per_leaf = cap;
+        let leaves = leaves(&t);
+        for (i, pair) in leaves.windows(2).enumerate() {
+            let (leaf, next) = (&pair[0], &pair[1]);
+            assert!(
+                leaf.last() < next.first(),
+                "{what}: a duplicate run straddles leaves {i} and {}",
+                i + 1
+            );
+            let one_run = leaf.first() == leaf.last();
+            let before_a_run = model[&next[0]] > 1;
+            assert!(
+                leaf.len() == per_leaf || one_run || before_a_run,
+                "{what}: leaf {i} holds {} entries, not {per_leaf}",
+                leaf.len()
+            );
+        }
+
+        // The bulk-loaded tree keeps working under mixed traffic.
+        let max = key;
+        for step in 0..10_000 {
+            let k = rng.gen_range(0..max + 100);
+            if rng.gen_bool(0.6) {
+                t.insert(k, step);
+                *model.entry(k).or_default() += 1;
+            } else {
+                let present = model.get(&k).is_some_and(|&c| c > 0);
+                assert_eq!(t.delete(k).is_some(), present, "{what} step {step}");
+                if present {
+                    *model.get_mut(&k).unwrap() -= 1;
+                }
+            }
+        }
+        t.check_consistency()
+            .unwrap_or_else(|e| panic!("{what}: {e}"));
+        let want: Vec<u64> = model
+            .iter()
+            .flat_map(|(&k, &c)| std::iter::repeat_n(k, c))
+            .collect();
+        let got: Vec<u64> = t.collect_all().into_iter().map(|(k, _)| k).collect();
+        assert!(got == want, "{what}: contents after mixed traffic");
+        assert_eq!(t.len(), want.len(), "{what}");
     }
 }
 
@@ -273,72 +265,70 @@ fn apply_batch_matches_per_key_apply() {
     let base_seed = 0xA991_7B47u64;
     println!("seed {base_seed:#x}");
     for cap in [3usize, 8] {
-        for layout in [NodeLayoutKind::Dense, NodeLayoutKind::Gapped] {
-            let seed = base_seed ^ (cap as u64) << 8 ^ layout as u64;
-            let mut rng = StdRng::seed_from_u64(seed);
-            let config = ConcConfig::from_tree(TreeConfig::small(cap).with_node_layout(layout));
-            let batched: MvccTree<u64, u64> = MvccTree::new(config.clone());
-            let per_key: MvccTree<u64, u64> = MvccTree::new(config);
-            // Keys at or past `written` are only ever deleted: tombstones of
-            // keys that never held a value.
-            let (written, keys) = (96u64, 128u64);
-            let mut ts = 0u64;
-            for commit in 0..400 {
-                // A commit's write set: distinct keys in key order, writes
-                // and deletes (of live keys and of absent ones) mixed.
-                let mut writes: BTreeMap<u64, Option<u64>> = BTreeMap::new();
-                for _ in 0..rng.gen_range(1..=24) {
-                    match rng.gen_range(0..keys) {
-                        k if k < written && rng.gen_bool(0.75) => {
-                            writes.insert(k, Some(rng.next_u64()))
-                        }
-                        k => writes.insert(k, None),
-                    };
-                }
-                let writes: Vec<(u64, Option<u64>)> = writes.into_iter().collect();
-                ts += 1;
-                let got = {
-                    let _held = batched.lock_keys(writes.iter().map(|(k, _)| k));
-                    batched.apply_batch(ts, &writes)
+        let seed = base_seed ^ (cap as u64) << 8;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let config = ConcConfig::small(cap);
+        let batched: MvccTree<u64, u64> = MvccTree::new(config.clone());
+        let per_key: MvccTree<u64, u64> = MvccTree::new(config);
+        // Keys at or past `written` are only ever deleted: tombstones of
+        // keys that never held a value.
+        let (written, keys) = (96u64, 128u64);
+        let mut ts = 0u64;
+        for commit in 0..400 {
+            // A commit's write set: distinct keys in key order, writes
+            // and deletes (of live keys and of absent ones) mixed.
+            let mut writes: BTreeMap<u64, Option<u64>> = BTreeMap::new();
+            for _ in 0..rng.gen_range(1..=24) {
+                match rng.gen_range(0..keys) {
+                    k if k < written && rng.gen_bool(0.75) => {
+                        writes.insert(k, Some(rng.next_u64()))
+                    }
+                    k => writes.insert(k, None),
                 };
-                let want = {
-                    let _held = per_key.lock_keys(writes.iter().map(|(k, _)| k));
-                    writes
-                        .iter()
-                        .fold((0i64, 0u64), |(live, superseded), (k, v)| {
-                            let prev_live = per_key.apply(*k, ts, *v);
-                            (
-                                live + i64::from(v.is_some()) - i64::from(prev_live),
-                                superseded + u64::from(prev_live) + u64::from(v.is_none()),
-                            )
-                        })
-                };
-                let what = format!("seed {seed:#x} commit {commit}");
-                assert_eq!(got, want, "{what}");
-                batched
-                    .check_consistency()
-                    .unwrap_or_else(|e| panic!("{what}: {e}"));
-                if commit % 50 == 49 {
-                    let watermark = ts - 20;
-                    assert_eq!(batched.gc(watermark), per_key.gc(watermark), "{what}");
-                }
             }
-            let what = format!("seed {seed:#x} cap {cap} {layout:?}");
+            let writes: Vec<(u64, Option<u64>)> = writes.into_iter().collect();
+            ts += 1;
+            let got = {
+                let _held = batched.lock_keys(writes.iter().map(|(k, _)| k));
+                batched.apply_batch(ts, &writes)
+            };
+            let want = {
+                let _held = per_key.lock_keys(writes.iter().map(|(k, _)| k));
+                writes
+                    .iter()
+                    .fold((0i64, 0u64), |(live, superseded), (k, v)| {
+                        let prev_live = per_key.apply(*k, ts, *v);
+                        (
+                            live + i64::from(v.is_some()) - i64::from(prev_live),
+                            superseded + u64::from(prev_live) + u64::from(v.is_none()),
+                        )
+                    })
+            };
+            let what = format!("seed {seed:#x} commit {commit}");
+            assert_eq!(got, want, "{what}");
             batched
                 .check_consistency()
                 .unwrap_or_else(|e| panic!("{what}: {e}"));
-            per_key
-                .check_consistency()
-                .unwrap_or_else(|e| panic!("{what}: {e}"));
-            assert_eq!(batched.keys_ever(), per_key.keys_ever(), "{what}");
-            for at in 0..=ts {
-                for k in 0..keys {
-                    assert_eq!(
-                        batched.read_at(k, at),
-                        per_key.read_at(k, at),
-                        "{what}: key {k} at {at}"
-                    );
-                }
+            if commit % 50 == 49 {
+                let watermark = ts - 20;
+                assert_eq!(batched.gc(watermark), per_key.gc(watermark), "{what}");
+            }
+        }
+        let what = format!("seed {seed:#x} cap {cap}");
+        batched
+            .check_consistency()
+            .unwrap_or_else(|e| panic!("{what}: {e}"));
+        per_key
+            .check_consistency()
+            .unwrap_or_else(|e| panic!("{what}: {e}"));
+        assert_eq!(batched.keys_ever(), per_key.keys_ever(), "{what}");
+        for at in 0..=ts {
+            for k in 0..keys {
+                assert_eq!(
+                    batched.read_at(k, at),
+                    per_key.read_at(k, at),
+                    "{what}: key {k} at {at}"
+                );
             }
         }
     }

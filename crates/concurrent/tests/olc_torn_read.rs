@@ -86,31 +86,24 @@ fn pinned_reader_sees_an_in_place_overwrite_whole() {
     // value of the other.
     let _serial = hook_lock();
     type Slot = (u64, Option<u64>);
-    for layout in [
-        quit_core::NodeLayoutKind::Dense,
-        quit_core::NodeLayoutKind::Gapped,
-    ] {
-        let config = quit_core::TreeConfig::small(8).with_node_layout(layout);
-        let tree: ConcurrentTree<u64, Slot> = ConcurrentTree::new(ConcConfig::from_tree(config));
-        // Scrambled, so gapped leaves keep fillers the reader can land on.
-        for k in (0..64u64).map(|i| (i * 37) % 64) {
-            tree.insert(k, (1, Some(k)));
-        }
-        for (round, key) in [5u64, 40, 63].into_iter().enumerate() {
-            let (old, new) = ((1, Some(key)), (2 + round as u64, Some(key + 1_000)));
-            let restarts = tree.stats().olc_restarts.get();
-            let seen = read_during(&tree, key, || {
-                assert!(tree.upsert(key, new, |slot, new| *slot = new));
-            });
-            // Old or new whole would both be sound; this interleaving is
-            // deterministic, though: the whole write section sits inside
-            // the reader's bracket, so it must restart and see the new slot.
-            assert_eq!(seen, Some(new), "{layout:?}: torn or stale, old {old:?}");
-            assert!(tree.stats().olc_restarts.get() > restarts);
-        }
-        assert_eq!(tree.len(), 64, "in-place updates insert nothing");
-        assert!(tree.check_consistency().is_ok());
+    let tree: ConcurrentTree<u64, Slot> = ConcurrentTree::new(ConcConfig::small(8));
+    for k in (0..64u64).map(|i| (i * 37) % 64) {
+        tree.insert(k, (1, Some(k)));
     }
+    for (round, key) in [5u64, 40, 63].into_iter().enumerate() {
+        let (old, new) = ((1, Some(key)), (2 + round as u64, Some(key + 1_000)));
+        let restarts = tree.stats().olc_restarts.get();
+        let seen = read_during(&tree, key, || {
+            assert!(tree.upsert(key, new, |slot, new| *slot = new));
+        });
+        // Old or new whole would both be sound; this interleaving is
+        // deterministic, though: the whole write section sits inside
+        // the reader's bracket, so it must restart and see the new slot.
+        assert_eq!(seen, Some(new), "torn or stale, old {old:?}");
+        assert!(tree.stats().olc_restarts.get() > restarts);
+    }
+    assert_eq!(tree.len(), 64, "in-place updates insert nothing");
+    assert!(tree.check_consistency().is_ok());
 }
 
 #[test]

@@ -68,16 +68,12 @@ impl<K: Key, V> BpTree<K, V> {
     /// "all-left" (the old tail keeps everything; the new tail starts with
     /// this entry) once it reaches `per_leaf` entries.
     fn append_one(&mut self, k: K, v: V, per_leaf: usize) {
-        let tail = self.tail;
-        // Physical occupancy, not live: appending past trailing slots must
-        // never push a gapped leaf beyond its physical capacity.
-        let tail_len = self.arena.get(tail).as_leaf().physical_len();
-        let target = if tail_len >= per_leaf.min(self.config.leaf_capacity) {
-            self.push_new_tail_leaf(k)
-        } else {
-            tail
-        };
-        let leaf = self.arena.get_mut(target).as_leaf_mut();
+        let limit = per_leaf.min(self.config.leaf_capacity);
+        let mut leaf = self.arena.get_mut(self.tail).as_leaf_mut();
+        if leaf.len() >= limit {
+            let target = self.push_new_tail_leaf(k);
+            leaf = self.arena.get_mut(target).as_leaf_mut();
+        }
         leaf.keys.push(k);
         leaf.vals.push(v);
         self.len += 1;
@@ -90,7 +86,6 @@ impl<K: Key, V> BpTree<K, V> {
         let leaf = LeafNode {
             keys: Vec::with_capacity(self.config.leaf_capacity.min(1024)),
             vals: Vec::with_capacity(self.config.leaf_capacity.min(1024)),
-            gaps: crate::layout::GapMap::new(),
             next: None,
             prev: Some(old_tail),
             parent: self.arena.get(old_tail).parent(),
@@ -229,10 +224,7 @@ impl<K: Key, V> BpTree<K, V> {
         let take = space.min(chunk);
         let in_order = {
             let leaf = self.arena.get(leaf_id).as_leaf();
-            // The one-shot `extend` below grows the physical array by `take`;
-            // a gapped leaf may lack that physical headroom (its live space
-            // partly sits in interior gaps), so it uses the per-entry merge.
-            leaf.gaps.is_dense() && leaf.keys.last().is_none_or(|&last| last <= run[0].0)
+            leaf.keys.last().is_none_or(|&last| last <= run[0].0)
         };
         if in_order {
             // The whole chunk lands past the leaf's current maximum: one

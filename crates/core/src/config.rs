@@ -1,7 +1,6 @@
 //! Tree configuration: node geometry, IKR tuning, the QuIT feature set,
 //! and the telemetry level.
 
-use crate::layout::{NodeLayoutKind, SearchKind};
 use crate::metrics::MetricsLevel;
 
 /// Where a tree's nodes live: the in-memory slab arena (default, the
@@ -63,15 +62,6 @@ pub struct TreeConfig {
     /// latency histograms). See [`MetricsLevel`]; the default records
     /// counters and the window but never reads the clock.
     pub metrics_level: MetricsLevel,
-    /// Physical slot layout of leaf nodes. [`NodeLayoutKind::Dense`]
-    /// (default) is the bit-for-bit paper-reproduction path;
-    /// [`NodeLayoutKind::Gapped`] absorbs near-sorted inserts without
-    /// shifting by keeping bitmap-tracked gap slots inside leaves.
-    pub node_layout: NodeLayoutKind,
-    /// Intra-node search algorithm. [`SearchKind::Binary`] (default) is the
-    /// paper's `partition_point`; `Branchless` and `Simd` are the
-    /// data-parallel alternatives. All kinds return identical positions.
-    pub search_kind: SearchKind,
     /// Node storage backend. [`StorageKind::Arena`] (default) keeps every
     /// node in the in-memory slab; [`StorageKind::Paged`] puts nodes in
     /// fixed-size pages behind the buffer pool manager.
@@ -95,8 +85,6 @@ impl TreeConfig {
             variable_split: true,
             redistribute: true,
             metrics_level: MetricsLevel::default(),
-            node_layout: NodeLayoutKind::Dense,
-            search_kind: SearchKind::Binary,
             storage: StorageKind::Arena,
         }
     }
@@ -168,18 +156,6 @@ impl TreeConfig {
     /// Builder-style override of the telemetry level.
     pub fn with_metrics_level(mut self, level: MetricsLevel) -> Self {
         self.metrics_level = level;
-        self
-    }
-
-    /// Builder-style override of the leaf slot layout.
-    pub fn with_node_layout(mut self, layout: NodeLayoutKind) -> Self {
-        self.node_layout = layout;
-        self
-    }
-
-    /// Builder-style override of the intra-node search algorithm.
-    pub fn with_search_kind(mut self, kind: SearchKind) -> Self {
-        self.search_kind = kind;
         self
     }
 
@@ -281,23 +257,6 @@ mod tests {
         assert_eq!(c.metrics_level, MetricsLevel::Counters);
         let c = c.with_metrics_level(MetricsLevel::Histograms);
         assert_eq!(c.metrics_level, MetricsLevel::Histograms);
-    }
-
-    #[test]
-    fn layout_and_search_knobs() {
-        let c = TreeConfig::paper_default();
-        assert_eq!(
-            c.node_layout,
-            NodeLayoutKind::Dense,
-            "paper path by default"
-        );
-        assert_eq!(c.search_kind, SearchKind::Binary, "paper path by default");
-        let c = c
-            .with_node_layout(NodeLayoutKind::Gapped)
-            .with_search_kind(SearchKind::Simd);
-        assert_eq!(c.node_layout, NodeLayoutKind::Gapped);
-        assert_eq!(c.search_kind, SearchKind::Simd);
-        c.assert_valid();
     }
 
     #[test]

@@ -23,7 +23,17 @@
 //!   input shorter than [`CLMUL_MIN`] (a single WAL record pays one length
 //!   compare for the choice, nothing else), every other target, and every
 //!   process run with `QUIT_FORCE_SCALAR=1`
-//!   ([`simd_force_disabled`](crate::simd_force_disabled)).
+//!   ([`simd_force_disabled`]).
+
+/// Force-disable switch for the vector kernel, read once per process:
+/// `QUIT_FORCE_SCALAR=1` makes the CRC-32 take its portable table kernel
+/// instead of the carry-less-multiply one, the path non-x86 targets run.
+pub fn simd_force_disabled() -> bool {
+    static FORCE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+    *FORCE.get_or_init(|| {
+        std::env::var("QUIT_FORCE_SCALAR").is_ok_and(|v| v == "1" || v.eq_ignore_ascii_case("true"))
+    })
+}
 
 const POLY: u32 = 0xEDB8_8320;
 
@@ -135,9 +145,8 @@ mod clmul {
     /// `QUIT_FORCE_SCALAR` unset, decided once per process.
     fn available() -> bool {
         static AVAILABLE: OnceLock<bool> = OnceLock::new();
-        *AVAILABLE.get_or_init(|| {
-            !crate::layout::simd_force_disabled() && is_x86_feature_detected!("pclmulqdq")
-        })
+        *AVAILABLE
+            .get_or_init(|| !super::simd_force_disabled() && is_x86_feature_detected!("pclmulqdq"))
     }
 
     /// Advances the raw register `crc` over the whole 16-byte blocks of
@@ -354,7 +363,7 @@ mod tests {
         // Where the kernel can run, it ran at every length from the
         // threshold on; elsewhere it never did.
         #[cfg(target_arch = "x86_64")]
-        if !crate::simd_force_disabled() && is_x86_feature_detected!("pclmulqdq") {
+        if !super::simd_force_disabled() && is_x86_feature_detected!("pclmulqdq") {
             assert_eq!(clmul_checked, 16 * (1024 - CLMUL_MIN + 1));
         }
         #[cfg(not(target_arch = "x86_64"))]

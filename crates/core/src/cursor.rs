@@ -51,10 +51,10 @@ impl<'a, K: Key, V> Cursor<'a, K, V> {
         let item = self.peek()?;
         let (leaf_id, slot) = self.pos.expect("peek succeeded");
         let leaf = self.tree.arena.get(leaf_id).as_leaf();
-        // The cursor only rests on live slots; skip gap fillers.
-        self.pos = match leaf.gaps.next_live(slot + 1, leaf.keys.len()) {
-            Some(live) => Some((leaf_id, live)),
-            None => self.first_slot_of_next(leaf.next),
+        self.pos = if slot + 1 < leaf.keys.len() {
+            Some((leaf_id, slot + 1))
+        } else {
+            self.first_slot_of_next(leaf.next)
         };
         Some(item)
     }
@@ -64,8 +64,8 @@ impl<'a, K: Key, V> Cursor<'a, K, V> {
         let item = self.peek()?;
         let (leaf_id, slot) = self.pos.expect("peek succeeded");
         let leaf = self.tree.arena.get(leaf_id).as_leaf();
-        self.pos = match slot.checked_sub(1).and_then(|s| leaf.gaps.prev_live(s)) {
-            Some(live) => Some((leaf_id, live)),
+        self.pos = match slot.checked_sub(1) {
+            Some(s) => Some((leaf_id, s)),
             None => self.last_slot_of_prev(leaf.prev),
         };
         Some(item)
@@ -80,8 +80,8 @@ impl<'a, K: Key, V> Cursor<'a, K, V> {
         // Skip leaves emptied by lazy deletion paths.
         while let Some(id) = next {
             let leaf = self.tree.arena.get(id).as_leaf();
-            if let Some(live) = leaf.gaps.next_live(0, leaf.keys.len()) {
-                return Some((id, live));
+            if !leaf.keys.is_empty() {
+                return Some((id, 0));
             }
             next = leaf.next;
         }
@@ -124,10 +124,8 @@ impl<K: Key, V> BpTree<K, V> {
         }
         let mut pos = {
             let leaf = self.arena.get(leaf_id).as_leaf();
-            let slot = crate::layout::search_leaf(self.config.search_kind, &leaf.keys, key);
-            leaf.gaps
-                .next_live(slot, leaf.keys.len())
-                .map(|live| (leaf_id, live))
+            let slot = crate::layout::guided_lower_bound(&leaf.keys, key);
+            (slot < leaf.keys.len()).then_some((leaf_id, slot))
         };
         // The sought key may be past this leaf's content: move to the next
         // non-empty leaf.

@@ -29,7 +29,6 @@ use crate::arena::NodeId;
 use crate::config::TreeConfig;
 use crate::ikr::is_outlier;
 use crate::key::Key;
-use crate::layout::NodeLayoutKind;
 
 /// Which fast-path optimization the tree runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -314,18 +313,10 @@ impl<K: Key, L> FastPathState<K, L> {
         }
         // Few outliers (Fig 7a): split at l−1, carrying one in-order
         // entry into the new node, which becomes poℓe.
-        let mut pos = l - 1;
-        if cfg.node_layout == NodeLayoutKind::Gapped {
-            // Leave ⌊√cap⌋ slots of physical headroom in the left
-            // node: the tight variable fill would hand split-time
-            // regap `cap - pos <= 1` free slots, so the leaves a
-            // near-sorted stream leaves behind — exactly where IKR
-            // predicts stragglers to land — would have no absorption
-            // capacity at all.
-            let want = (cfg.leaf_capacity as f64).sqrt().floor() as usize;
-            pos = pos.min(plen.saturating_sub(want).max(def));
+        FullPolePlan::Variable {
+            pos: l - 1,
+            promote: true,
         }
-        FullPolePlan::Variable { pos, promote: true }
     }
 
     /// The tree split the poℓe node per `plan` while inserting `key`:
@@ -672,14 +663,10 @@ mod tests {
         };
         let cfg = TreeConfig::small(16);
         assert_eq!(plan(&cfg, &sorted), var(15, true), "packed");
-        // Gapped leaves keep ⌊√16⌋ = 4 slots of headroom.
-        let gapped = cfg.with_node_layout(NodeLayoutKind::Gapped);
-        assert_eq!(plan(&gapped, &sorted), var(12, true));
-        // The headroom clamp only lowers a cut: one already left of it
-        // (an outlier in slot 10, l − 1 = 9) stands.
+        // An outlier in slot 10 cuts at l − 1 = 9.
         let mut outlier = sorted.clone();
         outlier[10..].iter_mut().for_each(|k| *k += 1_000);
-        assert_eq!(plan(&gapped, &outlier), var(9, true));
+        assert_eq!(plan(&cfg, &outlier), var(9, true));
     }
 
     #[test]

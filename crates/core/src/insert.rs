@@ -45,12 +45,7 @@ impl<K: Key, V> BpTree<K, V> {
         let prev = self.mode.is_pole().then(|| self.chain_prev(leaf)).flatten();
         self.fp.repoint(leaf, low, high, prev);
     }
-}
 
-// Ingestion requires `V: Clone` because gapped leaves materialize filler
-// copies (split-time regap, gap-ifying removals); the dense paper path
-// never clones, but the bound is uniform so layouts stay swappable.
-impl<K: Key, V: Clone> BpTree<K, V> {
     /// Inserts an entry. Duplicate keys are allowed (this is an index, not a
     /// map); the new entry lands after existing equal keys.
     pub fn insert(&mut self, key: K, value: V) {
@@ -73,22 +68,9 @@ impl<K: Key, V: Clone> BpTree<K, V> {
     /// Places the entry in `leaf_id` at its sorted slot (after duplicates).
     /// The leaf must have room.
     pub(crate) fn insert_entry(&mut self, leaf_id: NodeId, key: K, value: V) {
-        let kind = self.config.search_kind;
-        let cap = self.config.leaf_capacity;
         let leaf = self.arena.get_mut(leaf_id).as_leaf_mut();
-        debug_assert!(leaf.len() < cap);
-        match crate::layout::insert_at(
-            kind,
-            &mut leaf.keys,
-            &mut leaf.vals,
-            &mut leaf.gaps,
-            key,
-            value,
-            cap,
-        ) {
-            crate::layout::SlotInsert::Done(_) => {}
-            crate::layout::SlotInsert::Full => unreachable!("caller ensures room"),
-        }
+        debug_assert!(leaf.len() < self.config.leaf_capacity);
+        crate::layout::insert_dense(&mut leaf.keys, &mut leaf.vals, key, value);
     }
 
     /// Classical root-to-leaf insert. Returns the accepting leaf and its

@@ -118,7 +118,7 @@ impl<K: Key, V> BpTree<K, V> {
                     leaf_accesses += 1;
                 }
                 let leaf = self.arena.get(leaf_id).as_leaf();
-                let pos = crate::layout::search_leaf(self.config.search_kind, &leaf.keys, s);
+                let pos = crate::layout::guided_lower_bound(&leaf.keys, s);
                 (leaf_id, pos, leaf_accesses)
             }
             Bound::Excluded(&s) => {
@@ -262,7 +262,7 @@ pub(crate) struct PagedRangeIter<'a, K, V> {
 }
 
 impl<K: Key, V: Clone> PagedRangeIter<'_, K, V> {
-    /// Buffers the live entries of leaf `id` from physical slot `from` on,
+    /// Buffers the entries of leaf `id` from slot `from` on,
     /// cut at the end bound.
     fn fill(&mut self, id: NodeId, from: usize) {
         let arena = &self.tree.arena;
@@ -270,22 +270,13 @@ impl<K: Key, V: Clone> PagedRangeIter<'_, K, V> {
         self.vals.clear();
         self.at = 0;
         let cold = arena.read_cold_leaf(id, |page| {
-            page.copy_live_from(from, &mut self.keys, &mut self.vals);
+            page.copy_from(from, &mut self.keys, &mut self.vals);
             Some(page.next())
         });
         self.next = cold.unwrap_or_else(|| {
             let leaf = arena.get(id).as_leaf();
-            if leaf.gaps.is_dense() {
-                self.keys.extend_from_slice(&leaf.keys[from..]);
-                self.vals.extend_from_slice(&leaf.vals[from..]);
-            } else {
-                let mut pos = from;
-                while let Some(live) = leaf.gaps.next_live(pos, leaf.keys.len()) {
-                    self.keys.push(leaf.keys[live]);
-                    self.vals.push(leaf.vals[live].clone());
-                    pos = live + 1;
-                }
-            }
+            self.keys.extend_from_slice(&leaf.keys[from..]);
+            self.vals.extend_from_slice(&leaf.vals[from..]);
             leaf.next
         });
         if self.keys.last().is_some_and(|k| !end_admits(k, &self.end)) {
@@ -338,15 +329,13 @@ impl<'a, K: Key, V> Iterator for RangeIter<'a, K, V> {
         loop {
             let id = self.leaf?;
             let leaf = self.tree.arena.get(id).as_leaf();
-            // Gap slots hold filler copies, not entries; yield live slots only.
-            if let Some(live) = leaf.gaps.next_live(self.pos, leaf.keys.len()) {
-                let k = leaf.keys[live];
+            if let Some(&k) = leaf.keys.get(self.pos) {
                 if !end_admits(&k, &self.end) {
                     self.leaf = None;
                     return None;
                 }
-                let item = (k, &leaf.vals[live]);
-                self.pos = live + 1;
+                let item = (k, &leaf.vals[self.pos]);
+                self.pos += 1;
                 return Some(item);
             }
             self.leaf = leaf.next;
@@ -372,10 +361,9 @@ impl<'a, K: Key, V> Iterator for TreeIter<'a, K, V> {
         loop {
             let id = self.leaf?;
             let leaf = self.tree.arena.get(id).as_leaf();
-            // Gap slots hold filler copies, not entries; yield live slots only.
-            if let Some(live) = leaf.gaps.next_live(self.pos, leaf.keys.len()) {
-                let item = (leaf.keys[live], &leaf.vals[live]);
-                self.pos = live + 1;
+            if let Some(&k) = leaf.keys.get(self.pos) {
+                let item = (k, &leaf.vals[self.pos]);
+                self.pos += 1;
                 return Some(item);
             }
             self.leaf = leaf.next;

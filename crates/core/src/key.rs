@@ -43,27 +43,6 @@ pub unsafe trait AnyBitPattern: Copy {}
 pub trait Key: Copy + Ord + Debug + AnyBitPattern + 'static {
     /// Monotonic projection into `f64` used by the IKR estimator.
     fn to_ikr(self) -> f64;
-
-    /// Vectorized upper bound (`partition_point(|k| *k <= key)`) over a
-    /// sorted slice, or `None` when no vector kernel applies (non-x86_64,
-    /// SIMD force-disabled, or a key width without a kernel). Callers in
-    /// [`crate::layout`] fall back to the portable branchless search.
-    ///
-    /// Not part of the public contract — an internal dispatch point so
-    /// [`crate::layout::SearchKind::Simd`] needs no extra trait bounds.
-    #[doc(hidden)]
-    #[inline]
-    fn simd_upper_bound(_keys: &[Self], _key: Self) -> Option<usize> {
-        None
-    }
-
-    /// Vectorized lower bound (`partition_point(|k| *k < key)`); see
-    /// [`Key::simd_upper_bound`].
-    #[doc(hidden)]
-    #[inline]
-    fn simd_lower_bound(_keys: &[Self], _key: Self) -> Option<usize> {
-        None
-    }
 }
 
 macro_rules! impl_key_int {
@@ -82,36 +61,7 @@ macro_rules! impl_key_int {
     };
 }
 
-// Key widths with vector kernels get their own expansion wiring the
-// dispatch hooks to `layout::simd`; `strict = true` is the lower bound.
-macro_rules! impl_key_int_simd {
-    ($($t:ty => $kernel:ident),*) => {
-        $(
-            // SAFETY: primitive integers have no padding and no invalid
-            // bit patterns.
-            unsafe impl AnyBitPattern for $t {}
-            impl Key for $t {
-                #[inline]
-                fn to_ikr(self) -> f64 {
-                    self as f64
-                }
-
-                #[inline]
-                fn simd_upper_bound(keys: &[Self], key: Self) -> Option<usize> {
-                    crate::layout::simd::$kernel(keys, key, false)
-                }
-
-                #[inline]
-                fn simd_lower_bound(keys: &[Self], key: Self) -> Option<usize> {
-                    crate::layout::simd::$kernel(keys, key, true)
-                }
-            }
-        )*
-    };
-}
-
-impl_key_int!(u8, u16, usize, i8, i16, isize);
-impl_key_int_simd!(u32 => partition_u32, i32 => partition_i32, u64 => partition_u64, i64 => partition_i64);
+impl_key_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
 
 /// A totally ordered `f64` wrapper (NaN is not permitted) so floating-point
 /// attributes — e.g. the stock closing prices of the paper's Fig. 15 — can be

@@ -1,36 +1,22 @@
-//! Node layout & intra-node search policy — the one home for every
+//! Node layout & intra-node search — the one home for every
 //! partition-point and slot-movement decision in the workspace.
 //!
-//! Before this module, intra-node binary search and leaf slot shifting
-//! were open-coded at each call site (insert, delete, cursor, bulk, the
-//! concurrent tree, the OLC raw-read path). They are now expressed once:
-//! one key-guided search for every point lookup, and two small policy
-//! enums for everything else:
+//! Leaves in both trees are packed, sorted key/value arrays: the paper's
+//! layout. Two searches run over them:
 //!
 //! * [`guided_partition_point_by`] — where a lookup starts in a leaf: an
 //!   interpolation search that probes the slot the key's
 //!   [`Key::to_ikr`] projection predicts, then finishes inside a
 //!   one-cache-line bracket. Point reads, cursors and range starts in
 //!   both trees (the OLC raw read included) all go through it, most via
-//!   [`search_leaf`]. It returns the same partition point as every
-//!   [`SearchKind`], so it moves no count and no figure; it saves cache
-//!   misses on cold leaves.
-//! * [`SearchKind`] — *how* insert positioning, deletes and internal
-//!   routing search a sorted key array (guiding those measured slower:
-//!   an insert's hottest leaf is the append frontier, where a far
-//!   outlier skews the guess): `Binary`
-//!   (libcore `partition_point`, the bit-for-bit paper-reproduction
-//!   baseline), `Branchless` (fixed-shape branch-free binary search), or
-//!   `Simd` (runtime-detected SSE2/AVX2 compare+popcount over a narrowed
-//!   window, falling back to `Branchless` for unsupported key types or
-//!   architectures). Every kind computes the **same unique partition
-//!   point**, so tree shape and figure outputs are identical across kinds
-//!   — only the nanoseconds differ.
-//! * [`NodeLayoutKind`] — *how* leaf slots are arranged: `Dense` (packed
-//!   arrays, the paper's layout) or `Gapped` (leaves keep interleaved gap
-//!   slots so in-order and near-sorted inserts land without shifting the
-//!   whole tail, in the spirit of the BS-tree / FB+-tree data-parallel
-//!   designs).
+//!   [`guided_lower_bound`]. It returns the same partition point as
+//!   libcore's binary search, so it moves no count and no figure; it saves
+//!   cache misses on cold leaves.
+//! * libcore `partition_point` — insert positioning ([`upper_bound`],
+//!   through [`insert_dense`]), deletes ([`lower_bound`]) and internal
+//!   routing ([`search_internal`]). Guiding those measured slower: an
+//!   insert's hottest leaf is the append frontier, where a far outlier
+//!   skews the guess.
 //!
 //! # The duplicate-run boundary contract
 //!
@@ -41,8 +27,9 @@
 //! 1. **Inserts** use the *upper bound* — [`upper_bound`], the partition
 //!    point of `k <= key` — so a new duplicate lands **after** every
 //!    existing instance of its key (stable insertion order).
-//! 2. **Lookups** use the *lower bound* — [`search_leaf`], the partition
-//!    point of `k < key` — the **first** instance of a duplicate run.
+//! 2. **Lookups** use the *lower bound* — [`guided_lower_bound`], the
+//!    partition point of `k < key` — the **first** instance of a duplicate
+//!    run.
 //! 3. **Internal routing** is right-biased — [`search_internal`] is the
 //!    upper bound over separators — so a key equal to a separator routes
 //!    **right**, matching the strict-boundary split rule (a separator is
@@ -50,61 +37,32 @@
 //!    in the concurrent tree, and the core tree's lookups compensate by
 //!    back-walking the leaf chain).
 //!
-//! # Gapped leaves
+//! # Gapped-leaf primitives
 //!
-//! The gapped layout keeps the *physical* key array fully sorted by
-//! storing, in each gap slot, a **filler**: a copy of its right
-//! neighbour's key/value pair (transitively, of the nearest live slot to
-//! its right). A per-leaf [`GapMap`] bitmap marks which physical slots
-//! are fillers. Because the physical array stays sorted, *every*
-//! [`SearchKind`] — including the SIMD kernels — works on gapped leaves
-//! unchanged; readers step from the computed partition point to the next
-//! live slot. And because a filler's key always equals a live key to its
-//! right, value-level reads of the key array (`keys.first()`, separator
-//! checks, boundary walks) stay correct without consulting the bitmap —
-//! only value access and entry counting are gap-aware.
-//!
-//! Invariants (checked by `BpTree::check_invariants` and exercised by the
-//! proptests below):
-//!
-//! * physical length never exceeds the leaf capacity, so a leaf is full
-//!   (live == capacity) **iff** it has zero gaps — splits only ever see
-//!   dense leaves and need no pre-compaction;
-//! * the last physical slot is always live (trailing gaps are trimmed on
-//!   removal), so `keys.last()` remains the leaf's true maximum;
-//! * `gap count == popcount(bitmap)` and every gap bit is below the
-//!   physical length.
+//! [`SearchKind`], [`GapMap`], [`SlotInsert`], [`insert_at`] and [`regap`]
+//! are the gapped-leaf primitives the benchmark's `layout.*` probes time,
+//! and [`search_leaf`] the name they time the lookup under. No tree calls
+//! them. A gapped leaf keeps its physical key array sorted by storing, in
+//! each gap slot, a **filler**: a copy of the key/value pair of the nearest
+//! live slot to its right. [`GapMap`] marks which slots are fillers; the
+//! last physical slot is always live.
 
 use crate::key::Key;
 
-/// How sorted key arrays are searched inside a node.
+/// Names an intra-node search algorithm. No code reads it: every search
+/// runs libcore's binary search or the key-guided one.
 ///
-/// All kinds return the same (unique) partition point; selecting one is
-/// purely a performance decision. `Binary` is the default and the
-/// bit-for-bit paper-reproduction path.
+/// Kept because `benchmark/src/probes.rs` names it; goes with the
+/// `layout.*` probes.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum SearchKind {
     /// Libcore `slice::partition_point` (branching binary search).
     #[default]
     Binary,
-    /// Branch-free binary search with a data-independent access shape.
+    /// Branch-free binary search.
     Branchless,
-    /// Branchless narrowing plus an SSE2/AVX2 compare+popcount over the
-    /// final window. Runtime-detected; unsupported key types or
-    /// architectures (and `QUIT_FORCE_SCALAR=1`) fall back to
-    /// [`SearchKind::Branchless`].
+    /// Vector compare+popcount search.
     Simd,
-}
-
-/// How leaf slots are arranged.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum NodeLayoutKind {
-    /// Packed arrays — the paper's layout and the default.
-    #[default]
-    Dense,
-    /// Leaves carry interleaved gap slots (see the module docs) so
-    /// in-order and near-sorted inserts avoid tail shifts.
-    Gapped,
 }
 
 // ---------------------------------------------------------------------
@@ -150,25 +108,15 @@ pub fn branchless_partition_point<K>(s: &[K], mut pred: impl FnMut(&K) -> bool) 
 /// First index whose key is **greater than** `key` — the insert
 /// convention (a duplicate lands after every existing instance).
 #[inline]
-pub fn upper_bound<K: Key>(kind: SearchKind, keys: &[K], key: K) -> usize {
-    match kind {
-        SearchKind::Binary => keys.partition_point(|k| *k <= key),
-        SearchKind::Branchless => branchless_partition_point(keys, |k| *k <= key),
-        SearchKind::Simd => K::simd_upper_bound(keys, key)
-            .unwrap_or_else(|| branchless_partition_point(keys, |k| *k <= key)),
-    }
+pub fn upper_bound<K: Key>(keys: &[K], key: K) -> usize {
+    keys.partition_point(|k| *k <= key)
 }
 
 /// First index whose key is **at or above** `key` — the lookup
 /// convention (the first instance of a duplicate run).
 #[inline]
-pub fn lower_bound<K: Key>(kind: SearchKind, keys: &[K], key: K) -> usize {
-    match kind {
-        SearchKind::Binary => keys.partition_point(|k| *k < key),
-        SearchKind::Branchless => branchless_partition_point(keys, |k| *k < key),
-        SearchKind::Simd => K::simd_lower_bound(keys, key)
-            .unwrap_or_else(|| branchless_partition_point(keys, |k| *k < key)),
-    }
+pub fn lower_bound<K: Key>(keys: &[K], key: K) -> usize {
+    keys.partition_point(|k| *k < key)
 }
 
 /// Child index for routing `key` through an internal node: right-biased
@@ -176,19 +124,24 @@ pub fn lower_bound<K: Key>(kind: SearchKind, keys: &[K], key: K) -> usize {
 /// split rule. Identical to [`upper_bound`]; named separately so call
 /// sites say what they mean.
 #[inline]
-pub fn search_internal<K: Key>(kind: SearchKind, separators: &[K], key: K) -> usize {
-    upper_bound(kind, separators, key)
+pub fn search_internal<K: Key>(separators: &[K], key: K) -> usize {
+    upper_bound(separators, key)
 }
 
 /// Leaf slot where a lookup for `key` starts: the [`lower_bound`],
 /// found by [`guided_partition_point_by`].
+#[inline]
+pub fn guided_lower_bound<K: Key>(keys: &[K], key: K) -> usize {
+    guided_partition_point_by(keys.len(), |i| keys[i], key, |k| k < key)
+}
+
+/// [`guided_lower_bound`] under its older name. `_kind` is not consulted.
 ///
-/// Every [`SearchKind`] computes the same partition point, and lookups no
-/// longer choose between them, so `_kind` is not consulted; it stays in
-/// the signature for callers that still name a kind.
+/// Kept because `benchmark/src/probes.rs` names it; goes with the
+/// `layout.*` probes.
 #[inline]
 pub fn search_leaf<K: Key>(_kind: SearchKind, keys: &[K], key: K) -> usize {
-    guided_partition_point_by(keys.len(), |i| keys[i], key, |k| k < key)
+    guided_lower_bound(keys, key)
 }
 
 /// Arrays of at most this many keys skip the guess: a plain branchless
@@ -296,275 +249,38 @@ pub fn guided_partition_point_hinted<K: Key>(
 }
 
 // ---------------------------------------------------------------------
-// SIMD kernels (x86_64; every entry point degrades to None elsewhere)
+// Leaf inserts
 // ---------------------------------------------------------------------
 
-/// Force-disable switch for the SIMD kernels, read once per process:
-/// `QUIT_FORCE_SCALAR=1` makes every `simd_*` hook return `None`, so
-/// [`SearchKind::Simd`] exercises the portable branchless fallback — the
-/// cross-arch CI guard runs the layout differential suites this way.
-pub fn simd_force_disabled() -> bool {
-    static FORCE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *FORCE.get_or_init(|| {
-        std::env::var("QUIT_FORCE_SCALAR").is_ok_and(|v| v == "1" || v.eq_ignore_ascii_case("true"))
-    })
-}
-
-/// Width of the window the branchless ladder narrows to before handing
-/// over to a vector compare+popcount sweep.
-#[cfg(target_arch = "x86_64")]
-const SIMD_WINDOW: usize = 32;
-
-#[cfg(target_arch = "x86_64")]
-#[allow(unsafe_code)]
-pub(crate) mod simd {
-    //! Vector count kernels. Each computes, over a **sorted** window, the
-    //! number of elements satisfying `elem <= key` (upper bound) or
-    //! `elem < key` (lower bound) — which over a sorted slice *is* the
-    //! partition point. Unsigned orderings ride the signed compare
-    //! instructions via the usual sign-bias XOR. Loads are explicitly
-    //! unaligned (`loadu`): `Vec` buffers give no 32-byte guarantee, and
-    //! the pinned-buffer invariant of the concurrent tree rules out
-    //! re-homing them into aligned allocations.
-    #[cfg(test)]
-    use super::branchless_partition_point_by;
-    use super::SIMD_WINDOW;
-    use core::arch::x86_64::*;
-
-    #[inline]
-    fn avx2() -> bool {
-        // `is_x86_feature_detected!` caches after the first probe.
-        !super::simd_force_disabled() && is_x86_feature_detected!("avx2")
+/// Inserts `(key, value)` into a packed leaf's arrays at the upper-bound
+/// position and returns its slot. The caller ensures room.
+///
+/// Append fast path: in-order streams insert at the tail, where one key
+/// compare replaces the whole intra-node search, and the position it
+/// takes is exactly the upper bound.
+#[inline]
+pub fn insert_dense<K: Key, V>(keys: &mut Vec<K>, vals: &mut Vec<V>, key: K, value: V) -> usize {
+    let len = keys.len();
+    if keys.last().is_none_or(|l| *l <= key) {
+        keys.push(key);
+        vals.push(value);
+        return len;
     }
-
-    #[inline]
-    fn sse2() -> bool {
-        // SSE2 is baseline on x86_64; only the force switch disables it.
-        !super::simd_force_disabled()
-    }
-
-    /// Binary narrowing down to a `SIMD_WINDOW`-sized window, then the
-    /// vector counter over that window.
-    ///
-    /// The narrowing deliberately *branches* instead of using a cmov
-    /// ladder: a cmov chain serializes every probe behind the previous
-    /// load, while a predicted branch lets the core speculate the next
-    /// probe and overlap cache misses. The window count then replaces
-    /// the worst-predicted final levels with branch-free vector work —
-    /// each side plays to its strength. Expanded inside the per-type
-    /// `target_feature` hybrids below so the window kernel inlines into
-    /// the narrowing loop (a `target_feature` fn never inlines into a
-    /// plain caller, and a per-search call would cost more than the
-    /// vector work saves).
-    macro_rules! hybrid_body {
-        ($keys:expr, $key:expr, $strict:expr, $count:ident) => {{
-            let mut base = 0usize;
-            let mut len = $keys.len();
-            while len > SIMD_WINDOW {
-                let half = len / 2;
-                let probe = $keys[base + half - 1];
-                let go = if $strict { probe < $key } else { probe <= $key };
-                if go {
-                    base += half;
-                }
-                len -= half;
-            }
-            base + $count(&$keys[base..base + len], $key, $strict)
-        }};
-    }
-
-    macro_rules! kernels_32 {
-        ($ty:ty, $bias:expr, $avx:ident, $sse:ident) => {
-            /// AVX2: 8 lanes of 32-bit compare, mask via `movemask_ps`.
-            #[target_feature(enable = "avx2")]
-            unsafe fn $avx(window: &[$ty], key: $ty, strict: bool) -> usize {
-                let bias = _mm256_set1_epi32($bias);
-                // `elem <= key` counts non-(elem > key); `elem < key`
-                // counts (key > elem).
-                let kv = _mm256_xor_si256(_mm256_set1_epi32(key as i32), bias);
-                let mut n = 0usize;
-                let mut chunks = window.chunks_exact(8);
-                for c in &mut chunks {
-                    let v =
-                        _mm256_xor_si256(_mm256_loadu_si256(c.as_ptr() as *const __m256i), bias);
-                    let m = if strict {
-                        _mm256_movemask_ps(_mm256_castsi256_ps(_mm256_cmpgt_epi32(kv, v))) as u32
-                    } else {
-                        !(_mm256_movemask_ps(_mm256_castsi256_ps(_mm256_cmpgt_epi32(v, kv))) as u32)
-                            & 0xff
-                    };
-                    n += m.count_ones() as usize;
-                }
-                n + scalar_count(chunks.remainder(), key, strict)
-            }
-
-            /// SSE2: 4 lanes of 32-bit compare.
-            #[target_feature(enable = "sse2")]
-            unsafe fn $sse(window: &[$ty], key: $ty, strict: bool) -> usize {
-                let bias = _mm_set1_epi32($bias);
-                let kv = _mm_xor_si128(_mm_set1_epi32(key as i32), bias);
-                let mut n = 0usize;
-                let mut chunks = window.chunks_exact(4);
-                for c in &mut chunks {
-                    let v = _mm_xor_si128(_mm_loadu_si128(c.as_ptr() as *const __m128i), bias);
-                    let m = if strict {
-                        _mm_movemask_ps(_mm_castsi128_ps(_mm_cmplt_epi32(v, kv))) as u32
-                    } else {
-                        !(_mm_movemask_ps(_mm_castsi128_ps(_mm_cmpgt_epi32(v, kv))) as u32) & 0xf
-                    };
-                    n += m.count_ones() as usize;
-                }
-                n + scalar_count(chunks.remainder(), key, strict)
-            }
-        };
-    }
-
-    macro_rules! kernels_64 {
-        ($ty:ty, $bias:expr, $avx:ident) => {
-            /// AVX2: 4 lanes of 64-bit compare, mask via `movemask_pd`.
-            /// (SSE2 has no 64-bit compare; pre-AVX2 parts use the
-            /// branchless fallback for 8-byte keys.)
-            #[target_feature(enable = "avx2")]
-            unsafe fn $avx(window: &[$ty], key: $ty, strict: bool) -> usize {
-                let bias = _mm256_set1_epi64x($bias);
-                let kv = _mm256_xor_si256(_mm256_set1_epi64x(key as i64), bias);
-                let mut n = 0usize;
-                let mut chunks = window.chunks_exact(4);
-                for c in &mut chunks {
-                    let v =
-                        _mm256_xor_si256(_mm256_loadu_si256(c.as_ptr() as *const __m256i), bias);
-                    let m = if strict {
-                        _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpgt_epi64(kv, v))) as u32
-                    } else {
-                        !(_mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpgt_epi64(v, kv))) as u32)
-                            & 0xf
-                    };
-                    n += m.count_ones() as usize;
-                }
-                n + scalar_count(chunks.remainder(), key, strict)
-            }
-        };
-    }
-
-    #[inline]
-    fn scalar_count<K: Copy + Ord>(rem: &[K], key: K, strict: bool) -> usize {
-        rem.iter()
-            .filter(|&&e| if strict { e < key } else { e <= key })
-            .count()
-    }
-
-    kernels_32!(u32, i32::MIN, count_u32_avx2, count_u32_sse2);
-    kernels_32!(i32, 0, count_i32_avx2, count_i32_sse2);
-    kernels_64!(u64, i64::MIN, count_u64_avx2);
-    kernels_64!(i64, 0, count_i64_avx2);
-
-    macro_rules! entry_32 {
-        ($name:ident, $ty:ty, $avx:ident, $sse:ident, $havx:ident, $hsse:ident) => {
-            #[target_feature(enable = "avx2")]
-            unsafe fn $havx(keys: &[$ty], key: $ty, strict: bool) -> usize {
-                hybrid_body!(keys, key, strict, $avx)
-            }
-
-            #[target_feature(enable = "sse2")]
-            unsafe fn $hsse(keys: &[$ty], key: $ty, strict: bool) -> usize {
-                hybrid_body!(keys, key, strict, $sse)
-            }
-
-            pub(crate) fn $name(keys: &[$ty], key: $ty, strict: bool) -> Option<usize> {
-                if avx2() {
-                    // SAFETY: gated on runtime AVX2 detection.
-                    Some(unsafe { $havx(keys, key, strict) })
-                } else if sse2() {
-                    // SAFETY: SSE2 is unconditionally present on x86_64.
-                    Some(unsafe { $hsse(keys, key, strict) })
-                } else {
-                    None
-                }
-            }
-        };
-    }
-
-    macro_rules! entry_64 {
-        ($name:ident, $ty:ty, $avx:ident, $havx:ident) => {
-            #[target_feature(enable = "avx2")]
-            unsafe fn $havx(keys: &[$ty], key: $ty, strict: bool) -> usize {
-                hybrid_body!(keys, key, strict, $avx)
-            }
-
-            pub(crate) fn $name(keys: &[$ty], key: $ty, strict: bool) -> Option<usize> {
-                if avx2() {
-                    // SAFETY: gated on runtime AVX2 detection.
-                    Some(unsafe { $havx(keys, key, strict) })
-                } else {
-                    None
-                }
-            }
-        };
-    }
-
-    entry_32!(
-        partition_u32,
-        u32,
-        count_u32_avx2,
-        count_u32_sse2,
-        hybrid_u32_avx2,
-        hybrid_u32_sse2
-    );
-    entry_32!(
-        partition_i32,
-        i32,
-        count_i32_avx2,
-        count_i32_sse2,
-        hybrid_i32_avx2,
-        hybrid_i32_sse2
-    );
-    entry_64!(partition_u64, u64, count_u64_avx2, hybrid_u64_avx2);
-    entry_64!(partition_i64, i64, count_i64_avx2, hybrid_i64_avx2);
-
-    /// Exhaustive-ish agreement check used by tests: every kernel entry
-    /// must match the branchless reference on the given slice.
-    #[cfg(test)]
-    pub(crate) fn reference<K: Copy + Ord>(keys: &[K], key: K, strict: bool) -> usize {
-        branchless_partition_point_by(keys.len(), |i| {
-            if strict {
-                keys[i] < key
-            } else {
-                keys[i] <= key
-            }
-        })
-    }
-}
-
-#[cfg(not(target_arch = "x86_64"))]
-pub(crate) mod simd {
-    //! Non-x86_64 stub: every kernel declines, so [`super::SearchKind::Simd`]
-    //! always takes the portable branchless fallback.
-    pub(crate) fn partition_u32(_: &[u32], _: u32, _: bool) -> Option<usize> {
-        None
-    }
-    pub(crate) fn partition_i32(_: &[i32], _: i32, _: bool) -> Option<usize> {
-        None
-    }
-    pub(crate) fn partition_u64(_: &[u64], _: u64, _: bool) -> Option<usize> {
-        None
-    }
-    pub(crate) fn partition_i64(_: &[i64], _: i64, _: bool) -> Option<usize> {
-        None
-    }
+    let p = upper_bound(keys, key);
+    keys.insert(p, key);
+    vals.insert(p, value);
+    p
 }
 
 // ---------------------------------------------------------------------
-// Gap bitmap
+// Gapped leaves: the bitmap and its slot movement
 // ---------------------------------------------------------------------
 
 /// Per-leaf bitmap marking which physical slots are gap fillers (bit set
 /// ⇒ the slot is a filler, not a live entry).
 ///
-/// Two construction modes: [`GapMap::new`] grows its word vector lazily
-/// (the single-threaded core tree), while [`GapMap::pinned`] materializes
-/// every word up front and never reallocates — required by the concurrent
-/// tree's buffer-pinning invariant, whose optimistic readers load words
-/// from this vector without locks.
+/// Kept because `benchmark/src/probes.rs` names it; goes with the
+/// `layout.*` probes.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct GapMap {
     bits: Vec<u64>,
@@ -575,26 +291,6 @@ impl GapMap {
     /// An empty map that allocates words on first use.
     pub fn new() -> Self {
         GapMap::default()
-    }
-
-    /// A map whose word vector is fully materialized for `slots` slots
-    /// and never grows (the concurrent tree's pinned flavour).
-    pub fn pinned(slots: usize) -> Self {
-        GapMap {
-            bits: vec![0; slots.div_ceil(64)],
-            count: 0,
-        }
-    }
-
-    /// Rebuilds a map from its bitmap words (the page codec's decode).
-    /// Trailing all-zero words are dropped, so the result is exactly the
-    /// map that [`set`](Self::set)ting each gap in turn would build.
-    pub(crate) fn from_words(mut bits: Vec<u64>) -> Self {
-        while bits.last() == Some(&0) {
-            bits.pop();
-        }
-        let count = bits.iter().map(|w| w.count_ones() as usize).sum();
-        GapMap { bits, count }
     }
 
     /// Number of gap slots.
@@ -639,61 +335,6 @@ impl GapMap {
                 self.count -= 1;
             }
         }
-    }
-
-    /// Clears every gap bit, keeping the word allocation (pinning).
-    pub fn reset(&mut self) {
-        for w in &mut self.bits {
-            *w = 0;
-        }
-        self.count = 0;
-    }
-
-    /// Slots the existing word vector can mark without growing.
-    #[inline]
-    pub fn pinned_slots(&self) -> usize {
-        self.bits.len() * 64
-    }
-
-    /// First live slot at or after `from`, if any, scanning no further
-    /// than `len` (the physical length).
-    #[inline]
-    pub fn next_live(&self, mut from: usize, len: usize) -> Option<usize> {
-        while from < len {
-            if !self.is_gap(from) {
-                return Some(from);
-            }
-            from += 1;
-        }
-        None
-    }
-
-    /// Last live slot at or before `from`, if any.
-    #[inline]
-    pub fn prev_live(&self, from: usize) -> Option<usize> {
-        let mut i = from;
-        loop {
-            if !self.is_gap(i) {
-                return Some(i);
-            }
-            if i == 0 {
-                return None;
-            }
-            i -= 1;
-        }
-    }
-
-    /// Number of gap slots strictly below `i`.
-    pub fn gaps_below(&self, i: usize) -> usize {
-        let full = i / 64;
-        let mut n = 0usize;
-        for w in self.bits.iter().take(full) {
-            n += w.count_ones() as usize;
-        }
-        if let Some(w) = self.bits.get(full) {
-            n += (w & ((1u64 << (i % 64)) - 1)).count_ones() as usize;
-        }
-        n
     }
 
     /// First gap slot at or after `p`, strictly below `len`, scanning
@@ -751,20 +392,12 @@ impl GapMap {
             (None, None) => None,
         }
     }
-
-    /// The raw bitmap words — consumed by the validator and (as a raw
-    /// pointer) by the concurrent tree's OLC leaf reads.
-    #[doc(hidden)]
-    pub fn raw_words(&self) -> &Vec<u64> {
-        &self.bits
-    }
 }
 
-// ---------------------------------------------------------------------
-// Slot movement over (keys, vals, gaps)
-// ---------------------------------------------------------------------
-
 /// Outcome of a gap-aware leaf insert.
+///
+/// Kept because `benchmark/src/probes.rs` names it; goes with the
+/// `layout.*` probes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SlotInsert {
     /// Inserted; the physical slot that received the entry.
@@ -773,15 +406,16 @@ pub enum SlotInsert {
     Full,
 }
 
-/// Inserts `(key, value)` into a leaf's raw parts at the upper-bound
-/// position, reusing the nearest gap slot when one exists (bounded
-/// shift), growing physically otherwise, and reporting [`SlotInsert::Full`]
-/// when live occupancy has reached `capacity`.
+/// Inserts `(key, value)` into a gapped leaf's raw parts at the
+/// upper-bound position, reusing the nearest gap slot when one exists
+/// (bounded shift), growing physically otherwise, and reporting
+/// [`SlotInsert::Full`] when live occupancy has reached `capacity`. With
+/// an empty [`GapMap`] it is [`insert_dense`]. `_kind` is not consulted.
 ///
-/// Works for both layouts: with an empty [`GapMap`] (dense) it degrades
-/// to exactly the classical `Vec::insert` at the upper bound.
+/// Kept because `benchmark/src/probes.rs` names it; goes with the
+/// `layout.*` probes.
 pub fn insert_at<K: Key, V>(
-    kind: SearchKind,
+    _kind: SearchKind,
     keys: &mut Vec<K>,
     vals: &mut Vec<V>,
     gaps: &mut GapMap,
@@ -793,23 +427,12 @@ pub fn insert_at<K: Key, V>(
     if len - gaps.count() >= capacity {
         return SlotInsert::Full;
     }
-    // Append fast path: in-order streams insert at the physical tail (the
-    // last slot is always live, so no gap bookkeeping applies). One key
-    // compare replaces the whole intra-node search; the computed position
-    // is exactly the upper bound, so tree shape is unchanged.
-    if len < capacity && keys.last().is_none_or(|l| *l <= key) {
-        keys.push(key);
-        vals.push(value);
-        return SlotInsert::Done(len);
+    // The last slot is always live, so appending at the physical tail
+    // needs no gap bookkeeping while the leaf has physical room.
+    if gaps.is_dense() || (len < capacity && keys.last().is_none_or(|l| *l <= key)) {
+        return SlotInsert::Done(insert_dense(keys, vals, key, value));
     }
-    let p = upper_bound(kind, keys, key);
-    if gaps.is_dense() {
-        // No gaps to reuse (every dense-layout leaf, and gapped leaves
-        // that have consumed theirs): the classical shifting insert.
-        keys.insert(p, key);
-        vals.insert(p, value);
-        return SlotInsert::Done(p);
-    }
+    let p = upper_bound(keys, key);
     // Adjacent gap on the left: `keys[p-1] <= key`, so overwriting keeps
     // the physical array sorted with zero movement.
     if p > 0 && gaps.is_gap(p - 1) {
@@ -864,94 +487,6 @@ fn shift_to_gap_cheaper(p: usize, g: usize, len: usize) -> bool {
     gap_dist <= len - p
 }
 
-/// Removes the live entry at physical slot `pos`.
-///
-/// `Dense` removals are the classical shifting `Vec::remove` — the
-/// bit-for-bit paper path. `Gapped` interior removals gap-ify the slot
-/// instead: the slot is overwritten with a copy of its right neighbour's
-/// key/value pair (upholding the filler rule from the module docs, which
-/// keeps `keys` value-correct for min/boundary reads) and its bit is set.
-/// Removing the last physical slot pops it and trims any gap run that
-/// becomes trailing, keeping the "last physical slot is live" invariant
-/// (and, transitively, "live == 0 ⇒ physical == 0").
-///
-/// `pinned_slots` bounds which slots the bitmap may mark without growing
-/// its word vector (`usize::MAX` for the growable core flavour); beyond
-/// it a gapped removal falls back to a dense `Vec::remove` (only
-/// reachable in the concurrent tree's absorbed-overflow corner, where
-/// every gap bit sits below the pinned region and is unaffected by the
-/// shift).
-pub fn remove_at<K: Key, V: Clone>(
-    layout: NodeLayoutKind,
-    keys: &mut Vec<K>,
-    vals: &mut Vec<V>,
-    gaps: &mut GapMap,
-    pos: usize,
-    pinned_slots: usize,
-) -> V {
-    debug_assert!(!gaps.is_gap(pos), "remove_at requires a live slot");
-    if layout == NodeLayoutKind::Dense {
-        debug_assert!(gaps.is_dense(), "dense leaves never hold gaps");
-        keys.remove(pos);
-        return vals.remove(pos);
-    }
-    if pos + 1 == keys.len() {
-        keys.pop();
-        let v = vals.pop().expect("parallel arrays");
-        while let Some(last) = keys.len().checked_sub(1) {
-            if !gaps.is_gap(last) {
-                break;
-            }
-            gaps.clear(last);
-            keys.pop();
-            vals.pop();
-        }
-        v
-    } else if pos < pinned_slots {
-        // Not the last slot, so `pos + 1` exists. Copying that neighbour
-        // (itself a filler of *its* right live neighbour, or live) keeps
-        // the physical array sorted and the filler rule intact.
-        let fk = keys[pos + 1];
-        let fv = vals[pos + 1].clone();
-        keys[pos] = fk;
-        gaps.set(pos);
-        let out = std::mem::replace(&mut vals[pos], fv);
-        // Fillers in the gap run ending at `pos` copied the just-removed
-        // entry; re-point them at the new source so the rule stays exact.
-        let mut i = pos;
-        while i > 0 && gaps.is_gap(i - 1) {
-            i -= 1;
-            keys[i] = fk;
-            vals[i] = vals[pos].clone();
-        }
-        out
-    } else {
-        keys.remove(pos);
-        vals.remove(pos)
-    }
-}
-
-/// Compacts a leaf's raw parts: drops every gap slot, leaving packed
-/// live entries and an empty bitmap (allocation retained for pinning).
-pub fn compact<K: Key, V>(keys: &mut Vec<K>, vals: &mut Vec<V>, gaps: &mut GapMap) {
-    if gaps.is_dense() {
-        return;
-    }
-    let mut i = 0usize;
-    keys.retain(|_| {
-        let keep = !gaps.is_gap(i);
-        i += 1;
-        keep
-    });
-    let mut j = 0usize;
-    vals.retain(|_| {
-        let keep = !gaps.is_gap(j);
-        j += 1;
-        keep
-    });
-    gaps.reset();
-}
-
 /// Seeds a freshly split (dense) leaf with `want` gap fillers spread over
 /// `[region_start, len)` — the region the IKR prediction marks as the
 /// landing zone for future near-sorted inserts. Each filler is a clone of
@@ -959,6 +494,9 @@ pub fn compact<K: Key, V>(keys: &mut Vec<K>, vals: &mut Vec<V>, gaps: &mut GapMa
 /// every filler duplicates a live entry (reads that land on one see the
 /// correct pair). Never creates trailing gaps and never pushes the
 /// physical length past `capacity`.
+///
+/// Kept because `benchmark/src/probes.rs` names it; goes with the
+/// `layout.*` probes.
 pub fn regap<K: Key, V: Clone>(
     keys: &mut Vec<K>,
     vals: &mut Vec<V>,
@@ -1014,19 +552,18 @@ mod tests {
     fn boundary_conventions_are_pinned() {
         // The duplicate-run contract from the module docs, in one place.
         let keys = [1u64, 3, 3, 3, 5];
-        for kind in [SearchKind::Binary, SearchKind::Branchless, SearchKind::Simd] {
-            // Insert lands AFTER the duplicate run.
-            assert_eq!(upper_bound(kind, &keys, 3), 4, "{kind:?}");
-            // Lookup finds the FIRST instance.
-            assert_eq!(lower_bound(kind, &keys, 3), 1, "{kind:?}");
-            // Routing on a separator hit goes RIGHT.
-            assert_eq!(search_internal(kind, &keys, 3), 4, "{kind:?}");
-            assert_eq!(search_leaf(kind, &keys, 3), 1, "{kind:?}");
-            // Extremes.
-            assert_eq!(upper_bound(kind, &keys, 0), 0, "{kind:?}");
-            assert_eq!(upper_bound(kind, &keys, 9), 5, "{kind:?}");
-            assert_eq!(lower_bound::<u64>(kind, &[], 7), 0, "{kind:?}");
-        }
+        // Insert lands AFTER the duplicate run.
+        assert_eq!(upper_bound(&keys, 3), 4);
+        // Lookup finds the FIRST instance.
+        assert_eq!(lower_bound(&keys, 3), 1);
+        // Routing on a separator hit goes RIGHT.
+        assert_eq!(search_internal(&keys, 3), 4);
+        assert_eq!(guided_lower_bound(&keys, 3), 1);
+        assert_eq!(search_leaf(SearchKind::Binary, &keys, 3), 1);
+        // Extremes.
+        assert_eq!(upper_bound(&keys, 0), 0);
+        assert_eq!(upper_bound(&keys, 9), 5);
+        assert_eq!(lower_bound::<u64>(&[], 7), 0);
     }
 
     #[test]
@@ -1058,51 +595,6 @@ mod tests {
         }
     }
 
-    #[cfg(target_arch = "x86_64")]
-    #[test]
-    fn simd_kernels_match_reference() {
-        let mut state = 0x9e37_79b9_97f4_a7c1u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        for n in [0usize, 1, 3, 7, 8, 15, 31, 32, 33, 64, 127, 510] {
-            let mut k64: Vec<u64> = (0..n).map(|_| next() % 1000).collect();
-            k64.sort_unstable();
-            let mut k32: Vec<u32> = k64.iter().map(|&k| k as u32).collect();
-            k32.sort_unstable();
-            let mut ki32: Vec<i32> = k64.iter().map(|&k| k as i32 - 500).collect();
-            ki32.sort_unstable();
-            let mut ki64: Vec<i64> = k64.iter().map(|&k| k as i64 - 500).collect();
-            ki64.sort_unstable();
-            for _ in 0..64 {
-                let p = next() % 1100;
-                for strict in [false, true] {
-                    if let Some(got) = simd::partition_u64(&k64, p, strict) {
-                        assert_eq!(got, simd::reference(&k64, p, strict), "u64 n={n} p={p}");
-                    }
-                    if let Some(got) = simd::partition_u32(&k32, p as u32, strict) {
-                        assert_eq!(
-                            got,
-                            simd::reference(&k32, p as u32, strict),
-                            "u32 n={n} p={p}"
-                        );
-                    }
-                    let pi = p as i32 - 550;
-                    if let Some(got) = simd::partition_i32(&ki32, pi, strict) {
-                        assert_eq!(got, simd::reference(&ki32, pi, strict), "i32 n={n} p={pi}");
-                    }
-                    let pl = p as i64 - 550;
-                    if let Some(got) = simd::partition_i64(&ki64, pl, strict) {
-                        assert_eq!(got, simd::reference(&ki64, pl, strict), "i64 n={n} p={pl}");
-                    }
-                }
-            }
-        }
-    }
-
     #[test]
     fn gap_map_basics() {
         let mut g = GapMap::new();
@@ -1113,17 +605,11 @@ mod tests {
         g.set(3); // idempotent
         assert_eq!(g.count(), 2);
         assert!(g.is_gap(3) && g.is_gap(130));
-        assert_eq!(g.gaps_below(3), 0);
-        assert_eq!(g.gaps_below(4), 1);
-        assert_eq!(g.gaps_below(131), 2);
-        assert_eq!(g.next_live(3, 200), Some(4));
-        assert_eq!(g.prev_live(3), Some(2));
         g.clear(3);
         assert_eq!(g.count(), 1);
-        g.reset();
+        assert!(!g.is_gap(3));
+        g.clear(130);
         assert!(g.is_dense());
-        let p = GapMap::pinned(9);
-        assert_eq!(p.pinned_slots(), 64);
     }
 
     #[test]
@@ -1144,9 +630,14 @@ mod tests {
             .collect()
     }
 
+    /// The live slot a filler at `i` copies: the first live slot after it.
+    fn source_of(gaps: &GapMap, i: usize) -> usize {
+        (i + 1..).find(|&j| !gaps.is_gap(j)).expect("unbounded")
+    }
+
     #[test]
     fn insert_dense_matches_classic_vec_insert() {
-        let kind = SearchKind::Branchless;
+        let kind = SearchKind::Binary;
         let mut keys: Vec<u64> = vec![];
         let mut vals: Vec<u64> = vec![];
         let mut gaps = GapMap::new();
@@ -1167,6 +658,15 @@ mod tests {
             SlotInsert::Full
         );
         assert_eq!(keys.len(), 8);
+        // The dense insert the trees call lands on the same slots.
+        let (mut dk, mut dv) = (vec![], vec![]);
+        for k in [5u64, 1, 9, 5, 3] {
+            insert_dense(&mut dk, &mut dv, k, k * 10);
+        }
+        assert_eq!(dk, vec![1, 3, 5, 5, 9]);
+        assert_eq!(dv, vec![10, 30, 50, 50, 90]);
+        assert_eq!(insert_dense(&mut dk, &mut dv, 5, 0), 4, "after the run");
+        assert_eq!(insert_dense(&mut dk, &mut dv, 9, 0), 6, "append");
     }
 
     #[test]
@@ -1204,68 +704,6 @@ mod tests {
     }
 
     #[test]
-    fn remove_gapifies_interior_and_trims_tail() {
-        let mut keys: Vec<u64> = vec![1, 3, 5, 7];
-        let mut vals: Vec<u64> = vec![10, 30, 50, 70];
-        let mut gaps = GapMap::new();
-        // Interior removal overwrites the slot with its right neighbour.
-        let g = NodeLayoutKind::Gapped;
-        assert_eq!(
-            remove_at(g, &mut keys, &mut vals, &mut gaps, 1, usize::MAX),
-            30
-        );
-        assert_eq!(keys, vec![1, 5, 5, 7], "filler copies the neighbour");
-        assert_eq!(vals, vec![10, 50, 50, 70]);
-        assert_eq!(gaps.count(), 1);
-        assert!(gaps.is_gap(1));
-        // Removing the last physical slot trims nothing here...
-        assert_eq!(
-            remove_at(g, &mut keys, &mut vals, &mut gaps, 3, usize::MAX),
-            70
-        );
-        assert_eq!(keys, vec![1, 5, 5]);
-        // ...but removing slot 2 pops it AND the now-trailing gap at 1.
-        assert_eq!(
-            remove_at(g, &mut keys, &mut vals, &mut gaps, 2, usize::MAX),
-            50
-        );
-        assert_eq!(keys, vec![1]);
-        assert!(gaps.is_dense());
-        assert_eq!(
-            remove_at(g, &mut keys, &mut vals, &mut gaps, 0, usize::MAX),
-            10
-        );
-        assert!(keys.is_empty() && vals.is_empty() && gaps.is_dense());
-    }
-
-    #[test]
-    fn remove_dense_matches_classic_vec_remove() {
-        let mut keys: Vec<u64> = vec![1, 3, 5, 7];
-        let mut vals: Vec<u64> = vec![10, 30, 50, 70];
-        let mut gaps = GapMap::new();
-        let d = NodeLayoutKind::Dense;
-        assert_eq!(
-            remove_at(d, &mut keys, &mut vals, &mut gaps, 1, usize::MAX),
-            30
-        );
-        assert_eq!(keys, vec![1, 5, 7], "dense removal shifts, never gap-ifies");
-        assert_eq!(vals, vec![10, 50, 70]);
-        assert!(gaps.is_dense());
-    }
-
-    #[test]
-    fn compact_drops_fillers_only() {
-        let mut keys: Vec<u64> = vec![1, 3, 3, 5, 7];
-        let mut vals: Vec<u64> = vec![10, 0, 30, 50, 70];
-        let mut gaps = GapMap::new();
-        gaps.set(1);
-        compact(&mut keys, &mut vals, &mut gaps);
-        assert_eq!(keys, vec![1, 3, 5, 7]);
-        assert_eq!(vals, vec![10, 30, 50, 70]);
-        assert!(gaps.is_dense());
-    }
-
-    #[test]
     fn regap_spreads_fillers_and_keeps_order() {
         let mut keys: Vec<u64> = (0..8u64).collect();
         let mut vals: Vec<u64> = (0..8u64).map(|k| k * 10).collect();
@@ -1280,7 +718,7 @@ mod tests {
         // Every filler duplicates its right live neighbour's pair.
         for i in 0..keys.len() {
             if gaps.is_gap(i) {
-                let j = gaps.next_live(i, keys.len()).unwrap();
+                let j = source_of(&gaps, i);
                 assert_eq!((keys[i], vals[i]), (keys[j], vals[j]), "slot {i}");
             }
         }
@@ -1290,12 +728,12 @@ mod tests {
         assert!(keys.len() <= 12);
     }
 
-    /// Randomized round-trip: a gapped leaf fed random insert/remove
-    /// traffic (with periodic regap/compact) must always report the same
-    /// live content as a sorted reference vector, and must uphold the
-    /// structural invariants from the module docs.
+    /// Randomized round-trip: a gapped leaf fed random inserts (with a
+    /// simulated split on `Full` and periodic regaps of dense leaves)
+    /// must always report the same live content as a sorted reference
+    /// vector, and must uphold the filler invariants from the module docs.
     #[test]
-    fn gapped_ops_match_reference_model() {
+    fn gapped_inserts_match_reference_model() {
         let cap = 16usize;
         let mut state = 0xdead_beef_cafe_f00du64;
         let mut next = move || {
@@ -1304,67 +742,39 @@ mod tests {
             state ^= state << 17;
             state
         };
-        for case in 0..200u32 {
-            let kind = match case % 3 {
-                0 => SearchKind::Binary,
-                1 => SearchKind::Branchless,
-                _ => SearchKind::Simd,
-            };
+        for _ in 0..200u32 {
             let mut keys: Vec<u64> = vec![];
             let mut vals: Vec<u64> = vec![];
             let mut gaps = GapMap::new();
             let mut model: Vec<(u64, u64)> = vec![];
             for step in 0..200u32 {
-                let r = next();
-                let k = r % 32;
-                if r % 100 < 60 {
-                    let v = u64::from(step);
-                    match insert_at(kind, &mut keys, &mut vals, &mut gaps, k, v, cap) {
-                        SlotInsert::Done(slot) => {
-                            assert!(!gaps.is_gap(slot));
-                            assert_eq!((keys[slot], vals[slot]), (k, v));
-                            let at = model.partition_point(|e| e.0 <= k);
-                            model.insert(at, (k, v));
-                        }
-                        SlotInsert::Full => {
-                            assert_eq!(model.len(), cap, "Full only when live == cap");
-                            assert!(gaps.is_dense(), "full leaves are dense");
-                            // Make room like a split would: compact + drop max.
-                            model.pop();
-                            keys.pop();
-                            vals.pop();
-                        }
+                let k = next() % 32;
+                let v = u64::from(step);
+                match insert_at(
+                    SearchKind::Binary,
+                    &mut keys,
+                    &mut vals,
+                    &mut gaps,
+                    k,
+                    v,
+                    cap,
+                ) {
+                    SlotInsert::Done(slot) => {
+                        assert!(!gaps.is_gap(slot));
+                        assert_eq!((keys[slot], vals[slot]), (k, v));
+                        let at = model.partition_point(|e| e.0 <= k);
+                        model.insert(at, (k, v));
                     }
-                } else if !model.is_empty() {
-                    // Remove a uniformly chosen live entry.
-                    let mi = (r >> 8) as usize % model.len();
-                    let (k, _) = model.remove(mi);
-                    // Its physical slot: lower bound, skip gaps and
-                    // earlier duplicates until values match the model's
-                    // ordering (first live instance + offset).
-                    let mut slot = lower_bound(kind, &keys, k);
-                    slot = gaps.next_live(slot, keys.len()).expect("present");
-                    // How many earlier live duplicates of k to pass: both
-                    // sides insert duplicates at the upper bound, so live
-                    // physical order matches model order instance-for-instance
-                    // (entries before `mi` are unchanged by the removal).
-                    let skip = model.iter().take(mi).filter(|e| e.0 == k).count();
-                    for _ in 0..skip {
-                        slot = gaps
-                            .next_live(slot + 1, keys.len())
-                            .expect("duplicate instance");
+                    SlotInsert::Full => {
+                        assert_eq!(model.len(), cap, "Full only when live == cap");
+                        assert!(gaps.is_dense(), "full leaves are dense");
+                        // Make room like a split would: keep the lower half.
+                        model.truncate(cap / 2);
+                        keys.truncate(cap / 2);
+                        vals.truncate(cap / 2);
                     }
-                    remove_at(
-                        NodeLayoutKind::Gapped,
-                        &mut keys,
-                        &mut vals,
-                        &mut gaps,
-                        slot,
-                        usize::MAX,
-                    );
                 }
-                if step % 37 == 0 {
-                    compact(&mut keys, &mut vals, &mut gaps);
+                if step % 37 == 0 && gaps.is_dense() {
                     let mid = keys.len() / 2;
                     regap(&mut keys, &mut vals, &mut gaps, mid, 4, cap);
                 }
@@ -1378,16 +788,11 @@ mod tests {
                 assert_eq!(keys.len() - gaps.count(), model.len(), "live length");
                 for i in 0..keys.len() {
                     if gaps.is_gap(i) {
-                        let j = gaps.next_live(i, keys.len()).expect("last slot is live");
+                        let j = source_of(&gaps, i);
                         assert_eq!(keys[i], keys[j], "filler copies its live neighbour");
                     }
                 }
-                let got: Vec<u64> = (0..keys.len())
-                    .filter(|&i| !gaps.is_gap(i))
-                    .map(|i| keys[i])
-                    .collect();
-                let want: Vec<u64> = model.iter().map(|e| e.0).collect();
-                assert_eq!(got, want, "live keys match model");
+                assert_eq!(live(&keys, &vals, &gaps), model, "live pairs match model");
             }
         }
     }

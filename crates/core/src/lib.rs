@@ -95,9 +95,6 @@ mod iter;
 // implementors, not unsafe operations — the crate still contains none).
 #[allow(unsafe_code)]
 mod key;
-// `layout` holds the explicitly vectorized (`core::arch`) intra-node
-// search kernels behind runtime feature detection.
-#[allow(unsafe_code)]
 mod layout;
 mod metrics;
 mod node;
@@ -119,16 +116,16 @@ mod variants;
 
 pub use arena::NodeId;
 pub use config::{StorageKind, TreeConfig};
-pub use crc::{crc32, Crc32};
+pub use crc::{crc32, simd_force_disabled, Crc32};
 pub use cursor::Cursor;
 pub use error::{Error, Result};
 pub use fastpath::{FastPathMode, FastPathState, FullPolePlan, PoleSplit, PrevLeaf, TopInsert};
 pub use iter::{RangeIter, RangeScan, TreeIter};
 pub use key::{stripe_of, AnyBitPattern, Key, OrderedF64};
 pub use layout::{
-    branchless_partition_point, branchless_partition_point_by, compact, guided_partition_point_by,
-    guided_partition_point_hinted, insert_at, lower_bound, regap, remove_at, search_internal,
-    search_leaf, simd_force_disabled, upper_bound, GapMap, NodeLayoutKind, SearchKind, SlotInsert,
+    branchless_partition_point, branchless_partition_point_by, guided_lower_bound,
+    guided_partition_point_by, guided_partition_point_hinted, insert_at, insert_dense, lower_bound,
+    regap, search_internal, search_leaf, upper_bound, GapMap, SearchKind, SlotInsert,
 };
 pub use metrics::{
     Counter, FastPathWindow, HistogramSnapshot, LatencyHistogram, MetricsLevel, MetricsRegistry,

@@ -84,11 +84,7 @@ impl<K: Key, V> BpTree<K, V> {
             }
         }
     }
-}
 
-// Pops delete and extension inserts; both ingestion and removal carry the
-// `V: Clone` bound of the gapped layout (see `crate::layout`).
-impl<K: Key, V: Clone> BpTree<K, V> {
     /// Removes and returns the smallest entry.
     pub fn pop_first(&mut self) -> Option<(K, V)> {
         let k = self.min_key()?;
@@ -104,7 +100,7 @@ impl<K: Key, V: Clone> BpTree<K, V> {
     }
 }
 
-impl<K: Key, V: Clone> Extend<(K, V)> for BpTree<K, V> {
+impl<K: Key, V> Extend<(K, V)> for BpTree<K, V> {
     fn extend<I: IntoIterator<Item = (K, V)>>(&mut self, iter: I) {
         for (k, v) in iter {
             self.insert(k, v);

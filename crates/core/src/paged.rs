@@ -24,13 +24,12 @@
 //!   as before; so does everything reached through the inherent `&self`
 //!   API, which lends `&V`.
 //!
-//!   Gapped pages are answered through the view like dense ones (it
-//!   carries the gap bitmap). Two cases fall back to the faulting path,
-//!   from the leaf in question: a point read whose match or insertion
-//!   point is physical slot 0 of a leaf with a `prev` link — a duplicate
-//!   run, or after deletes the only instance, may sit in the previous
-//!   leaf, so the chain walk has to run — and a scan's seek to its start
-//!   bound, which faults the start leaf (and the `prev` it inspects).
+//!   Two cases fall back to the faulting path, from the leaf in question:
+//!   a point read whose match or insertion point is slot 0 of a leaf with
+//!   a `prev` link — a duplicate run, or after deletes the only instance,
+//!   may sit in the previous leaf, so the chain walk has to run — and a
+//!   scan's seek to its start bound, which faults the start leaf (and the
+//!   `prev` it inspects).
 //!
 //!   Counter convention: a read answered in place counts one `faults` (a
 //!   page was read from the store) and no `hits`; the tree counts the
@@ -94,7 +93,6 @@
 use crate::arena::NodeId;
 use crate::crc::{crc32, Crc32};
 use crate::error::Error;
-use crate::layout::GapMap;
 use crate::node::{InternalNode, LeafNode, Node};
 use crate::pool::{MemPageStore, PageId, PageStore, PoolCounters};
 use std::cell::{Cell, RefCell};
@@ -196,11 +194,17 @@ fn id_or_nil(v: Option<NodeId>) -> u32 {
 const TAG_LEAF: u8 = 1;
 const TAG_INTERNAL: u8 = 2;
 
+/// Byte offset, in a leaf page, of its gap-word count: after the tag and
+/// the entry count and parent/next/prev `u32`s. Leaves hold no gap slots,
+/// so the count is always written 0; an image whose leaf page says
+/// otherwise is rejected at open ([`PagedNodes::from_image`]).
+const LEAF_GAP_WORDS_AT: usize = 1 + 4 * 4;
+
 /// Exact byte length [`encode_node`] appends for `node`.
 fn encoded_len<K, V>(node: &Node<K, V>) -> usize {
     let (sk, sv) = (std::mem::size_of::<K>(), std::mem::size_of::<V>());
     match node {
-        Node::Leaf(l) => 1 + 4 * 5 + l.gaps.raw_words().len() * 8 + l.keys.len() * (sk + sv),
+        Node::Leaf(l) => 1 + 4 * 5 + l.keys.len() * (sk + sv),
         Node::Internal(n) => 1 + 4 * 3 + n.keys.len() * sk + n.children.len() * 4,
         Node::Free => unreachable!("free slots are never paged out"),
     }
@@ -219,11 +223,7 @@ fn encode_node<K, V>(node: &Node<K, V>, out: &mut Vec<u8>) {
             push_u32(out, id_or_nil(l.parent));
             push_u32(out, id_or_nil(l.next));
             push_u32(out, id_or_nil(l.prev));
-            let words = l.gaps.raw_words();
-            push_u32(out, words.len() as u32);
-            for w in words {
-                out.extend_from_slice(&w.to_le_bytes());
-            }
+            push_u32(out, 0); // gap-word count (`LEAF_GAP_WORDS_AT`)
             push_pods(out, &l.keys);
             push_pods(out, &l.vals);
         }
@@ -278,17 +278,13 @@ fn decode_node<K, V>(bytes: &[u8]) -> Node<K, V> {
 ///
 /// Only ever built once construction has pod-gated `K` and `V`
 /// ([`value_is_pod`]), which is what makes the unaligned entry reads
-/// sound; the three array slices are bounds-checked against the page when
+/// sound; the two array slices are bounds-checked against the page when
 /// the view is built.
 pub(crate) struct LeafPage<'a, K, V> {
-    n_phys: usize,
+    len: usize,
     parent: Option<NodeId>,
     next: Option<NodeId>,
     prev: Option<NodeId>,
-    /// The gap bitmap, 8 little-endian bytes per word.
-    gap_words: &'a [u8],
-    /// False when every physical slot is live (all bitmap words zero).
-    has_gaps: bool,
     keys: &'a [u8],
     vals: &'a [u8],
     _entries: std::marker::PhantomData<(K, V)>,
@@ -304,36 +300,30 @@ impl<'a, K, V> LeafPage<'a, K, V> {
             t => panic!("corrupt page: unknown node tag {t}"),
         }
         let mut off = 1usize;
-        let n_phys = read_u32(bytes, &mut off) as usize;
+        let len = read_u32(bytes, &mut off) as usize;
         let parent = opt_id(read_u32(bytes, &mut off));
         let next = opt_id(read_u32(bytes, &mut off));
         let prev = opt_id(read_u32(bytes, &mut off));
-        let n_words = read_u32(bytes, &mut off) as usize;
-        let mut array = |len: usize| {
-            let a = &bytes[off..off + len];
-            off += len;
-            a
-        };
-        let gap_words = array(n_words * 8);
-        let keys = array(n_phys * std::mem::size_of::<K>());
-        let vals = array(n_phys * std::mem::size_of::<V>());
+        let gap_words = read_u32(bytes, &mut off);
+        debug_assert_eq!(gap_words, 0, "rejected at open");
+        let keys_len = len * std::mem::size_of::<K>();
+        let keys = &bytes[off..off + keys_len];
+        let vals = &bytes[off + keys_len..off + keys_len + len * std::mem::size_of::<V>()];
         Some(LeafPage {
-            n_phys,
+            len,
             parent,
             next,
             prev,
-            gap_words,
-            has_gaps: gap_words.iter().any(|&b| b != 0),
             keys,
             vals,
             _entries: std::marker::PhantomData,
         })
     }
 
-    /// Number of physical slots, counting gaps.
+    /// Number of entries.
     #[inline]
-    pub(crate) fn physical_len(&self) -> usize {
-        self.n_phys
+    pub(crate) fn len(&self) -> usize {
+        self.len
     }
 
     /// Parent internal node.
@@ -354,50 +344,23 @@ impl<'a, K, V> LeafPage<'a, K, V> {
         self.prev
     }
 
-    /// Key of physical slot `i` (a gap slot holds its filler copy).
+    /// Key of slot `i`.
     #[inline]
     pub(crate) fn key(&self, i: usize) -> K {
         pod_at(self.keys, i)
     }
 
-    /// Value of physical slot `i`.
+    /// Value of slot `i`.
     #[inline]
     pub(crate) fn val(&self, i: usize) -> V {
         pod_at(self.vals, i)
     }
 
-    fn gap_word(&self, w: usize) -> u64 {
-        self.gap_words.get(w * 8..w * 8 + 8).map_or(0, |b| {
-            u64::from_le_bytes(b.try_into().expect("8-byte word"))
-        })
-    }
-
-    /// First live slot at or after `from`, if any ([`GapMap::next_live`]
-    /// over the page's bitmap).
-    #[inline]
-    pub(crate) fn next_live(&self, mut from: usize) -> Option<usize> {
-        if self.has_gaps {
-            while from < self.n_phys && (self.gap_word(from / 64) >> (from % 64)) & 1 == 1 {
-                from += 1;
-            }
-        }
-        (from < self.n_phys).then_some(from)
-    }
-
-    /// Appends the live entries of physical slots `from..` to `keys` and
-    /// `vals`: two bulk copies when the leaf has no gaps.
-    pub(crate) fn copy_live_from(&self, from: usize, keys: &mut Vec<K>, vals: &mut Vec<V>) {
-        if !self.has_gaps {
-            extend_pods(keys, &self.keys[from * std::mem::size_of::<K>()..]);
-            extend_pods(vals, &self.vals[from * std::mem::size_of::<V>()..]);
-            return;
-        }
-        let mut pos = from;
-        while let Some(live) = self.next_live(pos) {
-            keys.push(self.key(live));
-            vals.push(self.val(live));
-            pos = live + 1;
-        }
+    /// Appends the entries of slots `from..` to `keys` and `vals`: two
+    /// bulk copies.
+    pub(crate) fn copy_from(&self, from: usize, keys: &mut Vec<K>, vals: &mut Vec<V>) {
+        extend_pods(keys, &self.keys[from * std::mem::size_of::<K>()..]);
+        extend_pods(vals, &self.vals[from * std::mem::size_of::<V>()..]);
     }
 
     /// The decoded node: each array is one bulk copy out of the page.
@@ -406,11 +369,9 @@ impl<'a, K, V> LeafPage<'a, K, V> {
         let mut vals = Vec::new();
         extend_pods(&mut keys, self.keys);
         extend_pods(&mut vals, self.vals);
-        let words = (0..self.gap_words.len() / 8).map(|w| self.gap_word(w));
         LeafNode {
             keys,
             vals,
-            gaps: GapMap::from_words(words.collect()),
             next: self.next,
             prev: self.prev,
             parent: self.parent,
@@ -419,9 +380,8 @@ impl<'a, K, V> LeafPage<'a, K, V> {
 }
 
 impl<K: Ord, V> LeafPage<'_, K, V> {
-    /// First physical slot whose key is at or above `key` — the lookup
-    /// convention of [`crate::layout::search_leaf`] (fillers keep the
-    /// physical keys sorted, so no bitmap is consulted).
+    /// First slot whose key is at or above `key` — the lookup convention
+    /// of [`crate::layout::guided_lower_bound`].
     ///
     /// The page is cold, so what the search costs is the cache misses it
     /// chains. A bisection's probes each wait for the one before; here the
@@ -434,12 +394,12 @@ impl<K: Ord, V> LeafPage<'_, K, V> {
         let stride = (64 / std::mem::size_of::<K>()).max(1);
         let mut lines_below = 0usize;
         let mut tail = stride - 1;
-        while tail < self.n_phys {
+        while tail < self.len {
             lines_below += usize::from(self.key(tail) < key);
             tail += stride;
         }
         let lo = lines_below * stride;
-        let hi = (lo + stride).min(self.n_phys);
+        let hi = (lo + stride).min(self.len);
         lo + (lo..hi).filter(|&i| self.key(i) < key).count()
     }
 }
@@ -453,7 +413,7 @@ pub fn max_encoded_node_size<K, V>(leaf_capacity: usize, internal_capacity: usiz
     let (sk, sv) = (std::mem::size_of::<K>(), std::mem::size_of::<V>());
     let lc = leaf_capacity + 1;
     let ic = internal_capacity + 1;
-    let leaf = 1 + 4 * 5 + lc.div_ceil(64) * 8 + lc * (sk + sv);
+    let leaf = 1 + 4 * 5 + lc * (sk + sv);
     let internal = 1 + 4 * 3 + ic * sk + (ic + 1) * 4;
     leaf.max(internal)
 }
@@ -1020,6 +980,16 @@ impl<K: 'static, V: 'static> PagedNodes<K, V> {
             if len == 0 {
                 return Err(corrupt(&format!("page n{id} is empty")));
             }
+            let payload = &image[off..off + len];
+            if payload[0] == TAG_LEAF
+                && payload
+                    .get(LEAF_GAP_WORDS_AT..LEAF_GAP_WORDS_AT + 4)
+                    .is_some_and(|w| w != [0; 4])
+            {
+                return Err(corrupt(&format!(
+                    "leaf page n{id} carries a gap bitmap, which leaves no longer hold"
+                )));
+            }
             let Some(slot) = index.get_mut(id as usize) else {
                 return Err(corrupt(&format!("page n{id} is not a live node id")));
             };
@@ -1146,14 +1116,12 @@ mod tests {
     }
 
     #[test]
-    fn codec_roundtrips_leaf_with_gaps_and_links() {
+    fn codec_roundtrips_leaf_with_links() {
         let mut l: LeafNode<u64, u64> = LeafNode::new();
         for i in 0..70u64 {
             l.keys.push(i);
             l.vals.push(i * 10);
         }
-        l.gaps.set(3);
-        l.gaps.set(65);
         l.parent = Some(NodeId(5));
         l.next = Some(NodeId(9));
         let node = Node::Leaf(l);
@@ -1162,8 +1130,6 @@ mod tests {
         let b = back.as_leaf();
         assert_eq!(b.keys.len(), 70);
         assert_eq!(b.vals[69], 690);
-        assert!(b.gaps.is_gap(3) && b.gaps.is_gap(65) && !b.gaps.is_gap(4));
-        assert_eq!(b.gaps.count(), 2);
         assert_eq!(b.parent, Some(NodeId(5)));
         assert_eq!(b.next, Some(NodeId(9)));
         assert_eq!(b.prev, None);
@@ -1182,25 +1148,16 @@ mod tests {
         assert_eq!(b.parent, None);
     }
 
-    /// A leaf over `ranks` (ascending, duplicates allowed), with a gap
-    /// filler planted before entry `i` whenever `gap_before(i)` — which
-    /// keeps the last physical slot live and obeys the filler rule.
+    /// A leaf over `ranks` (ascending, duplicates allowed).
     fn view_leaf<K: crate::Key, V: Copy>(
         ranks: &[u64],
-        gap_before: impl Fn(usize) -> bool,
         key: fn(u64) -> K,
         val: fn(u64) -> V,
     ) -> LeafNode<K, V> {
         let mut l = LeafNode::new();
         for (i, &r) in ranks.iter().enumerate() {
-            let entry = (key(r), val(r * 7 + i as u64));
-            if gap_before(i) {
-                l.gaps.set(l.keys.len());
-                l.keys.push(entry.0);
-                l.vals.push(entry.1);
-            }
-            l.keys.push(entry.0);
-            l.vals.push(entry.1);
+            l.keys.push(key(r));
+            l.vals.push(val(r * 7 + i as u64));
         }
         l.parent = Some(NodeId(ranks.len() as u32));
         l.next = (!ranks.len().is_multiple_of(3)).then_some(NodeId(77));
@@ -1220,7 +1177,7 @@ mod tests {
         let Node::Leaf(want) = decode_node::<K, V>(&payload) else {
             panic!("leaf page decoded to a non-leaf");
         };
-        let n = want.physical_len();
+        let n = want.len();
         // Offsets 1, 3 and 13 are what the recovered image hands out:
         // payloads packed back to back behind 12-byte record prefixes.
         for offset in [0usize, 1, 3, 13] {
@@ -1228,7 +1185,7 @@ mod tests {
             buf.extend_from_slice(&payload);
             buf.extend_from_slice(&[0x5A; 5]); // page padding is ignored
             let page = LeafPage::<K, V>::parse(&buf[offset..]).expect("a leaf page");
-            assert_eq!(page.physical_len(), n);
+            assert_eq!(page.len(), n);
             assert_eq!(
                 (page.parent(), page.next(), page.prev()),
                 (want.parent, want.next, want.prev)
@@ -1237,16 +1194,11 @@ mod tests {
                 assert_eq!(page.key(i), want.keys[i], "key({i}) at offset {offset}");
                 assert_eq!(page.val(i), want.vals[i], "val({i}) at offset {offset}");
             }
-            for from in 0..=n + 1 {
-                assert_eq!(page.next_live(from), want.gaps.next_live(from, n));
-                if from > n {
-                    continue;
-                }
+            for from in 0..=n {
                 let (mut keys, mut vals) = (Vec::new(), Vec::new());
-                page.copy_live_from(from, &mut keys, &mut vals);
-                let live = (from..n).filter(|&i| !want.gaps.is_gap(i));
-                assert_eq!(keys, live.clone().map(|i| want.keys[i]).collect::<Vec<_>>());
-                assert_eq!(vals, live.map(|i| want.vals[i]).collect::<Vec<_>>());
+                page.copy_from(from, &mut keys, &mut vals);
+                assert_eq!(keys, want.keys[from..]);
+                assert_eq!(vals, want.vals[from..]);
             }
             for &probe in probes {
                 assert_eq!(
@@ -1281,42 +1233,19 @@ mod tests {
                 r += 2 * (rand() % 3);
             }
             let probes: Vec<u64> = ranks.iter().flat_map(|&r| [r - 1, r, r + 1]).collect();
-            let gap_seed = rand();
-            for gapped in [false, true] {
-                // At most one filler per entry keeps gapped leaves within
-                // 2 × CAPACITY slots: up to four bitmap words.
-                let gap_before = |i: usize| gapped && (gap_seed >> (i % 61)) & 1 == 1;
-                assert_view_matches_codec(view_leaf(&ranks, gap_before, |r| r, |v| v), &probes);
-                assert_view_matches_codec(
-                    view_leaf(
-                        &ranks,
-                        gap_before,
-                        |r| r as u32,
-                        |v| OrderedF64::new(v as f64),
-                    ),
-                    &probes.iter().map(|&p| p as u32).collect::<Vec<_>>(),
-                );
-                assert_view_matches_codec(
-                    view_leaf(
-                        &ranks,
-                        gap_before,
-                        |r| OrderedF64::new(r as f64 / 2.0),
-                        |v| v as u32,
-                    ),
-                    &probes
-                        .iter()
-                        .map(|&p| OrderedF64::new(p as f64 / 2.0))
-                        .collect::<Vec<_>>(),
-                );
-            }
+            assert_view_matches_codec(view_leaf(&ranks, |r| r, |v| v), &probes);
+            assert_view_matches_codec(
+                view_leaf(&ranks, |r| r as u32, |v| OrderedF64::new(v as f64)),
+                &probes.iter().map(|&p| p as u32).collect::<Vec<_>>(),
+            );
+            assert_view_matches_codec(
+                view_leaf(&ranks, |r| OrderedF64::new(r as f64 / 2.0), |v| v as u32),
+                &probes
+                    .iter()
+                    .map(|&p| OrderedF64::new(p as f64 / 2.0))
+                    .collect::<Vec<_>>(),
+            );
         }
-        // A leaf whose bitmap words are all zero (gaps set, then cleared)
-        // is dense to the view too.
-        let mut cleared = view_leaf(&[2, 4, 4, 6], |_| false, |r| r, |v| v);
-        cleared.gaps.set(70);
-        cleared.gaps.clear(70);
-        assert_eq!(cleared.gaps.raw_words().len(), 2);
-        assert_view_matches_codec(cleared, &[1, 2, 3, 4, 5, 6, 7]);
 
         let mut internal: InternalNode<u64> = InternalNode::new();
         internal.keys = vec![10];
@@ -1478,6 +1407,47 @@ mod tests {
     }
 
     #[test]
+    fn a_leaf_page_with_gap_words_is_rejected_at_open() {
+        let mut a = paged(3);
+        let mut internal: InternalNode<u64> = InternalNode::new();
+        internal.keys = vec![3];
+        internal.children = vec![NodeId(1), NodeId(2)];
+        a.alloc(Node::Internal(internal));
+        for i in 0..4u64 {
+            a.alloc(leaf(i, i));
+        }
+        a.begin_op();
+        let image = image_of(&a);
+        assert!(PagedNodes::<u64, u64>::from_image(image.clone(), 0, 3, 64, 64).is_ok());
+        // The first leaf record: claim one gap word, re-seal its CRC.
+        let mut at = IMAGE_MAGIC.len() + 4 * 5;
+        let (id, payload) = loop {
+            let len = u32::from_le_bytes(image[at + 4..at + 8].try_into().unwrap()) as usize;
+            let payload = at + RECORD_PREFIX_LEN;
+            if image[payload] == TAG_LEAF {
+                break (
+                    u32::from_le_bytes(image[at..at + 4].try_into().unwrap()),
+                    payload,
+                );
+            }
+            at = payload + len;
+        };
+        let len = u32::from_le_bytes(image[at + 4..at + 8].try_into().unwrap()) as usize;
+        let mut bad = image;
+        let count = payload + LEAF_GAP_WORDS_AT;
+        bad[count..count + 4].copy_from_slice(&1u32.to_le_bytes());
+        let crc = record_crc(&bad[at..at + 8], &bad[payload..payload + len]);
+        bad[at + 8..payload].copy_from_slice(&crc.to_le_bytes());
+        match PagedNodes::<u64, u64>::from_image(bad, 0, 3, 64, 64) {
+            Err(Error::Corruption(msg)) => {
+                assert!(msg.contains(&format!("leaf page n{id} ")), "{msg}")
+            }
+            Err(e) => panic!("wrong error: {e}"),
+            Ok(_) => panic!("a leaf page with a gap bitmap was accepted"),
+        }
+    }
+
+    #[test]
     fn new_frames_take_the_lowest_free_slot() {
         // Reference: the linear scan the tracked free-slot heap replaced.
         fn lowest_hole(a: &PagedNodes<u64, u64>) -> usize {
@@ -1562,17 +1532,11 @@ mod tests {
         }
     }
 
-    /// A paged QuIT tree over `n` keys inserted in a scattered order, so
-    /// `Gapped` leaves really carry gaps; value = key × 3.
-    fn scattered_tree(
-        n: u64,
-        pool: usize,
-        layout: crate::NodeLayoutKind,
-    ) -> crate::BpTree<u64, u64> {
+    /// A paged QuIT tree over `n` keys inserted in a scattered order;
+    /// value = key × 3.
+    fn scattered_tree(n: u64, pool: usize) -> crate::BpTree<u64, u64> {
         use crate::config::{StorageKind, TreeConfig};
-        let config = TreeConfig::small(8)
-            .with_node_layout(layout)
-            .with_storage(StorageKind::paged(pool));
+        let config = TreeConfig::small(8).with_storage(StorageKind::paged(pool));
         let mut t = crate::variants::Variant::Quit.build(config);
         for i in 0..n {
             let k = i * 7919 % n; // 7919 is prime: a permutation of 0..n
@@ -1584,34 +1548,27 @@ mod tests {
 
     #[test]
     fn full_scan_holds_the_pool_budget() {
-        use crate::{NodeLayoutKind, SortedIndex};
-        for layout in [NodeLayoutKind::Dense, NodeLayoutKind::Gapped] {
-            for pool in [8, 16] {
-                let mut t = scattered_tree(4000, pool, layout);
-                let gapped = t.arena.iter().any(|(_, n)| match n {
-                    Node::Leaf(l) => !l.gaps.is_dense(),
-                    _ => false,
-                });
-                assert_eq!(gapped, layout == NodeLayoutKind::Gapped);
-                // Before anything trims the pool: the seek may fault one
-                // root-to-leaf path and the start leaf's `prev`, the walk
-                // faults nothing.
-                let bar = pool + t.height() + 2;
-                assert_eq!(SortedIndex::range(&mut t, ..).count(), 4000);
-                assert!(t.resident_nodes() <= bar, "{} > {bar}", t.resident_nodes());
-                let got: Vec<(u64, u64)> = SortedIndex::range(&mut t, 1500..2500).collect();
-                assert!(t.resident_nodes() <= bar, "{} > {bar}", t.resident_nodes());
-                assert_eq!(got, (1500..2500).map(|k| (k, k * 3)).collect::<Vec<_>>());
-                let scan = SortedIndex::range_with_stats(&mut t, 1500..=2499);
-                assert!(t.resident_nodes() <= bar, "{} > {bar}", t.resident_nodes());
-                assert_eq!(scan.entries, got);
-                // Fig 10c's count is the faulting scan's.
-                let mut faulting = t.range(1500..=2499);
-                assert_eq!(faulting.by_ref().count(), 1000);
-                assert_eq!(scan.leaf_accesses, faulting.leaf_accesses());
-                t.trim_residency();
-                assert!(t.resident_nodes() <= pool);
-            }
+        use crate::SortedIndex;
+        for pool in [8, 16] {
+            let mut t = scattered_tree(4000, pool);
+            // Before anything trims the pool: the seek may fault one
+            // root-to-leaf path and the start leaf's `prev`, the walk
+            // faults nothing.
+            let bar = pool + t.height() + 2;
+            assert_eq!(SortedIndex::range(&mut t, ..).count(), 4000);
+            assert!(t.resident_nodes() <= bar, "{} > {bar}", t.resident_nodes());
+            let got: Vec<(u64, u64)> = SortedIndex::range(&mut t, 1500..2500).collect();
+            assert!(t.resident_nodes() <= bar, "{} > {bar}", t.resident_nodes());
+            assert_eq!(got, (1500..2500).map(|k| (k, k * 3)).collect::<Vec<_>>());
+            let scan = SortedIndex::range_with_stats(&mut t, 1500..=2499);
+            assert!(t.resident_nodes() <= bar, "{} > {bar}", t.resident_nodes());
+            assert_eq!(scan.entries, got);
+            // Fig 10c's count is the faulting scan's.
+            let mut faulting = t.range(1500..=2499);
+            assert_eq!(faulting.by_ref().count(), 1000);
+            assert_eq!(scan.leaf_accesses, faulting.leaf_accesses());
+            t.trim_residency();
+            assert!(t.resident_nodes() <= pool);
         }
     }
 
@@ -1657,46 +1614,44 @@ mod tests {
 
     #[test]
     fn cold_get_answers_and_counts_like_the_faulting_path() {
-        use crate::{NodeLayoutKind, SortedIndex};
-        for layout in [NodeLayoutKind::Dense, NodeLayoutKind::Gapped] {
-            let pool = 8;
-            let build = || {
-                let mut t = scattered_tree(3000, pool, layout);
-                // Duplicate runs that span leaves, and leaves whose slot 0
-                // is deleted (their separator outlives it).
-                for i in 0..40u64 {
-                    t.insert(1000, 5000 + i);
-                }
-                for k in (0..3000u64).step_by(8) {
-                    t.delete(k);
-                }
-                t.stats().reset();
-                t
-            };
-            let (mut cold, mut faulting) = (build(), build());
-            let height = cold.height();
-            for i in 0..4000u64 {
-                let k = i * 2731 % 3100;
-                let got = SortedIndex::get(&mut cold, k);
-                faulting.trim_residency();
-                assert_eq!(got, faulting.get(k).copied(), "get({k}) under {layout:?}");
-                // No leaf is installed past the budget unless the page
-                // could not decide; the chain walk then faults it and its
-                // `prev` (and all of a longer run: key 1000).
-                assert!(k == 1000 || cold.resident_nodes() <= pool + height + 1);
+        use crate::SortedIndex;
+        let pool = 8;
+        let build = || {
+            let mut t = scattered_tree(3000, pool);
+            // Duplicate runs that span leaves, and leaves whose slot 0
+            // is deleted (their separator outlives it).
+            for i in 0..40u64 {
+                t.insert(1000, 5000 + i);
             }
-            let (c, f) = (cold.metrics(), faulting.metrics());
-            assert_eq!(c.lookups, f.lookups);
-            assert_eq!(c.lookup_node_accesses, f.lookup_node_accesses);
-            assert!(
-                c.page_faults > 0 && c.page_evictions < f.page_evictions,
-                "cold {}/{} faulting {}/{}",
-                c.page_faults,
-                c.page_evictions,
-                f.page_faults,
-                f.page_evictions
-            );
+            for k in (0..3000u64).step_by(8) {
+                t.delete(k);
+            }
+            t.stats().reset();
+            t
+        };
+        let (mut cold, mut faulting) = (build(), build());
+        let height = cold.height();
+        for i in 0..4000u64 {
+            let k = i * 2731 % 3100;
+            let got = SortedIndex::get(&mut cold, k);
+            faulting.trim_residency();
+            assert_eq!(got, faulting.get(k).copied(), "get({k})");
+            // No leaf is installed past the budget unless the page
+            // could not decide; the chain walk then faults it and its
+            // `prev` (and all of a longer run: key 1000).
+            assert!(k == 1000 || cold.resident_nodes() <= pool + height + 1);
         }
+        let (c, f) = (cold.metrics(), faulting.metrics());
+        assert_eq!(c.lookups, f.lookups);
+        assert_eq!(c.lookup_node_accesses, f.lookup_node_accesses);
+        assert!(
+            c.page_faults > 0 && c.page_evictions < f.page_evictions,
+            "cold {}/{} faulting {}/{}",
+            c.page_faults,
+            c.page_evictions,
+            f.page_faults,
+            f.page_evictions
+        );
     }
 
     #[test]

@@ -34,13 +34,6 @@ pub struct BpTree<K, V> {
     pub(crate) mode: FastPathMode,
     pub(crate) fp: FastPathState<K>,
     pub(crate) metrics: MetricsRegistry,
-    /// `top_inserts` snapshot taken at the previous leaf split — the
-    /// disorder signal for split-time gap seeding: any top-insert between
-    /// two splits means the stream is taking out-of-order traffic, so
-    /// freshly frozen nodes should be seeded with gaps (see
-    /// `split_leaf_at`). Purely sorted ingest never advances it, and
-    /// never pays for a single gap.
-    pub(crate) tops_at_last_split: u64,
 }
 
 impl<K: Key, V> BpTree<K, V> {
@@ -85,7 +78,6 @@ impl<K: Key, V> BpTree<K, V> {
             mode,
             fp,
             metrics,
-            tops_at_last_split: 0,
         }
     }
 
@@ -233,7 +225,7 @@ impl<K: Key, V> BpTree<K, V> {
                 Node::Free => unreachable!("descent reached a freed node"),
                 Node::Internal(n) => {
                     // child i covers [keys[i-1], keys[i])
-                    let i = crate::layout::search_internal(self.config.search_kind, &n.keys, key);
+                    let i = crate::layout::search_internal(&n.keys, key);
                     if i > 0 {
                         low = Some(n.keys[i - 1]);
                     }
@@ -264,17 +256,9 @@ impl<K: Key, V> BpTree<K, V> {
             .add_shared(accesses);
         loop {
             let leaf = self.arena.get(leaf_id).as_leaf();
-            let pos = crate::layout::search_leaf(self.config.search_kind, &leaf.keys, key);
+            let pos = crate::layout::guided_lower_bound(&leaf.keys, key);
             if pos < leaf.keys.len() && leaf.keys[pos] == key {
-                // `pos` may be a gap slot whose filler copies a live `key`
-                // instance to its right; step to the live slot (the filler
-                // rule guarantees it carries the same key).
-                let live = leaf
-                    .gaps
-                    .next_live(pos, leaf.keys.len())
-                    .expect("last physical slot is always live");
-                debug_assert_eq!(leaf.keys[live], key);
-                return Some((leaf_id, live));
+                return Some((leaf_id, pos));
             }
             // The first entry >= key may live in an earlier leaf when a
             // duplicate run was split across nodes.
@@ -340,7 +324,7 @@ impl<K: Key, V> BpTree<K, V> {
             let Node::Internal(n) = self.arena.get(id) else {
                 break self.value_from(id, accesses, key).cloned();
             };
-            id = n.children[crate::layout::search_internal(self.config.search_kind, &n.keys, key)];
+            id = n.children[crate::layout::search_internal(&n.keys, key)];
             accesses += 1;
             let cold = self
                 .arena
@@ -358,8 +342,8 @@ impl<K: Key, V> BpTree<K, V> {
     }
 
     /// What a leaf page alone says about `key`: `Some` of the left-most
-    /// live match or of its absence, or `None` when it cannot decide — the
-    /// match or the insertion point is physical slot 0 and the leaf has a
+    /// match or of its absence, or `None` when it cannot decide — the
+    /// match or the insertion point is slot 0 and the leaf has a
     /// `prev` link, so a duplicate run (or, after deletes, the only
     /// instance) may sit in the previous leaf.
     fn get_in_page(page: &LeafPage<'_, K, V>, key: K) -> Option<Option<V>> {
@@ -367,15 +351,8 @@ impl<K: Key, V> BpTree<K, V> {
         if pos == 0 && page.prev().is_some() {
             return None;
         }
-        let hit = pos < page.physical_len() && page.key(pos) == key;
-        Some(hit.then(|| {
-            // A gap slot's filler copies the live `key` instance to its
-            // right (see `locate_from`).
-            let live = page
-                .next_live(pos)
-                .expect("last physical slot is always live");
-            page.val(live)
-        }))
+        let hit = pos < page.len() && page.key(pos) == key;
+        Some(hit.then(|| page.val(pos)))
     }
 
     /// True when at least one entry with `key` exists.
@@ -395,9 +372,7 @@ impl<K: Key, V> BpTree<K, V> {
         loop {
             let leaf = self.arena.get(leaf_id).as_leaf();
             while pos < leaf.keys.len() && leaf.keys[pos] == key {
-                if !leaf.gaps.is_gap(pos) {
-                    out.push(&leaf.vals[pos]);
-                }
+                out.push(&leaf.vals[pos]);
                 pos += 1;
             }
             if pos < leaf.keys.len() {
@@ -414,7 +389,7 @@ impl<K: Key, V> BpTree<K, V> {
         out
     }
 
-    /// Walks to the first *live* slot of the duplicate run containing
+    /// Walks to the first slot of the duplicate run containing
     /// `(leaf, pos)` for `key`.
     pub(crate) fn run_head(&self, mut leaf_id: NodeId, mut pos: usize, key: K) -> (NodeId, usize) {
         loop {
@@ -425,8 +400,6 @@ impl<K: Key, V> BpTree<K, V> {
             if pos == 0 {
                 if let Some(prev) = leaf.prev {
                     let pl = self.arena.get(prev).as_leaf();
-                    // The last physical slot is always live, so equality here
-                    // means a genuine entry of the run.
                     if pl.keys.last() == Some(&key) {
                         pos = pl.keys.len() - 1;
                         leaf_id = prev;
@@ -434,14 +407,7 @@ impl<K: Key, V> BpTree<K, V> {
                     }
                 }
             }
-            // The back-walk may land on a gap filler copying `key`; the
-            // first live slot at or after it is the true run head.
-            let live = leaf
-                .gaps
-                .next_live(pos, leaf.keys.len())
-                .expect("last physical slot is always live");
-            debug_assert_eq!(leaf.keys[live], key);
-            return (leaf_id, live);
+            return (leaf_id, pos);
         }
     }
 

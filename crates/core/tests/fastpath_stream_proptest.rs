@@ -9,7 +9,7 @@
 //! reset answers one top-insert.
 
 use proptest::prelude::*;
-use quit_core::{BpTree, FastPathMode, NodeLayoutKind, TreeConfig};
+use quit_core::{BpTree, FastPathMode, TreeConfig};
 
 /// One generated step; keys are positioned relative to the stream frontier.
 #[derive(Clone, Debug)]
@@ -33,22 +33,15 @@ fn step_strategy() -> impl Strategy<Value = Step> {
     ]
 }
 
-/// Knob combination `i` of 16: variable split, redistribute, reset, then
-/// Gapped leaves on the upper half — with the variable split on, that is
-/// the only way a real tree reaches the split's Gapped headroom clamp.
+/// Knob combination `i` of 8: variable split, redistribute, reset.
 fn config(i: usize) -> TreeConfig {
     let c = TreeConfig::small(8)
         .with_variable_split(i & 1 != 0)
         .with_redistribute(i & 2 != 0);
-    let c = if i & 4 != 0 {
+    if i & 4 != 0 {
         c
     } else {
         c.with_reset_threshold(None)
-    };
-    if i & 8 != 0 {
-        c.with_node_layout(NodeLayoutKind::Gapped)
-    } else {
-        c
     }
 }
 
@@ -57,7 +50,7 @@ proptest! {
 
     #[test]
     fn pole_tree_stays_valid_and_counts_exactly(
-        knobs in 0..16usize,
+        knobs in 0..8usize,
         steps in prop::collection::vec(step_strategy(), 1..600),
     ) {
         let mut t: BpTree<u64, u64> = BpTree::with_config(FastPathMode::Pole, config(knobs));

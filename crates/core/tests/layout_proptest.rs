@@ -1,5 +1,5 @@
-//! Property tests for the gapped slot primitives: random op sequences
-//! through `insert_at`/`remove_at`, with `compact` + `regap` driven at
+//! Property tests for the gapped slot primitives the benchmark's layout
+//! probes time: random inserts through `insert_at`, with `regap` driven at
 //! every simulated split, must preserve the layout contract exactly —
 //! sorted physical keys, the strict filler rule, no trailing gaps, a
 //! bitmap that matches reality, and live contents identical to a plain
@@ -9,22 +9,6 @@ use proptest::prelude::*;
 use quit_core::{GapMap, SearchKind, SlotInsert};
 
 const CAPACITY: usize = 8;
-
-/// One generated step against the leaf under test.
-#[derive(Clone, Debug)]
-enum Step {
-    /// Insert key `k` (value = op ordinal, assigned at replay).
-    Insert(u64),
-    /// Remove the `sel % live`-th live entry (ignored while empty).
-    Remove(usize),
-}
-
-fn step_strategy() -> impl Strategy<Value = Step> {
-    prop_oneof![
-        3 => (0..60u64).prop_map(Step::Insert),
-        1 => (0..usize::MAX).prop_map(Step::Remove),
-    ]
-}
 
 /// Everything the layout module promises about one gapped leaf.
 fn assert_layout_contract(keys: &[u64], vals: &[u64], gaps: &GapMap, model: &[(u64, u64)]) {
@@ -55,141 +39,63 @@ fn assert_layout_contract(keys: &[u64], vals: &[u64], gaps: &GapMap, model: &[(u
         .map(|i| (keys[i], vals[i]))
         .collect();
     assert_eq!(live, model, "live contents match the model");
-    // Every search kind agrees with std's partition_point on the physical
-    // array (the fillers keep it sorted, so the contract is well-defined).
+    // The fillers keep the physical array sorted, so the lookup search
+    // keeps its contract on it.
     for probe in [0, 1, 29, 30, 31, 59, 60] {
-        let ub = keys.partition_point(|k| *k <= probe);
         let lb = keys.partition_point(|k| *k < probe);
-        for kind in [SearchKind::Binary, SearchKind::Branchless, SearchKind::Simd] {
-            assert_eq!(
-                quit_core::upper_bound(kind, keys, probe),
-                ub,
-                "{kind:?} ub({probe})"
-            );
-            assert_eq!(
-                quit_core::lower_bound(kind, keys, probe),
-                lb,
-                "{kind:?} lb({probe})"
-            );
-        }
+        assert_eq!(
+            quit_core::search_leaf(SearchKind::Binary, keys, probe),
+            lb,
+            "lb({probe})"
+        );
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
-    /// Random insert/remove churn with a simulated split on every `Full`:
-    /// compact, drain the upper half (the would-be right node), then
-    /// `regap` the survivor exactly as the split paths do.
+    /// Random inserts with a simulated split on every `Full`: drain the
+    /// upper half (the would-be right node), then `regap` the survivor.
     #[test]
-    fn gapped_leaf_round_trips(steps in prop::collection::vec(step_strategy(), 1..250)) {
+    fn gapped_leaf_round_trips(inserts in prop::collection::vec(0..60u64, 1..250)) {
         let mut keys: Vec<u64> = Vec::new();
         let mut vals: Vec<u64> = Vec::new();
         let mut gaps = GapMap::new();
         let mut model: Vec<(u64, u64)> = Vec::new();
         let mut splits = 0usize;
+        let insert = |keys: &mut Vec<u64>, vals: &mut Vec<u64>, gaps: &mut GapMap, k, v| {
+            quit_core::insert_at(SearchKind::Binary, keys, vals, gaps, k, v, CAPACITY)
+        };
 
-        for (ordinal, step) in steps.into_iter().enumerate() {
+        for (ordinal, k) in inserts.into_iter().enumerate() {
             let v = ordinal as u64;
-            match step {
-                Step::Insert(k) => {
-                    match quit_core::insert_at(
-                        SearchKind::Branchless,
-                        &mut keys,
-                        &mut vals,
-                        &mut gaps,
-                        k,
-                        v,
-                        CAPACITY,
-                    ) {
-                        SlotInsert::Done(pos) => {
-                            assert!(!gaps.is_gap(pos), "inserted slot is live");
-                            assert_eq!((keys[pos], vals[pos]), (k, v));
-                            let at = model.partition_point(|&(mk, _)| mk <= k);
-                            model.insert(at, (k, v));
-                        }
-                        SlotInsert::Full => {
-                            // The caller's split protocol: compact to dense,
-                            // give the upper half away, regap the survivor.
-                            assert_eq!(
-                                keys.len() - gaps.count(),
-                                CAPACITY,
-                                "Full only at live == capacity"
-                            );
-                            quit_core::compact(&mut keys, &mut vals, &mut gaps);
-                            assert!(gaps.is_dense());
-                            assert_eq!(keys.len(), CAPACITY, "compact keeps every live pair");
-                            let mid = keys.len() / 2;
-                            let right_keys = keys.split_off(mid);
-                            let right_vals = vals.split_off(mid);
-                            let right_model = model.split_off(mid);
-                            let moved: Vec<(u64, u64)> = right_keys
-                                .into_iter()
-                                .zip(right_vals)
-                                .collect();
-                            assert_eq!(moved, right_model, "split moves exact pairs");
-                            let want = (CAPACITY as f64).sqrt().floor() as usize;
-                            let region_start = keys.len() / 2;
-                            quit_core::regap(
-                                &mut keys,
-                                &mut vals,
-                                &mut gaps,
-                                region_start,
-                                want,
-                                CAPACITY,
-                            );
-                            splits += 1;
-                            // Retry must now succeed: gaps were opened.
-                            match quit_core::insert_at(
-                                SearchKind::Branchless,
-                                &mut keys,
-                                &mut vals,
-                                &mut gaps,
-                                k,
-                                v,
-                                CAPACITY,
-                            ) {
-                                SlotInsert::Done(_) => {
-                                    let at = model.partition_point(|&(mk, _)| mk <= k);
-                                    model.insert(at, (k, v));
-                                }
-                                SlotInsert::Full => {
-                                    panic!("insert after split must succeed")
-                                }
-                            }
-                        }
+            if insert(&mut keys, &mut vals, &mut gaps, k, v) == SlotInsert::Full {
+                // Full only at live == capacity, which leaves no gap.
+                assert!(gaps.is_dense(), "full leaves are dense");
+                assert_eq!(keys.len(), CAPACITY, "Full only at live == capacity");
+                let mid = keys.len() / 2;
+                let right_keys = keys.split_off(mid);
+                let right_vals = vals.split_off(mid);
+                let right_model = model.split_off(mid);
+                let moved: Vec<(u64, u64)> = right_keys.into_iter().zip(right_vals).collect();
+                assert_eq!(moved, right_model, "split moves exact pairs");
+                let want = (CAPACITY as f64).sqrt().floor() as usize;
+                let region_start = keys.len() / 2;
+                quit_core::regap(&mut keys, &mut vals, &mut gaps, region_start, want, CAPACITY);
+                splits += 1;
+                // Retry must now succeed: gaps were opened.
+                match insert(&mut keys, &mut vals, &mut gaps, k, v) {
+                    SlotInsert::Done(pos) => {
+                        assert!(!gaps.is_gap(pos), "inserted slot is live");
+                        assert_eq!((keys[pos], vals[pos]), (k, v));
                     }
-                }
-                Step::Remove(sel) => {
-                    if model.is_empty() {
-                        continue;
-                    }
-                    let j = sel % model.len();
-                    // Map the j-th live entry to its physical slot.
-                    let pos = (0..keys.len())
-                        .filter(|&i| !gaps.is_gap(i))
-                        .nth(j)
-                        .expect("live slot exists");
-                    let got = quit_core::remove_at(
-                        quit_core::NodeLayoutKind::Gapped,
-                        &mut keys,
-                        &mut vals,
-                        &mut gaps,
-                        pos,
-                        usize::MAX,
-                    );
-                    let (_, want) = model.remove(j);
-                    assert_eq!(got, want, "remove_at returns the removed value");
+                    SlotInsert::Full => panic!("insert after split must succeed"),
                 }
             }
+            let at = model.partition_point(|&(mk, _)| mk <= k);
+            model.insert(at, (k, v));
             assert_layout_contract(&keys, &vals, &gaps, &model);
         }
-
-        // Final compaction round-trip: contents unchanged, layout dense.
-        quit_core::compact(&mut keys, &mut vals, &mut gaps);
-        assert!(gaps.is_dense());
-        let dense: Vec<(u64, u64)> = keys.iter().copied().zip(vals.iter().copied()).collect();
-        assert_eq!(dense, model, "compact preserves live contents");
         // Workloads long enough to overflow must actually have split.
         if model.len() > CAPACITY {
             assert!(splits > 0, "overflowing workloads exercise the split path");

@@ -162,7 +162,7 @@ impl<V: WalCodec> WalCodec for Stamped<V> {
 /// knobs, and the GC cadence.
 #[derive(Clone, Debug)]
 pub struct TxnConfig {
-    /// Inner [`MvccTree`] configuration (layout, search kind, OLC).
+    /// Inner [`MvccTree`] configuration (geometry, poℓe, OLC).
     pub tree: ConcConfig,
     /// WAL / snapshot / group-commit knobs.
     pub durability: DurabilityConfig,

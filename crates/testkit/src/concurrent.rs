@@ -28,7 +28,6 @@
 
 use crate::oracle::{Divergence, Model};
 use quit_concurrent::{ConcConfig, ConcurrentTree};
-use quit_core::{NodeLayoutKind, SearchKind, TreeConfig};
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Values are tagged with the owning writer in the top bits so readers
@@ -54,11 +53,6 @@ pub struct ConcSpec {
     pub leaf_capacity: usize,
     /// Whether optimistic lock coupling is enabled on the tree.
     pub olc: bool,
-    /// Leaf slot layout under test.
-    pub node_layout: NodeLayoutKind,
-    /// Intra-node search implementation under test (OLC raw descents
-    /// always stay on the branchless scalar path regardless).
-    pub search_kind: SearchKind,
 }
 
 impl Default for ConcSpec {
@@ -71,18 +65,7 @@ impl Default for ConcSpec {
             seed: 0xC0FF_EE00,
             leaf_capacity: 8,
             olc: true,
-            node_layout: NodeLayoutKind::Dense,
-            search_kind: SearchKind::Binary,
         }
-    }
-}
-
-impl ConcSpec {
-    /// Same run shape, different node layout / search implementation.
-    pub fn with_layout(mut self, layout: NodeLayoutKind, kind: SearchKind) -> Self {
-        self.node_layout = layout;
-        self.search_kind = kind;
-        self
     }
 }
 
@@ -144,11 +127,8 @@ fn diverge(detail: String) -> Divergence {
 /// the end. Returns the first [`Divergence`] found, if any.
 pub fn replay_concurrent(spec: &ConcSpec) -> Result<ConcReport, Divergence> {
     assert!(spec.writers > 0, "need at least one writer");
-    let tree_config = TreeConfig::small(spec.leaf_capacity)
-        .with_node_layout(spec.node_layout)
-        .with_search_kind(spec.search_kind);
     let tree: ConcurrentTree<u64, u64> =
-        ConcurrentTree::new(ConcConfig::from_tree(tree_config).with_olc(spec.olc));
+        ConcurrentTree::new(ConcConfig::small(spec.leaf_capacity).with_olc(spec.olc));
     let stop = AtomicBool::new(false);
 
     let (models, reader_ops, join_checks) = std::thread::scope(|s| {
@@ -414,22 +394,6 @@ mod tests {
         .unwrap_or_else(|d| panic!("{d}"));
         assert_eq!(report.writer_ops, 3_000);
         assert!(report.reader_ops >= 1);
-        assert!(report.final_len > 0);
-    }
-
-    #[test]
-    fn gapped_layout_replay_is_divergence_free() {
-        let report = replay_concurrent(
-            &ConcSpec {
-                writers: 2,
-                readers: 1,
-                ops_per_writer: 1_500,
-                ..ConcSpec::default()
-            }
-            .with_layout(NodeLayoutKind::Gapped, SearchKind::Branchless),
-        )
-        .unwrap_or_else(|d| panic!("{d}"));
-        assert_eq!(report.writer_ops, 3_000);
         assert!(report.final_len > 0);
     }
 

@@ -18,9 +18,7 @@
 
 use crate::workload::Op;
 use quit_concurrent::{ConcConfig, ConcurrentTree};
-use quit_core::{
-    BpTree, NodeLayoutKind, SearchKind, SortedIndex, StorageKind, TreeConfig, Variant,
-};
+use quit_core::{BpTree, SortedIndex, StorageKind, TreeConfig, Variant};
 use std::collections::{BTreeMap, BTreeSet};
 use sware::{SaBpTree, SwareConfig};
 
@@ -56,11 +54,6 @@ pub struct OracleConfig {
     /// Run the structural invariant suites every this many ops (besides
     /// after every batch op and at the end).
     pub check_every: usize,
-    /// Leaf slot layout for every family (the layout is part of the
-    /// workload spec: every suite runs once dense, once gapped).
-    pub node_layout: NodeLayoutKind,
-    /// Intra-node search implementation for every family.
-    pub search_kind: SearchKind,
     /// Node storage for `BpTree` and `SaBpTree` (the concurrent family
     /// always runs the arena).
     pub backend: OracleBackend,
@@ -72,35 +65,16 @@ impl Default for OracleConfig {
             leaf_capacity: 8,
             buffer_capacity: 32,
             check_every: 256,
-            node_layout: NodeLayoutKind::Dense,
-            search_kind: SearchKind::Binary,
             backend: OracleBackend::Arena,
         }
     }
 }
 
 impl OracleConfig {
-    /// Same geometry, different node layout / search implementation.
-    pub fn with_layout(mut self, layout: NodeLayoutKind, kind: SearchKind) -> Self {
-        self.node_layout = layout;
-        self.search_kind = kind;
-        self
-    }
-
     /// Same geometry, different storage backend.
     pub fn with_backend(mut self, backend: OracleBackend) -> Self {
         self.backend = backend;
         self
-    }
-
-    /// Both layout variants of this config, for suites that sweep them.
-    pub fn layout_sweep(&self) -> [OracleConfig; 2] {
-        [
-            self.clone()
-                .with_layout(NodeLayoutKind::Dense, SearchKind::Binary),
-            self.clone()
-                .with_layout(NodeLayoutKind::Gapped, SearchKind::Branchless),
-        ]
     }
 }
 
@@ -322,16 +296,9 @@ pub fn replay(ops: &[Op], config: &OracleConfig) -> Result<ReplayReport, Diverge
         OracleBackend::Arena => StorageKind::Arena,
         OracleBackend::Paged { pool_pages } => StorageKind::paged(pool_pages),
     };
-    let tree_config = TreeConfig::small(config.leaf_capacity)
-        .with_node_layout(config.node_layout)
-        .with_search_kind(config.search_kind)
-        .with_storage(storage);
+    let tree_config = TreeConfig::small(config.leaf_capacity).with_storage(storage);
     let mut sware_config = SwareConfig::small(config.buffer_capacity, config.leaf_capacity);
-    sware_config.tree_config = sware_config
-        .tree_config
-        .with_node_layout(config.node_layout)
-        .with_search_kind(config.search_kind)
-        .with_storage(storage);
+    sware_config.tree_config = sware_config.tree_config.with_storage(storage);
     // The concurrent tree has no paged backend: same knobs, on the arena.
     let conc_config = ConcConfig::from_tree(tree_config.clone().with_storage(StorageKind::Arena));
     let mut families = vec![
@@ -593,22 +560,7 @@ mod tests {
                 ..WorkloadSpec::default()
             }
             .generate();
-            for cfg in OracleConfig::default().layout_sweep() {
-                replay(&ops, &cfg)
-                    .unwrap_or_else(|d| panic!("seed {seed} layout {:?}: {d}", cfg.node_layout));
-            }
+            replay(&ops, &OracleConfig::default()).unwrap_or_else(|d| panic!("seed {seed}: {d}"));
         }
-    }
-
-    #[test]
-    fn layout_sweep_covers_both_layouts() {
-        let sweep = OracleConfig::default().layout_sweep();
-        assert_eq!(sweep[0].node_layout, NodeLayoutKind::Dense);
-        assert_eq!(sweep[1].node_layout, NodeLayoutKind::Gapped);
-        // Geometry carries over unchanged.
-        assert_eq!(
-            sweep[1].leaf_capacity,
-            OracleConfig::default().leaf_capacity
-        );
     }
 }

@@ -11,50 +11,36 @@
 // differential suite (feature unification would poison these runs too).
 #![cfg(not(any(feature = "inject-split-bug", feature = "inject-search-bug")))]
 
-use quit_core::{NodeLayoutKind, SearchKind};
 use quit_testkit::{conc_base_seed, fuzz_cases, replay_concurrent, ConcSpec};
 
 const SOAK_SEED: u64 = 0x511D_2025;
 
-/// Both node layouts, soaked identically: dense + binary is the paper
-/// path, gapped + branchless the redesigned data-parallel one.
-const LAYOUTS: [(NodeLayoutKind, SearchKind); 2] = [
-    (NodeLayoutKind::Dense, SearchKind::Binary),
-    (NodeLayoutKind::Gapped, SearchKind::Branchless),
-];
-
 /// ≥50k mutating ops across 4 writers with 2 validating readers (6
-/// threads), optimistic lock coupling enabled, for each node layout.
+/// threads), optimistic lock coupling enabled.
 #[test]
 fn olc_soak_is_divergence_free() {
     let ops_per_writer = 15_000 * fuzz_cases(1);
-    for (layout, kind) in LAYOUTS {
-        let report = replay_concurrent(
-            &ConcSpec {
-                writers: 4,
-                readers: 2,
-                ops_per_writer,
-                key_space: 4_000,
-                seed: conc_base_seed(SOAK_SEED),
-                leaf_capacity: 8,
-                olc: true,
-                ..ConcSpec::default()
-            }
-            .with_layout(layout, kind),
-        )
-        .unwrap_or_else(|d| panic!("olc soak ({layout:?}) diverged: {d}"));
-        assert_eq!(report.writer_ops, 4 * ops_per_writer);
-        assert!(report.reader_ops >= 2);
-        assert!(report.final_len > 0);
-        println!(
-            "olc soak ({layout:?}): {} writer ops, {} reader ops, final len {}, {} restarts, {} fallbacks",
-            report.writer_ops,
-            report.reader_ops,
-            report.final_len,
-            report.olc_restarts,
-            report.olc_fallbacks
-        );
-    }
+    let report = replay_concurrent(&ConcSpec {
+        writers: 4,
+        readers: 2,
+        ops_per_writer,
+        key_space: 4_000,
+        seed: conc_base_seed(SOAK_SEED),
+        leaf_capacity: 8,
+        olc: true,
+    })
+    .unwrap_or_else(|d| panic!("olc soak diverged: {d}"));
+    assert_eq!(report.writer_ops, 4 * ops_per_writer);
+    assert!(report.reader_ops >= 2);
+    assert!(report.final_len > 0);
+    println!(
+        "olc soak: {} writer ops, {} reader ops, final len {}, {} restarts, {} fallbacks",
+        report.writer_ops,
+        report.reader_ops,
+        report.final_len,
+        report.olc_restarts,
+        report.olc_fallbacks
+    );
 }
 
 /// The same soak with OLC disabled pins the pessimistic path and proves
@@ -62,46 +48,34 @@ fn olc_soak_is_divergence_free() {
 #[test]
 fn pessimistic_soak_is_divergence_free() {
     let ops_per_writer = 15_000 * fuzz_cases(1);
-    for (layout, kind) in LAYOUTS {
-        let report = replay_concurrent(
-            &ConcSpec {
-                writers: 4,
-                readers: 2,
-                ops_per_writer,
-                key_space: 4_000,
-                seed: conc_base_seed(SOAK_SEED),
-                leaf_capacity: 8,
-                olc: false,
-                ..ConcSpec::default()
-            }
-            .with_layout(layout, kind),
-        )
-        .unwrap_or_else(|d| panic!("pessimistic soak ({layout:?}) diverged: {d}"));
-        assert_eq!(report.writer_ops, 4 * ops_per_writer);
-        assert_eq!(report.olc_restarts, 0);
-        assert_eq!(report.olc_fallbacks, 0);
-    }
+    let report = replay_concurrent(&ConcSpec {
+        writers: 4,
+        readers: 2,
+        ops_per_writer,
+        key_space: 4_000,
+        seed: conc_base_seed(SOAK_SEED),
+        leaf_capacity: 8,
+        olc: false,
+    })
+    .unwrap_or_else(|d| panic!("pessimistic soak diverged: {d}"));
+    assert_eq!(report.writer_ops, 4 * ops_per_writer);
+    assert_eq!(report.olc_restarts, 0);
+    assert_eq!(report.olc_fallbacks, 0);
 }
 
 /// Tiny-leaf geometry maximizes splits per op — the window where torn
 /// optimistic reads would live.
 #[test]
 fn tiny_leaf_soak_is_divergence_free() {
-    for (layout, kind) in LAYOUTS {
-        let report = replay_concurrent(
-            &ConcSpec {
-                writers: 3,
-                readers: 3,
-                ops_per_writer: 4_000 * fuzz_cases(1),
-                key_space: 500,
-                seed: conc_base_seed(SOAK_SEED ^ 0xF00D),
-                leaf_capacity: 4,
-                olc: true,
-                ..ConcSpec::default()
-            }
-            .with_layout(layout, kind),
-        )
-        .unwrap_or_else(|d| panic!("tiny-leaf soak ({layout:?}) diverged: {d}"));
-        assert!(report.final_len > 0);
-    }
+    let report = replay_concurrent(&ConcSpec {
+        writers: 3,
+        readers: 3,
+        ops_per_writer: 4_000 * fuzz_cases(1),
+        key_space: 500,
+        seed: conc_base_seed(SOAK_SEED ^ 0xF00D),
+        leaf_capacity: 4,
+        olc: true,
+    })
+    .unwrap_or_else(|d| panic!("tiny-leaf soak diverged: {d}"));
+    assert!(report.final_len > 0);
 }

@@ -26,7 +26,7 @@ use quit_testkit::{
 const KL_GRID: [(f64, f64); 5] = [(0.0, 1.0), (0.05, 1.0), (0.2, 0.25), (0.5, 1.0), (1.0, 0.1)];
 
 /// ≥ 50k mixed ops per family at fixed seeds, across the K/L grid, two op
-/// mixes, two tree geometries, and both node layouts.
+/// mixes and two tree geometries.
 #[test]
 fn fixed_seed_soak() {
     let cases = fuzz_cases(10);
@@ -55,16 +55,14 @@ fn fixed_seed_soak() {
                 dup_fraction: 0.08,
             };
             let ops = spec.generate();
-            for cfg in geometries.iter().flat_map(OracleConfig::layout_sweep) {
-                let report = replay(&ops, &cfg).unwrap_or_else(|d| {
-                    panic!("case {case} K={k} L={l} layout {:?}: {d}", cfg.node_layout)
-                });
+            for cfg in &geometries {
+                let report =
+                    replay(&ops, cfg).unwrap_or_else(|d| panic!("case {case} K={k} L={l}: {d}"));
                 total_ops += report.ops;
             }
         }
     }
-    // 10 cases × 5 grid points × 2 geometries × 2 layouts × 560 ops
-    // = 112k per family.
+    // 10 cases × 5 grid points × 2 geometries × 560 ops = 56k per family.
     assert!(
         total_ops >= 50_000 || cases < 10,
         "soak must replay ≥ 50k ops per family, got {total_ops}"
@@ -108,8 +106,8 @@ fn fixed_seed_soak_paged_under_pressure() {
                 dup_fraction: 0.08,
             };
             let ops = spec.generate();
-            for cfg in geometries.iter().flat_map(OracleConfig::layout_sweep) {
-                let report = replay(&ops, &cfg).unwrap_or_else(|d| {
+            for cfg in &geometries {
+                let report = replay(&ops, cfg).unwrap_or_else(|d| {
                     panic!("paged case {case} K={k} L={l} {:?}: {d}", cfg.backend)
                 });
                 total_ops += report.ops;
@@ -127,9 +125,7 @@ fn fixed_seed_soak_paged_under_pressure() {
 /// tail, so it steps aside under the planted WAL bug as well.
 #[cfg(not(feature = "inject-wal-bug"))]
 mod cold_reads {
-    use quit_core::{
-        BpTree, FastPathMode, NodeLayoutKind, SearchKind, SortedIndex, StorageKind, TreeConfig,
-    };
+    use quit_core::{BpTree, FastPathMode, SortedIndex, StorageKind, TreeConfig};
     use quit_durability::{DurabilityConfig, Durable, MemStorage, Storage};
     use std::collections::BTreeMap;
     use std::sync::Arc;
@@ -223,8 +219,8 @@ mod cold_reads {
             }
         }
 
-        /// Sorted ingest of the even keys with every fourth batch scattered
-        /// (so `Gapped` leaves carry gaps), duplicate runs that span leaves,
+        /// Sorted ingest of the even keys with every fourth batch scattered,
+        /// duplicate runs that span leaves,
         /// odd keys landing mid-tree, and deleted stretches that take slot 0
         /// (and its separator's key) out of the leaf the stretch ends in.
         fn load(&mut self, from: u64, to: u64) {
@@ -348,8 +344,8 @@ mod cold_reads {
     }
 
     /// The cold-read differential: trait-level gets and scans on a paged tree
-    /// answer out of pages in place, under pools of 2, 8 and n/8 frames and
-    /// both layouts, against an arena twin and a model — first on the live
+    /// answer out of pages in place, under pools of 2, 8 and n/8 frames,
+    /// against an arena twin and a model — first on the live
     /// `MemPageStore`, then again after `checkpoint_paged`, a WAL tail and a
     /// reopen, where the same reads run over the recovered image and its
     /// delta overlay.
@@ -357,43 +353,36 @@ mod cold_reads {
     fn cold_reads_match_twin_and_model() {
         const KEYS: u64 = 12_000;
         const TAIL: u64 = 2_000;
-        for (layout, search) in [
-            (NodeLayoutKind::Dense, SearchKind::Binary),
-            (NodeLayoutKind::Gapped, SearchKind::Branchless),
-        ] {
-            let config = TreeConfig::small(COLD_LEAF_CAPACITY)
-                .with_node_layout(layout)
-                .with_search_kind(search);
-            // Size the n/8 pool off the tree the script builds.
-            let mut sizing = ColdReadRig::new(&config, 1 << 20);
-            sizing.load(0, KEYS);
-            let nodes = sizing.arena.node_count();
-            assert!(nodes >= 256, "{nodes} nodes");
+        let config = TreeConfig::small(COLD_LEAF_CAPACITY);
+        // Size the n/8 pool off the tree the script builds.
+        let mut sizing = ColdReadRig::new(&config, 1 << 20);
+        sizing.load(0, KEYS);
+        let nodes = sizing.arena.node_count();
+        assert!(nodes >= 256, "{nodes} nodes");
 
-            for pool in [2, 8, nodes / 8] {
-                let ctx = format!("{layout:?} pool {pool}");
-                let mut rig = ColdReadRig::new(&config, pool);
-                rig.load(0, KEYS);
-                rig.check_reads(0, KEYS + 2, &ctx);
-                if pool > 8 {
-                    rig.assert_cold_gets_install_nothing(0, KEYS, &ctx);
-                }
-
-                rig.paged.checkpoint_paged().expect("checkpoint");
-                rig.load(KEYS, KEYS + TAIL);
-                rig.paged.flush().expect("flush the tail");
-                let mut rig = rig.reopen();
-                let ctx = format!("{ctx}, reopened");
-                assert_eq!(rig.paged.len(), SortedIndex::len(&rig.arena), "{ctx}");
-                rig.check_reads(0, KEYS + TAIL + 2, &ctx);
-                if pool > 8 {
-                    rig.assert_cold_gets_install_nothing(0, KEYS + TAIL, &ctx);
-                }
-                // Writes after recovery land in the delta over the image; the
-                // reads must see them there.
-                rig.load(KEYS + TAIL, KEYS + 2 * TAIL);
-                rig.check_reads(KEYS, KEYS + 2 * TAIL + 2, &ctx);
+        for pool in [2, 8, nodes / 8] {
+            let ctx = format!("pool {pool}");
+            let mut rig = ColdReadRig::new(&config, pool);
+            rig.load(0, KEYS);
+            rig.check_reads(0, KEYS + 2, &ctx);
+            if pool > 8 {
+                rig.assert_cold_gets_install_nothing(0, KEYS, &ctx);
             }
+
+            rig.paged.checkpoint_paged().expect("checkpoint");
+            rig.load(KEYS, KEYS + TAIL);
+            rig.paged.flush().expect("flush the tail");
+            let mut rig = rig.reopen();
+            let ctx = format!("{ctx}, reopened");
+            assert_eq!(rig.paged.len(), SortedIndex::len(&rig.arena), "{ctx}");
+            rig.check_reads(0, KEYS + TAIL + 2, &ctx);
+            if pool > 8 {
+                rig.assert_cold_gets_install_nothing(0, KEYS + TAIL, &ctx);
+            }
+            // Writes after recovery land in the delta over the image; the
+            // reads must see them there.
+            rig.load(KEYS + TAIL, KEYS + 2 * TAIL);
+            rig.check_reads(KEYS, KEYS + 2 * TAIL + 2, &ctx);
         }
     }
 }
@@ -402,16 +391,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Freshly sampled workloads (random length, K/L knobs, mix) replay
-    /// clean through the full oracle, under both node layouts. On failure
+    /// clean through the full oracle. On failure
     /// this shrinks to a minimal op list and persists the seed next to
     /// this file.
     #[test]
     fn sampled_workloads_replay_clean(ops in WorkloadStrategy::mixed(400)) {
-        for cfg in OracleConfig::default().layout_sweep() {
-            let report = replay(&ops, &cfg)
-                .unwrap_or_else(|d| panic!("layout {:?}: {d}", cfg.node_layout));
-            assert_eq!(report.ops, ops.len());
-        }
+        let report = replay(&ops, &OracleConfig::default()).unwrap_or_else(|d| panic!("{d}"));
+        assert_eq!(report.ops, ops.len());
     }
 
     /// Same, at the smallest legal geometry where structural edge cases
@@ -424,9 +410,6 @@ proptest! {
             check_every: 32,
             ..OracleConfig::default()
         };
-        for cfg in tiny.layout_sweep() {
-            replay(&ops, &cfg)
-                .unwrap_or_else(|d| panic!("layout {:?}: {d}", cfg.node_layout));
-        }
+        replay(&ops, &tiny).unwrap_or_else(|d| panic!("{d}"));
     }
 }

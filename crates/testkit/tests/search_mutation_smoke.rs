@@ -1,15 +1,14 @@
-//! Mutation smoke check for the data-parallel search: the harness must
+//! Mutation smoke check for the intra-node search: the harness must
 //! catch the off-by-one we planted.
 //!
 //! Built with `--features inject-search-bug`, `quit-core` drops the final
 //! single-element step of `branchless_partition_point_by`, so every
-//! branchless (and SIMD-fallback) intra-node search lands one slot short
-//! of the true partition point. This suite asserts the layout-swept
-//! differential oracle (1) detects that under the gapped + branchless
-//! config, (2) shrinks the trigger to a tiny counterexample, and (3) the
-//! minimal counterexample reproduces standalone — and the same under the
-//! default dense + binary config, whose point lookups reach the ladder
-//! through the key-guided leaf search.
+//! search that finishes on the branchless ladder lands one slot short of
+//! the true partition point. Point lookups reach the ladder through the
+//! key-guided leaf search. This suite asserts the differential oracle
+//! (1) detects that under the default configuration, (2) shrinks the
+//! trigger to a tiny counterexample, and (3) the minimal counterexample
+//! reproduces standalone.
 //!
 //! CI runs this as a separate cargo invocation (feature unification would
 //! otherwise poison the clean differential suite, which is `cfg`'d off
@@ -18,27 +17,12 @@
 #![cfg(feature = "inject-search-bug")]
 
 use proptest::test_runner::{Config, Runner};
-use quit_core::{NodeLayoutKind, SearchKind};
 use quit_testkit::{replay_guarded, Op, OracleConfig, WorkloadStrategy};
 
-/// The branchless member of the layout sweep — exactly the configuration
-/// every suite now runs alongside the dense + binary paper path, so a
-/// search bug that only this config exposes proves the sweep pulls its
-/// weight.
-fn oracle_config() -> OracleConfig {
-    OracleConfig {
-        leaf_capacity: 4,
-        buffer_capacity: 8,
-        check_every: 4,
-        ..OracleConfig::default()
-    }
-    .with_layout(NodeLayoutKind::Gapped, SearchKind::Branchless)
-}
-
-/// The default dense + binary paper path, whose insert positioning stays
-/// on libcore's binary search, with leaves wide enough (32 entries) that
-/// point lookups run the key-guided search past its 16-key cut-off too:
-/// its bracket, like its short-leaf case, finishes on the planted ladder.
+/// The default paper path, whose insert positioning stays on libcore's
+/// binary search, with leaves wide enough (32 entries) that point lookups
+/// run the key-guided search past its 16-key cut-off too: its bracket,
+/// like its short-leaf case, finishes on the planted ladder.
 fn default_lookup_config() -> OracleConfig {
     OracleConfig {
         leaf_capacity: 32,
@@ -78,11 +62,6 @@ fn assert_caught_and_shrunk(label: &str, config: &OracleConfig) {
 }
 
 #[test]
-fn injected_search_bug_is_caught_and_shrunk() {
-    assert_caught_and_shrunk("search_mutation_smoke", &oracle_config());
-}
-
-#[test]
 fn injected_search_bug_reaches_default_config_lookups() {
     assert_caught_and_shrunk("search_mutation_smoke_lookups", &default_lookup_config());
 }
@@ -98,10 +77,10 @@ fn planted_bug_lives_only_in_the_branchless_ladder() {
     let mut branchless_diverged = false;
     for probe in 0..11u64 {
         let want = keys.partition_point(|k| *k <= probe);
-        if quit_core::upper_bound(SearchKind::Binary, &keys, probe) != want {
+        if quit_core::upper_bound(&keys, probe) != want {
             binary_diverged = true;
         }
-        if quit_core::upper_bound(SearchKind::Branchless, &keys, probe) != want {
+        if quit_core::branchless_partition_point(&keys, |k| *k <= probe) != want {
             branchless_diverged = true;
         }
     }
