@@ -29,6 +29,7 @@ use crate::arena::NodeId;
 use crate::config::TreeConfig;
 use crate::ikr::is_outlier;
 use crate::key::Key;
+use crate::mutation::{self, Mutation};
 
 /// Which fast-path optimization the tree runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -356,12 +357,14 @@ impl<K: Key, L> FastPathState<K, L> {
         self.prev = self.leaf.replace(split.right);
         self.prev_min = Some(split.q);
         self.prev_size = split.left_len;
-        // `inject-split-bug` (testkit mutation smoke check only) leaves the
-        // stale pre-split lower bound in place after a variable split, so a
-        // later key in `[old_min, sep)` fast-inserts into the right node
-        // below its separator — exactly the class of bound bug the
-        // differential oracle must catch and shrink.
-        if !(cfg!(feature = "inject-split-bug") && matches!(plan, FullPolePlan::Variable { .. })) {
+        // Planted bug (`Mutation::SplitBound`, armed only by a testkit
+        // mutation smoke): the stale pre-split lower bound stays in place
+        // after a variable split, so a later key in `[old_min, sep)`
+        // fast-inserts into the right node below its separator — exactly
+        // the class of bound bug the differential oracle must catch and
+        // shrink.
+        if !(mutation::armed(Mutation::SplitBound) && matches!(plan, FullPolePlan::Variable { .. }))
+        {
             self.min = Some(split.sep);
         }
     }

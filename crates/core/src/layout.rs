@@ -48,6 +48,7 @@
 //! last physical slot is always live.
 
 use crate::key::Key;
+use crate::mutation::{self, Mutation};
 
 /// Names an intra-node search algorithm. No code reads it: every search
 /// runs libcore's binary search or the key-guided one.
@@ -86,17 +87,13 @@ pub fn branchless_partition_point_by(n: usize, mut pred: impl FnMut(usize) -> bo
         base += usize::from(pred(base + half - 1)) * half;
         len -= half;
     }
-    // Final single-element step. The mutation smoke check (feature
-    // `inject-search-bug`) drops it, misplacing keys by one slot — the
-    // differential harness must catch and shrink that.
-    #[cfg(not(feature = "inject-search-bug"))]
-    {
-        base + usize::from(len == 1 && pred(base))
+    // Final single-element step. The planted `Mutation::SearchLadder`
+    // drops it, misplacing keys by one slot — the differential harness
+    // must catch and shrink that.
+    if mutation::armed(Mutation::SearchLadder) {
+        return base;
     }
-    #[cfg(feature = "inject-search-bug")]
-    {
-        base
-    }
+    base + usize::from(len == 1 && pred(base))
 }
 
 /// Branch-free partition point over a sorted slice.

@@ -97,6 +97,7 @@ mod iter;
 mod key;
 mod layout;
 mod metrics;
+pub mod mutation;
 mod node;
 mod ordered;
 // `paged` extends `&self` node borrows past its internal `RefCell` via

@@ -55,11 +55,11 @@
 //! A one-entry *hot-node memo* names the most recently touched node and
 //! holds it under a standing pin across the operation boundary, so the
 //! tail leaf the sorted fast path keeps returning to is never the CLOCK
-//! victim. The `inject-pin-bug` feature releases the pin one boundary
-//! early with broken accounting: the hot frame becomes an eviction victim
-//! whose dirty write-back is skipped (eviction believes the phantom pin
-//! holder will flush it), so the next fault resurrects the node's
-//! previous on-store version — updates lost to an unpinned eviction,
+//! victim. The planted `Mutation::PinRelease` releases the pin one
+//! boundary early with broken accounting: the hot frame becomes an
+//! eviction victim whose dirty write-back is skipped (eviction believes
+//! the phantom pin holder will flush it), so the next fault resurrects the
+//! node's previous on-store version — updates lost to an unpinned eviction,
 //! which `quit-testkit`'s pool mutation smoke must catch under pressure.
 //!
 //! # The byte path
@@ -93,6 +93,7 @@
 use crate::arena::NodeId;
 use crate::crc::{crc32, Crc32};
 use crate::error::Error;
+use crate::mutation::{self, Mutation};
 use crate::node::{InternalNode, LeafNode, Node};
 use crate::pool::{MemPageStore, PageId, PageStore, PoolCounters};
 use std::cell::{Cell, RefCell};
@@ -504,9 +505,9 @@ pub struct PagedNodes<K, V> {
     resident: RefCell<Resident<K, V>>,
     store: RefCell<Box<dyn PageStore>>,
     /// Hot-node memo: the most recently touched node's id, held under a
-    /// standing pin across operation boundaries. The `inject-pin-bug`
-    /// feature drops that pin one boundary early and loses the victim's
-    /// dirty write-back — see module docs.
+    /// standing pin across operation boundaries. The planted
+    /// `Mutation::PinRelease` drops that pin one boundary early and loses
+    /// the victim's dirty write-back — see module docs.
     memo: Cell<Option<u32>>,
     /// Encode buffer reused by every eviction write-back.
     scratch: Vec<u8>,
@@ -748,10 +749,8 @@ impl<K, V> PagedNodes<K, V> {
     /// previous operation is released, and CLOCK evicts unpinned frames
     /// (dirty ones written through the store) until at most `pool_pages`
     /// remain. The hot-node memo keeps its standing pin — unless the
-    /// `inject-pin-bug` mutation releases it here, one boundary early.
+    /// planted `Mutation::PinRelease` releases it here, one boundary early.
     pub fn begin_op(&mut self) {
-        #[cfg(not(feature = "inject-pin-bug"))]
-        let standing_pin: Option<u32> = self.memo.get();
         // Planted bug: the memo's standing pin is dropped one boundary
         // early, so the hot frame becomes an eviction victim — and the
         // broken pin accounting also makes eviction believe someone else
@@ -760,10 +759,11 @@ impl<K, V> PagedNodes<K, V> {
         // at all), and the next fault resurrects that stale version:
         // updates lost to an unpinned eviction, which the pool mutation
         // smoke must catch under pressure.
-        #[cfg(feature = "inject-pin-bug")]
-        let standing_pin: Option<u32> = None;
-        #[cfg(feature = "inject-pin-bug")]
-        let unflushed_hot: Option<u32> = self.memo.get();
+        let (standing_pin, unflushed_hot) = if mutation::armed(Mutation::PinRelease) {
+            (None, self.memo.get())
+        } else {
+            (self.memo.get(), None)
+        };
 
         let r = self.resident.get_mut();
         let over = r.count.saturating_sub(self.pool_pages);
@@ -788,11 +788,7 @@ impl<K, V> PagedNodes<K, V> {
                 continue;
             }
             let victim = r.remove(here);
-            #[cfg(feature = "inject-pin-bug")]
-            let skip_writeback = unflushed_hot == Some(victim.id);
-            #[cfg(not(feature = "inject-pin-bug"))]
-            let skip_writeback = false;
-            if victim.dirty.get() && !skip_writeback {
+            if victim.dirty.get() && unflushed_hot != Some(victim.id) {
                 self.scratch.clear();
                 encode_node(&victim.node, &mut self.scratch);
                 debug_assert!(self.scratch.len() <= self.page_size);
@@ -1659,8 +1655,8 @@ mod tests {
         // The healthy path: hammer one node (making it the hot node),
         // evict it, refill its frame with another node, then access the
         // first node again — the fault must return the right node. Under
-        // `inject-pin-bug` this exact shape goes wrong, which the testkit
-        // mutation smoke asserts from the outside.
+        // `Mutation::PinRelease` this exact shape goes wrong, which the
+        // testkit mutation smoke asserts from the outside.
         let mut a = paged(2);
         let ids: Vec<NodeId> = (0..8u64).map(|i| a.alloc(leaf(i, i))).collect();
         for round in 0..8 {

@@ -719,7 +719,7 @@ pub fn concurrent_builder<K: Key, V: Clone>(
     move |entries| ConcurrentTree::bulk_load(config, entries)
 }
 
-#[cfg(all(test, not(feature = "inject-wal-bug")))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::storage::MemStorage;

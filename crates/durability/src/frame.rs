@@ -48,6 +48,7 @@
 //! read: opening fails with a `corruption` error naming it, where a torn
 //! tail would silently drop it and everything after it.
 
+use quit_core::mutation::{self, Mutation};
 use quit_core::{crc32, OrderedF64};
 
 /// Fixed-width, byte-order-independent encoding for WAL keys and values.
@@ -168,20 +169,16 @@ fn frame(lsn: u64, out: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>)) {
     let payload_at = start + FRAME_HEADER;
     let len = u32::try_from(out.len() - payload_at).expect("WAL frame exceeds its u32 length word");
 
-    #[cfg(not(feature = "inject-wal-bug"))]
-    let crc = crc32(&out[payload_at..]);
-    // Injected framing bug: Delete records are checksummed over one byte
-    // too few, so their stored CRC never matches the decoder's — recovery
-    // silently drops every delete at the torn-tail check, which the
-    // crash-recovery differential fuzzer must detect and shrink.
-    #[cfg(feature = "inject-wal-bug")]
-    let crc = {
-        let payload = &out[payload_at..];
-        if payload.get(8) == Some(&KIND_DELETE) {
-            crc32(&payload[..payload.len() - 1])
-        } else {
-            crc32(payload)
-        }
+    // Planted framing bug (`Mutation::DeleteFrameCrc`): Delete records
+    // are checksummed over one byte too few, so their stored CRC never
+    // matches the decoder's — recovery silently drops every delete at the
+    // torn-tail check, which the crash-recovery differential fuzzer must
+    // detect and shrink.
+    let payload = &out[payload_at..];
+    let crc = if mutation::armed(Mutation::DeleteFrameCrc) && payload.get(8) == Some(&KIND_DELETE) {
+        crc32(&payload[..payload.len() - 1])
+    } else {
+        crc32(payload)
     };
 
     out[start..start + 4].copy_from_slice(&len.to_le_bytes());
@@ -405,7 +402,6 @@ mod tests {
         assert_eq!(OrderedF64::decode_from(&buf), OrderedF64::new(-1.5));
     }
 
-    #[cfg_attr(feature = "inject-wal-bug", ignore = "framing bug injected")]
     #[test]
     fn frame_roundtrip_insert_and_delete() {
         let mut buf = Vec::new();
@@ -670,9 +666,9 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "inject-wal-bug")]
     #[test]
     fn injected_bug_breaks_delete_frames_only() {
+        let _bug = mutation::arm(Mutation::DeleteFrameCrc);
         let mut buf = Vec::new();
         encode_frame::<u64, u64>(1, &WalOp::Insert(1, 10), &mut buf);
         let FrameStep::Record { next, .. } = decode_frame::<u64, u64>(&buf, 0) else {

@@ -12,7 +12,7 @@ use quit_core::{Error, Result};
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
 /// Append-only file storage, as seen by the WAL: named streams that can be
@@ -229,10 +229,11 @@ pub struct FsStorage {
 }
 
 impl FsStorage {
-    /// Opens (creating if needed) the storage directory.
+    /// Opens (creating if needed) the storage directory. Every directory
+    /// the call creates is made durable in its parent.
     pub fn open(dir: impl Into<PathBuf>) -> Result<Self> {
         let dir = dir.into();
-        std::fs::create_dir_all(&dir)?;
+        create_dir_durable(&dir)?;
         Ok(FsStorage {
             dir,
             handles: Mutex::new(BTreeMap::new()),
@@ -292,6 +293,27 @@ impl FsStorage {
         }
         f(handles.get_mut(file).unwrap())
     }
+}
+
+/// `create_dir_all`, then an fsync of the parent of each directory it
+/// created, top-down: a new directory's entry lives in its parent, and
+/// until that parent is synced the directory — with every segment and
+/// snapshot later written inside it — can vanish in a crash. Returns how
+/// many directories were created; an existing `dir` costs no fsync.
+fn create_dir_durable(dir: &Path) -> io::Result<usize> {
+    let missing: Vec<&Path> = dir
+        .ancestors()
+        .take_while(|d| !d.as_os_str().is_empty() && !d.exists())
+        .collect();
+    std::fs::create_dir_all(dir)?;
+    for created in missing.iter().rev() {
+        let parent = match created.parent() {
+            Some(p) if !p.as_os_str().is_empty() => p,
+            _ => Path::new("."),
+        };
+        File::open(parent)?.sync_all()?;
+    }
+    Ok(missing.len())
 }
 
 impl Storage for FsStorage {
@@ -424,5 +446,31 @@ mod tests {
         assert_eq!(s.list().unwrap(), vec!["snap.qsnp".to_string()]);
         assert_eq!(s.read("snap.qsnp").unwrap(), b"contents");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn fs_storage_creates_a_nested_directory_durably() {
+        let root = std::env::temp_dir().join(format!("quit-dur-nested-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        std::fs::create_dir(&root).unwrap();
+        let dir = root.join("a").join("b").join("c");
+
+        let s = FsStorage::open(&dir).unwrap();
+        s.append("wal-1.log", b"abc").unwrap();
+        s.sync("wal-1.log").unwrap();
+        drop(s);
+        let s = FsStorage::open(&dir).unwrap();
+        assert_eq!(s.read("wal-1.log").unwrap(), b"abc");
+        drop(s);
+        let s = FsStorage::open(&dir).unwrap();
+        assert_eq!(s.list().unwrap(), vec!["wal-1.log".to_string()]);
+
+        // Only directories the call creates get their parent synced.
+        assert_eq!(create_dir_durable(&dir).unwrap(), 0);
+        assert_eq!(
+            create_dir_durable(&root.join("a").join("x").join("y")).unwrap(),
+            2
+        );
+        let _ = std::fs::remove_dir_all(&root);
     }
 }

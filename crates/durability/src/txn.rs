@@ -69,6 +69,7 @@ use crate::storage::Storage;
 use crate::wal::{Lsn, Wal};
 use crate::WalOp;
 use quit_concurrent::{ConcConfig, MvccTree};
+use quit_core::mutation::{self, Mutation};
 use quit_core::{Error, Key, Result, StatsSnapshot};
 use std::collections::BTreeMap;
 use std::ops::{Bound, RangeBounds};
@@ -436,11 +437,11 @@ where
         let guards = self.mvcc.lock_keys(writes.iter().map(|(key, _)| key));
 
         // First-committer-wins validation: a newer committed version of
-        // any write key means a concurrent transaction won. The injected
-        // transaction bug skips it entirely, silently losing updates
-        // between concurrent writers — the SI history checker must detect
-        // this and shrink the offending history.
-        let validate_at = snapshot_ts.filter(|_| cfg!(not(feature = "inject-txn-bug")));
+        // any write key means a concurrent transaction won. The planted
+        // `Mutation::SkipConflictCheck` skips it entirely, silently losing
+        // updates between concurrent writers — the SI history checker must
+        // detect this and shrink the offending history.
+        let validate_at = snapshot_ts.filter(|_| !mutation::armed(Mutation::SkipConflictCheck));
         if let Some(snapshot_ts) = validate_at {
             let newer = self
                 .mvcc
@@ -677,11 +678,6 @@ where
             }
         }
         image.into_iter().collect()
-    }
-
-    /// Number of buffered write intents.
-    pub fn write_count(&self) -> usize {
-        self.writes.len()
     }
 
     /// Commits: validates first-committer-wins, logs the commit record,

@@ -695,7 +695,6 @@ mod tests {
         assert_eq!(decode_seg_header(&h[..SEG_HEADER - 1]), None);
     }
 
-    #[cfg_attr(feature = "inject-wal-bug", ignore = "framing bug injected")]
     #[test]
     fn append_commit_recover() {
         let storage = mem();
@@ -722,7 +721,6 @@ mod tests {
         assert_eq!(m.group_commit_size.count(), 1);
     }
 
-    #[cfg_attr(feature = "inject-wal-bug", ignore = "framing bug injected")]
     #[test]
     fn a_run_frame_takes_one_lsn_per_entry() {
         let storage = mem();
@@ -757,7 +755,6 @@ mod tests {
         }
     }
 
-    #[cfg_attr(feature = "inject-wal-bug", ignore = "framing bug injected")]
     #[test]
     fn uncommitted_tail_is_lost_but_prefix_survives() {
         let storage = mem();
@@ -788,7 +785,6 @@ mod tests {
         assert!(scan.torn);
     }
 
-    #[cfg_attr(feature = "inject-wal-bug", ignore = "framing bug injected")]
     #[test]
     fn segments_rotate_and_scan_in_order() {
         let storage = mem();
@@ -813,7 +809,6 @@ mod tests {
         assert_eq!(scan.resume_seq as usize, names.len());
     }
 
-    #[cfg_attr(feature = "inject-wal-bug", ignore = "framing bug injected")]
     #[test]
     fn post_crash_segment_resumes_after_torn_tail() {
         // Crash leaves segment 0 with a torn final frame; a recovered
@@ -909,7 +904,6 @@ mod tests {
         }
     }
 
-    #[cfg_attr(feature = "inject-wal-bug", ignore = "framing bug injected")]
     #[test]
     fn failed_append_poisons_instead_of_acking_an_lsn_gap() {
         let storage = Arc::new(FailingStorage::new());
@@ -1085,7 +1079,6 @@ mod tests {
         assert_eq!(w.durable_lsn(), 0);
     }
 
-    #[cfg_attr(feature = "inject-wal-bug", ignore = "framing bug injected")]
     #[test]
     fn segment_names_follow_rotations_and_checkpoints() {
         let storage = mem();
@@ -1144,7 +1137,6 @@ mod tests {
         assert_eq!((scan.last_lsn, scan.tail.len()), (12, 12));
     }
 
-    #[cfg_attr(feature = "inject-wal-bug", ignore = "framing bug injected")]
     #[test]
     fn group_commit_batches_concurrent_writers() {
         let storage = mem();

@@ -8,8 +8,6 @@
 //! `gc_every = 1`; the other reads. Every scan must return all 2 000 keys
 //! and every get must hit.
 
-#![cfg(not(feature = "inject-txn-bug"))]
-
 use quit_durability::{DurabilityConfig, MemStorage, Storage, TxnConfig, TxnStore};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

@@ -11,8 +11,6 @@
 //! damage — the open fails instead of dropping it and everything after it
 //! as a "torn tail".
 
-#![cfg(not(feature = "inject-wal-bug"))]
-
 use quit_core::{FastPathMode, SortedIndex, TreeConfig};
 use quit_durability::{
     bptree_builder, crc32, DurabilityConfig, Durable, MemStorage, RecoveryReport, Storage,

@@ -16,8 +16,6 @@
 //! `fixtures/sorted-runs` is what the same ops write now: the same
 //! `.qsnp`, and a log whose only difference is that batch, one run frame.
 
-#![cfg(not(feature = "inject-wal-bug"))]
-
 use quit_core::{BpTree, FastPathMode, SortedIndex, StorageKind, TreeConfig};
 use quit_durability::{
     bptree_builder, DurabilityConfig, Durable, MemStorage, RecoveryReport, Storage, TxnConfig,

@@ -379,7 +379,6 @@ fn reader_thread(
 }
 
 #[cfg(test)]
-#[cfg(not(feature = "inject-search-bug"))]
 mod tests {
     use super::*;
 

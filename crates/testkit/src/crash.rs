@@ -9,8 +9,8 @@
 //! exactly equal the model replayed to the recovered LSN, the recovered
 //! LSN must cover the last explicit durability point (fsync promises
 //! survive any cut), and the full, un-torn image must recover *every*
-//! logged record — the check that catches framing bugs like the
-//! `inject-wal-bug` mutation.
+//! logged record — the check that catches framing bugs like the planted
+//! `Mutation::DeleteFrameCrc`.
 //!
 //! The concurrent driver ([`replay_crash_concurrent`]) puts N writers
 //! through `Durable<ConcurrentTree>` group commit, captures a live crash
@@ -1170,12 +1170,7 @@ pub fn replay_txn_crash(ops: &[TxnOp], spec: &TxnCrashSpec) -> Result<TxnCrashRe
     Ok(report)
 }
 
-#[cfg(all(
-    test,
-    not(feature = "inject-wal-bug"),
-    not(feature = "inject-split-bug"),
-    not(feature = "inject-txn-bug")
-))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::si_checker::TxnWorkloadSpec;

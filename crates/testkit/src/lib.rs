@@ -40,11 +40,16 @@
 //! byte offsets and recovery must equal some committed prefix — never a
 //! partially applied transaction.
 //!
-//! The harness proves it can catch real bugs via a mutation smoke check:
-//! building with `--features inject-split-bug` enables a deliberately
-//! wrong Fig 7a split bound in `quit-core`, and `tests/mutation_smoke.rs`
-//! asserts the oracle detects it and shrinks the trigger to a tiny op
-//! sequence.
+//! The harness proves it can catch real bugs via five mutation smokes.
+//! Each arms one planted bug through `quit_core::mutation::arm` on its own
+//! test thread (this crate's dev-dependencies compile the switch in) and
+//! asserts the matching oracle detects it, shrinks the trigger to a tiny op
+//! sequence and round-trips the seed: a stale Fig 7a split bound
+//! (`tests/mutation_smoke.rs`), an off-by-one in the branchless search
+//! ladder (`tests/search_mutation_smoke.rs`), a pin released one boundary
+//! early in the paged backend (`tests/pool_mutation_smoke.rs`), a wrong
+//! Delete-frame CRC in the WAL (`tests/wal_mutation_smoke.rs`) and a
+//! skipped first-committer-wins check (`tests/txn_mutation_smoke.rs`).
 //!
 //! Longer soaks scale with the `QUIT_FUZZ_CASES` environment variable (see
 //! [`fuzz_cases`]).

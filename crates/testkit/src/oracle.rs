@@ -490,13 +490,9 @@ fn check_all(
     Ok(())
 }
 
-// Replay-based unit tests step aside under the injected bugs (the search
-// bug poisons even binary-search configs through the OLC raw descent).
 #[cfg(test)]
-#[cfg(not(feature = "inject-search-bug"))]
 mod tests {
     use super::*;
-    #[cfg(not(feature = "inject-split-bug"))]
     use crate::workload::{OpMix, WorkloadSpec};
 
     #[test]
@@ -544,7 +540,6 @@ mod tests {
         replay(&ops, &OracleConfig::default()).unwrap();
     }
 
-    #[cfg(not(feature = "inject-split-bug"))]
     #[test]
     fn generated_workloads_replay_clean() {
         for seed in 0..4u64 {

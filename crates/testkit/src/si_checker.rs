@@ -24,7 +24,7 @@
 //! Two drivers produce histories: [`replay_txn_history`] runs a
 //! deterministic single-threaded interleaving of up to [`MAX_SLOTS`]
 //! open transactions (proptest-shrinkable via [`TxnWorkloadStrategy`] —
-//! this is the driver the `inject-txn-bug` mutation smoke check leans
+//! this is the driver the `Mutation::SkipConflictCheck` smoke leans
 //! on), and [`replay_txn_concurrent`] runs a true multi-writer soak over
 //! one contended key space, merging per-thread event logs and checking
 //! them against the engine-assigned timestamps. Both finish by comparing
@@ -873,13 +873,7 @@ pub fn replay_txn_concurrent(spec: &SiSoakSpec) -> Result<SiReport, SiViolation>
     verify_run(&store, &events)
 }
 
-#[cfg(all(
-    test,
-    not(feature = "inject-txn-bug"),
-    not(feature = "inject-wal-bug"),
-    not(feature = "inject-split-bug"),
-    not(feature = "inject-search-bug")
-))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

@@ -7,10 +7,6 @@
 //! soaks: the default run already clears the 50k-op / 4-thread bar the
 //! roadmap sets for this harness.
 
-// Stepped aside under the injected-bug features, like the single-threaded
-// differential suite (feature unification would poison these runs too).
-#![cfg(not(any(feature = "inject-split-bug", feature = "inject-search-bug")))]
-
 use quit_testkit::{conc_base_seed, fuzz_cases, replay_concurrent, ConcSpec};
 
 const SOAK_SEED: u64 = 0x511D_2025;

@@ -8,19 +8,6 @@
 //! replayed to the recovered LSN. Scale it up locally with
 //! `QUIT_FUZZ_CASES`.
 
-// The planted bugs (split bound, WAL delete framing, pool pin
-// discipline, and the search off-by-one, which every point lookup
-// reaches) intentionally break these properties; cargo's feature
-// unification applies them to the whole test run, so the clean suite
-// steps aside. See tests/mutation_smoke.rs, tests/wal_mutation_smoke.rs,
-// tests/pool_mutation_smoke.rs and tests/search_mutation_smoke.rs.
-#![cfg(not(any(
-    feature = "inject-split-bug",
-    feature = "inject-wal-bug",
-    feature = "inject-pin-bug",
-    feature = "inject-search-bug"
-)))]
-
 use proptest::prelude::*;
 use quit_testkit::{
     fuzz_cases, replay_crash, replay_crash_concurrent, replay_crash_ops, replay_crash_paged,

@@ -6,16 +6,6 @@
 //! Scale it up locally with `QUIT_FUZZ_CASES` (each case adds one
 //! seed × knob grid sweep, ~5.5k ops).
 
-// The injected split/search bugs (mutation smoke checks) intentionally
-// break these properties; cargo's feature unification applies them to the
-// whole test run, so the clean differential suite steps aside. See
-// tests/mutation_smoke.rs and tests/search_mutation_smoke.rs.
-#![cfg(not(any(
-    feature = "inject-split-bug",
-    feature = "inject-search-bug",
-    feature = "inject-pin-bug"
-)))]
-
 use proptest::prelude::*;
 use quit_testkit::{
     fuzz_cases, replay, OpMix, OracleBackend, OracleConfig, WorkloadSpec, WorkloadStrategy,
@@ -121,9 +111,7 @@ fn fixed_seed_soak_paged_under_pressure() {
     eprintln!("paged differential soak: {total_ops} ops per family, no divergence");
 }
 
-/// The cold-read differential. It reopens a durable store from its WAL
-/// tail, so it steps aside under the planted WAL bug as well.
-#[cfg(not(feature = "inject-wal-bug"))]
+/// The cold-read differential: a paged tree reopened from its WAL tail.
 mod cold_reads {
     use quit_core::{BpTree, FastPathMode, SortedIndex, StorageKind, TreeConfig};
     use quit_durability::{DurabilityConfig, Durable, MemStorage, Storage};

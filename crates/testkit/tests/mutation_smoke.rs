@@ -1,19 +1,17 @@
 //! Mutation smoke check: the harness must catch the bug we planted.
 //!
-//! Built with `--features inject-split-bug`, `quit-core` leaves a stale
+//! With `Mutation::SplitBound` armed, `quit-core` leaves a stale
 //! poℓe lower bound after a Fig 7a variable split, so a later key below
 //! the new separator fast-inserts into the wrong leaf. This suite asserts
 //! the differential oracle (1) detects that, (2) shrinks the trigger to a
 //! ≤ 25-op counterexample, and (3) round-trips the failing seed through a
 //! persisted `.proptest-regressions` file.
 //!
-//! CI runs this as a separate cargo invocation (feature unification would
-//! otherwise poison the clean differential suite, which is `cfg`'d off
-//! under this feature).
-
-#![cfg(feature = "inject-split-bug")]
+//! Each test arms the bug on its own test thread, so the clean suites
+//! that share the test binary's process never see it.
 
 use proptest::test_runner::{Config, Runner};
+use quit_core::mutation::{arm, Mutation};
 use quit_testkit::{replay_guarded, Op, OracleConfig, WorkloadStrategy};
 
 /// Tiny leaves + tight invariant cadence: the regime where the planted
@@ -46,6 +44,7 @@ fn run_harness(
 
 #[test]
 fn injected_split_bug_is_caught_shrunk_and_persisted() {
+    let _bug = arm(Mutation::SplitBound);
     let path = std::env::temp_dir().join(format!(
         "quit-testkit-mutation-{}.proptest-regressions",
         std::process::id()
@@ -95,6 +94,7 @@ fn injected_split_bug_is_caught_shrunk_and_persisted() {
 /// standalone reproducer, not an artifact of runner state.
 #[test]
 fn shrunk_counterexample_is_a_standalone_reproducer() {
+    let _bug = arm(Mutation::SplitBound);
     let path = std::env::temp_dir().join(format!(
         "quit-testkit-mutation-standalone-{}.proptest-regressions",
         std::process::id()

@@ -1,7 +1,7 @@
 //! Pool mutation smoke check: the harness must catch the pin bug we
 //! planted.
 //!
-//! Built with `--features inject-pin-bug`, `quit-core`'s paged backend
+//! With `Mutation::PinRelease` armed, `quit-core`'s paged backend
 //! releases the hot-node memo's standing pin one operation boundary early
 //! with broken accounting: the hot frame becomes an eviction victim whose
 //! dirty write-back is skipped, so the next fault resurrects the node's
@@ -12,13 +12,11 @@
 //! round-trips the failing seed through a persisted
 //! `.proptest-regressions` file.
 //!
-//! CI runs this as a separate cargo invocation (feature unification would
-//! otherwise poison the clean differential suite, which is `cfg`'d off
-//! under this feature).
-
-#![cfg(feature = "inject-pin-bug")]
+//! Each test arms the bug on its own test thread, so the clean suites
+//! that share the test binary's process never see it.
 
 use proptest::test_runner::{Config, Runner};
+use quit_core::mutation::{arm, Mutation};
 use quit_testkit::{replay_guarded, Op, OracleBackend, OracleConfig, WorkloadStrategy};
 
 /// Tiny leaves, a 2-page pool, and a tight invariant cadence: with the
@@ -53,6 +51,7 @@ fn run_harness(
 
 #[test]
 fn injected_pin_bug_is_caught_shrunk_and_persisted() {
+    let _bug = arm(Mutation::PinRelease);
     let path = std::env::temp_dir().join(format!(
         "quit-testkit-pool-mutation-{}.proptest-regressions",
         std::process::id()
@@ -103,6 +102,7 @@ fn injected_pin_bug_is_caught_shrunk_and_persisted() {
 /// failure on the eviction path rather than the paged codec.
 #[test]
 fn shrunk_counterexample_requires_eviction_pressure() {
+    let _bug = arm(Mutation::PinRelease);
     let path = std::env::temp_dir().join(format!(
         "quit-testkit-pool-mutation-standalone-{}.proptest-regressions",
         std::process::id()

@@ -1,7 +1,7 @@
 //! Mutation smoke check for the intra-node search: the harness must
 //! catch the off-by-one we planted.
 //!
-//! Built with `--features inject-search-bug`, `quit-core` drops the final
+//! With `Mutation::SearchLadder` armed, `quit-core` drops the final
 //! single-element step of `branchless_partition_point_by`, so every
 //! search that finishes on the branchless ladder lands one slot short of
 //! the true partition point. Point lookups reach the ladder through the
@@ -10,13 +10,11 @@
 //! trigger to a tiny counterexample, and (3) the minimal counterexample
 //! reproduces standalone.
 //!
-//! CI runs this as a separate cargo invocation (feature unification would
-//! otherwise poison the clean differential suite, which is `cfg`'d off
-//! under this feature).
-
-#![cfg(feature = "inject-search-bug")]
+//! Each test arms the bug on its own test thread, so the clean suites
+//! that share the test binary's process never see it.
 
 use proptest::test_runner::{Config, Runner};
+use quit_core::mutation::{arm, Mutation};
 use quit_testkit::{replay_guarded, Op, OracleConfig, WorkloadStrategy};
 
 /// The default paper path, whose insert positioning stays on libcore's
@@ -63,6 +61,7 @@ fn assert_caught_and_shrunk(label: &str, config: &OracleConfig) {
 
 #[test]
 fn injected_search_bug_reaches_default_config_lookups() {
+    let _bug = arm(Mutation::SearchLadder);
     assert_caught_and_shrunk("search_mutation_smoke_lookups", &default_lookup_config());
 }
 
@@ -72,6 +71,7 @@ fn injected_search_bug_reaches_default_config_lookups() {
 /// fails for the right reason, not through some harness artifact.
 #[test]
 fn planted_bug_lives_only_in_the_branchless_ladder() {
+    let _bug = arm(Mutation::SearchLadder);
     let keys: Vec<u64> = vec![1, 3, 3, 7, 9];
     let mut binary_diverged = false;
     let mut branchless_diverged = false;

@@ -2,16 +2,6 @@
 //! fuzzed byte offsets must recover to an exact committed prefix —
 //! recovery may lose un-fsynced tail commits, but it must never surface
 //! part of a transaction's write set.
-//!
-//! Disabled under every `inject-*` feature: those builds are for the
-//! mutation smoke checks, which *expect* failures.
-
-#![cfg(not(any(
-    feature = "inject-split-bug",
-    feature = "inject-wal-bug",
-    feature = "inject-search-bug",
-    feature = "inject-txn-bug"
-)))]
 
 use proptest::prelude::*;
 use quit_testkit::{replay_txn_crash, TxnCrashSpec, TxnWorkloadSpec, TxnWorkloadStrategy};

@@ -1,7 +1,7 @@
 //! Transaction mutation smoke check: the SI history checker must catch
 //! the isolation bug we planted.
 //!
-//! Built with `--features inject-txn-bug`, `quit-durability` skips the
+//! With `Mutation::SkipConflictCheck` armed, `quit-durability` skips the
 //! commit path's first-committer-wins validation, so two overlapping
 //! transactions that wrote the same key both commit — the canonical
 //! snapshot-isolation lost update. This suite asserts the history
@@ -10,13 +10,11 @@
 //! still containing two commits, and (3) round-trips the failing seed
 //! through a persisted `.proptest-regressions` file.
 //!
-//! CI runs this as a separate cargo invocation (feature unification
-//! would otherwise poison the clean transaction suites, which are
-//! `cfg`'d off under this feature).
-
-#![cfg(feature = "inject-txn-bug")]
+//! Each test arms the bug on its own test thread, so the clean suites
+//! that share the test binary's process never see it.
 
 use proptest::test_runner::{Config, Runner};
+use quit_core::mutation::{arm, Mutation};
 use quit_testkit::{replay_txn_history, TxnOp, TxnWorkloadStrategy};
 
 fn run_harness(
@@ -37,6 +35,7 @@ fn run_harness(
 
 #[test]
 fn injected_txn_bug_is_caught_shrunk_and_persisted() {
+    let _bug = arm(Mutation::SkipConflictCheck);
     let path = std::env::temp_dir().join(format!(
         "quit-testkit-txn-mutation-{}.proptest-regressions",
         std::process::id()
@@ -87,6 +86,7 @@ fn injected_txn_bug_is_caught_shrunk_and_persisted() {
 /// the violation it reports is the lost update itself.
 #[test]
 fn shrunk_txn_counterexample_is_a_standalone_reproducer() {
+    let _bug = arm(Mutation::SkipConflictCheck);
     let path = std::env::temp_dir().join(format!(
         "quit-testkit-txn-standalone-{}.proptest-regressions",
         std::process::id()
@@ -107,6 +107,7 @@ fn shrunk_txn_counterexample_is_a_standalone_reproducer() {
 /// shrinker has a floor to converge to.
 #[test]
 fn four_op_lost_update_fails_under_the_bug() {
+    let _bug = arm(Mutation::SkipConflictCheck);
     let ops = [
         TxnOp::Write(0, 1, 1),
         TxnOp::Write(1, 1, 2),

@@ -2,16 +2,6 @@
 //! fixed-seed multi-writer soaks (≥50k events, both descent modes),
 //! deterministic interleaved-transaction workloads, and proptest-driven
 //! sampled histories with shrinking.
-//!
-//! Disabled under every `inject-*` feature: those builds are for the
-//! mutation smoke checks, which *expect* failures.
-
-#![cfg(not(any(
-    feature = "inject-split-bug",
-    feature = "inject-wal-bug",
-    feature = "inject-search-bug",
-    feature = "inject-txn-bug"
-)))]
 
 use proptest::prelude::*;
 use quit_testkit::{

@@ -1,7 +1,7 @@
 //! WAL mutation smoke check: the crash fuzzer must catch the framing bug
 //! we planted.
 //!
-//! Built with `--features inject-wal-bug`, `quit-durability` computes the
+//! With `Mutation::DeleteFrameCrc` armed, `quit-durability` computes the
 //! CRC of Delete frames over one byte too few at encode time, so recovery
 //! rejects every delete record as torn and silently stops replay early.
 //! This suite asserts the crash-recovery differential (1) detects that —
@@ -10,13 +10,11 @@
 //! sequence containing a delete, and (3) round-trips the failing seed
 //! through a persisted `.proptest-regressions` file.
 //!
-//! CI runs this as a separate cargo invocation (feature unification would
-//! otherwise poison the clean crash suite, which is `cfg`'d off under
-//! this feature).
-
-#![cfg(feature = "inject-wal-bug")]
+//! Each test arms the bug on its own test thread, so the clean suites
+//! that share the test binary's process never see it.
 
 use proptest::test_runner::{Config, Runner};
+use quit_core::mutation::{arm, Mutation};
 use quit_testkit::{replay_crash_ops, CrashSpec, Op, WorkloadStrategy};
 
 /// No random commits: detection rests purely on the deterministic
@@ -50,6 +48,7 @@ fn run_harness(
 
 #[test]
 fn injected_wal_bug_is_caught_shrunk_and_persisted() {
+    let _bug = arm(Mutation::DeleteFrameCrc);
     let path = std::env::temp_dir().join(format!(
         "quit-testkit-wal-mutation-{}.proptest-regressions",
         std::process::id()
@@ -95,6 +94,7 @@ fn injected_wal_bug_is_caught_shrunk_and_persisted() {
 /// The minimal counterexample is a genuine standalone reproducer.
 #[test]
 fn shrunk_wal_counterexample_is_a_standalone_reproducer() {
+    let _bug = arm(Mutation::DeleteFrameCrc);
     let path = std::env::temp_dir().join(format!(
         "quit-testkit-wal-standalone-{}.proptest-regressions",
         std::process::id()

@@ -3,8 +3,8 @@
 //! small fixed-seed workload grid cleanly. The heavyweight soaks live in
 //! `crates/testkit/tests/differential.rs`.
 //!
-//! (No `inject-split-bug` gate needed here: the root package never enables
-//! that feature, so this test always runs against the clean tree.)
+//! No planted bug reaches this test: mutations are armed per thread, and
+//! only by the testkit's mutation smokes.
 
 use quick_insertion_tree::quit_testkit::{replay, OpMix, OracleConfig, WorkloadSpec};
 
