@@ -4,14 +4,22 @@
 
 use bods::{point_lookup_keys, BodsSpec};
 use quit_bench::{print_table, Opts};
-use quit_concurrent::{ConcConfig, ConcurrentTree};
+use quit_concurrent::{ConcurrentTree, TreeConfig};
 use std::sync::Arc;
 use std::time::Instant;
 
+/// A paper-default tree, QuIT's (`pole`) or the classical B+-tree.
+fn build(pole: bool) -> Arc<ConcurrentTree<u64, u64>> {
+    let config = TreeConfig::paper_default();
+    Arc::new(if pole {
+        ConcurrentTree::new(config)
+    } else {
+        ConcurrentTree::classic(config)
+    })
+}
+
 fn run_inserts(keys: &[u64], threads: usize, pole: bool) -> f64 {
-    let tree: Arc<ConcurrentTree<u64, u64>> = Arc::new(ConcurrentTree::new(
-        ConcConfig::paper_default().with_pole(pole),
-    ));
+    let tree = build(pole);
     let start = Instant::now();
     std::thread::scope(|s| {
         for t in 0..threads {
@@ -91,11 +99,7 @@ fn main() {
 
     // (b) lookups
     let keys = BodsSpec::new(n, 0.05, 1.0).with_seed(opts.seed).generate();
-    let quit_tree: Arc<ConcurrentTree<u64, u64>> =
-        Arc::new(ConcurrentTree::new(ConcConfig::paper_default()));
-    let classic_tree: Arc<ConcurrentTree<u64, u64>> = Arc::new(ConcurrentTree::new(
-        ConcConfig::paper_default().with_pole(false),
-    ));
+    let (quit_tree, classic_tree) = (build(true), build(false));
     for &k in &keys {
         quit_tree.insert(k, k);
         classic_tree.insert(k, k);

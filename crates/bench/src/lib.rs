@@ -312,11 +312,7 @@ mod tests {
             1,
         );
         let conc = ingest_index(
-            || {
-                quit_concurrent::ConcurrentTree::<u64, u64>::new(
-                    quit_concurrent::ConcConfig::paper_default(),
-                )
-            },
+            || quit_concurrent::ConcurrentTree::<u64, u64>::new(TreeConfig::paper_default()),
             &keys,
             1,
         );

@@ -11,12 +11,16 @@
 //! critical section behind the paper's Fig 13 result (1.5–2× higher insert
 //! throughput under contention).
 //!
+//! The tree takes the same [`TreeConfig`] as `quit-core`'s single-threaded
+//! trees (re-exported here); [`ConcurrentTree::classic`] builds it without
+//! the poℓe fast path, as Fig 13's baseline.
+//!
 //! ```
-//! use quit_concurrent::{ConcConfig, ConcurrentTree};
+//! use quit_concurrent::{ConcurrentTree, TreeConfig};
 //! use std::sync::Arc;
 //!
 //! let tree: Arc<ConcurrentTree<u64, u64>> =
-//!     Arc::new(ConcurrentTree::new(ConcConfig::paper_default()));
+//!     Arc::new(ConcurrentTree::new(TreeConfig::paper_default()));
 //! let handles: Vec<_> = (0..4)
 //!     .map(|t| {
 //!         let tree = tree.clone();
@@ -48,5 +52,5 @@ mod tree;
 
 pub use mvcc::{MvccTree, StripeGuards};
 pub use node::{CNode, NodeRef};
-pub use quit_core::StorageKind;
-pub use tree::{ConcConfig, ConcRangeIter, ConcurrentTree, OLC_MAX_RESTARTS};
+pub use quit_core::{StorageKind, TreeConfig};
+pub use tree::{validate_config, ConcConfig, ConcRangeIter, ConcurrentTree, OLC_MAX_RESTARTS};

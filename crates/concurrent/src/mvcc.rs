@@ -48,8 +48,8 @@
 //! list is pruned.
 
 use crate::sync::Mutex;
-use crate::{ConcConfig, ConcurrentTree};
-use quit_core::{stripe_of, Key};
+use crate::ConcurrentTree;
+use quit_core::{stripe_of, Key, TreeConfig};
 use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::ops::{ControlFlow, RangeBounds};
@@ -126,16 +126,16 @@ pub struct MvccTree<K: Key, V: Clone> {
 }
 
 impl<K: Key, V: Clone> MvccTree<K, V> {
-    /// An empty multi-version tree with the given inner-tree
-    /// configuration (geometry, poℓe and OLC on/off all apply).
-    pub fn new(config: ConcConfig) -> Self {
+    /// An empty multi-version tree over an inner tree built from `config`
+    /// (always with the poℓe fast path).
+    pub fn new(config: TreeConfig) -> Self {
         Self::bulk_load(config, std::iter::empty())
     }
 
     /// Bulk-builds from `(key, commit_ts, value)` entries in key order —
     /// the recovery path: every key is a slot and nothing else, and the
     /// inner tree is built bottom-up by [`ConcurrentTree::bulk_load`].
-    pub fn bulk_load(config: ConcConfig, entries: impl IntoIterator<Item = (K, u64, V)>) -> Self {
+    pub fn bulk_load(config: TreeConfig, entries: impl IntoIterator<Item = (K, u64, V)>) -> Self {
         let slots = entries
             .into_iter()
             .map(|(key, ts, v)| (key, Slot { ts, value: Some(v) }))
@@ -413,7 +413,7 @@ mod tests {
 
     fn tiny<V: Clone>() -> MvccTree<u64, V> {
         // Tiny leaves force splits with few keys.
-        MvccTree::new(ConcConfig::small(8))
+        MvccTree::new(TreeConfig::small(8))
     }
 
     fn write<V: Clone>(t: &MvccTree<u64, V>, key: u64, ts: u64, v: Option<V>) -> bool {

@@ -1,6 +1,6 @@
 //! The concurrent QuIT / B+-tree (§4.5) with optimistic lock coupling.
 //!
-//! * **Reads and insert descents** are optimistic by default (OLC): every
+//! * **Reads and insert descents** are optimistic (OLC): every
 //!   node lock carries a seqlock version word; the descent reads node
 //!   contents without latching, validating child-then-parent versions
 //!   hand-over-hand. For plain-data values (no drop glue) `get` is fully
@@ -19,8 +19,9 @@
 //!   current node is *safe* (cannot split). Only the ancestors that may be
 //!   modified stay locked. Write unlocks bump the version word, which is
 //!   what invalidates overlapping optimistic brackets.
-//! * **Pessimistic reads and deletes** (OLC off, or fallback) use one
-//!   shared-lock crabbing descent: lock child, release parent.
+//! * **Pessimistic reads and deletes** (every delete, and every read whose
+//!   optimistic budget ran out) use one shared-lock crabbing descent: lock
+//!   child, release parent.
 //! * **Fast path**: a dedicated mutex guards the poℓe metadata. Every insert
 //!   is a sorted run — a single `insert` or `upsert` is a run of one, a
 //!   batch ([`ConcurrentTree::insert_batch`], `upsert_batch`) is split
@@ -47,15 +48,16 @@
 //! single-threaded-only refinements (variable split, redistribution,
 //! catch-up) are intentionally not executed here: they require multi-node
 //! lock choreography that the paper does not specify, and they affect
-//! space, not the concurrency behaviour Fig 13 measures. [`ConcConfig`]
-//! says so in the `TreeConfig` it embeds (both flags are off).
+//! space, not the concurrency behaviour Fig 13 measures. The tree switches
+//! both flags off in its own copy of the [`TreeConfig`], so
+//! [`ConcurrentTree::config`] says so.
 
 use crate::node::{CNode, NodeRef};
 use crate::olc::{self, LeafRead, Routed, Target};
 use crate::sync::{ArcRwLockReadGuard, ArcRwLockWriteGuard, Mutex, RwLock};
 use quit_core::{
-    FastPathState, FullPolePlan, Key, MetricsRegistry, PoleSplit, PrevLeaf, Stats, StatsSnapshot,
-    StorageKind, TopInsert, TreeConfig,
+    Error, FastPathState, FullPolePlan, Key, MetricsRegistry, PoleSplit, PrevLeaf, Stats,
+    StatsSnapshot, StorageKind, TopInsert, TreeConfig,
 };
 use std::ops::{Bound, ControlFlow, RangeBounds};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -67,81 +69,31 @@ type WriteGuard<K, V> = ArcRwLockWriteGuard<CNode<K, V>>;
 /// the policy's terms.
 type LeafSplit<K, V> = (NodeRef<K, V>, PoleSplit<K, NodeRef<K, V>>);
 
-/// Configuration of the concurrent tree: one [`TreeConfig`] for every knob
-/// it shares with the single-threaded trees (geometry, IKR scale, reset
-/// threshold, metrics level, storage) plus the two only a latched tree
-/// has. Geometry or policy overrides go through the embedded value:
-/// `ConcConfig::from_tree(TreeConfig::small(16).with_reset_threshold(..))`.
-#[derive(Debug, Clone)]
-pub struct ConcConfig {
-    /// Private so it always describes what actually runs: `from_tree`
-    /// switches off the two plans this tree never executes.
-    tree: TreeConfig,
-    /// Enable the poℓe fast path (off ⇒ plain concurrent B+-tree).
-    pub pole_enabled: bool,
-    /// Enable optimistic lock coupling for `get`/`range`/insert descents
-    /// (off ⇒ pessimistic lock-crabbing everywhere, the pre-OLC behaviour).
-    pub olc_enabled: bool,
-}
-
 /// Restarts an optimistic operation tolerates before falling back to the
 /// pessimistic path. Backoff doubles per restart, so the budget bounds the
 /// worst-case optimistic latency at well under a millisecond before the
 /// operation falls back to pessimistic crabbing.
 pub const OLC_MAX_RESTARTS: u32 = 12;
 
-impl ConcConfig {
-    /// The concurrent tree over `tree`'s shared knobs, poℓe and OLC on.
-    ///
-    /// `variable_split` and `redistribute` are switched off in the embedded
-    /// value — the concurrent tree always splits 50/50 (see the module
-    /// docs). [`StorageKind::Paged`] is
-    /// representable so one config type can describe a whole deployment,
-    /// but [`ConcurrentTree::new`] rejects it: optimistic readers hold raw
-    /// node pointers that a buffer pool could evict from under them. For
-    /// paged storage, use the single-writer `BpTree` via
-    /// `quit_durability::Durable::open_paged`.
-    pub fn from_tree(tree: TreeConfig) -> Self {
-        ConcConfig {
-            tree: tree.with_variable_split(false).with_redistribute(false),
-            pole_enabled: true,
-            olc_enabled: true,
-        }
-    }
+/// [`TreeConfig`] under the name `benchmark/src/probes.rs` and
+/// `benchmark/src/txn.rs` still use, their only users; ROADMAP item 1's
+/// change to the benchmark deletes it.
+pub type ConcConfig = TreeConfig;
 
-    /// Paper-default geometry: 510-entry nodes, IKR scale 1.5, poℓe fast
-    /// path on, `T_R = ⌊√510⌋ = 22`.
-    pub fn paper_default() -> Self {
-        Self::from_tree(TreeConfig::paper_default())
+/// Checks `config` for a concurrent tree: [`TreeConfig::validate`], plus
+/// [`StorageKind::Arena`] storage, because optimistic readers hold raw
+/// node pointers that a buffer pool could evict from under them. For
+/// paged storage, use the single-writer `BpTree` via
+/// `quit_durability::Durable::open_paged`.
+pub fn validate_config(config: &TreeConfig) -> quit_core::Result<()> {
+    config.validate()?;
+    if config.storage != StorageKind::Arena {
+        return Err(Error::config(
+            "storage: the concurrent tree supports only StorageKind::Arena; \
+             for paged storage use the single-writer BpTree (Durable::open_paged)",
+        ));
     }
-
-    /// A small geometry that forces frequent splits; used heavily in tests.
-    pub fn small(leaf_capacity: usize) -> Self {
-        Self::from_tree(TreeConfig::small(leaf_capacity))
-    }
-
-    /// The knobs shared with the single-threaded trees.
-    pub fn tree_config(&self) -> &TreeConfig {
-        &self.tree
-    }
-
-    /// Builder-style toggle of the poℓe fast path.
-    pub fn with_pole(mut self, enabled: bool) -> Self {
-        self.pole_enabled = enabled;
-        self
-    }
-
-    /// Builder-style toggle of optimistic lock coupling.
-    pub fn with_olc(mut self, enabled: bool) -> Self {
-        self.olc_enabled = enabled;
-        self
-    }
-}
-
-impl Default for ConcConfig {
-    fn default() -> Self {
-        Self::paper_default()
-    }
+    Ok(())
 }
 
 /// A thread-safe sortedness-aware B+-tree.
@@ -153,7 +105,11 @@ pub struct ConcurrentTree<K, V> {
     /// nested call per leaf, overflowing the stack on a long chain.
     fp: Mutex<FastPathState<K, NodeRef<K, V>>>,
     root: RwLock<NodeRef<K, V>>,
-    config: ConcConfig,
+    /// The caller's config with `variable_split` and `redistribute` off:
+    /// this tree never executes those two plans.
+    config: TreeConfig,
+    /// The poℓe fast path is on (off only in [`ConcurrentTree::classic`]).
+    pole: bool,
     /// Shared observability substrate — the same [`MetricsRegistry`] type
     /// `quit-core`'s trees use; every update here takes the `_shared`
     /// (`fetch_add`) flavour so counters are exact under concurrency.
@@ -168,13 +124,18 @@ pub struct ConcurrentTree<K, V> {
 }
 
 impl<K: Key, V: Clone> ConcurrentTree<K, V> {
-    /// An empty tree. Panics on a [`StorageKind::Paged`] config: the
-    /// optimistic readers hold raw node pointers a buffer pool could evict
-    /// from under them (fallible openers like
-    /// `quit_durability::TxnStore::open` surface the same restriction as a
-    /// `config` error instead).
-    pub fn new(config: ConcConfig) -> Self {
+    /// An empty tree with the poℓe fast path. Panics on a config that
+    /// [`validate_config`] rejects (fallible openers like
+    /// `quit_durability::TxnStore::open` return its error instead).
+    pub fn new(config: TreeConfig) -> Self {
         Self::bulk_load(config, Vec::new())
+    }
+
+    /// An empty plain concurrent B+-tree: no poℓe fast path, so every
+    /// insert descends the tree (Fig 13's baseline). Panics where
+    /// [`new`](Self::new) does.
+    pub fn classic(config: TreeConfig) -> Self {
+        Self::build(config, false, Vec::new())
     }
 
     /// Builds a tree from `entries` sorted by key (duplicates allowed),
@@ -187,18 +148,20 @@ impl<K: Key, V: Clone> ConcurrentTree<K, V> {
     /// with its chain predecessor as `poℓe_prev`, so an in-order stream
     /// resumes on the fast path. Panics on unsorted input and where
     /// [`new`](Self::new) does.
-    pub fn bulk_load(config: ConcConfig, mut entries: Vec<(K, V)>) -> Self {
-        config.tree.assert_valid();
-        assert!(
-            matches!(config.tree.storage, StorageKind::Arena),
-            "ConcurrentTree supports only StorageKind::Arena; for paged \
-             storage use the single-writer BpTree (Durable::open_paged)"
-        );
+    pub fn bulk_load(config: TreeConfig, entries: Vec<(K, V)>) -> Self {
+        Self::build(config, true, entries)
+    }
+
+    fn build(config: TreeConfig, pole: bool, mut entries: Vec<(K, V)>) -> Self {
+        if let Err(e) = validate_config(&config) {
+            panic!("{e}");
+        }
+        let config = config.with_variable_split(false).with_redistribute(false);
         assert!(
             entries.windows(2).all(|w| w[0].0 <= w[1].0),
             "bulk_load requires sorted input"
         );
-        let cfg = &config.tree;
+        let cfg = &config;
         let len = entries.len();
         let starts = leaf_starts(&entries, cfg.leaf_capacity);
         // The tail's predecessor, as poℓe_prev: its smallest key and size.
@@ -229,7 +192,7 @@ impl<K: Key, V: Clone> ConcurrentTree<K, V> {
         }
         level.reverse();
         let mut fp = FastPathState::new(None);
-        if config.pole_enabled {
+        if pole {
             let (low, tail) = level.last().cloned().expect("at least one leaf");
             let prev = prev.map(|(min, len)| PrevLeaf {
                 leaf: level[level.len() - 2].1.clone(),
@@ -266,10 +229,11 @@ impl<K: Key, V: Clone> ConcurrentTree<K, V> {
                 .collect();
         }
         let (_, root) = level.pop().expect("one root");
-        let metrics = MetricsRegistry::new(config.tree.metrics_level);
+        let metrics = MetricsRegistry::new(config.metrics_level);
         ConcurrentTree {
             root: RwLock::new(root),
             config,
+            pole,
             fp: Mutex::new(fp),
             metrics,
             len: AtomicUsize::new(len),
@@ -277,8 +241,9 @@ impl<K: Key, V: Clone> ConcurrentTree<K, V> {
         }
     }
 
-    /// The configuration this tree runs.
-    pub fn config(&self) -> &ConcConfig {
+    /// The configuration this tree runs: the caller's, with
+    /// `variable_split` and `redistribute` off.
+    pub fn config(&self) -> &TreeConfig {
         &self.config
     }
 
@@ -434,7 +399,7 @@ impl<K: Key, V: Clone> ConcurrentTree<K, V> {
         mut value: impl FnMut(&E) -> V,
         existing: &mut M,
     ) -> Chunk<V> {
-        if !self.config.pole_enabled {
+        if !self.pole {
             return Chunk::Missed;
         }
         let head = key(&run[0]);
@@ -450,7 +415,7 @@ impl<K: Key, V: Clone> ConcurrentTree<K, V> {
         if !g.covers(head) {
             return Chunk::Missed;
         }
-        let space = self.config.tree.leaf_capacity.saturating_sub(g.len());
+        let space = self.config.leaf_capacity.saturating_sub(g.len());
         let below =
             |bound: Option<K>| bound.map_or(run.len(), |b| run.partition_point(|e| key(e) < b));
         let n = below(fp.bounds().1)
@@ -499,7 +464,7 @@ impl<K: Key, V: Clone> ConcurrentTree<K, V> {
                 return Placed::Merged;
             }
         }
-        if keys.len() >= self.config.tree.leaf_capacity {
+        if keys.len() >= self.config.leaf_capacity {
             return Placed::Full(value);
         }
         quit_core::insert_dense(keys, vals, key, value);
@@ -525,12 +490,9 @@ impl<K: Key, V: Clone> ConcurrentTree<K, V> {
     /// this is *the* leaf regardless of what happened during the descent).
     ///
     /// `Err(value)` returns ownership when the pessimistic path must take
-    /// over: OLC is off, the leaf is full (split required) or the restart
-    /// budget is exhausted.
+    /// over: the leaf is full (split required) or the restart budget is
+    /// exhausted.
     fn insert_olc<M: OnExisting<K, V>>(&self, key: K, value: V, existing: &mut M) -> Result<(), V> {
-        if !self.config.olc_enabled {
-            return Err(value);
-        }
         let mut restarts = 0u32;
         loop {
             if restarts > 0 {
@@ -618,7 +580,7 @@ impl<K: Key, V: Clone> ConcurrentTree<K, V> {
     }
 
     fn node_unsafe_for_insert(&self, n: &CNode<K, V>) -> bool {
-        let cfg = &self.config.tree;
+        let cfg = &self.config;
         let cap = if n.is_leaf() {
             cfg.leaf_capacity
         } else {
@@ -763,7 +725,6 @@ impl<K: Key, V: Clone> ConcurrentTree<K, V> {
         // reservation into the split; size for that plus one insert.
         let pinned = self
             .config
-            .tree
             .leaf_capacity
             .max(keys.len().saturating_sub(cut) + 1);
         let (mut right_keys, mut right_vals) = CNode::leaf_buffers(pinned);
@@ -809,7 +770,7 @@ impl<K: Key, V: Clone> ConcurrentTree<K, V> {
                     let idx = quit_core::upper_bound(keys, sep);
                     keys.insert(idx, sep);
                     children.insert(idx + 1, right);
-                    if keys.len() <= self.config.tree.internal_capacity {
+                    if keys.len() <= self.config.internal_capacity {
                         return; // absorbed; all remaining guards drop
                     }
                     // Split this internal node and keep climbing. Drain
@@ -818,7 +779,7 @@ impl<K: Key, V: Clone> ConcurrentTree<K, V> {
                     let mid = keys.len() / 2;
                     let up = keys[mid];
                     let (mut right_keys, mut right_children) =
-                        CNode::internal_buffers(self.config.tree.internal_capacity);
+                        CNode::internal_buffers(self.config.internal_capacity);
                     right_keys.extend(keys.drain(mid + 1..));
                     keys.pop();
                     right_children.extend(children.drain(mid + 1..));
@@ -841,7 +802,7 @@ impl<K: Key, V: Clone> ConcurrentTree<K, V> {
                         .expect("root pointer lock retained when the whole path splits");
                     let old_root = child_of_root.unwrap_or_else(|| (**rg).clone());
                     let (mut root_keys, mut root_children) =
-                        CNode::internal_buffers(self.config.tree.internal_capacity);
+                        CNode::internal_buffers(self.config.internal_capacity);
                     root_keys.push(sep);
                     root_children.push(old_root);
                     root_children.push(right);
@@ -872,10 +833,10 @@ impl<K: Key, V: Clone> ConcurrentTree<K, V> {
         landed: NodeRef<K, V>,
         (low, high): (Option<K>, Option<K>),
     ) {
-        if !self.config.pole_enabled {
+        if !self.pole {
             return;
         }
-        let cfg = &self.config.tree;
+        let cfg = &self.config;
         let mut fp = self.fp.lock();
         if covered {
             fp.on_covered_insert();
@@ -950,16 +911,12 @@ impl<K: Key, V: Clone> ConcurrentTree<K, V> {
     // Reads
     // ------------------------------------------------------------------
 
-    /// Point lookup: latch-free optimistic descent when OLC is enabled,
-    /// shared-lock crabbing otherwise (and as the fallback).
+    /// Point lookup: latch-free optimistic descent, shared-lock crabbing
+    /// as the fallback.
     pub fn get(&self, key: K) -> Option<V> {
         let t0 = self.metrics.op_timer();
         self.metrics.counters.lookups.bump_shared();
-        let found = if self.config.olc_enabled {
-            self.get_olc(key)
-        } else {
-            self.get_pessimistic(key)
-        };
+        let found = self.get_olc(key);
         self.metrics.record_get_latency(t0);
         found
     }
@@ -999,7 +956,7 @@ impl<K: Key, V: Clone> ConcurrentTree<K, V> {
                     Ok(Routed::Leaf) => {
                         #[cfg(feature = "olc-test-hooks")]
                         crate::test_hooks::leaf_pause();
-                        match olc::leaf_get(node, v, key, self.config.tree.leaf_capacity) {
+                        match olc::leaf_get(node, v, key, self.config.leaf_capacity) {
                             LeafRead::Hit(val) => return Some(val),
                             LeafRead::Miss => return None,
                             LeafRead::NeedsLatch => {
@@ -1030,7 +987,7 @@ impl<K: Key, V: Clone> ConcurrentTree<K, V> {
         }
     }
 
-    /// Shared-lock-crabbing point lookup (OLC off, or optimistic fallback).
+    /// Shared-lock-crabbing point lookup (the optimistic fallback).
     fn get_pessimistic(&self, key: K) -> Option<V> {
         self.leaf_lookup(&self.descend_shared(Target::Key(key)), key)
     }
@@ -1123,12 +1080,9 @@ impl<K: Key, V: Clone> ConcurrentTree<K, V> {
             Bound::Unbounded => Target::Leftmost,
             Bound::Included(s) | Bound::Excluded(s) => Target::Key(s),
         };
-        let olc = if self.config.olc_enabled {
-            self.range_olc(target)
-        } else {
-            None
-        };
-        let leaf = olc.unwrap_or_else(|| self.descend_shared(target));
+        let leaf = self
+            .range_olc(target)
+            .unwrap_or_else(|| self.descend_shared(target));
         let CNode::Leaf { keys, .. } = &*leaf else {
             unreachable!("descent ends at a leaf");
         };
@@ -1583,25 +1537,37 @@ mod tests {
     use std::sync::Arc as StdArc;
 
     #[test]
-    fn embedded_tree_config_describes_what_runs() {
-        // Shared knobs pass through `from_tree` untouched …
+    fn config_describes_what_runs() {
+        // Shared knobs pass through untouched, and the two plans this tree
+        // never executes are off, whichever constructor built it.
         let tree = TreeConfig::small(16).with_reset_threshold(Some(3));
-        let c = ConcConfig::from_tree(tree.clone());
-        assert_eq!(
-            c.tree_config(),
-            &tree.with_variable_split(false).with_redistribute(false)
-        );
-        // … and the two plans this tree never executes are off in every
-        // constructor, on top of the bit-for-bit paper defaults.
-        for c in [ConcConfig::paper_default(), ConcConfig::small(8)] {
-            let t = c.tree_config();
-            assert!(!t.variable_split && !t.redistribute);
-            assert!(c.pole_enabled && c.olc_enabled);
+        let runs = tree
+            .clone()
+            .with_variable_split(false)
+            .with_redistribute(false);
+        let quit: ConcurrentTree<u64, u64> = ConcurrentTree::new(tree.clone());
+        let classic: ConcurrentTree<u64, u64> = ConcurrentTree::classic(tree);
+        assert_eq!(quit.config(), &runs);
+        assert_eq!(classic.config(), &runs);
+        let paper: ConcurrentTree<u64, u64> = ConcurrentTree::new(TreeConfig::paper_default());
+        assert_eq!(paper.config().reset_threshold, Some(22));
+    }
+
+    #[test]
+    fn validate_config_rejects_what_the_tree_cannot_run() {
+        assert!(validate_config(&TreeConfig::paper_default()).is_ok());
+        let paged = TreeConfig::small(8).with_storage(StorageKind::paged(64));
+        let zero_ikr = TreeConfig {
+            ikr_scale: 0.0,
+            ..TreeConfig::small(8)
+        };
+        for (config, names) in [(paged, "StorageKind::Arena"), (zero_ikr, "ikr_scale")] {
+            let e = validate_config(&config).expect_err(names);
+            assert_eq!(e.kind(), "config");
+            assert!(e.to_string().contains(names), "{e}");
+            let built = std::panic::catch_unwind(|| ConcurrentTree::<u64, u64>::new(config));
+            assert!(built.is_err(), "new panics on {names}");
         }
-        assert_eq!(
-            ConcConfig::paper_default().tree_config().reset_threshold,
-            Some(22)
-        );
     }
 
     #[test]
@@ -1614,7 +1580,7 @@ mod tests {
         // every way the fast-insert and reset counts are `BpTree`'s, fed
         // the same keys one insert at a time.
         for way in ["insert", "insert_batch", "upsert"] {
-            let conc: ConcurrentTree<u64, u64> = ConcurrentTree::new(ConcConfig::small(8));
+            let conc: ConcurrentTree<u64, u64> = ConcurrentTree::new(TreeConfig::small(8));
             let mut core: quit_core::BpTree<u64, u64> =
                 quit_core::BpTree::with_config(quit_core::FastPathMode::Pole, TreeConfig::small(8));
             let mut resets_after = |keys: &[u64]| {
@@ -1662,7 +1628,7 @@ mod tests {
         // a split releases its latches, so a chunk may meet metadata that
         // still calls a just-split leaf unbounded above. The leaf's own
         // `high` must cut the chunk, as it rejects a per-key fast insert.
-        let t: ConcurrentTree<u64, u64> = ConcurrentTree::new(ConcConfig::small(8));
+        let t: ConcurrentTree<u64, u64> = ConcurrentTree::new(TreeConfig::small(8));
         for k in (0..40).step_by(2) {
             t.insert(k, k);
         }
@@ -1703,7 +1669,7 @@ mod tests {
             .stack_size(256 << 10)
             .spawn(|| {
                 let entries: Vec<(u64, u64)> = (0..300_000).map(|k| (k, k)).collect();
-                let t = ConcurrentTree::bulk_load(ConcConfig::small(3), entries);
+                let t = ConcurrentTree::bulk_load(TreeConfig::small(3), entries);
                 let first = first_leaf(&t);
                 t.fp.lock().repoint(first, None, Some(3), None);
                 drop(t);
@@ -1728,10 +1694,14 @@ mod tests {
         // A scrambled permutation: poℓe hits, optimistic descents and
         // crabbing splits all occur.
         let keys: Vec<u64> = (0..307u64).map(|i| (i * 37) % 307).collect();
-        for (pole, olc) in [(true, true), (false, true), (true, false), (false, false)] {
-            let config = ConcConfig::small(8).with_pole(pole).with_olc(olc);
-            let t: ConcurrentTree<u64, u64> = ConcurrentTree::new(config.clone());
-            let plain: ConcurrentTree<u64, u64> = ConcurrentTree::new(config);
+        for pole in [true, false] {
+            let build = if pole {
+                ConcurrentTree::new
+            } else {
+                ConcurrentTree::classic
+            };
+            let t: ConcurrentTree<u64, u64> = build(TreeConfig::small(8));
+            let plain: ConcurrentTree<u64, u64> = build(TreeConfig::small(8));
             for &k in &keys {
                 assert!(!t.upsert(k, k, |_, _| unreachable!("key {k} is new")));
                 plain.insert(k, k);
@@ -1753,7 +1723,7 @@ mod tests {
                 assert_eq!(ran, 1);
                 assert_eq!(t.get(k), Some(k + 1_000));
             }
-            assert_eq!(counters(&t), before, "pole {pole} olc {olc}");
+            assert_eq!(counters(&t), before, "pole {pole}");
             t.check_consistency().unwrap();
             assert_eq!(t.collect_all().len(), keys.len());
         }
@@ -1761,7 +1731,7 @@ mod tests {
 
     #[test]
     fn single_threaded_roundtrip() {
-        let t: ConcurrentTree<u64, u64> = ConcurrentTree::new(ConcConfig::small(8));
+        let t: ConcurrentTree<u64, u64> = ConcurrentTree::new(TreeConfig::small(8));
         for k in 0..2000u64 {
             t.insert(k, k * 2);
         }
@@ -1777,7 +1747,7 @@ mod tests {
 
     #[test]
     fn sorted_ingest_uses_fast_path() {
-        let t: ConcurrentTree<u64, u64> = ConcurrentTree::new(ConcConfig::small(8));
+        let t: ConcurrentTree<u64, u64> = ConcurrentTree::new(TreeConfig::small(8));
         for k in 0..1000u64 {
             t.insert(k, k);
         }
@@ -1788,8 +1758,7 @@ mod tests {
 
     #[test]
     fn classic_mode_never_fast_inserts() {
-        let t: ConcurrentTree<u64, u64> =
-            ConcurrentTree::new(ConcConfig::small(8).with_pole(false));
+        let t: ConcurrentTree<u64, u64> = ConcurrentTree::classic(TreeConfig::small(8));
         for k in 0..500u64 {
             t.insert(k, k);
         }
@@ -1798,7 +1767,7 @@ mod tests {
 
     #[test]
     fn range_scan_matches() {
-        let t: ConcurrentTree<u64, u64> = ConcurrentTree::new(ConcConfig::small(8));
+        let t: ConcurrentTree<u64, u64> = ConcurrentTree::new(TreeConfig::small(8));
         for k in 0..500u64 {
             t.insert(k, k);
         }
@@ -1817,7 +1786,7 @@ mod tests {
     #[test]
     fn concurrent_disjoint_inserts() {
         let t: StdArc<ConcurrentTree<u64, u64>> =
-            StdArc::new(ConcurrentTree::new(ConcConfig::small(16)));
+            StdArc::new(ConcurrentTree::new(TreeConfig::small(16)));
         let threads = 8;
         let per = 2_000u64;
         let handles: Vec<_> = (0..threads)
@@ -1847,7 +1816,7 @@ mod tests {
     fn concurrent_interleaved_inserts_same_range() {
         use rand::prelude::*;
         let t: StdArc<ConcurrentTree<u64, u64>> =
-            StdArc::new(ConcurrentTree::new(ConcConfig::small(8)));
+            StdArc::new(ConcurrentTree::new(TreeConfig::small(8)));
         let threads = 8;
         let per = 1500usize;
         let handles: Vec<_> = (0..threads)
@@ -1874,7 +1843,7 @@ mod tests {
     #[test]
     fn concurrent_readers_and_writers() {
         let t: StdArc<ConcurrentTree<u64, u64>> =
-            StdArc::new(ConcurrentTree::new(ConcConfig::small(8)));
+            StdArc::new(ConcurrentTree::new(TreeConfig::small(8)));
         for k in 0..1000u64 {
             t.insert(k, k);
         }
@@ -1924,7 +1893,7 @@ mod tests {
 
     #[test]
     fn delete_roundtrip_single_threaded() {
-        let t: ConcurrentTree<u64, u64> = ConcurrentTree::new(ConcConfig::small(8));
+        let t: ConcurrentTree<u64, u64> = ConcurrentTree::new(TreeConfig::small(8));
         for k in 0..1000u64 {
             t.insert(k, k * 3);
         }
@@ -1944,7 +1913,7 @@ mod tests {
     #[test]
     fn concurrent_deletes_and_inserts() {
         let t: StdArc<ConcurrentTree<u64, u64>> =
-            StdArc::new(ConcurrentTree::new(ConcConfig::small(8)));
+            StdArc::new(ConcurrentTree::new(TreeConfig::small(8)));
         for k in 0..10_000u64 {
             t.insert(k, k);
         }
@@ -1978,7 +1947,7 @@ mod tests {
 
     #[test]
     fn fast_path_keeps_working_after_deletes() {
-        let t: ConcurrentTree<u64, u64> = ConcurrentTree::new(ConcConfig::small(8));
+        let t: ConcurrentTree<u64, u64> = ConcurrentTree::new(TreeConfig::small(8));
         for k in 0..2_000u64 {
             t.insert(k, k);
         }
@@ -1996,52 +1965,13 @@ mod tests {
     }
 
     #[test]
-    fn olc_and_pessimistic_modes_agree() {
-        use rand::prelude::*;
-        let mut rng = StdRng::seed_from_u64(0x01C0_FFEE);
-        let ops: Vec<(u64, u64)> = (0..4000)
-            .map(|_| (rng.gen_range(0..2_000u64), rng.next_u64()))
-            .collect();
-        let results: Vec<_> = [true, false]
-            .into_iter()
-            .map(|olc| {
-                let t: ConcurrentTree<u64, u64> =
-                    ConcurrentTree::new(ConcConfig::small(8).with_olc(olc));
-                for &(k, v) in &ops {
-                    t.insert(k, v);
-                    if k % 3 == 0 {
-                        t.delete(k / 2);
-                    }
-                }
-                for k in (0..2_000).step_by(17) {
-                    let _ = t.get(k);
-                }
-                (t.len(), t.collect_all(), t.range(100..900).count())
-            })
-            .collect();
-        assert_eq!(results[0], results[1]);
-    }
-
-    #[test]
-    fn olc_counters_stay_zero_when_disabled() {
-        let t: ConcurrentTree<u64, u64> = ConcurrentTree::new(ConcConfig::small(8).with_olc(false));
-        for k in 0..2_000u64 {
-            t.insert(k, k);
-            let _ = t.get(k / 2);
-        }
-        let _ = t.range(..).count();
-        assert_eq!(t.stats().olc_restarts.get(), 0);
-        assert_eq!(t.stats().olc_fallbacks.get(), 0);
-    }
-
-    #[test]
     fn olc_restarts_then_falls_back_under_forced_contention() {
         // Hold the root *node* write-locked: every optimistic descent fails
         // at its first version read, so one get must count exactly
         // budget + 1 restarts, then one fallback, then complete on the
         // pessimistic path once the lock is released.
         let budget = OLC_MAX_RESTARTS;
-        let t: ConcurrentTree<u64, u64> = ConcurrentTree::new(ConcConfig::small(8));
+        let t: ConcurrentTree<u64, u64> = ConcurrentTree::new(TreeConfig::small(8));
         for k in 0..100u64 {
             t.insert(k, k * 2);
         }
@@ -2063,13 +1993,37 @@ mod tests {
     }
 
     #[test]
+    fn olc_range_falls_back_and_scans_exactly_the_model() {
+        // Same forced-contention scheme for the scan's start descent: the
+        // optimistic descent exhausts its budget, and the scan then starts
+        // from the shared-latch crabbing descent once the lock is released.
+        let budget = OLC_MAX_RESTARTS;
+        let t: ConcurrentTree<u64, u64> = ConcurrentTree::new(TreeConfig::small(8));
+        for k in 0..100u64 {
+            t.insert(k, k * 3);
+        }
+        let model: Vec<(u64, u64)> = (20..60u64).map(|k| (k, k * 3)).collect();
+        let root = t.root.read().clone();
+        let g = RwLock::write_arc(&root);
+        std::thread::scope(|s| {
+            let h = s.spawn(|| t.range(20..60).collect::<Vec<_>>());
+            while t.stats().olc_fallbacks.get() == 0 {
+                std::thread::yield_now();
+            }
+            drop(g);
+            assert_eq!(h.join().unwrap(), model);
+        });
+        assert_eq!(t.stats().olc_fallbacks.get(), 1);
+        assert_eq!(t.stats().olc_restarts.get(), u64::from(budget) + 1);
+    }
+
+    #[test]
     fn olc_insert_falls_back_and_key_lands_once() {
         // Same forced-contention scheme for the insert descent: the
         // optimistic insert exhausts its budget, hands the value back, and
         // the pessimistic crabbing path inserts it exactly once.
         let budget = OLC_MAX_RESTARTS;
-        let t: ConcurrentTree<u64, u64> =
-            ConcurrentTree::new(ConcConfig::small(8).with_pole(false));
+        let t: ConcurrentTree<u64, u64> = ConcurrentTree::classic(TreeConfig::small(8));
         for k in 0..100u64 {
             t.insert(k, k);
         }
@@ -2096,7 +2050,7 @@ mod tests {
         // A leaf full of one repeated key cannot split and absorbs the
         // overflow past its pinned buffer reservation; optimistic gets
         // must detect the oversize leaf and fall back to a latched read.
-        let t: ConcurrentTree<u64, u64> = ConcurrentTree::new(ConcConfig::small(4));
+        let t: ConcurrentTree<u64, u64> = ConcurrentTree::new(TreeConfig::small(4));
         for i in 0..12u64 {
             t.insert(7, i);
         }
@@ -2143,7 +2097,7 @@ mod tests {
         assert!(matches!(olc::leaf_get(&plain, v, 1, 8), LeafRead::Hit(10)));
         // The tree-level API serves heap-owning values correctly through
         // the latched fallback.
-        let t: ConcurrentTree<u64, String> = ConcurrentTree::new(ConcConfig::small(8));
+        let t: ConcurrentTree<u64, String> = ConcurrentTree::new(TreeConfig::small(8));
         for k in 0..500u64 {
             t.insert(k, format!("value-{k}"));
         }
@@ -2158,7 +2112,7 @@ mod tests {
         // gate, a get could clone a validated byte snapshot whose backing
         // String a delete had just freed.
         let t: StdArc<ConcurrentTree<u64, String>> =
-            StdArc::new(ConcurrentTree::new(ConcConfig::small(8)));
+            StdArc::new(ConcurrentTree::new(TreeConfig::small(8)));
         let n = 4_000u64;
         for k in 0..n {
             t.insert(k, format!("value-{k}"));
@@ -2193,7 +2147,7 @@ mod tests {
     fn near_sorted_concurrent_stream() {
         let keys = bods::BodsSpec::new(20_000, 0.05, 1.0).generate();
         let t: StdArc<ConcurrentTree<u64, u64>> =
-            StdArc::new(ConcurrentTree::new(ConcConfig::paper_default()));
+            StdArc::new(ConcurrentTree::new(TreeConfig::paper_default()));
         let chunk = keys.len() / 4;
         let handles: Vec<_> = keys
             .chunks(chunk)

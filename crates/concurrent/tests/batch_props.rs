@@ -2,7 +2,7 @@
 //! against the per-key path it replaces:
 //!
 //! - `insert_batch` against a twin tree fed the same entries one `insert`
-//!   at a time, over every geometry × OLC × poℓe combination;
+//!   at a time, over every geometry, with and without the poℓe;
 //! - `bulk_load` of sorted input with long duplicate runs, then mixed
 //!   inserts and deletes, against a multiset model;
 //! - `MvccTree::apply_batch` against per-key `MvccTree::apply`;
@@ -11,7 +11,7 @@
 //!
 //! Every case derives from a printed seed, so a failure replays exactly.
 
-use quit_concurrent::{ConcConfig, ConcurrentTree, MvccTree};
+use quit_concurrent::{ConcurrentTree, MvccTree};
 use quit_core::{MetricsLevel, TreeConfig};
 use rand::prelude::*;
 use std::collections::BTreeMap;
@@ -63,16 +63,20 @@ fn batch(rng: &mut StdRng, cap: usize, next_value: &mut u64) -> Vec<(u64, u64)> 
 
 #[test]
 fn insert_batch_matches_a_per_key_twin() {
-    let base_seed: u64 = 0xBA7C_4000;
+    let base_seed: u64 = 0xBA7C_4001;
     println!("seed {base_seed:#x}");
     for (g, tree) in geometries().into_iter().enumerate() {
-        for (pole, olc) in [(true, true), (true, false), (false, true), (false, false)] {
-            let seed = base_seed ^ (g as u64) << 8 ^ u64::from(pole) << 4 ^ u64::from(olc);
+        for pole in [true, false] {
+            let seed = base_seed ^ (g as u64) << 8 ^ u64::from(pole) << 4;
             let mut rng = StdRng::seed_from_u64(seed);
             let timed = tree.clone().with_metrics_level(MetricsLevel::Histograms);
-            let config = ConcConfig::from_tree(timed).with_pole(pole).with_olc(olc);
-            let batched: ConcurrentTree<u64, u64> = ConcurrentTree::new(config.clone());
-            let per_key: ConcurrentTree<u64, u64> = ConcurrentTree::new(config);
+            let build = if pole {
+                ConcurrentTree::new
+            } else {
+                ConcurrentTree::classic
+            };
+            let batched: ConcurrentTree<u64, u64> = build(timed.clone());
+            let per_key: ConcurrentTree<u64, u64> = build(timed);
             let mut value = 0;
             let mut n = 0;
             for round in 0..12 {
@@ -83,7 +87,7 @@ fn insert_batch_matches_a_per_key_twin() {
                     per_key.insert(k, v);
                 }
                 let what = format!(
-                    "seed {seed:#x} round {round} cap {} pole {pole} olc {olc}",
+                    "seed {seed:#x} round {round} cap {} pole {pole}",
                     tree.leaf_capacity
                 );
                 batched
@@ -128,8 +132,7 @@ fn upsert_batch_merges_like_per_key_upserts() {
     let seed = 0x0B5E_4700_u64;
     let mut rng = StdRng::seed_from_u64(seed);
     for tree in geometries() {
-        let config =
-            ConcConfig::from_tree(tree.clone().with_metrics_level(MetricsLevel::Histograms));
+        let config = tree.clone().with_metrics_level(MetricsLevel::Histograms);
         let batched: ConcurrentTree<u64, u64> = ConcurrentTree::new(config.clone());
         let per_key: ConcurrentTree<u64, u64> = ConcurrentTree::new(config);
         let mut value = 0;
@@ -210,7 +213,7 @@ fn bulk_load_packs_leaves_and_keeps_working() {
             *model.entry(k).or_default() += 1;
         }
         let tree = TreeConfig::small(cap);
-        let t = ConcurrentTree::bulk_load(ConcConfig::from_tree(tree), entries.clone());
+        let t = ConcurrentTree::bulk_load(tree, entries.clone());
         t.check_consistency()
             .unwrap_or_else(|e| panic!("{what}: {e}"));
         assert!(t.collect_all() == entries, "{what}: contents");
@@ -267,7 +270,7 @@ fn apply_batch_matches_per_key_apply() {
     for cap in [3usize, 8] {
         let seed = base_seed ^ (cap as u64) << 8;
         let mut rng = StdRng::seed_from_u64(seed);
-        let config = ConcConfig::small(cap);
+        let config = TreeConfig::small(cap);
         let batched: MvccTree<u64, u64> = MvccTree::new(config.clone());
         let per_key: MvccTree<u64, u64> = MvccTree::new(config);
         // Keys at or past `written` are only ever deleted: tombstones of
@@ -336,64 +339,60 @@ fn apply_batch_matches_per_key_apply() {
 
 #[test]
 fn get_sorted_matches_per_key_get_under_concurrent_inserts() {
-    let base_seed = 0x5047_ED00u64;
+    let base_seed = 0x5047_ED01u64;
     println!("seed {base_seed:#x}");
     for (g, tree) in geometries().into_iter().enumerate() {
-        for olc in [true, false] {
-            let seed = base_seed ^ (g as u64) << 8 ^ u64::from(olc);
-            let mut rng = StdRng::seed_from_u64(seed);
-            let t: ConcurrentTree<u64, u64> =
-                ConcurrentTree::new(ConcConfig::from_tree(tree.clone()).with_olc(olc));
-            // The probes read even keys, about half of them present; the
-            // second thread inserts odd keys only, so every probe's answer
-            // is fixed while the leaves holding it split and move.
-            for k in (0..4_000u64).step_by(2) {
-                if rng.gen_bool(0.5) {
-                    t.insert(k, k + 1);
-                }
+        let seed = base_seed ^ (g as u64) << 8;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let t: ConcurrentTree<u64, u64> = ConcurrentTree::new(tree);
+        // The probes read even keys, about half of them present; the
+        // second thread inserts odd keys only, so every probe's answer
+        // is fixed while the leaves holding it split and move.
+        for k in (0..4_000u64).step_by(2) {
+            if rng.gen_bool(0.5) {
+                t.insert(k, k + 1);
             }
-            let done = AtomicBool::new(false);
-            std::thread::scope(|s| {
-                s.spawn(|| {
-                    let mut rng = StdRng::seed_from_u64(seed ^ 1);
-                    for _ in 0..20_000 {
-                        if done.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        t.insert(2 * rng.gen_range(0..2_100u64) + 1, 0);
-                    }
-                });
-                for round in 0..150 {
-                    let len = rng.gen_range(1..300);
-                    let mut probe: Vec<u64> =
-                        (0..len).map(|_| 2 * rng.gen_range(0..2_100u64)).collect();
-                    // Mostly ascending, as a commit's write set is; every
-                    // fourth round out of order, which must still answer.
-                    if round % 4 != 3 {
-                        probe.sort_unstable();
-                    }
-                    let mut seen = Vec::new();
-                    let stopped = t.get_sorted(probe.iter().copied(), |k, v| {
-                        seen.push((k, v.copied()));
-                        ControlFlow::<()>::Continue(())
-                    });
-                    let want: Vec<(u64, Option<u64>)> =
-                        probe.iter().map(|&k| (k, t.get(k))).collect();
-                    let what = format!("seed {seed:#x} round {round}");
-                    assert!(stopped.is_none(), "{what}");
-                    assert_eq!(seen, want, "{what}");
-                    // A `Break` ends the visit with its value.
-                    let first_present = want.iter().find_map(|&(k, v)| v.map(|_| k));
-                    let found = t.get_sorted(probe.iter().copied(), |k, v| match v {
-                        Some(_) => ControlFlow::Break(k),
-                        None => ControlFlow::Continue(()),
-                    });
-                    assert_eq!(found, first_present, "{what}");
-                }
-                done.store(true, Ordering::Relaxed);
-            });
-            t.check_consistency()
-                .unwrap_or_else(|e| panic!("seed {seed:#x}: {e}"));
         }
+        let done = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let mut rng = StdRng::seed_from_u64(seed ^ 1);
+                for _ in 0..20_000 {
+                    if done.load(Ordering::Relaxed) {
+                        break;
+                    }
+                    t.insert(2 * rng.gen_range(0..2_100u64) + 1, 0);
+                }
+            });
+            for round in 0..150 {
+                let len = rng.gen_range(1..300);
+                let mut probe: Vec<u64> =
+                    (0..len).map(|_| 2 * rng.gen_range(0..2_100u64)).collect();
+                // Mostly ascending, as a commit's write set is; every
+                // fourth round out of order, which must still answer.
+                if round % 4 != 3 {
+                    probe.sort_unstable();
+                }
+                let mut seen = Vec::new();
+                let stopped = t.get_sorted(probe.iter().copied(), |k, v| {
+                    seen.push((k, v.copied()));
+                    ControlFlow::<()>::Continue(())
+                });
+                let want: Vec<(u64, Option<u64>)> = probe.iter().map(|&k| (k, t.get(k))).collect();
+                let what = format!("seed {seed:#x} round {round}");
+                assert!(stopped.is_none(), "{what}");
+                assert_eq!(seen, want, "{what}");
+                // A `Break` ends the visit with its value.
+                let first_present = want.iter().find_map(|&(k, v)| v.map(|_| k));
+                let found = t.get_sorted(probe.iter().copied(), |k, v| match v {
+                    Some(_) => ControlFlow::Break(k),
+                    None => ControlFlow::Continue(()),
+                });
+                assert_eq!(found, first_present, "{what}");
+            }
+            done.store(true, Ordering::Relaxed);
+        });
+        t.check_consistency()
+            .unwrap_or_else(|e| panic!("seed {seed:#x}: {e}"));
     }
 }

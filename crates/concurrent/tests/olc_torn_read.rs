@@ -9,7 +9,7 @@
 //! broken it would instead return a value read from a half-moved leaf.
 #![cfg(feature = "olc-test-hooks")]
 
-use quit_concurrent::{test_hooks, ConcConfig, ConcurrentTree};
+use quit_concurrent::{test_hooks, ConcurrentTree, TreeConfig};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier, Mutex, MutexGuard, OnceLock};
 
@@ -86,7 +86,7 @@ fn pinned_reader_sees_an_in_place_overwrite_whole() {
     // value of the other.
     let _serial = hook_lock();
     type Slot = (u64, Option<u64>);
-    let tree: ConcurrentTree<u64, Slot> = ConcurrentTree::new(ConcConfig::small(8));
+    let tree: ConcurrentTree<u64, Slot> = ConcurrentTree::new(TreeConfig::small(8));
     for k in (0..64u64).map(|i| (i * 37) % 64) {
         tree.insert(k, (1, Some(k)));
     }
@@ -109,7 +109,7 @@ fn pinned_reader_sees_an_in_place_overwrite_whole() {
 #[test]
 fn pinned_reader_survives_leaf_split() {
     let _serial = hook_lock();
-    let tree: ConcurrentTree<u64, u64> = ConcurrentTree::new(ConcConfig::small(4));
+    let tree: ConcurrentTree<u64, u64> = ConcurrentTree::new(TreeConfig::small(4));
     for k in [0u64, 2, 4] {
         tree.insert(k, k * 10);
     }
@@ -142,7 +142,7 @@ fn pinned_insert_re_descends_when_its_leaf_splits_before_the_latch() {
     // no longer cover the key: the insert must re-descend, never place the
     // key in the left half.
     let _serial = hook_lock();
-    let tree: ConcurrentTree<u64, u64> = ConcurrentTree::new(ConcConfig::small(4).with_pole(false));
+    let tree: ConcurrentTree<u64, u64> = ConcurrentTree::classic(TreeConfig::small(4));
     for k in [0u64, 2, 4] {
         tree.insert(k, k);
     }
@@ -167,7 +167,7 @@ fn pinned_insert_re_descends_when_its_leaf_splits_before_the_latch() {
 #[test]
 fn unpaused_lookups_are_unaffected_by_an_installed_then_cleared_hook() {
     let _serial = hook_lock();
-    let tree: ConcurrentTree<u64, u64> = ConcurrentTree::new(ConcConfig::small(4));
+    let tree: ConcurrentTree<u64, u64> = ConcurrentTree::new(TreeConfig::small(4));
     test_hooks::set_leaf_pause(|| {});
     for k in 0..64u64 {
         tree.insert(k, k + 1);
@@ -182,7 +182,7 @@ fn unpaused_lookups_are_unaffected_by_an_installed_then_cleared_hook() {
 /// in `keys` — more than 16 of them, so its point lookups take the
 /// key-guided search rather than the short-leaf ladder.
 fn guided_leaf(cap: usize, keys: impl IntoIterator<Item = u64>) -> ConcurrentTree<u64, u64> {
-    let tree = ConcurrentTree::new(ConcConfig::small(cap));
+    let tree = ConcurrentTree::new(TreeConfig::small(cap));
     for k in keys {
         tree.insert(k, k * 10);
     }

@@ -1,6 +1,7 @@
 //! Tree configuration: node geometry, IKR tuning, the QuIT feature set,
 //! and the telemetry level.
 
+use crate::error::{Error, Result};
 use crate::metrics::MetricsLevel;
 
 /// Where a tree's nodes live: the in-memory slab arena (default, the
@@ -172,21 +173,32 @@ impl TreeConfig {
         self
     }
 
-    /// Panics if the configuration is internally inconsistent.
-    pub fn assert_valid(&self) {
-        assert!(self.leaf_capacity >= 2, "leaf capacity must be >= 2");
-        assert!(
+    /// Checks that the configuration is internally consistent: a `config`
+    /// error names the first field that is not.
+    pub fn validate(&self) -> Result<()> {
+        let ensure = |ok: bool, msg: &str| if ok { Ok(()) } else { Err(Error::config(msg)) };
+        ensure(self.leaf_capacity >= 2, "leaf_capacity must be >= 2")?;
+        ensure(
             self.internal_capacity >= 3,
-            "internal capacity must be >= 3"
-        );
-        assert!(self.ikr_scale > 0.0, "IKR scale must be positive");
+            "internal_capacity must be >= 3",
+        )?;
+        ensure(self.ikr_scale > 0.0, "ikr_scale must be positive")?;
         if let StorageKind::Paged {
             pool_pages,
             page_size,
         } = self.storage
         {
-            assert!(pool_pages >= 2, "paged storage needs pool_pages >= 2");
-            assert!(page_size >= 64, "paged storage needs page_size >= 64");
+            ensure(pool_pages >= 2, "storage: pool_pages must be >= 2")?;
+            ensure(page_size >= 64, "storage: page_size must be >= 64")?;
+        }
+        Ok(())
+    }
+
+    /// Panics with [`validate`](Self::validate)'s message if the
+    /// configuration is internally inconsistent.
+    pub fn assert_valid(&self) {
+        if let Err(e) = self.validate() {
+            panic!("{e}");
         }
     }
 }
@@ -296,6 +308,49 @@ mod tests {
             }
         );
         c.assert_valid();
+    }
+
+    #[test]
+    fn validate_names_the_field() {
+        assert!(TreeConfig::small(8).validate().is_ok());
+        for (config, field) in [
+            (
+                TreeConfig {
+                    ikr_scale: 0.0,
+                    ..TreeConfig::small(8)
+                },
+                "ikr_scale",
+            ),
+            (
+                TreeConfig {
+                    ikr_scale: f64::NAN,
+                    ..TreeConfig::small(8)
+                },
+                "ikr_scale",
+            ),
+            (
+                TreeConfig {
+                    leaf_capacity: 1,
+                    ..TreeConfig::small(8)
+                },
+                "leaf_capacity",
+            ),
+            (
+                TreeConfig {
+                    internal_capacity: 2,
+                    ..TreeConfig::small(8)
+                },
+                "internal_capacity",
+            ),
+            (
+                TreeConfig::small(8).with_storage(StorageKind::paged(1)),
+                "pool_pages",
+            ),
+        ] {
+            let e = config.validate().expect_err(field);
+            assert_eq!(e.kind(), "config");
+            assert!(e.to_string().contains(field), "{e} names {field}");
+        }
     }
 
     #[test]

@@ -35,9 +35,9 @@ use crate::psnap::{
 };
 use crate::snapshot::{load_best_snapshot, snapshot_candidates};
 use crate::storage::Storage;
-use crate::wal::{scan_wal, Lsn, Wal, WalTuning};
+use crate::wal::{scan_wal, Lsn, Wal};
 use crate::WalOp;
-use quit_concurrent::{ConcConfig, ConcurrentTree};
+use quit_concurrent::ConcurrentTree;
 use quit_core::{
     stripe_of, BpTree, Error, FastPathMode, Key, Result, SortedIndex, StatsSnapshot, StorageKind,
     TreeConfig,
@@ -70,8 +70,9 @@ pub enum DurabilityLevel {
 }
 
 /// Configuration for [`Durable`], following the workspace's config-knob
-/// idiom (`TreeConfig`/`ConcConfig`): constructors for the common cases,
-/// `with_*` builders for the rest.
+/// idiom (`TreeConfig`): constructors for the common cases, `with_*`
+/// builders for the rest. The two sizes are the WAL's own: segment
+/// rotation and append buffering.
 #[derive(Clone, Copy, Debug)]
 pub struct DurabilityConfig {
     /// Durability bought per mutation.
@@ -145,13 +146,6 @@ impl DurabilityConfig {
         self.prune_on_checkpoint = prune;
         self
     }
-
-    pub(crate) fn tuning(&self) -> WalTuning {
-        WalTuning {
-            segment_bytes: self.segment_bytes,
-            buffer_bytes: self.wal_buffer_bytes,
-        }
-    }
 }
 
 /// What [`Durable::open`] recovered, for logging and test assertions.
@@ -199,7 +193,7 @@ pub(crate) struct LoadedSnapshot<T> {
 /// `recovery_latency` histogram and the report.
 pub(crate) fn recover<K, V, T>(
     storage: Arc<dyn Storage>,
-    tuning: WalTuning,
+    config: &DurabilityConfig,
     load: impl FnOnce(&dyn Storage) -> Result<LoadedSnapshot<T>>,
     replay: impl FnOnce(&mut T, Vec<(Lsn, Logged<K, V>)>) -> Result<usize>,
 ) -> Result<(T, Wal, RecoveryReport)>
@@ -213,7 +207,7 @@ where
     let tail_records = replay(&mut snap.state, scan.tail)?;
     let wal = Wal::resume(
         storage,
-        tuning,
+        config,
         scan.resume_generation,
         scan.resume_seq,
         scan.last_lsn + 1,
@@ -316,7 +310,7 @@ impl<T> Durable<T> {
                 state: build(entries),
             })
         };
-        let (inner, wal, report) = recover(storage, config.tuning(), load, apply_tail)?;
+        let (inner, wal, report) = recover(storage, &config, load, apply_tail)?;
         Ok((Self::assemble(inner, wal, config), report))
     }
 
@@ -333,13 +327,6 @@ impl<T> Durable<T> {
     /// `ConcurrentTree`'s `&self` API).
     pub fn inner(&self) -> &T {
         &self.inner
-    }
-
-    /// The wrapped index, mutably (bypasses logging — mutations made here
-    /// are *not* durable; meant for inspection helpers like
-    /// `check_invariants`).
-    pub fn inner_mut(&mut self) -> &mut T {
-        &mut self.inner
     }
 
     /// Unwraps the index, dropping the WAL handle.
@@ -521,7 +508,7 @@ where
                 state: BpTree::with_config(mode, tree_config.clone()),
             })
         };
-        let (inner, wal, report) = recover(storage, config.tuning(), load, apply_tail)?;
+        let (inner, wal, report) = recover(storage, &config, load, apply_tail)?;
         Ok((Self::assemble(inner, wal, config), report))
     }
 
@@ -714,7 +701,7 @@ pub fn bptree_builder<K: Key, V: Clone + 'static>(
 /// [`ConcurrentTree::bulk_load`], its leaves packed full like
 /// [`bptree_builder`]'s.
 pub fn concurrent_builder<K: Key, V: Clone>(
-    config: ConcConfig,
+    config: TreeConfig,
 ) -> impl FnOnce(Vec<(K, V)>) -> ConcurrentTree<K, V> {
     move |entries| ConcurrentTree::bulk_load(config, entries)
 }
@@ -903,7 +890,7 @@ mod tests {
         assert_eq!(d2.get(7), None);
         assert_eq!(d2.get(599), Some(1797));
         assert!(d2.inner().is_paged());
-        d2.inner_mut().check_invariants().unwrap();
+        d2.inner().check_invariants().unwrap();
     }
 
     #[test]
@@ -999,7 +986,7 @@ mod tests {
         let (d, _) = Durable::open(
             storage.clone() as Arc<dyn Storage>,
             DurabilityConfig::group_commit(),
-            concurrent_builder::<u64, u64>(ConcConfig::small(32)),
+            concurrent_builder::<u64, u64>(TreeConfig::small(32)),
         )
         .unwrap();
         let d = Arc::new(d);
@@ -1019,7 +1006,7 @@ mod tests {
         let (d2, report) = Durable::open(
             crashed as Arc<dyn Storage>,
             DurabilityConfig::group_commit(),
-            concurrent_builder::<u64, u64>(ConcConfig::small(32)),
+            concurrent_builder::<u64, u64>(TreeConfig::small(32)),
         )
         .unwrap();
         assert_eq!(report.recovered_lsn, 800, "every acked insert is durable");
@@ -1074,7 +1061,7 @@ mod tests {
         let (d, _) = Durable::open(
             storage.clone() as Arc<dyn Storage>,
             DurabilityConfig::group_commit().with_wal_buffer_bytes(0),
-            concurrent_builder::<u64, u64>(ConcConfig::small(8)),
+            concurrent_builder::<u64, u64>(TreeConfig::small(8)),
         )
         .unwrap();
         d.insert_shared(1, 1);

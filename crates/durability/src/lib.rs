@@ -75,4 +75,4 @@ pub use frame::{WalCodec, WalOp};
 pub use quit_core::{crc32, Error, Result};
 pub use storage::{FsStorage, MemStorage, Storage};
 pub use txn::{Txn, TxnConfig, TxnStats, TxnStore};
-pub use wal::{Lsn, Wal, WalTuning};
+pub use wal::{Lsn, Wal};

@@ -1,6 +1,12 @@
 //! [`TxnStore`]: snapshot-isolation transactions over an
 //! [`MvccTree`], committed through the group-commit WAL.
 //!
+//! [`TxnConfig`] carries the tree's [`TreeConfig`] (the same type every
+//! tree in the workspace takes; the version tree always runs the poℓe
+//! fast path) and the WAL's sizes in its [`DurabilityConfig`].
+//! [`TxnStore::open`] returns a `config` error for a tree config the
+//! concurrent tree cannot run, before it reads anything.
+//!
 //! # Protocol
 //!
 //! *Begin* takes a snapshot timestamp from the [oracle](TsOracle
@@ -68,9 +74,9 @@ use crate::snapshot::load_best_snapshot;
 use crate::storage::Storage;
 use crate::wal::{Lsn, Wal};
 use crate::WalOp;
-use quit_concurrent::{ConcConfig, MvccTree};
+use quit_concurrent::MvccTree;
 use quit_core::mutation::{self, Mutation};
-use quit_core::{Error, Key, Result, StatsSnapshot};
+use quit_core::{Error, Key, Result, StatsSnapshot, TreeConfig};
 use std::collections::BTreeMap;
 use std::ops::{Bound, RangeBounds};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -163,8 +169,10 @@ impl<V: WalCodec> WalCodec for Stamped<V> {
 /// knobs, and the GC cadence.
 #[derive(Clone, Debug)]
 pub struct TxnConfig {
-    /// Inner [`MvccTree`] configuration (geometry, poℓe, OLC).
-    pub tree: ConcConfig,
+    /// Inner [`MvccTree`] configuration: geometry, IKR scale, reset
+    /// threshold and metrics level. Storage must be
+    /// [`StorageKind::Arena`](quit_core::StorageKind::Arena).
+    pub tree: TreeConfig,
     /// WAL / snapshot / group-commit knobs.
     pub durability: DurabilityConfig,
     /// Run the version GC once commits have superseded this many
@@ -177,7 +185,7 @@ pub struct TxnConfig {
 impl Default for TxnConfig {
     fn default() -> Self {
         TxnConfig {
-            tree: ConcConfig::paper_default(),
+            tree: TreeConfig::paper_default(),
             durability: DurabilityConfig::group_commit(),
             gc_every: 256,
         }
@@ -186,7 +194,7 @@ impl Default for TxnConfig {
 
 impl TxnConfig {
     /// Builder-style override of the tree configuration.
-    pub fn with_tree(mut self, tree: ConcConfig) -> Self {
+    pub fn with_tree(mut self, tree: TreeConfig) -> Self {
         self.tree = tree;
         self
     }
@@ -274,17 +282,12 @@ where
     /// A transactional directory holds only `Commit` records: a plain
     /// `Insert`/`Delete` record or a logged batch in the tail means the log
     /// was written by a non-transactional [`crate::Durable`], and the open
-    /// is rejected with a `wal` error naming the record's (first) LSN.
+    /// is rejected with a `wal` error naming the record's (first) LSN. A
+    /// tree config the concurrent tree cannot run (see
+    /// [`quit_concurrent::validate_config`]) is rejected with a `config`
+    /// error before anything is read.
     pub fn open(storage: Arc<dyn Storage>, config: TxnConfig) -> Result<(Self, RecoveryReport)> {
-        if !matches!(
-            config.tree.tree_config().storage,
-            quit_core::StorageKind::Arena
-        ) {
-            return Err(quit_core::Error::config(
-                "the concurrent transactional tree supports only StorageKind::Arena; \
-                 for paged storage use Durable::open_paged",
-            ));
-        }
+        quit_concurrent::validate_config(&config.tree)?;
         let load = |storage: &dyn Storage| {
             let ((generation, lsn, entries), rejected) =
                 load_best_snapshot::<K, Stamped<V>>(storage)?;
@@ -322,8 +325,7 @@ where
             }
             Ok(applied)
         };
-        let tuning = config.durability.tuning();
-        let (recovered, wal, report) = recover(storage, tuning, load, replay)?;
+        let (recovered, wal, report) = recover(storage, &config.durability, load, replay)?;
         Ok((
             TxnStore {
                 mvcc: recovered.mvcc,
@@ -801,11 +803,35 @@ mod tests {
         let (store, _) = TxnStore::open(
             storage,
             TxnConfig::default()
-                .with_tree(ConcConfig::small(8))
+                .with_tree(TreeConfig::small(8))
                 .with_durability(DurabilityConfig::buffered()),
         )
         .unwrap();
         store
+    }
+
+    fn open_with_tree(tree: TreeConfig) -> Result<(TxnStore<u64, u64>, RecoveryReport)> {
+        let storage = Arc::new(MemStorage::new()) as Arc<dyn Storage>;
+        TxnStore::open(storage, TxnConfig::default().with_tree(tree))
+    }
+
+    #[test]
+    fn open_rejects_a_paged_tree_config() {
+        let paged = TreeConfig::small(8).with_storage(quit_core::StorageKind::paged(64));
+        let err = open_with_tree(paged).err().expect("paged storage rejected");
+        assert_eq!(err.kind(), "config");
+        assert!(err.to_string().contains("StorageKind::Arena"), "{err}");
+    }
+
+    #[test]
+    fn open_rejects_a_zero_ikr_scale() {
+        let tree = TreeConfig {
+            ikr_scale: 0.0,
+            ..TreeConfig::small(8)
+        };
+        let err = open_with_tree(tree).err().expect("ikr_scale 0 rejected");
+        assert_eq!(err.kind(), "config");
+        assert!(err.to_string().contains("ikr_scale"), "{err}");
     }
 
     #[test]
@@ -1037,7 +1063,7 @@ mod tests {
             let (durable, _) = Durable::open(
                 dynstorage,
                 DurabilityConfig::buffered(),
-                concurrent_builder::<u64, u64>(ConcConfig::paper_default()),
+                concurrent_builder::<u64, u64>(TreeConfig::paper_default()),
             )
             .unwrap();
             durable.insert_shared(1, 10);
@@ -1080,7 +1106,7 @@ mod tests {
         let plain = Durable::open(
             crashed.clone() as Arc<dyn Storage>,
             DurabilityConfig::group_commit(),
-            concurrent_builder::<u64, u64>(ConcConfig::paper_default()),
+            concurrent_builder::<u64, u64>(TreeConfig::paper_default()),
         )
         .map(drop);
         let paged = Durable::<BpTree<u64, u64>>::open_paged(

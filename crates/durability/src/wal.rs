@@ -49,7 +49,7 @@
 //! `flush` or `commit` — from *any* thread — fails with an error instead
 //! of acking records that recovery could never replay.
 
-use crate::durable::DurabilityLevel;
+use crate::durable::{DurabilityConfig, DurabilityLevel};
 use crate::frame::{
     decode_frame, encode_commit_frame, encode_frame, encode_inserts, FrameStep, Logged, WalCodec,
 };
@@ -100,26 +100,6 @@ pub(crate) fn decode_seg_header(bytes: &[u8]) -> Option<(u64, u64, Lsn)> {
     }
     let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
     Some((word(6), word(14), word(22)))
-}
-
-/// WAL sizing knobs (buffering and rotation thresholds).
-#[derive(Clone, Copy, Debug)]
-pub struct WalTuning {
-    /// Rotate to a new segment once the current one exceeds this many bytes.
-    pub segment_bytes: usize,
-    /// Flush the append buffer to storage once it exceeds this many bytes
-    /// (0 = write-through). Buffered bytes are lost on crash until a flush;
-    /// flushed-but-unsynced bytes are lost until an fsync.
-    pub buffer_bytes: usize,
-}
-
-impl Default for WalTuning {
-    fn default() -> Self {
-        WalTuning {
-            segment_bytes: 8 << 20,
-            buffer_bytes: 64 << 10,
-        }
-    }
 }
 
 struct WalState {
@@ -181,7 +161,14 @@ fn poison_err() -> Error {
 /// [`crate::Durable::open`], which recovers existing state first.
 pub struct Wal {
     storage: Arc<dyn Storage>,
-    tuning: WalTuning,
+    /// Rotate to a new segment once the current one exceeds this many
+    /// bytes ([`DurabilityConfig::segment_bytes`]).
+    segment_bytes: usize,
+    /// Flush the append buffer to storage once it exceeds this many bytes
+    /// (0 = write-through; [`DurabilityConfig::wal_buffer_bytes`]).
+    /// Buffered bytes are lost on crash until a flush; flushed-but-unsynced
+    /// bytes are lost until an fsync.
+    buffer_bytes: usize,
     state: Mutex<WalState>,
     durable_cv: Condvar,
     metrics: MetricsRegistry,
@@ -189,17 +176,19 @@ pub struct Wal {
 
 impl Wal {
     /// A WAL resuming at `next_lsn` on `generation`, writing its next
-    /// segment as `seq` (no segment is opened until the first append).
+    /// segment as `seq` (no segment is opened until the first append),
+    /// sized by `config`'s segment and buffer bytes.
     pub(crate) fn resume(
         storage: Arc<dyn Storage>,
-        tuning: WalTuning,
+        config: &DurabilityConfig,
         generation: u64,
         seq: u64,
         next_lsn: Lsn,
     ) -> Self {
         Wal {
             storage,
-            tuning,
+            segment_bytes: config.segment_bytes,
+            buffer_bytes: config.wal_buffer_bytes,
             state: Mutex::new(WalState {
                 pending: Vec::new(),
                 pending_records: 0,
@@ -261,7 +250,7 @@ impl Wal {
         st.next_lsn += records;
         st.pending_records += records;
         self.metrics.counters.wal_appends.add_shared(records);
-        if st.pending.len() >= self.tuning.buffer_bytes.max(1) {
+        if st.pending.len() >= self.buffer_bytes.max(1) {
             self.flush_locked(&mut st)?;
         }
         Ok(st.next_lsn - 1)
@@ -409,7 +398,7 @@ impl Wal {
         }
         // Rotate a full segment before this batch (sync it first so the
         // durable watermark can never point past an unsynced old segment).
-        if st.seg_open && st.seg_bytes >= self.tuning.segment_bytes {
+        if st.seg_open && st.seg_bytes >= self.segment_bytes {
             if let Err(e) = self.storage.sync(&st.seg_name) {
                 st.poisoned = true;
                 return Err(e.into());
@@ -659,8 +648,15 @@ mod tests {
         Arc::new(MemStorage::new())
     }
 
-    fn wal(storage: Arc<MemStorage>, tuning: WalTuning) -> Wal {
-        Wal::resume(storage, tuning, 0, 0, 1)
+    fn wal(storage: Arc<MemStorage>, config: &DurabilityConfig) -> Wal {
+        Wal::resume(storage, config, 0, 0, 1)
+    }
+
+    /// Write-through appends into `segment_bytes`-byte segments.
+    fn unbuffered(segment_bytes: usize) -> DurabilityConfig {
+        DurabilityConfig::default()
+            .with_segment_bytes(segment_bytes)
+            .with_wal_buffer_bytes(0)
     }
 
     /// The scanned tail as the ops it replays, a run spelled out as its
@@ -698,7 +694,7 @@ mod tests {
     #[test]
     fn append_commit_recover() {
         let storage = mem();
-        let w = wal(storage.clone(), WalTuning::default());
+        let w = wal(storage.clone(), &DurabilityConfig::default());
         let lsn = w
             .append::<u64, u64>(&[WalOp::Insert(1, 10), WalOp::Insert(2, 20), WalOp::Delete(1)])
             .unwrap();
@@ -724,7 +720,7 @@ mod tests {
     #[test]
     fn a_run_frame_takes_one_lsn_per_entry() {
         let storage = mem();
-        let w = wal(storage.clone(), WalTuning::default());
+        let w = wal(storage.clone(), &DurabilityConfig::default());
         w.append::<u64, u64>(&[WalOp::Insert(1, 10)]).unwrap();
         let run: Vec<(u64, u64)> = (2..=6).map(|k| (k, k * 10)).collect();
         assert_eq!(w.append_inserts(&run).unwrap(), 6);
@@ -758,13 +754,7 @@ mod tests {
     #[test]
     fn uncommitted_tail_is_lost_but_prefix_survives() {
         let storage = mem();
-        let w = wal(
-            storage.clone(),
-            WalTuning {
-                segment_bytes: 1 << 20,
-                buffer_bytes: 0,
-            },
-        );
+        let w = wal(storage.clone(), &unbuffered(1 << 20));
         w.append::<u64, u64>(&[WalOp::Insert(1, 10)]).unwrap();
         w.commit(1).unwrap();
         w.append::<u64, u64>(&[WalOp::Insert(2, 20)]).unwrap(); // flushed, not synced
@@ -789,13 +779,7 @@ mod tests {
     fn segments_rotate_and_scan_in_order() {
         let storage = mem();
         // Tiny segments force rotation every record or two.
-        let w = wal(
-            storage.clone(),
-            WalTuning {
-                segment_bytes: 64,
-                buffer_bytes: 0,
-            },
-        );
+        let w = wal(storage.clone(), &unbuffered(64));
         for k in 0..50u64 {
             let lsn = w.append::<u64, u64>(&[WalOp::Insert(k, k)]).unwrap();
             w.commit(lsn).unwrap();
@@ -815,13 +799,7 @@ mod tests {
         // process opens segment 1 starting at the next LSN. The second
         // recovery must replay both.
         let storage = mem();
-        let w = wal(
-            storage.clone(),
-            WalTuning {
-                segment_bytes: 1 << 20,
-                buffer_bytes: 0,
-            },
-        );
+        let w = wal(storage.clone(), &unbuffered(1 << 20));
         w.append::<u64, u64>(&[WalOp::Insert(1, 10)]).unwrap();
         w.commit(1).unwrap();
         w.append::<u64, u64>(&[WalOp::Insert(2, 20)]).unwrap();
@@ -834,10 +812,7 @@ mod tests {
         // Resume exactly as Durable::open would.
         let w2 = Wal::resume(
             crashed.clone(),
-            WalTuning {
-                segment_bytes: 1 << 20,
-                buffer_bytes: 0,
-            },
+            &unbuffered(1 << 20),
             scan.resume_generation,
             scan.resume_seq,
             scan.last_lsn + 1,
@@ -909,10 +884,7 @@ mod tests {
         let storage = Arc::new(FailingStorage::new());
         let w = Wal::resume(
             storage.clone(),
-            WalTuning {
-                segment_bytes: 1 << 20,
-                buffer_bytes: 0, // write-through: every append flushes
-            },
+            &unbuffered(1 << 20), // write-through: every append flushes
             0,
             0,
             1,
@@ -948,7 +920,7 @@ mod tests {
 
     #[test]
     fn committing_an_unassigned_lsn_is_an_error_not_an_endless_leader() {
-        let w = wal(mem(), WalTuning::default());
+        let w = wal(mem(), &DurabilityConfig::default());
         let last = w.append::<u64, u64>(&[WalOp::Insert(1, 10)]).unwrap();
         let err = w.commit(last + 5).unwrap_err();
         assert_eq!(err.kind(), "wal", "{err}");
@@ -1012,7 +984,13 @@ mod tests {
             inner: MemStorage::new(),
             outcomes: Mutex::new(outcomes),
         });
-        let w = Arc::new(Wal::resume(storage.clone(), WalTuning::default(), 0, 0, 1));
+        let w = Arc::new(Wal::resume(
+            storage.clone(),
+            &DurabilityConfig::default(),
+            0,
+            0,
+            1,
+        ));
         w.append::<u64, u64>(&[WalOp::Insert(1, 10), WalOp::Insert(2, 20)])
             .unwrap();
         let poll = |what: &str, done: &dyn Fn(&WalState) -> bool| {
@@ -1084,13 +1062,7 @@ mod tests {
         let storage = mem();
         // One record per segment: a 34-byte header plus one 33-byte insert
         // frame already exceeds 64 bytes, so every flush rotates.
-        let w = wal(
-            storage.clone(),
-            WalTuning {
-                segment_bytes: 64,
-                buffer_bytes: 0,
-            },
-        );
+        let w = wal(storage.clone(), &unbuffered(64));
         let commit_one = |k: u64| {
             let lsn = w.append::<u64, u64>(&[WalOp::Insert(k, k * 10)]).unwrap();
             w.commit(lsn).unwrap();
@@ -1140,7 +1112,7 @@ mod tests {
     #[test]
     fn group_commit_batches_concurrent_writers() {
         let storage = mem();
-        let w = Arc::new(wal(storage, WalTuning::default()));
+        let w = Arc::new(wal(storage, &DurabilityConfig::default()));
         let threads = 8;
         let per = 50u64;
         std::thread::scope(|scope| {

@@ -1,15 +1,14 @@
-//! Service configuration: one struct embedding the tree geometry
-//! (`ConcConfig`), the durability policy (`DurabilityConfig`, which
+//! Service configuration: one struct embedding the shards' tree config
+//! (`TreeConfig`), the durability policy (`DurabilityConfig`, which
 //! carries the [`DurabilityLevel`]), and the service's own knobs.
 
-use quit_concurrent::ConcConfig;
-use quit_core::{Error, Result};
+use quit_core::{Error, Result, TreeConfig};
 use quit_durability::{DurabilityConfig, DurabilityLevel};
 
 /// Everything a [`crate::Server`] needs: shard count, per-shard tree
 /// geometry, per-shard durability policy, and router batching.
 ///
-/// Follows the workspace's config idiom (`TreeConfig`/`ConcConfig`):
+/// Follows the workspace's config idiom (`TreeConfig`):
 /// constructors for the common cases, `with_*` builders for the rest —
 /// but [`validate`](Self::validate) returns [`quit_core::Error`] instead
 /// of panicking, because service configs arrive from CLIs and scripts,
@@ -19,8 +18,9 @@ pub struct ServiceConfig {
     /// Number of range-partitioned shards (each owns a
     /// `Durable<ConcurrentTree>` and its own WAL directory).
     pub shards: usize,
-    /// Per-shard tree geometry and fast-path policy.
-    pub tree: ConcConfig,
+    /// Per-shard tree geometry and fast-path policy. Storage must be
+    /// [`StorageKind::Arena`](quit_core::StorageKind::Arena).
+    pub tree: TreeConfig,
     /// Per-shard WAL policy; `durability.level` is the
     /// [`DurabilityLevel`] every mutation buys before its reply.
     pub durability: DurabilityConfig,
@@ -41,7 +41,7 @@ impl ServiceConfig {
     pub fn paper_default() -> Self {
         ServiceConfig {
             shards: 4,
-            tree: ConcConfig::paper_default(),
+            tree: TreeConfig::paper_default(),
             durability: DurabilityConfig::group_commit(),
             batch_max: 1024,
         }
@@ -51,7 +51,7 @@ impl ServiceConfig {
     pub fn small(shards: usize) -> Self {
         ServiceConfig {
             shards,
-            tree: ConcConfig::small(16),
+            tree: TreeConfig::small(16),
             durability: DurabilityConfig::group_commit(),
             batch_max: 64,
         }
@@ -64,7 +64,7 @@ impl ServiceConfig {
     }
 
     /// Builder-style override of the per-shard tree config.
-    pub fn with_tree(mut self, tree: ConcConfig) -> Self {
+    pub fn with_tree(mut self, tree: TreeConfig) -> Self {
         self.tree = tree;
         self
     }
@@ -88,7 +88,8 @@ impl ServiceConfig {
     }
 
     /// Checks the configuration, returning [`Error::Config`] naming the
-    /// first offending field.
+    /// first offending field. The tree config is checked by
+    /// [`quit_concurrent::validate_config`], as the shards' trees need.
     pub fn validate(&self) -> Result<()> {
         if self.shards == 0 {
             return Err(Error::config("shards must be at least 1"));
@@ -99,13 +100,7 @@ impl ServiceConfig {
         if self.batch_max == 0 {
             return Err(Error::config("batch_max must be at least 1"));
         }
-        if self.tree.tree_config().leaf_capacity < 2 {
-            return Err(Error::config("tree.leaf_capacity must be at least 2"));
-        }
-        if self.tree.tree_config().internal_capacity < 3 {
-            return Err(Error::config("tree.internal_capacity must be at least 3"));
-        }
-        Ok(())
+        quit_concurrent::validate_config(&self.tree)
     }
 }
 

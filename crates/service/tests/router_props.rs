@@ -11,7 +11,7 @@
 //!    after replaying a generated workload through the router.
 
 use proptest::prelude::*;
-use quit_concurrent::{ConcConfig, ConcurrentTree};
+use quit_concurrent::{ConcurrentTree, TreeConfig};
 use quit_core::SortedIndex;
 use quit_service::{shard_of, shard_range, shards_overlapping, split_batch};
 use quit_testkit::{Op, OpMix, WorkloadSpec};
@@ -139,7 +139,7 @@ impl ShardedModel {
     fn new(n: usize) -> Self {
         ShardedModel {
             shards: (0..n)
-                .map(|_| ConcurrentTree::new(ConcConfig::small(16)))
+                .map(|_| ConcurrentTree::new(TreeConfig::small(16)))
                 .collect(),
         }
     }
@@ -185,7 +185,7 @@ impl ShardedModel {
 
 fn replay_sharded_vs_single(spec: &WorkloadSpec, shards: usize) {
     let ops = spec.generate();
-    let mut single: ConcurrentTree<u64, u64> = ConcurrentTree::new(ConcConfig::small(16));
+    let mut single: ConcurrentTree<u64, u64> = ConcurrentTree::new(TreeConfig::small(16));
     let mut sharded = ShardedModel::new(shards);
     for (i, op) in ops.iter().enumerate() {
         // Reads must agree at every step, not just at the end.

@@ -160,6 +160,32 @@ fn concurrent_clients_partition_cleanly() {
     server.shutdown().unwrap();
 }
 
+/// `Server::start`'s error for a tree config the shards cannot run.
+fn start_error(tree: quit_core::TreeConfig) -> quit_service::Error {
+    match Server::start_in_memory(ServiceConfig::small(2).with_tree(tree), "127.0.0.1:0") {
+        Ok(_) => panic!("the tree config must be rejected"),
+        Err(e) => e,
+    }
+}
+
+#[test]
+fn start_rejects_a_paged_tree_config() {
+    let paged = quit_core::TreeConfig::small(16).with_storage(quit_core::StorageKind::paged(64));
+    let err = start_error(paged);
+    assert_eq!(err.kind(), "config");
+    assert!(err.to_string().contains("StorageKind::Arena"), "{err}");
+}
+
+#[test]
+fn start_rejects_a_zero_ikr_scale() {
+    let err = start_error(quit_core::TreeConfig {
+        ikr_scale: 0.0,
+        ..quit_core::TreeConfig::small(16)
+    });
+    assert_eq!(err.kind(), "config");
+    assert!(err.to_string().contains("ikr_scale"), "{err}");
+}
+
 #[test]
 fn wire_errors_carry_the_unified_taxonomy() {
     // Config errors surface before any socket is bound.

@@ -27,7 +27,7 @@
 //! replayed bit-for-bit by exporting `QUIT_STRESS_SEED`.
 
 use crate::oracle::{Divergence, Model};
-use quit_concurrent::{ConcConfig, ConcurrentTree};
+use quit_concurrent::{ConcurrentTree, TreeConfig};
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Values are tagged with the owning writer in the top bits so readers
@@ -51,8 +51,6 @@ pub struct ConcSpec {
     pub seed: u64,
     /// Leaf capacity (small values force constant splits).
     pub leaf_capacity: usize,
-    /// Whether optimistic lock coupling is enabled on the tree.
-    pub olc: bool,
 }
 
 impl Default for ConcSpec {
@@ -64,7 +62,6 @@ impl Default for ConcSpec {
             key_space: 1_000,
             seed: 0xC0FF_EE00,
             leaf_capacity: 8,
-            olc: true,
         }
     }
 }
@@ -127,8 +124,7 @@ fn diverge(detail: String) -> Divergence {
 /// the end. Returns the first [`Divergence`] found, if any.
 pub fn replay_concurrent(spec: &ConcSpec) -> Result<ConcReport, Divergence> {
     assert!(spec.writers > 0, "need at least one writer");
-    let tree: ConcurrentTree<u64, u64> =
-        ConcurrentTree::new(ConcConfig::small(spec.leaf_capacity).with_olc(spec.olc));
+    let tree: ConcurrentTree<u64, u64> = ConcurrentTree::new(TreeConfig::small(spec.leaf_capacity));
     let stop = AtomicBool::new(false);
 
     let (models, reader_ops, join_checks) = std::thread::scope(|s| {
@@ -394,20 +390,6 @@ mod tests {
         assert_eq!(report.writer_ops, 3_000);
         assert!(report.reader_ops >= 1);
         assert!(report.final_len > 0);
-    }
-
-    #[test]
-    fn olc_disabled_replay_is_divergence_free() {
-        let report = replay_concurrent(&ConcSpec {
-            writers: 2,
-            readers: 1,
-            ops_per_writer: 1_000,
-            olc: false,
-            ..ConcSpec::default()
-        })
-        .unwrap_or_else(|d| panic!("{d}"));
-        assert_eq!(report.olc_restarts, 0);
-        assert_eq!(report.olc_fallbacks, 0);
     }
 
     #[test]

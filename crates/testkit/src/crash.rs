@@ -28,7 +28,6 @@
 use crate::oracle::{Divergence, Model};
 use crate::si_checker::{TxnOp, MAX_SLOTS};
 use crate::workload::Op;
-use quit_concurrent::ConcConfig;
 use quit_core::{Error, FastPathMode, SortedIndex, StorageKind, TreeConfig};
 use quit_durability::{
     bptree_builder, concurrent_builder, DurabilityConfig, Durable, MemStorage, Storage, TxnConfig,
@@ -700,7 +699,7 @@ pub fn replay_crash_concurrent(spec: &ConcCrashSpec) -> Result<ConcCrashReport, 
     let (durable, _) = Durable::open(
         storage.clone() as Arc<dyn Storage>,
         DurabilityConfig::group_commit().with_segment_bytes(16 << 10),
-        concurrent_builder::<u64, u64>(ConcConfig::small(spec.leaf_capacity)),
+        concurrent_builder::<u64, u64>(TreeConfig::small(spec.leaf_capacity)),
     )
     .map_err(|e| io_div("open", e))?;
     let durable = Arc::new(durable);
@@ -766,7 +765,7 @@ pub fn replay_crash_concurrent(spec: &ConcCrashSpec) -> Result<ConcCrashReport, 
         let (recovered, _) = Durable::open(
             crashed as Arc<dyn Storage>,
             DurabilityConfig::group_commit(),
-            concurrent_builder::<u64, u64>(ConcConfig::small(spec.leaf_capacity)),
+            concurrent_builder::<u64, u64>(TreeConfig::small(spec.leaf_capacity)),
         )
         .map_err(|e| io_div("recover", e))?;
         let mut per_writer: Vec<Vec<(u64, u64)>> = vec![Vec::new(); spec.writers];
@@ -816,7 +815,7 @@ pub fn replay_crash_concurrent(spec: &ConcCrashSpec) -> Result<ConcCrashReport, 
     let (recovered, _) = Durable::open(
         crashed as Arc<dyn Storage>,
         DurabilityConfig::group_commit(),
-        concurrent_builder::<u64, u64>(ConcConfig::small(spec.leaf_capacity)),
+        concurrent_builder::<u64, u64>(TreeConfig::small(spec.leaf_capacity)),
     )
     .map_err(|e| io_div("final recover", e))?;
     if recovered.tree().len() != expected_len {
@@ -882,7 +881,7 @@ pub fn replay_crash_contended(spec: &ContendedSpec) -> Result<usize, Divergence>
     let (durable, _) = Durable::open(
         storage.clone() as Arc<dyn Storage>,
         DurabilityConfig::group_commit().with_segment_bytes(16 << 10),
-        concurrent_builder::<u64, u64>(ConcConfig::small(spec.leaf_capacity)),
+        concurrent_builder::<u64, u64>(TreeConfig::small(spec.leaf_capacity)),
     )
     .map_err(|e| io_div("open", e))?;
     let durable = Arc::new(durable);
@@ -914,7 +913,7 @@ pub fn replay_crash_contended(spec: &ContendedSpec) -> Result<usize, Divergence>
     let (replayed, rec) = Durable::open(
         full as Arc<dyn Storage>,
         DurabilityConfig::group_commit(),
-        concurrent_builder::<u64, u64>(ConcConfig::small(spec.leaf_capacity)),
+        concurrent_builder::<u64, u64>(TreeConfig::small(spec.leaf_capacity)),
     )
     .map_err(|e| io_div("contended recover", e))?;
     if rec.torn_tail {
@@ -1020,7 +1019,7 @@ pub fn replay_txn_crash(ops: &[TxnOp], spec: &TxnCrashSpec) -> Result<TxnCrashRe
         detail: format!("{stage}: {e}"),
     };
     let config = TxnConfig::default()
-        .with_tree(ConcConfig::small(spec.leaf_capacity).with_olc(true))
+        .with_tree(TreeConfig::small(spec.leaf_capacity))
         .with_durability(crash_config())
         .with_gc_every(0);
     let storage = Arc::new(MemStorage::new());

@@ -17,7 +17,7 @@
 //! un-taints once every instance is gone.
 
 use crate::workload::Op;
-use quit_concurrent::{ConcConfig, ConcurrentTree};
+use quit_concurrent::ConcurrentTree;
 use quit_core::{BpTree, SortedIndex, StorageKind, TreeConfig, Variant};
 use std::collections::{BTreeMap, BTreeSet};
 use sware::{SaBpTree, SwareConfig};
@@ -300,7 +300,7 @@ pub fn replay(ops: &[Op], config: &OracleConfig) -> Result<ReplayReport, Diverge
     let mut sware_config = SwareConfig::small(config.buffer_capacity, config.leaf_capacity);
     sware_config.tree_config = sware_config.tree_config.with_storage(storage);
     // The concurrent tree has no paged backend: same knobs, on the arena.
-    let conc_config = ConcConfig::from_tree(tree_config.clone().with_storage(StorageKind::Arena));
+    let conc_config = tree_config.clone().with_storage(StorageKind::Arena);
     let mut families = vec![
         Family::Quit(Variant::Quit.build(tree_config)),
         Family::Sware(SaBpTree::new(sware_config)),

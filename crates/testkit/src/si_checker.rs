@@ -33,8 +33,7 @@
 
 use proptest::strategy::Strategy;
 use proptest::test_runner::TestRng;
-use quit_concurrent::ConcConfig;
-use quit_core::Error;
+use quit_core::{Error, TreeConfig};
 use quit_durability::{DurabilityConfig, MemStorage, Storage, Txn, TxnConfig, TxnStats, TxnStore};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -605,14 +604,14 @@ fn verify_run(store: &TxnStore<u64, u64>, events: &[TxnEvent]) -> Result<SiRepor
 }
 
 /// Runs a deterministic interleaved-transaction workload against a
-/// fresh in-memory [`TxnStore`] (OLC or pessimistic descents), records
+/// fresh in-memory [`TxnStore`], records
 /// the full history, and verifies the snapshot-isolation axioms plus
 /// final-state equivalence. Returns the first violation — directly
 /// shrinkable by proptest over [`TxnWorkloadStrategy`].
-pub fn replay_txn_history(ops: &[TxnOp], olc: bool) -> Result<SiReport, SiViolation> {
+pub fn replay_txn_history(ops: &[TxnOp]) -> Result<SiReport, SiViolation> {
     let storage = Arc::new(MemStorage::new()) as Arc<dyn Storage>;
     let config = TxnConfig::default()
-        .with_tree(ConcConfig::small(8).with_olc(olc))
+        .with_tree(TreeConfig::small(8))
         .with_durability(DurabilityConfig::buffered())
         .with_gc_every(16);
     let (store, _) = TxnStore::open(storage, config).map_err(|e| io_violation("open", e))?;
@@ -709,8 +708,6 @@ pub struct SiSoakSpec {
     /// round deterministically produces `threads - 1` first-committer
     /// conflicts regardless of scheduling (`0` disables).
     pub conflict_rounds: usize,
-    /// Optimistic (`true`) or pessimistic (`false`) descents.
-    pub olc: bool,
     /// Leaf capacity for the version tree.
     pub leaf_capacity: usize,
     /// Version-GC cadence while the soak runs (0 disables).
@@ -728,7 +725,6 @@ impl Default for SiSoakSpec {
             keys: 128,
             abort_percent: 10,
             conflict_rounds: 8,
-            olc: true,
             leaf_capacity: 32,
             gc_every: 64,
             seed: 0x51_C4A5,
@@ -745,7 +741,7 @@ impl Default for SiSoakSpec {
 pub fn replay_txn_concurrent(spec: &SiSoakSpec) -> Result<SiReport, SiViolation> {
     let storage = Arc::new(MemStorage::new()) as Arc<dyn Storage>;
     let config = TxnConfig::default()
-        .with_tree(ConcConfig::small(spec.leaf_capacity.max(4)).with_olc(spec.olc))
+        .with_tree(TreeConfig::small(spec.leaf_capacity.max(4)))
         .with_durability(DurabilityConfig::group_commit())
         .with_gc_every(spec.gc_every);
     let (store, _) = TxnStore::open(storage, config).map_err(|e| io_violation("open", e))?;
@@ -1043,11 +1039,9 @@ mod tests {
             .generate(),
             "generation is deterministic"
         );
-        for olc in [false, true] {
-            let report = replay_txn_history(&ops, olc).unwrap_or_else(|v| panic!("olc {olc}: {v}"));
-            assert!(report.summary.committed > 10);
-            assert!(report.summary.reads_checked > 10);
-        }
+        let report = replay_txn_history(&ops).unwrap_or_else(|v| panic!("{v}"));
+        assert!(report.summary.committed > 10);
+        assert!(report.summary.reads_checked > 10);
     }
 
     #[test]

@@ -26,7 +26,7 @@ fn run_harness(
     Runner::new(label, Config::with_cases(cases))
         .with_regressions_file(regressions)
         .run(&strategy, |(ops,)| {
-            replay_txn_history(ops, true)
+            replay_txn_history(ops)
                 .map(|_| ())
                 .map_err(|v| v.to_string())
         })
@@ -94,8 +94,8 @@ fn shrunk_txn_counterexample_is_a_standalone_reproducer() {
     let _ = std::fs::remove_file(&path);
     let failure = run_harness("txn_mutation_standalone", 64, &path);
     let minimal = failure.minimal.0.clone();
-    let violation = replay_txn_history(&minimal, true)
-        .expect_err("minimal counterexample must fail on its own");
+    let violation =
+        replay_txn_history(&minimal).expect_err("minimal counterexample must fail on its own");
     assert_eq!(
         violation.axiom, "first-committer-wins",
         "disabling conflict detection manifests as a lost update: {violation}"
@@ -114,6 +114,6 @@ fn four_op_lost_update_fails_under_the_bug() {
         TxnOp::Commit(0),
         TxnOp::Commit(1),
     ];
-    let violation = replay_txn_history(&ops, true).expect_err("both writers commit under the bug");
+    let violation = replay_txn_history(&ops).expect_err("both writers commit under the bug");
     assert_eq!(violation.axiom, "first-committer-wins", "{violation}");
 }

@@ -1,7 +1,7 @@
-//! Snapshot-isolation history checks against the real `TxnStore`:
-//! fixed-seed multi-writer soaks (≥50k events, both descent modes),
-//! deterministic interleaved-transaction workloads, and proptest-driven
-//! sampled histories with shrinking.
+//! Snapshot-isolation history checks against the real `TxnStore`: a
+//! fixed-seed multi-writer soak (≥50k events), deterministic
+//! interleaved-transaction workloads, and proptest-driven sampled
+//! histories with shrinking.
 
 use proptest::prelude::*;
 use quit_testkit::{
@@ -10,8 +10,9 @@ use quit_testkit::{
 
 /// The headline soak: six writers race 2 000 transactions each over a
 /// 384-key space while the version GC runs, and the merged ≥50 000-event
-/// history must satisfy every SI axiom. One run per descent mode.
-fn soak(olc: bool) {
+/// history must satisfy every SI axiom.
+#[test]
+fn fifty_k_event_soak_holds_si_under_olc() {
     let spec = SiSoakSpec {
         threads: 6,
         txns_per_thread: 2_000,
@@ -19,12 +20,11 @@ fn soak(olc: bool) {
         keys: 384,
         abort_percent: 10,
         conflict_rounds: 8,
-        olc,
         leaf_capacity: 32,
         gc_every: 64,
-        seed: 0x51_50AC ^ u64::from(olc),
+        seed: 0x51_50AD,
     };
-    let report = replay_txn_concurrent(&spec).unwrap_or_else(|v| panic!("olc {olc}: {v}"));
+    let report = replay_txn_concurrent(&spec).unwrap_or_else(|v| panic!("{v}"));
     assert!(
         report.events >= 50_000,
         "soak too small to be meaningful: {} events",
@@ -44,17 +44,7 @@ fn soak(olc: bool) {
 }
 
 #[test]
-fn fifty_k_event_soak_holds_si_under_olc() {
-    soak(true);
-}
-
-#[test]
-fn fifty_k_event_soak_holds_si_under_pessimistic_locking() {
-    soak(false);
-}
-
-#[test]
-fn interleaved_fixed_workloads_hold_si_in_both_modes() {
+fn interleaved_fixed_workloads_hold_si() {
     for seed in [1u64, 0xDEAD, 0x5EED_5EED] {
         let ops = TxnWorkloadSpec {
             ops: 2_000,
@@ -63,12 +53,9 @@ fn interleaved_fixed_workloads_hold_si_in_both_modes() {
             seed,
         }
         .generate();
-        for olc in [false, true] {
-            let report = replay_txn_history(&ops, olc)
-                .unwrap_or_else(|v| panic!("seed {seed:#x} olc {olc}: {v}"));
-            assert!(report.summary.committed > 50, "seed {seed:#x}");
-            assert!(report.summary.reads_checked > 50, "seed {seed:#x}");
-        }
+        let report = replay_txn_history(&ops).unwrap_or_else(|v| panic!("seed {seed:#x}: {v}"));
+        assert!(report.summary.committed > 50, "seed {seed:#x}");
+        assert!(report.summary.reads_checked > 50, "seed {seed:#x}");
     }
 }
 
@@ -79,12 +66,6 @@ proptest! {
     /// op sequence via the strategy's delta-debugging shrinker.
     #[test]
     fn sampled_histories_hold_si(ops in TxnWorkloadStrategy::contended(300)) {
-        replay_txn_history(&ops, true).unwrap_or_else(|v| panic!("{v}"));
-    }
-
-    /// The same histories through pessimistic descents.
-    #[test]
-    fn sampled_histories_hold_si_pessimistic(ops in TxnWorkloadStrategy::contended(300)) {
-        replay_txn_history(&ops, false).unwrap_or_else(|v| panic!("{v}"));
+        replay_txn_history(&ops).unwrap_or_else(|v| panic!("{v}"));
     }
 }

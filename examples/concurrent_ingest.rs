@@ -8,16 +8,16 @@
 //! ```
 
 use quick_insertion_tree::bods::BodsSpec;
-use quick_insertion_tree::quit_concurrent::{ConcConfig, ConcurrentTree};
+use quick_insertion_tree::quit_concurrent::{ConcurrentTree, TreeConfig};
 use std::sync::Arc;
 use std::time::Instant;
 
 fn ingest(
     keys: &[u64],
     threads: usize,
-    config: ConcConfig,
+    tree: ConcurrentTree<u64, u64>,
 ) -> (f64, Arc<ConcurrentTree<u64, u64>>) {
-    let tree: Arc<ConcurrentTree<u64, u64>> = Arc::new(ConcurrentTree::new(config));
+    let tree = Arc::new(tree);
     let start = Instant::now();
     std::thread::scope(|s| {
         for t in 0..threads {
@@ -43,9 +43,9 @@ fn main() {
         "threads", "QuIT op/s", "B+-tree op/s", "ratio"
     );
     for threads in [1, 2, 4, 8] {
-        let (quit_tput, quit_tree) = ingest(&keys, threads, ConcConfig::paper_default());
-        let (classic_tput, _) =
-            ingest(&keys, threads, ConcConfig::paper_default().with_pole(false));
+        let config = TreeConfig::paper_default();
+        let (quit_tput, quit_tree) = ingest(&keys, threads, ConcurrentTree::new(config.clone()));
+        let (classic_tput, _) = ingest(&keys, threads, ConcurrentTree::classic(config));
         println!(
             "{threads:>8} {:>13.2}M {:>13.2}M {:>7.2}x",
             quit_tput / 1e6,

@@ -61,7 +61,6 @@ pub use sware;
 
 pub use quit_core::{Error, Result};
 
-use quit_concurrent::ConcConfig;
 use quit_core::{BpTree, FastPathMode, SortedIndex, StatsSnapshot, StorageKind, TreeConfig};
 use quit_durability::{
     DurabilityConfig, Durable, FsStorage, MemStorage, RecoveryReport, Storage, Txn, TxnConfig,
@@ -95,7 +94,7 @@ impl Quit {
     pub fn open(dir: impl AsRef<Path>) -> Result<Self> {
         let (db, _) = Self::open_with(
             dir,
-            ConcConfig::paper_default(),
+            TreeConfig::paper_default(),
             DurabilityConfig::group_commit(),
         )?;
         Ok(db)
@@ -109,7 +108,7 @@ impl Quit {
     /// the first such record's LSN.
     pub fn open_with(
         dir: impl AsRef<Path>,
-        tree: ConcConfig,
+        tree: TreeConfig,
         durability: DurabilityConfig,
     ) -> Result<(Self, RecoveryReport)> {
         let storage = Arc::new(FsStorage::open(dir.as_ref())?) as Arc<dyn Storage>;
@@ -450,7 +449,7 @@ mod tests {
         }
         let (db, report) = Quit::open_with(
             &dir,
-            ConcConfig::paper_default(),
+            TreeConfig::paper_default(),
             DurabilityConfig::group_commit(),
         )
         .unwrap();
@@ -466,7 +465,7 @@ mod tests {
         drop(db);
         let (db, _) = Quit::open_with(
             &dir,
-            ConcConfig::paper_default(),
+            TreeConfig::paper_default(),
             DurabilityConfig::group_commit(),
         )
         .unwrap();
@@ -531,11 +530,10 @@ mod tests {
             std::thread::current().id()
         ));
         let _ = std::fs::remove_dir_all(&dir);
-        let tree =
-            ConcConfig::from_tree(TreeConfig::paper_default().with_storage(StorageKind::paged(64)));
+        let tree = TreeConfig::paper_default().with_storage(StorageKind::paged(64));
         let err = match Quit::open_with(&dir, tree, DurabilityConfig::group_commit()) {
             Err(err) => err,
-            Ok(_) => panic!("paged ConcConfig must be rejected"),
+            Ok(_) => panic!("a paged tree config must be rejected"),
         };
         assert_eq!(err.kind(), "config");
         let _ = std::fs::remove_dir_all(&dir);

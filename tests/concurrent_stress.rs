@@ -3,7 +3,7 @@
 //! single-threaded reference.
 
 use quick_insertion_tree::bods::BodsSpec;
-use quick_insertion_tree::quit_concurrent::{ConcConfig, ConcurrentTree, OLC_MAX_RESTARTS};
+use quick_insertion_tree::quit_concurrent::{ConcurrentTree, TreeConfig, OLC_MAX_RESTARTS};
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -37,7 +37,7 @@ fn thread_seed(base: u64, thread: u64) -> u64 {
 #[test]
 fn heavy_mixed_load_ends_consistent() {
     let stress_seed = base_seed();
-    let tree: Arc<ConcurrentTree<u64, u64>> = Arc::new(ConcurrentTree::new(ConcConfig::small(16)));
+    let tree: Arc<ConcurrentTree<u64, u64>> = Arc::new(ConcurrentTree::new(TreeConfig::small(16)));
     let writers = 6;
     let per = 5_000u64;
     let stop = Arc::new(AtomicBool::new(false));
@@ -97,7 +97,7 @@ fn contended_tail_inserts_keep_every_entry() {
     // All threads append to the same hot tail — the worst case §5.3 calls
     // out. Correctness must hold even when the fast path constantly
     // collides.
-    let tree: Arc<ConcurrentTree<u64, u64>> = Arc::new(ConcurrentTree::new(ConcConfig::small(8)));
+    let tree: Arc<ConcurrentTree<u64, u64>> = Arc::new(ConcurrentTree::new(TreeConfig::small(8)));
     let threads = 8u64;
     let per = 4_000u64;
     std::thread::scope(|s| {
@@ -130,8 +130,12 @@ fn classic_and_quit_modes_agree_under_concurrency() {
     let results: Vec<Vec<(u64, u64)>> = [true, false]
         .into_iter()
         .map(|pole| {
-            let tree: Arc<ConcurrentTree<u64, u64>> =
-                Arc::new(ConcurrentTree::new(ConcConfig::small(32).with_pole(pole)));
+            let config = TreeConfig::small(32);
+            let tree: Arc<ConcurrentTree<u64, u64>> = Arc::new(if pole {
+                ConcurrentTree::new(config)
+            } else {
+                ConcurrentTree::classic(config)
+            });
             std::thread::scope(|s| {
                 for t in 0..4 {
                     let tree = tree.clone();
@@ -169,80 +173,73 @@ fn read_heavy_90_10_profile_is_exact() {
     let stress_seed = base_seed();
     let threads = 4u64;
     let per = 8_000u64; // ops per thread; per/10 of them insert
-    for olc in [true, false] {
-        let config = ConcConfig::small(16).with_olc(olc);
-        let budget = u64::from(OLC_MAX_RESTARTS);
-        let tree: Arc<ConcurrentTree<u64, u64>> = Arc::new(ConcurrentTree::new(config));
-        std::thread::scope(|s| {
-            for t in 0..threads {
-                let tree = tree.clone();
-                s.spawn(move || {
-                    let mut st = thread_seed(stress_seed, t);
-                    let mut inserted = 0u64;
-                    for i in 0..per {
-                        if i % 10 == 0 {
-                            let k = inserted * threads + t;
-                            tree.insert(k, k ^ t);
-                            inserted += 1;
+    let config = TreeConfig::small(16);
+    let budget = u64::from(OLC_MAX_RESTARTS);
+    let tree: Arc<ConcurrentTree<u64, u64>> = Arc::new(ConcurrentTree::new(config));
+    std::thread::scope(|s| {
+        for t in 0..threads {
+            let tree = tree.clone();
+            s.spawn(move || {
+                let mut st = thread_seed(stress_seed, t);
+                let mut inserted = 0u64;
+                for i in 0..per {
+                    if i % 10 == 0 {
+                        let k = inserted * threads + t;
+                        tree.insert(k, k ^ t);
+                        inserted += 1;
+                    } else {
+                        // Our partition is sequential to us: a key we
+                        // inserted must be visible with its exact
+                        // value, the next (unwritten) key must not.
+                        let j = splitmix_step(&mut st) % (inserted + 1);
+                        if j < inserted {
+                            let k = j * threads + t;
+                            assert_eq!(tree.get(k), Some(k ^ t), "lost key {k}");
                         } else {
-                            // Our partition is sequential to us: a key we
-                            // inserted must be visible with its exact
-                            // value, the next (unwritten) key must not.
-                            let j = splitmix_step(&mut st) % (inserted + 1);
-                            if j < inserted {
-                                let k = j * threads + t;
-                                assert_eq!(tree.get(k), Some(k ^ t), "lost key {k}");
-                            } else {
-                                let k = inserted * threads + t;
-                                assert_eq!(tree.get(k), None, "phantom key {k}");
-                            }
+                            let k = inserted * threads + t;
+                            assert_eq!(tree.get(k), None, "phantom key {k}");
                         }
                     }
-                });
-            }
-        });
-
-        // Counters are sampled before any further reads touch them.
-        let stats = tree.stats();
-        let lookups = stats.lookups.get();
-        let restarts = stats.olc_restarts.get();
-        let fallbacks = stats.olc_fallbacks.get();
-        assert_eq!(
-            lookups,
-            threads * (per - per / 10),
-            "every get bumps lookups exactly once (olc={olc})"
-        );
-        if olc {
-            // Each budget exhaustion records exactly budget+1 restarts
-            // before the single fallback; successful retries only add.
-            assert!(
-                restarts >= fallbacks * (budget + 1),
-                "restart accounting violated: {restarts} restarts, {fallbacks} fallbacks"
-            );
-        } else {
-            assert_eq!(restarts, 0, "pessimistic mode must never restart");
-            assert_eq!(fallbacks, 0, "pessimistic mode must never fall back");
+                }
+            });
         }
+    });
 
-        assert_eq!(tree.len(), (threads * (per / 10)) as usize);
-        let all = tree.collect_all();
-        assert_eq!(all.len(), tree.len(), "scan and len agree");
-        let uniq: BTreeSet<u64> = all.iter().map(|e| e.0).collect();
-        assert_eq!(uniq.len(), all.len(), "no duplicate keys");
-        for t in 0..threads {
-            for j in 0..per / 10 {
-                let k = j * threads + t;
-                assert!(tree.contains_key(k), "key {k} lost after join");
-            }
+    // Counters are sampled before any further reads touch them.
+    let stats = tree.stats();
+    let lookups = stats.lookups.get();
+    let restarts = stats.olc_restarts.get();
+    let fallbacks = stats.olc_fallbacks.get();
+    assert_eq!(
+        lookups,
+        threads * (per - per / 10),
+        "every get bumps lookups exactly once"
+    );
+    // Each budget exhaustion records exactly budget+1 restarts before
+    // the single fallback; successful retries only add.
+    assert!(
+        restarts >= fallbacks * (budget + 1),
+        "restart accounting violated: {restarts} restarts, {fallbacks} fallbacks"
+    );
+
+    assert_eq!(tree.len(), (threads * (per / 10)) as usize);
+    let all = tree.collect_all();
+    assert_eq!(all.len(), tree.len(), "scan and len agree");
+    let uniq: BTreeSet<u64> = all.iter().map(|e| e.0).collect();
+    assert_eq!(uniq.len(), all.len(), "no duplicate keys");
+    for t in 0..threads {
+        for j in 0..per / 10 {
+            let k = j * threads + t;
+            assert!(tree.contains_key(k), "key {k} lost after join");
         }
-        assert!(tree.check_consistency().is_ok());
     }
+    assert!(tree.check_consistency().is_ok());
 }
 
 #[test]
 fn point_reads_never_miss_committed_keys() {
     let tree: Arc<ConcurrentTree<u64, u64>> =
-        Arc::new(ConcurrentTree::new(ConcConfig::paper_default()));
+        Arc::new(ConcurrentTree::new(TreeConfig::paper_default()));
     for k in 0..5_000u64 {
         tree.insert(k * 2, k);
     }

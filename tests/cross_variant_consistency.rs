@@ -4,7 +4,7 @@
 //! because they only differ in *how* they ingest.
 
 use quick_insertion_tree::bods::BodsSpec;
-use quick_insertion_tree::quit_concurrent::{ConcConfig, ConcurrentTree};
+use quick_insertion_tree::quit_concurrent::ConcurrentTree;
 use quick_insertion_tree::quit_core::{BpTree, TreeConfig, Variant};
 use quick_insertion_tree::sware::{SaBpTree, SwareConfig};
 
@@ -90,7 +90,7 @@ fn sware_agrees_with_classic_tree() {
 #[test]
 fn concurrent_tree_agrees_with_classic_tree() {
     for (name, keys) in workloads() {
-        let conc: ConcurrentTree<u64, u64> = ConcurrentTree::new(ConcConfig::paper_default());
+        let conc: ConcurrentTree<u64, u64> = ConcurrentTree::new(TreeConfig::paper_default());
         let mut classic = Variant::Classic.build::<u64, u64>(TreeConfig::paper_default());
         for (i, &k) in keys.iter().enumerate() {
             conc.insert(k, i as u64);
