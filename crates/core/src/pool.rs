@@ -54,7 +54,7 @@ pub const DEFAULT_PAGE_SIZE: usize = 4096;
 /// Implementations must make a completed [`write`](Self::write) visible to
 /// every later [`read`](Self::read) of the same id (read-your-writes);
 /// durability is only required after [`sync`](Self::sync) returns.
-pub trait PageStore {
+pub trait PageStore: Send {
     /// Hands page `id`'s bytes to `sink` where they sit in the store — no
     /// copy, no allocation — and returns `true`; returns `false` without
     /// calling `sink` if the page was never written. The slice is only
@@ -406,6 +406,8 @@ impl Drop for WriteGuard<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
 
     /// Copies page `id` out of `s` (`None` if never written).
     fn page(s: &dyn PageStore, id: u64) -> io::Result<Option<Vec<u8>>> {
@@ -466,7 +468,7 @@ mod tests {
     /// A store whose writes fail while `broken` is set.
     struct FlakyStore {
         inner: MemPageStore,
-        broken: std::rc::Rc<Cell<bool>>,
+        broken: Arc<AtomicBool>,
     }
 
     impl PageStore for FlakyStore {
@@ -474,7 +476,7 @@ mod tests {
             self.inner.read(id, sink)
         }
         fn write(&mut self, id: PageId, bytes: &[u8]) -> io::Result<()> {
-            if self.broken.get() {
+            if self.broken.load(Ordering::Relaxed) {
                 return Err(io::Error::other("injected write failure"));
             }
             self.inner.write(id, bytes)
@@ -489,7 +491,7 @@ mod tests {
 
     #[test]
     fn failed_write_back_keeps_the_victim_resident() {
-        let broken = std::rc::Rc::new(Cell::new(false));
+        let broken = Arc::new(AtomicBool::new(false));
         let store = FlakyStore {
             inner: MemPageStore::new(),
             broken: broken.clone(),
@@ -500,14 +502,14 @@ mod tests {
                 .unwrap()
                 .with_mut(|p| p[0] = i as u8 + 1);
         }
-        broken.set(true);
+        broken.store(true, Ordering::Relaxed);
         for _ in 0..3 {
             assert!(pool.write(PageId(2)).is_err(), "eviction needs the store");
         }
         // Neither dirty page was dropped with its only copy.
         assert_eq!(pool.resident(), 2);
         assert_eq!(pool.counters().evictions.get(), 0);
-        broken.set(false);
+        broken.store(false, Ordering::Relaxed);
         pool.write(PageId(2)).unwrap().with_mut(|p| p[0] = 3);
         for i in 0..3u64 {
             assert_eq!(pool.read(PageId(i)).unwrap().with(|p| p[0]), i as u8 + 1);

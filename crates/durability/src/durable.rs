@@ -7,8 +7,11 @@
 //! recovery replays that prefix and lands on exactly the state covered by
 //! the last durable group. Lookups and scans pass straight through.
 //!
-//! For the `&mut self` [`SortedIndex`] path that invariant is free. For
-//! the shared (`&self`) path on [`Durable<ConcurrentTree>`], two
+//! For the `&mut self` [`SortedIndex`] path that invariant is free; it is
+//! the path a service shard (a `Durable<BpTree>` owned by one worker
+//! thread) and every embedded single-writer caller take. The shared
+//! (`&self`) path on [`Durable<ConcurrentTree>`] serves only the
+//! benchmark's `durable.*` rungs and the crash harness. There, two
 //! concurrent writers hitting the *same key* could otherwise log in one
 //! order and apply in the other, making the pre-crash state and the
 //! replayed state disagree on that key. The wrapper therefore holds a
@@ -259,12 +262,13 @@ impl Unacked {
 /// A [`SortedIndex`] with a write-ahead log in front of it.
 ///
 /// Mutations through the [`SortedIndex`] impl (and the `&self` shared API
-/// of [`Durable<ConcurrentTree>`]) are logged first, then applied. I/O
-/// errors on the log path panic — the trait has no error channel, and a
-/// WAL that can no longer write must not let callers believe their writes
-/// are durable. The WAL also *poisons* itself on any append/fsync
-/// failure, so concurrent writer threads that did not observe the
-/// original error fail (and panic) on their next mutation instead of
+/// of [`Durable<ConcurrentTree>`], which serves only the benchmark's
+/// `durable.*` rungs and the crash harness) are logged first, then
+/// applied. I/O errors on the log path panic — the trait has no error
+/// channel, and a WAL that can no longer write must not let callers
+/// believe their writes are durable. The WAL also *poisons* itself on any
+/// append/fsync failure, so concurrent writer threads that did not observe
+/// the original error fail (and panic) on their next mutation instead of
 /// acking records through a broken log. Use
 /// [`Durable::flush`]/[`Durable::commit_all`] for explicit durability
 /// points at the `Buffered` level.
@@ -323,8 +327,9 @@ impl<T> Durable<T> {
         }
     }
 
-    /// The wrapped index (shared access — this is how readers reach a
-    /// `ConcurrentTree`'s `&self` API).
+    /// The wrapped index, for reads that need no WAL: a `BpTree`'s `get`
+    /// and `range` (how a service shard answers them), or a
+    /// `ConcurrentTree`'s `&self` API.
     pub fn inner(&self) -> &T {
         &self.inner
     }
@@ -686,6 +691,14 @@ where
     flush(index, &mut singles);
     Ok(applied)
 }
+
+// A service shard moves into its worker thread: the tree, and the WAL
+// around it, must stay `Send`.
+const _: fn() = || {
+    fn send<T: Send>() {}
+    send::<BpTree<u64, u64>>();
+    send::<Durable<BpTree<u64, u64>>>();
+};
 
 /// A [`Durable::open`] builder for [`BpTree`]: bulk-loads the snapshot with
 /// its leaves packed full.

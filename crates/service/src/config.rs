@@ -1,8 +1,9 @@
 //! Service configuration: one struct embedding the shards' tree config
-//! (`TreeConfig`), the durability policy (`DurabilityConfig`, which
-//! carries the [`DurabilityLevel`]), and the service's own knobs.
+//! (`TreeConfig`, for each shard's `BpTree`), the durability policy
+//! (`DurabilityConfig`, which carries the [`DurabilityLevel`]), and the
+//! service's own knobs.
 
-use quit_core::{Error, Result, TreeConfig};
+use quit_core::{Error, Result, StorageKind, TreeConfig};
 use quit_durability::{DurabilityConfig, DurabilityLevel};
 
 /// Everything a [`crate::Server`] needs: shard count, per-shard tree
@@ -16,10 +17,10 @@ use quit_durability::{DurabilityConfig, DurabilityLevel};
 #[derive(Clone, Debug)]
 pub struct ServiceConfig {
     /// Number of range-partitioned shards (each owns a
-    /// `Durable<ConcurrentTree>` and its own WAL directory).
+    /// `Durable<BpTree>` and its own WAL directory).
     pub shards: usize,
     /// Per-shard tree geometry and fast-path policy. Storage must be
-    /// [`StorageKind::Arena`](quit_core::StorageKind::Arena).
+    /// [`StorageKind::Arena`].
     pub tree: TreeConfig,
     /// Per-shard WAL policy; `durability.level` is the
     /// [`DurabilityLevel`] every mutation buys before its reply.
@@ -89,7 +90,8 @@ impl ServiceConfig {
 
     /// Checks the configuration, returning [`Error::Config`] naming the
     /// first offending field. The tree config is checked by
-    /// [`quit_concurrent::validate_config`], as the shards' trees need.
+    /// [`TreeConfig::validate`], and its storage must be the arena: a shard
+    /// is an in-memory tree rebuilt from its WAL directory on start.
     pub fn validate(&self) -> Result<()> {
         if self.shards == 0 {
             return Err(Error::config("shards must be at least 1"));
@@ -100,7 +102,14 @@ impl ServiceConfig {
         if self.batch_max == 0 {
             return Err(Error::config("batch_max must be at least 1"));
         }
-        quit_concurrent::validate_config(&self.tree)
+        self.tree.validate()?;
+        if self.tree.storage != StorageKind::Arena {
+            return Err(Error::config(
+                "tree.storage: service shards support only StorageKind::Arena; \
+                 for paged storage use Durable::open_paged",
+            ));
+        }
+        Ok(())
     }
 }
 

@@ -2,7 +2,7 @@
 //!
 //! The paper's regime — very high ingest rates of *near-sorted* streams —
 //! is the regime of networked platforms, so this crate puts the
-//! workspace's durable concurrent tree behind a socket without giving up
+//! workspace's durable QuIT tree behind a socket without giving up
 //! the property everything else is built on: **sortedness must survive
 //! the trip**. Three decisions carry that:
 //!
@@ -15,9 +15,11 @@
 //!   forms the runs — consecutive single inserts go through
 //!   `insert_batch`'s sorted-run detection as one batch — and pays one
 //!   WAL group commit per drain of its queue, not one per request.
-//! * **One `Durable<ConcurrentTree>` per shard**, each with its own WAL
-//!   directory ([`quit_durability::FsStorage::open_sharded`]): group
-//!   commit batches fsyncs *within* a shard while shards proceed in
+//! * **One `Durable<BpTree>` per shard**, owned by the shard's one worker
+//!   thread and each with its own WAL directory
+//!   ([`quit_durability::FsStorage::open_sharded`]): the single-writer
+//!   tree runs the whole split policy (variable split, redistribute),
+//!   group commit batches fsyncs *within* a shard while shards proceed in
 //!   parallel, and each shard recovers independently.
 //!
 //! The wire protocol ([`wire`]) is length-prefixed, binary, and

@@ -1,6 +1,6 @@
-//! The sharded TCP server: one `Durable<ConcurrentTree>` (and one WAL
-//! directory) per shard, one worker thread per shard, and per-connection
-//! reader/writer threads gluing the wire protocol to the shard channels.
+//! The sharded TCP server: one `Durable<BpTree>` (and one WAL directory)
+//! per shard, one worker thread per shard, and per-connection reader/writer
+//! threads gluing the wire protocol to the shard channels.
 //!
 //! ## Threading model
 //!
@@ -13,16 +13,17 @@
 //!   whole frame any more — so the next read may block — it sends each
 //!   non-empty queue to its shard as *one* message: everything a client
 //!   pipelined in one read costs one channel hop per shard.
-//! * **Shard worker** — owns its `Durable<ConcurrentTree<u64, u64>>`
-//!   outright, so mutations go through the `&mut self` [`SortedIndex`]
-//!   path. It takes a burst, and whatever other bursts are queued behind
-//!   it across connections (up to a bound), and runs their ops in order:
-//!   consecutive single inserts of a burst form a run in an
-//!   [`InsertBatcher`] and reach `ConcurrentTree::insert_batch`, which
-//!   appends each sorted run to the poℓe leaf a chunk at a time, exactly
-//!   as for an embedded caller's batch (an `InsertBatch` request takes the
-//!   same path), so a read breaks only its own shard's run. Every write is
-//!   logged and applied *without*
+//! * **Shard worker** — owns its `Durable<BpTree<u64, u64>>` outright: no
+//!   other thread touches the tree, so it is the single-writer QuIT tree,
+//!   with the paper's variable split and redistribute, and mutations go
+//!   through the `&mut self` [`SortedIndex`] path. It takes a burst, and
+//!   whatever other bursts are queued behind it across connections (up to
+//!   a bound), and runs their ops in order: consecutive single inserts of
+//!   a burst form a run in an [`InsertBatcher`] and reach
+//!   `BpTree::insert_batch`, which appends each sorted run to the poℓe
+//!   leaf a chunk at a time, exactly as for an embedded caller's batch (an
+//!   `InsertBatch` request takes the same path), so a read breaks only its
+//!   own shard's run. Every write is logged and applied *without*
 //!   waiting; every reply is encoded into its burst's one buffer. Then the
 //!   worker waits **once** for the log — one group commit per drain — and
 //!   only then hands the buffers to the writers. No reply leaves before
@@ -55,10 +56,9 @@ use crate::wire::{
     decode_request, encode_reply, encode_reply_into, read_request, Reply, Request, ServiceStats,
     MAX_RANGE_RESULTS,
 };
-use quit_concurrent::ConcurrentTree;
-use quit_core::{Error, Result, SortedIndex};
+use quit_core::{BpTree, Error, FastPathMode, Result, SortedIndex};
 use quit_durability::{
-    concurrent_builder, Durable, FsStorage, MemStorage, RecoveryReport, Storage, Unacked,
+    bptree_builder, Durable, FsStorage, MemStorage, RecoveryReport, Storage, Unacked,
 };
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, BufWriter, Write};
@@ -70,7 +70,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-type Shard = Durable<ConcurrentTree<u64, u64>>;
+type Shard = Durable<BpTree<u64, u64>>;
 
 /// A connection's read buffer, and so the most one burst carries (about
 /// 140 `Insert` frames): half of `BufReader`'s default, because a burst is
@@ -204,7 +204,7 @@ impl Burst {
                     unacked = unacked.merge(logged);
                     Reply::BatchInserted { fast: fast as u64 }
                 }
-                Request::Get { key } => Reply::Got(shard.tree().get(*key)),
+                Request::Get { key } => Reply::Got(shard.inner().get(*key).copied()),
                 Request::Delete { key } => {
                     let (prev, logged) = shard.delete_unacked(*key);
                     unacked = unacked.merge(logged);
@@ -213,7 +213,8 @@ impl Burst {
                 Request::Range { start, end, limit } => {
                     let limit = *limit as usize;
                     let mut entries = Vec::with_capacity(limit.min(RANGE_PRESIZE));
-                    entries.extend(shard.tree().range(*start..=*end).take(limit));
+                    let scan = shard.inner().range(*start..=*end).take(limit);
+                    entries.extend(scan.map(|(key, value)| (key, *value)));
                     Reply::Entries(entries)
                 }
                 Request::Stats => {
@@ -279,6 +280,20 @@ fn insert_runs(
         }
     }
     unacked
+}
+
+/// Recovers one shard from `storage`: a QuIT `BpTree` (poℓe with variable
+/// split and redistribute, as `config.tree` sets them) bulk-built from the
+/// newest snapshot, with the WAL tail replayed into it.
+fn open_shard(
+    storage: Arc<dyn Storage>,
+    config: &ServiceConfig,
+) -> Result<(Shard, RecoveryReport)> {
+    Durable::open(
+        storage,
+        config.durability,
+        bptree_builder(FastPathMode::Pole, config.tree.clone()),
+    )
 }
 
 fn shard_worker(mut shard: Shard, rx: Receiver<Burst>, batch_max: usize) {
@@ -354,11 +369,7 @@ impl Server {
         let mut txs = Vec::with_capacity(config.shards);
         let mut reports = Vec::with_capacity(config.shards);
         for storage in storages {
-            let (shard, report) = Durable::open(
-                storage,
-                config.durability,
-                concurrent_builder::<u64, u64>(config.tree.clone()),
-            )?;
+            let (shard, report) = open_shard(storage, &config)?;
             reports.push(report);
             let (tx, rx) = channel();
             txs.push(tx);
@@ -647,5 +658,55 @@ fn writer_loop(stream: TcpStream, rx: Receiver<Vec<u8>>) {
                 return;
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use quit_core::{TreeConfig, Variant};
+
+    /// A served shard runs the paper's split policy: a near-sorted stream
+    /// fed through the worker's burst path leaves the shard's tree exactly
+    /// where the same runs leave an embedded QuIT tree.
+    #[test]
+    fn a_shard_runs_the_full_quit_split_policy() {
+        const BURST: usize = 140; // `Insert` frames in one `READ_BUF` burst
+        let stream = bods::BodsSpec::new(60_000, 0.05, 0.05)
+            .with_seed(7)
+            .generate_entries();
+        let config = ServiceConfig::paper_default().with_shards(1);
+        let (mut shard, _) = open_shard(Arc::new(MemStorage::new()), &config).unwrap();
+        let mut embedded: BpTree<u64, u64> = Variant::Quit.build(TreeConfig::paper_default());
+        let mut run = InsertBatcher::new(1, config.batch_max);
+        let (reply, replies) = channel();
+        for (id, chunk) in (0u64..).step_by(BURST).zip(stream.chunks(BURST)) {
+            let mut burst = Burst::new(reply.clone());
+            burst.ops = (id..)
+                .zip(chunk)
+                .map(|(req_id, &(key, value))| Op {
+                    req_id,
+                    req: Request::Insert { key, value },
+                    part_of: None,
+                })
+                .collect();
+            let unacked = burst.execute(&mut shard, &mut run);
+            shard.ack(unacked);
+            burst.release();
+            embedded.insert_batch(chunk);
+        }
+        drop(reply);
+        assert_eq!(replies.iter().count(), stream.len().div_ceil(BURST));
+
+        let (served, local) = (shard.inner().metrics(), embedded.metrics());
+        assert!(served.variable_splits > 0, "{served:?}");
+        assert_eq!(served.variable_splits, local.variable_splits);
+        assert_eq!(served.redistributions, local.redistributions);
+        assert_eq!(served.leaf_splits, local.leaf_splits);
+        assert_eq!(
+            shard.inner().memory_report().avg_leaf_occupancy,
+            embedded.memory_report().avg_leaf_occupancy
+        );
+        assert_eq!(shard.len(), embedded.len());
     }
 }

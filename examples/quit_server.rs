@@ -5,7 +5,7 @@
 //! ```
 //!
 //! Omit `--dir` for an in-memory store (nothing survives the process).
-//! Each shard owns a `Durable<ConcurrentTree>` with its own WAL directory
+//! Each shard owns a `Durable<BpTree>` with its own WAL directory
 //! (`shard-0000/`, `shard-0001/`, …) and a dedicated worker thread;
 //! clients' pipelined inserts are coalesced per shard into sorted runs so
 //! near-sorted streams ride the fast path end to end. Every acked write

@@ -12,7 +12,7 @@
 //!   also [`quit_durability::TxnStore`], snapshot-isolation
 //!   transactions, one atomically recovered WAL frame per commit.
 //! * [`quit_service`] — the sharded, pipelined TCP key-value service
-//!   over `Durable<ConcurrentTree>`.
+//!   over `Durable<BpTree>`.
 //! * [`sware`] — the SWARE SA-B+-tree baseline.
 //! * [`bods`] — K–L-sortedness workload generation and measurement.
 //! * [`quit_testkit`] — the differential fuzzing & shrinking oracle
