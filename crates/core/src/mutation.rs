@@ -36,6 +36,10 @@ pub enum Mutation {
     DeleteFrameCrc,
     /// A transaction commit skips its first-committer-wins validation.
     SkipConflictCheck,
+    /// Recovery's tail fold merges a key's out-of-order residue ops before
+    /// its in-order ones, whatever their log order, so duplicates come back
+    /// reordered and a delete can run before the insert it removes.
+    FoldTieOrder,
 }
 
 /// Whether `m` is armed on the calling thread. Always `false` unless the

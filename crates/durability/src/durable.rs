@@ -25,12 +25,15 @@
 //! group fsync completes; durability is only promised once the call
 //! returns.
 //!
-//! Recovery composes the two sortedness fast paths this workspace is
-//! built around: the snapshot is key-ordered, so it `bulk_load`s in O(n)
-//! at the configured leaf fill, for `BpTree` and `ConcurrentTree` alike;
-//! the WAL tail is append-mostly, and a logged batch is one run frame, so
-//! [`apply_tail`] hands each run to `insert_batch` as it was decoded, which
-//! appends it to its leaves a chunk at a time.
+//! Recovery rests on the sortedness this workspace is built around: the
+//! snapshot is key-ordered and the WAL tail is append-mostly. So
+//! [`Durable::open`] never re-ingests the tail: [`fold_tail`] keeps the
+//! tail's in-order part where it is, sorts only its out-of-order residue
+//! and merges both into the snapshot's entries, and the index is then
+//! built once, bottom-up by `bulk_load` at the configured leaf fill, for
+//! `BpTree` and `ConcurrentTree` alike. Only the paged backend, whose tree
+//! comes from a page image rather than from entries, replays the tail into
+//! it ([`apply_tail`], which retires with that backend).
 
 use crate::frame::{Logged, WalCodec};
 use crate::psnap::{
@@ -41,6 +44,7 @@ use crate::storage::Storage;
 use crate::wal::{scan_wal, Lsn, Wal};
 use crate::WalOp;
 use quit_concurrent::ConcurrentTree;
+use quit_core::mutation::{self, Mutation};
 use quit_core::{
     stripe_of, BpTree, Error, FastPathMode, Key, Result, SortedIndex, StatsSnapshot, StorageKind,
     TreeConfig,
@@ -177,7 +181,7 @@ pub struct RecoveryReport {
     pub elapsed: Duration,
 }
 
-/// What an opener's snapshot loader hands [`recover`]: the state it built
+/// What an opener's snapshot loader hands [`recover`]: the state it loaded
 /// from the newest valid snapshot, and what that snapshot covered.
 pub(crate) struct LoadedSnapshot<T> {
     pub generation: u64,
@@ -191,23 +195,24 @@ pub(crate) struct LoadedSnapshot<T> {
 
 /// The recovery every opener shares: `load` the newest valid snapshot into
 /// the opener's state, scan the WAL past it, `replay` the tail (each frame
-/// with its first LSN; returns the mutations it applied), resume the log
-/// after the last recovered LSN, and time the whole thing into the
-/// `recovery_latency` histogram and the report.
-pub(crate) fn recover<K, V, T>(
+/// with its first LSN) into that state to make the recovered one (returned
+/// with the mutations it applied), resume the log after the last recovered
+/// LSN, and time the whole thing into the `recovery_latency` histogram and
+/// the report.
+pub(crate) fn recover<K, V, S, T>(
     storage: Arc<dyn Storage>,
     config: &DurabilityConfig,
-    load: impl FnOnce(&dyn Storage) -> Result<LoadedSnapshot<T>>,
-    replay: impl FnOnce(&mut T, Vec<(Lsn, Logged<K, V>)>) -> Result<usize>,
+    load: impl FnOnce(&dyn Storage) -> Result<LoadedSnapshot<S>>,
+    replay: impl FnOnce(S, Vec<(Lsn, Logged<K, V>)>) -> Result<(T, usize)>,
 ) -> Result<(T, Wal, RecoveryReport)>
 where
     K: WalCodec,
     V: WalCodec,
 {
     let t0 = Instant::now();
-    let mut snap = load(&*storage)?;
+    let snap = load(&*storage)?;
     let scan = scan_wal::<K, V>(&*storage, snap.lsn, snap.generation)?;
-    let tail_records = replay(&mut snap.state, scan.tail)?;
+    let (state, tail_records) = replay(snap.state, scan.tail)?;
     let wal = Wal::resume(
         storage,
         config,
@@ -229,7 +234,7 @@ where
         rejected_snapshots: snap.rejected,
         elapsed,
     };
-    Ok((snap.state, wal, report))
+    Ok((state, wal, report))
 }
 
 /// `index` metrics with `wal`'s four fields laid over them.
@@ -285,14 +290,18 @@ pub struct Durable<T> {
 
 impl<T> Durable<T> {
     /// Opens (or creates) a durable index on `storage`: loads the newest
-    /// valid snapshot, bulk-builds the inner index from it via `build`,
-    /// replays the WAL tail through [`SortedIndex::insert_batch`] (each
-    /// logged batch as one run) and [`SortedIndex::delete`], and positions
-    /// the WAL to append after the last recovered LSN.
+    /// valid snapshot's entries, folds the WAL tail into them (the tail's
+    /// in-order part stays where it is, only its out-of-order residue is
+    /// sorted, and both merge into the entries), builds the inner index
+    /// once from the result via `build`, and positions the WAL to append
+    /// after the last recovered LSN. The index holds what replaying the tail into one
+    /// built from the snapshot would: duplicates in log order, each delete
+    /// removing the oldest instance of its key.
     ///
-    /// `build` receives the snapshot's entries in key order; use
+    /// `build` receives the recovered entries in key order; use
     /// [`bptree_builder`]/[`concurrent_builder`] for the in-workspace
-    /// families (they pack leaves full).
+    /// families (they pack leaves full). Its time counts in
+    /// [`RecoveryReport::elapsed`].
     pub fn open<K, V, F>(
         storage: Arc<dyn Storage>,
         config: DurabilityConfig,
@@ -311,10 +320,14 @@ impl<T> Durable<T> {
                 lsn,
                 entries: entries.len(),
                 rejected,
-                state: build(entries),
+                state: entries,
             })
         };
-        let (inner, wal, report) = recover(storage, &config, load, apply_tail)?;
+        let replay = |entries, tail| {
+            let (entries, applied) = fold_tail(entries, tail)?;
+            Ok((build(entries), applied))
+        };
+        let (inner, wal, report) = recover(storage, &config, load, replay)?;
         Ok((Self::assemble(inner, wal, config), report))
     }
 
@@ -642,19 +655,171 @@ where
     }
 }
 
+/// Most trailing entries of [`fold_tail`]'s main sequence that one
+/// out-of-order op may move to the residue to join the main sequence
+/// itself. An early outlier (a big key logged too soon) then costs the
+/// residue these few entries, not every op logged after it.
+const FOLD_EVICT_MAX: usize = 8;
+
+/// One logged mutation of a recovered tail, at its LSN `seq`: an insert of
+/// `value`, or a delete when `value` is `None`.
+struct TailOp<K, V> {
+    key: K,
+    seq: Lsn,
+    value: Option<V>,
+}
+
+/// Folds a recovered WAL tail (each frame with its first LSN) into the
+/// snapshot's key-ordered `entries`. Returns, in key order, what replaying
+/// the tail into an index built from `entries` leaves, and the number of
+/// mutations folded, one per entry of a run.
+///
+/// The tail is nearly sorted, so only its disorder is sorted:
+/// 1. *Split.* Walked once in LSN order, each op joins an ascending *main*
+///    sequence if its key is at least main's last key, and the *residue*
+///    otherwise — unless at most [`FOLD_EVICT_MAX`] of main's trailing
+///    entries exceed it: those move to the residue, and the op joins main.
+/// 2. *Sort.* The residue alone is sorted by `(key, LSN)`.
+/// 3. *Merge.* Snapshot, main and residue merge in `(key, LSN)` order, the
+///    snapshot first for each key, and each key's ops apply as both trees
+///    apply them: an insert goes after the key's duplicates, and a delete
+///    removes the oldest one, or nothing.
+///
+/// A scrambled tail costs one `O(n log n)` sort. A [`WalOp::Commit`] record
+/// is refused as [`apply_tail`] refuses it.
+fn fold_tail<K: Key, V>(
+    entries: Vec<(K, V)>,
+    tail: Vec<(Lsn, Logged<K, V>)>,
+) -> Result<(Vec<(K, V)>, usize)> {
+    if tail.is_empty() {
+        return Ok((entries, 0));
+    }
+    let ops = tail.iter().map(|(_, logged)| logged.lsns() as usize).sum();
+    let mut main: Vec<TailOp<K, V>> = Vec::with_capacity(ops);
+    let mut residue = Vec::new();
+    let mut split = |op: TailOp<K, V>| {
+        if main.last().is_none_or(|last| last.key <= op.key) {
+            return main.push(op);
+        }
+        let trailing = main.len().saturating_sub(FOLD_EVICT_MAX);
+        if trailing > 0 && main[trailing - 1].key > op.key {
+            return residue.push(op);
+        }
+        let cut = trailing + main[trailing..].partition_point(|m| m.key <= op.key);
+        residue.extend(main.drain(cut..));
+        main.push(op);
+    };
+    for (lsn, logged) in tail {
+        match logged {
+            Logged::Op(WalOp::Insert(key, value)) => split(TailOp {
+                key,
+                seq: lsn,
+                value: Some(value),
+            }),
+            Logged::Op(WalOp::Delete(key)) => split(TailOp {
+                key,
+                seq: lsn,
+                value: None,
+            }),
+            Logged::Run(run) => {
+                for (seq, (key, value)) in (lsn..).zip(run) {
+                    split(TailOp {
+                        key,
+                        seq,
+                        value: Some(value),
+                    });
+                }
+            }
+            Logged::Op(WalOp::Commit(..)) => return Err(commit_in_plain_log(lsn)),
+        }
+    }
+    residue.sort_unstable_by_key(|op| (op.key, op.seq));
+
+    let residue_first = mutation::armed(Mutation::FoldTieOrder);
+    let mut folded = Folded {
+        entries: Vec::with_capacity(entries.len() + ops),
+        group: 0,
+        deleted: 0,
+    };
+    let mut snapshot = entries.into_iter().peekable();
+    let (mut main, mut residue) = (main.into_iter().peekable(), residue.into_iter().peekable());
+    loop {
+        let from_residue = match (main.peek(), residue.peek()) {
+            (None, None) => break,
+            (Some(m), Some(r)) if residue_first => r.key <= m.key,
+            (Some(m), Some(r)) => (r.key, r.seq) < (m.key, m.seq),
+            (m, _) => m.is_none(),
+        };
+        let op = if from_residue {
+            residue.next()
+        } else {
+            main.next()
+        };
+        let TailOp { key, value, .. } = op.expect("a peeked op");
+        while let Some((k, v)) = snapshot.next_if(|(k, _)| *k <= key) {
+            folded.insert(k, v);
+        }
+        match value {
+            Some(value) => folded.insert(key, value),
+            None => folded.delete(key),
+        }
+    }
+    snapshot.for_each(|(k, v)| folded.insert(k, v));
+    folded.settle();
+    Ok((folded.entries, ops))
+}
+
+/// [`fold_tail`]'s output as it grows: key-ordered `entries`, of which the
+/// last key's run starts at `group`, and its first `deleted` entries are
+/// deleted but not yet dropped.
+struct Folded<K, V> {
+    entries: Vec<(K, V)>,
+    group: usize,
+    deleted: usize,
+}
+
+impl<K: Key, V> Folded<K, V> {
+    /// Appends an entry after its key's duplicates. Keys arrive in
+    /// ascending order.
+    fn insert(&mut self, key: K, value: V) {
+        if self.entries.last().is_some_and(|(last, _)| *last != key) {
+            self.settle();
+        }
+        self.entries.push((key, value));
+    }
+
+    /// Deletes the oldest live entry of `key`, if there is one.
+    fn delete(&mut self, key: K) {
+        let oldest = self.entries.get(self.group + self.deleted);
+        if oldest.is_some_and(|(k, _)| *k == key) {
+            self.deleted += 1;
+        }
+    }
+
+    /// Drops the last key's deleted entries, so the next one starts a run.
+    fn settle(&mut self) {
+        self.entries.drain(self.group..self.group + self.deleted);
+        self.group = self.entries.len();
+        self.deleted = 0;
+    }
+}
+
 /// Replays a recovered WAL tail (each frame with its first LSN) into
-/// `index` through [`SortedIndex::insert_batch`] — for both in-workspace
-/// trees a sorted-run fast path that appends leaf chunks, so the
-/// append-mostly tail costs about one latch per leaf, not one insert per
-/// record. A run frame's entries go to `insert_batch` as decoded;
-/// consecutive single inserts are gathered into one batch. Returns the
-/// number of mutations applied, one per entry of a run.
+/// `index` through [`SortedIndex::insert_batch`]: the paged backend's
+/// recovery, whose index comes from a page image rather than from entries
+/// [`fold_tail`] could merge into. A run frame's entries go to
+/// `insert_batch` as decoded; consecutive single inserts are gathered into
+/// one batch. Returns the index and the number of mutations applied, one
+/// per entry of a run.
 ///
 /// A [`WalOp::Commit`] record means the log was written by a `TxnStore`: a
 /// plain index has no version dimension to replay it into, and appending
 /// plain records behind it would leave a log neither opener accepts — so
 /// it is refused with a `wal` error naming the record's LSN.
-pub(crate) fn apply_tail<K, V, T>(index: &mut T, tail: Vec<(Lsn, Logged<K, V>)>) -> Result<usize>
+pub(crate) fn apply_tail<K, V, T>(
+    mut index: T,
+    tail: Vec<(Lsn, Logged<K, V>)>,
+) -> Result<(T, usize)>
 where
     K: Key,
     V: Clone,
@@ -673,23 +838,26 @@ where
         match logged {
             Logged::Op(WalOp::Insert(k, v)) => singles.push((k, v)),
             Logged::Run(run) => {
-                flush(index, &mut singles);
+                flush(&mut index, &mut singles);
                 index.insert_batch(&run);
             }
             Logged::Op(WalOp::Delete(k)) => {
-                flush(index, &mut singles);
+                flush(&mut index, &mut singles);
                 index.delete(k);
             }
-            Logged::Op(WalOp::Commit(..)) => {
-                return Err(Error::wal(format!(
-                    "transactional commit record at LSN {lsn}: this log was written by a \
-                     TxnStore (open it with TxnStore::open)"
-                )));
-            }
+            Logged::Op(WalOp::Commit(..)) => return Err(commit_in_plain_log(lsn)),
         }
     }
-    flush(index, &mut singles);
-    Ok(applied)
+    flush(&mut index, &mut singles);
+    Ok((index, applied))
+}
+
+/// The error for a transactional commit record met at `lsn` in a plain log.
+fn commit_in_plain_log(lsn: Lsn) -> Error {
+    Error::wal(format!(
+        "transactional commit record at LSN {lsn}: this log was written by a \
+         TxnStore (open it with TxnStore::open)"
+    ))
 }
 
 // A service shard moves into its worker thread: the tree, and the WAL
@@ -1092,7 +1260,7 @@ mod tests {
 
     #[test]
     fn apply_tail_batches_insert_runs() {
-        let mut t = Variant::Quit.build::<u64, u64>(TreeConfig::small(16));
+        let t = Variant::Quit.build::<u64, u64>(TreeConfig::small(16));
         let tail: Vec<(Lsn, Logged<u64, u64>)> = (0..100u64)
             .map(|k| (k + 1, Logged::Op(WalOp::Insert(k, k))))
             .chain([
@@ -1101,7 +1269,7 @@ mod tests {
                 (202, Logged::Op(WalOp::Insert(200, 200))),
             ])
             .collect();
-        let applied = apply_tail(&mut t, tail).unwrap();
+        let (t, applied) = apply_tail(t, tail).unwrap();
         assert_eq!(applied, 202);
         assert_eq!(t.len(), 200);
         let m = t.metrics_registry().snapshot();
@@ -1111,6 +1279,83 @@ mod tests {
             m.fast_inserts,
             m.top_inserts
         );
+    }
+
+    /// The fold leaves exactly what replaying the tail into a tree
+    /// bulk-loaded from the snapshot leaves: duplicates in log order,
+    /// deletes taking the oldest instance, misses doing nothing, an early
+    /// outlier and a scrambled stretch included.
+    #[test]
+    fn fold_tail_matches_a_replay_into_the_snapshot() {
+        let snapshot: Vec<(u64, u64)> = [(10, 1), (20, 2), (20, 3), (30, 4)].to_vec();
+        let mut ops: Vec<Logged<u64, u64>> = vec![
+            Logged::Op(WalOp::Insert(20, 5)),
+            Logged::Op(WalOp::Delete(20)),
+            Logged::Op(WalOp::Insert(1_000, 6)), // early outlier
+            Logged::Run((21..60u64).map(|k| (k, k)).collect()),
+            Logged::Op(WalOp::Delete(25)),
+            Logged::Op(WalOp::Delete(7)), // miss
+            Logged::Op(WalOp::Insert(10, 7)),
+            Logged::Run([(5u64, 8u64), (3, 9), (25, 10), (25, 11)].to_vec()),
+            Logged::Op(WalOp::Delete(10)),
+            Logged::Op(WalOp::Delete(25)),
+        ];
+        ops.extend((0..50u64).map(|i| Logged::Op(WalOp::Insert((i * 37) % 101, 100 + i))));
+        ops.push(Logged::Op(WalOp::Delete(1_000)));
+        ops.push(Logged::Op(WalOp::Delete(1_000)));
+        let mut lsn = 1;
+        let tail: Vec<(Lsn, Logged<u64, u64>)> = ops
+            .into_iter()
+            .map(|logged| {
+                let at = lsn;
+                lsn += logged.lsns();
+                (at, logged)
+            })
+            .collect();
+
+        let replayed = bptree_builder(FastPathMode::Pole, TreeConfig::small(4))(snapshot.clone());
+        let (replayed, applied) = apply_tail(replayed, tail.clone()).unwrap();
+        let (folded, folded_ops) = fold_tail(snapshot, tail).unwrap();
+        assert_eq!(folded_ops, applied);
+        let want: Vec<(u64, u64)> = replayed.iter().map(|(k, v)| (k, *v)).collect();
+        assert_eq!(folded, want);
+    }
+
+    /// `snapshot_entries` and `tail_records` count what they counted when
+    /// the tail was replayed, and `elapsed` (like the `recovery_latency`
+    /// histogram) times the whole open, the one build included.
+    #[test]
+    fn the_report_counts_the_snapshot_and_tail_and_times_the_build() {
+        let storage = Arc::new(MemStorage::new());
+        let (mut d, _) = open(&storage, DurabilityConfig::group_commit());
+        d.insert_batch(&(0..300u64).map(|k| (k, k)).collect::<Vec<_>>());
+        d.delete(7);
+        d.checkpoint::<u64, u64>().unwrap();
+        d.insert_batch(&(300..340u64).map(|k| (k, k)).collect::<Vec<_>>());
+        d.insert(5, 55);
+        d.delete(5);
+        d.delete(7); // miss: deleted before the checkpoint
+        d.delete(330);
+        drop(d);
+
+        let build_time = Duration::from_millis(30);
+        let (d2, report) = Durable::open(
+            Arc::new(storage.crash_durable_only()) as Arc<dyn Storage>,
+            DurabilityConfig::group_commit(),
+            |entries| {
+                std::thread::sleep(build_time);
+                quit_builder()(entries)
+            },
+        )
+        .unwrap();
+        assert_eq!(report.snapshot_entries, 299);
+        assert_eq!(report.tail_records, 44);
+        assert_eq!(d2.inner().len(), 338);
+        assert_eq!(d2.inner().get(5), Some(&55), "the snapshot's 5 was deleted");
+        assert!(report.elapsed >= build_time, "{:?}", report.elapsed);
+        let histogram = d2.wal().metrics().snapshot().recovery_latency;
+        assert_eq!(histogram.count(), 1);
+        assert!(histogram.sum_ns >= build_time.as_nanos() as u64);
     }
 
     #[test]

@@ -9,11 +9,12 @@
 //!   inserts is one frame, one LSN per entry. Concurrent
 //!   writers batch their fsyncs through a **group-commit** leader — one
 //!   fsync per group, composing with `ConcurrentTree`'s OLC write path.
-//! * **Sorted snapshots** (checkpoints) walk the tree in key order, so
-//!   recovery is `bulk_load(snapshot)` — O(n), leaves packed full —
-//!   `+ replay(WAL tail)`, with the
-//!   append-mostly tail fed through `insert_batch`'s sorted-run fast path,
-//!   a logged batch as the run it was.
+//! * **Sorted snapshots** (checkpoints) walk the tree in key order. A
+//!   plain log's recovery folds the append-mostly WAL tail into the
+//!   snapshot's entries, sorting only the tail's out-of-order residue,
+//!   and builds the tree once with `bulk_load` — O(n), leaves packed
+//!   full. `TxnStore` bulk-loads its snapshot and applies each commit
+//!   frame on top.
 //! * [`Durable<T>`] wraps any `SortedIndex` with log-then-apply semantics
 //!   behind three [`DurabilityLevel`]s: `Off`, `Buffered`, `GroupCommit`.
 //!   Every fallible public API returns [`quit_core::Result`] — `Poisoned`

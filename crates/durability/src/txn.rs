@@ -309,7 +309,7 @@ where
                 },
             })
         };
-        let replay = |st: &mut Recovered<K, V>, tail: Vec<(Lsn, Logged<K, V>)>| {
+        let replay = |mut st: Recovered<K, V>, tail: Vec<(Lsn, Logged<K, V>)>| {
             let mut applied = 0usize;
             for (lsn, logged) in tail {
                 let Logged::Op(WalOp::Commit(commit_ts, writes)) = logged else {
@@ -323,7 +323,7 @@ where
                 st.live = st.live.wrapping_add_signed(live);
                 st.max_ts = st.max_ts.max(commit_ts);
             }
-            Ok(applied)
+            Ok((st, applied))
         };
         let (recovered, wal, report) = recover(storage, &config.durability, load, replay)?;
         Ok((

@@ -283,8 +283,8 @@ fn insert_runs(
 }
 
 /// Recovers one shard from `storage`: a QuIT `BpTree` (poℓe with variable
-/// split and redistribute, as `config.tree` sets them) bulk-built from the
-/// newest snapshot, with the WAL tail replayed into it.
+/// split and redistribute, as `config.tree` sets them) bulk-built once
+/// from the newest snapshot with the WAL tail folded in.
 fn open_shard(
     storage: Arc<dyn Storage>,
     config: &ServiceConfig,
@@ -708,5 +708,48 @@ mod tests {
             embedded.memory_report().avg_leaf_occupancy
         );
         assert_eq!(shard.len(), embedded.len());
+    }
+
+    /// A restarted shard keeps its fast path: a K = L = 5 % stream logged
+    /// in 70-entry runs, reopened, and continued on the reopened shard and
+    /// on the one that never stopped, leaves both with the same contents,
+    /// and the continuation fast-inserts about as often on both.
+    #[test]
+    fn a_restarted_shard_keeps_its_fast_path() {
+        const RUN: usize = 70;
+        let stream = bods::BodsSpec::new(180_000, 0.05, 0.05)
+            .with_seed(9)
+            .generate_entries();
+        let (logged, continued) = stream.split_at(126_000);
+        let config = ServiceConfig::paper_default().with_shards(1);
+        let storage = Arc::new(MemStorage::new());
+        let (mut live, _) = open_shard(storage.clone(), &config).unwrap();
+        for run in logged.chunks(RUN) {
+            let (_, unacked) = live.insert_batch_unacked(run);
+            live.ack(unacked);
+        }
+        let (mut reopened, report) =
+            open_shard(Arc::new(storage.crash_durable_only()), &config).unwrap();
+        assert_eq!(report.tail_records, logged.len());
+
+        let continue_stream = |shard: &mut Shard| {
+            shard.inner().reset_metrics();
+            for run in continued.chunks(RUN) {
+                let (_, unacked) = shard.insert_batch_unacked(run);
+                shard.ack(unacked);
+            }
+            shard.inner().metrics().fast_insert_fraction()
+        };
+        let (live_fast, reopened_fast) =
+            (continue_stream(&mut live), continue_stream(&mut reopened));
+        assert_eq!(reopened.len(), stream.len());
+        assert!(
+            reopened.inner().range(..).eq(live.inner().range(..)),
+            "the reopened shard's contents differ from the live one's"
+        );
+        assert!(
+            (reopened_fast - live_fast).abs() <= 0.03,
+            "fast-insert fraction after the restart {reopened_fast:.3}, live {live_fast:.3}"
+        );
     }
 }

@@ -325,6 +325,108 @@ pub fn replay_crash(
     replay_crash_ops(&workload.generate(), spec)
 }
 
+/// Knobs for the exact-equality recovery oracle ([`replay_recovery_exact`]).
+#[derive(Clone, Debug)]
+pub struct ExactRecoverySpec {
+    /// Configuration of the durable poℓe `BpTree`, live and recovered.
+    pub tree: TreeConfig,
+    /// Checkpoint after this op index, so recovery folds a WAL tail into a
+    /// snapshot.
+    pub checkpoint_at: Option<usize>,
+}
+
+/// The exact-equality recovery oracle. Runs `ops` through a
+/// `Durable<BpTree>` (poℓe, `spec.tree`), recovers the full storage
+/// image, and demands that the recovered tree's `range(..)` equal the live
+/// tree's entry for entry — keys, values and the order of duplicates — at
+/// the same `len`, with sound invariants. Then it checkpoints the
+/// recovered tree, reopens it, and demands the same again. Returns the
+/// first recovery's report.
+///
+/// [`replay_crash_ops`] checks every crash cut but, where a key is
+/// duplicated, its multiplicity only; this oracle is the one that catches
+/// a recovery which reorders duplicates.
+pub fn replay_recovery_exact(
+    ops: &[Op],
+    spec: &ExactRecoverySpec,
+) -> Result<quit_durability::RecoveryReport, Divergence> {
+    let open = |storage: &Arc<MemStorage>, stage| {
+        Durable::open(
+            storage.clone() as Arc<dyn Storage>,
+            crash_config(),
+            bptree_builder::<u64, u64>(FastPathMode::Pole, spec.tree.clone()),
+        )
+        .map_err(|e| io_div(stage, e))
+    };
+    let storage = Arc::new(MemStorage::new());
+    let (mut live, _) = open(&storage, "open")?;
+    for (i, op) in ops.iter().enumerate() {
+        match op {
+            Op::Insert(k, v) => live.insert(*k, *v),
+            Op::InsertBatch(entries) | Op::BulkLoad(entries) => {
+                live.insert_batch(entries);
+            }
+            Op::Delete(k) => {
+                live.delete(*k);
+            }
+            Op::Get(_) | Op::Range(..) | Op::ResetMetrics => {}
+        }
+        if spec.checkpoint_at == Some(i) {
+            live.checkpoint::<u64, u64>()
+                .map_err(|e| io_div("checkpoint", e))?;
+        }
+    }
+    live.flush().map_err(|e| io_div("flush", e))?;
+    let want: Vec<(u64, u64)> = live.inner().range(..).map(|(k, v)| (k, *v)).collect();
+    drop(live);
+
+    let image = Arc::new(storage.crash(storage.total_appended()));
+    let (mut recovered, report) = open(&image, "recover")?;
+    check_exact(recovered.inner(), &want, ops.len(), "full image")?;
+    recovered
+        .checkpoint::<u64, u64>()
+        .map_err(|e| io_div("checkpoint recovered", e))?;
+    drop(recovered);
+    let (reopened, _) = open(&image, "reopen")?;
+    check_exact(
+        reopened.inner(),
+        &want,
+        ops.len(),
+        "reopened after a checkpoint",
+    )?;
+    Ok(report)
+}
+
+/// `tree` holds exactly `want`, in order, and passes its invariant suite;
+/// a divergence is reported at `op_index`, the op count of the workload.
+fn check_exact(
+    tree: &quit_core::BpTree<u64, u64>,
+    want: &[(u64, u64)],
+    op_index: usize,
+    stage: &str,
+) -> Result<(), Divergence> {
+    let diverge = |detail: String| Divergence {
+        family: "Durable<BpTree>",
+        op_index,
+        detail: format!("{stage}: {detail}"),
+    };
+    let got: Vec<(u64, u64)> = tree.range(..).map(|(k, v)| (k, *v)).collect();
+    if got != want || tree.len() != want.len() {
+        let at = (0..).find(|&i| got.get(i) != want.get(i));
+        let at = at.expect("two unequal vectors differ somewhere");
+        return Err(diverge(format!(
+            "recovered {} entries (len {}) vs live {}; entry {at} is {:?} vs live {:?}",
+            got.len(),
+            tree.len(),
+            want.len(),
+            got.get(at),
+            want.get(at)
+        )));
+    }
+    tree.check_invariants()
+        .map_err(|e| diverge(format!("recovered tree invariants: {e}")))
+}
+
 /// Knobs for the **paged** crash differential: the page-file variant of
 /// [`CrashSpec`]. The durable tree runs the paged backend, checkpoints
 /// publish the page file itself (`psnap-….qpsf`), and the crash fuzz cuts

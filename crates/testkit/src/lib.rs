@@ -40,7 +40,12 @@
 //! byte offsets and recovery must equal some committed prefix — never a
 //! partially applied transaction.
 //!
-//! The harness proves it can catch real bugs via five mutation smokes.
+//! Recovery also has an exact-equality oracle ([`replay_recovery_exact`]):
+//! a durable tree reopened from its full log must equal the live one entry
+//! for entry, duplicates' order included, on the streams
+//! [`RecoveryStreamStrategy`] samples.
+//!
+//! The harness proves it can catch real bugs via six mutation smokes.
 //! Each arms one planted bug through `quit_core::mutation::arm` on its own
 //! test thread (this crate's dev-dependencies compile the switch in) and
 //! asserts the matching oracle detects it, shrinks the trigger to a tiny op
@@ -48,8 +53,10 @@
 //! (`tests/mutation_smoke.rs`), an off-by-one in the branchless search
 //! ladder (`tests/search_mutation_smoke.rs`), a pin released one boundary
 //! early in the paged backend (`tests/pool_mutation_smoke.rs`), a wrong
-//! Delete-frame CRC in the WAL (`tests/wal_mutation_smoke.rs`) and a
-//! skipped first-committer-wins check (`tests/txn_mutation_smoke.rs`).
+//! Delete-frame CRC in the WAL (`tests/wal_mutation_smoke.rs`), a
+//! skipped first-committer-wins check (`tests/txn_mutation_smoke.rs`) and
+//! a recovery fold that reorders a key's ops
+//! (`tests/fold_mutation_smoke.rs`).
 //!
 //! Longer soaks scale with the `QUIT_FUZZ_CASES` environment variable (see
 //! [`fuzz_cases`]).
@@ -66,9 +73,9 @@ mod workload;
 pub use concurrent::{conc_base_seed, replay_concurrent, ConcReport, ConcSpec};
 pub use crash::{
     replay_crash, replay_crash_concurrent, replay_crash_contended, replay_crash_ops,
-    replay_crash_paged, replay_crash_paged_ops, replay_txn_crash, ConcCrashReport, ConcCrashSpec,
-    ContendedSpec, CrashReport, CrashSpec, PagedCrashReport, PagedCrashSpec, TxnCrashReport,
-    TxnCrashSpec,
+    replay_crash_paged, replay_crash_paged_ops, replay_recovery_exact, replay_txn_crash,
+    ConcCrashReport, ConcCrashSpec, ContendedSpec, CrashReport, CrashSpec, ExactRecoverySpec,
+    PagedCrashReport, PagedCrashSpec, TxnCrashReport, TxnCrashSpec,
 };
 pub use oracle::{replay, replay_guarded, Divergence, OracleBackend, OracleConfig, ReplayReport};
 pub use si_checker::{
@@ -76,7 +83,9 @@ pub use si_checker::{
     SiSoakSpec, SiSummary, SiViolation, TxnEvent, TxnOp, TxnWorkloadSpec, TxnWorkloadStrategy,
     MAX_SLOTS,
 };
-pub use workload::{Op, OpMix, WorkloadSpec, WorkloadStrategy, MAX_BATCH, MAX_BULK};
+pub use workload::{
+    Op, OpMix, RecoveryStreamStrategy, WorkloadSpec, WorkloadStrategy, MAX_BATCH, MAX_BULK,
+};
 
 /// Number of fuzz cases to run: `QUIT_FUZZ_CASES` when set and parseable,
 /// else `default_cases`. CI pins the default (~30 s budget); local soaks

@@ -350,34 +350,88 @@ impl Strategy for WorkloadStrategy {
     }
 
     fn shrink(&self, value: &Vec<Op>) -> Vec<Vec<Op>> {
-        let n = value.len();
-        let mut out: Vec<Vec<Op>> = Vec::new();
-        // Phase 1: aligned chunk removal, largest chunks first.
-        let mut chunk = n / 2;
-        while chunk >= 1 {
-            let mut start = 0;
-            while start < n {
-                let end = (start + chunk).min(n);
-                if end > start {
-                    let mut cand = Vec::with_capacity(n - (end - start));
-                    cand.extend_from_slice(&value[..start]);
-                    cand.extend_from_slice(&value[end..]);
-                    out.push(cand);
-                }
-                start += chunk;
-            }
-            chunk /= 2;
-        }
-        // Phase 2: per-op minimization.
-        for (i, op) in value.iter().enumerate() {
-            for cand in shrink_op(op) {
-                let mut next = value.clone();
-                next[i] = cand;
-                out.push(next);
-            }
-        }
-        out
+        shrink_ops(value)
     }
+}
+
+/// The streams the exact recovery oracle ([`crate::replay_recovery_exact`])
+/// runs. Each sample is, with equal odds, near-sorted (K ≤ 5 %), scrambled
+/// (K = L = 100 %), duplicate-heavy (half the point inserts repeat an
+/// earlier key) or delete-heavy (about a third of the ops delete, some of
+/// them keys that are not there). Shrinks as [`WorkloadStrategy`] does.
+#[derive(Clone, Debug)]
+pub struct RecoveryStreamStrategy {
+    /// Maximum generated sequence length.
+    pub max_ops: usize,
+}
+
+impl Strategy for RecoveryStreamStrategy {
+    type Value = Vec<Op>;
+
+    fn sample(&self, rng: &mut TestRng) -> Vec<Op> {
+        let k = rng.below(51) as f64 / 1000.0;
+        let l = (1 + rng.below(1000)) as f64 / 1000.0;
+        let ingest = OpMix::ingest_heavy();
+        let (k_fraction, l_fraction, dup_fraction, mix) = match rng.below(4) {
+            0 => (k, l, 0.02, ingest),
+            1 => (1.0, 1.0, 0.02, ingest),
+            2 => (k, l, 0.5, ingest),
+            _ => (
+                k,
+                l,
+                0.1,
+                OpMix {
+                    delete: 45,
+                    ..ingest
+                },
+            ),
+        };
+        WorkloadSpec {
+            ops: 1 + rng.below(self.max_ops.max(1) as u64) as usize,
+            k_fraction,
+            l_fraction,
+            seed: rng.next_u64(),
+            mix,
+            dup_fraction,
+        }
+        .generate()
+    }
+
+    fn shrink(&self, value: &Vec<Op>) -> Vec<Vec<Op>> {
+        shrink_ops(value)
+    }
+}
+
+/// One round of delta debugging over an op sequence: aligned chunk
+/// removal, largest chunks first, then per-op minimization.
+fn shrink_ops(value: &[Op]) -> Vec<Vec<Op>> {
+    let n = value.len();
+    let mut out: Vec<Vec<Op>> = Vec::new();
+    // Phase 1: aligned chunk removal, largest chunks first.
+    let mut chunk = n / 2;
+    while chunk >= 1 {
+        let mut start = 0;
+        while start < n {
+            let end = (start + chunk).min(n);
+            if end > start {
+                let mut cand = Vec::with_capacity(n - (end - start));
+                cand.extend_from_slice(&value[..start]);
+                cand.extend_from_slice(&value[end..]);
+                out.push(cand);
+            }
+            start += chunk;
+        }
+        chunk /= 2;
+    }
+    // Phase 2: per-op minimization.
+    for (i, op) in value.iter().enumerate() {
+        for cand in shrink_op(op) {
+            let mut next = value.to_vec();
+            next[i] = cand;
+            out.push(next);
+        }
+    }
+    out
 }
 
 /// One round of strictly simpler variants of a single op.

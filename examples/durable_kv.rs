@@ -58,8 +58,8 @@ fn main() {
     drop(kv);
     let after_crash = Arc::new(storage.crash_durable_only());
 
-    // Recover: replay the WAL tail (batched through the sorted-run fast
-    // path) and verify nothing acked was lost.
+    // Recover: fold the WAL tail into the (here empty) snapshot, build
+    // the tree once bottom-up, and verify nothing acked was lost.
     let (mut kv, report) =
         Durable::open(after_crash.clone() as Arc<dyn Storage>, config, build()).unwrap();
     println!(
@@ -71,8 +71,7 @@ fn main() {
     assert_eq!(kv.get(keys[1]), Some(1));
 
     // Checkpoint: write a sorted snapshot and rotate the WAL. Recovery
-    // after this is an O(n) bulk load at the configured leaf fill plus a
-    // tiny tail — not a full replay.
+    // after this folds a tiny tail into the snapshot, not the whole log.
     kv.checkpoint::<u64, u64>().unwrap();
     for k in 1_000_000..1_000_100u64 {
         kv.insert(k, k);
