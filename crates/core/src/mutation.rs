@@ -40,6 +40,10 @@ pub enum Mutation {
     /// its in-order ones, whatever their log order, so duplicates come back
     /// reordered and a delete can run before the insert it removes.
     FoldTieOrder,
+    /// An append that joins the WAL buffer's open run leaves the run's
+    /// count as it was before, so the sealed frame's CRC verifies but its
+    /// body holds more entries than it counts.
+    StaleRunCount,
 }
 
 /// Whether `m` is armed on the calling thread. Always `false` unless the

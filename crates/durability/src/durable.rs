@@ -28,8 +28,9 @@
 //! Recovery rests on the sortedness this workspace is built around: the
 //! snapshot is key-ordered and the WAL tail is append-mostly. So
 //! [`Durable::open`] never re-ingests the tail: [`fold_tail`] keeps the
-//! tail's in-order part where it is, sorts only its out-of-order residue
-//! and merges both into the snapshot's entries, and the index is then
+//! tail's in-order part where it is (a run frame's ascending entries move
+//! in one piece), sorts only its out-of-order residue and its deletes,
+//! and merges them into the snapshot's entries, and the index is then
 //! built once, bottom-up by `bulk_load` at the configured leaf fill, for
 //! `BpTree` and `ConcurrentTree` alike. Only the paged backend, whose tree
 //! comes from a page image rather than from entries, replays the tail into
@@ -392,13 +393,14 @@ impl<T> Durable<T> {
     }
 
     /// [`SortedIndex::insert_batch`] without the durability wait: the batch
-    /// is logged — from `entries` as they lie, one append of one run frame
-    /// (one frame per 65 536 entries), one LSN per entry — and applied
-    /// when this returns, and durable once the returned token (or a later
-    /// one it was [`merge`](Unacked::merge)d into) is
+    /// is logged — from `entries` as they lie, in one append that joins the
+    /// WAL's open run (a run frame holds up to 65 536 entries), one LSN per
+    /// entry — and applied when this returns, and durable once the returned
+    /// token (or a later one it was [`merge`](Unacked::merge)d into) is
     /// [`ack`](Self::ack)ed. A caller with many writes in hand pays one
-    /// group commit for all of them this way. Also returns the count
-    /// `insert_batch` does.
+    /// group commit for all of them this way, and the batches it logs in
+    /// between share one run frame. Also returns the count `insert_batch`
+    /// does.
     pub fn insert_batch_unacked<K, V>(&mut self, entries: &[(K, V)]) -> (usize, Unacked)
     where
         K: Key + WalCodec,
@@ -656,17 +658,106 @@ where
 }
 
 /// Most trailing entries of [`fold_tail`]'s main sequence that one
-/// out-of-order op may move to the residue to join the main sequence
+/// out-of-order insert may move to the residue to join the main sequence
 /// itself. An early outlier (a big key logged too soon) then costs the
-/// residue these few entries, not every op logged after it.
+/// residue these few entries, not every insert logged after it.
 const FOLD_EVICT_MAX: usize = 8;
 
-/// One logged mutation of a recovered tail, at its LSN `seq`: an insert of
-/// `value`, or a delete when `value` is `None`.
-struct TailOp<K, V> {
-    key: K,
-    seq: Lsn,
-    value: Option<V>,
+/// [`fold_tail`]'s ascending main sequence: inserts in key order, equal
+/// keys in log order, and where their LSNs are kept as stretches — each
+/// `(index, lsn)` says the entries from `index` on, up to the next
+/// stretch, were logged at `lsn`, `lsn + 1`, … — so that a run frame moved
+/// in whole is one stretch, not one LSN per entry.
+struct Main<K, V> {
+    entries: Vec<(K, V)>,
+    stretches: Vec<(usize, Lsn)>,
+}
+
+impl<K: Key, V> Main<K, V> {
+    /// Notes that the next entry pushed was logged at `lsn`.
+    fn at(&mut self, lsn: Lsn) {
+        let len = self.entries.len();
+        let continues = self
+            .stretches
+            .last()
+            .is_some_and(|&(from, first)| first + (len - from) as u64 == lsn);
+        if !continues {
+            self.stretches.push((len, lsn));
+        }
+    }
+
+    /// The LSN entry `i` was logged at.
+    fn lsn(stretches: &[(usize, Lsn)], i: usize) -> Lsn {
+        let (from, first) = stretches[stretches.partition_point(|&(from, _)| from <= i) - 1];
+        first + (i - from) as u64
+    }
+
+    fn push(&mut self, lsn: Lsn, key: K, value: V) {
+        self.at(lsn);
+        self.entries.push((key, value));
+    }
+
+    /// Moves the entries from `cut` on to `residue`, each with its LSN.
+    fn evict(&mut self, cut: usize, residue: &mut Vec<(K, Lsn, V)>) {
+        let stretches = &self.stretches;
+        let evicted = self.entries.drain(cut..).zip(cut..);
+        residue.extend(evicted.map(|((k, v), i)| (k, Self::lsn(stretches, i), v)));
+        while self.stretches.last().is_some_and(|&(from, _)| from >= cut) {
+            self.stretches.pop();
+        }
+    }
+}
+
+/// A recovered tail staged for [`fold_tail`]'s merge: the inserts split
+/// into an ascending main sequence and an out-of-order residue (each entry
+/// with its LSN), and the deletes apart from both.
+struct Staged<K, V> {
+    main: Main<K, V>,
+    residue: Vec<(K, Lsn, V)>,
+    deletes: Vec<(K, Lsn)>,
+}
+
+impl<K: Key, V> Staged<K, V> {
+    /// Joins main if `key` is at least main's last key, or if at most
+    /// [`FOLD_EVICT_MAX`] of main's trailing entries exceed it (those move
+    /// to the residue); goes to the residue otherwise.
+    fn insert(&mut self, lsn: Lsn, key: K, value: V) {
+        let main = &mut self.main.entries;
+        if main.last().is_none_or(|(last, _)| *last <= key) {
+            return self.main.push(lsn, key, value);
+        }
+        let trailing = main.len().saturating_sub(FOLD_EVICT_MAX);
+        if trailing > 0 && main[trailing - 1].0 > key {
+            return self.residue.push((key, lsn, value));
+        }
+        let cut = trailing + main[trailing..].partition_point(|(k, _)| *k <= key);
+        self.main.evict(cut, &mut self.residue);
+        self.main.push(lsn, key, value);
+    }
+
+    /// A run frame's entries from `lsn` on: each ascending stretch that
+    /// starts at or above main's last key moves into main in one piece,
+    /// one comparison per entry; an entry that starts none goes alone.
+    fn run(&mut self, lsn: Lsn, run: Vec<(K, V)>) {
+        let (mut lsn, mut run) = (lsn, run.into_iter());
+        while let Some((first, _)) = run.as_slice().first() {
+            if self
+                .main
+                .entries
+                .last()
+                .is_none_or(|(last, _)| last <= first)
+            {
+                let rest = run.as_slice();
+                let n = 1 + rest.windows(2).take_while(|w| w[0].0 <= w[1].0).count();
+                self.main.at(lsn);
+                self.main.entries.extend(run.by_ref().take(n));
+                lsn += n as u64;
+            } else if let Some((key, value)) = run.next() {
+                self.insert(lsn, key, value);
+                lsn += 1;
+            }
+        }
+    }
 }
 
 /// Folds a recovered WAL tail (each frame with its first LSN) into the
@@ -675,15 +766,19 @@ struct TailOp<K, V> {
 /// mutations folded, one per entry of a run.
 ///
 /// The tail is nearly sorted, so only its disorder is sorted:
-/// 1. *Split.* Walked once in LSN order, each op joins an ascending *main*
-///    sequence if its key is at least main's last key, and the *residue*
-///    otherwise — unless at most [`FOLD_EVICT_MAX`] of main's trailing
-///    entries exceed it: those move to the residue, and the op joins main.
-/// 2. *Sort.* The residue alone is sorted by `(key, LSN)`.
+/// 1. *Stage.* Walked once in LSN order, each insert joins an ascending
+///    *main* sequence if its key is at least main's last key, and the
+///    *residue* otherwise — unless at most [`FOLD_EVICT_MAX`] of main's
+///    trailing entries exceed it: those move to the residue, and the
+///    insert joins main. A run frame's ascending stretches move into main
+///    whole. Deletes are staged apart.
+/// 2. *Sort.* The residue alone is sorted by `(key, LSN)`, and so are the
+///    deletes.
 /// 3. *Merge.* Snapshot, main and residue merge in `(key, LSN)` order, the
-///    snapshot first for each key, and each key's ops apply as both trees
-///    apply them: an insert goes after the key's duplicates, and a delete
-///    removes the oldest one, or nothing.
+///    snapshot first for each key, into the one vector returned, in
+///    stretches that run up to the next other head. Each deleted key's
+///    entries are merged alone, where its deletes remove the oldest entry
+///    logged before them, or nothing, as both trees apply them.
 ///
 /// A scrambled tail costs one `O(n log n)` sort. A [`WalOp::Commit`] record
 /// is refused as [`apply_tail`] refuses it.
@@ -695,113 +790,142 @@ fn fold_tail<K: Key, V>(
         return Ok((entries, 0));
     }
     let ops = tail.iter().map(|(_, logged)| logged.lsns() as usize).sum();
-    let mut main: Vec<TailOp<K, V>> = Vec::with_capacity(ops);
-    let mut residue = Vec::new();
-    let mut split = |op: TailOp<K, V>| {
-        if main.last().is_none_or(|last| last.key <= op.key) {
-            return main.push(op);
-        }
-        let trailing = main.len().saturating_sub(FOLD_EVICT_MAX);
-        if trailing > 0 && main[trailing - 1].key > op.key {
-            return residue.push(op);
-        }
-        let cut = trailing + main[trailing..].partition_point(|m| m.key <= op.key);
-        residue.extend(main.drain(cut..));
-        main.push(op);
+    let mut staged = Staged {
+        main: Main {
+            entries: Vec::with_capacity(ops),
+            stretches: Vec::new(),
+        },
+        residue: Vec::new(),
+        deletes: Vec::new(),
     };
     for (lsn, logged) in tail {
         match logged {
-            Logged::Op(WalOp::Insert(key, value)) => split(TailOp {
-                key,
-                seq: lsn,
-                value: Some(value),
-            }),
-            Logged::Op(WalOp::Delete(key)) => split(TailOp {
-                key,
-                seq: lsn,
-                value: None,
-            }),
-            Logged::Run(run) => {
-                for (seq, (key, value)) in (lsn..).zip(run) {
-                    split(TailOp {
-                        key,
-                        seq,
-                        value: Some(value),
-                    });
-                }
-            }
+            Logged::Run(run) => staged.run(lsn, run),
+            Logged::Op(WalOp::Insert(key, value)) => staged.insert(lsn, key, value),
+            Logged::Op(WalOp::Delete(key)) => staged.deletes.push((key, lsn)),
             Logged::Op(WalOp::Commit(..)) => return Err(commit_in_plain_log(lsn)),
         }
     }
-    residue.sort_unstable_by_key(|op| (op.key, op.seq));
+    staged
+        .residue
+        .sort_unstable_by_key(|&(key, lsn, _)| (key, lsn));
+    staged.deletes.sort_unstable();
+    Ok((merge(entries, staged), ops))
+}
 
+/// The first key of `stream`, if it is below `barrier` (`None` bars
+/// nothing).
+fn head<T, K: Key>(stream: &[T], key: impl Fn(&T) -> K, barrier: Option<K>) -> Option<K> {
+    let head = key(stream.first()?);
+    barrier.is_none_or(|barrier| head < barrier).then_some(head)
+}
+
+/// How many leading entries of `stream` come before `limit`: those with
+/// keys below it, or at most it when `or_equal`; all of them without one.
+fn stretch<T, K: Key>(
+    stream: &[T],
+    key: impl Fn(&T) -> K,
+    limit: Option<K>,
+    or_equal: bool,
+) -> usize {
+    match limit {
+        None => stream.len(),
+        Some(limit) => stream
+            .iter()
+            .take_while(|e| key(e) < limit || (or_equal && key(e) == limit))
+            .count(),
+    }
+}
+
+/// [`fold_tail`]'s merge: snapshot, main and residue in `(key, LSN)` order,
+/// the snapshot first for each key, with every deleted key's deletes
+/// applied, into one vector.
+fn merge<K: Key, V>(snapshot: Vec<(K, V)>, staged: Staged<K, V>) -> Vec<(K, V)> {
+    let Staged {
+        main,
+        residue,
+        deletes,
+    } = staged;
+    // Planted fold bug (`Mutation::FoldTieOrder`): a key's residue entries
+    // go before its main ones, whatever their LSNs.
     let residue_first = mutation::armed(Mutation::FoldTieOrder);
-    let mut folded = Folded {
-        entries: Vec::with_capacity(entries.len() + ops),
-        group: 0,
-        deleted: 0,
-    };
-    let mut snapshot = entries.into_iter().peekable();
-    let (mut main, mut residue) = (main.into_iter().peekable(), residue.into_iter().peekable());
+    let mut out = Vec::with_capacity(snapshot.len() + main.entries.len() + residue.len());
+    let (main_len, stretches) = (main.entries.len(), main.stretches);
+    let main_lsn =
+        |m: &std::vec::IntoIter<(K, V)>| Main::<K, V>::lsn(&stretches, main_len - m.len());
+    let (mut s, mut m, mut r) = (
+        snapshot.into_iter(),
+        main.entries.into_iter(),
+        residue.into_iter(),
+    );
+    let mut deletes = deletes.into_iter().peekable();
+    let mut key_entries: Vec<(Lsn, V)> = Vec::new();
     loop {
-        let from_residue = match (main.peek(), residue.peek()) {
-            (None, None) => break,
-            (Some(m), Some(r)) if residue_first => r.key <= m.key,
-            (Some(m), Some(r)) => (r.key, r.seq) < (m.key, m.seq),
-            (m, _) => m.is_none(),
+        // Everything below the next deleted key, a stretch at a time.
+        let barrier = deletes.peek().map(|&(key, _)| key);
+        loop {
+            let sh = head(s.as_slice(), |e| e.0, barrier);
+            let mh = head(m.as_slice(), |e| e.0, barrier);
+            let rh = head(r.as_slice(), |e| e.0, barrier);
+            let Some(low) = [sh, mh, rh].into_iter().flatten().min() else {
+                break;
+            };
+            if sh == Some(low) {
+                let (limit, or_equal) = match mh.into_iter().chain(rh).min() {
+                    Some(limit) => (Some(limit), true),
+                    None => (barrier, false),
+                };
+                let n = stretch(s.as_slice(), |e| e.0, limit, or_equal);
+                out.extend(s.by_ref().take(n));
+            } else if mh == rh {
+                // A key in both: one entry, the earlier logged.
+                if residue_first || r.as_slice()[0].1 < main_lsn(&m) {
+                    out.extend(r.next().map(|(k, _, v)| (k, v)));
+                } else {
+                    out.extend(m.next());
+                }
+            } else if mh == Some(low) {
+                let limit = sh.into_iter().chain(rh).chain(barrier).min();
+                let n = stretch(m.as_slice(), |e| e.0, limit, false);
+                out.extend(m.by_ref().take(n));
+            } else {
+                let limit = sh.into_iter().chain(mh).chain(barrier).min();
+                let n = stretch(r.as_slice(), |e| e.0, limit, false);
+                out.extend(r.by_ref().take(n).map(|(k, _, v)| (k, v)));
+            }
+        }
+        let Some(key) = barrier else {
+            break;
         };
-        let op = if from_residue {
-            residue.next()
-        } else {
-            main.next()
-        };
-        let TailOp { key, value, .. } = op.expect("a peeked op");
-        while let Some((k, v)) = snapshot.next_if(|(k, _)| *k <= key) {
-            folded.insert(k, v);
+        // The deleted key: its entries in log order, the snapshot's first.
+        while s.as_slice().first().is_some_and(|e| e.0 == key) {
+            key_entries.extend(s.next().map(|(_, v)| (0, v)));
         }
-        match value {
-            Some(value) => folded.insert(key, value),
-            None => folded.delete(key),
+        loop {
+            let in_main = m.as_slice().first().is_some_and(|e| e.0 == key);
+            let in_residue = r.as_slice().first().is_some_and(|e| e.0 == key);
+            let from_residue = match (in_main, in_residue) {
+                (false, false) => break,
+                (true, true) => residue_first || r.as_slice()[0].1 < main_lsn(&m),
+                (_, in_residue) => in_residue,
+            };
+            if from_residue {
+                key_entries.extend(r.next().map(|(_, lsn, v)| (lsn, v)));
+            } else {
+                let lsn = main_lsn(&m);
+                key_entries.extend(m.next().map(|(_, v)| (lsn, v)));
+            }
         }
-    }
-    snapshot.for_each(|(k, v)| folded.insert(k, v));
-    folded.settle();
-    Ok((folded.entries, ops))
-}
-
-/// [`fold_tail`]'s output as it grows: key-ordered `entries`, of which the
-/// last key's run starts at `group`, and its first `deleted` entries are
-/// deleted but not yet dropped.
-struct Folded<K, V> {
-    entries: Vec<(K, V)>,
-    group: usize,
-    deleted: usize,
-}
-
-impl<K: Key, V> Folded<K, V> {
-    /// Appends an entry after its key's duplicates. Keys arrive in
-    /// ascending order.
-    fn insert(&mut self, key: K, value: V) {
-        if self.entries.last().is_some_and(|(last, _)| *last != key) {
-            self.settle();
+        // Each delete removes the oldest entry logged before it, if any.
+        let mut gone = 0;
+        while let Some((_, lsn)) = deletes.next_if(|&(k, _)| k == key) {
+            if key_entries.get(gone).is_some_and(|&(at, _)| at < lsn) {
+                gone += 1;
+            }
         }
-        self.entries.push((key, value));
+        out.extend(key_entries.drain(..).skip(gone).map(|(_, v)| (key, v)));
     }
-
-    /// Deletes the oldest live entry of `key`, if there is one.
-    fn delete(&mut self, key: K) {
-        let oldest = self.entries.get(self.group + self.deleted);
-        if oldest.is_some_and(|(k, _)| *k == key) {
-            self.deleted += 1;
-        }
-    }
-
-    /// Drops the last key's deleted entries, so the next one starts a run.
-    fn settle(&mut self) {
-        self.entries.drain(self.group..self.group + self.deleted);
-        self.group = self.entries.len();
-        self.deleted = 0;
-    }
+    out
 }
 
 /// Replays a recovered WAL tail (each frame with its first LSN) into
@@ -1319,6 +1443,54 @@ mod tests {
         assert_eq!(folded_ops, applied);
         let want: Vec<(u64, u64)> = replayed.iter().map(|(k, v)| (k, *v)).collect();
         assert_eq!(folded, want);
+    }
+
+    /// The same, over random tails on a random snapshot, both drawn from a
+    /// few dozen keys so duplicates and deletes meet: ascending runs that
+    /// move into main whole, runs that turn back part way, runs below
+    /// main's last key, single inserts and deletes, hit and miss.
+    #[test]
+    fn fold_tail_matches_a_replay_on_random_tails() {
+        let mut state = 0x5EED_F01Du64;
+        let mut next = |below: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % below
+        };
+        for case in 0..400 {
+            let mut snapshot: Vec<(u64, u64)> =
+                (0..next(40)).map(|i| (next(48), 1_000 + i)).collect();
+            snapshot.sort_by_key(|&(k, _)| k);
+            let (mut tail, mut lsn) = (Vec::new(), 1);
+            for _ in 0..next(24) {
+                let logged = match next(4) {
+                    0 => Logged::Op(WalOp::Delete(next(56))),
+                    1 => Logged::Op(WalOp::Insert(next(56), lsn)),
+                    _ => {
+                        let (mut key, len) = (next(56), 2 + next(12));
+                        let turn = next(len + 1);
+                        let run = (0..len)
+                            .map(|i| {
+                                key = if i == turn { next(56) } else { key + next(3) };
+                                (key, lsn + i)
+                            })
+                            .collect();
+                        Logged::Run(run)
+                    }
+                };
+                let at = lsn;
+                lsn += logged.lsns();
+                tail.push((at, logged));
+            }
+            let replayed =
+                bptree_builder(FastPathMode::Pole, TreeConfig::small(4))(snapshot.clone());
+            let (replayed, applied) = apply_tail(replayed, tail.clone()).unwrap();
+            let (folded, folded_ops) = fold_tail(snapshot, tail).unwrap();
+            assert_eq!(folded_ops, applied, "case {case}");
+            let want: Vec<(u64, u64)> = replayed.iter().map(|(k, v)| (k, *v)).collect();
+            assert_eq!(folded, want, "case {case}");
+        }
     }
 
     /// `snapshot_entries` and `tail_records` count what they counted when

@@ -19,13 +19,17 @@
 //!
 //! * **1** insert — `body = key ‖ value`;
 //! * **2** delete — `body = key`;
-//! * **9** run — `n ≥ 2` inserts logged together, what a batch of two or
-//!   more entries is written as: `body = n u32 ‖ n × (key ‖ value)`, so
-//!   `21 + n × (K + V)` bytes for the frame where per-entry frames take
-//!   `n × (17 + K + V)`. The frame takes `n` consecutive LSNs, the first
-//!   in its header, so LSNs still count entries. Like a commit, it replays
-//!   whole or, torn, not at all. A batch longer than [`MAX_RUN_ENTRIES`]
-//!   is several frames;
+//! * **9** run — `n ≥ 2` inserts logged together: `body = n u32 ‖ n ×
+//!   (key ‖ value)`, so `21 + n × (K + V)` bytes for the frame where
+//!   per-entry frames take `n × (17 + K + V)`. A batch of two or more
+//!   entries is written as one, and so are consecutive inserts appended
+//!   between two flushes of the log, whatever batches they came in: the
+//!   last frame of the WAL buffer stays an *open run* ([`FrameBuffer`])
+//!   that each insert append extends, until a flush, another kind of frame
+//!   or [`MAX_RUN_ENTRIES`] seals it. The frame takes `n` consecutive LSNs,
+//!   the first in its header, so LSNs still count entries. Like a commit,
+//!   it replays whole or, torn, not at all. A run that reaches
+//!   [`MAX_RUN_ENTRIES`] is sealed and the next entry starts another;
 //! * **8** commit — one whole transaction, the only record `TxnStore`
 //!   writes; its body is as long as its write set:
 //!
@@ -159,13 +163,19 @@ pub(crate) const MAX_RUN_ENTRIES: usize = 1 << 16;
 /// `len` + `crc` words preceding every payload.
 pub(crate) const FRAME_HEADER: usize = 8;
 
-/// Appends one frame at `lsn` to `out`: header, LSN, whatever `body`
-/// writes (kind byte first), then the length and CRC patched in.
-fn frame(lsn: u64, out: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>)) {
+/// Opens a frame at `lsn` at the end of `out`: its `len` and `crc` words,
+/// zero until [`close_frame`] patches them, then the LSN. Returns where the
+/// frame starts.
+fn open_frame(lsn: u64, out: &mut Vec<u8>) -> usize {
     let start = out.len();
-    out.extend_from_slice(&[0u8; FRAME_HEADER]); // len + crc, patched below
+    out.extend_from_slice(&[0u8; FRAME_HEADER]);
     lsn.encode_into(out);
-    body(out);
+    start
+}
+
+/// Patches the length and CRC of the frame at `start`, whose payload runs
+/// to the end of `out`.
+fn close_frame(start: usize, out: &mut [u8]) {
     let payload_at = start + FRAME_HEADER;
     let len = u32::try_from(out.len() - payload_at).expect("WAL frame exceeds its u32 length word");
 
@@ -185,6 +195,14 @@ fn frame(lsn: u64, out: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>)) {
     out[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
 }
 
+/// Appends one frame at `lsn` to `out`: header, LSN, whatever `body`
+/// writes (kind byte first), then the length and CRC patched in.
+fn frame(lsn: u64, out: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>)) {
+    let start = open_frame(lsn, out);
+    body(out);
+    close_frame(start, out);
+}
+
 /// Appends one write: `tag ‖ key ‖ value`, or `tag ‖ key` for a delete. A
 /// plain record's kind byte and body are exactly this, and so is each
 /// entry of a commit.
@@ -200,38 +218,8 @@ fn put_write<K: WalCodec, V: WalCodec>(key: &K, value: Option<&V>, out: &mut Vec
     }
 }
 
-/// Appends `entries` as inserts at consecutive LSNs from `lsn` on, written
-/// from the caller's slice: one run frame per [`MAX_RUN_ENTRIES`] entries,
-/// and a plain insert frame for a lone entry, so a single insert logs
-/// exactly as [`WalOp::Insert`] does.
-pub(crate) fn encode_inserts<K: WalCodec, V: WalCodec>(
-    lsn: u64,
-    entries: &[(K, V)],
-    out: &mut Vec<u8>,
-) {
-    let lsns = (lsn..).step_by(MAX_RUN_ENTRIES);
-    for (run, lsn) in entries.chunks(MAX_RUN_ENTRIES).zip(lsns) {
-        match run {
-            [(key, value)] => frame(lsn, out, |out| put_write(key, Some(value), out)),
-            _ => frame(lsn, out, |out| {
-                out.reserve(5 + run.len() * (K::WIDTH + V::WIDTH));
-                out.push(KIND_RUN);
-                (run.len() as u32).encode_into(out);
-                for (key, value) in run {
-                    key.encode_into(out);
-                    value.encode_into(out);
-                }
-            }),
-        }
-    }
-}
-
 /// Appends one encoded frame for `op` at `lsn` to `out`.
-pub(crate) fn encode_frame<K: WalCodec, V: WalCodec>(
-    lsn: u64,
-    op: &WalOp<K, V>,
-    out: &mut Vec<u8>,
-) {
+fn encode_frame<K: WalCodec, V: WalCodec>(lsn: u64, op: &WalOp<K, V>, out: &mut Vec<u8>) {
     match op {
         WalOp::Insert(k, v) => frame(lsn, out, |out| put_write(k, Some(v), out)),
         WalOp::Delete(k) => frame(lsn, out, |out| put_write(k, None::<&V>, out)),
@@ -241,7 +229,7 @@ pub(crate) fn encode_frame<K: WalCodec, V: WalCodec>(
 
 /// Appends one `Commit` frame for a borrowed write set — what `TxnStore`'s
 /// commit path calls, so logging a commit clones and allocates nothing.
-pub(crate) fn encode_commit_frame<K: WalCodec, V: WalCodec>(
+fn encode_commit_frame<K: WalCodec, V: WalCodec>(
     lsn: u64,
     commit_ts: u64,
     writes: &[(K, Option<V>)],
@@ -256,6 +244,124 @@ pub(crate) fn encode_commit_frame<K: WalCodec, V: WalCodec>(
             put_write(key, write.as_ref(), out);
         }
     });
+}
+
+/// Byte offset of a run frame's count word from the frame's start: after
+/// the header, the LSN and the kind byte.
+const RUN_COUNT_AT: usize = FRAME_HEADER + 8 + 1;
+
+/// Frames on their way to a WAL segment. The last of them may be an *open
+/// run*: an insert frame that later [`push_inserts`](Self::push_inserts)
+/// calls extend, so the inserts logged between two flushes share one frame
+/// however many appends they came in. An open run of one entry is laid out
+/// as a plain insert record and becomes a run frame when a second joins
+/// it; its count word is kept current as entries join. It is *sealed* —
+/// its `len` and `crc` words written — by [`sealed`](Self::sealed), which
+/// every flush calls, before any other frame is pushed, and once it holds
+/// [`MAX_RUN_ENTRIES`], so no frame that reaches storage is open.
+#[derive(Default)]
+pub(crate) struct FrameBuffer {
+    bytes: Vec<u8>,
+    /// The open run's start in `bytes` and its entry count.
+    open: Option<(usize, usize)>,
+}
+
+impl FrameBuffer {
+    /// Bytes buffered, the open run's included.
+    pub(crate) fn len(&self) -> usize {
+        self.bytes.len()
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.bytes.is_empty()
+    }
+
+    /// Seals the open run, if any, and returns every buffered frame.
+    pub(crate) fn sealed(&mut self) -> &[u8] {
+        self.seal();
+        &self.bytes
+    }
+
+    /// Drops the buffered frames, keeping the capacity.
+    pub(crate) fn clear(&mut self) {
+        self.open = None;
+        self.bytes.clear();
+    }
+
+    fn seal(&mut self) {
+        if let Some((start, _)) = self.open.take() {
+            close_frame(start, &mut self.bytes);
+        }
+    }
+
+    /// Appends `op` as one frame at `lsn`, after sealing the open run.
+    pub(crate) fn push_op<K: WalCodec, V: WalCodec>(&mut self, lsn: u64, op: &WalOp<K, V>) {
+        self.seal();
+        encode_frame(lsn, op, &mut self.bytes);
+    }
+
+    /// Appends one `Commit` frame at `lsn` for a borrowed write set, after
+    /// sealing the open run.
+    pub(crate) fn push_commit<K: WalCodec, V: WalCodec>(
+        &mut self,
+        lsn: u64,
+        commit_ts: u64,
+        writes: &[(K, Option<V>)],
+    ) {
+        self.seal();
+        encode_commit_frame(lsn, commit_ts, writes, &mut self.bytes);
+    }
+
+    /// Appends `entries` as inserts at consecutive LSNs from `lsn` on,
+    /// written from the caller's slice into the open run, and into new
+    /// runs, left open, once a run holds [`MAX_RUN_ENTRIES`]. Sealed, a run
+    /// of one entry is exactly a [`WalOp::Insert`] frame.
+    pub(crate) fn push_inserts<K: WalCodec, V: WalCodec>(&mut self, lsn: u64, entries: &[(K, V)]) {
+        let (mut lsn, mut rest) = (lsn, entries);
+        while !rest.is_empty() {
+            let (start, held) = match self.open {
+                Some(open @ (_, held)) if held < MAX_RUN_ENTRIES => open,
+                _ => {
+                    self.seal();
+                    (open_frame(lsn, &mut self.bytes), 0)
+                }
+            };
+            let (now, later) = rest.split_at(rest.len().min(MAX_RUN_ENTRIES - held));
+            let total = held + now.len();
+            let out = &mut self.bytes;
+            match held {
+                0 if total == 1 => out.push(KIND_INSERT),
+                0 => out.extend_from_slice(&[KIND_RUN, 0, 0, 0, 0]),
+                // A lone insert becomes a run: the count word goes in
+                // between its kind byte and its entry.
+                1 => {
+                    out[start + RUN_COUNT_AT - 1] = KIND_RUN;
+                    out.splice(start + RUN_COUNT_AT..start + RUN_COUNT_AT, [0; 4]);
+                }
+                _ => {}
+            }
+            out.reserve(now.len() * (K::WIDTH + V::WIDTH));
+            for (key, value) in now {
+                key.encode_into(out);
+                value.encode_into(out);
+            }
+            if total >= 2 {
+                // Planted seal bug (`Mutation::StaleRunCount`): an append
+                // that joins an open run leaves its count as it was, so the
+                // sealed frame counts fewer entries than its body holds.
+                let count = if held > 0 && mutation::armed(Mutation::StaleRunCount) {
+                    held
+                } else {
+                    total
+                };
+                out[start + RUN_COUNT_AT..start + RUN_COUNT_AT + 4]
+                    .copy_from_slice(&(count as u32).to_le_bytes());
+            }
+            self.open = Some((start, total));
+            lsn += now.len() as u64;
+            rest = later;
+        }
+    }
 }
 
 /// Outcome of decoding the frame starting at one byte offset.
@@ -503,6 +609,13 @@ mod tests {
         assert_eq!(invalid(&buf), (6, KIND_INSERT));
     }
 
+    /// What `push_inserts` buffers for `entries` at `lsn`, sealed.
+    fn encode_inserts<K: WalCodec, V: WalCodec>(lsn: u64, entries: &[(K, V)], out: &mut Vec<u8>) {
+        let mut buffer = FrameBuffer::default();
+        buffer.push_inserts(lsn, entries);
+        out.extend_from_slice(buffer.sealed());
+    }
+
     /// Decoded frames, each with its (first) LSN.
     type Frames<K, V> = Vec<(u64, Logged<K, V>)>;
 
@@ -552,6 +665,74 @@ mod tests {
             (frames, bytes),
             (vec![(5, Logged::Run(floats))], 21 + 2 * 12)
         );
+    }
+
+    /// Decodes every frame of `buf`, each with its (first) LSN.
+    fn decode_all(buf: &[u8]) -> Frames<u64, u64> {
+        let (mut frames, mut pos) = (Vec::new(), 0);
+        loop {
+            match decode_frame::<u64, u64>(buf, pos) {
+                FrameStep::Record { lsn, logged, next } => {
+                    frames.push((lsn, logged));
+                    pos = next;
+                }
+                FrameStep::End => return frames,
+                _ => panic!("unreadable frame at {pos}"),
+            }
+        }
+    }
+
+    #[test]
+    fn consecutive_insert_pushes_share_the_open_run_until_another_frame() {
+        let mut buffer = FrameBuffer::default();
+        buffer.push_inserts::<u64, u64>(1, &[(1, 10)]);
+        buffer.push_inserts::<u64, u64>(2, &[(2, 20), (3, 30)]);
+        buffer.push_inserts::<u64, u64>(4, &[(4, 40)]);
+        buffer.push_op::<u64, u64>(5, &WalOp::Delete(2));
+        buffer.push_inserts::<u64, u64>(6, &[(6, 60)]);
+        buffer.push_commit::<u64, u64>(7, 99, &[]);
+        buffer.push_inserts::<u64, u64>(8, &[(8, 80)]);
+        let bytes = buffer.sealed().to_vec();
+        assert_eq!(bytes.len(), (21 + 4 * 16) + 25 + 33 + 29 + 33);
+        assert_eq!(
+            decode_all(&bytes),
+            vec![
+                (1, Logged::Run(vec![(1, 10), (2, 20), (3, 30), (4, 40)])),
+                (5, Logged::Op(WalOp::Delete(2))),
+                (6, Logged::Op(WalOp::Insert(6, 60))),
+                (7, Logged::Op(WalOp::Commit(99, vec![]))),
+                (8, Logged::Op(WalOp::Insert(8, 80))),
+            ]
+        );
+        // Sealing twice writes nothing new; after a clear the next push
+        // opens a fresh run.
+        assert_eq!(buffer.sealed(), &bytes[..]);
+        buffer.clear();
+        buffer.push_inserts::<u64, u64>(9, &[(9, 90), (10, 100)]);
+        assert_eq!(
+            decode_all(buffer.sealed()),
+            vec![(9, Logged::Run(vec![(9, 90), (10, 100)]))]
+        );
+    }
+
+    #[test]
+    fn injected_bug_leaves_a_joined_run_s_count_stale() {
+        let _bug = mutation::arm(Mutation::StaleRunCount);
+        // One push: the count is right.
+        let mut buffer = FrameBuffer::default();
+        buffer.push_inserts::<u64, u64>(1, &[(1, 10), (2, 20)]);
+        assert_eq!(decode_all(buffer.sealed()).len(), 1);
+        // A second push joins the run and leaves its count at two.
+        let mut buffer = FrameBuffer::default();
+        buffer.push_inserts::<u64, u64>(1, &[(1, 10), (2, 20)]);
+        buffer.push_inserts::<u64, u64>(3, &[(3, 30)]);
+        assert!(matches!(
+            decode_frame::<u64, u64>(buffer.sealed(), 0),
+            FrameStep::Invalid {
+                lsn: 1,
+                kind: KIND_RUN
+            }
+        ));
     }
 
     #[test]

@@ -37,6 +37,22 @@
 //! segment's name is formatted once per segment, and the append buffer
 //! keeps its capacity from one flush to the next.
 //!
+//! ## Open runs
+//!
+//! Inserts are logged as runs, not records. The last frame in the append
+//! buffer stays *open* while it is an insert frame, and every
+//! `append_inserts` extends it instead of starting a frame, so the inserts
+//! appended between two flushes share one run frame however many calls
+//! brought them (see [`crate::frame`]). The run is sealed — its count,
+//! `len` and CRC final — in `flush_locked`, so at every flush: the buffer
+//! filling, a group-commit leader, a segment rotation and a checkpoint;
+//! and before any other frame is appended (a delete, a commit, anything
+//! [`Wal::append`] writes). An acknowledged entry never sits in an open
+//! run: an ack is a commit, a commit flushes, and a flush seals before it
+//! fsyncs. A caller that commits after every append therefore writes the
+//! same frames as one that had no open run: one insert record, or one run
+//! frame per batch.
+//!
 //! ## Failure poisoning
 //!
 //! A storage `append` that fails may have landed a partial copy of its
@@ -50,9 +66,7 @@
 //! of acking records that recovery could never replay.
 
 use crate::durable::{DurabilityConfig, DurabilityLevel};
-use crate::frame::{
-    decode_frame, encode_commit_frame, encode_frame, encode_inserts, FrameStep, Logged, WalCodec,
-};
+use crate::frame::{decode_frame, FrameBuffer, FrameStep, Logged, WalCodec};
 use crate::storage::Storage;
 use crate::WalOp;
 use quit_core::{crc32, Error, MetricsRegistry, Result};
@@ -103,8 +117,9 @@ pub(crate) fn decode_seg_header(bytes: &[u8]) -> Option<(u64, u64, Lsn)> {
 }
 
 struct WalState {
-    /// Encoded frames not yet handed to storage.
-    pending: Vec<u8>,
+    /// Encoded frames not yet handed to storage, the last of them perhaps
+    /// an open run.
+    pending: FrameBuffer,
     /// Records inside `pending`.
     pending_records: u64,
     /// Next LSN to assign.
@@ -190,7 +205,7 @@ impl Wal {
             segment_bytes: config.segment_bytes,
             buffer_bytes: config.wal_buffer_bytes,
             state: Mutex::new(WalState {
-                pending: Vec::new(),
+                pending: FrameBuffer::default(),
                 pending_records: 0,
                 next_lsn,
                 written_lsn: next_lsn - 1,
@@ -233,7 +248,7 @@ impl Wal {
     pub fn append<K: WalCodec, V: WalCodec>(&self, ops: &[WalOp<K, V>]) -> Result<Lsn> {
         self.append_frames(ops.len() as u64, |first, out| {
             for (op, lsn) in ops.iter().zip(first..) {
-                encode_frame(lsn, op, out);
+                out.push_op(lsn, op);
             }
         })
     }
@@ -241,7 +256,11 @@ impl Wal {
     /// Appends frames for `records` consecutive LSNs under one hold of the
     /// state lock: `encode` is handed the first LSN and the buffer and must
     /// frame exactly that many LSNs (a run frame takes one per entry).
-    fn append_frames(&self, records: u64, encode: impl FnOnce(Lsn, &mut Vec<u8>)) -> Result<Lsn> {
+    fn append_frames(
+        &self,
+        records: u64,
+        encode: impl FnOnce(Lsn, &mut FrameBuffer),
+    ) -> Result<Lsn> {
         let mut st = self.state.lock().unwrap();
         if st.poisoned {
             return Err(poison_err());
@@ -257,8 +276,9 @@ impl Wal {
     }
 
     /// Appends the borrowed pairs as inserts at consecutive LSNs, in slice
-    /// order: one run frame for two or more (see [`crate::frame`]), a
-    /// plain `Insert` record for one. The by-reference twin of
+    /// order, into the open run (see the module docs): sealed, it is one
+    /// run frame for two or more entries (see [`crate::frame`]) and a plain
+    /// `Insert` record for one. The by-reference twin of
     /// [`append`](Self::append) for a batch, which would otherwise be
     /// copied into `WalOp`s — and framed and checksummed once per entry —
     /// just to be logged.
@@ -267,7 +287,7 @@ impl Wal {
         entries: &[(K, V)],
     ) -> Result<Lsn> {
         self.append_frames(entries.len() as u64, |first, out| {
-            encode_inserts(first, entries, out)
+            out.push_inserts(first, entries)
         })
     }
 
@@ -278,9 +298,7 @@ impl Wal {
         commit_ts: u64,
         writes: &[(K, Option<V>)],
     ) -> Result<Lsn> {
-        self.append_frames(1, |lsn, out| {
-            encode_commit_frame(lsn, commit_ts, writes, out)
-        })
+        self.append_frames(1, |lsn, out| out.push_commit(lsn, commit_ts, writes))
     }
 
     /// Runs `append` as `level` prescribes, without waiting for durability:
@@ -311,7 +329,8 @@ impl Wal {
         self.commit(self.last_lsn())
     }
 
-    /// Pushes buffered frames to storage (still not fsynced).
+    /// Seals the open run and pushes buffered frames to storage (still not
+    /// fsynced).
     pub fn flush(&self) -> Result<()> {
         let mut st = self.state.lock().unwrap();
         self.flush_locked(&mut st)
@@ -386,9 +405,10 @@ impl Wal {
         Ok(())
     }
 
-    /// Flushes pending frames into the active segment, opening/rotating
-    /// segments as needed. Frames never span segments: rotation happens
-    /// between flushes, and one flush lands in one segment.
+    /// Seals the open run and flushes pending frames into the active
+    /// segment, opening/rotating segments as needed. Frames never span
+    /// segments: rotation happens between flushes, and one flush lands in
+    /// one segment.
     fn flush_locked(&self, st: &mut WalState) -> Result<()> {
         if st.poisoned {
             return Err(poison_err());
@@ -418,7 +438,7 @@ impl Wal {
             st.seg_open = true;
             st.seg_bytes = header.len();
         }
-        if let Err(e) = self.storage.append(&st.seg_name, &st.pending) {
+        if let Err(e) = self.storage.append(&st.seg_name, st.pending.sealed()) {
             // The segment may now hold a partial copy of these frames.
             // They stay in `pending`, so the assigned LSNs are never
             // dropped (no gap); poison, because re-appending after partial

@@ -15,6 +15,10 @@
 //! every version before run frames did, and must keep opening.
 //! `fixtures/sorted-runs` is what the same ops write now: the same
 //! `.qsnp`, and a log whose only difference is that batch, one run frame.
+//!
+//! The last six tests pin the open run at the byte: at `Buffered`, the
+//! inserts appended between two flushes share one run frame, and a flush,
+//! a commit, a delete, a checkpoint or a full run seals it.
 
 use quit_core::{BpTree, FastPathMode, SortedIndex, StorageKind, TreeConfig};
 use quit_durability::{
@@ -296,4 +300,135 @@ fn the_same_ops_still_write_the_golden_bytes() {
     write_txn(&store);
     drop(store);
     assert_same_files(&storage, &TXN);
+}
+
+/// A `Buffered` store whose 4 MiB WAL buffer never fills in these tests,
+/// with its segment opened by one flushed insert, so every later flush's
+/// bytes are frames alone.
+fn open_run_store() -> (Arc<MemStorage>, Store) {
+    let storage = Arc::new(MemStorage::new());
+    let (mut d, _) = Durable::open(
+        storage.clone() as Arc<dyn Storage>,
+        DurabilityConfig::buffered()
+            .with_wal_buffer_bytes(4 << 20)
+            .with_prune_on_checkpoint(false),
+        bptree_builder(FastPathMode::Pole, TreeConfig::small(8)),
+    )
+    .expect("open buffered directory");
+    d.insert(0, 0);
+    d.flush().unwrap();
+    // The 34-byte segment header and one 33-byte insert record.
+    assert_eq!(storage.total_appended(), 34 + 33);
+    (storage, d)
+}
+
+/// The bytes `write` and a final commit make the store append. A reopen of
+/// the harshest crash image must then hold what the store holds.
+fn appended(storage: &MemStorage, d: &mut Store, write: impl FnOnce(&mut Store)) -> usize {
+    let before = storage.total_appended();
+    write(d);
+    d.commit_all().unwrap();
+    let (mut reopened, report) = open_sorted(&Arc::new(storage.crash_durable_only()));
+    assert!(!report.torn_tail);
+    assert_eq!(
+        reopened.range(..).collect::<Vec<_>>(),
+        d.range(..).collect::<Vec<_>>()
+    );
+    storage.total_appended() - before
+}
+
+#[test]
+fn single_inserts_between_flushes_share_one_run_frame() {
+    for n in [2u64, 3, 100] {
+        let (storage, mut d) = open_run_store();
+        let bytes = appended(&storage, &mut d, |d| {
+            for k in 1..=n {
+                d.insert(k, k * 10);
+            }
+            d.flush().unwrap();
+        });
+        // 8 frame header + 8 LSN + 1 kind + 4 count, then 16 per entry.
+        assert_eq!(bytes as u64, 21 + 16 * n, "{n} inserts");
+        assert_eq!(d.wal().last_lsn(), 1 + n);
+    }
+}
+
+#[test]
+fn a_lone_insert_is_still_a_plain_insert_record() {
+    let (storage, mut d) = open_run_store();
+    let bytes = appended(&storage, &mut d, |d| {
+        d.insert(5, 50);
+        d.flush().unwrap();
+    });
+    assert_eq!(bytes, 33);
+}
+
+#[test]
+fn a_delete_seals_the_run_before_it() {
+    let (storage, mut d) = open_run_store();
+    let bytes = appended(&storage, &mut d, |d| {
+        for k in 1..=3 {
+            d.insert(k, k);
+        }
+        d.delete(2);
+        for k in 4..=5 {
+            d.insert(k, k);
+        }
+        d.flush().unwrap();
+    });
+    // A 3-entry run, a 25-byte delete record (8 + 8 + 1 kind + 8 key) and
+    // a 2-entry run.
+    assert_eq!(bytes, (21 + 3 * 16) + 25 + (21 + 2 * 16));
+    assert_eq!(
+        d.range(..).map(|(k, _)| k).collect::<Vec<_>>(),
+        [0, 1, 3, 4, 5]
+    );
+}
+
+#[test]
+fn a_commit_seals_the_run_it_makes_durable() {
+    let (storage, mut d) = open_run_store();
+    let before = storage.total_appended();
+    for k in 1..=3 {
+        d.insert(k, k);
+    }
+    d.commit_all().unwrap();
+    assert_eq!(storage.total_appended() - before, 21 + 3 * 16);
+    assert_eq!(storage.durable_bytes(), storage.total_appended());
+    let bytes = appended(&storage, &mut d, |d| {
+        for k in 4..=5 {
+            d.insert(k, k);
+        }
+    });
+    assert_eq!(bytes, 21 + 2 * 16);
+}
+
+#[test]
+fn a_run_holds_at_most_max_run_entries_inserts() {
+    // `MAX_RUN_ENTRIES`: the 65 537th insert starts a frame of its own.
+    const MAX_RUN_ENTRIES: usize = 1 << 16;
+    let (storage, mut d) = open_run_store();
+    let bytes = appended(&storage, &mut d, |d| {
+        for k in 1..=MAX_RUN_ENTRIES as u64 + 1 {
+            d.insert(k, k);
+        }
+        d.flush().unwrap();
+    });
+    assert_eq!(bytes, (21 + 16 * MAX_RUN_ENTRIES) + 33);
+}
+
+#[test]
+fn a_checkpoint_seals_the_open_run() {
+    let (storage, mut d) = open_run_store();
+    for k in 1..=3 {
+        d.insert(k, k);
+    }
+    d.checkpoint().unwrap();
+    // Generation 0's segment ends in the sealed run; the snapshot holds
+    // all four entries.
+    let segment = storage.read("wal-00000000-00000000.log").unwrap();
+    assert_eq!(segment.len(), 34 + 33 + (21 + 3 * 16));
+    let (mut reopened, report) = open_sorted(&Arc::new(storage.crash_durable_only()));
+    assert_eq!((report.snapshot_entries, report.tail_records), (4, 0));
+    assert_eq!(reopened.range(..).count(), 4);
 }

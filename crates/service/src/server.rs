@@ -710,6 +710,65 @@ mod tests {
         assert_eq!(shard.len(), embedded.len());
     }
 
+    /// A burst of n × (`Insert`, `Get`) is logged as one run frame: each
+    /// `Get` closes the shard's insert run and sends one entry to the log,
+    /// but those entries share the WAL's open run until the drain's one
+    /// commit seals it. The replies and the tree are what they are when
+    /// each insert is a frame of its own.
+    #[test]
+    fn a_burst_of_inserts_and_gets_logs_one_run_frame() {
+        const N: u64 = 100;
+        let config = ServiceConfig::paper_default().with_shards(1);
+        let storage = Arc::new(MemStorage::new());
+        let (mut shard, _) = open_shard(storage.clone(), &config).unwrap();
+        let mut run = InsertBatcher::new(1, config.batch_max);
+        let (reply, replies) = channel();
+        let mut burst = Burst::new(reply);
+        // Distinct keys, out of order: 37 is coprime to 101.
+        let key = |i: u64| (i * 37) % 101;
+        burst.ops = (0..N)
+            .flat_map(|i| {
+                let (key, value) = (key(i), i);
+                [
+                    (2 * i, Request::Insert { key, value }),
+                    (2 * i + 1, Request::Get { key }),
+                ]
+            })
+            .map(|(req_id, req)| Op {
+                req_id,
+                req,
+                part_of: None,
+            })
+            .collect();
+        let unacked = burst.execute(&mut shard, &mut run);
+        shard.ack(unacked);
+        burst.release();
+
+        // The segment header and one frame: 8 header + 8 LSN + 1 kind + 4
+        // count, then 16 per entry.
+        assert_eq!(storage.total_appended(), 34 + 21 + 16 * N as usize);
+        let mut want = Vec::new();
+        for i in 0..N {
+            encode_reply_into(&mut want, 2 * i, &Ok(Reply::Inserted));
+            encode_reply_into(&mut want, 2 * i + 1, &Ok(Reply::Got(Some(i))));
+        }
+        assert_eq!(replies.try_iter().collect::<Vec<_>>(), [want]);
+        let mut entries: Vec<(u64, u64)> = (0..N).map(|i| (key(i), i)).collect();
+        entries.sort_unstable();
+        let held = |shard: &Shard| {
+            shard
+                .inner()
+                .range(..)
+                .map(|(k, v)| (k, *v))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(held(&shard), entries);
+        let (reopened, report) =
+            open_shard(Arc::new(storage.crash_durable_only()), &config).unwrap();
+        assert_eq!(report.tail_records, N as usize);
+        assert_eq!(held(&reopened), entries);
+    }
+
     /// A restarted shard keeps its fast path: a K = L = 5 % stream logged
     /// in 70-entry runs, reopened, and continued on the reopened shard and
     /// on the one that never stopped, leaves both with the same contents,
