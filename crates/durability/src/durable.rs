@@ -36,11 +36,9 @@
 //! comes from a page image rather than from entries, replays the tail into
 //! it ([`apply_tail`], which retires with that backend).
 
+use crate::files::{self, Kind};
 use crate::frame::{Logged, WalCodec};
-use crate::psnap::{
-    paged_snapshot_candidates, read_paged_snapshot, write_paged_snapshot, PSNAP_HEADER,
-};
-use crate::snapshot::{load_best_snapshot, snapshot_candidates};
+use crate::snapshot::read_entries;
 use crate::storage::Storage;
 use crate::wal::{scan_wal, Lsn, Wal};
 use crate::WalOp;
@@ -182,38 +180,33 @@ pub struct RecoveryReport {
     pub elapsed: Duration,
 }
 
-/// What an opener's snapshot loader hands [`recover`]: the state it loaded
-/// from the newest valid snapshot, and what that snapshot covered.
-pub(crate) struct LoadedSnapshot<T> {
-    pub generation: u64,
-    pub lsn: Lsn,
-    /// Entries the snapshot contributed ([`RecoveryReport::snapshot_entries`]).
-    pub entries: usize,
-    /// Corrupt candidates skipped before this one validated.
-    pub rejected: usize,
-    pub state: T,
-}
-
-/// The recovery every opener shares: `load` the newest valid snapshot into
-/// the opener's state, scan the WAL past it, `replay` the tail (each frame
-/// with its first LSN) into that state to make the recovered one (returned
-/// with the mutations it applied), resume the log after the last recovered
-/// LSN, and time the whole thing into the `recovery_latency` histogram and
-/// the report.
+/// The recovery every opener shares: take the newest snapshot of `kind`
+/// that `decode` accepts — handed the file and its header's length word,
+/// it returns the opener's state and the entries that state holds — scan
+/// the WAL past it, `replay` the tail (each frame with its first LSN) into
+/// that state (`None` without a snapshot) to make the recovered one
+/// (returned with the mutations it applied), resume the log after the last
+/// recovered LSN, and time the whole thing into the `recovery_latency`
+/// histogram and the report.
 pub(crate) fn recover<K, V, S, T>(
     storage: Arc<dyn Storage>,
     config: &DurabilityConfig,
-    load: impl FnOnce(&dyn Storage) -> Result<LoadedSnapshot<S>>,
-    replay: impl FnOnce(S, Vec<(Lsn, Logged<K, V>)>) -> Result<(T, usize)>,
+    kind: Kind,
+    decode: impl FnMut(Vec<u8>, u64) -> Option<(S, usize)>,
+    replay: impl FnOnce(Option<S>, Vec<(Lsn, Logged<K, V>)>) -> Result<(T, usize)>,
 ) -> Result<(T, Wal, RecoveryReport)>
 where
     K: WalCodec,
     V: WalCodec,
 {
     let t0 = Instant::now();
-    let snap = load(&*storage)?;
-    let scan = scan_wal::<K, V>(&*storage, snap.lsn, snap.generation)?;
-    let (state, tail_records) = replay(snap.state, scan.tail)?;
+    let (found, rejected) = files::newest_snapshot(&*storage, kind, decode)?;
+    let (generation, lsn, state, entries) = match found {
+        Some((generation, lsn, (state, entries))) => (generation, lsn, Some(state), entries),
+        None => (0, 0, None, 0),
+    };
+    let scan = scan_wal::<K, V>(&*storage, lsn, generation)?;
+    let (state, tail_records) = replay(state, scan.tail)?;
     let wal = Wal::resume(
         storage,
         config,
@@ -226,13 +219,13 @@ where
         .recovery_latency
         .record_ns(elapsed.as_nanos().min(u64::MAX as u128) as u64);
     let report = RecoveryReport {
-        snapshot_entries: snap.entries,
-        snapshot_lsn: snap.lsn,
+        snapshot_entries: entries,
+        snapshot_lsn: lsn,
         tail_records,
         recovered_lsn: scan.last_lsn,
         torn_tail: scan.torn,
         stale_segments: scan.stale_segments,
-        rejected_snapshots: snap.rejected,
+        rejected_snapshots: rejected,
         elapsed,
     };
     Ok((state, wal, report))
@@ -314,21 +307,12 @@ impl<T> Durable<T> {
         T: SortedIndex<K, V>,
         F: FnOnce(Vec<(K, V)>) -> T,
     {
-        let load = |storage: &dyn Storage| {
-            let ((generation, lsn, entries), rejected) = load_best_snapshot::<K, V>(storage)?;
-            Ok(LoadedSnapshot {
-                generation,
-                lsn,
-                entries: entries.len(),
-                rejected,
-                state: entries,
-            })
-        };
-        let replay = |entries, tail| {
-            let (entries, applied) = fold_tail(entries, tail)?;
+        let decode = |bytes: Vec<u8>, count| Some((read_entries(&bytes, count)?, count as usize));
+        let replay = |entries: Option<_>, tail| {
+            let (entries, applied) = fold_tail(entries.unwrap_or_default(), tail)?;
             Ok((build(entries), applied))
         };
-        let (inner, wal, report) = recover(storage, &config, load, replay)?;
+        let (inner, wal, report) = recover(storage, &config, Kind::Sorted, decode, replay)?;
         Ok((Self::assemble(inner, wal, config), report))
     }
 
@@ -483,52 +467,32 @@ where
                 "open_paged requires TreeConfig::with_storage(StorageKind::Paged { .. })",
             ));
         }
-        let load = |storage: &dyn Storage| {
-            let candidates = paged_snapshot_candidates(storage)?;
-            let newest_paged = candidates.first().map(|(generation, _)| *generation);
-            if let Some((generation, name)) = snapshot_candidates(storage)?.pop() {
-                if newest_paged.is_none_or(|paged| generation > paged) {
-                    return Err(Error::config(format!(
-                        "{name} is a sorted snapshot newer than every paged snapshot: \
-                         this is not a paged directory (open it with Durable::open)"
-                    )));
-                }
+        let newest = |kind| files::list(&*storage, kind).map(|files| files.last().cloned());
+        if let Some((generation, _, name)) = newest(Kind::Sorted)? {
+            if newest(Kind::Paged)?.is_none_or(|(paged, ..)| generation > paged) {
+                return Err(Error::config(format!(
+                    "{name} is a sorted snapshot newer than every paged snapshot: \
+                     this is not a paged directory (open it with Durable::open)"
+                )));
             }
-            let mut rejected = 0;
-            for (generation, name) in candidates {
-                // The file as read becomes the tree's page image: verified
-                // where it is, never copied.
-                let bytes = storage.read(&name)?;
-                let recovered = read_paged_snapshot(&bytes)
-                    .filter(|(g, ..)| *g == generation)
-                    .map(|(_, lsn, _)| lsn)
-                    .and_then(|lsn| {
-                        BpTree::from_page_image(bytes, PSNAP_HEADER, tree_config.clone())
-                            .ok()
-                            .map(|tree| (lsn, tree))
-                    });
-                match recovered {
-                    Some((lsn, tree)) => {
-                        return Ok(LoadedSnapshot {
-                            generation,
-                            lsn,
-                            entries: tree.len(),
-                            rejected,
-                            state: tree,
-                        })
-                    }
-                    None => rejected += 1,
-                }
+        }
+        // The file as read becomes the tree's page image: verified where it
+        // is, never copied.
+        let decode = |bytes: Vec<u8>, image_len| {
+            if !image_fits(&bytes, image_len) {
+                return None;
             }
-            Ok(LoadedSnapshot {
-                generation: 0,
-                lsn: 0,
-                entries: 0,
-                rejected,
-                state: BpTree::with_config(mode, tree_config.clone()),
-            })
+            let tree = BpTree::from_page_image(bytes, files::HEADER, tree_config.clone()).ok()?;
+            let entries = tree.len();
+            Some((tree, entries))
         };
-        let (inner, wal, report) = recover(storage, &config, load, apply_tail)?;
+        let replay = |tree: Option<_>, tail| {
+            apply_tail(
+                tree.unwrap_or_else(|| BpTree::with_config(mode, tree_config.clone())),
+                tail,
+            )
+        };
+        let (inner, wal, report) = recover(storage, &config, Kind::Paged, decode, replay)?;
         Ok((Self::assemble(inner, wal, config), report))
     }
 
@@ -546,7 +510,11 @@ where
         self.wal.checkpoint_with(
             self.config.prune_on_checkpoint,
             |storage, generation, lsn| {
-                write_paged_snapshot(storage, generation, lsn, &image).map_err(Into::into)
+                let words = [generation, lsn, image.len() as u64];
+                files::publish(storage, Kind::Paged, words, |tmp| {
+                    storage.append(tmp, &image)
+                })
+                .map_err(Into::into)
             },
         )
     }
@@ -976,6 +944,13 @@ where
     Ok((index, applied))
 }
 
+/// Whether a paged snapshot holds exactly the `image_len` image bytes its
+/// header promised: the image's own integrity (metadata CRC, per-page
+/// CRCs) is `BpTree::from_page_image`'s to check.
+fn image_fits(bytes: &[u8], image_len: u64) -> bool {
+    (bytes.len() - files::HEADER) as u64 == image_len
+}
+
 /// The error for a transactional commit record met at `lsn` in a plain log.
 fn commit_in_plain_log(lsn: Lsn) -> Error {
     Error::wal(format!(
@@ -1145,6 +1120,24 @@ mod tests {
             paged_tree_config(),
         )
         .unwrap()
+    }
+
+    #[test]
+    fn paged_snapshot_image_roundtrip_and_truncations_rejected() {
+        let s = MemStorage::new();
+        let image = vec![0xA5u8; 300];
+        let words = [4, 999, image.len() as u64];
+        files::publish(&s, Kind::Paged, words, |tmp| s.append(tmp, &image)).unwrap();
+        let bytes = s.read(&files::name(Kind::Paged, 4, 0)).unwrap();
+        // What `open_paged` checks before the image's own CRCs.
+        let read = |bytes: &[u8]| {
+            files::read_header(Kind::Paged, bytes).filter(|&[_, _, len]| image_fits(bytes, len))
+        };
+        assert_eq!(read(&bytes), Some([4, 999, 300]));
+        assert_eq!(&bytes[files::HEADER..], &image[..]);
+        for cut in (0..bytes.len()).step_by(33) {
+            assert_eq!(read(&bytes[..cut]), None, "cut {cut}");
+        }
     }
 
     #[test]

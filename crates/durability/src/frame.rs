@@ -52,6 +52,7 @@
 //! read: opening fails with a `corruption` error naming it, where a torn
 //! tail would silently drop it and everything after it.
 
+use crate::files;
 use quit_core::mutation::{self, Mutation};
 use quit_core::{crc32, OrderedF64};
 
@@ -160,39 +161,29 @@ const KIND_RUN: u8 = 9;
 /// frame's `u32` length word.
 pub(crate) const MAX_RUN_ENTRIES: usize = 1 << 16;
 
-/// `len` + `crc` words preceding every payload.
-pub(crate) const FRAME_HEADER: usize = 8;
-
-/// Opens a frame at `lsn` at the end of `out`: its `len` and `crc` words,
-/// zero until [`close_frame`] patches them, then the LSN. Returns where the
+/// Opens a frame at `lsn` at the end of `out`: a block (see
+/// [`crate::files`]) whose payload begins with the LSN. Returns where the
 /// frame starts.
 fn open_frame(lsn: u64, out: &mut Vec<u8>) -> usize {
-    let start = out.len();
-    out.extend_from_slice(&[0u8; FRAME_HEADER]);
+    let start = files::open_block(out);
     lsn.encode_into(out);
     start
 }
 
-/// Patches the length and CRC of the frame at `start`, whose payload runs
-/// to the end of `out`.
+/// Seals the frame at `start`, whose payload runs to the end of `out`.
 fn close_frame(start: usize, out: &mut [u8]) {
-    let payload_at = start + FRAME_HEADER;
-    let len = u32::try_from(out.len() - payload_at).expect("WAL frame exceeds its u32 length word");
-
-    // Planted framing bug (`Mutation::DeleteFrameCrc`): Delete records
-    // are checksummed over one byte too few, so their stored CRC never
-    // matches the decoder's — recovery silently drops every delete at the
-    // torn-tail check, which the crash-recovery differential fuzzer must
-    // detect and shrink.
-    let payload = &out[payload_at..];
-    let crc = if mutation::armed(Mutation::DeleteFrameCrc) && payload.get(8) == Some(&KIND_DELETE) {
-        crc32(&payload[..payload.len() - 1])
-    } else {
-        crc32(payload)
-    };
-
-    out[start..start + 4].copy_from_slice(&len.to_le_bytes());
-    out[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
+    files::seal_block(start, out, |payload| {
+        // Planted framing bug (`Mutation::DeleteFrameCrc`): Delete records
+        // are checksummed over one byte too few, so their stored CRC never
+        // matches the decoder's — recovery silently drops every delete at
+        // the torn-tail check, which the crash-recovery differential fuzzer
+        // must detect and shrink.
+        if mutation::armed(Mutation::DeleteFrameCrc) && payload.get(8) == Some(&KIND_DELETE) {
+            crc32(&payload[..payload.len() - 1])
+        } else {
+            crc32(payload)
+        }
+    });
 }
 
 /// Appends one frame at `lsn` to `out`: header, LSN, whatever `body`
@@ -248,7 +239,7 @@ fn encode_commit_frame<K: WalCodec, V: WalCodec>(
 
 /// Byte offset of a run frame's count word from the frame's start: after
 /// the header, the LSN and the kind byte.
-const RUN_COUNT_AT: usize = FRAME_HEADER + 8 + 1;
+const RUN_COUNT_AT: usize = files::BLOCK_HEADER + 8 + 1;
 
 /// Frames on their way to a WAL segment. The last of them may be an *open
 /// run*: an insert frame that later [`push_inserts`](Self::push_inserts)
@@ -378,7 +369,7 @@ pub(crate) enum FrameStep<K, V> {
     /// Clean end: `pos` was exactly the end of the bytes.
     End,
     /// The bytes from `pos` on are not an intact frame (torn/corrupt tail).
-    Torn(&'static str),
+    Torn,
     /// The frame's CRC verifies but its kind is unknown or retired, or its
     /// body is not what the kind and the `K`/`V` widths imply: a write
     /// that completed, in a format this open cannot read — never a tear.
@@ -450,37 +441,21 @@ fn decode_logged<K: WalCodec, V: WalCodec>(record: &[u8]) -> Option<Logged<K, V>
     rest.is_empty().then_some(Logged::Op(op))
 }
 
-/// Decodes the frame starting at `pos`, never panicking: a short header,
-/// short payload or CRC mismatch is [`FrameStep::Torn`]; a frame that
-/// checks out but cannot be read is [`FrameStep::Invalid`].
+/// Decodes the frame starting at `pos`, never panicking: a torn block or
+/// one too short for an LSN and a kind is [`FrameStep::Torn`]; a frame
+/// that checks out but cannot be read is [`FrameStep::Invalid`].
 pub(crate) fn decode_frame<K: WalCodec, V: WalCodec>(bytes: &[u8], pos: usize) -> FrameStep<K, V> {
     if pos == bytes.len() {
         return FrameStep::End;
     }
-    if bytes.len() - pos < FRAME_HEADER {
-        return FrameStep::Torn("truncated frame header");
-    }
-    let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
-    let crc = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().unwrap());
-    // Any longer length may be real (commit and run frames grow with their
-    // entries); a garbage one fails one of the two checks below.
-    if len < 9 {
-        return FrameStep::Torn("implausible frame length");
-    }
-    if bytes.len() - pos - FRAME_HEADER < len {
-        return FrameStep::Torn("truncated frame payload");
-    }
-    let payload = &bytes[pos + FRAME_HEADER..pos + FRAME_HEADER + len];
-    if crc32(payload) != crc {
-        return FrameStep::Torn("payload CRC mismatch");
-    }
+    // Any longer payload may be real (commit and run frames grow with
+    // their entries).
+    let Some((payload, next)) = files::read_block(bytes, pos).filter(|(p, _)| p.len() >= 9) else {
+        return FrameStep::Torn;
+    };
     let lsn = u64::decode_from(&payload[..8]);
     match decode_logged(&payload[8..]) {
-        Some(logged) => FrameStep::Record {
-            lsn,
-            logged,
-            next: pos + FRAME_HEADER + len,
-        },
+        Some(logged) => FrameStep::Record { lsn, logged, next },
         None => FrameStep::Invalid {
             lsn,
             kind: payload[8],
@@ -824,7 +799,7 @@ mod tests {
         for buf in [buf, run] {
             for cut in 1..buf.len() {
                 assert!(
-                    matches!(decode_frame::<u64, u64>(&buf[..cut], 0), FrameStep::Torn(_)),
+                    matches!(decode_frame::<u64, u64>(&buf[..cut], 0), FrameStep::Torn),
                     "cut at {cut} must read as torn"
                 );
             }
@@ -859,7 +834,7 @@ mod tests {
         encode_frame::<u64, u64>(2, &WalOp::Delete(1), &mut buf2);
         assert!(matches!(
             decode_frame::<u64, u64>(&buf2, 0),
-            FrameStep::Torn(_)
+            FrameStep::Torn
         ));
         let _ = next;
     }

@@ -61,8 +61,8 @@
 #![deny(unsafe_code)]
 
 mod durable;
+mod files;
 mod frame;
-mod psnap;
 mod snapshot;
 mod storage;
 mod txn;

@@ -68,9 +68,10 @@
 //! register; an auto-commit `get` does not, and re-resolves in the one
 //! case where that could show (see [`TxnStore::get`]).
 
-use crate::durable::{recover, with_wal_metrics, DurabilityConfig, LoadedSnapshot, RecoveryReport};
+use crate::durable::{recover, with_wal_metrics, DurabilityConfig, RecoveryReport};
+use crate::files::Kind;
 use crate::frame::{Logged, WalCodec};
-use crate::snapshot::load_best_snapshot;
+use crate::snapshot::read_entries;
 use crate::storage::Storage;
 use crate::wal::{Lsn, Wal};
 use crate::WalOp;
@@ -228,14 +229,6 @@ pub struct TxnStats {
     pub live_keys: u64,
 }
 
-/// What [`TxnStore::open`] rebuilds: the version tree, its live-key count,
-/// and where the timestamp clock resumes.
-struct Recovered<K: Key, V: Clone> {
-    mvcc: MvccTree<K, V>,
-    live: u64,
-    max_ts: u64,
-}
-
 /// A multi-version, transactional, durable key-value store: snapshot
 /// isolation over [`MvccTree`], first-committer-wins conflict
 /// detection, one WAL frame per commit with atomic recovery. See the module
@@ -288,28 +281,15 @@ where
     /// error before anything is read.
     pub fn open(storage: Arc<dyn Storage>, config: TxnConfig) -> Result<(Self, RecoveryReport)> {
         quit_concurrent::validate_config(&config.tree)?;
-        let load = |storage: &dyn Storage| {
-            let ((generation, lsn, entries), rejected) =
-                load_best_snapshot::<K, Stamped<V>>(storage)?;
-            let snapshot_entries = entries.len();
-            let max_ts = entries.iter().map(|(_, s)| s.0).max().unwrap_or(0);
+        let decode = |bytes: Vec<u8>, count| Some((read_entries(&bytes, count)?, count as usize));
+        let replay = |entries: Option<Vec<(K, Stamped<V>)>>, tail: Vec<(Lsn, Logged<K, V>)>| {
+            let entries = entries.unwrap_or_default();
+            let mut live = entries.len() as u64;
+            let mut max_ts = entries.iter().map(|(_, s)| s.0).max().unwrap_or(0);
             let mvcc = MvccTree::bulk_load(
                 config.tree.clone(),
                 entries.into_iter().map(|(k, Stamped(ts, v))| (k, ts, v)),
             );
-            Ok(LoadedSnapshot {
-                generation,
-                lsn,
-                entries: snapshot_entries,
-                rejected,
-                state: Recovered {
-                    mvcc,
-                    live: snapshot_entries as u64,
-                    max_ts,
-                },
-            })
-        };
-        let replay = |mut st: Recovered<K, V>, tail: Vec<(Lsn, Logged<K, V>)>| {
             let mut applied = 0usize;
             for (lsn, logged) in tail {
                 let Logged::Op(WalOp::Commit(commit_ts, writes)) = logged else {
@@ -319,23 +299,24 @@ where
                     )));
                 };
                 applied += writes.len();
-                let (live, _) = st.mvcc.apply_batch(commit_ts, &writes);
-                st.live = st.live.wrapping_add_signed(live);
-                st.max_ts = st.max_ts.max(commit_ts);
+                let (delta, _) = mvcc.apply_batch(commit_ts, &writes);
+                live = live.wrapping_add_signed(delta);
+                max_ts = max_ts.max(commit_ts);
             }
-            Ok((st, applied))
+            Ok(((mvcc, live, max_ts), applied))
         };
-        let (recovered, wal, report) = recover(storage, &config.durability, load, replay)?;
+        let ((mvcc, live, max_ts), wal, report) =
+            recover(storage, &config.durability, Kind::Sorted, decode, replay)?;
         Ok((
             TxnStore {
-                mvcc: recovered.mvcc,
+                mvcc,
                 wal,
                 config,
-                oracle: TsOracle::new(recovered.max_ts),
+                oracle: TsOracle::new(max_ts),
                 snapshots: Mutex::new(BTreeMap::new()),
                 commit_gate: RwLock::new(()),
                 next_tid: AtomicU64::new(0),
-                live: AtomicU64::new(recovered.live),
+                live: AtomicU64::new(live),
                 commits: AtomicU64::new(0),
                 conflicts: AtomicU64::new(0),
                 aborts: AtomicU64::new(0),

@@ -3,18 +3,11 @@
 //!
 //! ## Segment layout
 //!
-//! Segments are named `wal-{generation:08}-{seq:08}.log` and start with a
-//! 34-byte header:
-//!
-//! ```text
-//! ┌──────────────┬─────────┬─────────┬───────────────┬───────────┐
-//! │ "QWAL1\n"    │ gen u64 │ seq u64 │ start_lsn u64 │ crc u32   │
-//! └──────────────┴─────────┴─────────┴───────────────┴───────────┘
-//! ```
-//!
-//! followed by CRC32 frames (see [`crate::frame`]). `generation` bumps on
-//! every checkpoint, so stale segments from before a snapshot are
-//! recognizable by name *and* by header even if pruning was interrupted.
+//! Segments are `wal-….log` files (DESIGN.md, "Directory layout"): a
+//! header with the words `(generation, seq, start_lsn)`, then CRC32 frames
+//! (see [`crate::frame`]). `generation` bumps on every checkpoint, so
+//! stale segments from before a snapshot are recognizable by name *and*
+//! by header even if pruning was interrupted.
 //! `start_lsn` is the LSN of the segment's first record; recovery uses it
 //! to decide whether a later segment legitimately continues the log after
 //! a torn tail (a fresh segment opened by a recovered process) or is
@@ -66,55 +59,16 @@
 //! of acking records that recovery could never replay.
 
 use crate::durable::{DurabilityConfig, DurabilityLevel};
+use crate::files::{self, Kind};
 use crate::frame::{decode_frame, FrameBuffer, FrameStep, Logged, WalCodec};
 use crate::storage::Storage;
 use crate::WalOp;
-use quit_core::{crc32, Error, MetricsRegistry, Result};
+use quit_core::{Error, MetricsRegistry, Result};
 use std::sync::{Arc, Condvar, Mutex};
 
 /// Log sequence number: 1-based, dense, strictly increasing. 0 means
 /// "nothing logged yet".
 pub type Lsn = u64;
-
-pub(crate) const SEG_MAGIC: &[u8; 6] = b"QWAL1\n";
-pub(crate) const SEG_HEADER: usize = 6 + 8 + 8 + 8 + 4;
-
-pub(crate) fn seg_name(generation: u64, seq: u64) -> String {
-    format!("wal-{generation:08}-{seq:08}.log")
-}
-
-pub(crate) fn parse_seg_name(name: &str) -> Option<(u64, u64)> {
-    let rest = name.strip_prefix("wal-")?.strip_suffix(".log")?;
-    let (generation, seq) = rest.split_once('-')?;
-    if generation.len() != 8 || seq.len() != 8 {
-        return None;
-    }
-    Some((generation.parse().ok()?, seq.parse().ok()?))
-}
-
-pub(crate) fn encode_seg_header(generation: u64, seq: u64, start_lsn: Lsn) -> Vec<u8> {
-    let mut out = Vec::with_capacity(SEG_HEADER);
-    out.extend_from_slice(SEG_MAGIC);
-    out.extend_from_slice(&generation.to_le_bytes());
-    out.extend_from_slice(&seq.to_le_bytes());
-    out.extend_from_slice(&start_lsn.to_le_bytes());
-    let crc = crc32(&out);
-    out.extend_from_slice(&crc.to_le_bytes());
-    out
-}
-
-/// `(generation, seq, start_lsn)` if the header is intact.
-pub(crate) fn decode_seg_header(bytes: &[u8]) -> Option<(u64, u64, Lsn)> {
-    if bytes.len() < SEG_HEADER || &bytes[..6] != SEG_MAGIC {
-        return None;
-    }
-    let crc = u32::from_le_bytes(bytes[SEG_HEADER - 4..SEG_HEADER].try_into().unwrap());
-    if crc32(&bytes[..SEG_HEADER - 4]) != crc {
-        return None;
-    }
-    let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
-    Some((word(6), word(14), word(22)))
-}
 
 struct WalState {
     /// Encoded frames not yet handed to storage, the last of them perhaps
@@ -139,8 +93,8 @@ struct WalState {
     waiters: usize,
     generation: u64,
     seg_seq: u64,
-    /// `seg_name(generation, seg_seq)`, formatted once per segment; the
-    /// leader clones it for its unlocked fsync.
+    /// Segment `(generation, seg_seq)`'s name, formatted once per segment;
+    /// the leader clones it for its unlocked fsync.
     seg_name: Arc<str>,
     /// Whether the current `(generation, seg_seq)` segment has its header
     /// written.
@@ -159,7 +113,7 @@ impl WalState {
     fn switch_segment(&mut self, generation: u64, seq: u64) {
         self.generation = generation;
         self.seg_seq = seq;
-        self.seg_name = seg_name(generation, seq).into();
+        self.seg_name = files::name(Kind::Wal, generation, seq).into();
         self.seg_open = false;
         self.seg_bytes = 0;
     }
@@ -215,7 +169,7 @@ impl Wal {
                 waiters: 0,
                 generation,
                 seg_seq: seq,
-                seg_name: seg_name(generation, seq).into(),
+                seg_name: files::name(Kind::Wal, generation, seq).into(),
                 seg_open: false,
                 seg_bytes: 0,
                 poisoned: false,
@@ -426,7 +380,8 @@ impl Wal {
             st.switch_segment(st.generation, st.seg_seq + 1);
         }
         if !st.seg_open {
-            let header = encode_seg_header(st.generation, st.seg_seq, st.written_lsn + 1);
+            let words = [st.generation, st.seg_seq, st.written_lsn + 1];
+            let header = files::header(Kind::Wal, words);
             if let Err(e) = self.storage.append(&st.seg_name, &header) {
                 // The segment may hold a partial header; nothing from
                 // `pending` was consumed, but the file is no longer
@@ -477,8 +432,8 @@ impl Wal {
     /// makes the log durable, calls `write_snapshot(storage, g+1, lsn)` to
     /// publish the new generation's snapshot in whatever format the caller
     /// uses (sorted entries or a paged image), switches segment writing to
-    /// generation `g+1`, and optionally prunes everything superseded —
-    /// stale segments, *both* snapshot flavours, and leftover `.tmp`s.
+    /// generation `g+1`, and optionally prunes every file
+    /// [`files::superseded`] names.
     pub(crate) fn checkpoint_with(
         &self,
         prune: bool,
@@ -495,22 +450,12 @@ impl Wal {
         st.durable_lsn = st.written_lsn;
         st.unsynced_records = 0;
         let snapshot_lsn = st.next_lsn - 1;
-        let old_generation = st.generation;
-        let new_generation = old_generation + 1;
+        let new_generation = st.generation + 1;
         write_snapshot(&*self.storage, new_generation, snapshot_lsn)?;
         st.switch_segment(new_generation, 0);
         if prune {
             for name in self.storage.list()? {
-                let stale_segment = parse_seg_name(&name).is_some_and(|(g, _)| g <= old_generation);
-                let stale_snapshot =
-                    crate::snapshot::parse_snap_name(&name).is_some_and(|g| g < new_generation);
-                let stale_psnap =
-                    crate::psnap::parse_psnap_name(&name).is_some_and(|g| g < new_generation);
-                // Any `.tmp` still present is an interrupted snapshot
-                // publish from a previous run (the one we just wrote has
-                // already been renamed into place).
-                let stale_tmp = name.ends_with(".tmp");
-                if stale_segment || stale_snapshot || stale_psnap || stale_tmp {
+                if files::superseded(&name, new_generation) {
                     self.storage.remove(&name)?;
                 }
             }
@@ -528,8 +473,6 @@ pub(crate) struct WalScan<K, V> {
     pub last_lsn: Lsn,
     /// True if a torn/corrupt frame or segment cut the scan short.
     pub torn: bool,
-    /// Why the first tear was declared (frame decoder's reason), if any.
-    pub torn_reason: Option<&'static str>,
     /// Segments that contributed nothing (fully covered by the snapshot,
     /// or unreadable).
     pub stale_segments: usize,
@@ -550,18 +493,11 @@ pub(crate) fn scan_wal<K: WalCodec, V: WalCodec>(
     snapshot_lsn: Lsn,
     snapshot_generation: u64,
 ) -> Result<WalScan<K, V>> {
-    let mut segments: Vec<(u64, u64, String)> = storage
-        .list()?
-        .into_iter()
-        .filter_map(|name| parse_seg_name(&name).map(|(g, s)| (g, s, name)))
-        .collect();
-    segments.sort();
-
+    let segments = files::list(storage, Kind::Wal)?;
     let mut scan = WalScan {
         tail: Vec::new(),
         last_lsn: snapshot_lsn,
         torn: false,
-        torn_reason: None,
         stale_segments: 0,
         resume_generation: snapshot_generation,
         resume_seq: 0,
@@ -579,17 +515,14 @@ pub(crate) fn scan_wal<K: WalCodec, V: WalCodec>(
         }
 
         let bytes = storage.read(name)?;
-        let Some((h_generation, h_seq, start_lsn)) = decode_seg_header(&bytes) else {
+        let Some([h_generation, h_seq, start_lsn]) = files::read_header(Kind::Wal, &bytes) else {
             // Unreadable header: nothing in this segment is trustworthy.
             scan.torn = true;
-            scan.torn_reason.get_or_insert("corrupt segment header");
             scan.stale_segments += 1;
             continue;
         };
         if (h_generation, h_seq) != (generation, seq) {
             scan.torn = true;
-            scan.torn_reason
-                .get_or_insert("segment header disagrees with file name");
             scan.stale_segments += 1;
             continue;
         }
@@ -602,18 +535,16 @@ pub(crate) fn scan_wal<K: WalCodec, V: WalCodec>(
         if start_lsn > scan.last_lsn + 1 {
             // A gap means a whole segment vanished: stop here.
             scan.torn = true;
-            scan.torn_reason.get_or_insert("LSN gap between segments");
             scan.stale_segments += 1;
             continue;
         }
-        let mut pos = SEG_HEADER;
+        let mut pos = files::HEADER;
         let mut contributed = false;
         loop {
             match decode_frame::<K, V>(&bytes, pos) {
                 FrameStep::End => break,
-                FrameStep::Torn(reason) => {
+                FrameStep::Torn => {
                     scan.torn = true;
-                    scan.torn_reason.get_or_insert(reason);
                     break;
                 }
                 FrameStep::Invalid { lsn, kind } => {
@@ -641,8 +572,6 @@ pub(crate) fn scan_wal<K: WalCodec, V: WalCodec>(
                     }
                     if lsn != scan.last_lsn + 1 {
                         scan.torn = true;
-                        scan.torn_reason
-                            .get_or_insert("LSN discontinuity inside segment");
                         break;
                     }
                     scan.last_lsn = last;
@@ -690,25 +619,6 @@ mod tests {
             }
         }
         ops
-    }
-
-    #[test]
-    fn seg_names_roundtrip() {
-        assert_eq!(seg_name(3, 12), "wal-00000003-00000012.log");
-        assert_eq!(parse_seg_name("wal-00000003-00000012.log"), Some((3, 12)));
-        assert_eq!(parse_seg_name("wal-3-12.log"), None);
-        assert_eq!(parse_seg_name("snap-00000001.qsnp"), None);
-    }
-
-    #[test]
-    fn seg_header_roundtrip_and_corruption() {
-        let h = encode_seg_header(2, 5, 101);
-        assert_eq!(h.len(), SEG_HEADER);
-        assert_eq!(decode_seg_header(&h), Some((2, 5, 101)));
-        let mut bad = h.clone();
-        bad[10] ^= 1;
-        assert_eq!(decode_seg_header(&bad), None);
-        assert_eq!(decode_seg_header(&h[..SEG_HEADER - 1]), None);
     }
 
     #[test]
@@ -1098,9 +1008,10 @@ mod tests {
             commit_one(k);
         }
 
+        let seg_name = |generation, seq| files::name(Kind::Wal, generation, seq);
         let mut expected: Vec<String> = (0..5).map(|s| seg_name(0, s)).collect();
         expected.extend((0..7).map(|s| seg_name(1, s)));
-        expected.push(crate::snapshot::snap_name(1));
+        expected.push(files::name(Kind::Sorted, 1, 0));
         expected.sort();
         let mut names = storage.list().unwrap();
         names.sort();
@@ -1111,8 +1022,8 @@ mod tests {
         // Every committed LSN survives the harshest crash: the snapshot
         // covers 1..=5, the generation-1 segments continue at 6.
         let crashed = storage.crash_durable_only();
-        let snap = crate::snapshot::read_snapshot::<u64, u64>(
-            &crashed.read(&crate::snapshot::snap_name(1)).unwrap(),
+        let snap = crate::snapshot::tests::read_snapshot::<u64, u64>(
+            &crashed.read(&files::name(Kind::Sorted, 1, 0)).unwrap(),
         )
         .unwrap();
         assert_eq!(snap, (1, 5, entries));

@@ -47,6 +47,24 @@ fn splitmix(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// The crash cuts over an image of `total` bytes whose first `durable` an
+/// fsync covers: the empty and the full image, then `n` draws from `rng`,
+/// every odd one biased past the durable floor. Only that suffix can tear
+/// (rotation fsyncs every completed segment), and a uniform draw over
+/// megabytes of fsynced history would almost never land there.
+fn crash_cuts(total: usize, durable: usize, n: usize, rng: &mut u64) -> Vec<usize> {
+    let mut cuts = vec![0, total];
+    for i in 0..n {
+        let (floor, span) = if i % 2 == 0 {
+            (0, total)
+        } else {
+            (durable, total - durable)
+        };
+        cuts.push(floor + (splitmix(rng) % (span as u64 + 1)) as usize);
+    }
+    cuts
+}
+
 /// One logged mutation in the shadow log (the model-side mirror of the
 /// WAL record stream, in LSN order).
 #[derive(Clone, Copy)]
@@ -185,21 +203,7 @@ pub fn replay_crash_ops(ops: &[Op], spec: &CrashSpec) -> Result<CrashReport, Div
         ..CrashReport::default()
     };
 
-    // Rotation fsyncs every completed segment, so only the suffix past the
-    // durable watermark can tear; half the cuts are biased into it (a
-    // uniform draw over megabytes of fsynced history would almost never
-    // land there).
-    let durable = storage.durable_bytes();
-    let mut cuts: Vec<usize> = vec![0, total];
-    for i in 0..spec.cuts {
-        let cut = if i % 2 == 0 {
-            (splitmix(&mut rng) % (total as u64 + 1)) as usize
-        } else {
-            durable + (splitmix(&mut rng) % ((total - durable) as u64 + 1)) as usize
-        };
-        cuts.push(cut);
-    }
-    for &cut in &cuts {
+    for cut in crash_cuts(total, storage.durable_bytes(), spec.cuts, &mut rng) {
         verify_cut(&storage, cut, total, &shadow, floor_lsn, spec, &mut report)?;
     }
     Ok(report)
@@ -576,17 +580,7 @@ pub fn replay_crash_paged_ops(
         ..PagedCrashReport::default()
     };
 
-    let durable_bytes = storage.durable_bytes();
-    let mut cuts: Vec<usize> = vec![0, total];
-    for i in 0..spec.cuts {
-        let cut = if i % 2 == 0 {
-            (splitmix(&mut rng) % (total as u64 + 1)) as usize
-        } else {
-            durable_bytes + (splitmix(&mut rng) % ((total - durable_bytes) as u64 + 1)) as usize
-        };
-        cuts.push(cut);
-    }
-    for &cut in &cuts {
+    for cut in crash_cuts(total, storage.durable_bytes(), spec.cuts, &mut rng) {
         verify_paged_cut(&storage, cut, total, &shadow, floor_lsn, spec, &mut report)?;
     }
 
@@ -847,22 +841,10 @@ pub fn replay_crash_concurrent(spec: &ConcCrashSpec) -> Result<ConcCrashReport, 
         ..ConcCrashReport::default()
     };
 
-    // Fuzz cuts over the mid-run image: durable-only, full, random, and
-    // (half of them) biased into the non-durable suffix where frames can
-    // actually tear.
+    // Fuzz cuts over the mid-run image.
     let mut rng = spec.seed;
-    let total = base.total_appended();
-    let synced = base.durable_bytes();
-    let mut cuts = vec![0, total];
-    for i in 0..spec.cuts {
-        let cut = if i % 2 == 0 {
-            (splitmix(&mut rng) % (total as u64 + 1)) as usize
-        } else {
-            synced + (splitmix(&mut rng) % ((total - synced) as u64 + 1)) as usize
-        };
-        cuts.push(cut);
-    }
-    for &cut in &cuts {
+    let (total, synced) = (base.total_appended(), base.durable_bytes());
+    for cut in crash_cuts(total, synced, spec.cuts, &mut rng) {
         let crashed = Arc::new(base.crash(cut));
         let (recovered, _) = Durable::open(
             crashed as Arc<dyn Storage>,
@@ -1209,20 +1191,7 @@ pub fn replay_txn_crash(ops: &[TxnOp], spec: &TxnCrashSpec) -> Result<TxnCrashRe
     drop(store);
 
     let total = storage.total_appended();
-    let durable = storage.durable_bytes();
-    let mut cut_points: Vec<usize> = vec![0, usize::MAX];
     let mut rng = spec.seed ^ 0x7C5_CA57_F00D;
-    for i in 0..spec.cuts {
-        let r = splitmix(&mut rng) as usize;
-        // Half the cuts land in the torn tail past the fsync floor.
-        let cut = if i % 2 == 0 && total > durable {
-            durable + r % (total - durable + 1)
-        } else {
-            r % (total + 1)
-        };
-        cut_points.push(cut);
-    }
-
     let mut report = TxnCrashReport {
         ops: ops.len(),
         commits,
@@ -1232,7 +1201,7 @@ pub fn replay_txn_crash(ops: &[TxnOp], spec: &TxnCrashSpec) -> Result<TxnCrashRe
         min_prefix: usize::MAX,
         max_prefix: 0,
     };
-    for &cut in &cut_points {
+    for cut in crash_cuts(total, storage.durable_bytes(), spec.cuts, &mut rng) {
         let img = Arc::new(storage.crash(cut)) as Arc<dyn Storage>;
         let (recovered, rec) = TxnStore::open(img, config.clone()).map_err(|e| io("recover", e))?;
         recovered
@@ -1253,7 +1222,7 @@ pub fn replay_txn_crash(ops: &[TxnOp], spec: &TxnCrashSpec) -> Result<TxnCrashRe
                  fsync-durable before the crash",
             )));
         }
-        if cut == usize::MAX {
+        if cut == total {
             if j != commits {
                 return Err(diverge(format!(
                     "full image recovered {j} of {commits} commits",
