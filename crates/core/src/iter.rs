@@ -2,6 +2,11 @@
 //! entry admitted by the start bound, then the interlinked leaf pointers
 //! drive the scan until the end bound rejects an entry.
 //!
+//! A scan works a leaf at a time: it touches the arena once per leaf,
+//! cuts that leaf's keys at the end bound once — and only when its last
+//! key is past the end, which also ends the walk — and then yields from
+//! the two slices it kept.
+//!
 //! The primary API is the lazy [`BpTree::range`], which accepts any
 //! `impl RangeBounds<K>` (`a..b`, `a..=b`, `..b`, `a..`, `..`) and borrows
 //! values instead of cloning them. [`BpTree::range_with_stats`] materializes
@@ -53,38 +58,50 @@ fn end_admits<K: Ord>(key: &K, end: &Bound<K>) -> bool {
     }
 }
 
+/// Where the scan ends in `keys`, a leaf's sorted keys from the slot it is
+/// read from: `Some(n)` when its last key is past `end`, `n` being the
+/// keys `end` admits, and `None` when the walk goes on to the next leaf.
+fn end_cut<K: Ord>(keys: &[K], end: &Bound<K>) -> Option<usize> {
+    keys.last()
+        .is_some_and(|k| !end_admits(k, end))
+        .then(|| keys.partition_point(|k| end_admits(k, end)))
+}
+
 impl<K: Key, V> BpTree<K, V> {
     /// Lazy iterator over the entries within `bounds`, in key order,
     /// yielding `(key, &value)`.
     ///
     /// Accepts every range shape: `index.range(3..7)`, `range(3..=7)`,
     /// `range(..7)`, `range(3..)`, `range(..)`. The scan descends once,
-    /// walks the leaf chain, and stops at the first key past the end bound;
-    /// nothing is allocated and values are borrowed.
+    /// then walks the leaf chain a leaf at a time: one arena access per
+    /// leaf, the end bound cut into the leaf where the scan ends, and the
+    /// entries yielded from slices of each leaf. Nothing is allocated and
+    /// values are borrowed.
     ///
     /// Leaf accesses are tracked on the iterator ([`RangeIter::leaf_accesses`])
     /// but only [`BpTree::range_with_stats`] folds them into [`crate::Stats`],
     /// since a partially consumed lazy scan would under-report.
     pub fn range<R: RangeBounds<K>>(&self, bounds: R) -> RangeIter<'_, K, V> {
         self.metrics.counters.range_scans.bump_shared();
-        let end = copy_bound(bounds.end_bound());
-        if self.is_empty() || bounds_empty(bounds.start_bound(), bounds.end_bound()) {
-            return RangeIter {
-                tree: self,
-                leaf: None,
-                pos: 0,
-                end,
-                leaf_accesses: 0,
-            };
-        }
-        let (leaf, pos, leaf_accesses) = self.seek_start(bounds.start_bound());
-        RangeIter {
+        self.scan(bounds)
+    }
+
+    /// [`range`](Self::range) without counting a range scan.
+    fn scan<R: RangeBounds<K>>(&self, bounds: R) -> RangeIter<'_, K, V> {
+        let mut iter = RangeIter {
             tree: self,
-            leaf: Some(leaf),
-            pos,
-            end,
-            leaf_accesses,
+            keys: [].iter(),
+            vals: [].iter(),
+            next: None,
+            end: copy_bound(bounds.end_bound()),
+            leaf_accesses: 0,
+        };
+        if !(self.is_empty() || bounds_empty(bounds.start_bound(), bounds.end_bound())) {
+            let (leaf, pos, leaf_accesses) = self.seek_start(bounds.start_bound());
+            iter.leaf_accesses = leaf_accesses;
+            iter.load(leaf, pos);
         }
+        iter
     }
 
     /// Locates the first leaf/slot admitted by `start`; returns the leaf,
@@ -149,13 +166,11 @@ impl<K: Key, V> BpTree<K, V> {
         self.range(bounds).count()
     }
 
-    /// Iterates every `(key, &value)` entry in key order via the leaf chain.
-    pub fn iter(&self) -> TreeIter<'_, K, V> {
-        TreeIter {
-            tree: self,
-            leaf: Some(self.head),
-            pos: 0,
-        }
+    /// Iterates every `(key, &value)` entry in key order via the leaf
+    /// chain: a [`range`](Self::range) over `..` that is not counted as a
+    /// range scan.
+    pub fn iter(&self) -> RangeIter<'_, K, V> {
+        self.scan(..)
     }
 
     /// All keys in order (mainly for tests and examples).
@@ -279,8 +294,7 @@ impl<K: Key, V: Clone> PagedRangeIter<'_, K, V> {
             self.vals.extend_from_slice(&leaf.vals[from..]);
             leaf.next
         });
-        if self.keys.last().is_some_and(|k| !end_admits(k, &self.end)) {
-            let admitted = self.keys.partition_point(|k| end_admits(k, &self.end));
+        if let Some(admitted) = end_cut(&self.keys, &self.end) {
             self.keys.truncate(admitted);
             self.vals.truncate(admitted);
             self.next = None;
@@ -306,19 +320,38 @@ impl<K: Key, V: Clone> Iterator for PagedRangeIter<'_, K, V> {
     }
 }
 
-/// Lazy iterator over a key range. See [`BpTree::range`].
+/// Lazy iterator over a key range, a leaf at a time. See [`BpTree::range`].
 pub struct RangeIter<'a, K, V> {
     tree: &'a BpTree<K, V>,
-    leaf: Option<NodeId>,
-    pos: usize,
+    /// The current leaf's entries still to yield, cut at the end bound.
+    keys: std::slice::Iter<'a, K>,
+    vals: std::slice::Iter<'a, V>,
+    /// Leaf to load when the slices run out; `None` once the end bound
+    /// or the chain's end is reached.
+    next: Option<NodeId>,
     end: Bound<K>,
     leaf_accesses: u64,
 }
 
-impl<K: Key, V> RangeIter<'_, K, V> {
+impl<'a, K: Key, V> RangeIter<'a, K, V> {
     /// Leaf nodes touched so far (including the seek to the start bound).
     pub fn leaf_accesses(&self) -> u64 {
         self.leaf_accesses
+    }
+
+    /// Takes the entries of leaf `id` from slot `from` on, cut at the end
+    /// bound.
+    fn load(&mut self, id: NodeId, from: usize) {
+        let tree: &'a BpTree<K, V> = self.tree;
+        let leaf = tree.arena.get(id).as_leaf();
+        let (mut keys, mut vals) = (&leaf.keys[from..], &leaf.vals[from..]);
+        self.next = leaf.next;
+        if let Some(admitted) = end_cut(keys, &self.end) {
+            (keys, vals) = (&keys[..admitted], &vals[..admitted]);
+            self.next = None;
+        }
+        self.keys = keys.iter();
+        self.vals = vals.iter();
     }
 }
 
@@ -327,56 +360,84 @@ impl<'a, K: Key, V> Iterator for RangeIter<'a, K, V> {
 
     fn next(&mut self) -> Option<Self::Item> {
         loop {
-            let id = self.leaf?;
-            let leaf = self.tree.arena.get(id).as_leaf();
-            if let Some(&k) = leaf.keys.get(self.pos) {
-                if !end_admits(&k, &self.end) {
-                    self.leaf = None;
-                    return None;
-                }
-                let item = (k, &leaf.vals[self.pos]);
-                self.pos += 1;
-                return Some(item);
+            if let (Some(&k), Some(v)) = (self.keys.next(), self.vals.next()) {
+                return Some((k, v));
             }
-            self.leaf = leaf.next;
-            if self.leaf.is_some() {
-                self.leaf_accesses += 1;
-            }
-            self.pos = 0;
-        }
-    }
-}
-
-/// Ordered iterator over the whole index. See [`BpTree::iter`].
-pub struct TreeIter<'a, K, V> {
-    tree: &'a BpTree<K, V>,
-    leaf: Option<NodeId>,
-    pos: usize,
-}
-
-impl<'a, K: Key, V> Iterator for TreeIter<'a, K, V> {
-    type Item = (K, &'a V);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            let id = self.leaf?;
-            let leaf = self.tree.arena.get(id).as_leaf();
-            if let Some(&k) = leaf.keys.get(self.pos) {
-                let item = (k, &leaf.vals[self.pos]);
-                self.pos += 1;
-                return Some(item);
-            }
-            self.leaf = leaf.next;
-            self.pos = 0;
+            let id = self.next?;
+            self.leaf_accesses += 1;
+            self.load(id, 0);
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::{bounds_empty, copy_bound, end_admits};
+    use crate::arena::NodeId;
     use crate::config::TreeConfig;
     use crate::fastpath::FastPathMode;
+    use crate::key::Key;
     use crate::tree::BpTree;
+    use std::ops::{Bound, RangeBounds};
+
+    /// The per-entry walk [`super::RangeIter`] replaced, kept as the
+    /// reference its leaf-at-a-time walk must match entry for entry and
+    /// leaf access for leaf access.
+    struct ReferenceIter<'a, K, V> {
+        tree: &'a BpTree<K, V>,
+        leaf: Option<NodeId>,
+        pos: usize,
+        end: Bound<K>,
+        leaf_accesses: u64,
+    }
+
+    impl<'a, K: Key, V> ReferenceIter<'a, K, V> {
+        fn new<R: RangeBounds<K>>(tree: &'a BpTree<K, V>, bounds: R) -> Self {
+            let end = copy_bound(bounds.end_bound());
+            if tree.is_empty() || bounds_empty(bounds.start_bound(), bounds.end_bound()) {
+                return ReferenceIter {
+                    tree,
+                    leaf: None,
+                    pos: 0,
+                    end,
+                    leaf_accesses: 0,
+                };
+            }
+            let (leaf, pos, leaf_accesses) = tree.seek_start(bounds.start_bound());
+            ReferenceIter {
+                tree,
+                leaf: Some(leaf),
+                pos,
+                end,
+                leaf_accesses,
+            }
+        }
+    }
+
+    impl<'a, K: Key, V> Iterator for ReferenceIter<'a, K, V> {
+        type Item = (K, &'a V);
+
+        fn next(&mut self) -> Option<Self::Item> {
+            loop {
+                let id = self.leaf?;
+                let leaf = self.tree.arena.get(id).as_leaf();
+                if let Some(&k) = leaf.keys.get(self.pos) {
+                    if !end_admits(&k, &self.end) {
+                        self.leaf = None;
+                        return None;
+                    }
+                    let item = (k, &leaf.vals[self.pos]);
+                    self.pos += 1;
+                    return Some(item);
+                }
+                self.leaf = leaf.next;
+                if self.leaf.is_some() {
+                    self.leaf_accesses += 1;
+                }
+                self.pos = 0;
+            }
+        }
+    }
 
     fn filled(mode: FastPathMode, n: u64) -> BpTree<u64, u64> {
         let mut t = BpTree::with_config(mode, TreeConfig::small(8));
@@ -480,10 +541,104 @@ mod tests {
     #[test]
     fn iter_visits_everything_in_order() {
         let t = filled(FastPathMode::Lil, 300);
+        t.stats().reset();
         let keys = t.keys();
         assert_eq!(keys.len(), 300);
         assert!(keys.windows(2).all(|w| w[0] <= w[1]));
         assert_eq!(t.iter().count(), 300);
+        assert_eq!(t.stats().range_scans.get(), 0, "iter() is not a range scan");
+    }
+
+    /// A tree of `leaf_capacity` built by inserts, with short duplicate
+    /// runs everywhere and two long ones that span leaves, and its entries
+    /// as a sorted model (duplicates in insertion order, as inserts place
+    /// them).
+    fn duplicate_runs(
+        mode: FastPathMode,
+        leaf_capacity: usize,
+    ) -> (BpTree<u64, u64>, Vec<(u64, u64)>) {
+        let mut t = BpTree::with_config(mode, TreeConfig::small(leaf_capacity));
+        let mut model = Vec::new();
+        for i in 0..90u64 {
+            let k = if i % 6 == 0 {
+                40
+            } else if i % 7 == 0 {
+                71
+            } else {
+                i * 37 % 30 * 3
+            };
+            t.insert(k, i);
+            model.push((k, i));
+        }
+        model.sort_by_key(|&(k, _)| k);
+        (t, model)
+    }
+
+    /// Every leaf's first and last key, and one either side of each.
+    fn leaf_edges(t: &BpTree<u64, u64>) -> Vec<u64> {
+        let mut edges = Vec::new();
+        let mut leaf = Some(t.head);
+        while let Some(id) = leaf {
+            let node = t.arena.get(id).as_leaf();
+            for &k in [node.keys.first(), node.keys.last()].into_iter().flatten() {
+                edges.extend([k.saturating_sub(1), k, k + 1]);
+            }
+            leaf = node.next;
+        }
+        edges.sort_unstable();
+        edges.dedup();
+        edges
+    }
+
+    /// Walks `bounds` with [`BpTree::range`] and with the reference walk
+    /// side by side: the same entries, the model's, and after every step
+    /// the same leaf-access count.
+    fn walk_matches(t: &BpTree<u64, u64>, model: &[(u64, u64)], bounds: (Bound<u64>, Bound<u64>)) {
+        let want: Vec<(u64, u64)> = model
+            .iter()
+            .copied()
+            .filter(|(k, _)| bounds.contains(k))
+            .collect();
+        let mut got = Vec::new();
+        let mut iter = t.range(bounds);
+        let mut reference = ReferenceIter::new(t, bounds);
+        loop {
+            let (entry, expected) = (iter.next(), reference.next());
+            assert_eq!(entry, expected, "{bounds:?}");
+            assert_eq!(
+                iter.leaf_accesses(),
+                reference.leaf_accesses,
+                "{bounds:?} after {} entries",
+                got.len()
+            );
+            let Some((k, &v)) = entry else { break };
+            got.push((k, v));
+        }
+        assert_eq!(got, want, "{bounds:?}");
+    }
+
+    #[test]
+    fn every_bound_shape_cut_at_every_leaf_edge_matches_the_model() {
+        use Bound::{Excluded, Included, Unbounded};
+        for leaf_capacity in [4, 8] {
+            for mode in [FastPathMode::None, FastPathMode::Pole] {
+                let (t, model) = duplicate_runs(mode, leaf_capacity);
+                assert!(t.height() > 1, "the runs must span leaves");
+                let edges = leaf_edges(&t);
+                for &b in &edges {
+                    walk_matches(&t, &model, (Unbounded, Excluded(b)));
+                    walk_matches(&t, &model, (Unbounded, Included(b)));
+                    walk_matches(&t, &model, (Included(b), Unbounded));
+                    for &a in edges.iter().filter(|&&a| a <= b + 1) {
+                        walk_matches(&t, &model, (Included(a), Excluded(b)));
+                        walk_matches(&t, &model, (Included(a), Included(b)));
+                        walk_matches(&t, &model, (Excluded(a), Included(b)));
+                    }
+                }
+                let all: Vec<(u64, u64)> = t.iter().map(|(k, &v)| (k, v)).collect();
+                assert_eq!(all, model);
+            }
+        }
     }
 
     #[test]

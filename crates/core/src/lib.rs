@@ -121,7 +121,7 @@ pub use crc::{crc32, simd_force_disabled, Crc32};
 pub use cursor::Cursor;
 pub use error::{Error, Result};
 pub use fastpath::{FastPathMode, FastPathState, FullPolePlan, PoleSplit, PrevLeaf, TopInsert};
-pub use iter::{RangeIter, RangeScan, TreeIter};
+pub use iter::{RangeIter, RangeScan};
 pub use key::{stripe_of, AnyBitPattern, Key, OrderedF64};
 pub use layout::{
     branchless_partition_point, branchless_partition_point_by, guided_lower_bound,

@@ -8,9 +8,10 @@
 //!
 //! * **Names.** `wal-{generation:08}-{seq:08}.log`,
 //!   `snap-{generation:08}.qsnp` and `psnap-{generation:08}.qpsf`: every
-//!   number exactly eight ASCII digits. [`parse`] accepts exactly the
-//!   names [`name`] writes, so a foreign file is never read as a candidate
-//!   or pruned as superseded.
+//!   number ASCII digits, zero-padded to eight and longer from 10⁸ on.
+//!   [`parse`] accepts exactly the names [`name`] writes, so a foreign
+//!   file is never read as a candidate or pruned as superseded, and no
+//!   file written is ever missed.
 //! * **Header.** Every file opens with the same 34 bytes: a 6-byte magic
 //!   naming its kind, three little-endian `u64` words and a CRC-32 of the
 //!   30 bytes before it. The words are `(generation, seq, start_lsn)` for
@@ -63,9 +64,11 @@ pub(crate) fn name(kind: Kind, generation: u64, seq: u64) -> String {
 /// [`name`]'s inverse: the kind, generation and seq (0 for a snapshot) of
 /// a name `name` writes, and `None` for any other string.
 pub(crate) fn parse(file: &str) -> Option<(Kind, u64, u64)> {
+    // What `{:08}` writes: eight digits, or more with no leading zero.
     // `u64::from_str` alone would also take a sign.
     let number = |digits: &str| {
-        (digits.len() == 8 && digits.bytes().all(|b| b.is_ascii_digit()))
+        let padded = digits.len() == 8 || (digits.len() > 8 && !digits.starts_with('0'));
+        (padded && digits.bytes().all(|b| b.is_ascii_digit()))
             .then(|| digits.parse().ok())
             .flatten()
     };
@@ -260,7 +263,14 @@ mod tests {
     fn only_the_names_written_parse_and_each_to_what_named_it() {
         let mut written = Vec::new();
         for kind in KINDS {
-            for (generation, seq) in [(0, 0), (7, 12), (99_999_999, 99_999_999)] {
+            for (generation, seq) in [
+                (0, 0),
+                (7, 12),
+                (99_999_999, 99_999_999),
+                (100_000_000, 100_000_000),
+                (99_999_999, 100_000_000),
+                (u64::MAX, u64::MAX),
+            ] {
                 let seq = if kind == Kind::Wal { seq } else { 0 };
                 let file = name(kind, generation, seq);
                 assert_eq!(parse(&file), Some((kind, generation, seq)), "{file}");
@@ -282,6 +292,13 @@ mod tests {
             "wal-0000003-00000012.log",
             "wal-00000003-000000012.log",
             "wal-000000003-0000012.log",
+            // Past eight digits: a leading zero, and more than `u64` holds.
+            "snap-0100000000.qsnp",
+            "psnap-0100000000.qpsf",
+            "wal-0100000000-00000012.log",
+            "wal-00000003-0100000000.log",
+            "snap-100000000000000000000.qsnp",
+            "wal-00000003-100000000000000000000.log",
             // Interrupted publishes.
             "snap-00000007.qsnp.tmp",
             "psnap-00000007.qpsf.tmp",

@@ -1,7 +1,7 @@
-//! Allocation budgets for the write-ahead log: a counting global
-//! allocator (its counts kept per thread, so the tests running beside
-//! one another never count each other) and a storage that discards what
-//! it is handed, so what is counted is the log's own work.
+//! Allocation budgets for the write-ahead log and for scans: a counting
+//! global allocator (its counts kept per thread, so the tests running
+//! beside one another never count each other) and a storage that discards
+//! what it is handed, so what is counted is the log's own work.
 //!
 //! * Inserts appended one at a time into the WAL buffer's open run, their
 //!   seals and the flushes that write them allocate nothing once the
@@ -10,6 +10,8 @@
 //!   nothing.
 //! * A warm `Buffered` insert loop into a `Durable<BpTree>` allocates only
 //!   for the nodes its splits create.
+//! * A `BpTree` range scan consumed to its end bound, and a full `iter()`,
+//!   allocate nothing: a scan borrows each leaf's entries in place.
 
 use quit_core::{BpTree, FastPathMode, SortedIndex, StatsSnapshot, TreeConfig};
 use quit_durability::{bptree_builder, DurabilityConfig, Durable, Storage};
@@ -222,4 +224,26 @@ fn a_warm_buffered_insert_loop_allocates_only_for_its_splits() {
     // Exactly: the same loop with logging off allocates as often.
     let (_, unlogged) = warm_insert_loop(DurabilityConfig::off());
     assert_eq!(logged, unlogged, "the log allocated in the insert loop");
+}
+
+#[test]
+fn a_range_scan_and_a_full_iteration_allocate_nothing() {
+    let mut t: BpTree<u64, u64> = BpTree::new(FastPathMode::Pole);
+    for i in 0..100_000u64 {
+        let k = i * 7_919 % 100_000;
+        t.insert(k, k * 2);
+    }
+    // Warm-up: the first scan of each kind, uncounted.
+    assert_eq!(t.range(40_000..41_000).count(), 1_000);
+    assert_eq!(t.iter().count(), 100_000);
+    let (scanned, n) = allocations(|| {
+        t.range(40_000..41_000)
+            .filter(|&(k, &v)| v == k * 2)
+            .count()
+    });
+    assert_eq!(scanned, 1_000);
+    assert_eq!(n, 0, "a 1 000-key range scan allocated {n} times");
+    let (walked, n) = allocations(|| t.iter().count());
+    assert_eq!(walked, 100_000);
+    assert_eq!(n, 0, "a full iteration allocated {n} times");
 }
