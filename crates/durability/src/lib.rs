@@ -69,8 +69,8 @@ mod txn;
 mod wal;
 
 pub use durable::{
-    bptree_builder, concurrent_builder, DurabilityConfig, DurabilityLevel, Durable, RecoveryReport,
-    Unacked,
+    bptree_builder, concurrent_builder, DurabilityConfig, DurabilityLevel, Durable, Recovered,
+    RecoveryReport, Unacked,
 };
 pub use frame::{WalCodec, WalOp};
 pub use quit_core::{crc32, Error, Result};

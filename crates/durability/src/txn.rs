@@ -71,10 +71,9 @@
 use crate::durable::{recover, with_wal_metrics, DurabilityConfig, RecoveryReport};
 use crate::files::Kind;
 use crate::frame::{Logged, WalCodec};
-use crate::snapshot::read_entries;
+use crate::snapshot;
 use crate::storage::Storage;
-use crate::wal::{Lsn, Wal};
-use crate::WalOp;
+use crate::wal::{Lsn, Tail, Wal};
 use quit_concurrent::MvccTree;
 use quit_core::mutation::{self, Mutation};
 use quit_core::{Error, Key, Result, StatsSnapshot, TreeConfig};
@@ -281,23 +280,32 @@ where
     /// error before anything is read.
     pub fn open(storage: Arc<dyn Storage>, config: TxnConfig) -> Result<(Self, RecoveryReport)> {
         quit_concurrent::validate_config(&config.tree)?;
-        let decode = |bytes: Vec<u8>, count| Some((read_entries(&bytes, count)?, count as usize));
-        let replay = |entries: Option<Vec<(K, Stamped<V>)>>, tail: Vec<(Lsn, Logged<K, V>)>| {
-            let entries = entries.unwrap_or_default();
-            let mut live = entries.len() as u64;
-            let mut max_ts = entries.iter().map(|(_, s)| s.0).max().unwrap_or(0);
+        let decode = |bytes, count| {
+            let file = snapshot::check::<K, Stamped<V>>(bytes, count)?;
+            Some((file, count as usize))
+        };
+        let replay = |file: Option<Vec<u8>>, tail: Tail<'_, K, V>| {
+            let file = file.unwrap_or_default();
+            let (mut live, mut max_ts) = (0u64, 0);
+            let entries = snapshot::chunks(&file).flatten();
             let mvcc = MvccTree::bulk_load(
                 config.tree.clone(),
-                entries.into_iter().map(|(k, Stamped(ts, v))| (k, ts, v)),
+                entries.map(|(k, Stamped(ts, v))| {
+                    live += 1;
+                    max_ts = max_ts.max(ts);
+                    (k, ts, v)
+                }),
             );
-            let mut applied = 0usize;
+            let (mut applied, mut writes) = (0usize, Vec::new());
             for (lsn, logged) in tail {
-                let Logged::Op(WalOp::Commit(commit_ts, writes)) = logged else {
+                let Logged::Commit(commit_ts, logged) = logged else {
                     return Err(Error::wal(format!(
                         "non-transactional record at LSN {lsn}: this log was not \
                          written by a TxnStore (open it with Durable::open)"
                     )));
                 };
+                writes.clear();
+                writes.extend(logged);
                 applied += writes.len();
                 let (delta, _) = mvcc.apply_batch(commit_ts, &writes);
                 live = live.wrapping_add_signed(delta);
@@ -529,14 +537,11 @@ where
     /// checkpoint, so that history is unreachable after a reopen.
     pub fn checkpoint(&self) -> Result<()> {
         let _quiesce = self.commit_gate.write().unwrap();
-        let entries: Vec<(K, Stamped<V>)> = self
-            .mvcc
-            .latest_live()
-            .into_iter()
-            .map(|(k, ts, v)| (k, Stamped(ts, v)))
-            .collect();
+        let live = self.mvcc.latest_live();
+        let len = live.len();
         self.wal.checkpoint(
-            &entries,
+            live.into_iter().map(|(k, ts, v)| (k, Stamped(ts, v))),
+            len,
             self.config.durability.snapshot_chunk,
             self.config.durability.prune_on_checkpoint,
         )

@@ -13,12 +13,12 @@
 
 use quit_core::{FastPathMode, SortedIndex, TreeConfig};
 use quit_durability::{
-    bptree_builder, crc32, DurabilityConfig, Durable, MemStorage, RecoveryReport, Storage,
-    TxnConfig, TxnStore,
+    bptree_builder, crc32, DurabilityConfig, Durable, MemStorage, Recovered, RecoveryReport,
+    Storage, TxnConfig, TxnStore,
 };
 use std::sync::Arc;
 
-fn builder() -> impl FnOnce(Vec<(u64, u64)>) -> quit_core::BpTree<u64, u64> {
+fn builder() -> impl FnOnce(Recovered<'_, u64, u64>) -> quit_core::BpTree<u64, u64> {
     bptree_builder(FastPathMode::Pole, TreeConfig::small(16))
 }
 

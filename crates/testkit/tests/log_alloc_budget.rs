@@ -12,9 +12,14 @@
 //!   for the nodes its splits create.
 //! * A `BpTree` range scan consumed to its end bound, and a full `iter()`,
 //!   allocate nothing: a scan borrows each leaf's entries in place.
+//! * Recovery reads the log where it lies: reopening the same entries
+//!   logged in 70-entry frames and in 1 000-entry frames allocates as
+//!   often, give or take one allocation per segment read.
+//! * A checkpoint streams the index into the snapshot: one of 100 000
+//!   entries allocates as often as one of 10 000.
 
 use quit_core::{BpTree, FastPathMode, SortedIndex, StatsSnapshot, TreeConfig};
-use quit_durability::{bptree_builder, DurabilityConfig, Durable, Storage};
+use quit_durability::{bptree_builder, DurabilityConfig, Durable, MemStorage, Recovered, Storage};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::io;
@@ -136,7 +141,7 @@ impl SortedIndex<u64, u64> for Nothing {
 
 fn open<T: SortedIndex<u64, u64>>(
     config: DurabilityConfig,
-    build: impl FnOnce(Vec<(u64, u64)>) -> T,
+    build: impl FnOnce(Recovered<'_, u64, u64>) -> T,
 ) -> Durable<T> {
     Durable::open(Arc::new(Discard) as Arc<dyn Storage>, config, build)
         .expect("open an empty directory")
@@ -246,4 +251,73 @@ fn a_range_scan_and_a_full_iteration_allocate_nothing() {
     let (walked, n) = allocations(|| t.iter().count());
     assert_eq!(walked, 100_000);
     assert_eq!(n, 0, "a full iteration allocated {n} times");
+}
+
+/// A store holding `entries` logged `per_frame` at a time: at
+/// `GroupCommit` each batch is acknowledged on its own, so each is one run
+/// frame.
+fn logged_in_frames(entries: &[(u64, u64)], per_frame: usize) -> Arc<MemStorage> {
+    let storage = Arc::new(MemStorage::new());
+    let config = DurabilityConfig::group_commit();
+    let (mut d, _) = Durable::open(storage.clone() as Arc<dyn Storage>, config, |_| Nothing)
+        .expect("open an empty directory");
+    for batch in entries.chunks(per_frame) {
+        d.insert_batch(batch);
+    }
+    storage
+}
+
+/// The allocations a reopen of `storage` made, and the log segments it
+/// read.
+fn reopen(storage: &Arc<MemStorage>) -> (u64, usize) {
+    let build = bptree_builder::<u64, u64>(FastPathMode::Pole, TreeConfig::small(CAPACITY));
+    let config = DurabilityConfig::group_commit();
+    let storage = storage.clone() as Arc<dyn Storage>;
+    let ((d, report), n) = allocations(|| Durable::open(storage.clone(), config, build).unwrap());
+    assert_eq!((report.tail_records, d.inner().len()), (126_000, 126_000));
+    let segments = storage.list().unwrap();
+    (n, segments.iter().filter(|f| f.starts_with("wal-")).count())
+}
+
+#[test]
+fn an_open_allocates_nothing_per_frame() {
+    // The K = L = 5 % stream a service shard logs, 126 000 entries.
+    let keys = bods::BodsSpec::new(126_000, 0.05, 0.05)
+        .with_seed(9)
+        .generate();
+    let entries: Vec<(u64, u64)> = keys.iter().map(|&k| (k, k)).collect();
+    let (small, small_segments) = reopen(&logged_in_frames(&entries, 70));
+    let (large, large_segments) = reopen(&logged_in_frames(&entries, 1_000));
+    let segments = small_segments.max(large_segments) as u64;
+    assert!(
+        small.abs_diff(large) <= segments,
+        "1 800 frames opened with {small} allocations, 126 with {large} \
+         ({segments} segments read)"
+    );
+}
+
+/// The allocations a second checkpoint of a warm `Durable<BpTree>` of
+/// `keys` entries made.
+fn checkpoint_allocations(keys: u64) -> u64 {
+    let mut d = open(
+        DurabilityConfig::buffered(),
+        bptree_builder(FastPathMode::Pole, TreeConfig::small(CAPACITY)),
+    );
+    let entries: Vec<(u64, u64)> = (0..keys).map(|k| (k, k)).collect();
+    d.insert_batch(&entries);
+    d.checkpoint::<u64, u64>().unwrap();
+    let ((), n) = allocations(|| d.checkpoint::<u64, u64>().unwrap());
+    n
+}
+
+#[test]
+fn a_checkpoint_allocates_as_often_at_any_size() {
+    let (small, large) = (
+        checkpoint_allocations(10_000),
+        checkpoint_allocations(100_000),
+    );
+    assert_eq!(
+        small, large,
+        "a checkpoint of 10 000 entries allocated {small} times, of 100 000 {large}"
+    );
 }
